@@ -4,9 +4,7 @@
 //! multivariant record types flowing through every subnet and emits
 //! structured diagnostics with stable codes *before* a network runs.
 //! The runtime engines consult it as a pre-flight check
-//! (`EngineConfig::analyze`), `snet-lint` pretty-prints its reports,
-//! and its exact-match proofs let fused chains skip per-record type
-//! checks (`BoxDef::exact_input`).
+//! (`EngineConfig::analyze`) and `snet-lint` pretty-prints its reports.
 //!
 //! ## The abstract domain
 //!
@@ -302,8 +300,7 @@ impl Analysis {
 /// `Net::with_entry_type` — absence proofs (SNA001/003/004/005) are
 /// available.
 pub fn analyze(net: &NetSpec, entry: &RType, cfg: &AnalyzeConfig) -> Analysis {
-    let mut clone = net.clone();
-    run(&mut clone, ShapeSet::closed(entry), cfg, false)
+    run(net, ShapeSet::closed(entry), cfg)
 }
 
 /// Analyzes `net` with a completely unknown input stream (engine
@@ -311,68 +308,14 @@ pub fn analyze(net: &NetSpec, entry: &RType, cfg: &AnalyzeConfig) -> Analysis {
 /// restricts the report to structural diagnostics — placement range
 /// checks (SNA006) fire; shape-dependent codes cannot.
 pub fn analyze_open(net: &NetSpec, cfg: &AnalyzeConfig) -> Analysis {
-    let mut clone = net.clone();
-    run(&mut clone, ShapeSet::open_any(), cfg, false)
+    run(net, ShapeSet::open_any(), cfg)
 }
 
-/// Like [`analyze`], but additionally annotates every box (standalone
-/// or fused-chain stage) whose incoming shapes are all proven to
-/// exact-match its input variant: [`BoxDef::exact_input`] is set, so
-/// `box_step` skips the per-record `accepts`/arity check and the flow
-/// split entirely. Only sound when all records fed to the network are
-/// of the (closed) `entry` type. Returns the analysis and the number of
-/// boxes annotated.
-pub fn analyze_and_annotate(
-    net: &mut NetSpec,
-    entry: &RType,
-    cfg: &AnalyzeConfig,
-) -> (Analysis, usize) {
-    // Stale annotations from a previous pass (possibly under a different
-    // entry type) must not survive on boxes this run never reaches.
-    for_each_box(net, &mut |def| def.exact_input = false);
-    let analysis = run(net, ShapeSet::closed(entry), cfg, true);
-    let mut annotated = 0;
-    for_each_box(net, &mut |def| {
-        if def.exact_input {
-            annotated += 1;
-        }
-    });
-    (analysis, annotated)
-}
-
-fn run(net: &mut NetSpec, input: ShapeSet, cfg: &AnalyzeConfig, annotate: bool) -> Analysis {
-    let mut ctx = Ctx::new(cfg, annotate);
+fn run(net: &NetSpec, input: ShapeSet, cfg: &AnalyzeConfig) -> Analysis {
+    let mut ctx = Ctx::new(cfg);
     let input = ctx.bound(input);
     let out = ctx.flow(net, input.clone(), "net");
     ctx.finish(&input, out, "net")
-}
-
-/// Visits every box in the topology, including fused-chain stages.
-fn for_each_box(net: &mut NetSpec, f: &mut impl FnMut(&mut BoxDef)) {
-    match net {
-        NetSpec::Box(def) => f(def),
-        NetSpec::Filter(_) | NetSpec::Sync(_) => {}
-        NetSpec::Serial(a, b) => {
-            for_each_box(a, f);
-            for_each_box(b, f);
-        }
-        NetSpec::Parallel { branches, .. } => {
-            for b in branches {
-                for_each_box(b, f);
-            }
-        }
-        NetSpec::Star { body, .. }
-        | NetSpec::Split { body, .. }
-        | NetSpec::At { body, .. }
-        | NetSpec::Named { body, .. } => for_each_box(body, f),
-        NetSpec::FusedChain { stages } => {
-            for s in stages {
-                if let ChainStage::Box(def) = s {
-                    f(def);
-                }
-            }
-        }
-    }
 }
 
 /// Iteration cap for `Star` fixpoints; past it the star's output is
@@ -387,23 +330,15 @@ struct Ctx<'a> {
     diags: Vec<Diagnostic>,
     types: BTreeMap<String, (RType, RType)>,
     saturated: bool,
-    annotate: bool,
-    /// Boxes already visited by the annotation pass, keyed by their
-    /// stable address within the (in-place) topology — a `Star` body is
-    /// re-flowed every fixpoint round, and a revisit with new shapes
-    /// must be able to *retract* an earlier annotation.
-    visited: std::collections::HashSet<usize>,
 }
 
 impl<'a> Ctx<'a> {
-    fn new(cfg: &'a AnalyzeConfig, annotate: bool) -> Ctx<'a> {
+    fn new(cfg: &'a AnalyzeConfig) -> Ctx<'a> {
         Ctx {
             cfg,
             diags: Vec::new(),
             types: BTreeMap::new(),
             saturated: false,
-            annotate,
-            visited: std::collections::HashSet::new(),
         }
     }
 
@@ -457,7 +392,7 @@ impl<'a> Ctx<'a> {
     }
 
     /// The transfer function: shapes out of `net` given shapes into it.
-    fn flow(&mut self, net: &mut NetSpec, input: ShapeSet, path: &str) -> ShapeSet {
+    fn flow(&mut self, net: &NetSpec, input: ShapeSet, path: &str) -> ShapeSet {
         let out = match net {
             NetSpec::Box(def) => {
                 let path = format!("{path}/{}", def.sig.name);
@@ -516,7 +451,7 @@ impl<'a> Ctx<'a> {
             }
             NetSpec::FusedChain { stages } => {
                 let mut cur = input;
-                for (i, stage) in stages.iter_mut().enumerate() {
+                for (i, stage) in stages.iter().enumerate() {
                     let spath = format!("{path}/chain[{i}]");
                     cur = match stage {
                         ChainStage::Box(def) => self.box_flow(def, &cur),
@@ -529,27 +464,7 @@ impl<'a> Ctx<'a> {
         out
     }
 
-    /// Sets [`BoxDef::exact_input`] when every shape that can reach the
-    /// box is exact and coincides with its input variant — the proof
-    /// that the per-record `accepts` + arity check always passes.
-    fn maybe_annotate(&mut self, def: &mut BoxDef, input: &ShapeSet) {
-        if !self.annotate {
-            return;
-        }
-        let iv = def.input_variant();
-        let proof = !input.is_empty() && input.shapes.iter().all(|s| s.exact && s.labels == *iv);
-        let key = def as *const BoxDef as usize;
-        if self.visited.insert(key) {
-            def.exact_input = proof;
-        } else {
-            // Revisit (e.g. another star round widened the shapes):
-            // the proof must hold for every visit or not at all.
-            def.exact_input &= proof;
-        }
-    }
-
-    fn box_flow(&mut self, def: &mut BoxDef, input: &ShapeSet) -> ShapeSet {
-        self.maybe_annotate(def, input);
+    fn box_flow(&mut self, def: &BoxDef, input: &ShapeSet) -> ShapeSet {
         let iv = def.input_variant().clone();
         let outputs = def.sig.output_type();
         let mut out = ShapeSet::default();
@@ -741,12 +656,7 @@ impl<'a> Ctx<'a> {
         out
     }
 
-    fn parallel_flow(
-        &mut self,
-        branches: &mut [NetSpec],
-        input: &ShapeSet,
-        path: &str,
-    ) -> ShapeSet {
+    fn parallel_flow(&mut self, branches: &[NetSpec], input: &ShapeSet, path: &str) -> ShapeSet {
         let patterns: Vec<Vec<Pattern>> = branches.iter().map(|b| b.input_patterns()).collect();
         let mut routed: Vec<ShapeSet> = (0..branches.len()).map(|_| ShapeSet::default()).collect();
         let mut out = ShapeSet::default();
@@ -792,7 +702,7 @@ impl<'a> Ctx<'a> {
                 self.add(&mut out, s.with_definite(false));
             }
         }
-        for (i, branch) in branches.iter_mut().enumerate() {
+        for (i, branch) in branches.iter().enumerate() {
             let bpath = format!("{path}/par[{i}]");
             if routed[i].is_empty() {
                 self.push(Diagnostic::warning(
@@ -815,7 +725,7 @@ impl<'a> Ctx<'a> {
 
     fn star_flow(
         &mut self,
-        body: &mut NetSpec,
+        body: &NetSpec,
         exit: &Pattern,
         input: &ShapeSet,
         path: &str,
@@ -854,13 +764,7 @@ impl<'a> Ctx<'a> {
         out
     }
 
-    fn split_flow(
-        &mut self,
-        body: &mut NetSpec,
-        tag: Label,
-        input: &ShapeSet,
-        path: &str,
-    ) -> ShapeSet {
+    fn split_flow(&mut self, body: &NetSpec, tag: Label, input: &ShapeSet, path: &str) -> ShapeSet {
         let mut tagv = Variant::empty();
         tagv.add_tag(tag);
         let mut to_body = ShapeSet::default();
@@ -1189,40 +1093,6 @@ mod tests {
             RType::single(Variant::parse_labels(&["z"], &[]))
         );
         assert!(a.types.iter().any(|t| t.path == "net/stage/a"));
-    }
-
-    #[test]
-    fn annotation_requires_exact_match_proof() {
-        use snet_core::fuse;
-        // a: {x} -> {y}; b: {y} -> {z}. With entry exactly {x}, every
-        // record reaching b is exactly {y}: both stages annotatable.
-        let mut plan = fuse(&NetSpec::serial(
-            dummy_box("a", &["x"], &[&["y"]]),
-            dummy_box("b", &["y"], &[&["z"]]),
-        ));
-        let (a, n) =
-            analyze_and_annotate(&mut plan, &entry(&["x"], &[]), &AnalyzeConfig::default());
-        assert!(a.diagnostics.is_empty());
-        assert_eq!(n, 2);
-        let NetSpec::FusedChain { stages } = &plan else {
-            panic!("expected a fused chain, got {plan}")
-        };
-        for s in stages {
-            let ChainStage::Box(def) = s else { panic!() };
-            assert!(def.exact_input);
-        }
-        // Entry {x, extra}: inheritance makes b's input {y, extra} — a
-        // superset, not an exact match. Nothing may be annotated.
-        let mut plan = fuse(&NetSpec::serial(
-            dummy_box("a", &["x"], &[&["y"]]),
-            dummy_box("b", &["y"], &[&["z"]]),
-        ));
-        let (_, n) = analyze_and_annotate(
-            &mut plan,
-            &entry(&["x", "extra"], &[]),
-            &AnalyzeConfig::default(),
-        );
-        assert_eq!(n, 0);
     }
 
     #[test]

@@ -17,11 +17,7 @@
 //! * `--handoff-out` (default `BENCH_batched_handoff.json`): the
 //!   scheduled engine swept across hand-off batch sizes
 //!   `{1, 8, 32, 128}`, with speedups relative to the in-run `batch=1`
-//!   point and (when `--baseline` names a readable results file) to
-//!   the previously *committed* scheduler numbers. The baseline is
-//!   read before `--out` is regenerated, so by default each run
-//!   compares against the last committed engine — at PR 4 time, the
-//!   PR-1 single-record, mutex-deque scheduler;
+//!   point;
 //! * `--streaming-out` (default `BENCH_streaming.json`): the streaming
 //!   handle path vs the one-shot batch path on the same engine and
 //!   topology, for both unified-API drivers — `run_stream` (feeder
@@ -162,7 +158,7 @@ fn main() {
             ),
         }
     }
-    // Read the PR-1 baseline BEFORE regenerating `--out` (they default
+    // Read the committed baseline BEFORE regenerating `--out` (they default
     // to the same path).
     let baseline_json = std::fs::read_to_string(&baseline_path).unwrap_or_default();
 
@@ -237,12 +233,10 @@ fn main() {
         topology: String,
         batch: usize,
         sched: Duration,
-        baseline_ns: Option<u128>,
     }
     let mut sweep: Vec<SweepRow> = Vec::new();
     for depth in [4usize, 16] {
         let topology = format!("serial_depth={depth}");
-        let baseline_ns = baseline_sched_ns(&baseline_json, &topology);
         let spec = NetSpec::pipeline((0..depth).map(|_| inc_box()));
         for batch in SWEEP_BATCHES {
             let net = SchedNet::with_config(spec.clone(), EngineConfig { batch, ..config });
@@ -255,7 +249,6 @@ fn main() {
                 topology: topology.clone(),
                 batch,
                 sched,
-                baseline_ns,
             });
         }
     }
@@ -269,11 +262,6 @@ fn main() {
     let _ = writeln!(json, "  \"workers\": {},", config.workers);
     let _ = writeln!(json, "  \"default_batch\": {},", config.batch);
     let _ = writeln!(json, "  \"samples_per_point\": {samples},");
-    let _ = writeln!(
-        json,
-        "  \"committed_baseline\": \"sched_ns from {} as committed before this run (at PR 4: the PR-1 single-record, mutex-deque scheduler)\",",
-        baseline_path
-    );
     json.push_str("  \"results\": [\n");
     for (i, row) in sweep.iter().enumerate() {
         let batch1_ns = sweep
@@ -283,36 +271,19 @@ fn main() {
             .sched
             .as_nanos();
         let vs_batch1 = batch1_ns as f64 / row.sched.as_nanos() as f64;
-        let vs_pr1 = row
-            .baseline_ns
-            .map(|ns| format!("{:.3}", ns as f64 / row.sched.as_nanos() as f64))
-            .unwrap_or_else(|| "null".into());
         let _ = writeln!(
             json,
-            "    {{\"topology\": \"{}\", \"batch\": {}, \"sched_ns\": {}, \"speedup_vs_batch1\": {:.3}, \"speedup_vs_committed_baseline\": {}}}{}",
+            "    {{\"topology\": \"{}\", \"batch\": {}, \"sched_ns\": {}, \"speedup_vs_batch1\": {:.3}}}{}",
             row.topology,
             row.batch,
             row.sched.as_nanos(),
             vs_batch1,
-            vs_pr1,
             if i + 1 < sweep.len() { "," } else { "" },
         );
     }
     json.push_str("  ]\n}\n");
     std::fs::write(&handoff_path, &json).expect("write hand-off sweep json");
     println!("wrote {handoff_path}");
-
-    let d16_default = sweep
-        .iter()
-        .find(|r| r.topology == "serial_depth=16" && r.batch == config.batch)
-        .expect("default batch is in the sweep");
-    if let Some(base) = d16_default.baseline_ns {
-        println!(
-            "serial_depth=16: batch={} is {:.2}x the previously committed scheduler",
-            d16_default.batch,
-            base as f64 / d16_default.sched.as_nanos() as f64
-        );
-    }
 
     // ---- Streaming handle vs one-shot batch (both engines) ----
     //

@@ -35,7 +35,7 @@
 
 use snet_core::boxdef::{BoxDef, BoxOutput, BoxSig, Work};
 use snet_core::{NetSpec, Record, Value};
-use snet_runtime::sched::TrySendError;
+use snet_runtime::TrySendError;
 use snet_runtime::{EngineConfig, SchedNet};
 use std::fmt::Write as _;
 use std::time::Instant;

@@ -1,6 +1,6 @@
-//! The sched engine's mailbox wake protocol (`sched.rs::notify` /
-//! `park`), modeled against the snet-check façade — runs in every
-//! build, no special RUSTFLAGS.
+//! The sched engine's mailbox wake protocol (`notify` / `park` in
+//! `crates/runtime/src/sched/pool.rs`), modeled against the snet-check
+//! façade — runs in every build, no special RUSTFLAGS.
 //!
 //! The protocol: producers CAS a per-task `scheduled` flag, push the
 //! task, and wake the worker condvar only when `sleepers > 0`
@@ -71,7 +71,7 @@ impl Pool {
         }
     }
 
-    /// `sched.rs::notify`: claim the flag, push, conditionally wake.
+    /// `sched/pool.rs::notify`: claim the flag, push, conditionally wake.
     fn notify(&self, task: usize, v: Variant) {
         if self.scheduled[task]
             .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
@@ -87,7 +87,7 @@ impl Pool {
         }
     }
 
-    /// `sched.rs::park`: register as sleeper under the sleep lock,
+    /// `sched/pool.rs::park`: register as sleeper under the sleep lock,
     /// re-probe, wait (releasing the lock atomically).
     fn park(&self, v: Variant) {
         let sleep = self.sleep.lock().unwrap();

@@ -1,5 +1,5 @@
-//! The streaming sink-finalize completion latch (`sched.rs`'s
-//! `Run::signal_done` / `wait_done`), modeled against the snet-check
+//! The sink-finalize completion latch (`Latch::signal` / `wait` in
+//! `crates/runtime/src/sched/mod.rs`), modeled against the snet-check
 //! façade — runs in every build, no special RUSTFLAGS.
 //!
 //! The protocol: the worker that finalizes the sink sets `done` under
@@ -33,13 +33,13 @@ impl Latch {
         }
     }
 
-    /// `Run::signal_done`: flag under the lock, then notify.
+    /// `Latch::signal`: flag under the lock, then notify.
     fn signal(&self) {
         *self.done.lock().unwrap() = true;
         self.done_cv.notify_all();
     }
 
-    /// `Run::wait_done`: while-loop under the flag's mutex; `timed`
+    /// `Latch::wait`: while-loop under the flag's mutex; `timed`
     /// mirrors the 500ms production safety net.
     fn wait(&self, timed: bool) {
         let mut done = self.done.lock().unwrap();

@@ -218,14 +218,6 @@ impl BoxOutput {
             work,
         }
     }
-
-    /// Multi-record output with work. Compat wrapper over
-    /// [`BoxOutput::many_into`]: it adopts the `Vec`'s heap buffer, but
-    /// forces callers to have built one — prefer `many_into` (or
-    /// [`BoxOutput::from_iter`]) in new code.
-    pub fn many(records: Vec<Record>, work: Work) -> BoxOutput {
-        BoxOutput::many_into(SmallVec::from_vec(records), work)
-    }
 }
 
 /// A box function: pure (no mutable static data), thread-safe, invoked
@@ -256,12 +248,6 @@ pub struct BoxDef {
     /// Per-box failure-policy override; `None` follows the engine's
     /// configured policy.
     pub policy: Option<FailurePolicy>,
-    /// Static proof that every record reaching this box exact-matches
-    /// `input_variant()` (same label set, nothing extra). Set by the
-    /// `snet-analyze` annotation pass; `semantics::box_step` then skips
-    /// the per-record accepts/arity check and the flow split entirely.
-    /// Defaults to `false` — plain construction never claims the proof.
-    pub exact_input: bool,
     /// `sig.input_variant()` cached at construction. Rebuilding the
     /// variant allocates label sets, and every engine consults it once
     /// per record per box — the single hottest line in the workspace.
@@ -277,7 +263,6 @@ impl BoxDef {
             sig,
             func,
             policy: None,
-            exact_input: false,
             iv,
         }
     }
@@ -359,15 +344,13 @@ mod tests {
         assert!(!b.records.spilled());
         assert_eq!(b.work, Work::ops(3));
         assert!(BoxOutput::none(Work::ZERO).records.is_empty());
-        // The compat wrapper and the iterator form agree on contents.
+        // The iterator form keeps emission order.
         let recs = vec![
             Record::new().with_tag("t", 3),
             Record::new().with_tag("t", 4),
         ];
-        let c = BoxOutput::many(recs.clone(), Work::ZERO);
-        let d = BoxOutput::from_iter(recs, Work::ZERO);
-        assert_eq!(c.records.len(), 2);
-        assert_eq!(c.records.as_slice(), d.records.as_slice());
+        let d = BoxOutput::from_iter(recs.clone(), Work::ZERO);
+        assert_eq!(d.records.as_slice(), recs.as_slice());
     }
 
     #[test]

@@ -55,25 +55,6 @@ pub enum MismatchPolicy {
 /// consumed/rest, invoke the function on the consumed part, flow-inherit
 /// the rest into every output. Otherwise apply `policy`.
 pub fn box_step(def: &BoxDef, rec: Record, policy: MismatchPolicy) -> Result<StepOut, SnetError> {
-    // Analysis-proven exact input (`snet-analyze` annotation): every
-    // record reaching this box carries exactly the input variant's
-    // labels, so the accepts check, the arity comparison, and the flow
-    // split are all foregone conclusions — call the function directly.
-    if def.exact_input {
-        let map_fail = |e| match e {
-            SnetError::BoxFailure { .. } => e,
-            other => SnetError::BoxFailure {
-                name: def.sig.name.clone(),
-                cause: other.to_string(),
-            },
-        };
-        let out = def.func.call(&rec).map_err(map_fail)?;
-        return Ok(StepOut {
-            records: out.records,
-            work: out.work,
-            matched: true,
-        });
-    }
     let iv = def.input_variant();
     if !iv.accepts(&rec) {
         return match policy {

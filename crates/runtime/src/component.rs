@@ -1,0 +1,406 @@
+//! The component layer of both concurrent engines: what a box, filter,
+//! fused chain, synchrocell, parallel dispatcher, star tap or split
+//! dispatcher does to one record, written once over an abstract
+//! [`Transport`].
+//!
+//! An engine contributes only the transport — what a port is, how a
+//! record is put on one, and how a component gets something to run on
+//! (a thread, a scheduler task). Everything semantic lives here: the
+//! failure policy around each step, the trace counters, best-match
+//! dispatch, and the lazy unfolding of star and split replicas. This is
+//! the only code in the concurrent engines that calls
+//! [`fault::policy_step`], [`fault::reject`], [`semantics`],
+//! [`ChainRunner`] or bumps a [`Trace`] counter, so the engines cannot
+//! drift apart on what a component does. ([`crate::Interp`] stays an
+//! independent implementation: it is the reference they are tested
+//! against.)
+
+use crate::config::EngineConfig;
+use crate::run::Run;
+use crate::trace::Trace;
+use snet_core::boxdef::{BoxDef, Work};
+use snet_core::fault::{self, StepVerdict};
+use snet_core::pool;
+use snet_core::semantics::{self, MismatchPolicy};
+use snet_core::{
+    ChainRunner, ChainStage, ChainTally, FilterSpec, Label, NetSpec, Pattern, Record, SnetError,
+    SyncOutcome, SyncSpec, SyncState,
+};
+use std::collections::HashMap;
+
+/// The seam between the component semantics and an engine.
+pub(crate) trait Transport {
+    /// A sending handle onto one component's input stream. End of
+    /// stream is every port onto it having been closed (how is the
+    /// transport's business: disconnect, sender refcount).
+    type Port;
+
+    /// Gives `comp` something to run on and returns a port onto its
+    /// input.
+    fn spawn(&mut self, comp: Component<Self::Port>) -> Self::Port;
+
+    /// A second port onto the stream `port` feeds.
+    fn another(port: &Self::Port) -> Self::Port;
+
+    /// Puts one record on `port`.
+    fn send(&mut self, port: &mut Self::Port, rec: Record);
+
+    /// Puts a component's whole output set on `port`, in order.
+    fn send_all(&mut self, port: &mut Self::Port, recs: impl IntoIterator<Item = Record>) {
+        for rec in recs {
+            self.send(port, rec);
+        }
+    }
+}
+
+/// One component instance: its semantic state and its output ports.
+pub(crate) struct Component<P> {
+    kind: Kind<P>,
+    /// The primary output (for dispatchers: the merged output stream
+    /// their branches also write to).
+    out: P,
+}
+
+enum Kind<P> {
+    Box(BoxDef),
+    Filter(FilterSpec),
+    /// A fused SISO chain: each record crosses every stage inside one
+    /// step. `runner` and `outs` are reusable scratch, so the
+    /// steady-state per-record path allocates nothing.
+    Chain {
+        stages: Vec<ChainStage>,
+        runner: ChainRunner,
+        outs: Vec<Record>,
+    },
+    Sync {
+        spec: SyncSpec,
+        st: SyncState,
+    },
+    Par {
+        patterns: Vec<Vec<Pattern>>,
+        branches: Vec<P>,
+    },
+    /// One tap of a serial-replication star. The tap inspects every
+    /// record *before* the replica (§III: "the chain is tapped before
+    /// every replica"): matching records exit to `out`; the rest enter
+    /// a lazily instantiated replica of `body` whose output feeds the
+    /// next tap.
+    Star {
+        body: NetSpec,
+        exit: Pattern,
+        into_body: Option<P>,
+    },
+    Split {
+        body: NetSpec,
+        tag: Label,
+        replicas: HashMap<i64, P>,
+    },
+}
+
+/// Recursively instantiates `spec` feeding `output`, back to front, and
+/// returns the subnet's input port. Both engines ignore placement
+/// (`At`); `snet-dist` honours it on the simulated cluster.
+pub(crate) fn build<T: Transport>(spec: &NetSpec, output: T::Port, t: &mut T) -> T::Port {
+    let kind = match spec {
+        NetSpec::Box(def) => Kind::Box(def.clone()),
+        NetSpec::Filter(f) => Kind::Filter(f.clone()),
+        NetSpec::FusedChain { stages } => Kind::Chain {
+            stages: stages.clone(),
+            runner: ChainRunner::new(),
+            outs: pool::take_vec(),
+        },
+        NetSpec::Sync(spec) => Kind::Sync {
+            st: spec.new_state(),
+            spec: spec.clone(),
+        },
+        NetSpec::Serial(a, b) => {
+            let mid = build(b, output, t);
+            return build(a, mid, t);
+        }
+        // Every branch writes to its own port onto `output`, so the
+        // merge is arrival-order — the paper's nondeterministic merger.
+        NetSpec::Parallel { branches, .. } => Kind::Par {
+            patterns: branches.iter().map(|b| b.input_patterns()).collect(),
+            branches: branches
+                .iter()
+                .map(|b| build(b, T::another(&output), t))
+                .collect(),
+        },
+        NetSpec::Star { body, exit, .. } => Kind::Star {
+            body: (**body).clone(),
+            exit: exit.clone(),
+            into_body: None,
+        },
+        NetSpec::Split { body, tag, .. } => Kind::Split {
+            body: (**body).clone(),
+            tag: *tag,
+            replicas: HashMap::new(),
+        },
+        NetSpec::At { body, .. } | NetSpec::Named { body, .. } => return build(body, output, t),
+    };
+    t.spawn(Component { kind, out: output })
+}
+
+/// Settles one policy verdict: count and emit, divert, or fail.
+fn settle<T: Transport>(
+    verdict: StepVerdict,
+    count_match: impl FnOnce(&Trace, Work),
+    run: &Run,
+    t: &mut T,
+    out: &mut T::Port,
+) -> Result<(), SnetError> {
+    match verdict {
+        StepVerdict::Out { step, attempts } => {
+            if attempts > 1 {
+                Trace::add(&run.trace.retries, u64::from(attempts - 1));
+            }
+            if step.matched {
+                count_match(&run.trace, step.work);
+            } else {
+                Trace::add(&run.trace.passthroughs, 1);
+            }
+            t.send_all(out, step.records);
+            Ok(())
+        }
+        StepVerdict::Dead(dl) => run.divert(dl),
+        StepVerdict::Fatal(e) => Err(e),
+    }
+}
+
+impl<P> Component<P> {
+    /// Applies one record (the shared small-step semantics), emitting
+    /// through `t`. An error is fatal to the run; a record diverted
+    /// under `DeadLetter` is not an error.
+    pub(crate) fn step<T: Transport<Port = P>>(
+        &mut self,
+        rec: Record,
+        run: &Run,
+        config: &EngineConfig,
+        t: &mut T,
+    ) -> Result<(), SnetError> {
+        let out = &mut self.out;
+        match &mut self.kind {
+            Kind::Box(def) => {
+                // Box functions are user code: `policy_step` contains
+                // panics and applies the failure policy (per-box
+                // override first, engine default otherwise).
+                let policy = def.effective_policy(config.policy);
+                let verdict = fault::policy_step(policy, &def.sig.name, &run.seq, rec, |r| {
+                    semantics::box_step(def, r, config.mismatch)
+                });
+                settle(verdict, Trace::count_box, run, t, out)
+            }
+            Kind::Filter(spec) => {
+                // Filters follow the engine policy; their errors are
+                // deterministic, so Retry degenerates to FailFast
+                // inside `policy_step` (only `BoxFailure` retries).
+                let verdict = fault::policy_step(config.policy, "filter", &run.seq, rec, |r| {
+                    semantics::filter_step(spec, r, config.mismatch)
+                });
+                let count = |trace: &Trace, _| Trace::add(&trace.filter_records, 1);
+                settle(verdict, count, run, t, out)
+            }
+            Kind::Chain {
+                stages,
+                runner,
+                outs,
+            } => chain_step(stages, runner, outs, [rec], run, config, t, out),
+            Kind::Sync { spec, st } => {
+                match st.push(spec, rec) {
+                    SyncOutcome::Stored => Trace::add(&run.trace.sync_stores, 1),
+                    SyncOutcome::Fired(merged) => {
+                        Trace::add(&run.trace.sync_fires, 1);
+                        t.send(out, merged);
+                    }
+                    SyncOutcome::Passed(rec) => t.send(out, rec),
+                }
+                Ok(())
+            }
+            Kind::Par { patterns, branches } => match semantics::best_branch(patterns, &rec) {
+                Some(i) => {
+                    Trace::add(&run.trace.dispatched, 1);
+                    t.send(&mut branches[i], rec);
+                    Ok(())
+                }
+                None => match config.mismatch {
+                    MismatchPolicy::Forward => {
+                        Trace::add(&run.trace.passthroughs, 1);
+                        t.send(out, rec);
+                        Ok(())
+                    }
+                    MismatchPolicy::Error => {
+                        let cause = SnetError::TypeMismatch {
+                            expected: "any parallel branch".into(),
+                            got: format!("{rec:?}"),
+                        };
+                        fault::reject(config.policy, "par-dispatch", &run.seq, rec, cause)
+                            .and_then(|dl| run.divert(dl))
+                    }
+                },
+            },
+            Kind::Star {
+                body,
+                exit,
+                into_body,
+            } => {
+                if exit.matches(&rec) {
+                    t.send(out, rec);
+                    return Ok(());
+                }
+                let port = match into_body {
+                    Some(port) => port,
+                    None => {
+                        // Unfold one replica: the body feeding the next
+                        // tap, which shares our exit stream.
+                        Trace::add(&run.trace.star_unfoldings, 1);
+                        let next_tap = t.spawn(Component {
+                            kind: Kind::Star {
+                                body: body.clone(),
+                                exit: exit.clone(),
+                                into_body: None,
+                            },
+                            out: T::another(out),
+                        });
+                        into_body.insert(build(body, next_tap, t))
+                    }
+                };
+                t.send(port, rec);
+                Ok(())
+            }
+            Kind::Split {
+                body,
+                tag,
+                replicas,
+            } => {
+                let Some(value) = rec.tag(*tag) else {
+                    let cause = SnetError::MissingTag(*tag);
+                    return fault::reject(config.policy, "split-dispatch", &run.seq, rec, cause)
+                        .and_then(|dl| run.divert(dl));
+                };
+                let port = replicas.entry(value).or_insert_with(|| {
+                    Trace::add(&run.trace.split_replicas, 1);
+                    build(body, T::another(out), t)
+                });
+                Trace::add(&run.trace.dispatched, 1);
+                t.send(port, rec);
+                Ok(())
+            }
+        }
+    }
+
+    /// Applies a claimed hand-off batch. Fused chains take it in one
+    /// stage-major traversal (identical observable semantics, one
+    /// panic guard and one buffer reset per batch instead of per
+    /// record); every other component steps record-at-a-time.
+    pub(crate) fn step_batch<T: Transport<Port = P>>(
+        &mut self,
+        recs: impl IntoIterator<Item = Record>,
+        run: &Run,
+        config: &EngineConfig,
+        t: &mut T,
+    ) -> Result<(), SnetError> {
+        if let Kind::Chain {
+            stages,
+            runner,
+            outs,
+        } = &mut self.kind
+        {
+            return chain_step(stages, runner, outs, recs, run, config, t, &mut self.out);
+        }
+        recs.into_iter()
+            .try_for_each(|rec| self.step(rec, run, config, t))
+    }
+
+    /// Observes end-of-stream: counts stranded synchrocell records,
+    /// returns pooled scratch, and hands every output port to `close`
+    /// (branch and replica ports first, the primary output last).
+    pub(crate) fn end_of_stream(self, run: &Run, mut close: impl FnMut(P)) {
+        match self.kind {
+            Kind::Box(_) | Kind::Filter(_) => {}
+            // `runner` drops here and returns its ping-pong buffers.
+            Kind::Chain { outs, .. } => pool::give_vec(outs),
+            Kind::Sync { st, .. } => {
+                let stranded = st.pending().count() as u64;
+                if stranded > 0 {
+                    Trace::add(&run.trace.sync_stranded, stranded);
+                }
+            }
+            Kind::Par { branches, .. } => branches.into_iter().for_each(&mut close),
+            Kind::Star { into_body, .. } => into_body.into_iter().for_each(&mut close),
+            Kind::Split { replicas, .. } => replicas.into_values().for_each(&mut close),
+        }
+        close(self.out);
+    }
+
+    /// Visits every output port (branch and replica ports first, the
+    /// primary output last).
+    pub(crate) fn for_each_port(&mut self, mut f: impl FnMut(&mut P)) {
+        match &mut self.kind {
+            Kind::Par { branches, .. } => branches.iter_mut().for_each(&mut f),
+            Kind::Star { into_body, .. } => into_body.iter_mut().for_each(&mut f),
+            Kind::Split { replicas, .. } => replicas.values_mut().for_each(&mut f),
+            Kind::Box(_) | Kind::Filter(_) | Kind::Chain { .. } | Kind::Sync { .. } => {}
+        }
+        f(&mut self.out);
+    }
+
+    /// The primary output port.
+    pub(crate) fn out(&self) -> &P {
+        &self.out
+    }
+
+    /// Whether this is combinator glue that routes records (parallel,
+    /// star tap, split) rather than a component that transforms them.
+    pub(crate) fn is_dispatcher(&self) -> bool {
+        matches!(
+            self.kind,
+            Kind::Par { .. } | Kind::Star { .. } | Kind::Split { .. }
+        )
+    }
+
+    /// A short name for the component instance (thread names).
+    pub(crate) fn label(&self) -> String {
+        match &self.kind {
+            Kind::Box(def) => format!("box-{}", def.sig.name),
+            Kind::Filter(_) => "filter".into(),
+            Kind::Chain { .. } => "fused-chain".into(),
+            Kind::Sync { .. } => "sync".into(),
+            Kind::Par { .. } => "par-dispatch".into(),
+            Kind::Star { .. } => "star-tap".into(),
+            Kind::Split { .. } => "split-dispatch".into(),
+        }
+    }
+}
+
+/// Drives `recs` through a fused chain. Per-stage policy resolution,
+/// retries, panic containment and dead-letter attribution all happen
+/// inside [`ChainRunner`] (the same `policy_step` calls the unfused
+/// components make); the tally folds into the trace so a fused run
+/// reports exactly what its unfused equivalent would.
+#[allow(clippy::too_many_arguments)] // the chain's parts plus the step context
+fn chain_step<T: Transport>(
+    stages: &[ChainStage],
+    runner: &mut ChainRunner,
+    outs: &mut Vec<Record>,
+    recs: impl IntoIterator<Item = Record>,
+    run: &Run,
+    config: &EngineConfig,
+    t: &mut T,
+    out: &mut T::Port,
+) -> Result<(), SnetError> {
+    let mut tally = ChainTally::default();
+    let res = runner.step_batch(
+        stages,
+        config.policy,
+        config.mismatch,
+        &run.seq,
+        recs,
+        &mut tally,
+        outs,
+        &mut |dl| run.divert(dl),
+    );
+    run.trace.count_chain(&tally);
+    res?;
+    t.send_all(out, outs.drain(..));
+    Ok(())
+}

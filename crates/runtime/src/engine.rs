@@ -1,8 +1,8 @@
 //! The threaded engine: asynchronous components over bounded channels.
 //!
-//! Every primitive component instance (box, filter, synchrocell) and
-//! every piece of combinator glue (parallel dispatcher, star tap, index
-//! dispatcher) runs as its own thread, connected by bounded
+//! Every component instance (box, filter, fused chain, synchrocell)
+//! and every piece of combinator glue (parallel dispatcher, star tap,
+//! index dispatcher) runs as its own thread, connected by bounded
 //! [`crossbeam_channel`] channels. This is a direct rendering of the
 //! paper's execution model (§III): components are "asynchronously
 //! executed, stateless stream-processing components"; merging of
@@ -11,334 +11,173 @@
 //! channels provide the throttling the coordination layer is responsible
 //! for.
 //!
-//! End-of-stream is channel disconnection: a component terminates when
-//! its input disconnects, and closes its output by dropping the sender.
-//! Collectors (the merge side of `|` and `!`) finish when *all* clones
-//! of the output sender have been dropped, which happens exactly when
-//! every branch has terminated.
+//! This module is only the transport: a port is a [`Sender`], spawning
+//! a component is spawning a thread that feeds its input channel
+//! through the shared component step. End-of-stream is channel
+//! disconnection: a component terminates when its input disconnects,
+//! and closes its outputs by dropping their senders. The merge side of `|` and `!`
+//! finishes when *all* clones of the output sender have been dropped,
+//! which happens exactly when every branch has terminated.
 
-use crate::trace::Trace;
-use crossbeam_channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use crate::component::{build, Component, Transport};
+use crate::config::{EngineConfig, Plan};
+use crate::handle::{Handle, Ingress, TrySendError};
+use crate::run::{DeadDest, Run};
+use crate::{Engine, RunReport};
+use crossbeam_channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
-use snet_core::fault::{self, DeadLetter, FailurePolicy, StepVerdict};
-use snet_core::semantics::{self, MismatchPolicy};
-use snet_core::{ChainRunner, ChainTally, NetSpec, Record, SnetError, SyncOutcome};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use snet_core::{Record, SnetError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// How long blocked handle operations sleep between checks of the
-/// abort flag and deadline.
-const POLL_INTERVAL: Duration = Duration::from_millis(50);
+/// The threaded engine (see [`crate::Net`]). It keeps nothing between
+/// runs: every run spawns, and `finish` joins, its own threads.
+pub struct Threaded;
 
-/// Dead-letter channel capacity multiplier over `channel_capacity`:
-/// the stream is bounded (workers never block on it), sized so a
-/// consumer draining at output cadence never sees overflow.
-const DEAD_CAPACITY_FACTOR: usize = 16;
-
-/// Engine tuning knobs (shared by the threaded and scheduled engines;
-/// each engine reads the knobs that apply to it).
-#[derive(Clone, Copy, Debug)]
-pub struct EngineConfig {
-    /// Capacity of every inter-component channel. Bounded channels give
-    /// backpressure ("throttling" in the paper's list of coordination
-    /// concerns); 0 would mean rendezvous, which deadlocks multi-output
-    /// filters feeding themselves through a star, so the minimum is 1.
-    /// The scheduled engine derives its mailbox high-water mark from
-    /// this value.
-    pub channel_capacity: usize,
-    /// What to do when a record reaches a component it cannot match.
-    pub mismatch: MismatchPolicy,
-    /// Worker threads in the scheduled engine's pool
-    /// ([`crate::sched::SchedNet`]); the threaded engine ignores it
-    /// (its thread count is the component count).
-    pub workers: usize,
-    /// Records coalesced per mailbox hand-off in the scheduled engine:
-    /// a task's activation buffers up to this many records per output
-    /// edge and pushes them downstream with a single lock acquisition
-    /// and a single consumer wake; input mailboxes are drained at the
-    /// same granularity. `1` restores record-at-a-time hand-off
-    /// (bit-identical scheduling to the pre-batching engine). The
-    /// threaded engine hands off per record regardless, though
-    /// multi-record component outputs go through the channel's batched
-    /// `send_iter`. Default 32, tuned on the serial-pipeline benchmark
-    /// (see `BENCH_batched_handoff.json`).
-    pub batch: usize,
-    /// Engine-wide failure policy; individual boxes may override it
-    /// via [`snet_core::boxdef::BoxDef::with_policy`]. Default
-    /// [`FailurePolicy::FailFast`] (the historical behavior).
-    pub policy: FailurePolicy,
-    /// Wall-clock budget for a run, measured from [`Net::start`] /
-    /// [`crate::SchedNet::start`]. On expiry the run aborts at the next
-    /// preemption point and reports [`SnetError::DeadlineExceeded`];
-    /// partial outputs already emitted remain retrievable. `None`
-    /// (default) disables the check entirely.
-    pub deadline: Option<Duration>,
-    /// Fuse maximal static SISO chains of boxes/filters into single
-    /// components ([`snet_core::fusion::fuse`]) before instantiating
-    /// the network. Default `true`: fusion is observationally
-    /// equivalent (same output multiset, traces, and fault
-    /// attribution — see the `fusion_equivalence` property suite) and
-    /// strictly cheaper on deep pipelines. Set `false` to run the
-    /// topology exactly as written (one task/thread per component),
-    /// e.g. to measure hand-off cost itself.
-    pub fuse: bool,
-    /// Pin each scheduled-engine pool worker to a CPU core (worker `i`
-    /// → core `i % available cores`, Linux only, best-effort). Keeps a
-    /// fused task's record batches on the same cache hierarchy across
-    /// activations. Default `false` — shared CI runners and
-    /// container-restricted CPU sets make pinning a pessimization
-    /// there; opt in for dedicated hardware. The threaded engine
-    /// ignores it.
-    pub pin_workers: bool,
-    /// Run the static analyzer (`snet-analyze`) over the topology at
-    /// construction time as a pre-flight check. The check is sound for
-    /// *any* input stream (the entry type is unknown), so it only
-    /// rejects structural defects — today that is placement targets out
-    /// of range (`SNA006`, needs [`EngineConfig::nodes`]). A rejected
-    /// net reports [`SnetError::Analysis`] from `run_batch*` and fails
-    /// `start()`ed runs immediately. Default `true`; set `false` to
-    /// opt out. For the full shape-aware analysis, declare the entry
-    /// type via `with_entry_type`.
-    pub analyze: bool,
-    /// Number of compute nodes available to the placement combinators
-    /// (`@ node`, `!@ tag`), used only by the pre-flight analyzer's
-    /// range check. `None` (default) disables the check — the local
-    /// engines ignore placement, so any node index runs fine here.
-    pub nodes: Option<u32>,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            channel_capacity: 64,
-            mismatch: MismatchPolicy::Forward,
-            workers: default_workers(),
-            batch: 32,
-            policy: FailurePolicy::FailFast,
-            deadline: None,
-            fuse: true,
-            pin_workers: false,
-            analyze: true,
-            nodes: None,
-        }
-    }
-}
-
-/// The analyzer configuration induced by an engine configuration.
-pub(crate) fn analyze_cfg(config: &EngineConfig) -> snet_analyze::AnalyzeConfig {
-    snet_analyze::AnalyzeConfig {
-        nodes: config.nodes,
-        ..snet_analyze::AnalyzeConfig::default()
-    }
-}
-
-/// Pre-flight diagnostics for `spec` under `config`: the error-severity
-/// findings of the open-entry analysis, or nothing when the check is
-/// opted out.
-pub(crate) fn preflight(spec: &NetSpec, config: &EngineConfig) -> Vec<snet_core::Diagnostic> {
-    if !config.analyze {
-        return Vec::new();
-    }
-    snet_analyze::analyze_open(spec, &analyze_cfg(config))
-        .errors()
-        .cloned()
-        .collect()
-}
-
-/// Default scheduled-engine pool size: the `SNET_WORKERS` environment
-/// variable when set to a positive integer (the CI constrained lane
-/// uses `SNET_WORKERS=1` under `taskset -c 0`), else 4. Read once; a
-/// later env change does not move the default mid-process.
-fn default_workers() -> usize {
-    static WORKERS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *WORKERS.get_or_init(|| {
-        std::env::var("SNET_WORKERS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(4)
-    })
-}
-
-/// A compiled network ready to execute records.
-///
-/// `Net` is reusable: every [`Net::start`] (or [`Net::run_batch`]) call
-/// instantiates a fresh set of component threads. Synchrocell and
-/// replication state never leaks between runs.
-pub struct Net {
-    spec: NetSpec,
-    /// What actually runs: `spec` with SISO chains fused (or a clone of
-    /// `spec` when [`EngineConfig::fuse`] is off).
-    plan: NetSpec,
+/// What the component threads of one run share.
+struct Threads {
+    run: Arc<Run>,
     config: EngineConfig,
-    /// Error-severity findings of the construction-time pre-flight
-    /// analysis (empty when clean or when [`EngineConfig::analyze`] is
-    /// off). A non-empty list fails every run with
-    /// [`SnetError::Analysis`].
-    preflight: Vec<snet_core::Diagnostic>,
+    /// Every thread spawned for the run so far (star and split
+    /// replicas add theirs while it runs), joined by `finish`.
+    handles: Mutex<Vec<JoinHandle<()>>>,
 }
 
-impl Net {
-    /// Wraps a topology with default configuration.
-    pub fn new(spec: NetSpec) -> Net {
-        Net::with_config(spec, EngineConfig::default())
-    }
+/// One thread's end of the transport.
+struct Wire {
+    threads: Arc<Threads>,
+    /// Set when a send found its channel disconnected: downstream tore
+    /// down (an error was recorded elsewhere) and the component should
+    /// stop.
+    disconnected: bool,
+}
 
-    /// Wraps a topology with explicit configuration.
-    pub fn with_config(spec: NetSpec, config: EngineConfig) -> Net {
-        let plan = if config.fuse {
-            snet_core::fuse(&spec)
-        } else {
-            spec.clone()
-        };
-        let preflight = preflight(&spec, &config);
-        Net {
-            spec,
-            plan,
-            config,
-            preflight,
+impl Wire {
+    fn new(threads: &Arc<Threads>) -> Wire {
+        Wire {
+            threads: Arc::clone(threads),
+            disconnected: false,
         }
     }
+}
 
-    /// Wraps a topology with a declared (closed) entry type: every
-    /// record fed to the net is promised to carry exactly the labels of
-    /// one of `entry`'s variants. This unlocks the full shape-aware
-    /// analysis — the net is rejected up front ([`SnetError::Analysis`])
-    /// on any error-severity finding (unroutable records, splits missing
-    /// their index tag, stranded synchrocells, unbound filter labels,
-    /// placement out of range) — and the analyzer's exact-match proofs
-    /// annotate the execution plan so fused boxes skip their per-record
-    /// type checks ([`snet_core::boxdef::BoxDef::exact_input`]).
-    pub fn with_entry_type(
-        spec: NetSpec,
-        entry: &snet_core::RType,
-        config: EngineConfig,
-    ) -> Result<Net, SnetError> {
-        let mut net = Net::with_config(spec, config);
-        let (analysis, _annotated) =
-            snet_analyze::analyze_and_annotate(&mut net.plan, entry, &analyze_cfg(&config));
-        let errors: Vec<_> = analysis.errors().cloned().collect();
-        if !errors.is_empty() {
-            return Err(SnetError::Analysis(errors));
+impl Transport for Wire {
+    type Port = Sender<Record>;
+
+    fn spawn(&mut self, comp: Component<Sender<Record>>) -> Sender<Record> {
+        let (tx, rx) = bounded(self.threads.config.channel_capacity.max(1));
+        let threads = Arc::clone(&self.threads);
+        let handle = std::thread::Builder::new()
+            .name(format!("snet-{}", comp.label()))
+            .spawn(move || run_component(comp, rx, threads))
+            .expect("thread spawn");
+        self.threads.handles.lock().push(handle);
+        tx
+    }
+
+    fn another(port: &Sender<Record>) -> Sender<Record> {
+        port.clone()
+    }
+
+    fn send(&mut self, port: &mut Sender<Record>, rec: Record) {
+        self.disconnected |= port.send(rec).is_err();
+    }
+
+    /// Multi-record outputs are handed to the channel as one batch:
+    /// one lock window and one receiver wake per output set instead of
+    /// one per record.
+    fn send_all(&mut self, port: &mut Sender<Record>, recs: impl IntoIterator<Item = Record>) {
+        self.disconnected |= port.send_iter(recs).is_err();
+    }
+}
+
+/// A component thread's body: step every input record until the input
+/// disconnects, the run aborts, or downstream is gone.
+fn run_component(
+    mut comp: Component<Sender<Record>>,
+    input: Receiver<Record>,
+    threads: Arc<Threads>,
+) {
+    let run = &threads.run;
+    let mut wire = Wire::new(&threads);
+    for rec in input.iter() {
+        if run.should_stop() {
+            break;
         }
-        net.preflight.clear();
-        Ok(net)
+        if let Err(e) = comp.step(rec, run, &threads.config, &mut wire) {
+            run.fail(e);
+            break;
+        }
+        if wire.disconnected {
+            break;
+        }
+    }
+    // Dropping a sender is closing it.
+    comp.end_of_stream(run, drop);
+}
+
+impl Engine for Threaded {
+    type Ingress = ChannelIngress;
+    const NAME: &'static str = "threaded";
+
+    fn new(_config: &EngineConfig) -> Threaded {
+        Threaded
     }
 
-    /// The underlying topology.
-    pub fn spec(&self) -> &NetSpec {
-        &self.spec
-    }
-
-    /// The pre-flight diagnostics this net was constructed with (empty
-    /// when the analysis passed or was opted out).
-    pub fn preflight_diagnostics(&self) -> &[snet_core::Diagnostic] {
-        &self.preflight
-    }
-
-    /// Instantiates the network and returns a handle for streaming
-    /// records in and out.
-    pub fn start(&self) -> NetHandle {
-        let cap = self.config.channel_capacity.max(1);
-        // No component can divert under this configuration => a 1-slot
-        // stub channel suffices (mirrors the scheduled engine).
-        let dead_cap = if self.spec.diverts_under(self.config.policy) {
-            cap * DEAD_CAPACITY_FACTOR
-        } else {
-            1
-        };
-        let (dead_tx, dead_rx) = bounded(dead_cap);
-        let shared = Arc::new(Shared {
-            threads: Mutex::new(Vec::new()),
-            error: Mutex::new(None),
-            aborted: AtomicBool::new(false),
-            deadline_at: self.config.deadline.map(|d| Instant::now() + d),
-            seq: AtomicU64::new(0),
-            dead_tx,
-            trace: Arc::new(Trace::new()),
-            config: self.config,
+    fn start(&self, plan: &Plan) -> Handle<ChannelIngress> {
+        let (dead_tx, dead_rx) = bounded(plan.dead_capacity());
+        let run = plan.new_run(DeadDest::Stream(dead_tx));
+        let threads = Arc::new(Threads {
+            run: Arc::clone(&run),
+            config: plan.config,
+            handles: Mutex::new(Vec::new()),
         });
-        let (in_tx, in_rx) = bounded(cap);
-        let (out_tx, out_rx) = bounded(cap);
-        if !self.preflight.is_empty() {
-            // Pre-flight rejected the net: the run starts already
-            // failed, components stop at their first preemption check,
-            // and `finish()` reports the analysis error.
-            shared.fail(SnetError::Analysis(self.preflight.clone()));
-        }
-        build(&self.plan, in_rx, out_tx, &shared);
-        NetHandle {
-            input: Mutex::new(Some(in_tx)),
+        let (out_tx, out_rx) = bounded(plan.config.channel_capacity.max(1));
+        // The first component's bounded input channel is the ingress.
+        let entry = build(&plan.fused, out_tx, &mut Wire::new(&threads));
+        Handle {
+            ingress: ChannelIngress {
+                input: Mutex::new(Some(entry)),
+                threads,
+            },
             output: out_rx,
             dead: dead_rx,
-            shared,
+            run,
         }
     }
 
-    /// Feeds a batch of records, closes the input, and collects the
-    /// complete output stream.
-    ///
-    /// The batch is fed from a helper thread so that bounded channels
-    /// cannot deadlock against the draining loop.
-    pub fn run_batch(&self, records: Vec<Record>) -> Result<Vec<Record>, SnetError> {
-        let (outs, _trace) = self.run_batch_traced(records)?;
-        Ok(outs)
-    }
-
-    /// Like [`Net::run_batch`] but also returns the run's [`Trace`].
-    pub fn run_batch_traced(
-        &self,
-        records: Vec<Record>,
-    ) -> Result<(Vec<Record>, Arc<Trace>), SnetError> {
-        let report = self.run_batch_report(records)?;
-        Ok((report.outputs, report.trace))
-    }
-
-    /// Feeds a batch and returns the full [`crate::RunReport`]:
-    /// outputs, diverted dead letters, and the run's trace. This is
-    /// the driver to use with [`FailurePolicy::DeadLetter`], where
-    /// dropped records are data, not errors.
-    pub fn run_batch_report(&self, records: Vec<Record>) -> Result<crate::RunReport, SnetError> {
-        if !self.preflight.is_empty() {
-            return Err(SnetError::Analysis(self.preflight.clone()));
-        }
-        let handle = self.start();
-        let feeder_tx = handle
-            .input
-            .lock()
-            .take()
-            .expect("fresh handle has an input");
-        let feeder = std::thread::spawn(move || {
-            // One batched send for the whole input: the feeder blocks in
-            // `send_iter` whenever the entry channel fills. A send error
-            // means the net tore down early (a component failed); the
-            // error is recorded in `shared.error`.
-            let _ = feeder_tx.send_iter(records);
-        });
+    fn run_batch_report(&self, plan: &Plan, records: Vec<Record>) -> Result<RunReport, SnetError> {
+        plan.check()?;
+        let handle = self.start(plan);
         let mut outputs = Vec::new();
         let mut dead_letters = Vec::new();
-        // `recv` enforces the deadline while blocked; dead letters are
-        // drained at the same cadence so the bounded dead stream never
-        // overflows while the batch driver is in charge.
-        loop {
-            while let Some(dl) = handle.try_recv_dead_letter() {
-                dead_letters.push(dl);
+        std::thread::scope(|s| {
+            let h = &handle;
+            // The batch is fed from a helper thread so that bounded
+            // channels cannot deadlock against the draining loop. A
+            // send error means the net tore down early (a component
+            // failed); `finish` reports why.
+            s.spawn(move || {
+                let _ = h.send_all(records);
+                h.close_input();
+            });
+            // `recv` enforces the deadline while blocked; dead letters
+            // are drained at the same cadence so the bounded dead
+            // stream never overflows while the batch driver is in
+            // charge.
+            loop {
+                dead_letters.extend(std::iter::from_fn(|| h.try_recv_dead_letter()));
+                match h.recv() {
+                    Some(rec) => outputs.push(rec),
+                    None => break,
+                }
             }
-            match handle.recv() {
-                Some(rec) => outputs.push(rec),
-                None => break,
-            }
-        }
-        while let Some(dl) = handle.try_recv_dead_letter() {
-            dead_letters.push(dl);
-        }
-        feeder.join().expect("feeder thread never panics");
+            dead_letters.extend(std::iter::from_fn(|| h.try_recv_dead_letter()));
+        });
         let trace = handle.trace_arc();
         handle.finish()?;
-        Ok(crate::RunReport {
+        Ok(RunReport {
             outputs,
             dead_letters,
             trace,
@@ -346,158 +185,63 @@ impl Net {
     }
 }
 
-/// A running network instance.
-///
-/// All methods take `&self` (the input side sits behind a mutex), so
-/// one thread can feed the network while another drains it — the shape
-/// the engine-generic [`crate::StreamHandle`] abstraction relies on.
-pub struct NetHandle {
+/// The threaded engine's ingress: the bounded entry channel itself.
+pub struct ChannelIngress {
     input: Mutex<Option<Sender<Record>>>,
-    output: Receiver<Record>,
-    dead: Receiver<DeadLetter>,
-    shared: Arc<Shared>,
+    threads: Arc<Threads>,
 }
 
-impl NetHandle {
+impl ChannelIngress {
     /// A clone of the entry sender, if the input is still open. Cloned
     /// out of the `input` mutex so no caller ever blocks while holding
     /// it — a `send` stalled on channel backpressure must not lock out
-    /// `try_send` (documented non-blocking) or `close_input`. The clone
-    /// keeps the channel connected for the duration of an in-flight
-    /// send that races `close_input`, which matches "close applies
-    /// after already-submitted sends".
-    fn entry_sender(&self) -> Option<Sender<Record>> {
-        self.input.lock().clone()
+    /// `try_send` (documented non-blocking) or `close`. The clone keeps
+    /// the channel connected for the duration of an in-flight send that
+    /// races `close`, which matches "close applies after
+    /// already-submitted sends".
+    fn entry(&self) -> Result<Sender<Record>, SnetError> {
+        let entry = self.input.lock().clone();
+        entry.ok_or_else(|| SnetError::Engine("input already closed".into()))
     }
 
-    /// Sends one record into the network, blocking while the bounded
-    /// entry channel is full (ingress backpressure).
-    pub fn send(&self, rec: Record) -> Result<(), SnetError> {
-        match self.entry_sender() {
-            Some(tx) => tx
-                .send(rec)
-                .map_err(|_| self.current_error("input channel disconnected")),
-            None => Err(SnetError::Engine("input already closed".into())),
-        }
+    fn disconnected(&self) -> SnetError {
+        self.threads.run.current_error("input channel disconnected")
+    }
+}
+
+impl Ingress for ChannelIngress {
+    const POLL_INTERVAL: Duration = Duration::from_millis(50);
+
+    fn send(&self, rec: Record) -> Result<(), SnetError> {
+        self.entry()?.send(rec).map_err(|_| self.disconnected())
     }
 
-    /// Non-blocking send: hands the record back as
-    /// [`crate::TrySendError::Full`] instead of blocking when the
-    /// bounded entry channel is full.
-    #[allow(clippy::result_large_err)] // Full carries the record back by design
-    pub fn try_send(&self, rec: Record) -> Result<(), crate::TrySendError> {
+    fn try_send(&self, rec: Record) -> Result<(), TrySendError> {
         use crossbeam_channel::TrySendError as ChanTrySend;
-        match self.entry_sender() {
-            Some(tx) => match tx.try_send(rec) {
-                Ok(()) => Ok(()),
-                Err(ChanTrySend::Full(rec)) => Err(crate::TrySendError::Full(rec)),
-                Err(ChanTrySend::Disconnected(_)) => Err(crate::TrySendError::Closed(
-                    self.current_error("input channel disconnected"),
-                )),
-            },
-            None => Err(crate::TrySendError::Closed(SnetError::Engine(
-                "input already closed".into(),
-            ))),
+        match self.entry().map_err(TrySendError::Closed)?.try_send(rec) {
+            Ok(()) => Ok(()),
+            Err(ChanTrySend::Full(rec)) => Err(TrySendError::Full(rec)),
+            Err(ChanTrySend::Disconnected(_)) => Err(TrySendError::Closed(self.disconnected())),
         }
     }
 
-    /// Sends a pre-materialized batch through the bounded entry channel
-    /// as one `send_iter`: one channel lock and one receiver wake per
-    /// capacity window instead of per record, blocking for space like
-    /// [`NetHandle::send`] (this is exactly the batch driver's feed
-    /// path, exposed on the streaming handle).
-    pub fn send_all(&self, records: Vec<Record>) -> Result<(), SnetError> {
-        match self.entry_sender() {
-            Some(tx) => tx
-                .send_iter(records)
-                .map_err(|_| self.current_error("input channel disconnected")),
-            None => Err(SnetError::Engine("input already closed".into())),
-        }
+    /// One `send_iter` through the bounded entry channel: one channel
+    /// lock and one receiver wake per capacity window.
+    fn send_all(&self, records: Vec<Record>) -> Result<(), SnetError> {
+        self.entry()?
+            .send_iter(records)
+            .map_err(|_| self.disconnected())
     }
 
-    /// Closes the input stream (end-of-stream for the network).
-    /// Idempotent.
-    pub fn close_input(&self) {
+    fn close(&self) {
         *self.input.lock() = None;
     }
 
-    /// Cancels the run cooperatively: records [`SnetError::Cancelled`],
-    /// raises the abort flag every component polls per record, and
-    /// closes the input so the teardown cascade reaches every thread.
-    /// Outputs already queued remain retrievable via
-    /// [`NetHandle::recv`]; [`NetHandle::finish`] returns the error.
-    /// Idempotent; a no-op if the run already failed or finished.
-    pub fn cancel(&self) {
-        self.shared.fail(SnetError::Cancelled);
-        self.close_input();
-    }
-
-    /// Receives the next output record; `None` once the output stream
-    /// has terminated. Checks the deadline and abort flag while
-    /// blocked, so a stalled network cannot park the consumer past
-    /// `EngineConfig::deadline`.
-    pub fn recv(&self) -> Option<Record> {
+    fn join(&self) {
         loop {
-            match self.output.recv_timeout(POLL_INTERVAL) {
-                Ok(rec) => return Some(rec),
-                Err(RecvTimeoutError::Disconnected) => return None,
-                Err(RecvTimeoutError::Timeout) => {
-                    if self.shared.should_stop() {
-                        // Aborted (cancel / failure / deadline): close
-                        // the input so the cascade tears the net down,
-                        // then keep draining what is already in flight
-                        // until the channel disconnects.
-                        self.close_input();
-                    }
-                }
-            }
-        }
-    }
-
-    /// Non-blocking receive: `None` when nothing is currently queued
-    /// (including after termination — use [`NetHandle::recv`] to
-    /// distinguish end-of-stream).
-    pub fn try_recv(&self) -> Option<Record> {
-        self.output.try_recv().ok()
-    }
-
-    /// The output stream receiver (for `select!`-style consumers).
-    pub fn output(&self) -> &Receiver<Record> {
-        &self.output
-    }
-
-    /// Non-blocking receive on the run's dead-letter stream. Only
-    /// populated under [`FailurePolicy::DeadLetter`]; drain it while
-    /// the run progresses — the stream is bounded and overflow fails
-    /// the run.
-    pub fn try_recv_dead_letter(&self) -> Option<DeadLetter> {
-        self.dead.try_recv().ok()
-    }
-
-    /// The dead-letter receiver (for `select!`-style consumers).
-    pub fn dead_letters(&self) -> &Receiver<DeadLetter> {
-        &self.dead
-    }
-
-    /// Shared event counters of this run.
-    pub fn trace(&self) -> &Trace {
-        &self.shared.trace
-    }
-
-    /// Clonable handle to the run's counters.
-    pub fn trace_arc(&self) -> Arc<Trace> {
-        Arc::clone(&self.shared.trace)
-    }
-
-    /// Waits for every component thread to terminate and reports the
-    /// first error raised during the run, if any.
-    pub fn finish(self) -> Result<(), SnetError> {
-        self.close_input();
-        // Drain the output so upstream senders cannot block forever;
-        // `recv` keeps enforcing the deadline while blocked.
-        while self.recv().is_some() {}
-        loop {
-            let handle = self.shared.threads.lock().pop();
+            // Popped one at a time: a thread still running may yet
+            // unfold a replica and push its handle.
+            let handle = self.threads.handles.lock().pop();
             match handle {
                 Some(h) => {
                     let _ = h.join();
@@ -505,693 +249,16 @@ impl NetHandle {
                 None => break,
             }
         }
-        match self.shared.error.lock().take() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
     }
-
-    fn current_error(&self, fallback: &str) -> SnetError {
-        self.shared
-            .error
-            .lock()
-            .clone()
-            .unwrap_or_else(|| SnetError::Engine(fallback.into()))
-    }
-}
-
-struct Shared {
-    threads: Mutex<Vec<JoinHandle<()>>>,
-    error: Mutex<Option<SnetError>>,
-    /// Set by the first `fail` (including cancellation and deadline
-    /// expiry); components poll it per record and stop cooperatively.
-    aborted: AtomicBool,
-    /// Absolute deadline, fixed at `start()`.
-    deadline_at: Option<Instant>,
-    /// Dead-letter sequence-number allocator for this run.
-    seq: AtomicU64,
-    /// Producer side of the bounded dead-letter stream.
-    dead_tx: Sender<DeadLetter>,
-    trace: Arc<Trace>,
-    config: EngineConfig,
-}
-
-impl Shared {
-    fn spawn<F: FnOnce() + Send + 'static>(self: &Arc<Self>, name: &str, f: F) {
-        let handle = std::thread::Builder::new()
-            .name(format!("snet-{name}"))
-            .spawn(f)
-            .expect("thread spawn");
-        self.threads.lock().push(handle);
-    }
-
-    fn fail(&self, e: SnetError) {
-        let mut slot = self.error.lock();
-        if slot.is_none() {
-            *slot = Some(e);
-        }
-        self.aborted.store(true, Ordering::Relaxed);
-    }
-
-    /// Per-record preemption check: true once the run is aborted or
-    /// past its deadline (recording `DeadlineExceeded` on first
-    /// detection). With no deadline configured this is one relaxed
-    /// atomic load.
-    fn should_stop(&self) -> bool {
-        if self.aborted.load(Ordering::Relaxed) {
-            return true;
-        }
-        if let Some(at) = self.deadline_at {
-            if Instant::now() >= at {
-                self.fail(SnetError::DeadlineExceeded);
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Routes a diverted record to the dead-letter stream. Never
-    /// blocks: the stream is bounded, and overflow (a consumer not
-    /// draining) is a fatal engine error rather than a stall. Returns
-    /// false when the component should stop.
-    fn divert(&self, dl: Box<DeadLetter>) -> bool {
-        use crossbeam_channel::TrySendError as ChanTrySend;
-        Trace::add(&self.trace.dead_letters, 1);
-        match self.dead_tx.try_send(*dl) {
-            Ok(()) => true,
-            Err(ChanTrySend::Full(dl)) => {
-                self.fail(SnetError::Engine(format!(
-                    "dead-letter channel overflow (capacity {}); last report: {}",
-                    self.config.channel_capacity.max(1) * DEAD_CAPACITY_FACTOR,
-                    dl.report
-                )));
-                false
-            }
-            // Receiver dropped: the caller stopped listening; letters
-            // are discarded but the run keeps its contract.
-            Err(ChanTrySend::Disconnected(_)) => true,
-        }
-    }
-
-    fn chan(&self) -> (Sender<Record>, Receiver<Record>) {
-        bounded(self.config.channel_capacity.max(1))
-    }
-}
-
-/// Emits records downstream; a send failure means downstream tore down
-/// (an error was recorded elsewhere) and the component should stop.
-/// Multi-record outputs are handed to the channel as one batch
-/// (`send_iter`): one lock window and one receiver wake per output set
-/// instead of one per record.
-fn send_all(tx: &Sender<Record>, records: impl IntoIterator<Item = Record>) -> bool {
-    tx.send_iter(records).is_ok()
-}
-
-/// Recursively instantiates `spec` between `input` and `output`.
-fn build(spec: &NetSpec, input: Receiver<Record>, output: Sender<Record>, sh: &Arc<Shared>) {
-    match spec {
-        NetSpec::Box(def) => {
-            let def = def.clone();
-            let sh2 = Arc::clone(sh);
-            sh.spawn(&format!("box-{}", def.sig.name), move || {
-                let policy = def.effective_policy(sh2.config.policy);
-                for rec in input.iter() {
-                    if sh2.should_stop() {
-                        break;
-                    }
-                    // Box functions are user code: `policy_step`
-                    // contains panics and applies the failure policy.
-                    let verdict = fault::policy_step(policy, &def.sig.name, &sh2.seq, rec, |r| {
-                        semantics::box_step(&def, r, sh2.config.mismatch)
-                    });
-                    match verdict {
-                        StepVerdict::Out { step, attempts } => {
-                            if attempts > 1 {
-                                Trace::add(&sh2.trace.retries, u64::from(attempts - 1));
-                            }
-                            if step.matched {
-                                sh2.trace.count_box(step.work);
-                            } else {
-                                Trace::add(&sh2.trace.passthroughs, 1);
-                            }
-                            if !send_all(&output, step.records) {
-                                break;
-                            }
-                        }
-                        StepVerdict::Dead(dl) => {
-                            if !sh2.divert(dl) {
-                                break;
-                            }
-                        }
-                        StepVerdict::Fatal(e) => {
-                            sh2.fail(e);
-                            break;
-                        }
-                    }
-                }
-            });
-        }
-        NetSpec::Filter(f) => {
-            let f = f.clone();
-            let sh2 = Arc::clone(sh);
-            sh.spawn("filter", move || {
-                // Filters follow the engine policy; their errors are
-                // deterministic, so Retry degenerates to FailFast
-                // inside `policy_step` (only `BoxFailure` retries).
-                let policy = sh2.config.policy;
-                for rec in input.iter() {
-                    if sh2.should_stop() {
-                        break;
-                    }
-                    let verdict = fault::policy_step(policy, "filter", &sh2.seq, rec, |r| {
-                        semantics::filter_step(&f, r, sh2.config.mismatch)
-                    });
-                    match verdict {
-                        StepVerdict::Out { step, .. } => {
-                            if step.matched {
-                                Trace::add(&sh2.trace.filter_records, 1);
-                            } else {
-                                Trace::add(&sh2.trace.passthroughs, 1);
-                            }
-                            if !send_all(&output, step.records) {
-                                break;
-                            }
-                        }
-                        StepVerdict::Dead(dl) => {
-                            if !sh2.divert(dl) {
-                                break;
-                            }
-                        }
-                        StepVerdict::Fatal(e) => {
-                            sh2.fail(e);
-                            break;
-                        }
-                    }
-                }
-            });
-        }
-        NetSpec::FusedChain { stages } => {
-            // One thread for the whole chain: records traverse every
-            // stage in-thread, with no channel between stages. Fault
-            // attribution stays per stage inside `ChainRunner::step`.
-            let stages = stages.clone();
-            let sh2 = Arc::clone(sh);
-            sh.spawn("fused-chain", move || {
-                let mut runner = ChainRunner::new();
-                let mut outs = Vec::new();
-                for rec in input.iter() {
-                    if sh2.should_stop() {
-                        break;
-                    }
-                    let mut tally = ChainTally::default();
-                    let res = runner.step(
-                        &stages,
-                        sh2.config.policy,
-                        sh2.config.mismatch,
-                        &sh2.seq,
-                        rec,
-                        &mut tally,
-                        &mut outs,
-                        &mut |dl| {
-                            if sh2.divert(dl) {
-                                Ok(())
-                            } else {
-                                // Overflow already recorded by `divert`;
-                                // this error just unwinds the chain
-                                // (first recorded error wins).
-                                Err(SnetError::Engine("dead-letter overflow".into()))
-                            }
-                        },
-                    );
-                    sh2.trace.count_chain(&tally);
-                    match res {
-                        Ok(()) => {
-                            if !send_all(&output, std::mem::take(&mut outs)) {
-                                break;
-                            }
-                        }
-                        Err(e) => {
-                            sh2.fail(e);
-                            break;
-                        }
-                    }
-                }
-            });
-        }
-        NetSpec::Sync(spec) => {
-            let spec = spec.clone();
-            let sh2 = Arc::clone(sh);
-            sh.spawn("sync", move || {
-                let mut state = spec.new_state();
-                for rec in input.iter() {
-                    if sh2.should_stop() {
-                        break;
-                    }
-                    let out = match state.push(&spec, rec) {
-                        SyncOutcome::Stored => {
-                            Trace::add(&sh2.trace.sync_stores, 1);
-                            continue;
-                        }
-                        SyncOutcome::Fired(m) => {
-                            Trace::add(&sh2.trace.sync_fires, 1);
-                            m
-                        }
-                        SyncOutcome::Passed(r) => r,
-                    };
-                    if output.send(out).is_err() {
-                        break;
-                    }
-                }
-                let stranded = state.pending().count() as u64;
-                if stranded > 0 {
-                    Trace::add(&sh2.trace.sync_stranded, stranded);
-                }
-            });
-        }
-        NetSpec::Serial(a, b) => {
-            let (mid_tx, mid_rx) = sh.chan();
-            build(a, input, mid_tx, sh);
-            build(b, mid_rx, output, sh);
-        }
-        NetSpec::Parallel { branches, .. } => {
-            // One bounded channel per branch; every branch writes to a
-            // clone of `output`, so the merge is arrival-order — the
-            // paper's nondeterministic merger.
-            let mut branch_txs = Vec::with_capacity(branches.len());
-            let mut patterns = Vec::with_capacity(branches.len());
-            for branch in branches {
-                let (tx, rx) = sh.chan();
-                build(branch, rx, output.clone(), sh);
-                branch_txs.push(tx);
-                patterns.push(branch.input_patterns());
-            }
-            let sh2 = Arc::clone(sh);
-            sh.spawn("par-dispatch", move || {
-                for rec in input.iter() {
-                    if sh2.should_stop() {
-                        break;
-                    }
-                    let winners = semantics::matching_branches(&patterns, &rec);
-                    match winners.first() {
-                        Some(&i) => {
-                            Trace::add(&sh2.trace.dispatched, 1);
-                            if branch_txs[i].send(rec).is_err() {
-                                break;
-                            }
-                        }
-                        None => match sh2.config.mismatch {
-                            MismatchPolicy::Forward => {
-                                Trace::add(&sh2.trace.passthroughs, 1);
-                                if output.send(rec).is_err() {
-                                    break;
-                                }
-                            }
-                            MismatchPolicy::Error => {
-                                let cause = SnetError::TypeMismatch {
-                                    expected: "any parallel branch".into(),
-                                    got: format!("{rec:?}"),
-                                };
-                                match fault::reject(
-                                    sh2.config.policy,
-                                    "par-dispatch",
-                                    &sh2.seq,
-                                    rec,
-                                    cause,
-                                ) {
-                                    Ok(dl) => {
-                                        if !sh2.divert(dl) {
-                                            break;
-                                        }
-                                    }
-                                    Err(e) => {
-                                        sh2.fail(e);
-                                        break;
-                                    }
-                                }
-                            }
-                        },
-                    }
-                }
-                // Dropping branch_txs and output here closes every branch.
-            });
-        }
-        NetSpec::Star { body, exit, .. } => {
-            build_star_tap(body, exit.clone(), input, output, sh);
-        }
-        NetSpec::Split { body, tag, .. } => {
-            // The threaded engine ignores placement; `snet-dist` honours
-            // it on the simulated cluster.
-            let body = (**body).clone();
-            let tag = *tag;
-            let sh2 = Arc::clone(sh);
-            sh.spawn("split-dispatch", move || {
-                let mut replicas: HashMap<i64, Sender<Record>> = HashMap::new();
-                for rec in input.iter() {
-                    if sh2.should_stop() {
-                        break;
-                    }
-                    let Some(value) = rec.tag(tag) else {
-                        match fault::reject(
-                            sh2.config.policy,
-                            "split-dispatch",
-                            &sh2.seq,
-                            rec,
-                            SnetError::MissingTag(tag),
-                        ) {
-                            Ok(dl) => {
-                                if sh2.divert(dl) {
-                                    continue;
-                                }
-                            }
-                            Err(e) => sh2.fail(e),
-                        }
-                        break;
-                    };
-                    let tx = replicas.entry(value).or_insert_with(|| {
-                        Trace::add(&sh2.trace.split_replicas, 1);
-                        let (tx, rx) = sh2.chan();
-                        build(&body, rx, output.clone(), &sh2);
-                        tx
-                    });
-                    Trace::add(&sh2.trace.dispatched, 1);
-                    if tx.send(rec).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        NetSpec::At { body, .. } | NetSpec::Named { body, .. } => {
-            build(body, input, output, sh);
-        }
-    }
-}
-
-/// One tap of a serial-replication star.
-///
-/// The tap inspects every record *before* the replica (§III: "the chain
-/// is tapped before every replica"): matching records exit to `output`;
-/// the rest enter a lazily instantiated replica of `body` whose output
-/// stream feeds the next tap.
-fn build_star_tap(
-    body: &NetSpec,
-    exit: snet_core::Pattern,
-    input: Receiver<Record>,
-    output: Sender<Record>,
-    sh: &Arc<Shared>,
-) {
-    let body = body.clone();
-    let sh2 = Arc::clone(sh);
-    sh.spawn("star-tap", move || {
-        let mut into_body: Option<Sender<Record>> = None;
-        for rec in input.iter() {
-            if sh2.should_stop() {
-                break;
-            }
-            if exit.matches(&rec) {
-                if output.send(rec).is_err() {
-                    break;
-                }
-                continue;
-            }
-            let tx = into_body.get_or_insert_with(|| {
-                Trace::add(&sh2.trace.star_unfoldings, 1);
-                let (body_tx, body_rx) = sh2.chan();
-                let (next_tx, next_rx) = sh2.chan();
-                build(&body, body_rx, next_tx, &sh2);
-                build_star_tap(&body, exit.clone(), next_rx, output.clone(), &sh2);
-                body_tx
-            });
-            if tx.send(rec).is_err() {
-                break;
-            }
-        }
-    });
-}
-
-/// Convenience: total abstract work recorded by a trace.
-pub fn traced_ops(trace: &Trace) -> u64 {
-    trace.box_ops.load(Ordering::Relaxed)
-}
-
-/// Convenience: reads any trace counter.
-pub fn counter(c: &AtomicU64) -> u64 {
-    c.load(Ordering::Relaxed)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use snet_core::boxdef::{BoxDef, BoxOutput, BoxSig, Work};
-    use snet_core::{Pattern, Value, Variant};
+    use crate::suite::{int_box, ints};
+    use crate::{EngineConfig, Net};
+    use snet_core::{NetSpec, Record, Value};
 
-    fn int_box(name: &str, input: &str, output: &str, f: fn(i64) -> i64) -> NetSpec {
-        let out_label = output.to_owned();
-        NetSpec::Box(BoxDef::from_fn(
-            BoxSig::parse(name, &[input], &[&[output]]),
-            move |r| {
-                let x = r
-                    .fields()
-                    .next()
-                    .and_then(|(_, v)| v.as_int())
-                    .ok_or_else(|| SnetError::Engine("expected int field".into()))?;
-                Ok(BoxOutput::one(
-                    Record::new().with_field(out_label.as_str(), Value::Int(f(x))),
-                    Work::ops(1),
-                ))
-            },
-        ))
-    }
-
-    fn ints(records: &[Record], label: &str) -> Vec<i64> {
-        let mut v: Vec<i64> = records
-            .iter()
-            .filter_map(|r| r.field(label).and_then(|x| x.as_int()))
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
-    #[test]
-    fn single_box_pipeline() {
-        let net = Net::new(int_box("double", "x", "x", |x| 2 * x));
-        let outs = net
-            .run_batch(
-                (0..10)
-                    .map(|i| Record::new().with_field("x", Value::Int(i)))
-                    .collect(),
-            )
-            .unwrap();
-        assert_eq!(ints(&outs, "x"), (0..10).map(|i| 2 * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn serial_composes() {
-        let net = Net::new(NetSpec::serial(
-            int_box("inc", "x", "x", |x| x + 1),
-            int_box("sq", "x", "x", |x| x * x),
-        ));
-        let outs = net
-            .run_batch(vec![Record::new().with_field("x", Value::Int(3))])
-            .unwrap();
-        assert_eq!(ints(&outs, "x"), vec![16]);
-    }
-
-    #[test]
-    fn parallel_routes_by_best_match() {
-        // Branch 0 expects {a}, branch 1 expects {b}.
-        let net = Net::new(NetSpec::parallel(vec![
-            int_box("fa", "a", "ra", |x| x + 100),
-            int_box("fb", "b", "rb", |x| x + 200),
-        ]));
-        let outs = net
-            .run_batch(vec![
-                Record::new().with_field("a", Value::Int(1)),
-                Record::new().with_field("b", Value::Int(2)),
-                Record::new().with_field("a", Value::Int(3)),
-            ])
-            .unwrap();
-        assert_eq!(ints(&outs, "ra").len(), 2);
-        assert_eq!(ints(&outs, "rb"), vec![202]);
-    }
-
-    #[test]
-    fn star_unrolls_until_exit() {
-        // ( [ {<n>} -> {<n = n - 1>} ] ) * {<n> == 0}: decrement until zero.
-        let dec = NetSpec::Filter(snet_core::FilterSpec::new(
-            Pattern::from_variant(Variant::parse_labels(&[], &["n"])),
-            vec![snet_core::filter::OutputTemplate::empty().set_tag(
-                "n",
-                snet_core::TagExpr::bin(
-                    snet_core::BinOp::Sub,
-                    snet_core::TagExpr::tag("n"),
-                    snet_core::TagExpr::Const(1),
-                ),
-            )],
-        ));
-        let exit = Pattern::guarded(
-            Variant::empty(),
-            snet_core::TagExpr::bin(
-                snet_core::BinOp::Eq,
-                snet_core::TagExpr::tag("n"),
-                snet_core::TagExpr::Const(0),
-            ),
-        );
-        let net = Net::new(NetSpec::star(dec, exit));
-        let (outs, trace) = net
-            .run_batch_traced(vec![Record::new().with_tag("n", 5)])
-            .unwrap();
-        assert_eq!(outs.len(), 1);
-        assert_eq!(outs[0].tag("n"), Some(0));
-        assert_eq!(counter(&trace.star_unfoldings), 5);
-    }
-
-    #[test]
-    fn split_creates_replica_per_tag_value() {
-        let net = Net::new(NetSpec::split(int_box("id", "x", "x", |x| x), "k"));
-        let recs: Vec<Record> = (0..12)
-            .map(|i| {
-                Record::new()
-                    .with_field("x", Value::Int(i))
-                    .with_tag("k", i % 3)
-            })
-            .collect();
-        let (outs, trace) = net.run_batch_traced(recs).unwrap();
-        assert_eq!(outs.len(), 12);
-        assert_eq!(counter(&trace.split_replicas), 3);
-    }
-
-    #[test]
-    fn split_without_tag_is_an_error() {
-        let net = Net::new(NetSpec::split(int_box("id", "x", "x", |x| x), "k"));
-        let err = net
-            .run_batch(vec![Record::new().with_field("x", Value::Int(1))])
-            .unwrap_err();
-        assert_eq!(err, SnetError::MissingTag(snet_core::Label::new("k")));
-    }
-
-    #[test]
-    fn sync_joins_in_stream() {
-        let cell = NetSpec::Sync(snet_core::SyncSpec::new(vec![
-            Pattern::from_variant(Variant::parse_labels(&["a"], &[])),
-            Pattern::from_variant(Variant::parse_labels(&["b"], &[])),
-        ]));
-        let net = Net::new(cell);
-        let outs = net
-            .run_batch(vec![
-                Record::new().with_field("a", Value::Int(1)),
-                Record::new().with_field("b", Value::Int(2)),
-            ])
-            .unwrap();
-        assert_eq!(outs.len(), 1);
-        assert!(outs[0].has_field("a") && outs[0].has_field("b"));
-    }
-
-    #[test]
-    fn stranded_sync_records_are_counted() {
-        let cell = NetSpec::Sync(snet_core::SyncSpec::new(vec![
-            Pattern::from_variant(Variant::parse_labels(&["a"], &[])),
-            Pattern::from_variant(Variant::parse_labels(&["b"], &[])),
-        ]));
-        let net = Net::new(cell);
-        let (outs, trace) = net
-            .run_batch_traced(vec![Record::new().with_field("a", Value::Int(1))])
-            .unwrap();
-        assert!(outs.is_empty());
-        assert_eq!(counter(&trace.sync_stranded), 1);
-    }
-
-    #[test]
-    fn box_error_propagates() {
-        let bad = NetSpec::Box(BoxDef::from_fn(
-            BoxSig::parse("bad", &["x"], &[&["y"]]),
-            |_| Err(SnetError::Engine("deliberate".into())),
-        ));
-        let net = Net::new(bad);
-        let err = net
-            .run_batch(vec![Record::new().with_field("x", Value::Int(1))])
-            .unwrap_err();
-        assert!(matches!(err, SnetError::BoxFailure { .. }), "{err}");
-    }
-
-    #[test]
-    fn panicking_box_is_reported_not_swallowed() {
-        let bomb = NetSpec::Box(BoxDef::from_fn(
-            BoxSig::parse("bomb", &["x"], &[&["y"]]),
-            |r| {
-                let x = r.field("x").and_then(|v| v.as_int()).unwrap_or(0);
-                if x == 2 {
-                    panic!("boom at {x}");
-                }
-                Ok(BoxOutput::one(r.clone(), Work::ZERO))
-            },
-        ));
-        let net = Net::new(bomb);
-        let err = net
-            .run_batch(
-                (0..5)
-                    .map(|i| Record::new().with_field("x", Value::Int(i)))
-                    .collect(),
-            )
-            .unwrap_err();
-        match err {
-            SnetError::BoxFailure { name, cause } => {
-                assert_eq!(name, "bomb");
-                assert!(cause.contains("boom at 2"), "{cause}");
-            }
-            other => panic!("expected box failure, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn strict_mismatch_policy_errors() {
-        let net = Net::with_config(
-            int_box("f", "x", "y", |x| x),
-            EngineConfig {
-                mismatch: MismatchPolicy::Error,
-                ..EngineConfig::default()
-            },
-        );
-        let err = net
-            .run_batch(vec![Record::new().with_field("other", Value::Int(1))])
-            .unwrap_err();
-        assert!(matches!(err, SnetError::TypeMismatch { .. }));
-    }
-
-    #[test]
-    fn streaming_interface_overlaps() {
-        let net = Net::new(int_box("inc", "x", "x", |x| x + 1));
-        let h = net.start();
-        h.send(Record::new().with_field("x", Value::Int(1)))
-            .unwrap();
-        let first = h.recv().expect("one output while input still open");
-        assert_eq!(first.field("x").unwrap().as_int(), Some(2));
-        h.send(Record::new().with_field("x", Value::Int(5)))
-            .unwrap();
-        h.close_input();
-        let second = h.recv().expect("second output");
-        assert_eq!(second.field("x").unwrap().as_int(), Some(6));
-        assert!(h.recv().is_none());
-        h.finish().unwrap();
-    }
-
-    #[test]
-    fn net_is_reusable_with_fresh_state() {
-        // A synchrocell net must not remember fires across runs.
-        let cell = NetSpec::Sync(snet_core::SyncSpec::new(vec![
-            Pattern::from_variant(Variant::parse_labels(&["a"], &[])),
-            Pattern::from_variant(Variant::parse_labels(&["b"], &[])),
-        ]));
-        let net = Net::new(cell);
-        for _ in 0..2 {
-            let outs = net
-                .run_batch(vec![
-                    Record::new().with_field("a", Value::Int(1)),
-                    Record::new().with_field("b", Value::Int(2)),
-                ])
-                .unwrap();
-            assert_eq!(outs.len(), 1, "cell must fire in every fresh run");
-        }
-    }
+    crate::suite::engine_suite!(crate::engine::Threaded);
 
     #[test]
     fn deep_pipeline_respects_backpressure() {

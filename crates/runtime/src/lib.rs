@@ -2,28 +2,21 @@
 //!
 //! Three engines over the same [`snet_core::NetSpec`] topology and the
 //! same shared small-step semantics ([`snet_core::semantics`]), so they
-//! cannot drift apart on what a component does to a record. The two
-//! concurrent engines present **one execution API**: batch
-//! (`run_batch` / `run_batch_traced`) and streaming (`start()` → a
-//! handle with `send` / `recv` / `close_input` / `finish`), unified by
-//! the [`Engine`] and [`StreamHandle`] traits so tests, benchmarks and
-//! applications can be parameterized over the engine.
+//! cannot drift apart on what a component does to a record:
 //!
-//! * [`engine::Net`] — the **threaded engine**: every component
-//!   instance is an asynchronous OS thread connected by bounded
-//!   channels, exactly the paper's model of "asynchronously executed,
-//!   stateless stream-processing components" (§III). End-of-stream is
-//!   channel disconnect; parallel merge is arrival-order
-//!   (nondeterministic, as specified); serial replication unfolds
-//!   lazily. [`Net::start`] returns a [`NetHandle`] whose ingress
-//!   backpressure is the bounded entry channel itself. Use it as the
+//! * [`Net`] — the **threaded engine**: every component instance is an
+//!   asynchronous OS thread connected by bounded channels, exactly the
+//!   paper's model of "asynchronously executed, stateless
+//!   stream-processing components" (§III). End-of-stream is channel
+//!   disconnect; parallel merge is arrival-order (nondeterministic, as
+//!   specified); serial replication unfolds lazily. Use it as the
 //!   *executable rendering of the paper's model* and when components
 //!   block on real I/O — but note that its thread count grows with the
 //!   unrolled component count, which stops scaling somewhere in the
 //!   hundreds of components.
 //!
-//! * [`sched::SchedNet`] — the **scheduled engine**: the same component
-//!   graph as lightweight tasks multiplexed over a **persistent**
+//! * [`SchedNet`] — the **scheduled engine**: the same component graph
+//!   as lightweight tasks multiplexed over a **persistent**
 //!   work-stealing worker pool ([`EngineConfig::workers`]; default 4).
 //!   The pool spawns on the first run and lives until the `SchedNet`
 //!   drops, so consecutive batches and any number of streaming runs
@@ -31,15 +24,49 @@
 //!   runs when input is in its mailbox, drains up to a budget, and
 //!   yields; end-of-stream is sender refcounting, and a run's
 //!   completion is wake-driven (the sink's finalization signals the
-//!   driver — no polling). [`SchedNet::start`] returns a
-//!   [`SchedHandle`] with *bounded ingress*: `send` blocks (and
-//!   `try_send` reports `Full`) once
-//!   [`EngineConfig::channel_capacity`] records are resident in the
-//!   entry mailbox, and outputs stream out of a bounded channel as the
-//!   sink produces them, so a slow consumer throttles the whole
+//!   driver — no polling). Outputs stream out of a bounded channel as
+//!   the sink produces them, so a slow consumer throttles the whole
 //!   network instead of buffering unboundedly. This is the default
-//!   choice for compute-bound workloads and the base layer for the
-//!   scaling work tracked in ROADMAP.md.
+//!   choice for compute-bound workloads.
+//!
+//! * [`Interp`] — the **deterministic reference interpreter**:
+//!   single-threaded, FIFO scheduling, first-declared tie-breaks. It is
+//!   the executable semantics used as an oracle in property tests (both
+//!   concurrent engines must produce the same output *multiset* on
+//!   confluent networks, batch or streamed), and deliberately an
+//!   independent implementation. Use it for debugging and as ground
+//!   truth — never for performance.
+//!
+//! ## One engine core, two transports
+//!
+//! The two concurrent engines are one [`Network`] front end over an
+//! [`Engine`]: construction ([`config`]: fusion, pre-flight analysis,
+//! entry-typed veto), the per-run control block (`run`: first error,
+//! abort flag, deadline, dead letters, trace), the component step
+//! (`component`: failure policy, dispatch, lazy unfolding, counters)
+//! and the streaming [`Handle`] are each written once. An engine adds
+//! only a *transport* — what a port is, and what a component runs on.
+//! Each module below owns one protocol; where the protocol is
+//! concurrent, the `snet-check` model that proves it is named beside
+//! it (`crates/check/tests/`):
+//!
+//! | module | protocol it owns | `snet-check` model |
+//! |---|---|---|
+//! | [`config`] | [`EngineConfig`]; `Plan`: fuse, pre-flight, entry-typed veto, once per network | — (sequential) |
+//! | `run` | one run's first-error slot, abort flag, deadline, dead-letter stream: `fail` / `should_stop` / `divert` | — (a mutex and a flag; raced by `fault_tolerance.rs`) |
+//! | `component` | what one record does to one component, over an abstract `Transport`; back-to-front `build` of the component graph | — (sequential per component; pinned to [`Interp`] by `engine_vs_interp.rs`, `fusion_equivalence.rs`) |
+//! | [`handle`] | the streaming handle: egress, cancel, finish, over an engine's [`Ingress`] | — |
+//! | [`engine`] | threaded transport: a thread per component, ports are channel senders, end-of-stream is disconnect | `channel.rs`, `eaten_wakeup.rs` (the channel shim it rides on) |
+//! | `sched::pool` | injector + per-worker deques, `notify` / `park` (lock-then-notify, sleeper gate, injector re-probe), deferral heap | `mailbox.rs` (wake protocol), `chase_lev.rs` (the deque) |
+//! | `sched::task` | mailbox, sender-refcount end-of-stream, one activation: drain → step → flush → finalize; backpressure and backoff | `mailbox.rs` (the `scheduled` flag hand-off) |
+//! | [`sched`] | worker pool lifetime, batch driver, bounded mailbox ingress, the sink's completion latch | `sink_latch.rs` |
+//!
+//! The streaming API is the same on both engines — `start()` returns a
+//! [`Handle`] with `send` / `try_send` / `send_all` / `recv` /
+//! `close_input` / `cancel` / `finish` — and ingress is bounded on
+//! both: `send` blocks (and `try_send` reports `Full`) once
+//! [`EngineConfig::channel_capacity`] records are resident at the
+//! entry.
 //!
 //! ## Batched hand-off ([`EngineConfig::batch`])
 //!
@@ -74,7 +101,7 @@
 //! ## Operator fusion ([`EngineConfig::fuse`])
 //!
 //! Before instantiating a network, both concurrent engines rewrite the
-//! [`NetSpec`](snet_core::NetSpec) with
+//! [`NetSpec`] with
 //! [`snet_core::fuse`]: every **maximal static SISO chain** — a serial
 //! run of boxes and filters with a single input and a single output
 //! and no intervening merge point — collapses into one
@@ -108,7 +135,7 @@
 //!
 //! Every engine runs each component step under a [`FailurePolicy`] —
 //! the engine-wide default is [`EngineConfig::policy`], overridable per
-//! box with [`BoxDef::with_policy`](snet_core::BoxDef::with_policy):
+//! box with [`BoxDef::with_policy`](snet_core::boxdef::BoxDef::with_policy):
 //!
 //! | Policy | Box error or panic | Glue error (filter, dispatch) |
 //! |---|---|---|
@@ -117,8 +144,8 @@
 //! | `DeadLetter` | the offending record is diverted, with a [`FailureReport`], to the run's bounded dead-letter stream and the run continues | diverted too |
 //!
 //! Dead letters surface three ways: batch runs return them in
-//! [`RunReport::dead_letters`] (via [`Engine::run_batch_report`]);
-//! streaming runs poll [`StreamHandle::try_recv_dead_letter`]; and the
+//! [`RunReport::dead_letters`] (via [`Network::run_batch_report`]);
+//! streaming runs poll [`Handle::try_recv_dead_letter`]; and the
 //! [`Trace`] counts them (`dead_letters`, `retries`). Under
 //! `DeadLetter` the outputs plus the diverted records partition the
 //! input-derived record set — nothing is silently dropped. **Ordering
@@ -130,7 +157,7 @@
 //! fails the run with an engine error rather than blocking workers.
 //!
 //! Runs end early two ways, both cooperative:
-//! [`StreamHandle::cancel`] and [`EngineConfig::deadline`]. On either
+//! [`Handle::cancel`] and [`EngineConfig::deadline`]. On either
 //! path `finish()` reports [`SnetError::Cancelled`] /
 //! [`SnetError::DeadlineExceeded`], outputs already produced stay
 //! retrievable (`recv` keeps draining until the output stream
@@ -150,36 +177,29 @@
 //! over the topology before executing it, at two levels of precision:
 //!
 //! * **Open pre-flight** (on by default, [`EngineConfig::analyze`]):
-//!   `Net::with_config` / `SchedNet::with_config` analyze the spec with
-//!   an *open* entry type — no assumption about the input stream — so
-//!   only input-independent structural defects can fire. Today that is
+//!   [`Network::with_config`] analyzes the spec with an *open* entry
+//!   type — no assumption about the input stream — so only
+//!   input-independent structural defects can fire. Today that is
 //!   SNA006 (`@node` placement outside [`EngineConfig::nodes`]). A
 //!   finding is reported as [`SnetError::Analysis`] from the first run
 //!   (`run_batch*`, or `finish()` on a started stream) rather than
 //!   panicking in the middle of one. `analyze: false` opts out.
-//! * **Entry-typed analysis** ([`Net::with_entry_type`] /
-//!   [`SchedNet::with_entry_type`]): given the input stream's record
-//!   type, construction runs the full shape analysis and *refuses to
-//!   build* a network with an error-severity finding — unroutable
-//!   records at a parallel (SNA001), synchrocells that can never fire
-//!   (SNA003), splits not guaranteed their index tag (SNA004), filters
-//!   reading labels the input cannot carry (SNA005). Diagnostics carry
-//!   stable `SNA...` codes and component paths; the same codes are
-//!   exposed by [`SnetError::diag_code`](snet_core::SnetError::diag_code)
-//!   when the equivalent defect is hit *dynamically*, so a runtime
-//!   routing failure and its static prediction read as one vocabulary.
+//! * **Entry-typed analysis** ([`Network::with_entry_type`]): given the
+//!   input stream's record type, construction runs the full shape
+//!   analysis and *refuses to build* a network with an error-severity
+//!   finding — unroutable records at a parallel (SNA001), synchrocells
+//!   that can never fire (SNA003), splits not guaranteed their index
+//!   tag (SNA004), filters reading labels the input cannot carry
+//!   (SNA005). Diagnostics carry stable `SNA...` codes and component
+//!   paths; the same codes are exposed by
+//!   [`SnetError::diag_code`](snet_core::SnetError::diag_code) when the
+//!   equivalent defect is hit *dynamically*, so a runtime routing
+//!   failure and its static prediction read as one vocabulary.
 //!
-//! Acceptance is not just a veto — it is a proof the engines exploit.
-//! When the analysis shows that every record reaching a box
-//! exact-matches the box's input variant, the box is annotated
-//! (`BoxDef::exact_input`) and the shared `box_step` skips its
-//! per-record `accepts` check. The soundness contract — anything the
-//! reference interpreter routes, the analyzer must not flag, and
-//! annotated runs produce bit-identical output multisets — is pinned
-//! by the property suite in `tests/analyze_soundness.rs` (256+ random
-//! topologies per property) and gated in CI's `analyze` lane; the
-//! no-regression guarantee of the fast path is gated through
-//! `BENCH_analyze.json` / `bench_gates.toml`. The `snet-lint` binary
+//! The soundness contract — anything the reference interpreter routes,
+//! the analyzer must not flag — is pinned by the property suite in
+//! `tests/analyze_soundness.rs` (256+ random topologies per property)
+//! and gated in CI's `analyze` lane. The `snet-lint` binary
 //! (crates/apps) runs the same analysis over the paper's application
 //! networks.
 //!
@@ -193,40 +213,32 @@
 //!    loom-style deterministic scheduler explores thread interleavings
 //!    exhaustively (sequentially consistent schedules, preemption-
 //!    bounded DFS, deterministic replay of any failing schedule). The
-//!    shims' concurrency façade and this crate's mailbox path compile
-//!    against `snet_check::sync` under `RUSTFLAGS="--cfg snet_check"`,
-//!    so the *real* Chase–Lev deque and channel implementations are
-//!    model-checked, not simplified copies
-//!    (`cargo test -p snet-check` runs the façade models in every
-//!    build; the CI `model-check` lane adds the cfg'd suite). The
-//!    checker has already earned its keep: it found a missed-wake
-//!    window in `sched.rs::notify` — a producer's push + sleeper-gate
-//!    check + notify could land entirely between a parking worker's
-//!    injector re-probe and its condvar wait, burning the 1ms timed
-//!    backstop. The fix (lock-then-notify) and the failing protocol are
-//!    both pinned in `crates/check/tests/mailbox.rs`.
+//!    shims' concurrency façade and the `sched` modules compile against
+//!    `snet_check::sync` under `RUSTFLAGS="--cfg snet_check"`, so the
+//!    *real* Chase–Lev deque and channel implementations are
+//!    model-checked, not simplified copies (`cargo test -p snet-check`
+//!    runs the façade models in every build; the CI `model-check` lane
+//!    adds the cfg'd suite). The table above names the model behind
+//!    each module. The checker has already earned its keep: it found a
+//!    missed-wake window in `sched::pool`'s `notify` — a producer's
+//!    push + sleeper-gate check + notify could land entirely between a
+//!    parking worker's injector re-probe and its condvar wait, burning
+//!    the 1ms timed backstop. The fix (lock-then-notify) and the
+//!    failing protocol are both pinned in
+//!    `crates/check/tests/mailbox.rs`.
 //! 2. **Weak-memory coverage**: the model runs SeqCst-only, so the CI
 //!    `tsan` lane races the deque and the scheduler's streaming suite
 //!    under ThreadSanitizer, and the `miri` lane runs the value/record
 //!    and smallvec layers under Miri for UB beyond data races.
-//! 3. **Unsafe audit**: the only crates allowed to contain `unsafe`
-//!    are the two shims with lock-free/inline-buffer internals, the
-//!    model checker, and this crate (one `libc::sched_setaffinity`
-//!    call). All of them `#![deny(unsafe_op_in_unsafe_fn)]`, every
-//!    unsafe block carries a `SAFETY:` comment, and
-//!    `scripts/check_unsafe.py` fails CI on any unsafe block without
-//!    one — or any unsafe in a crate outside that allowlist.
+//! 3. **No unsafe here**: this crate is `#![forbid(unsafe_code)]`. The
+//!    lock-free and inline-buffer internals live in the two shims and
+//!    the model checker, where every block carries a `SAFETY:` comment
+//!    and `scripts/check_unsafe.py` fails CI on one without, or on any
+//!    in a crate outside its allowlist.
 //! 4. **Interleaving stress**: the deque's `steal_race.rs` drives the
 //!    2- and 3-thread last-element races and growth/steal overlap with
 //!    barrier-released replays; the fault-injection harness churns the
 //!    failure paths.
-//!
-//! * [`interp::Interp`] — the **deterministic reference interpreter**:
-//!   single-threaded, FIFO scheduling, first-declared tie-breaks. It is
-//!   the executable semantics used as an oracle in property tests (both
-//!   concurrent engines must produce the same output *multiset* on
-//!   confluent networks, batch or streamed). Use it for debugging and
-//!   as ground truth — never for performance.
 //!
 //! ## Memory & scale
 //!
@@ -282,7 +294,7 @@
 //! ```
 //! use snet_core::{NetSpec, Record, Value, BoxOutput, Work};
 //! use snet_core::boxdef::{BoxDef, BoxSig};
-//! use snet_runtime::{Engine, Net, SchedNet, StreamHandle};
+//! use snet_runtime::{Engine, Net, Network, SchedNet};
 //!
 //! let double = NetSpec::Box(BoxDef::from_fn(
 //!     BoxSig::parse("double", &["x"], &[&["x"]]),
@@ -293,8 +305,8 @@
 //! ));
 //!
 //! // The same streaming code drives either engine:
-//! fn stream_one<E: Engine>(engine: &E, x: i64) -> i64 {
-//!     let h = engine.start();
+//! fn stream_one<E: Engine>(net: &Network<E>, x: i64) -> i64 {
+//!     let h = net.start();
 //!     h.send(Record::new().with_field("x", Value::Int(x))).unwrap();
 //!     let out = h.recv().expect("one output");
 //!     h.finish().unwrap();
@@ -304,23 +316,30 @@
 //! assert_eq!(stream_one(&SchedNet::new(double), 21), 42);      // persistent worker pool
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
+mod component;
+pub mod config;
 pub mod engine;
 pub mod faultinject;
+pub mod handle;
 pub mod interp;
+mod run;
 pub mod sched;
+#[cfg(test)]
+mod suite;
 pub mod trace;
 
-pub use engine::{EngineConfig, Net, NetHandle};
+pub use config::EngineConfig;
 pub use faultinject::{chaos, chaos_with_stats, ChaosStats, FaultKind, FaultSpec};
+pub use handle::{Handle, Ingress, TrySendError};
 pub use interp::{Interp, InterpResult};
-pub use sched::{SchedHandle, SchedNet, TrySendError};
 pub use trace::Trace;
 
 pub use snet_core::fault::{DeadLetter, FailurePolicy, FailureReport};
 
-use snet_core::{NetSpec, Record, SnetError};
+use config::Plan;
+use snet_core::{Diagnostic, NetSpec, RType, Record, SnetError};
 use std::sync::Arc;
 
 /// Everything a batch run produced: the surviving outputs, the records
@@ -341,259 +360,147 @@ pub struct RunReport {
     pub trace: Arc<Trace>,
 }
 
-/// A running network instance accepting an input stream and producing
-/// an output stream, independent of which engine executes it.
-///
-/// Both halves take `&self`, so a producer thread can [`send`] while a
-/// consumer thread [`recv`]s through a shared reference — the shape
-/// [`run_stream`] uses. Ingress is bounded on both engines (the
-/// threaded engine's entry channel, the scheduled engine's entry
-/// mailbox cap), so `send` exerts real backpressure on the producer.
-///
-/// [`send`]: StreamHandle::send
-/// [`recv`]: StreamHandle::recv
-pub trait StreamHandle: Send + Sync {
-    /// Sends one record into the network, blocking while the bounded
-    /// ingress is full. Fails once the input is closed or the run has
-    /// failed.
-    fn send(&self, rec: Record) -> Result<(), SnetError>;
-
-    /// Non-blocking send: hands the record back as
-    /// [`TrySendError::Full`] instead of blocking when the bounded
-    /// ingress is full.
-    #[allow(clippy::result_large_err)] // Full carries the record back by design
-    fn try_send(&self, rec: Record) -> Result<(), TrySendError>;
-
-    /// Sends a pre-materialized batch, still against the bounded
-    /// ingress: implementations deliver in capacity-sized windows (one
-    /// lock/wake per window) and block for drain space between windows,
-    /// so resident records stay within the configured bound. The
-    /// default just loops [`StreamHandle::send`].
-    fn send_all(&self, records: Vec<Record>) -> Result<(), SnetError> {
-        for rec in records {
-            self.send(rec)?;
-        }
-        Ok(())
-    }
-
-    /// Closes the input stream (end-of-stream for the network).
-    /// Idempotent.
-    fn close_input(&self);
-
-    /// Requests cooperative cancellation: the run fails with
-    /// [`SnetError::Cancelled`] (reported by
-    /// [`finish`](StreamHandle::finish)), components stop at their next
-    /// cancellation point, and outputs already produced remain
-    /// drainable via [`recv`](StreamHandle::recv). Idempotent; a no-op
-    /// after the run completed.
-    fn cancel(&self);
-
-    /// Non-blocking receive on the run's dead-letter stream: the next
-    /// record diverted under [`FailurePolicy::DeadLetter`], or `None`
-    /// when nothing is queued. Streaming consumers should poll this
-    /// alongside [`try_recv`](StreamHandle::try_recv) — the stream is
-    /// bounded, and letting it fill while diversions continue fails
-    /// the run.
-    fn try_recv_dead_letter(&self) -> Option<DeadLetter>;
-
-    /// Receives the next output record; `None` once the output stream
-    /// has terminated.
-    fn recv(&self) -> Option<Record>;
-
-    /// Non-blocking receive: `None` when nothing is currently queued
-    /// (including after termination — use [`StreamHandle::recv`] to
-    /// distinguish end-of-stream).
-    fn try_recv(&self) -> Option<Record>;
-
-    /// Runs at most one unit of engine work on the calling thread, if
-    /// the engine supports caller-runs helping (the scheduled engine
-    /// does; the threaded engine has no task queue and returns `false`).
-    /// Streaming drivers call this instead of blocking when the ingress
-    /// is full and nothing is drainable.
-    fn drive(&self) -> bool {
-        false
-    }
-
-    /// Clonable handle to the run's event counters.
-    fn trace_arc(&self) -> Arc<Trace>;
-
-    /// Closes the input, drains remaining output, waits for the run to
-    /// terminate, and reports the first error raised during the run.
-    fn finish(self) -> Result<(), SnetError>
-    where
-        Self: Sized;
-}
-
-/// An S-Net execution engine: something that can run a [`NetSpec`]
-/// either as a one-shot batch or as a stream via a [`StreamHandle`].
-///
-/// Implemented by the threaded engine ([`Net`]) and the scheduled
-/// engine ([`SchedNet`]), letting tests, benchmarks and applications be
-/// parameterized over the engine.
-pub trait Engine {
-    /// The engine's streaming handle type.
-    type Handle: StreamHandle;
+/// An execution engine: what turns a prepared topology into running
+/// components. Implemented by [`engine::Threaded`] (a thread per
+/// component) and [`sched::Scheduled`] (tasks on a persistent worker
+/// pool); used through [`Network`], which tests, benchmarks and
+/// applications parameterize over the engine.
+pub trait Engine: Sized {
+    /// The ingress half of the engine's streaming [`Handle`].
+    type Ingress: Ingress;
 
     /// Engine name for labels in tests and benchmark output.
-    fn name(&self) -> &'static str;
+    const NAME: &'static str;
+
+    /// An engine for networks configured by `config`.
+    fn new(config: &EngineConfig) -> Self;
+
+    /// Instantiates `plan` and returns a streaming handle onto the run.
+    fn start(&self, plan: &Plan) -> Handle<Self::Ingress>;
+
+    /// Runs `records` through a fresh instance of `plan` to completion.
+    fn run_batch_report(&self, plan: &Plan, records: Vec<Record>) -> Result<RunReport, SnetError>;
+}
+
+/// A compiled network ready to execute records on engine `E`.
+///
+/// A `Network` is reusable: every [`Network::start`] (or
+/// [`Network::run_batch`]) call instantiates a fresh set of components.
+/// Synchrocell and replication state never leaks between runs. What an
+/// engine keeps *between* runs is its own business — the scheduled
+/// engine's worker pool spawns lazily on the first run and lives until
+/// the network drops, so consecutive runs reuse the same OS threads.
+pub struct Network<E: Engine> {
+    plan: Plan,
+    engine: E,
+}
+
+/// A network on the **threaded engine**: every component instance is an
+/// OS thread, connected by bounded channels (see [`engine`]).
+pub type Net = Network<engine::Threaded>;
+/// A network on the **scheduled engine**: component tasks multiplexed
+/// over a persistent work-stealing worker pool (see [`sched`]).
+pub type SchedNet = Network<sched::Scheduled>;
+/// A running instance of a [`Net`].
+pub type NetHandle = Handle<engine::ChannelIngress>;
+/// A running instance of a [`SchedNet`]; adds
+/// [`input_backlog`](Handle::input_backlog).
+pub type SchedHandle = Handle<sched::MailboxIngress>;
+
+impl<E: Engine> Network<E> {
+    /// Wraps a topology with default configuration.
+    pub fn new(spec: NetSpec) -> Self {
+        Self::with_config(spec, EngineConfig::default())
+    }
+
+    /// Wraps a topology with explicit configuration.
+    pub fn with_config(spec: NetSpec, config: EngineConfig) -> Self {
+        Network {
+            engine: E::new(&config),
+            plan: Plan::new(spec, config),
+        }
+    }
+
+    /// Wraps a topology with a declared (closed) entry type: every
+    /// record fed to the net is promised to carry exactly the labels of
+    /// one of `entry`'s variants. This unlocks the full shape-aware
+    /// analysis — the net is rejected up front ([`SnetError::Analysis`])
+    /// on any error-severity finding (unroutable records, splits missing
+    /// their index tag, stranded synchrocells, unbound filter labels,
+    /// placement out of range).
+    pub fn with_entry_type(
+        spec: NetSpec,
+        entry: &RType,
+        config: EngineConfig,
+    ) -> Result<Self, SnetError> {
+        Ok(Network {
+            plan: Plan::with_entry_type(spec, entry, config)?,
+            engine: E::new(&config),
+        })
+    }
+
+    /// Engine name for labels in tests and benchmark output.
+    pub fn name(&self) -> &'static str {
+        E::NAME
+    }
 
     /// The underlying topology.
-    fn spec(&self) -> &NetSpec;
+    pub fn spec(&self) -> &NetSpec {
+        &self.plan.spec
+    }
 
-    /// Instantiates the network and returns a streaming handle.
-    fn start(&self) -> Self::Handle;
+    /// The pre-flight diagnostics this net was constructed with (empty
+    /// when the analysis passed or was opted out).
+    pub fn preflight_diagnostics(&self) -> &[Diagnostic] {
+        &self.plan.preflight
+    }
 
-    /// Feeds a batch of records and collects the complete output
-    /// stream (arrival order).
-    fn run_batch(&self, records: Vec<Record>) -> Result<Vec<Record>, SnetError>;
+    /// Instantiates the network and returns a handle for streaming
+    /// records in and out.
+    pub fn start(&self) -> Handle<E::Ingress> {
+        self.engine.start(&self.plan)
+    }
 
-    /// Like [`Engine::run_batch`] but also returns the run's [`Trace`].
-    fn run_batch_traced(
+    /// Feeds a batch of records, closes the input, and collects the
+    /// complete output stream (arrival order).
+    pub fn run_batch(&self, records: Vec<Record>) -> Result<Vec<Record>, SnetError> {
+        Ok(self.run_batch_report(records)?.outputs)
+    }
+
+    /// Like [`Network::run_batch`] but also returns the run's
+    /// [`Trace`].
+    pub fn run_batch_traced(
         &self,
         records: Vec<Record>,
-    ) -> Result<(Vec<Record>, Arc<Trace>), SnetError>;
+    ) -> Result<(Vec<Record>, Arc<Trace>), SnetError> {
+        let report = self.run_batch_report(records)?;
+        Ok((report.outputs, report.trace))
+    }
 
     /// Full-fidelity batch run: outputs, dead letters, and trace in one
     /// [`RunReport`]. This is the entry point for
-    /// [`FailurePolicy::DeadLetter`] batch runs — the plainer
-    /// `run_batch*` forms discard the diverted records.
-    fn run_batch_report(&self, records: Vec<Record>) -> Result<RunReport, SnetError>;
-}
-
-impl StreamHandle for NetHandle {
-    fn send(&self, rec: Record) -> Result<(), SnetError> {
-        NetHandle::send(self, rec)
-    }
-    #[allow(clippy::result_large_err)]
-    fn try_send(&self, rec: Record) -> Result<(), TrySendError> {
-        NetHandle::try_send(self, rec)
-    }
-    fn send_all(&self, records: Vec<Record>) -> Result<(), SnetError> {
-        NetHandle::send_all(self, records)
-    }
-    fn close_input(&self) {
-        NetHandle::close_input(self)
-    }
-    fn cancel(&self) {
-        NetHandle::cancel(self)
-    }
-    fn try_recv_dead_letter(&self) -> Option<DeadLetter> {
-        NetHandle::try_recv_dead_letter(self)
-    }
-    fn recv(&self) -> Option<Record> {
-        NetHandle::recv(self)
-    }
-    fn try_recv(&self) -> Option<Record> {
-        NetHandle::try_recv(self)
-    }
-    fn trace_arc(&self) -> Arc<Trace> {
-        NetHandle::trace_arc(self)
-    }
-    fn finish(self) -> Result<(), SnetError> {
-        NetHandle::finish(self)
-    }
-}
-
-impl StreamHandle for SchedHandle {
-    fn send(&self, rec: Record) -> Result<(), SnetError> {
-        SchedHandle::send(self, rec)
-    }
-    #[allow(clippy::result_large_err)]
-    fn try_send(&self, rec: Record) -> Result<(), TrySendError> {
-        SchedHandle::try_send(self, rec)
-    }
-    fn send_all(&self, records: Vec<Record>) -> Result<(), SnetError> {
-        SchedHandle::send_all(self, records)
-    }
-    fn close_input(&self) {
-        SchedHandle::close_input(self)
-    }
-    fn cancel(&self) {
-        SchedHandle::cancel(self)
-    }
-    fn try_recv_dead_letter(&self) -> Option<DeadLetter> {
-        SchedHandle::try_recv_dead_letter(self)
-    }
-    fn recv(&self) -> Option<Record> {
-        SchedHandle::recv(self)
-    }
-    fn try_recv(&self) -> Option<Record> {
-        SchedHandle::try_recv(self)
-    }
-    fn drive(&self) -> bool {
-        SchedHandle::drive(self)
-    }
-    fn trace_arc(&self) -> Arc<Trace> {
-        SchedHandle::trace_arc(self)
-    }
-    fn finish(self) -> Result<(), SnetError> {
-        SchedHandle::finish(self)
-    }
-}
-
-impl Engine for Net {
-    type Handle = NetHandle;
-
-    fn name(&self) -> &'static str {
-        "threaded"
-    }
-    fn spec(&self) -> &NetSpec {
-        Net::spec(self)
-    }
-    fn start(&self) -> NetHandle {
-        Net::start(self)
-    }
-    fn run_batch(&self, records: Vec<Record>) -> Result<Vec<Record>, SnetError> {
-        Net::run_batch(self, records)
-    }
-    fn run_batch_traced(
-        &self,
-        records: Vec<Record>,
-    ) -> Result<(Vec<Record>, Arc<Trace>), SnetError> {
-        Net::run_batch_traced(self, records)
-    }
-    fn run_batch_report(&self, records: Vec<Record>) -> Result<RunReport, SnetError> {
-        Net::run_batch_report(self, records)
-    }
-}
-
-impl Engine for SchedNet {
-    type Handle = SchedHandle;
-
-    fn name(&self) -> &'static str {
-        "sched"
-    }
-    fn spec(&self) -> &NetSpec {
-        SchedNet::spec(self)
-    }
-    fn start(&self) -> SchedHandle {
-        SchedNet::start(self)
-    }
-    fn run_batch(&self, records: Vec<Record>) -> Result<Vec<Record>, SnetError> {
-        SchedNet::run_batch(self, records)
-    }
-    fn run_batch_traced(
-        &self,
-        records: Vec<Record>,
-    ) -> Result<(Vec<Record>, Arc<Trace>), SnetError> {
-        SchedNet::run_batch_traced(self, records)
-    }
-    fn run_batch_report(&self, records: Vec<Record>) -> Result<RunReport, SnetError> {
-        SchedNet::run_batch_report(self, records)
+    /// [`FailurePolicy::DeadLetter`] batch runs, where dropped records
+    /// are data, not errors — the plainer `run_batch*` forms discard
+    /// the diverted records.
+    pub fn run_batch_report(&self, records: Vec<Record>) -> Result<RunReport, SnetError> {
+        self.engine.run_batch_report(&self.plan, records)
     }
 }
 
 /// Streams a batch of records through an engine: a feeder thread pushes
 /// them against the handle's bounded ingress
-/// ([`StreamHandle::send_all`], capacity-window granularity) while the
+/// ([`Handle::send_all`], capacity-window granularity) while the
 /// calling thread drains the output, then the run is finished and the
 /// collected outputs returned.
 ///
-/// This is the streaming analogue of [`Engine::run_batch`] — same
+/// This is the streaming analogue of [`Network::run_batch`] — same
 /// inputs, same output multiset on confluent nets, but bounded
 /// residency instead of a materialized entry backlog — and is what the
 /// equivalence property tests and the streaming benchmark drive.
-pub fn run_stream<E: Engine>(engine: &E, records: Vec<Record>) -> Result<Vec<Record>, SnetError> {
+pub fn run_stream<E: Engine>(
+    engine: &Network<E>,
+    records: Vec<Record>,
+) -> Result<Vec<Record>, SnetError> {
     let handle = engine.start();
     let mut outs = Vec::new();
     std::thread::scope(|s| {
@@ -627,7 +534,7 @@ pub fn run_stream<E: Engine>(engine: &E, records: Vec<Record>) -> Result<Vec<Rec
 /// producer thread) when production and consumption are naturally
 /// concurrent.
 pub fn run_stream_interleaved<E: Engine>(
-    engine: &E,
+    engine: &Network<E>,
     records: Vec<Record>,
 ) -> Result<Vec<Record>, SnetError> {
     let handle = engine.start();

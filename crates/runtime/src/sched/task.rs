@@ -1,0 +1,521 @@
+//! Tasks: one per component instance — a mailbox, the component's
+//! state, and the activation that drains one into the other.
+//!
+//! A task becomes runnable when a record lands in its mailbox (or its
+//! last upstream [`Port`] closes); a worker runs it by draining the
+//! mailbox up to a budget through [`Component::step_batch`], flushing
+//! every output edge, and finalizing once end-of-stream is reached.
+//! End-of-stream is sender refcounting: when the last upstream port of
+//! a task closes, the task finalizes and closes its own outputs, so
+//! termination cascades exactly like channel disconnection does in the
+//! threaded engine. The sink is always the last task of a run to
+//! finalize, so its finalization doubles as the run's completion
+//! signal ([`Latch`]).
+
+use super::pool::{notify, Pool};
+use super::sync::{AtomicBool, AtomicU32, AtomicUsize, Condvar};
+use super::Latch;
+use crate::component::{Component, Transport};
+use crate::run::Run;
+use crossbeam_channel::Sender;
+use crossbeam_deque::Worker;
+use parking_lot::Mutex;
+use snet_core::{panic_cause, pool, Record, SnetError};
+use std::collections::VecDeque;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// Records processed per task activation before yielding back to the
+/// scheduler (keeps long streams from starving sibling components).
+/// When [`crate::EngineConfig::batch`] exceeds this, the budget
+/// stretches so a full hand-off batch is always processed in one
+/// activation.
+const ACTIVATION_BUDGET: usize = 64;
+
+/// Cap on the exponential backpressure backoff: a zero-progress task is
+/// re-enqueued after `1µs << min(n, BACKOFF_MAX_SHIFT)`, i.e. at most
+/// ~1ms — the same latency bound as a worker's park quantum.
+const BACKOFF_MAX_SHIFT: u32 = 10;
+
+/// One component instance: mailbox + state.
+pub(super) struct Task {
+    /// The run this task belongs to (trace, error slot, abort flag).
+    pub(super) run: Arc<Run>,
+    pub(super) mailbox: Mutex<VecDeque<Record>>,
+    /// Signalled (paired with the `mailbox` mutex) whenever the mailbox
+    /// shrinks while `ingress_waiters` is non-zero; only the streaming
+    /// entry path ever waits on it.
+    pub(super) ingress_cv: Condvar,
+    pub(super) ingress_waiters: AtomicUsize,
+    /// Open upstream ports; 0 = end-of-stream once the mailbox drains.
+    open_senders: AtomicUsize,
+    /// True while queued or deferred (prevents double-queueing; cleared
+    /// when a worker picks the task up).
+    pub(super) scheduled: AtomicBool,
+    /// Consecutive zero-progress (backpressured) activations; drives
+    /// the exponential re-enqueue backoff. Reset on any progress.
+    backoff: AtomicU32,
+    pub(super) state: Mutex<State>,
+}
+
+// One `State` per task, inside the task's own heap allocation: boxing
+// the component would only add a pointer hop to every step.
+#[allow(clippy::large_enum_variant)]
+pub(super) enum State {
+    /// A live component and its output ports.
+    Live(Component<Port>),
+    /// Terminal output collector; records coalesce in `buf` and move to
+    /// `dest` once per batch/activation.
+    Sink {
+        buf: Vec<Record>,
+        dest: SinkDest,
+        latch: Arc<Latch>,
+    },
+    /// Finalized: outputs closed, no further effects.
+    Done,
+}
+
+/// Where a run's sink delivers its records.
+pub(super) enum SinkDest {
+    /// Batch mode: append to the driver's output vector.
+    Collect(Arc<Mutex<Vec<Record>>>),
+    /// Streaming mode: push into the handle's bounded output channel.
+    /// Dropping the sender (at sink finalization) is the consumer's
+    /// end-of-stream.
+    Stream(Sender<Record>),
+}
+
+impl SinkDest {
+    /// Best-effort delivery of the sink's coalescing buffer. A worker
+    /// must never block (or sleep) inside a sink activation — it holds
+    /// the sink's state lock, so every other worker would churn on the
+    /// re-queued-but-locked task while the consumer starves. Streamed
+    /// records that do not fit in the output channel therefore stay at
+    /// the front of `buf` and the sink *defers* through the scheduler's
+    /// zero-progress backoff machinery until the consumer drains.
+    fn flush(&self, buf: &mut Vec<Record>) {
+        if buf.is_empty() {
+            return;
+        }
+        match self {
+            SinkDest::Collect(outs) => outs.lock().append(buf),
+            SinkDest::Stream(tx) => {
+                // One lock + at most one consumer wake for the whole
+                // window; leftovers stay in `buf` for the deferred
+                // retry. A disconnected consumer drops the rest.
+                if tx.try_send_front(buf).is_err() {
+                    buf.clear();
+                }
+            }
+        }
+    }
+
+    /// Can the destination accept nothing further right now? Drives the
+    /// sink's cooperative-backpressure yield.
+    fn is_full(&self) -> bool {
+        match self {
+            SinkDest::Collect(_) => false,
+            SinkDest::Stream(tx) => tx.is_full(),
+        }
+    }
+}
+
+impl Task {
+    pub(super) fn new(state: State, run: &Arc<Run>) -> Arc<Task> {
+        Arc::new(Task {
+            run: Arc::clone(run),
+            mailbox: Mutex::new(pool::take_deque()),
+            ingress_cv: Condvar::new(),
+            ingress_waiters: AtomicUsize::new(0),
+            open_senders: AtomicUsize::new(0),
+            scheduled: AtomicBool::new(false),
+            backoff: AtomicU32::new(0),
+            state: Mutex::new(state),
+        })
+    }
+
+    /// Discards buffered input (abort path), waking any ingress waiter
+    /// blocked on the freed space.
+    fn clear_mailbox(&self) {
+        self.mailbox.lock().clear();
+        if self.ingress_waiters.load(Ordering::Acquire) > 0 {
+            self.ingress_cv.notify_all();
+        }
+    }
+}
+
+/// An open upstream handle onto a task's mailbox. Creating one
+/// increments the task's sender count; [`Port::close`] decrements it.
+/// Ports are closed explicitly (not on drop) so the close can schedule
+/// the receiving task.
+///
+/// Sends coalesce in `buf` (owned by the producing task's activation —
+/// the state lock serializes all access): records are pushed downstream
+/// only when the buffer reaches [`crate::EngineConfig::batch`] records
+/// or the activation ends, so the consumer-side mailbox lock and wake
+/// are paid once per batch, not once per record. The invariant between
+/// activations is an *empty* buffer — every activation flushes all of
+/// its output edges before yielding, so no record can be stranded in a
+/// buffer while its producer waits.
+pub(super) struct Port {
+    pub(super) task: Arc<Task>,
+    buf: Vec<Record>,
+}
+
+impl Port {
+    pub(super) fn new(task: &Arc<Task>) -> Port {
+        task.open_senders.fetch_add(1, Ordering::AcqRel);
+        Port {
+            task: Arc::clone(task),
+            buf: pool::take_vec(),
+        }
+    }
+
+    /// Buffered send: coalesces until `batch` records are pending, then
+    /// pushes the whole run with one lock acquisition and one wake.
+    fn send(&mut self, rec: Record, sh: &Pool, local: Option<&Worker<Arc<Task>>>) {
+        self.buf.push(rec);
+        if self.buf.len() >= sh.config.batch.max(1) {
+            self.flush(sh, local);
+        }
+    }
+
+    /// Pushes any buffered records downstream: one mailbox lock, one
+    /// consumer wake, however many records.
+    fn flush(&mut self, sh: &Pool, local: Option<&Worker<Arc<Task>>>) {
+        if self.buf.is_empty() {
+            return;
+        }
+        {
+            let mut mb = self.task.mailbox.lock();
+            mb.extend(self.buf.drain(..));
+        }
+        notify(&self.task, sh, local);
+    }
+
+    /// Unbuffered batch send (batch-driver feed path): extends the
+    /// mailbox under one lock and wakes the consumer once.
+    pub(super) fn send_now(
+        &self,
+        recs: impl IntoIterator<Item = Record>,
+        sh: &Pool,
+        local: Option<&Worker<Arc<Task>>>,
+    ) {
+        let any = {
+            let mut mb = self.task.mailbox.lock();
+            let before = mb.len();
+            mb.extend(recs);
+            mb.len() > before
+        };
+        if any {
+            notify(&self.task, sh, local);
+        }
+    }
+
+    fn backlog(&self) -> usize {
+        self.task.mailbox.lock().len()
+    }
+
+    pub(super) fn close(mut self, sh: &Pool, local: Option<&Worker<Arc<Task>>>) {
+        // Sends happen-before close: drain the coalescing buffer first.
+        self.flush(sh, local);
+        pool::give_vec(std::mem::take(&mut self.buf));
+        if self.task.open_senders.fetch_sub(1, Ordering::AcqRel) == 1 {
+            // Last sender gone: the task must run once more to observe
+            // end-of-stream and finalize.
+            notify(&self.task, sh, local);
+        }
+    }
+}
+
+/// The scheduled engine's transport: a port is a [`Port`], spawning a
+/// component is creating its [`Task`].
+pub(super) struct TaskCx<'a> {
+    pub(super) pool: &'a Pool,
+    pub(super) run: &'a Arc<Run>,
+    pub(super) local: Option<&'a Worker<Arc<Task>>>,
+}
+
+impl Transport for TaskCx<'_> {
+    type Port = Port;
+
+    fn spawn(&mut self, comp: Component<Port>) -> Port {
+        Port::new(&Task::new(State::Live(comp), self.run))
+    }
+
+    fn another(port: &Port) -> Port {
+        Port::new(&port.task)
+    }
+
+    fn send(&mut self, port: &mut Port, rec: Record) {
+        port.send(rec, self.pool, self.local);
+    }
+}
+
+/// Runs one activation with panic containment. User box panics are
+/// already converted to errors inside `step`; a panic escaping the
+/// activation itself (a semantics/scheduler bug) must still not kill a
+/// persistent-pool thread — the pool never respawns workers, so an
+/// unwinding activation would silently shrink the pool and strand the
+/// run's completion latch forever. Instead the task's run is failed and
+/// the task finalized, so the end-of-stream cascade (and the driver)
+/// still complete, with the panic reported as the run's error.
+pub(super) fn execute(
+    task: &Arc<Task>,
+    state: parking_lot::MutexGuard<'_, State>,
+    sh: &Pool,
+    local: Option<&Worker<Arc<Task>>>,
+) -> Option<Instant> {
+    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_task(task, state, sh, local)
+    }));
+    match unwound {
+        Ok(defer) => defer,
+        Err(payload) => {
+            let cause = panic_cause(payload.as_ref());
+            task.run.fail(SnetError::Engine(format!(
+                "scheduler activation panicked: {cause}"
+            )));
+            task.clear_mailbox();
+            // The state mutex recovers from the poisoned unwind (shim
+            // semantics); finalizing closes the task's ports so the
+            // cascade still reaches the sink.
+            if let Some(mut st) = task.state.try_lock() {
+                finalize(task, &mut st, sh, local);
+            }
+            None
+        }
+    }
+}
+
+/// Runs one activation of a task: drain its mailbox in hand-off
+/// batches (bounded by the activation budget and downstream high-water
+/// marks), flush every output edge once, then finalize if end-of-stream
+/// has been reached. The caller holds the state lock (acquired with
+/// `try_lock`, so workers never block behind a running activation).
+///
+/// Returns `Some(deadline)` for a zero-progress backpressure yield that
+/// must be re-run no earlier than the deadline, `None` otherwise.
+fn run_task(
+    task: &Arc<Task>,
+    mut state: parking_lot::MutexGuard<'_, State>,
+    sh: &Pool,
+    local: Option<&Worker<Arc<Task>>>,
+) -> Option<Instant> {
+    // From here on, producers may re-queue the task; the held state
+    // lock serializes actual execution.
+    task.scheduled.store(false, Ordering::Release);
+
+    // Activation-start preemption point: abort flag and run deadline.
+    if task.run.should_stop() {
+        task.clear_mailbox();
+        finalize(task, &mut state, sh, local);
+        return None;
+    }
+
+    let batch = sh.config.batch.max(1);
+    let budget = ACTIVATION_BUDGET.max(batch);
+    // Probing the downstream mailbox for backpressure takes its lock;
+    // amortize the check over at least a batch (and no fewer than 16
+    // records, so `batch = 1` keeps the pre-batching cadence).
+    let bp_stride = batch.max(16);
+    let mut next_bp_check = 0usize;
+    let mut processed = 0usize;
+    // Records claimed from the mailbox for the current hand-off batch.
+    // Pooled (with drop-reclaim, for the failure exits): one activation
+    // per batch used to mean one short-lived Vec per batch — in steady
+    // state that is the hottest allocation in the engine.
+    let mut inbuf = pool::PooledVec::take();
+    while processed < budget {
+        if processed >= next_bp_check {
+            // Mid-drain preemption point, amortized on the same stride
+            // as the backpressure probe.
+            if task.run.should_stop() {
+                task.clear_mailbox();
+                finalize(task, &mut state, sh, local);
+                return None;
+            }
+            if output_backpressured(&state, sh) {
+                break;
+            }
+            next_bp_check = processed + bp_stride;
+        }
+        // Refill: claim up to a whole batch with one mailbox lock.
+        {
+            let mut mb = task.mailbox.lock();
+            let take = batch.min(budget - processed).min(mb.len());
+            if take == 0 {
+                break;
+            }
+            inbuf.extend(mb.drain(..take));
+        }
+        // The mailbox just shrank: wake a streaming sender blocked on
+        // the ingress bound, if any.
+        if task.ingress_waiters.load(Ordering::Acquire) > 0 {
+            task.ingress_cv.notify_all();
+        }
+        match &mut *state {
+            State::Live(comp) => {
+                let n = inbuf.len();
+                let mut cx = TaskCx {
+                    pool: sh,
+                    run: &task.run,
+                    local,
+                };
+                if let Err(e) = comp.step_batch(inbuf.drain(..), &task.run, &sh.config, &mut cx) {
+                    task.run.fail(e);
+                    task.clear_mailbox();
+                    finalize(task, &mut state, sh, local);
+                    return None;
+                }
+                processed += n;
+            }
+            State::Sink { buf, dest, .. } => {
+                processed += inbuf.len();
+                for rec in inbuf.drain(..) {
+                    buf.push(rec);
+                    if buf.len() >= batch {
+                        dest.flush(buf);
+                    }
+                }
+            }
+            // Post-teardown stragglers are dropped.
+            State::Done => processed += inbuf.drain(..).count(),
+        }
+    }
+
+    // Forward this activation's entire output: every edge gets at most
+    // one more mailbox push + wake, and the between-activations
+    // invariant (empty coalescing buffers) is restored.
+    flush_outputs(&mut state, sh, local);
+    if processed > 0 {
+        task.backoff.store(0, Ordering::Relaxed);
+    }
+
+    // Order matters: read the sender count BEFORE the final mailbox
+    // probe. Each port's sends happen-before its close, so observing
+    // zero senders first guarantees the mailbox probe sees every record
+    // — probing the mailbox first could miss a record sent (and closed)
+    // between the two reads.
+    let senders = task.open_senders.load(Ordering::Acquire);
+    let mailbox_empty = task.mailbox.lock().is_empty();
+    // Sink delivery happens here, not in `flush_outputs`: deliver when
+    // the inbound stream pauses (empty mailbox — latency now matters)
+    // or a full hand-off batch has accumulated; holding smaller
+    // dribbles while more input is already queued coalesces consumer
+    // wakes without ever stranding a record (a non-empty mailbox
+    // guarantees another activation). A streaming sink can still be
+    // left with undelivered records when the output channel was full:
+    // nothing in the graph re-schedules it when the consumer drains
+    // (the channel has no back-edge into the scheduler), so it must
+    // re-defer itself even with an empty mailbox.
+    let undelivered = if let State::Sink { buf, dest, .. } = &mut *state {
+        if mailbox_empty || buf.len() >= batch {
+            dest.flush(buf);
+        }
+        !buf.is_empty()
+    } else {
+        false
+    };
+    if mailbox_empty && !undelivered {
+        if senders == 0 {
+            finalize(task, &mut state, sh, local);
+        }
+        None
+    } else {
+        // Note the finalize-gate: a sink with undelivered output is
+        // never finalized, even at end-of-stream — it re-defers until
+        // the consumer makes room (or hangs up). Finalizing instead
+        // would force a blocking drain inside an activation, which
+        // deadlocks a single-threaded driver that is simultaneously
+        // the pool helper (`drive`) and the consumer.
+        drop(state);
+        if processed == 0 {
+            // Zero-progress (backpressured) yield. Requeueing straight
+            // onto the global queue spins hot while the downstream
+            // mailbox stays full; instead, re-enqueue with exponential
+            // backoff. Claiming `scheduled` here keeps producers from
+            // double-queueing the task; if a producer won the race, its
+            // queue entry owns the re-run.
+            if task
+                .scheduled
+                .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+            {
+                let shift = task
+                    .backoff
+                    .fetch_add(1, Ordering::Relaxed)
+                    .min(BACKOFF_MAX_SHIFT);
+                return Some(Instant::now() + Duration::from_micros(1u64 << shift));
+            }
+            None
+        } else {
+            // Budget yield with progress made: run again soon, from the
+            // local deque.
+            notify(task, sh, local);
+            None
+        }
+    }
+}
+
+/// Flushes every coalescing output buffer reachable from `state`: one
+/// downstream mailbox push + consumer wake per edge with pending
+/// records. The sink is absent on purpose: its delivery cadence is
+/// decided in `run_task`'s tail (full batches, or everything once its
+/// mailbox pauses), not at every activation boundary — flushing
+/// dribbles per activation would wake the consumer per couple of
+/// records and let it preempt the worker mid-stream.
+fn flush_outputs(state: &mut State, sh: &Pool, local: Option<&Worker<Arc<Task>>>) {
+    if let State::Live(comp) = state {
+        comp.for_each_port(|port| port.flush(sh, local));
+    }
+}
+
+/// Cooperative backpressure: stop consuming while the primary output
+/// mailbox is over the high-water mark. Dispatchers are exempt (their
+/// work per record is trivial and they feed many outputs). A streaming
+/// sink with undelivered records and a full output channel yields the
+/// same way — it must not grow its buffer while the consumer lags.
+fn output_backpressured(state: &State, sh: &Pool) -> bool {
+    match state {
+        State::Live(comp) => !comp.is_dispatcher() && comp.out().backlog() >= sh.high_water(),
+        State::Sink { buf, dest, .. } => !buf.is_empty() && dest.is_full(),
+        State::Done => false,
+    }
+}
+
+/// Observes end-of-stream: count stranded synchrocell records, close
+/// every downstream port, and become inert. The sink's finalization is
+/// the run's completion: it delivers the last buffered outputs, drops
+/// the streaming sender (end-of-stream for the consumer) and wakes the
+/// driver's completion latch.
+fn finalize(task: &Arc<Task>, state: &mut State, sh: &Pool, local: Option<&Worker<Arc<Task>>>) {
+    // Retire the mailbox's backing storage (it is empty on every orderly
+    // end-of-stream; abort paths cleared it). Stragglers that land after
+    // teardown go into the fresh empty deque and are dropped with it.
+    pool::give_deque(std::mem::take(&mut *task.mailbox.lock()));
+    if task.ingress_waiters.load(Ordering::Acquire) > 0 {
+        task.ingress_cv.notify_all();
+    }
+    match std::mem::replace(state, State::Done) {
+        State::Live(comp) => comp.end_of_stream(&task.run, |port| port.close(sh, local)),
+        State::Sink {
+            mut buf,
+            dest,
+            latch,
+        } => {
+            // By the finalize-gate in `run_task` the buffer is empty on
+            // every orderly end-of-stream; a non-empty buffer here means
+            // abort or a hung-up consumer, where dropping leftovers is
+            // the contract.
+            dest.flush(&mut buf);
+            pool::give_vec(buf);
+            // Streaming mode: dropping `dest` here disconnects the
+            // output channel — the consumer's end-of-stream.
+            drop(dest);
+            latch.signal();
+        }
+        State::Done => {}
+    }
+}

@@ -1,0 +1,250 @@
+//! The engine-generic unit suite: one body per behaviour every
+//! concurrent engine must show, instantiated for each engine by
+//! [`engine_suite!`] inside that engine's own `tests` module.
+
+use crate::{Engine, EngineConfig, Network};
+use snet_core::boxdef::{BoxDef, BoxOutput, BoxSig, Work};
+use snet_core::semantics::MismatchPolicy;
+use snet_core::{
+    BinOp, FilterSpec, Label, NetSpec, Pattern, Record, SnetError, SyncSpec, TagExpr, Value,
+    Variant,
+};
+
+/// Instantiates every case of the generic suite for engine `$engine`.
+macro_rules! engine_suite {
+    ($engine:ty) => {
+        crate::suite::engine_suite!(@cases $engine:
+            single_box_pipeline,
+            serial_composes,
+            parallel_routes_by_best_match,
+            star_unrolls_until_exit,
+            split_creates_replica_per_tag_value,
+            split_without_tag_is_an_error,
+            sync_joins_in_stream,
+            stranded_sync_records_are_counted,
+            box_error_propagates,
+            panicking_box_is_reported_not_swallowed,
+            strict_mismatch_policy_errors,
+            streaming_interface_overlaps,
+            net_is_reusable_with_fresh_state,
+        );
+    };
+    (@cases $engine:ty: $($case:ident,)*) => {
+        $(
+            #[test]
+            fn $case() {
+                crate::suite::$case::<$engine>();
+            }
+        )*
+    };
+}
+pub(crate) use engine_suite;
+
+pub(crate) fn int_box(name: &str, input: &str, output: &str, f: fn(i64) -> i64) -> NetSpec {
+    let out_label = output.to_owned();
+    NetSpec::Box(BoxDef::from_fn(
+        BoxSig::parse(name, &[input], &[&[output]]),
+        move |r| {
+            let x = r
+                .fields()
+                .next()
+                .and_then(|(_, v)| v.as_int())
+                .ok_or_else(|| SnetError::Engine("expected int field".into()))?;
+            Ok(BoxOutput::one(
+                Record::new().with_field(out_label.as_str(), Value::Int(f(x))),
+                Work::ops(1),
+            ))
+        },
+    ))
+}
+
+pub(crate) fn ints(records: &[Record], label: &str) -> Vec<i64> {
+    let mut v: Vec<i64> = records
+        .iter()
+        .filter_map(|r| r.field(label).and_then(|x| x.as_int()))
+        .collect();
+    v.sort_unstable();
+    v
+}
+
+fn xs(range: std::ops::Range<i64>) -> Vec<Record> {
+    range
+        .map(|i| Record::new().with_field("x", Value::Int(i)))
+        .collect()
+}
+
+fn ab_cell() -> NetSpec {
+    NetSpec::Sync(SyncSpec::new(vec![
+        Pattern::from_variant(Variant::parse_labels(&["a"], &[])),
+        Pattern::from_variant(Variant::parse_labels(&["b"], &[])),
+    ]))
+}
+
+pub(crate) fn single_box_pipeline<E: Engine>() {
+    let net = Network::<E>::new(int_box("double", "x", "x", |x| 2 * x));
+    let outs = net.run_batch(xs(0..10)).unwrap();
+    assert_eq!(ints(&outs, "x"), (0..10).map(|i| 2 * i).collect::<Vec<_>>());
+}
+
+pub(crate) fn serial_composes<E: Engine>() {
+    let net = Network::<E>::new(NetSpec::serial(
+        int_box("inc", "x", "x", |x| x + 1),
+        int_box("sq", "x", "x", |x| x * x),
+    ));
+    let outs = net.run_batch(xs(3..4)).unwrap();
+    assert_eq!(ints(&outs, "x"), vec![16]);
+}
+
+pub(crate) fn parallel_routes_by_best_match<E: Engine>() {
+    // Branch 0 expects {a}, branch 1 expects {b}.
+    let net = Network::<E>::new(NetSpec::parallel(vec![
+        int_box("fa", "a", "ra", |x| x + 100),
+        int_box("fb", "b", "rb", |x| x + 200),
+    ]));
+    let outs = net
+        .run_batch(vec![
+            Record::new().with_field("a", Value::Int(1)),
+            Record::new().with_field("b", Value::Int(2)),
+            Record::new().with_field("a", Value::Int(3)),
+        ])
+        .unwrap();
+    assert_eq!(ints(&outs, "ra").len(), 2);
+    assert_eq!(ints(&outs, "rb"), vec![202]);
+}
+
+pub(crate) fn star_unrolls_until_exit<E: Engine>() {
+    // ( [ {<n>} -> {<n = n - 1>} ] ) * {<n> == 0}: decrement until zero.
+    let dec = NetSpec::Filter(FilterSpec::new(
+        Pattern::from_variant(Variant::parse_labels(&[], &["n"])),
+        vec![snet_core::filter::OutputTemplate::empty().set_tag(
+            "n",
+            TagExpr::bin(BinOp::Sub, TagExpr::tag("n"), TagExpr::Const(1)),
+        )],
+    ));
+    let exit = Pattern::guarded(
+        Variant::empty(),
+        TagExpr::bin(BinOp::Eq, TagExpr::tag("n"), TagExpr::Const(0)),
+    );
+    let net = Network::<E>::new(NetSpec::star(dec, exit));
+    let (outs, trace) = net
+        .run_batch_traced(vec![Record::new().with_tag("n", 5)])
+        .unwrap();
+    assert_eq!(outs.len(), 1);
+    assert_eq!(outs[0].tag("n"), Some(0));
+    assert_eq!(trace.get(&trace.star_unfoldings), 5);
+}
+
+pub(crate) fn split_creates_replica_per_tag_value<E: Engine>() {
+    let net = Network::<E>::new(NetSpec::split(int_box("id", "x", "x", |x| x), "k"));
+    let recs: Vec<Record> = (0..12)
+        .map(|i| {
+            Record::new()
+                .with_field("x", Value::Int(i))
+                .with_tag("k", i % 3)
+        })
+        .collect();
+    let (outs, trace) = net.run_batch_traced(recs).unwrap();
+    assert_eq!(outs.len(), 12);
+    assert_eq!(trace.get(&trace.split_replicas), 3);
+}
+
+pub(crate) fn split_without_tag_is_an_error<E: Engine>() {
+    let net = Network::<E>::new(NetSpec::split(int_box("id", "x", "x", |x| x), "k"));
+    let err = net.run_batch(xs(1..2)).unwrap_err();
+    assert_eq!(err, SnetError::MissingTag(Label::new("k")));
+}
+
+pub(crate) fn sync_joins_in_stream<E: Engine>() {
+    let net = Network::<E>::new(ab_cell());
+    let outs = net
+        .run_batch(vec![
+            Record::new().with_field("a", Value::Int(1)),
+            Record::new().with_field("b", Value::Int(2)),
+        ])
+        .unwrap();
+    assert_eq!(outs.len(), 1);
+    assert!(outs[0].has_field("a") && outs[0].has_field("b"));
+}
+
+pub(crate) fn stranded_sync_records_are_counted<E: Engine>() {
+    let net = Network::<E>::new(ab_cell());
+    let (outs, trace) = net
+        .run_batch_traced(vec![Record::new().with_field("a", Value::Int(1))])
+        .unwrap();
+    assert!(outs.is_empty());
+    assert_eq!(trace.get(&trace.sync_stranded), 1);
+}
+
+pub(crate) fn box_error_propagates<E: Engine>() {
+    let bad = NetSpec::Box(BoxDef::from_fn(
+        BoxSig::parse("bad", &["x"], &[&["y"]]),
+        |_| Err(SnetError::Engine("deliberate".into())),
+    ));
+    let err = Network::<E>::new(bad).run_batch(xs(1..2)).unwrap_err();
+    assert!(matches!(err, SnetError::BoxFailure { .. }), "{err}");
+}
+
+pub(crate) fn panicking_box_is_reported_not_swallowed<E: Engine>() {
+    let bomb = NetSpec::Box(BoxDef::from_fn(
+        BoxSig::parse("bomb", &["x"], &[&["y"]]),
+        |r| {
+            let x = r.field("x").and_then(|v| v.as_int()).unwrap_or(0);
+            if x == 2 {
+                panic!("boom at {x}");
+            }
+            Ok(BoxOutput::one(r.clone(), Work::ZERO))
+        },
+    ));
+    let err = Network::<E>::new(bomb).run_batch(xs(0..5)).unwrap_err();
+    match err {
+        SnetError::BoxFailure { name, cause } => {
+            assert_eq!(name, "bomb");
+            assert!(cause.contains("boom at 2"), "{cause}");
+        }
+        other => panic!("expected box failure, got {other:?}"),
+    }
+}
+
+pub(crate) fn strict_mismatch_policy_errors<E: Engine>() {
+    let net = Network::<E>::with_config(
+        int_box("f", "x", "y", |x| x),
+        EngineConfig {
+            mismatch: MismatchPolicy::Error,
+            ..EngineConfig::default()
+        },
+    );
+    let err = net
+        .run_batch(vec![Record::new().with_field("other", Value::Int(1))])
+        .unwrap_err();
+    assert!(matches!(err, SnetError::TypeMismatch { .. }));
+}
+
+pub(crate) fn streaming_interface_overlaps<E: Engine>() {
+    let net = Network::<E>::new(int_box("inc", "x", "x", |x| x + 1));
+    let h = net.start();
+    h.send(Record::new().with_field("x", Value::Int(1)))
+        .unwrap();
+    let first = h.recv().expect("one output while input still open");
+    assert_eq!(first.field("x").unwrap().as_int(), Some(2));
+    h.send(Record::new().with_field("x", Value::Int(5)))
+        .unwrap();
+    h.close_input();
+    let second = h.recv().expect("second output");
+    assert_eq!(second.field("x").unwrap().as_int(), Some(6));
+    assert!(h.recv().is_none());
+    h.finish().unwrap();
+}
+
+pub(crate) fn net_is_reusable_with_fresh_state<E: Engine>() {
+    // A synchrocell net must not remember fires across runs.
+    let net = Network::<E>::new(ab_cell());
+    for _ in 0..2 {
+        let outs = net
+            .run_batch(vec![
+                Record::new().with_field("a", Value::Int(1)),
+                Record::new().with_field("b", Value::Int(2)),
+            ])
+            .unwrap();
+        assert_eq!(outs.len(), 1, "cell must fire in every fresh run");
+    }
+}

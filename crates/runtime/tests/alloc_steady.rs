@@ -17,7 +17,7 @@
 
 use snet_core::boxdef::{BoxDef, BoxOutput, BoxSig, Work};
 use snet_core::{NetSpec, Record, Value};
-use snet_runtime::sched::TrySendError;
+use snet_runtime::TrySendError;
 use snet_runtime::{EngineConfig, SchedNet};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -12,8 +12,7 @@
 //! * arbitrary recursive nets, where an SNA001 claim implies the
 //!   strict-mismatch interpreter must reject the batch — and an
 //!   analyzer-accepted net must produce the interpreter's exact output
-//!   multiset even though acceptance turned on the engines'
-//!   `exact_input` fast path.
+//!   multiset on both concurrent engines.
 
 use proptest::prelude::*;
 use snet_analyze::{analyze, AnalyzeConfig};
@@ -205,16 +204,15 @@ fn check_dispatchable(branches: Vec<NetSpec>, batch: Vec<Record>) -> Result<(), 
 }
 
 /// Arbitrary recursive nets: when the analyzer accepts the net for the
-/// batch's entry type, the engines (running with the analyzer's
-/// `exact_input` annotations) must reproduce the interpreter's output
-/// multiset; when it rejects with SNA001, the strict mismatch
+/// batch's entry type, the engines must reproduce the interpreter's
+/// output multiset; when it rejects with SNA001, the strict mismatch
 /// interpreter must reject the batch too.
 fn check_verdict(net: NetSpec, batch: Vec<Record>) -> Result<(), String> {
     let entry = entry_of(&batch);
     match Net::with_entry_type(net.clone(), &entry, EngineConfig::default()) {
-        Ok(fast) => {
+        Ok(threaded) => {
             let expected = Interp::new(&net).run_batch(batch.clone()).unwrap();
-            let actual = fast.run_batch(batch.clone()).unwrap();
+            let actual = threaded.run_batch(batch.clone()).unwrap();
             if multiset(&actual) != multiset(&expected.outputs) {
                 return Err("threaded engine diverged from interp on an accepted net".into());
             }

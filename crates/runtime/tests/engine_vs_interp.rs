@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use snet_core::boxdef::{BoxDef, BoxOutput, BoxSig, RecordVec, Work};
 use snet_core::filter::OutputTemplate;
 use snet_core::{BinOp, FilterSpec, NetSpec, Pattern, Record, SyncSpec, TagExpr, Value, Variant};
-use snet_runtime::{run_stream, EngineConfig, Interp, Net, SchedNet};
+use snet_runtime::{run_stream, EngineConfig, Interp, Net, SchedNet, Trace};
 
 /// A box consuming `{a}` and emitting `{a: a + 1}`.
 fn add_box() -> NetSpec {
@@ -127,6 +127,20 @@ fn arb_record() -> impl Strategy<Value = Record> {
         })
 }
 
+/// `box_ops`, `box_records`, `filter_records`, `dispatched`,
+/// `passthroughs`: the counters a confluent net fixes regardless of
+/// arrival order.
+fn order_free_counters(t: &Trace) -> [u64; 5] {
+    [
+        &t.box_ops,
+        &t.box_records,
+        &t.filter_records,
+        &t.dispatched,
+        &t.passthroughs,
+    ]
+    .map(|c| t.get(c))
+}
+
 fn multiset(records: &[Record]) -> Vec<String> {
     let mut v: Vec<String> = records.iter().map(|r| format!("{r:?}")).collect();
     v.sort();
@@ -169,14 +183,15 @@ proptest! {
         batch in prop::collection::vec(arb_record(), 0..16),
     ) {
         // Abstract work is part of the semantics (it drives the cluster
-        // simulator): both engines must charge the same total ops for
-        // the same inputs on confluent nets.
+        // simulator): both engines must charge the interpreter's total
+        // ops for the same inputs on confluent nets, and — running one
+        // component step — agree with each other on every counter that
+        // does not depend on arrival order.
         let expected = Interp::new(&net).run_batch(batch.clone()).unwrap();
-        let (_, trace) = Net::new(net).run_batch_traced(batch).unwrap();
-        prop_assert_eq!(
-            trace.box_ops.load(std::sync::atomic::Ordering::Relaxed),
-            expected.work.ops
-        );
+        let (_, threaded) = Net::new(net.clone()).run_batch_traced(batch.clone()).unwrap();
+        let (_, sched) = SchedNet::new(net).run_batch_traced(batch).unwrap();
+        prop_assert_eq!(threaded.get(&threaded.box_ops), expected.work.ops);
+        prop_assert_eq!(order_free_counters(&threaded), order_free_counters(&sched));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use snet_core::boxdef::{BoxDef, BoxOutput, BoxSig, Work};
 use snet_core::{NetSpec, Record, SnetError, Value};
 use snet_runtime::faultinject::{chaos, chaos_with_stats, FaultSpec};
-use snet_runtime::{Engine, EngineConfig, FailurePolicy, Interp, Net, SchedNet, StreamHandle};
+use snet_runtime::{Engine, EngineConfig, FailurePolicy, Interp, Net, Network, SchedNet};
 use std::time::Duration;
 
 /// A box consuming `{x}` and emitting `{x: x + 1}`.
@@ -330,7 +330,7 @@ fn streaming_dead_letters_arrive_on_the_handle() {
         ..EngineConfig::default()
     };
 
-    fn drive<E: Engine>(engine: &E, batch: Vec<Record>) -> (Vec<Record>, Vec<Record>) {
+    fn drive<E: Engine>(engine: &Network<E>, batch: Vec<Record>) -> (Vec<Record>, Vec<Record>) {
         let h = engine.start();
         let mut outs = Vec::new();
         let mut dead = Vec::new();
@@ -591,7 +591,7 @@ fn chaos_schedule_is_reproducible_across_runs() {
 #[test]
 fn engine_generic_code_reaches_fault_apis_through_the_traits() {
     // The unified API: cancel + dead letters without naming an engine.
-    fn survivors<E: Engine>(engine: &E, batch: Vec<Record>) -> (usize, usize) {
+    fn survivors<E: Engine>(engine: &Network<E>, batch: Vec<Record>) -> (usize, usize) {
         let report = engine.run_batch_report(batch).unwrap();
         (report.outputs.len(), report.dead_letters.len())
     }

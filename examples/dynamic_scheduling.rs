@@ -21,7 +21,7 @@ use snet_apps::{
 };
 use snet_dist::OverheadModel;
 use snet_raytracer::ScenePreset;
-use snet_runtime::{Engine, Net, SchedNet, StreamHandle};
+use snet_runtime::{Engine, Net, Network, SchedNet};
 use snet_simnet::ClusterSpec;
 
 const NODES: usize = 8;
@@ -30,7 +30,11 @@ const NODES: usize = 8;
 /// engine and returns the wall time: the net's `genImg` sink consumes
 /// the stream (the picture lands in the image slot), so the drain loop
 /// simply waits for end-of-stream.
-fn stream_locally<E: Engine>(engine: &E, wl: &Workload, cfg: &SnetConfig) -> std::time::Duration {
+fn stream_locally<E: Engine>(
+    engine: &Network<E>,
+    wl: &Workload,
+    cfg: &SnetConfig,
+) -> std::time::Duration {
     let t0 = std::time::Instant::now();
     let handle = engine.start();
     handle.send(input_record(wl, cfg)).expect("input accepted");

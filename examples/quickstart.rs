@@ -8,7 +8,7 @@
 //! mention. The same compiled network then runs unchanged on the
 //! threaded engine (a thread per component, the paper's literal model)
 //! and the scheduled engine (a persistent work-stealing worker pool),
-//! through the engine-generic `Engine`/`StreamHandle` API.
+//! through the engine-generic `Network<E>`/`Handle` API.
 //!
 //! ```text
 //! cargo run --example quickstart
@@ -17,13 +17,13 @@
 use snet_core::boxdef::{BoxOutput, Work};
 use snet_core::{Record, Value};
 use snet_lang::{compile, BoxRegistry};
-use snet_runtime::{Engine, Net, SchedNet, StreamHandle};
+use snet_runtime::{Engine, Net, Network, SchedNet};
 
 /// Streams records one at a time through any engine: sends push against
 /// the handle's bounded ingress while this thread drains outputs — the
 /// continuous-stream execution mode the paper's runtime section is
 /// about, as opposed to a one-shot batch.
-fn stream_through<E: Engine>(engine: &E, inputs: Vec<Record>) -> Vec<(i64, i64)> {
+fn stream_through<E: Engine>(engine: &Network<E>, inputs: Vec<Record>) -> Vec<(i64, i64)> {
     let handle = engine.start();
     let mut results = Vec::new();
     std::thread::scope(|s| {

@@ -9,7 +9,7 @@ use snet_apps::{
 };
 use snet_core::{Record, SnetError, Value};
 use snet_raytracer::{split_rows, Chunk, Image, ScenePreset};
-use snet_runtime::{Engine, Interp, Net, SchedNet, StreamHandle};
+use snet_runtime::{Engine, Interp, Net, Network, SchedNet};
 
 fn workload() -> Workload {
     Workload {
@@ -94,7 +94,7 @@ fn factoring_schedule_end_to_end() {
 /// handle API (send → close → drain → finish) and returns the picture
 /// deposited in `slot`.
 fn render_streamed<E: Engine>(
-    engine: &E,
+    engine: &Network<E>,
     wl: &Workload,
     cfg: &SnetConfig,
     slot: &snet_apps::ImageSlot,
