@@ -1,10 +1,17 @@
 //! # snet-analyze — static network type inference and flow diagnostics
 //!
-//! An abstract-interpretation pass over [`NetSpec`] that infers the
-//! multivariant record types flowing through every subnet and emits
+//! The one static checker: two passes over a [`NetSpec`] that emit
 //! structured diagnostics with stable codes *before* a network runs.
-//! The runtime engines consult it as a pre-flight check
-//! (`EngineConfig::analyze`) and `snet-lint` pretty-prints its reports.
+//!
+//! * The **structural pass** is a single shape-free tree walk. It visits
+//!   every node whether or not any record can reach it and reports what
+//!   is wrong for every record population (SNA006–SNA009). On its own it
+//!   is [`analyze_open`] — the engines' pre-flight, microseconds per net.
+//! * The **flow pass** is an abstract interpretation from a declared
+//!   entry type that infers the multivariant record types flowing
+//!   through every subnet and reports what those types prove
+//!   (SNA001–SNA005). [`analyze`] runs both; `snet-lint` pretty-prints
+//!   its reports.
 //!
 //! ## The abstract domain
 //!
@@ -42,6 +49,9 @@
 //! | SNA004 | parallel replication `A ! <tag>`: "every incoming record must carry the index tag" | an exact shape reaching a split lacks the tag (error when definite, warning when only possible) |
 //! | SNA005 | filter typing: output templates copy fields and evaluate tag expressions over the *input* record | a template references a field, or unconditionally evaluates a tag, that an exact definite shape provably lacks |
 //! | SNA006 | Distributed S-Net placement `A @ node`: node numbers index the configured machine set | the static node index is ≥ the configured node count |
+//! | SNA007 | serial replication `A * exit`: records leave the chain of replicas when they match the exit pattern | the exit pattern is empty and unguarded, so every record leaves before the first replica — the body is unreachable (error) |
+//! | SNA008 | parallel routing is by *better* match | two branches have identical input patterns: they tie on every record, declaration order decides and the later branch never receives one (warning) |
+//! | SNA009 | synchrocell typing: a cell joins one record per pattern | the cell has fewer than two patterns, so it joins nothing and fires on the first match (warning) |
 //!
 //! ## Soundness
 //!
@@ -68,7 +78,7 @@ use std::collections::BTreeMap;
 pub struct AnalyzeConfig {
     /// Number of compute nodes placement (`@ node`) may target;
     /// `None` disables SNA006 range checks (the local engines ignore
-    /// placement entirely).
+    /// placement entirely, so their pre-flight leaves it unset).
     pub nodes: Option<u32>,
     /// Widening threshold: a shape set larger than this collapses to a
     /// single open shape. Bounds fixpoint iteration on `Star` bodies.
@@ -165,15 +175,6 @@ impl ShapeSet {
                 .iter()
                 .map(|v| Shape::closed(v.clone()))
                 .collect(),
-            widened: false,
-        }
-    }
-
-    /// Entry set for a completely unknown input stream: one open empty
-    /// shape. Only structural diagnostics (SNA006) can fire from it.
-    pub fn open_any() -> ShapeSet {
-        ShapeSet {
-            shapes: vec![Shape::open(Variant::empty())],
             widened: false,
         }
     }
@@ -297,25 +298,27 @@ impl Analysis {
 /// `entry` is taken to be the complete label set of some class of input
 /// records, and no input outside `entry` is considered. This is the
 /// full-precision mode used by `snet-lint` and by
-/// `Net::with_entry_type` — absence proofs (SNA001/003/004/005) are
-/// available.
+/// `Net::with_entry_type`: the structural pass, then the flow pass with
+/// its absence proofs (SNA001/003/004/005).
 pub fn analyze(net: &NetSpec, entry: &RType, cfg: &AnalyzeConfig) -> Analysis {
-    run(net, ShapeSet::closed(entry), cfg)
+    let mut ctx = Ctx::new(cfg);
+    ctx.structure(net, "net");
+    let input = ctx.bound(ShapeSet::closed(entry));
+    let out = ctx.flow(net, input.clone(), "net");
+    ctx.finish(&input, out, "net")
 }
 
 /// Analyzes `net` with a completely unknown input stream (engine
-/// pre-flight mode). Sound for *any* input the caller may feed, which
-/// restricts the report to structural diagnostics — placement range
-/// checks (SNA006) fire; shape-dependent codes cannot.
+/// pre-flight mode): the structural pass alone. Sound for *any* input
+/// the caller may feed, because no finding depends on a record shape;
+/// `types` and `output` stay empty.
 pub fn analyze_open(net: &NetSpec, cfg: &AnalyzeConfig) -> Analysis {
-    run(net, ShapeSet::open_any(), cfg)
-}
-
-fn run(net: &NetSpec, input: ShapeSet, cfg: &AnalyzeConfig) -> Analysis {
     let mut ctx = Ctx::new(cfg);
-    let input = ctx.bound(input);
-    let out = ctx.flow(net, input.clone(), "net");
-    ctx.finish(&input, out, "net")
+    ctx.structure(net, "net");
+    Analysis {
+        diagnostics: ctx.diags,
+        ..Analysis::default()
+    }
 }
 
 /// Iteration cap for `Star` fixpoints; past it the star's output is
@@ -391,6 +394,76 @@ impl<'a> Ctx<'a> {
         }
     }
 
+    /// The structural pass: one walk over every node of `net`, reached
+    /// by some shape or not, reporting the defects that hold for every
+    /// record population. Paths follow [`Ctx::flow`]'s.
+    fn structure(&mut self, net: &NetSpec, path: &str) {
+        match net {
+            NetSpec::Box(_) | NetSpec::Filter(_) | NetSpec::FusedChain { .. } => {}
+            NetSpec::Sync(spec) => {
+                if spec.patterns.len() < 2 {
+                    self.push(Diagnostic::warning(
+                        DiagCode::DegenerateSync,
+                        format!("{path}/sync"),
+                        format!(
+                            "synchrocell {spec} has fewer than two patterns: it joins nothing and fires on the first match"
+                        ),
+                    ));
+                }
+            }
+            NetSpec::Serial(a, b) => {
+                self.structure(a, path);
+                self.structure(b, path);
+            }
+            NetSpec::Parallel { branches, .. } => {
+                let patterns: Vec<Vec<Pattern>> =
+                    branches.iter().map(|b| b.input_patterns()).collect();
+                for (j, branch) in branches.iter().enumerate() {
+                    self.structure(branch, &format!("{path}/par[{j}]"));
+                    let twin =
+                        (0..j).find(|&i| !patterns[j].is_empty() && patterns[i] == patterns[j]);
+                    if let Some(i) = twin {
+                        self.push(Diagnostic::warning(
+                            DiagCode::DuplicateBranchPatterns,
+                            path.to_owned(),
+                            format!(
+                                "branches {i} ({}) and {j} ({branch}) have identical input patterns: they tie on every record, so branch {j} never receives one",
+                                branches[i]
+                            ),
+                        ));
+                    }
+                }
+            }
+            NetSpec::Star { body, exit, .. } => {
+                let path = format!("{path}/star");
+                if exit.variant.is_empty() && exit.guard.is_none() {
+                    self.push(Diagnostic::error(
+                        DiagCode::StarBodyUnreachable,
+                        path.clone(),
+                        format!(
+                            "star over {body} exits on the empty pattern, which matches every record: its body is unreachable"
+                        ),
+                    ));
+                }
+                self.structure(body, &path);
+            }
+            NetSpec::Split { body, tag, .. } => {
+                self.structure(body, &format!("{path}/split<{tag}>"));
+            }
+            NetSpec::At { body, node } => {
+                if let Some(n) = self.cfg.nodes.filter(|n| node >= n) {
+                    self.push(Diagnostic::error(
+                        DiagCode::PlacementOutOfRange,
+                        format!("{path}/@{node}"),
+                        format!("placement target @{node} is out of range: {n} node(s) configured"),
+                    ));
+                }
+                self.structure(body, path);
+            }
+            NetSpec::Named { name, body } => self.structure(body, &format!("{path}/{name}")),
+        }
+    }
+
     /// The transfer function: shapes out of `net` given shapes into it.
     fn flow(&mut self, net: &NetSpec, input: ShapeSet, path: &str) -> ShapeSet {
         let out = match net {
@@ -429,20 +502,7 @@ impl<'a> Ctx<'a> {
                 self.record(&path, &input, &out);
                 out
             }
-            NetSpec::At { body, node } => {
-                if let Some(n) = self.cfg.nodes {
-                    if *node >= n {
-                        self.push(Diagnostic::error(
-                            DiagCode::PlacementOutOfRange,
-                            format!("{path}/@{node}"),
-                            format!(
-                                "placement target @{node} is out of range: {n} node(s) configured"
-                            ),
-                        ));
-                    }
-                }
-                self.flow(body, input, path)
-            }
+            NetSpec::At { body, .. } => self.flow(body, input, path),
             NetSpec::Named { name, body } => {
                 let path = format!("{path}/{name}");
                 let out = self.flow(body, input.clone(), &path);

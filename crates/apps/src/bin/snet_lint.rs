@@ -1,8 +1,11 @@
 //! `snet-lint` — static analysis over the paper's application networks.
 //!
-//! Runs the `snet-analyze` abstract interpreter over every app topology
-//! (each with a curated entry type describing the records the pipeline
-//! actually feeds it) and pretty-prints the structured diagnostics.
+//! Runs `snet_analyze::analyze` — the structural pass (SNA006–009, what
+//! the engines pre-flight) plus the flow pass (SNA001–005) — over every
+//! app topology, each with a curated entry type describing the records
+//! the pipeline actually feeds it, and pretty-prints the structured
+//! diagnostics. It is the only static checker; none of the seven
+//! topologies earns a structural finding.
 //!
 //! Exit status: non-zero when any error-severity diagnostic fires, or
 //! when a network that is expected to be diagnostic-free produces *any*

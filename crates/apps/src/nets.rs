@@ -239,11 +239,8 @@ mod tests {
             NetVariant::Dynamic,
         ] {
             let net = raytracing_net(variant, slot.clone(), None);
-            let diags = snet_lang::check(&net);
-            let errors: Vec<_> = diags
-                .iter()
-                .filter(|d| d.severity == snet_lang::Severity::Error)
-                .collect();
+            let analysis = snet_analyze::analyze_open(&net, &Default::default());
+            let errors: Vec<_> = analysis.errors().collect();
             assert!(errors.is_empty(), "{variant:?}: {errors:?}");
         }
     }
@@ -254,8 +251,7 @@ mod tests {
         // (§III); the static net consumes the splitter's input shape.
         let slot = image_slot();
         let net = raytracing_net(NetVariant::Static, slot, None);
-        let (input, _) = snet_lang::check::infer(&net);
-        let v = &input.variants()[0];
+        let v = &net.input_patterns()[0].variant;
         assert!(v.has_field(snet_core::Label::new("scene")));
         assert!(v.has_tag(snet_core::Label::new("tasks")));
     }

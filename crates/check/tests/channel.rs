@@ -16,7 +16,7 @@
 //! protocol (for "the checker catches it") lives in
 //! `eaten_wakeup.rs`, which runs in every build.
 //!
-//! Timed entry points (`send_timeout`/`recv_timeout`) branch on real
+//! The timed entry point (`recv_timeout`) branches on real
 //! `Instant::now` deadlines and cannot be modeled — models use the
 //! untimed operations only.
 

@@ -2,10 +2,12 @@
 //! runtime engines.
 //!
 //! Each code names one way a record can fail to flow through a network.
-//! The static analyzer (`snet-analyze`) emits them at build time when it
-//! can prove the failure from the inferred types alone; the runtime
-//! engines attach the same code to the corresponding routing error so a
-//! production log line and a lint report cross-reference.
+//! The static analyzer (`snet-analyze`) emits them at build time —
+//! SNA001–005 when it can prove the failure from the inferred types,
+//! SNA006–009 from the topology alone (its structural pass, which is
+//! also the engines' pre-flight); the runtime engines attach the same
+//! code to the corresponding routing error so a production log line and
+//! a lint report cross-reference.
 //!
 //! | code   | meaning                                               |
 //! |--------|-------------------------------------------------------|
@@ -15,6 +17,9 @@
 //! | SNA004 | split input not guaranteed to carry the index tag     |
 //! | SNA005 | filter/tag expression references an unbound label     |
 //! | SNA006 | `@` / `!@` placement target out of range              |
+//! | SNA007 | star exit pattern matches every record: body unreachable |
+//! | SNA008 | parallel branches with identical input patterns       |
+//! | SNA009 | synchrocell with fewer than two patterns              |
 
 use std::fmt;
 
@@ -40,6 +45,15 @@ pub enum DiagCode {
     /// An `@node` / `!@` placement index outside the configured node
     /// range.
     PlacementOutOfRange,
+    /// A `Star` whose exit pattern is empty and unguarded: every record
+    /// leaves before the first iteration, so the body never runs.
+    StarBodyUnreachable,
+    /// Two `Parallel` branches with identical input patterns: best-match
+    /// routing always ties, so the later branch only ever loses.
+    DuplicateBranchPatterns,
+    /// A synchrocell with fewer than two patterns: it joins nothing and
+    /// fires on the first match.
+    DegenerateSync,
 }
 
 impl DiagCode {
@@ -52,6 +66,9 @@ impl DiagCode {
             DiagCode::SplitMissingTag => "SNA004",
             DiagCode::UnboundLabel => "SNA005",
             DiagCode::PlacementOutOfRange => "SNA006",
+            DiagCode::StarBodyUnreachable => "SNA007",
+            DiagCode::DuplicateBranchPatterns => "SNA008",
+            DiagCode::DegenerateSync => "SNA009",
         }
     }
 
@@ -64,11 +81,14 @@ impl DiagCode {
             DiagCode::SplitMissingTag => "split input may lack the index tag",
             DiagCode::UnboundLabel => "reference to a label not proven present",
             DiagCode::PlacementOutOfRange => "placement target out of range",
+            DiagCode::StarBodyUnreachable => "star body unreachable",
+            DiagCode::DuplicateBranchPatterns => "parallel branches with identical input patterns",
+            DiagCode::DegenerateSync => "synchrocell with fewer than two patterns",
         }
     }
 
     /// All codes, in numeric order (useful for exhaustive fixtures).
-    pub fn all() -> [DiagCode; 6] {
+    pub fn all() -> [DiagCode; 9] {
         [
             DiagCode::UnroutableAtParallel,
             DiagCode::DeadBranch,
@@ -76,6 +96,9 @@ impl DiagCode {
             DiagCode::SplitMissingTag,
             DiagCode::UnboundLabel,
             DiagCode::PlacementOutOfRange,
+            DiagCode::StarBodyUnreachable,
+            DiagCode::DuplicateBranchPatterns,
+            DiagCode::DegenerateSync,
         ]
     }
 }
@@ -161,7 +184,10 @@ mod tests {
         let rendered: Vec<&str> = DiagCode::all().iter().map(|c| c.code()).collect();
         assert_eq!(
             rendered,
-            ["SNA001", "SNA002", "SNA003", "SNA004", "SNA005", "SNA006"]
+            [
+                "SNA001", "SNA002", "SNA003", "SNA004", "SNA005", "SNA006", "SNA007", "SNA008",
+                "SNA009"
+            ]
         );
     }
 

@@ -118,39 +118,20 @@ pub fn filter_step(
     })
 }
 
-/// Best-match branch selection for parallel composition.
-///
-/// Returns the indices of all branches achieving the maximal match score
-/// (callers break ties: the reference interpreter picks the first, the
-/// threaded engine may rotate). Returns an empty vector when no branch
-/// matches.
-pub fn matching_branches(branch_patterns: &[Vec<Pattern>], rec: &Record) -> Vec<usize> {
+/// Best-match branch selection for parallel composition: the index of
+/// the branch achieving the maximal match score, the first in
+/// declaration order on a tie, or `None` when no branch matches.
+pub fn best_branch(branch_patterns: &[Vec<Pattern>], rec: &Record) -> Option<usize> {
     let mut best = None;
-    let mut winners = Vec::new();
     for (i, patterns) in branch_patterns.iter().enumerate() {
         let score = patterns.iter().filter_map(|p| p.match_score(rec)).max();
         if let Some(s) = score {
-            match best {
-                None => {
-                    best = Some(s);
-                    winners.push(i);
-                }
-                Some(b) if s > b => {
-                    best = Some(s);
-                    winners.clear();
-                    winners.push(i);
-                }
-                Some(b) if s == b => winners.push(i),
-                _ => {}
+            if best.is_none_or(|(b, _)| s > b) {
+                best = Some((s, i));
             }
         }
     }
-    winners
-}
-
-/// Deterministic tie-break: first winner in declaration order.
-pub fn best_branch(branch_patterns: &[Vec<Pattern>], rec: &Record) -> Option<usize> {
-    matching_branches(branch_patterns, rec).first().copied()
+    best.map(|(_, i)| i)
 }
 
 impl fmt::Display for StepOut {
@@ -265,15 +246,13 @@ mod tests {
 
     #[test]
     fn ties_reported_in_declaration_order() {
-        let branches = vec![
-            vec![Pattern::from_variant(Variant::parse_labels(&["a"], &[]))],
-            vec![Pattern::from_variant(Variant::parse_labels(&["b"], &[]))],
-        ];
+        let on = |f: &str| vec![Pattern::from_variant(Variant::parse_labels(&[f], &[]))];
         let rec = Record::new()
             .with_field("a", Value::Unit)
             .with_field("b", Value::Unit);
-        assert_eq!(matching_branches(&branches, &rec), vec![0, 1]);
-        assert_eq!(best_branch(&branches, &rec), Some(0));
+        // Branches 1 and 2 tie at the maximal score; the earlier wins.
+        let branches = [on("zzz"), on("a"), on("b")];
+        assert_eq!(best_branch(&branches, &rec), Some(1));
     }
 
     #[test]
@@ -282,6 +261,6 @@ mod tests {
             &["a"],
             &[],
         ))]];
-        assert!(matching_branches(&branches, &Record::new()).is_empty());
+        assert_eq!(best_branch(&branches, &Record::new()), None);
     }
 }

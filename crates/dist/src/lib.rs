@@ -27,7 +27,7 @@
 use parking_lot::Mutex;
 use snet_core::semantics::{self, MismatchPolicy};
 use snet_core::value::AnyData;
-use snet_core::{ChainStage, NetSpec, Record, SnetError, SyncOutcome, Value};
+use snet_core::{panic_cause, ChainStage, NetSpec, Record, SnetError, SyncOutcome, Value};
 use snet_simnet::{Cluster, ClusterSpec, SimCtx, SimError, SimHandle, SimQueue, Simulation};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -433,14 +433,9 @@ fn build(spec: &NetSpec, input: SimQueue<Record>, output: Tx, node: usize, env: 
                         semantics::box_step(&def, rec, MismatchPolicy::Forward)
                     }))
                     .unwrap_or_else(|payload| {
-                        let cause = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| (*s).to_owned())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".into());
                         Err(SnetError::BoxFailure {
                             name: def.sig.name.clone(),
-                            cause: format!("panicked: {cause}"),
+                            cause: format!("panicked: {}", panic_cause(payload.as_ref())),
                         })
                     });
                     match step {
@@ -544,9 +539,8 @@ fn build(spec: &NetSpec, input: SimQueue<Record>, output: Tx, node: usize, env: 
             env.handle
                 .spawn(&format!("par-dispatch@{node}"), move |ctx| {
                     while let Some(rec) = input.recv(ctx) {
-                        let winners = semantics::matching_branches(&patterns, &rec);
-                        match winners.first() {
-                            Some(&i) => {
+                        match semantics::best_branch(&patterns, &rec) {
+                            Some(i) => {
                                 Stats::add(&env2.stats.dispatched, 1);
                                 env2.send(ctx, node, &branch_txs[i], rec);
                             }

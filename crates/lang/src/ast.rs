@@ -63,7 +63,7 @@ pub struct NetSigMap {
 #[derive(Clone, Debug, PartialEq)]
 pub struct NetDef {
     pub name: String,
-    /// Optional declared signature (informational; used by the checker).
+    /// Optional declared signature (informational; printed back, never checked).
     pub sig: Vec<NetSigMap>,
     /// Local declarations visible in `body`.
     pub items: Vec<Item>,

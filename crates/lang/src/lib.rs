@@ -5,6 +5,11 @@
 //! (`net … { … } connect …`), filters, synchrocells, the four network
 //! combinators and the Distributed S-Net placement combinators.
 //!
+//! Modules: [`lexer`] → [`token`]s → [`parser`] → [`ast`] → [`compile`]
+//! (against a [`registry`] of box implementations) → `snet_core::NetSpec`,
+//! and [`printer`] back to source. Static checking of the compiled
+//! topology is not done here: `snet-analyze` is the one checker.
+//!
 //! ```
 //! use snet_lang::{compile, BoxRegistry};
 //! use snet_core::{BoxOutput, Record, Value, Work};
@@ -24,7 +29,6 @@
 //! ```
 
 pub mod ast;
-pub mod check;
 pub mod compile;
 pub mod lexer;
 pub mod parser;
@@ -32,7 +36,6 @@ pub mod printer;
 pub mod registry;
 pub mod token;
 
-pub use check::{check, Diagnostic, Severity};
 pub use compile::{compile, compile_ast};
 pub use parser::parse;
 pub use printer::{expr_source, extract_registry, to_source};

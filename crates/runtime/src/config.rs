@@ -1,8 +1,9 @@
 //! Engine configuration and the construction-time work both concurrent
-//! engines share: fusion, the pre-flight analysis and the entry-typed
+//! engines share: fusion, the structural pre-flight and the entry-typed
 //! veto happen once, in [`Plan`], whichever engine then runs the plan.
 
 use crate::run::{DeadDest, Run};
+use snet_analyze::AnalyzeConfig;
 use snet_core::fault::FailurePolicy;
 use snet_core::semantics::MismatchPolicy;
 use snet_core::{Diagnostic, NetSpec, RType, SnetError};
@@ -17,7 +18,9 @@ use std::time::{Duration, Instant};
 const DEAD_CAPACITY_FACTOR: usize = 16;
 
 /// Engine tuning knobs (shared by the threaded and scheduled engines;
-/// each engine reads the knobs that apply to it).
+/// each engine reads the knobs that apply to it). Each field's last doc
+/// line names who needs a value other than the default — the audit that
+/// keeps a knob a knob.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
     /// Capacity of every inter-component channel. Bounded channels give
@@ -26,12 +29,15 @@ pub struct EngineConfig {
     /// filters feeding themselves through a star, so the minimum is 1.
     /// The scheduled engine derives its mailbox high-water mark from
     /// this value.
+    /// Non-default: `sched_streaming` and `pipeline_integration` (1), `memory_soak`, `macro_scale`.
     pub channel_capacity: usize,
     /// What to do when a record reaches a component it cannot match.
+    /// Non-default: the engine suite's `strict_mismatch_policy_errors` (`Error`).
     pub mismatch: MismatchPolicy,
     /// Worker threads in the scheduled engine's pool
     /// ([`crate::SchedNet`]); the threaded engine ignores it (its
     /// thread count is the component count).
+    /// Non-default: every `benchmark/` workload (T or T−1), `sched_stress`, CI's `SNET_WORKERS=1` lane.
     pub workers: usize,
     /// Records coalesced per mailbox hand-off in the scheduled engine:
     /// a task's activation buffers up to this many records per output
@@ -43,16 +49,19 @@ pub struct EngineConfig {
     /// multi-record component outputs go through the channel's batched
     /// `send_iter`. Default 32, tuned on the serial-pipeline benchmark
     /// (see `BENCH_batched_handoff.json`).
+    /// Non-default: `engine_vs_interp` (batched == unbatched == interp), `bench_engines`; `benchmark/` reads it.
     pub batch: usize,
     /// Engine-wide failure policy; individual boxes may override it
     /// via [`snet_core::boxdef::BoxDef::with_policy`]. Default
     /// [`FailurePolicy::FailFast`] (the historical behavior).
+    /// Non-default: `fault_tolerance` (`Retry`, `DeadLetter`), the `snet-apps` robust runner.
     pub policy: FailurePolicy,
     /// Wall-clock budget for a run, measured from
     /// [`crate::Network::start`]. On expiry the run aborts at the next
     /// preemption point and reports [`SnetError::DeadlineExceeded`];
     /// partial outputs already emitted remain retrievable. `None`
     /// (default) disables the check entirely.
+    /// Non-default: `fault_tolerance`'s deadline tests, the `snet-apps` robust runner.
     pub deadline: Option<Duration>,
     /// Fuse maximal static SISO chains of boxes/filters into single
     /// components ([`snet_core::fusion::fuse`]) before instantiating
@@ -62,22 +71,8 @@ pub struct EngineConfig {
     /// strictly cheaper on deep pipelines. Set `false` to run the
     /// topology exactly as written (one task/thread per component),
     /// e.g. to measure hand-off cost itself.
+    /// Non-default: `fusion_equivalence`, `alloc_steady`, `memory_soak`, `benchmark/`'s `runtime.sched.hop_ns` row.
     pub fuse: bool,
-    /// Run the static analyzer (`snet-analyze`) over the topology at
-    /// construction time as a pre-flight check. The check is sound for
-    /// *any* input stream (the entry type is unknown), so it only
-    /// rejects structural defects — today that is placement targets out
-    /// of range (`SNA006`, needs [`EngineConfig::nodes`]). A rejected
-    /// net reports [`SnetError::Analysis`] from `run_batch*` and fails
-    /// `start()`ed runs immediately. Default `true`; set `false` to
-    /// opt out. For the full shape-aware analysis, declare the entry
-    /// type via `with_entry_type`.
-    pub analyze: bool,
-    /// Number of compute nodes available to the placement combinators
-    /// (`@ node`, `!@ tag`), used only by the pre-flight analyzer's
-    /// range check. `None` (default) disables the check — the local
-    /// engines ignore placement, so any node index runs fine here.
-    pub nodes: Option<u32>,
 }
 
 impl Default for EngineConfig {
@@ -90,8 +85,6 @@ impl Default for EngineConfig {
             policy: FailurePolicy::FailFast,
             deadline: None,
             fuse: true,
-            analyze: true,
-            nodes: None,
         }
     }
 }
@@ -111,14 +104,6 @@ fn default_workers() -> usize {
     })
 }
 
-/// The analyzer configuration induced by an engine configuration.
-fn analyze_cfg(config: &EngineConfig) -> snet_analyze::AnalyzeConfig {
-    snet_analyze::AnalyzeConfig {
-        nodes: config.nodes,
-        ..snet_analyze::AnalyzeConfig::default()
-    }
-}
-
 /// A topology prepared for execution: what [`crate::Network`] hands its
 /// engine on every run. Built once per network, identically for both
 /// engines.
@@ -130,10 +115,9 @@ pub struct Plan {
     /// [`EngineConfig::fuse`] is off).
     pub(crate) fused: NetSpec,
     pub(crate) config: EngineConfig,
-    /// Error-severity findings of the construction-time pre-flight
-    /// analysis (empty when clean or when [`EngineConfig::analyze`] is
-    /// off). A non-empty list fails every run with
-    /// [`SnetError::Analysis`].
+    /// Error-severity findings of the construction-time structural
+    /// pre-flight (empty when clean). A non-empty list fails every run
+    /// with [`SnetError::Analysis`].
     pub(crate) preflight: Vec<Diagnostic>,
     /// Whether any component can dead-letter under this configuration,
     /// precomputed so a streaming run can skip the dead-letter buffer
@@ -142,22 +126,19 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// Fuses `spec` (unless opted out) and runs the open-entry
-    /// pre-flight analysis (unless opted out).
+    /// Fuses `spec` (unless opted out) and runs the structural
+    /// pre-flight: sound for any input stream, and placement-blind (the
+    /// local engines ignore `@`, so no node count is configured).
     pub(crate) fn new(spec: NetSpec, config: EngineConfig) -> Plan {
         let fused = if config.fuse {
             snet_core::fuse(&spec)
         } else {
             spec.clone()
         };
-        let preflight = if config.analyze {
-            snet_analyze::analyze_open(&spec, &analyze_cfg(&config))
-                .errors()
-                .cloned()
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let preflight = snet_analyze::analyze_open(&spec, &AnalyzeConfig::default())
+            .errors()
+            .cloned()
+            .collect();
         Plan {
             diverts: spec.diverts_under(config.policy),
             spec,
@@ -167,24 +148,24 @@ impl Plan {
         }
     }
 
-    /// Like [`Plan::new`] for a declared (closed) entry type: the full
-    /// shape-aware analysis replaces the open pre-flight, and any
-    /// error-severity finding refuses the plan.
+    /// Like [`Plan::new`] for a declared (closed) entry type: the flow
+    /// analysis from `entry` runs on top of the structural pass, and any
+    /// error-severity finding of either refuses the plan.
     pub(crate) fn with_entry_type(
         spec: NetSpec,
         entry: &RType,
         config: EngineConfig,
     ) -> Result<Plan, SnetError> {
-        let mut plan = Plan::new(spec, config);
-        let errors: Vec<_> = snet_analyze::analyze(&plan.fused, entry, &analyze_cfg(&config))
+        let plan = Plan::new(spec, config);
+        let errors: Vec<_> = snet_analyze::analyze(&plan.fused, entry, &AnalyzeConfig::default())
             .errors()
             .cloned()
             .collect();
-        if !errors.is_empty() {
-            return Err(SnetError::Analysis(errors));
+        if errors.is_empty() {
+            Ok(plan)
+        } else {
+            Err(SnetError::Analysis(errors))
         }
-        plan.preflight.clear();
-        Ok(plan)
     }
 
     /// The pre-flight verdict as a run result.

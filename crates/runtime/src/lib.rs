@@ -173,24 +173,31 @@
 //!
 //! ## Static analysis
 //!
-//! Both concurrent engines run the `snet-analyze` abstract interpreter
-//! over the topology before executing it, at two levels of precision:
+//! Both concurrent engines check the topology with `snet-analyze`
+//! before executing it, at two levels of precision:
 //!
-//! * **Open pre-flight** (on by default, [`EngineConfig::analyze`]):
-//!   [`Network::with_config`] analyzes the spec with an *open* entry
-//!   type — no assumption about the input stream — so only
-//!   input-independent structural defects can fire. Today that is
-//!   SNA006 (`@node` placement outside [`EngineConfig::nodes`]). A
-//!   finding is reported as [`SnetError::Analysis`] from the first run
-//!   (`run_batch*`, or `finish()` on a started stream) rather than
-//!   panicking in the middle of one. `analyze: false` opts out.
+//! * **Structural pre-flight** (always on): [`Network::with_config`]
+//!   runs the analyzer's shape-free structural pass — one walk over
+//!   every node, a few microseconds — which assumes nothing about the
+//!   input stream and rejects what is wrong for every record
+//!   population: today a star whose exit pattern matches every record
+//!   (SNA007; its body could never run). Placement range (SNA006) is
+//!   part of the same pass but needs a node count, which the local
+//!   engines — they ignore `@` — do not have; whoever targets a
+//!   cluster calls `snet_analyze::analyze_open` with
+//!   `AnalyzeConfig::nodes` set. A finding is kept in
+//!   [`Network::preflight_diagnostics`] and reported as
+//!   [`SnetError::Analysis`] from the first run (`run_batch*`, or
+//!   `finish()` on a started stream) rather than panicking in the
+//!   middle of one. There is no opt-out: the walk is too cheap to need
+//!   one.
 //! * **Entry-typed analysis** ([`Network::with_entry_type`]): given the
-//!   input stream's record type, construction runs the full shape
-//!   analysis and *refuses to build* a network with an error-severity
-//!   finding — unroutable records at a parallel (SNA001), synchrocells
-//!   that can never fire (SNA003), splits not guaranteed their index
-//!   tag (SNA004), filters reading labels the input cannot carry
-//!   (SNA005). Diagnostics carry stable `SNA...` codes and component
+//!   input stream's record type, construction adds the flow pass (an
+//!   abstract interpretation from that type) and *refuses to build* a
+//!   network with an error-severity finding — unroutable records at a
+//!   parallel (SNA001), synchrocells that can never fire (SNA003),
+//!   splits not guaranteed their index tag (SNA004), filters reading
+//!   labels the input cannot carry (SNA005). Diagnostics carry stable `SNA...` codes and component
 //!   paths; the same codes are exposed by
 //!   [`SnetError::diag_code`](snet_core::SnetError::diag_code) when the
 //!   equivalent defect is hit *dynamically*, so a runtime routing
@@ -426,8 +433,8 @@ impl<E: Engine> Network<E> {
     /// one of `entry`'s variants. This unlocks the full shape-aware
     /// analysis — the net is rejected up front ([`SnetError::Analysis`])
     /// on any error-severity finding (unroutable records, splits missing
-    /// their index tag, stranded synchrocells, unbound filter labels,
-    /// placement out of range).
+    /// their index tag, stranded synchrocells, unbound filter labels, on
+    /// top of the structural ones every net is pre-flighted for).
     pub fn with_entry_type(
         spec: NetSpec,
         entry: &RType,
@@ -449,8 +456,9 @@ impl<E: Engine> Network<E> {
         &self.plan.spec
     }
 
-    /// The pre-flight diagnostics this net was constructed with (empty
-    /// when the analysis passed or was opted out).
+    /// The error-severity findings of the structural pre-flight this
+    /// net was constructed with (empty when it passed); non-empty fails
+    /// every run with [`SnetError::Analysis`].
     pub fn preflight_diagnostics(&self) -> &[Diagnostic] {
         &self.plan.preflight
     }

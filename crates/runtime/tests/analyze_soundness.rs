@@ -7,7 +7,7 @@
 //! unroutable/dead finding. Two angles:
 //!
 //! * top-level parallels, where the dispatch rule is directly
-//!   observable per record (`semantics::matching_branches`), pin
+//!   observable per record (`semantics::best_branch`), pin
 //!   SNA001/SNA002 exactly;
 //! * arbitrary recursive nets, where an SNA001 claim implies the
 //!   strict-mismatch interpreter must reject the batch — and an
@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use snet_analyze::{analyze, AnalyzeConfig};
 use snet_core::boxdef::{BoxDef, BoxOutput, BoxSig, RecordVec, Work};
 use snet_core::filter::OutputTemplate;
-use snet_core::semantics::{matching_branches, MismatchPolicy};
+use snet_core::semantics::{best_branch, MismatchPolicy};
 use snet_core::{
     BinOp, DiagCode, FilterSpec, NetSpec, Pattern, RType, Record, SnetError, SyncSpec, TagExpr,
     Value, Variant,
@@ -173,8 +173,8 @@ fn check_dispatchable(branches: Vec<NetSpec>, batch: Vec<Record>) -> Result<(), 
     let mut live = vec![false; patterns.len()];
     let mut all_routed = true;
     for rec in &batch {
-        match matching_branches(&patterns, rec).first() {
-            Some(&i) => live[i] = true,
+        match best_branch(&patterns, rec) {
+            Some(i) => live[i] = true,
             None => all_routed = false,
         }
     }
@@ -291,54 +291,34 @@ fn runtime_errors_carry_diag_codes() {
     assert_eq!(err.diag_code(), Some(DiagCode::UnroutableAtParallel));
 }
 
-/// The construction-time pre-flight check: placement out of range is
-/// caught before any record runs, on both engines, and is opt-out.
+/// The construction-time pre-flight check: a structural defect (here a
+/// star whose exit pattern matches everything, SNA007) is caught before
+/// any record runs, on both engines, in the default configuration.
 #[test]
-fn preflight_rejects_placement_out_of_range() {
-    let spec = NetSpec::at(add_box(), 9);
-    let config = EngineConfig {
-        nodes: Some(4),
-        ..EngineConfig::default()
-    };
+fn preflight_rejects_structural_errors() {
+    let spec = NetSpec::star(add_box(), Pattern::any());
     let batch = vec![Record::new().with_field("a", Value::Int(1))];
 
-    let err = Net::with_config(spec.clone(), config)
-        .run_batch(batch.clone())
-        .unwrap_err();
-    assert_eq!(err.diag_code(), Some(DiagCode::PlacementOutOfRange));
-    assert!(matches!(err, SnetError::Analysis(_)), "{err}");
-
-    let err = SchedNet::with_config(spec.clone(), config)
-        .run_batch(batch.clone())
-        .unwrap_err();
-    assert_eq!(err.diag_code(), Some(DiagCode::PlacementOutOfRange));
+    fn rejected(err: SnetError) {
+        assert_eq!(err.diag_code(), Some(DiagCode::StarBodyUnreachable));
+        assert!(matches!(err, SnetError::Analysis(_)), "{err}");
+    }
+    let threaded = Net::new(spec.clone());
+    assert_eq!(threaded.preflight_diagnostics().len(), 1);
+    rejected(threaded.run_batch(batch.clone()).unwrap_err());
+    let sched = SchedNet::new(spec.clone());
+    rejected(sched.run_batch(batch.clone()).unwrap_err());
 
     // A started run fails at finish() with the same error.
-    let handle = Net::with_config(spec.clone(), config).start();
-    let err = handle.finish().unwrap_err();
-    assert_eq!(err.diag_code(), Some(DiagCode::PlacementOutOfRange));
+    rejected(threaded.start().finish().unwrap_err());
+    rejected(sched.start().finish().unwrap_err());
 
-    // Opting out (or widening the node range) runs normally.
-    let off = EngineConfig {
-        analyze: false,
-        nodes: Some(4),
-        ..EngineConfig::default()
-    };
-    assert_eq!(
-        Net::with_config(spec.clone(), off)
-            .run_batch(batch.clone())
-            .unwrap()
-            .len(),
-        1
-    );
-    let wide = EngineConfig {
-        nodes: Some(16),
-        ..EngineConfig::default()
-    };
-    assert_eq!(
-        Net::with_config(spec, wide).run_batch(batch).unwrap().len(),
-        1
-    );
+    // The same star with a real exit condition runs normally.
+    let exit = Pattern::from_variant(Variant::parse_labels(&[], &["done"]));
+    let ok = Net::new(NetSpec::star(add_box(), exit));
+    assert!(ok.preflight_diagnostics().is_empty());
+    let done = vec![Record::new().with_tag("done", 1)];
+    assert_eq!(ok.run_batch(done).unwrap().len(), 1);
 }
 
 /// `with_entry_type` rejects a shape-level defect the open pre-flight

@@ -15,11 +15,6 @@ impl Default for Bytes {
 }
 
 impl Bytes {
-    /// The empty buffer.
-    pub fn new() -> Bytes {
-        Bytes::default()
-    }
-
     /// Copies a slice into a new buffer.
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
         Bytes(Arc::from(data))

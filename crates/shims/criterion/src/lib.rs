@@ -11,13 +11,8 @@
 //! body exactly once and reports `ok` without timing.
 
 use std::fmt::Display;
-use std::hint::black_box as std_black_box;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
-
-/// Prevents the optimizer from deleting a benchmark's result.
-pub fn black_box<T>(x: T) -> T {
-    std_black_box(x)
-}
 
 /// Harness entry point; one per bench binary.
 pub struct Criterion {
@@ -50,15 +45,6 @@ impl Criterion {
             name: name.to_owned(),
             sample_size: 10,
         }
-    }
-
-    /// Registers a stand-alone benchmark.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: &str, mut f: F) -> &mut Self {
-        let test_mode = self.test_mode;
-        if self.matches(id) {
-            run_one(id, 10, test_mode, &mut f);
-        }
-        self
     }
 
     fn matches(&self, full_id: &str) -> bool {
@@ -121,18 +107,6 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Runs one benchmark without an input value.
-    pub fn bench_function<F>(&mut self, id: BenchmarkId, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let full = format!("{}/{}", self.name, id.id);
-        if self.criterion.matches(&full) {
-            run_one(&full, self.sample_size, self.criterion.test_mode, &mut f);
-        }
-        self
-    }
-
     /// Ends the group.
     pub fn finish(self) {}
 }
@@ -149,14 +123,14 @@ impl Bencher {
     /// Times the routine (or runs it once in `--test` mode).
     pub fn iter<R, F: FnMut() -> R>(&mut self, mut routine: F) {
         if self.test_mode {
-            std_black_box(routine());
+            black_box(routine());
             return;
         }
-        std_black_box(routine()); // warm-up
+        black_box(routine()); // warm-up
         let mut times: Vec<Duration> = (0..self.samples)
             .map(|_| {
                 let t0 = Instant::now();
-                std_black_box(routine());
+                black_box(routine());
                 t0.elapsed()
             })
             .collect();
@@ -183,7 +157,7 @@ fn run_one(id: &str, samples: usize, test_mode: bool, f: &mut dyn FnMut(&mut Ben
 }
 
 /// Formats a duration with benchmark-appropriate units.
-pub fn fmt_duration(d: Duration) -> String {
+fn fmt_duration(d: Duration) -> String {
     let ns = d.as_nanos();
     if ns < 1_000 {
         format!("{ns} ns")

@@ -22,8 +22,8 @@ use std::sync::{Arc, PoisonError};
 // interleavings of this *exact* implementation — notably the
 // waiter-gated notify protocol (`recv_waiting`/`send_waiting`) whose
 // PR-4 eaten-wakeup bug stress tests missed. Note the timed entry
-// points (`send_timeout`/`recv_timeout`) branch on `Instant::now` and
-// cannot be modeled; models use the untimed `send`/`recv`.
+// point (`recv_timeout`) branches on `Instant::now` and cannot be
+// modeled; models use the untimed `send`/`recv`.
 #[cfg(snet_check)]
 use snet_check::sync::{Condvar, Mutex, MutexGuard};
 #[cfg(not(snet_check))]
@@ -110,25 +110,6 @@ impl<T> fmt::Debug for TrySendError<T> {
         match self {
             TrySendError::Full(_) => write!(f, "TrySendError::Full(..)"),
             TrySendError::Disconnected(_) => write!(f, "TrySendError::Disconnected(..)"),
-        }
-    }
-}
-
-/// Error returned by [`Sender::send_timeout`]; carries the undelivered
-/// message.
-#[derive(PartialEq, Eq)]
-pub enum SendTimeoutError<T> {
-    /// No space freed up within the timeout; receivers remain.
-    Timeout(T),
-    /// Every receiver is gone.
-    Disconnected(T),
-}
-
-impl<T> fmt::Debug for SendTimeoutError<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SendTimeoutError::Timeout(_) => write!(f, "SendTimeoutError::Timeout(..)"),
-            SendTimeoutError::Disconnected(_) => write!(f, "SendTimeoutError::Disconnected(..)"),
         }
     }
 }
@@ -314,43 +295,6 @@ impl<T> Sender<T> {
             self.shared.readable.notify_one();
         }
         Ok(())
-    }
-
-    /// Blocks until the message is enqueued, every receiver is gone, or
-    /// `timeout` elapses (returning the message in the latter cases).
-    pub fn send_timeout(
-        &self,
-        value: T,
-        timeout: std::time::Duration,
-    ) -> Result<(), SendTimeoutError<T>> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut st = self.shared.lock();
-        loop {
-            if st.receivers == 0 {
-                return Err(SendTimeoutError::Disconnected(value));
-            }
-            if st.cap.is_none_or(|c| st.queue.len() < c) {
-                st.queue.push_back(value);
-                let wake = st.recv_waiting > 0;
-                drop(st);
-                if wake {
-                    self.shared.readable.notify_one();
-                }
-                return Ok(());
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return Err(SendTimeoutError::Timeout(value));
-            }
-            st.send_waiting += 1;
-            let (guard, _) = self
-                .shared
-                .writable
-                .wait_timeout(st, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            st = guard;
-            st.send_waiting -= 1;
-        }
     }
 
     /// Blocks until the message is enqueued or every receiver is gone.

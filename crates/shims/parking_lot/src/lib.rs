@@ -51,11 +51,6 @@ impl<T: ?Sized> Mutex<T> {
             Err(imp::TryLockError::WouldBlock) => None,
         }
     }
-
-    /// Mutable access without locking (requires exclusive borrow).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 /// A reader-writer lock whose accessors never return a `Result`.
@@ -71,11 +66,6 @@ impl<T> RwLock<T> {
     /// Creates a new reader-writer lock.
     pub const fn new(value: T) -> RwLock<T> {
         RwLock(sync::RwLock::new(value))
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

@@ -159,19 +159,6 @@ pub trait Strategy {
         }
     }
 
-    /// Regenerates values failing the predicate.
-    fn prop_filter<F>(self, whence: &'static str, f: F) -> Filter<Self, F>
-    where
-        Self: Sized,
-        F: Fn(&Self::Value) -> bool,
-    {
-        Filter {
-            inner: self,
-            whence,
-            f,
-        }
-    }
-
     /// Builds a recursive strategy: `self` generates leaves; `recurse`
     /// receives a strategy for the nested level and wraps it one level
     /// deeper. `depth` bounds the nesting. `desired_size` and
@@ -194,15 +181,6 @@ pub trait Strategy {
             grow: Arc::new(move |inner| BoxedStrategy::new(recurse(inner))),
             depth,
         }
-    }
-
-    /// Type-erases the strategy.
-    fn boxed(self) -> BoxedStrategy<Self::Value>
-    where
-        Self: Sized + 'static,
-        Self::Value: 'static,
-    {
-        BoxedStrategy::new(self)
     }
 }
 
@@ -272,26 +250,6 @@ impl<S: Strategy, O, F: Fn(S::Value) -> Option<O>> Strategy for FilterMap<S, F> 
             }
         }
         panic!("prop_filter_map exhausted 1000 attempts: {}", self.whence);
-    }
-}
-
-/// See [`Strategy::prop_filter`].
-pub struct Filter<S, F> {
-    inner: S,
-    whence: &'static str,
-    f: F,
-}
-
-impl<S: Strategy, F: Fn(&S::Value) -> bool> Strategy for Filter<S, F> {
-    type Value = S::Value;
-    fn generate(&self, rng: &mut TestRng) -> S::Value {
-        for _ in 0..1000 {
-            let v = self.inner.generate(rng);
-            if (self.f)(&v) {
-                return v;
-            }
-        }
-        panic!("prop_filter exhausted 1000 attempts: {}", self.whence);
     }
 }
 

@@ -215,24 +215,6 @@ impl<A: Array> SmallVec<A> {
         }
     }
 
-    /// Keeps only elements satisfying the predicate.
-    pub fn retain(&mut self, mut f: impl FnMut(&mut A::Item) -> bool) {
-        match &mut self.store {
-            Store::Heap(v) => v.retain_mut(f),
-            Store::Inline { .. } => {
-                // n ≤ CAP (a handful): the shifting remove is fine.
-                let mut i = 0;
-                while i < self.len() {
-                    if f(&mut self[i]) {
-                        i += 1;
-                    } else {
-                        drop(self.remove(i));
-                    }
-                }
-            }
-        }
-    }
-
     /// Borrows the backing slice.
     pub fn as_slice(&self) -> &[A::Item] {
         self
@@ -553,16 +535,6 @@ mod tests {
         assert_eq!(v.pop(), None);
     }
 
-    #[test]
-    fn retain_in_both_modes() {
-        let mut inline: SmallVec<[u32; 8]> = (0..6).collect();
-        inline.retain(|x| *x % 2 == 0);
-        assert_eq!(&inline[..], &[0, 2, 4]);
-        let mut heap: SmallVec<[u32; 2]> = (0..10).collect();
-        heap.retain(|x| *x % 2 == 0);
-        assert_eq!(&heap[..], &[0, 2, 4, 6, 8]);
-    }
-
     /// Element with a drop counter: every constructed element must be
     /// dropped exactly once, in every storage mode and teardown path.
     struct Counted<'a>(&'a AtomicUsize);
@@ -609,17 +581,6 @@ mod tests {
             4,
             "partially consumed IntoIter"
         );
-
-        let drops = AtomicUsize::new(0);
-        {
-            let mut v: SmallVec<[Counted<'_>; 4]> = SmallVec::new();
-            for _ in 0..3 {
-                v.push(Counted(&drops));
-            }
-            v.retain(|_| false);
-            assert!(v.is_empty());
-        }
-        assert_eq!(drops.load(Ordering::SeqCst), 3, "retain drops rejects once");
     }
 
     #[test]
