@@ -11,9 +11,36 @@
 //! the only code in the concurrent engines that calls
 //! [`fault::policy_step`], [`fault::reject`], [`semantics`],
 //! [`ChainRunner`] or bumps a [`Trace`] counter, so the engines cannot
-//! drift apart on what a component does. ([`crate::Interp`] stays an
-//! independent implementation: it is the reference they are tested
-//! against.)
+//! drift apart on what a component does.
+//!
+//! ## Compiled once, instantiated many times
+//!
+//! A network is instantiated at every `start`/`run_batch`, and *during*
+//! a run whenever a star or an index split unfolds — the paper's Fig 4
+//! net schedules that way, a fresh replica per wave of sections — so
+//! what one instance costs is coordination overhead. [`compile`] turns
+//! the (fused) [`NetSpec`] into a [`Node`] tree once per network:
+//!
+//! * **shared, immutable** (behind `Arc`s in the tree): every
+//!   [`BoxDef`], [`FilterSpec`], [`SyncSpec`] and fused-chain stage
+//!   list; each parallel node's branch patterns, derived once instead
+//!   of by a recursive walk per instantiation; each star's body and
+//!   exit pattern, each split's body and tag;
+//! * **per instance** (in `Kind`): one `Arc` pointer into the tree plus
+//!   the instance's own state — output ports, a synchrocell's slots, a
+//!   chain's scratch buffers, the replicas unfolded so far.
+//!
+//! [`build`] and the unfolding arms of [`Component::step`] therefore
+//! copy reference counts, never a spec: an unfolding of a
+//! four-component star body is 7 heap allocations (its tasks), whatever
+//! the size of the signatures and templates inside (pinned by
+//! `tests/alloc_steady.rs`, timed by `bench_unfold`). Per-box projection
+//! plans and compiled filter templates, when they come, belong in this
+//! tree too.
+//!
+//! [`crate::Interp`] deliberately does not use the tree: it is the
+//! reference the engines are tested against, so it stays an independent
+//! implementation that walks the [`NetSpec`] itself.
 
 use crate::config::EngineConfig;
 use crate::run::Run;
@@ -27,6 +54,7 @@ use snet_core::{
     SyncOutcome, SyncSpec, SyncState,
 };
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The seam between the component semantics and an engine.
 pub(crate) trait Transport {
@@ -62,83 +90,149 @@ pub(crate) struct Component<P> {
 }
 
 enum Kind<P> {
-    Box(BoxDef),
-    Filter(FilterSpec),
+    Box(Arc<BoxDef>),
+    Filter(Arc<FilterSpec>),
     /// A fused SISO chain: each record crosses every stage inside one
     /// step. `runner` and `outs` are reusable scratch, so the
     /// steady-state per-record path allocates nothing.
     Chain {
-        stages: Vec<ChainStage>,
+        stages: Arc<[ChainStage]>,
         runner: ChainRunner,
         outs: Vec<Record>,
     },
     Sync {
-        spec: SyncSpec,
+        spec: Arc<SyncSpec>,
         st: SyncState,
     },
     Par {
-        patterns: Vec<Vec<Pattern>>,
+        node: Arc<ParNode>,
         branches: Vec<P>,
     },
     /// One tap of a serial-replication star. The tap inspects every
     /// record *before* the replica (§III: "the chain is tapped before
     /// every replica"): matching records exit to `out`; the rest enter
-    /// a lazily instantiated replica of `body` whose output feeds the
+    /// a lazily instantiated replica of the body whose output feeds the
     /// next tap.
     Star {
-        body: NetSpec,
-        exit: Pattern,
+        node: Arc<StarNode>,
         into_body: Option<P>,
     },
     Split {
-        body: NetSpec,
-        tag: Label,
+        node: Arc<SplitNode>,
         replicas: HashMap<i64, P>,
     },
 }
 
-/// Recursively instantiates `spec` feeding `output`, back to front, and
-/// returns the subnet's input port. Both engines ignore placement
-/// (`At`); `snet-dist` honours it on the simulated cluster.
-pub(crate) fn build<T: Transport>(spec: &NetSpec, output: T::Port, t: &mut T) -> T::Port {
-    let kind = match spec {
-        NetSpec::Box(def) => Kind::Box(def.clone()),
-        NetSpec::Filter(f) => Kind::Filter(f.clone()),
-        NetSpec::FusedChain { stages } => Kind::Chain {
-            stages: stages.clone(),
+/// The compiled topology: what [`crate::config::Plan`] keeps and every
+/// run instantiates from. Immutable and shared — each leaf and each
+/// replicating combinator sits behind an `Arc`, so creating a component
+/// (at `start`, or when a star or split unfolds mid-run) copies
+/// reference counts and nothing whose size depends on the topology, and
+/// retiring one frees nothing but its own state.
+pub(crate) enum Node {
+    Box(Arc<BoxDef>),
+    Filter(Arc<FilterSpec>),
+    Chain(Arc<[ChainStage]>),
+    Sync(Arc<SyncSpec>),
+    Serial(Box<Node>, Box<Node>),
+    Par(Arc<ParNode>),
+    Star(Arc<StarNode>),
+    Split(Arc<SplitNode>),
+}
+
+pub(crate) struct ParNode {
+    branches: Vec<Node>,
+    /// What each branch attracts, for best-match dispatch; derived from
+    /// the branch topologies once, at compile time.
+    patterns: Vec<Vec<Pattern>>,
+}
+
+pub(crate) struct StarNode {
+    body: Node,
+    exit: Pattern,
+}
+
+pub(crate) struct SplitNode {
+    body: Node,
+    tag: Label,
+}
+
+/// Compiles a topology into its shared executable tree, consuming it:
+/// specs move behind their `Arc`s, nothing is copied. Placement (`At`)
+/// and naming wrappers are dropped — both engines ignore placement;
+/// `snet-dist` honours it on the simulated cluster. This is the only
+/// place the concurrent engines look at a [`NetSpec`].
+pub(crate) fn compile(spec: NetSpec) -> Node {
+    match spec {
+        NetSpec::Box(def) => Node::Box(Arc::new(def)),
+        NetSpec::Filter(f) => Node::Filter(Arc::new(f)),
+        NetSpec::FusedChain { stages } => Node::Chain(stages.into()),
+        NetSpec::Sync(spec) => Node::Sync(Arc::new(spec)),
+        NetSpec::Serial(a, b) => Node::Serial(Box::new(compile(*a)), Box::new(compile(*b))),
+        NetSpec::Parallel { branches, .. } => Node::Par(Arc::new(ParNode {
+            patterns: branches.iter().map(|b| b.input_patterns()).collect(),
+            branches: branches.into_iter().map(compile).collect(),
+        })),
+        NetSpec::Star { body, exit, .. } => Node::Star(Arc::new(StarNode {
+            body: compile(*body),
+            exit,
+        })),
+        NetSpec::Split { body, tag, .. } => Node::Split(Arc::new(SplitNode {
+            body: compile(*body),
+            tag,
+        })),
+        NetSpec::At { body, .. } | NetSpec::Named { body, .. } => compile(*body),
+    }
+}
+
+/// Recursively instantiates `node` feeding `output`, back to front, and
+/// returns the subnet's input port.
+pub(crate) fn build<T: Transport>(node: &Node, output: T::Port, run: &Run, t: &mut T) -> T::Port {
+    let kind = match node {
+        Node::Box(def) => Kind::Box(Arc::clone(def)),
+        Node::Filter(spec) => Kind::Filter(Arc::clone(spec)),
+        Node::Chain(stages) => Kind::Chain {
+            stages: Arc::clone(stages),
             runner: ChainRunner::new(),
             outs: pool::take_vec(),
         },
-        NetSpec::Sync(spec) => Kind::Sync {
+        Node::Sync(spec) => Kind::Sync {
             st: spec.new_state(),
-            spec: spec.clone(),
+            spec: Arc::clone(spec),
         },
-        NetSpec::Serial(a, b) => {
-            let mid = build(b, output, t);
-            return build(a, mid, t);
+        Node::Serial(a, b) => {
+            let mid = build(b, output, run, t);
+            return build(a, mid, run, t);
         }
         // Every branch writes to its own port onto `output`, so the
         // merge is arrival-order — the paper's nondeterministic merger.
-        NetSpec::Parallel { branches, .. } => Kind::Par {
-            patterns: branches.iter().map(|b| b.input_patterns()).collect(),
-            branches: branches
+        Node::Par(par) => Kind::Par {
+            branches: par
+                .branches
                 .iter()
-                .map(|b| build(b, T::another(&output), t))
+                .map(|b| build(b, T::another(&output), run, t))
                 .collect(),
+            node: Arc::clone(par),
         },
-        NetSpec::Star { body, exit, .. } => Kind::Star {
-            body: (**body).clone(),
-            exit: exit.clone(),
+        Node::Star(star) => Kind::Star {
+            node: Arc::clone(star),
             into_body: None,
         },
-        NetSpec::Split { body, tag, .. } => Kind::Split {
-            body: (**body).clone(),
-            tag: *tag,
+        Node::Split(split) => Kind::Split {
+            node: Arc::clone(split),
             replicas: HashMap::new(),
         },
-        NetSpec::At { body, .. } | NetSpec::Named { body, .. } => return build(body, output, t),
     };
-    t.spawn(Component { kind, out: output })
+    spawn(kind, output, run, t)
+}
+
+/// Hands a new component instance to the transport. Every instance is
+/// created here and retired in [`Component::end_of_stream`], which is
+/// what keeps `components_built` and `components_finalized` equal at
+/// the end of every run.
+fn spawn<T: Transport>(kind: Kind<T::Port>, out: T::Port, run: &Run, t: &mut T) -> T::Port {
+    Trace::add(&run.trace.components_built, 1);
+    t.spawn(Component { kind, out })
 }
 
 /// Settles one policy verdict: count and emit, divert, or fail.
@@ -216,7 +310,7 @@ impl<P> Component<P> {
                 }
                 Ok(())
             }
-            Kind::Par { patterns, branches } => match semantics::best_branch(patterns, &rec) {
+            Kind::Par { node, branches } => match semantics::best_branch(&node.patterns, &rec) {
                 Some(i) => {
                     Trace::add(&run.trace.dispatched, 1);
                     t.send(&mut branches[i], rec);
@@ -238,12 +332,8 @@ impl<P> Component<P> {
                     }
                 },
             },
-            Kind::Star {
-                body,
-                exit,
-                into_body,
-            } => {
-                if exit.matches(&rec) {
+            Kind::Star { node, into_body } => {
+                if node.exit.matches(&rec) {
                     t.send(out, rec);
                     return Ok(());
                 }
@@ -253,33 +343,26 @@ impl<P> Component<P> {
                         // Unfold one replica: the body feeding the next
                         // tap, which shares our exit stream.
                         Trace::add(&run.trace.star_unfoldings, 1);
-                        let next_tap = t.spawn(Component {
-                            kind: Kind::Star {
-                                body: body.clone(),
-                                exit: exit.clone(),
-                                into_body: None,
-                            },
-                            out: T::another(out),
-                        });
-                        into_body.insert(build(body, next_tap, t))
+                        let next_tap = Kind::Star {
+                            node: Arc::clone(node),
+                            into_body: None,
+                        };
+                        let next_tap = spawn(next_tap, T::another(out), run, t);
+                        into_body.insert(build(&node.body, next_tap, run, t))
                     }
                 };
                 t.send(port, rec);
                 Ok(())
             }
-            Kind::Split {
-                body,
-                tag,
-                replicas,
-            } => {
-                let Some(value) = rec.tag(*tag) else {
-                    let cause = SnetError::MissingTag(*tag);
+            Kind::Split { node, replicas } => {
+                let Some(value) = rec.tag(node.tag) else {
+                    let cause = SnetError::MissingTag(node.tag);
                     return fault::reject(config.policy, "split-dispatch", &run.seq, rec, cause)
                         .and_then(|dl| run.divert(dl));
                 };
                 let port = replicas.entry(value).or_insert_with(|| {
                     Trace::add(&run.trace.split_replicas, 1);
-                    build(body, T::another(out), t)
+                    build(&node.body, T::another(out), run, t)
                 });
                 Trace::add(&run.trace.dispatched, 1);
                 t.send(port, rec);
@@ -315,6 +398,9 @@ impl<P> Component<P> {
     /// returns pooled scratch, and hands every output port to `close`
     /// (branch and replica ports first, the primary output last).
     pub(crate) fn end_of_stream(self, run: &Run, mut close: impl FnMut(P)) {
+        // Counted before any port closes: the run's last close is what
+        // lets its driver read the trace.
+        Trace::add(&run.trace.components_finalized, 1);
         match self.kind {
             Kind::Box(_) | Kind::Filter(_) => {}
             // `runner` drops here and returns its ping-pong buffers.

@@ -1,7 +1,15 @@
 //! Engine configuration and the construction-time work both concurrent
-//! engines share: fusion, the structural pre-flight and the entry-typed
-//! veto happen once, in [`Plan`], whichever engine then runs the plan.
+//! engines share: fusion, the structural pre-flight, the entry-typed
+//! veto and compilation happen once, in [`Plan`], whichever engine then
+//! runs the plan.
+//!
+//! The plan's executable form is one shared, immutable tree
+//! (`component::Node`; the fused topology is consumed to make it, not
+//! kept beside it). Every run — and every replica unfolded inside a run
+//! — is instantiated from that tree by reference count, so `&Plan` can
+//! serve any number of concurrent runs without copying a spec.
 
+use crate::component::{compile, Node};
 use crate::run::{DeadDest, Run};
 use snet_analyze::AnalyzeConfig;
 use snet_core::fault::FailurePolicy;
@@ -111,9 +119,9 @@ pub struct Plan {
     /// The topology as the caller wrote it.
     pub(crate) spec: NetSpec,
     /// What actually runs: `spec` with maximal SISO chains fused into
-    /// single components (or a clone of `spec` when
-    /// [`EngineConfig::fuse`] is off).
-    pub(crate) fused: NetSpec,
+    /// single components (unless [`EngineConfig::fuse`] is off),
+    /// compiled into the shared tree every run instantiates from.
+    pub(crate) root: Node,
     pub(crate) config: EngineConfig,
     /// Error-severity findings of the construction-time structural
     /// pre-flight (empty when clean). A non-empty list fails every run
@@ -126,26 +134,13 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// Fuses `spec` (unless opted out) and runs the structural
-    /// pre-flight: sound for any input stream, and placement-blind (the
-    /// local engines ignore `@`, so no node count is configured).
+    /// Fuses `spec` (unless opted out), compiles the result and runs the
+    /// structural pre-flight: sound for any input stream, and
+    /// placement-blind (the local engines ignore `@`, so no node count
+    /// is configured).
     pub(crate) fn new(spec: NetSpec, config: EngineConfig) -> Plan {
-        let fused = if config.fuse {
-            snet_core::fuse(&spec)
-        } else {
-            spec.clone()
-        };
-        let preflight = snet_analyze::analyze_open(&spec, &AnalyzeConfig::default())
-            .errors()
-            .cloned()
-            .collect();
-        Plan {
-            diverts: spec.diverts_under(config.policy),
-            spec,
-            fused,
-            config,
-            preflight,
-        }
+        let fused = Plan::fused(&spec, &config);
+        Plan::compiled(spec, fused, config)
     }
 
     /// Like [`Plan::new`] for a declared (closed) entry type: the flow
@@ -156,15 +151,38 @@ impl Plan {
         entry: &RType,
         config: EngineConfig,
     ) -> Result<Plan, SnetError> {
-        let plan = Plan::new(spec, config);
-        let errors: Vec<_> = snet_analyze::analyze(&plan.fused, entry, &AnalyzeConfig::default())
+        let fused = Plan::fused(&spec, &config);
+        let errors: Vec<_> = snet_analyze::analyze(&fused, entry, &AnalyzeConfig::default())
             .errors()
             .cloned()
             .collect();
         if errors.is_empty() {
-            Ok(plan)
+            Ok(Plan::compiled(spec, fused, config))
         } else {
             Err(SnetError::Analysis(errors))
+        }
+    }
+
+    /// The topology the engines execute, before compilation.
+    fn fused(spec: &NetSpec, config: &EngineConfig) -> NetSpec {
+        if config.fuse {
+            snet_core::fuse(spec)
+        } else {
+            spec.clone()
+        }
+    }
+
+    fn compiled(spec: NetSpec, fused: NetSpec, config: EngineConfig) -> Plan {
+        let preflight = snet_analyze::analyze_open(&spec, &AnalyzeConfig::default())
+            .errors()
+            .cloned()
+            .collect();
+        Plan {
+            diverts: spec.diverts_under(config.policy),
+            spec,
+            root: compile(fused),
+            config,
+            preflight,
         }
     }
 

@@ -135,7 +135,7 @@ impl Engine for Threaded {
         });
         let (out_tx, out_rx) = bounded(plan.config.channel_capacity.max(1));
         // The first component's bounded input channel is the ingress.
-        let entry = build(&plan.fused, out_tx, &mut Wire::new(&threads));
+        let entry = build(&plan.root, out_tx, &run, &mut Wire::new(&threads));
         Handle {
             ingress: ChannelIngress {
                 input: Mutex::new(Some(entry)),
@@ -259,6 +259,11 @@ mod tests {
     use snet_core::{NetSpec, Record, Value};
 
     crate::suite::engine_suite!(crate::engine::Threaded);
+
+    #[test]
+    fn shared_plan_serves_concurrent_jobs() {
+        crate::suite::concurrent_jobs::<crate::engine::Threaded>();
+    }
 
     #[test]
     fn deep_pipeline_respects_backpressure() {

@@ -52,14 +52,43 @@
 //!
 //! | module | protocol it owns | `snet-check` model |
 //! |---|---|---|
-//! | [`config`] | [`EngineConfig`]; `Plan`: fuse, pre-flight, entry-typed veto, once per network | — (sequential) |
+//! | [`config`] | [`EngineConfig`]; `Plan`: fuse, pre-flight, entry-typed veto, compile, once per network | — (sequential) |
 //! | `run` | one run's first-error slot, abort flag, deadline, dead-letter stream: `fail` / `should_stop` / `divert` | — (a mutex and a flag; raced by `fault_tolerance.rs`) |
-//! | `component` | what one record does to one component, over an abstract `Transport`; back-to-front `build` of the component graph | — (sequential per component; pinned to [`Interp`] by `engine_vs_interp.rs`, `fusion_equivalence.rs`) |
+//! | `component` | what one record does to one component, over an abstract `Transport`; `compile` to the shared tree, back-to-front `build` of a component graph from it | — (sequential per component; pinned to [`Interp`] by `engine_vs_interp.rs`, `fusion_equivalence.rs`) |
 //! | [`handle`] | the streaming handle: egress, cancel, finish, over an engine's [`Ingress`] | — |
 //! | [`engine`] | threaded transport: a thread per component, ports are channel senders, end-of-stream is disconnect | `channel.rs`, `eaten_wakeup.rs` (the channel shim it rides on) |
 //! | `sched::pool` | injector + per-worker deques, `notify` / `park` (lock-then-notify, sleeper gate, injector re-probe), deferral heap | `mailbox.rs` (wake protocol), `chase_lev.rs` (the deque) |
-//! | `sched::task` | mailbox, sender-refcount end-of-stream, one activation: drain → step → flush → finalize; backpressure and backoff | `mailbox.rs` (the `scheduled` flag hand-off) |
+//! | `sched::task` | mailbox, sender-refcount end-of-stream (in place when the task is idle and drained, else by activation), one activation: drain → step → flush → finalize; backpressure and backoff | `mailbox.rs` (the `scheduled` flag hand-off), `eos_inplace.rs` (last close vs. a racing send and a queued activation) |
 //! | [`sched`] | worker pool lifetime, batch driver, bounded mailbox ingress, the sink's completion latch | `sink_latch.rs` |
+//!
+//! ## The compiled plan, and what an instance costs
+//!
+//! A [`Network`] compiles its (fused) topology once into an immutable
+//! tree whose leaves — box definitions, filter and synchrocell specs,
+//! fused-chain stage lists — and replicating combinators — parallel
+//! branch patterns, star and split bodies — sit behind `Arc`s. Every
+//! run, and every star or split replica unfolded while a run is live,
+//! is instantiated from that tree: a component instance is a pointer
+//! into it plus its own state (ports, synchrocell slots, chain scratch),
+//! so creating or retiring one is reference-count traffic and copies
+//! nothing whose size depends on the topology. The paper's Fig 4 net
+//! schedules dynamically *by unfolding*, so this is coordination
+//! overhead in its own sense: one 16×16 job on that net builds and
+//! retires 234 components in 41 unfoldings, and instantiating from the
+//! shared tree roughly doubled the rate of such jobs (`forkjoin_burst`
+//! in `benchmark/`; per-instance cost in `BENCH_unfold.json`, gated).
+//! [`Interp`] does not use the tree — the oracle stays an independent
+//! implementation over the [`NetSpec`] itself.
+//!
+//! Retiring is as short as the protocol allows. When the last sender
+//! onto a scheduled task closes and the task is an idle component with
+//! an empty mailbox, the closer finalizes it on the spot and goes on to
+//! close *its* outputs the same way (nesting bounded at 32); a task
+//! that is mid-activation or still has input, and always the sink, is
+//! queued and finalizes in an activation as before — that remains the
+//! general case, not an option. [`Trace`]'s `components_built` and
+//! `components_finalized` are equal after every run on both engines,
+//! however it ended: no instance is skipped or retired twice.
 //!
 //! The streaming API is the same on both engines — `start()` returns a
 //! [`Handle`] with `send` / `try_send` / `send_all` / `recv` /

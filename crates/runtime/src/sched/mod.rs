@@ -128,7 +128,7 @@ impl Scheduled {
             run,
             local: None,
         };
-        (build(&plan.fused, Port::new(&sink), &mut cx), latch)
+        (build(&plan.root, Port::new(&sink), run, &mut cx), latch)
     }
 }
 
@@ -177,7 +177,7 @@ impl Engine for Scheduled {
         let outputs = Arc::new(Mutex::new(Vec::new()));
         let (entry, latch) = self.instantiate(plan, &run, SinkDest::Collect(Arc::clone(&outputs)));
         entry.send_now(records, &self.pool, None);
-        entry.close(&self.pool, None);
+        entry.close(&self.pool, None, 0);
         latch.wait(&run);
         run.take_result()?;
         let outputs = std::mem::take(&mut *outputs.lock());
@@ -353,7 +353,7 @@ impl Ingress for MailboxIngress {
 
     fn close(&self) {
         if let Some(port) = self.input.lock().take() {
-            port.close(&self.pool, None);
+            port.close(&self.pool, None, 0);
         }
     }
 
@@ -417,6 +417,12 @@ mod tests {
             .unwrap();
         assert_eq!(outs.len(), 200);
         assert_eq!(ints(&outs, "x"), (8..208).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn shared_plan_serves_concurrent_jobs() {
+        let net = crate::suite::concurrent_jobs::<crate::sched::Scheduled>();
+        assert_eq!(net.workers_spawned(), EngineConfig::default().workers);
     }
 
     #[test]

@@ -8,9 +8,16 @@
 //! End-of-stream is sender refcounting: when the last upstream port of
 //! a task closes, the task finalizes and closes its own outputs, so
 //! termination cascades exactly like channel disconnection does in the
-//! threaded engine. The sink is always the last task of a run to
-//! finalize, so its finalization doubles as the run's completion
-//! signal ([`Latch`]).
+//! threaded engine. The general way there is one more activation: the
+//! closer queues the task, whose activation finds no sender and an
+//! empty mailbox. The short way (`finalize_in_place`) skips that
+//! activation when it could do nothing else: a component that is idle
+//! and drained when its last sender closes is finalized by the closer,
+//! and the cascade continues from there, to a bounded depth — a torn-
+//! down replica costs no queue round trip per task. The sink is always
+//! the last task of a run to finalize and always does so in an
+//! activation of its own, so its finalization doubles as the run's
+//! completion signal ([`Latch`]).
 
 use super::pool::{notify, Pool};
 use super::sync::{AtomicBool, AtomicU32, AtomicUsize, Condvar};
@@ -37,6 +44,12 @@ const ACTIVATION_BUDGET: usize = 64;
 /// re-enqueued after `1µs << min(n, BACKOFF_MAX_SHIFT)`, i.e. at most
 /// ~1ms — the same latency bound as a worker's park quantum.
 const BACKOFF_MAX_SHIFT: u32 = 10;
+
+/// How many tasks one end-of-stream cascade may finalize in place,
+/// nested, before it hands the next one to the queue. Each level holds
+/// its task's state lock and a stack frame; a long unfolded star is a
+/// chain thousands of tasks deep, so the recursion must be bounded.
+const EOS_INPLACE_DEPTH: u32 = 32;
 
 /// One component instance: mailbox + state.
 pub(super) struct Task {
@@ -217,16 +230,52 @@ impl Port {
         self.task.mailbox.lock().len()
     }
 
-    pub(super) fn close(mut self, sh: &Pool, local: Option<&Worker<Arc<Task>>>) {
+    /// Closes the port. When it was the task's last sender, the task
+    /// has reached end-of-stream: if it is an idle, drained component
+    /// it is finalized here and now, which closes *its* outputs the
+    /// same way (`depth` counts that nesting); otherwise it is queued
+    /// and finalizes in its next activation.
+    pub(super) fn close(mut self, sh: &Pool, local: Option<&Worker<Arc<Task>>>, depth: u32) {
         // Sends happen-before close: drain the coalescing buffer first.
         self.flush(sh, local);
         pool::give_vec(std::mem::take(&mut self.buf));
-        if self.task.open_senders.fetch_sub(1, Ordering::AcqRel) == 1 {
+        if self.task.open_senders.fetch_sub(1, Ordering::AcqRel) == 1
+            && !finalize_in_place(&self.task, sh, local, depth)
+        {
             // Last sender gone: the task must run once more to observe
             // end-of-stream and finalize.
             notify(&self.task, sh, local);
         }
     }
+}
+
+/// The short way to end-of-stream, taken by whoever closed `task`'s last
+/// sender: with no sender left nothing can arrive any more, so a task
+/// that is not mid-activation (`try_lock`) and has nothing left to
+/// process (empty mailbox) would spend its last activation only
+/// finding that out. Returns `false` — and the caller queues the task
+/// as usual — when an activation holds the state lock (its tail sees
+/// the zero sender count, or the queued activation does), when records
+/// are still waiting, when the cascade is already `EOS_INPLACE_DEPTH`
+/// tasks deep, and always for the sink: its delivery gate and the run's
+/// completion signal live in `run_task`.
+fn finalize_in_place(
+    task: &Arc<Task>,
+    sh: &Pool,
+    local: Option<&Worker<Arc<Task>>>,
+    depth: u32,
+) -> bool {
+    if depth >= EOS_INPLACE_DEPTH {
+        return false;
+    }
+    let Some(mut state) = task.state.try_lock() else {
+        return false;
+    };
+    if !matches!(*state, State::Live(_)) || !task.mailbox.lock().is_empty() {
+        return false;
+    }
+    finalize(task, &mut state, sh, local, depth);
+    true
 }
 
 /// The scheduled engine's transport: a port is a [`Port`], spawning a
@@ -282,7 +331,7 @@ pub(super) fn execute(
             // semantics); finalizing closes the task's ports so the
             // cascade still reaches the sink.
             if let Some(mut st) = task.state.try_lock() {
-                finalize(task, &mut st, sh, local);
+                finalize(task, &mut st, sh, local, 0);
             }
             None
         }
@@ -310,7 +359,7 @@ fn run_task(
     // Activation-start preemption point: abort flag and run deadline.
     if task.run.should_stop() {
         task.clear_mailbox();
-        finalize(task, &mut state, sh, local);
+        finalize(task, &mut state, sh, local, 0);
         return None;
     }
 
@@ -333,7 +382,7 @@ fn run_task(
             // as the backpressure probe.
             if task.run.should_stop() {
                 task.clear_mailbox();
-                finalize(task, &mut state, sh, local);
+                finalize(task, &mut state, sh, local, 0);
                 return None;
             }
             if output_backpressured(&state, sh) {
@@ -366,7 +415,7 @@ fn run_task(
                 if let Err(e) = comp.step_batch(inbuf.drain(..), &task.run, &sh.config, &mut cx) {
                     task.run.fail(e);
                     task.clear_mailbox();
-                    finalize(task, &mut state, sh, local);
+                    finalize(task, &mut state, sh, local, 0);
                     return None;
                 }
                 processed += n;
@@ -420,7 +469,7 @@ fn run_task(
     };
     if mailbox_empty && !undelivered {
         if senders == 0 {
-            finalize(task, &mut state, sh, local);
+            finalize(task, &mut state, sh, local, 0);
         }
         None
     } else {
@@ -490,7 +539,13 @@ fn output_backpressured(state: &State, sh: &Pool) -> bool {
 /// the run's completion: it delivers the last buffered outputs, drops
 /// the streaming sender (end-of-stream for the consumer) and wakes the
 /// driver's completion latch.
-fn finalize(task: &Arc<Task>, state: &mut State, sh: &Pool, local: Option<&Worker<Arc<Task>>>) {
+fn finalize(
+    task: &Arc<Task>,
+    state: &mut State,
+    sh: &Pool,
+    local: Option<&Worker<Arc<Task>>>,
+    depth: u32,
+) {
     // Retire the mailbox's backing storage (it is empty on every orderly
     // end-of-stream; abort paths cleared it). Stragglers that land after
     // teardown go into the fresh empty deque and are dropped with it.
@@ -499,7 +554,7 @@ fn finalize(task: &Arc<Task>, state: &mut State, sh: &Pool, local: Option<&Worke
         task.ingress_cv.notify_all();
     }
     match std::mem::replace(state, State::Done) {
-        State::Live(comp) => comp.end_of_stream(&task.run, |port| port.close(sh, local)),
+        State::Live(comp) => comp.end_of_stream(&task.run, |port| port.close(sh, local, depth + 1)),
         State::Sink {
             mut buf,
             dest,

@@ -2,13 +2,14 @@
 //! concurrent engine must show, instantiated for each engine by
 //! [`engine_suite!`] inside that engine's own `tests` module.
 
-use crate::{Engine, EngineConfig, Network};
+use crate::{Engine, EngineConfig, Interp, Network, Trace};
 use snet_core::boxdef::{BoxDef, BoxOutput, BoxSig, Work};
 use snet_core::semantics::MismatchPolicy;
 use snet_core::{
     BinOp, FilterSpec, Label, NetSpec, Pattern, Record, SnetError, SyncSpec, TagExpr, Value,
     Variant,
 };
+use std::time::{Duration, Instant};
 
 /// Instantiates every case of the generic suite for engine `$engine`.
 macro_rules! engine_suite {
@@ -27,6 +28,7 @@ macro_rules! engine_suite {
             strict_mismatch_policy_errors,
             streaming_interface_overlaps,
             net_is_reusable_with_fresh_state,
+            every_component_is_retired_exactly_once,
         );
     };
     (@cases $engine:ty: $($case:ident,)*) => {
@@ -247,4 +249,164 @@ pub(crate) fn net_is_reusable_with_fresh_state<E: Engine>() {
             .unwrap();
         assert_eq!(outs.len(), 1, "cell must fire in every fresh run");
     }
+}
+
+/// The dynamic-scheduling net of the paper's Fig 4 with a trivial
+/// solver: a star whose body holds an index split and a synchrocell.
+///
+/// ```text
+/// ( ( (solve .. [ {chunk,<node>} -> {chunk}; {<node>} ])!<node> | [] )
+///   .. ( [] | [| {sect}, {<node>} |] ) ) * {chunk}
+/// ```
+fn fig4_net() -> NetSpec {
+    let pat =
+        |fields: &[&str], tags: &[&str]| Pattern::from_variant(Variant::parse_labels(fields, tags));
+    let release = NetSpec::Filter(FilterSpec::new(
+        pat(&["chunk"], &["node"]),
+        vec![
+            snet_core::filter::OutputTemplate::empty().keep_field("chunk"),
+            snet_core::filter::OutputTemplate::empty().keep_tag("node"),
+        ],
+    ));
+    let solve = NetSpec::serial(int_box("solve", "sect", "chunk", |x| x + 1000), release);
+    let first = NetSpec::parallel(vec![NetSpec::split(solve, "node"), NetSpec::identity()]);
+    let join = NetSpec::parallel(vec![
+        NetSpec::identity(),
+        NetSpec::Sync(SyncSpec::new(vec![
+            pat(&["sect"], &[]),
+            pat(&[], &["node"]),
+        ])),
+    ]);
+    NetSpec::star(NetSpec::serial(first, join), pat(&["chunk"], &[]))
+}
+
+/// One Fig 4 job: six sections numbered from `base`, the first two
+/// carrying the node tokens.
+fn fig4_job(base: i64) -> Vec<Record> {
+    (0..6)
+        .map(|i| {
+            let sect = Record::new().with_field("sect", Value::Int(base + i));
+            if i < 2 {
+                sect.with_tag("node", i)
+            } else {
+                sect
+            }
+        })
+        .collect()
+}
+
+fn multiset(records: &[Record]) -> Vec<String> {
+    let mut v: Vec<String> = records.iter().map(|r| format!("{r:?}")).collect();
+    v.sort();
+    v
+}
+
+/// Four threads run 250 jobs each on one network. Every run
+/// instantiates its components from the network's one compiled plan,
+/// concurrently with the other threads' runs unfolding and retiring
+/// theirs. Outside [`engine_suite!`] because the scheduled engine also
+/// checks its pool on the returned network.
+pub(crate) fn concurrent_jobs<E: Engine + Sync>() -> Network<E> {
+    let spec = fig4_net();
+    let net = Network::<E>::new(spec.clone());
+    std::thread::scope(|s| {
+        for thread in 0..4 {
+            let (net, spec) = (&net, &spec);
+            s.spawn(move || {
+                for job in 0..250 {
+                    let base = (thread * 250 + job) * 10;
+                    let want = Interp::new(spec).run_batch(fig4_job(base)).unwrap();
+                    let got = net.run_batch(fig4_job(base)).unwrap();
+                    assert_eq!(multiset(&got), multiset(&want.outputs), "job {base}");
+                }
+            });
+        }
+    });
+    net
+}
+
+/// Waits (bounded) for a run nobody joined to finish tearing down.
+fn settled(trace: &Trace) -> (u64, u64) {
+    let counts = || {
+        (
+            trace.get(&trace.components_built),
+            trace.get(&trace.components_finalized),
+        )
+    };
+    let give_up = Instant::now() + Duration::from_secs(10);
+    while counts().0 != counts().1 && Instant::now() < give_up {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    counts()
+}
+
+/// However a run ends, every component instance it created — the
+/// start-up graph and every replica unfolded on the way — observes
+/// end-of-stream exactly once.
+pub(crate) fn every_component_is_retired_exactly_once<E: Engine>() {
+    let retired = |what: &str, trace: &Trace| {
+        let (built, finalized) = settled(trace);
+        assert!(built > 0, "{what}: nothing was built");
+        assert_eq!(built, finalized, "{what}: built vs finalized");
+    };
+
+    let net = Network::<E>::new(fig4_net());
+    let (outs, trace) = net.run_batch_traced(fig4_job(0)).unwrap();
+    assert_eq!(outs.len(), 6);
+    assert!(trace.get(&trace.star_unfoldings) > 0 && trace.get(&trace.split_replicas) > 0);
+    retired("clean run", &trace);
+
+    let h = net.start();
+    h.send_all(fig4_job(0)).unwrap();
+    h.cancel();
+    let trace = h.trace_arc();
+    assert_eq!(h.finish(), Err(SnetError::Cancelled));
+    retired("cancelled run", &trace);
+
+    let h = net.start();
+    h.send_all(fig4_job(0)).unwrap();
+    let trace = h.trace_arc();
+    drop(h);
+    retired("dropped handle", &trace);
+
+    let expired = Network::<E>::with_config(
+        fig4_net(),
+        EngineConfig {
+            deadline: Some(Duration::ZERO),
+            ..EngineConfig::default()
+        },
+    );
+    let h = expired.start();
+    let _ = h.send_all(fig4_job(0));
+    let trace = h.trace_arc();
+    assert_eq!(h.finish(), Err(SnetError::DeadlineExceeded));
+    retired("expired deadline", &trace);
+
+    // A box that fails on its third record, behind a split that has
+    // unfolded replicas by then.
+    let failing = NetSpec::Box(BoxDef::from_fn(
+        BoxSig::parse("bad", &["x"], &[&["x"]]),
+        |r| match r.field("x").and_then(|v| v.as_int()) {
+            Some(2) => Err(SnetError::Engine("deliberate".into())),
+            _ => Ok(BoxOutput::one(r.clone(), Work::ZERO)),
+        },
+    ));
+    let net = Network::<E>::new(NetSpec::serial(
+        NetSpec::split(int_box("id", "x", "x", |x| x), "k"),
+        failing,
+    ));
+    let h = net.start();
+    let _ = h.send_all(
+        (0..8)
+            .map(|i| {
+                Record::new()
+                    .with_field("x", Value::Int(i))
+                    .with_tag("k", i % 4)
+            })
+            .collect(),
+    );
+    let trace = h.trace_arc();
+    let err = h.finish().unwrap_err();
+    assert!(matches!(err, SnetError::BoxFailure { .. }), "{err}");
+    retired("failed run", &trace);
 }

@@ -39,6 +39,13 @@ pub struct Trace {
     /// Extra box invocations performed by the retry policy (attempts
     /// beyond the first, successful or not).
     pub retries: AtomicU64,
+    /// Component instances created: the start-up graph plus every star
+    /// and split replica unfolded while the run was live.
+    pub components_built: AtomicU64,
+    /// Component instances that observed end-of-stream and closed their
+    /// outputs. Equal to `components_built` once a run has terminated,
+    /// however it ended — every instance is retired exactly once.
+    pub components_finalized: AtomicU64,
 }
 
 impl Trace {

@@ -12,15 +12,22 @@
 //! per-hop hand-off machinery and is pinned at a small per-record
 //! constant instead.
 //!
-//! Both measurements run inside one `#[test]` so no sibling test thread
-//! can allocate into the window.
+//! The second test pins what *unfolding* costs: a star replica or a
+//! split replica instantiated mid-run from the network's compiled plan
+//! is a handful of allocations (its tasks), and none of them scales
+//! with the size of the specs it instantiates.
+//!
+//! The counter is process-wide, so the tests take turns (`WINDOW`): no
+//! sibling test thread can allocate into a measured window.
 
 use snet_core::boxdef::{BoxDef, BoxOutput, BoxSig, Work};
-use snet_core::{NetSpec, Record, Value};
+use snet_core::filter::OutputTemplate;
+use snet_core::{BinOp, FilterSpec, NetSpec, Pattern, Record, TagExpr, Value, Variant};
 use snet_runtime::TrySendError;
 use snet_runtime::{EngineConfig, SchedNet};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Counts every heap acquisition (alloc, zeroed alloc, and realloc)
 /// process-wide — worker threads included, which is the point.
@@ -63,6 +70,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
+
+/// Held by each test for its whole body.
+static WINDOW: Mutex<()> = Mutex::new(());
 
 fn inc_box() -> NetSpec {
     NetSpec::Box(BoxDef::from_fn(
@@ -124,6 +134,7 @@ const MEASURE: usize = 50_000;
 
 #[test]
 fn steady_state_allocations_are_pooled_away() {
+    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
     // ---- Fused depth-16 chain: the zero-allocs-per-record claim. ----
     let fused = SchedNet::with_config(
         NetSpec::pipeline((0..16).map(|_| inc_box())),
@@ -187,5 +198,133 @@ fn steady_state_allocations_are_pooled_away() {
         "unfused depth-8 steady state allocated {unfused_delta} times over {MEASURE} \
          records ({:.3}/record) — expected a pinned small constant",
         unfused_delta as f64 / MEASURE as f64
+    );
+}
+
+/// `inc` with `width` input items: `x`, `f1`, … — the spec whose size
+/// must not show in what an instance costs.
+fn wide_inc(width: usize) -> NetSpec {
+    let names: Vec<String> = std::iter::once("x".to_owned())
+        .chain((1..width).map(|i| format!("f{i}")))
+        .collect();
+    let names: Vec<&str> = names.iter().map(String::as_str).collect();
+    NetSpec::Box(BoxDef::from_fn(
+        BoxSig::parse("inc", &names, &[&["x"]]),
+        |r| Ok(BoxOutput::one(r.clone(), Work::ops(1))),
+    ))
+}
+
+/// `((inc | []) .. [{<n>} -> {<n -= 1>}]) * {<n> == 0}`: a record
+/// `{<n>}` unfolds `n` replicas of a four-component body.
+fn countdown_star(width: usize) -> NetSpec {
+    let dec = NetSpec::Filter(FilterSpec::new(
+        Pattern::from_variant(Variant::parse_labels(&[], &["n"])),
+        vec![OutputTemplate::empty().set_tag(
+            "n",
+            TagExpr::bin(BinOp::Sub, TagExpr::tag("n"), TagExpr::Const(1)),
+        )],
+    ));
+    let exit = Pattern::guarded(
+        Variant::empty(),
+        TagExpr::bin(BinOp::Eq, TagExpr::tag("n"), TagExpr::Const(0)),
+    );
+    let head = NetSpec::parallel(vec![wide_inc(width), NetSpec::identity()]);
+    NetSpec::star(NetSpec::serial(head, dec), exit)
+}
+
+/// Fewest allocations any of a few `run_batch(job())` calls makes on a
+/// warm net. The floor, not the mean: which thread's buffer freelist a
+/// retired mailbox lands in varies from run to run, and a miss there is
+/// not what is being pinned.
+fn floor_allocs(net: &SchedNet, job: impl Fn() -> Vec<Record>, expect_outputs: usize) -> u64 {
+    (0..24)
+        .map(|_| {
+            let input = job();
+            let before = ALLOCS.load(Ordering::Relaxed);
+            let outs = net.run_batch(input).expect("run failed");
+            let delta = ALLOCS.load(Ordering::Relaxed) - before;
+            assert_eq!(outs.len(), expect_outputs);
+            delta
+        })
+        .min()
+        .expect("at least one run")
+}
+
+const DEPTH: i64 = 32;
+
+/// Allocations per star unfolding: a depth-32 job against a depth-0 job
+/// on the same warm net. The records carry only `<n>`, so they bypass
+/// `inc` through `[]` whatever its width — `inc` is there to be
+/// instantiated, not to run.
+fn allocs_per_unfolding(width: usize) -> u64 {
+    let net = SchedNet::with_config(
+        countdown_star(width),
+        EngineConfig {
+            workers: 1,
+            ..EngineConfig::default()
+        },
+    );
+    let job = |n: i64| move || vec![Record::new().with_tag("n", n)];
+    floor_allocs(&net, job(DEPTH), 1); // warm-up
+    let deep = floor_allocs(&net, job(DEPTH), 1);
+    let flat = floor_allocs(&net, job(0), 1);
+    eprintln!("star, inc width {width}: depth {DEPTH} = {deep} allocs, depth 0 = {flat}");
+    deep - flat
+}
+
+/// Allocations per split replica of `inc ! <k>`: 33 records with 33
+/// index values against 33 records with one.
+fn allocs_per_replica(width: usize) -> u64 {
+    let net = SchedNet::with_config(
+        NetSpec::split(wide_inc(width), "k"),
+        EngineConfig {
+            workers: 1,
+            ..EngineConfig::default()
+        },
+    );
+    let job = |distinct: bool| {
+        move || {
+            (0..=DEPTH)
+                .map(|i| Record::new().with_tag("k", if distinct { i } else { 0 }))
+                .collect::<Vec<_>>()
+        }
+    };
+    let n = DEPTH as usize + 1;
+    floor_allocs(&net, job(true), n); // warm-up
+    let many = floor_allocs(&net, job(true), n);
+    let one = floor_allocs(&net, job(false), n);
+    eprintln!("split, inc width {width}: {n} replicas = {many} allocs, 1 replica = {one}");
+    many - one
+}
+
+#[test]
+fn unfolding_allocates_per_task_not_per_spec() {
+    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
+    let depth = DEPTH as u64;
+
+    // Five tasks per unfolding (the next tap, the filter, the parallel
+    // dispatcher and its two branches) plus the dispatcher's port list.
+    // The engine used to deep-copy every spec in the body, and the body
+    // itself once more per tap: 39.
+    let narrow = allocs_per_unfolding(1);
+    assert!(
+        narrow <= 10 * depth,
+        "{narrow} allocations for {depth} unfoldings (> 10 each)"
+    );
+    assert_eq!(
+        narrow,
+        allocs_per_unfolding(16),
+        "a 16-item box signature must cost an unfolding nothing extra"
+    );
+
+    let narrow = allocs_per_replica(1);
+    assert!(
+        narrow <= 10 * depth,
+        "{narrow} allocations for {depth} split replicas (> 10 each)"
+    );
+    assert_eq!(
+        narrow,
+        allocs_per_replica(16),
+        "a 16-item box signature must cost a replica nothing extra"
     );
 }

@@ -6,9 +6,10 @@ Rust file:
 
 1. **Allowlist** — only crates with a reviewed reason may contain
    ``unsafe`` at all. Today that is the two shims with lock-free /
-   inline-buffer internals, the model checker's sync facade, and
-   snet-runtime's allocation-counting test (the library itself forbids
-   ``unsafe``).
+   inline-buffer internals, the model checker's sync facade, and the
+   two allocation counters (snet-runtime's ``alloc_steady`` test — the
+   library itself forbids ``unsafe`` — and snet-bench's
+   ``bench_unfold``).
 2. **SAFETY adjacency** — every ``unsafe`` occurrence must be
    *justified*: a comment line containing ``SAFETY:`` within the
    preceding ``MAX_GAP`` lines (comment/attribute lines only — any
@@ -37,6 +38,9 @@ ALLOWED_UNSAFE_CRATES = {
     # tests/alloc_steady.rs only (counting GlobalAlloc); the library
     # itself is `#![forbid(unsafe_code)]`.
     "crates/runtime",
+    # src/bin/bench_unfold.rs only: the same counting GlobalAlloc, to
+    # report allocations per unfolded replica.
+    "crates/bench",
 }
 
 # How many comment-only lines above an `unsafe` the SAFETY: note may
