@@ -68,9 +68,7 @@
 use snet_core::boxdef::BoxDef;
 use snet_core::diag::{DiagCode, Diagnostic};
 use snet_core::expr::{BinOp, TagExpr};
-use snet_core::{
-    ChainStage, FilterSpec, Label, NetSpec, OutItem, Pattern, RType, SyncSpec, Variant,
-};
+use snet_core::{FilterSpec, Label, NetSpec, OutItem, Pattern, RType, SyncSpec, Variant};
 use std::collections::BTreeMap;
 
 /// Analyzer knobs.
@@ -399,7 +397,7 @@ impl<'a> Ctx<'a> {
     /// record population. Paths follow [`Ctx::flow`]'s.
     fn structure(&mut self, net: &NetSpec, path: &str) {
         match net {
-            NetSpec::Box(_) | NetSpec::Filter(_) | NetSpec::FusedChain { .. } => {}
+            NetSpec::Box(_) | NetSpec::Filter(_) => {}
             NetSpec::Sync(spec) => {
                 if spec.patterns.len() < 2 {
                     self.push(Diagnostic::warning(
@@ -508,17 +506,6 @@ impl<'a> Ctx<'a> {
                 let out = self.flow(body, input.clone(), &path);
                 self.record(&path, &input, &out);
                 out
-            }
-            NetSpec::FusedChain { stages } => {
-                let mut cur = input;
-                for (i, stage) in stages.iter().enumerate() {
-                    let spath = format!("{path}/chain[{i}]");
-                    cur = match stage {
-                        ChainStage::Box(def) => self.box_flow(def, &cur),
-                        ChainStage::Filter(spec) => self.filter_flow(spec, &cur, &spath),
-                    };
-                }
-                cur
             }
         };
         out

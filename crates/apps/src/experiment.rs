@@ -2,14 +2,14 @@
 //! simulated cluster (or the local threaded engine) and report the
 //! numbers the evaluation section plots.
 
-use crate::boxes::image_slot;
+use crate::boxes::{image_slot, ImageSlot};
 use crate::data::{field, SceneData};
 use crate::nets::{raytracing_net, NetVariant};
 use crate::schedule::Schedule;
 use snet_core::{Record, SnetError, Value};
 use snet_dist::{run_on_cluster, OverheadModel, StatsSnapshot};
 use snet_raytracer::{Bvh, Counters, Image, Scene, ScenePreset};
-use snet_runtime::{Net, SchedNet};
+use snet_runtime::{DeadLetter, Engine, EngineConfig, Network};
 use snet_simnet::ClusterSpec;
 use std::sync::Arc;
 
@@ -196,10 +196,7 @@ pub fn run_snet_cluster(
     let slot = image_slot();
     let net = raytracing_net(cfg.variant, Arc::clone(&slot), None);
     let result = run_on_cluster(&net, vec![input_record(wl, cfg)], cluster, overhead)?;
-    let image = slot
-        .lock()
-        .take()
-        .ok_or_else(|| SnetError::Engine("genImg never produced the picture".into()))?;
+    let image = take_picture(&slot)?;
     Ok(SnetOutcome {
         makespan_secs: result.makespan.as_secs_f64(),
         image,
@@ -210,60 +207,36 @@ pub fn run_snet_cluster(
     })
 }
 
-/// Runs an S-Net variant on the local multithreaded engine (real
-/// parallelism, wall-clock time) — the non-distributed execution mode.
-pub fn run_snet_local(wl: &Workload, cfg: &SnetConfig) -> Result<Image, SnetError> {
-    let slot = image_slot();
-    let net = Net::new(raytracing_net(cfg.variant, Arc::clone(&slot), None));
-    let outputs = net.run_batch(vec![input_record(wl, cfg)])?;
-    debug_assert!(outputs.is_empty(), "genImg terminates the stream");
-    let image = slot
-        .lock()
-        .take()
-        .ok_or_else(|| SnetError::Engine("genImg never produced the picture".into()))?;
-    Ok(image)
+/// The picture `genImg` left in `slot` when the run ended.
+fn take_picture(slot: &ImageSlot) -> Result<Image, SnetError> {
+    let picture = slot.lock().take();
+    picture.ok_or_else(|| SnetError::Engine("genImg never produced the picture".into()))
 }
 
-/// Runs an S-Net variant on the local work-stealing scheduled engine —
-/// same network, fixed worker pool instead of a thread per component.
-pub fn run_snet_local_sched(wl: &Workload, cfg: &SnetConfig) -> Result<Image, SnetError> {
-    let slot = image_slot();
-    let net = SchedNet::new(raytracing_net(cfg.variant, Arc::clone(&slot), None));
-    let outputs = net.run_batch(vec![input_record(wl, cfg)])?;
-    debug_assert!(outputs.is_empty(), "genImg terminates the stream");
-    let image = slot
-        .lock()
-        .take()
-        .ok_or_else(|| SnetError::Engine("genImg never produced the picture".into()))?;
-    Ok(image)
-}
-
-/// Like [`run_snet_local_sched`], but under an explicit
-/// [`snet_runtime::EngineConfig`] — failure policy, deadline — and
-/// reporting any diverted records alongside the picture. The error is
-/// boxed so experiment drivers that mix engine failures with IO and
-/// parse errors can `?` them all through one signature (the
-/// anyhow-style shape; [`SnetError`] implements `std::error::Error`,
-/// so the conversion is free).
-pub fn run_snet_local_sched_robust(
+/// Runs an S-Net variant on a local engine `E` (real parallelism,
+/// wall-clock time) — [`snet_runtime::engine::Threaded`]: a thread per
+/// component; [`snet_runtime::sched::Scheduled`]: a fixed work-stealing
+/// pool — under `engine`'s failure policy and deadline, and returns the
+/// picture with any records diverted on the way.
+pub fn run_snet_local<E: Engine>(
     wl: &Workload,
     cfg: &SnetConfig,
-    engine: snet_runtime::EngineConfig,
-) -> Result<(Image, Vec<snet_runtime::DeadLetter>), Box<dyn std::error::Error>> {
+    engine: EngineConfig,
+) -> Result<(Image, Vec<DeadLetter>), SnetError> {
     let slot = image_slot();
-    let net = SchedNet::with_config(raytracing_net(cfg.variant, Arc::clone(&slot), None), engine);
-    let report = net.run_batch_report(vec![input_record(wl, cfg)])?;
+    let net = raytracing_net(cfg.variant, Arc::clone(&slot), None);
+    let report =
+        Network::<E>::with_config(net, engine).run_batch_report(vec![input_record(wl, cfg)])?;
     debug_assert!(report.outputs.is_empty(), "genImg terminates the stream");
-    let image = slot
-        .lock()
-        .take()
-        .ok_or_else(|| SnetError::Engine("genImg never produced the picture".into()))?;
+    let image = take_picture(&slot)?;
     Ok((image, report.dead_letters))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snet_runtime::engine::Threaded;
+    use snet_runtime::sched::Scheduled;
 
     fn testbed(nodes: usize) -> ClusterSpec {
         // The paper's testbed shape, sped up so tests render quickly.
@@ -352,69 +325,53 @@ mod tests {
         assert_eq!(out.image, reference);
     }
 
+    fn local<E: Engine>(cfg: &SnetConfig, engine: EngineConfig) -> Result<Image, SnetError> {
+        let (image, dead) = run_snet_local::<E>(&Workload::small(), cfg, engine)?;
+        assert!(dead.is_empty());
+        Ok(image)
+    }
+
     #[test]
     fn local_threaded_run_matches_reference() {
-        let wl = Workload::small();
-        let reference = wl.reference_image();
-        let img = run_snet_local(&wl, &SnetConfig::fig6_static(2)).unwrap();
-        assert_eq!(img, reference);
+        let img = local::<Threaded>(&SnetConfig::fig6_static(2), EngineConfig::default());
+        assert_eq!(img.unwrap(), Workload::small().reference_image());
     }
 
     #[test]
     fn local_sched_run_matches_reference() {
-        let wl = Workload::small();
-        let reference = wl.reference_image();
-        let img = run_snet_local_sched(&wl, &SnetConfig::fig6_static(2)).unwrap();
-        assert_eq!(img, reference);
+        let img = local::<Scheduled>(&SnetConfig::fig6_static(2), EngineConfig::default());
+        assert_eq!(img.unwrap(), Workload::small().reference_image());
     }
 
     #[test]
-    fn robust_runner_composes_boxed_errors() {
+    fn local_run_honours_the_engine_config() {
         // Healthy run under DeadLetter: same picture, no diversions.
-        let wl = Workload::small();
-        let reference = wl.reference_image();
-        let (img, dead) = run_snet_local_sched_robust(
-            &wl,
-            &SnetConfig::fig6_static(2),
-            snet_runtime::EngineConfig {
-                policy: snet_runtime::FailurePolicy::DeadLetter,
-                ..snet_runtime::EngineConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(img, reference);
-        assert!(dead.is_empty());
+        let lenient = EngineConfig {
+            policy: snet_runtime::FailurePolicy::DeadLetter,
+            ..EngineConfig::default()
+        };
+        let img = local::<Scheduled>(&SnetConfig::fig6_static(2), lenient);
+        assert_eq!(img.unwrap(), Workload::small().reference_image());
 
-        // An expired deadline flows through `?` as a boxed error with
-        // the engine's message intact.
-        let err = run_snet_local_sched_robust(
-            &wl,
-            &SnetConfig::fig6_static(2),
-            snet_runtime::EngineConfig {
-                deadline: Some(std::time::Duration::ZERO),
-                ..snet_runtime::EngineConfig::default()
-            },
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("deadline"), "got: {err}");
+        let expired = EngineConfig {
+            deadline: Some(std::time::Duration::ZERO),
+            ..EngineConfig::default()
+        };
+        let err = local::<Scheduled>(&SnetConfig::fig6_static(2), expired);
+        assert_eq!(err, Err(SnetError::DeadlineExceeded));
     }
 
     #[test]
     fn local_dynamic_run_matches_reference() {
-        let wl = Workload::small();
-        let reference = wl.reference_image();
-        let img = run_snet_local(
-            &wl,
-            &SnetConfig {
-                variant: NetVariant::Dynamic,
-                nodes: 2,
-                tasks: 6,
-                tokens: 2,
-                schedule: Schedule::Block,
-            },
-        )
-        .unwrap();
-        assert_eq!(img, reference);
+        let cfg = SnetConfig {
+            variant: NetVariant::Dynamic,
+            nodes: 2,
+            tasks: 6,
+            tokens: 2,
+            schedule: Schedule::Block,
+        };
+        let img = local::<Threaded>(&cfg, EngineConfig::default());
+        assert_eq!(img.unwrap(), Workload::small().reference_image());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! * [`schedule`] — block scheduling and the paper's simple variant of
 //!   factoring (Hummel et al. \[13\]);
 //! * [`experiment`] — drivers running any variant on the simulated
-//!   cluster ([`run_snet_cluster`]) or the local threaded engine
+//!   cluster ([`run_snet_cluster`]) or a local engine
 //!   ([`run_snet_local`]), plus the [`Workload`] definitions;
 //! * [`mpi_app`] — the hand-written C/MPI baseline on simulated MPI.
 //!
@@ -33,8 +33,7 @@ pub use boxes::{
 };
 pub use data::{ChunkData, PicData, SceneData, SectData};
 pub use experiment::{
-    input_record, run_snet_cluster, run_snet_local, run_snet_local_sched, SnetConfig, SnetOutcome,
-    Workload,
+    input_record, run_snet_cluster, run_snet_local, SnetConfig, SnetOutcome, Workload,
 };
 pub use mpi_app::{run_mpi_raytrace, MpiOutcome};
 pub use nets::{

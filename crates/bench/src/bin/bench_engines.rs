@@ -163,9 +163,12 @@ fn main() {
     let baseline_json = std::fs::read_to_string(&baseline_path).unwrap_or_default();
 
     // Fusion off for the trajectory sections (see the module docs); the
-    // fused-vs-unfused comparison below constructs its own config.
+    // fused-vs-unfused comparison below constructs its own config. The
+    // pool is the fixed 4 workers every committed baseline was recorded
+    // with, whatever the host's CPU count makes the default.
     let config = EngineConfig {
         fuse: false,
+        workers: 4,
         ..EngineConfig::default()
     };
     let mut rows: Vec<Row> = Vec::new();

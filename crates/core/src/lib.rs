@@ -23,6 +23,9 @@
 //! * **Topology** ([`NetSpec`]) — the four SISO combinators (serial `..`,
 //!   parallel `|`, serial replication `*`, parallel replication `!`) plus
 //!   the Distributed S-Net placement combinators `@` and `!@`.
+//! * **Compilation** ([`fusion`]) — the one walk from a [`NetSpec`] to
+//!   the shared tree the concurrent engines instantiate, fusing serial
+//!   runs of boxes and filters into single components on the way.
 //!
 //! The crate is engine-agnostic: the per-record small-step semantics live
 //! in [`semantics`] as pure functions so that the multithreaded runtime

@@ -18,7 +18,6 @@
 
 use crate::boxdef::BoxDef;
 use crate::filter::FilterSpec;
-use crate::fusion::ChainStage;
 use crate::label::Label;
 use crate::pattern::Pattern;
 use crate::sync::SyncSpec;
@@ -74,14 +73,6 @@ pub enum NetSpec {
         name: String,
         /// The body.
         body: Box<NetSpec>,
-    },
-    /// A maximal static SISO chain of boxes/filters collapsed into one
-    /// component by [`crate::fusion::fuse`]. Semantically identical to
-    /// the serial composition of its stages; operationally it runs as
-    /// a single task with zero mailbox hops between stages.
-    FusedChain {
-        /// The original components, in pipeline order (length ≥ 2).
-        stages: Vec<ChainStage>,
     },
 }
 
@@ -182,11 +173,6 @@ impl NetSpec {
                     .collect()
             }
             NetSpec::At { body, .. } | NetSpec::Named { body, .. } => body.input_patterns(),
-            // Like Serial: the head stage decides what the chain attracts.
-            NetSpec::FusedChain { stages } => stages
-                .first()
-                .map(|s| vec![s.input_pattern()])
-                .unwrap_or_default(),
         }
     }
 
@@ -215,10 +201,6 @@ impl NetSpec {
             | NetSpec::Split { body, .. }
             | NetSpec::At { body, .. }
             | NetSpec::Named { body, .. } => body.diverts_under(engine_policy),
-            NetSpec::FusedChain { stages } => stages.iter().any(|s| match s {
-                ChainStage::Box(b) => b.policy == Some(DeadLetter),
-                ChainStage::Filter(_) => false,
-            }),
         }
     }
 
@@ -235,9 +217,6 @@ impl NetSpec {
             | NetSpec::Split { body, .. }
             | NetSpec::At { body, .. }
             | NetSpec::Named { body, .. } => body.component_count(),
-            // Counts original components: fusion must not change the
-            // static description's size.
-            NetSpec::FusedChain { stages } => stages.len(),
         }
     }
 
@@ -264,15 +243,6 @@ impl NetSpec {
             | NetSpec::Split { body, .. }
             | NetSpec::At { body, .. }
             | NetSpec::Named { body, .. } => body.box_names(out),
-            NetSpec::FusedChain { stages } => {
-                for s in stages {
-                    if let ChainStage::Box(b) = s {
-                        if !out.contains(&b.sig.name) {
-                            out.push(b.sig.name.clone());
-                        }
-                    }
-                }
-            }
         }
     }
 }
@@ -303,16 +273,6 @@ impl fmt::Display for NetSpec {
             }
             NetSpec::At { body, node } => write!(f, "({body})@{node}"),
             NetSpec::Named { name, .. } => write!(f, "{name}"),
-            NetSpec::FusedChain { stages } => {
-                write!(f, "⟨")?;
-                for (i, s) in stages.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " .. ")?;
-                    }
-                    write!(f, "{s}")?;
-                }
-                write!(f, "⟩")
-            }
         }
     }
 }

@@ -27,7 +27,7 @@
 use parking_lot::Mutex;
 use snet_core::semantics::{self, MismatchPolicy};
 use snet_core::value::AnyData;
-use snet_core::{panic_cause, ChainStage, NetSpec, Record, SnetError, SyncOutcome, Value};
+use snet_core::{panic_cause, NetSpec, Record, SnetError, SyncOutcome, Value};
 use snet_simnet::{Cluster, ClusterSpec, SimCtx, SimError, SimHandle, SimQueue, Simulation};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -412,17 +412,6 @@ pub fn run_on_cluster(
 /// placement combinator overrides it.
 fn build(spec: &NetSpec, input: SimQueue<Record>, output: Tx, node: usize, env: &Arc<Env>) {
     match spec {
-        NetSpec::FusedChain { stages } => {
-            // Fusion is an execution-plan artifact of the shared-memory
-            // engines; the simulated cluster models one process per
-            // component, so a chain expands back to the serial
-            // composition it denotes (same processes, same hop costs).
-            let serial = NetSpec::pipeline(stages.iter().map(|s| match s {
-                ChainStage::Box(def) => NetSpec::Box(def.clone()),
-                ChainStage::Filter(f) => NetSpec::Filter(f.clone()),
-            }));
-            build(&serial, input, output, node, env);
-        }
         NetSpec::Box(def) => {
             let def = def.clone();
             let env2 = Arc::clone(env);

@@ -16,7 +16,7 @@
 
 use crate::registry::BoxRegistry;
 use snet_core::filter::{FilterSpec, OutItem};
-use snet_core::{ChainStage, NetSpec, Pattern, SnetError, TagExpr};
+use snet_core::{NetSpec, Pattern, SnetError, TagExpr};
 use std::fmt::Write;
 
 /// Renders a complete program: declarations plus `connect`.
@@ -48,13 +48,6 @@ pub fn extract_registry(net: &NetSpec) -> BoxRegistry {
                 reg.register_arc(&def.sig.name, std::sync::Arc::clone(&def.func));
             }
             NetSpec::Filter(_) | NetSpec::Sync(_) => {}
-            NetSpec::FusedChain { stages } => {
-                for s in stages {
-                    if let ChainStage::Box(def) = s {
-                        reg.register_arc(&def.sig.name, std::sync::Arc::clone(&def.func));
-                    }
-                }
-            }
             NetSpec::Serial(a, b) => {
                 walk(a, reg);
                 walk(b, reg);
@@ -89,10 +82,6 @@ fn collect_boxes(net: &NetSpec, decls: &mut Vec<(String, String)>) -> Result<(),
             Ok(())
         }
         NetSpec::Filter(_) | NetSpec::Sync(_) => Ok(()),
-        NetSpec::FusedChain { stages } => stages.iter().try_for_each(|s| match s {
-            ChainStage::Box(def) => collect_boxes(&NetSpec::Box(def.clone()), decls),
-            ChainStage::Filter(_) => Ok(()),
-        }),
         NetSpec::Serial(a, b) => {
             collect_boxes(a, decls)?;
             collect_boxes(b, decls)
@@ -180,22 +169,6 @@ fn emit(net: &NetSpec, out: &mut String) {
             let _ = write!(out, " @ {node}");
         }
         NetSpec::Named { body, .. } => emit(body, out),
-        // A fused chain prints as the serial composition it denotes, so
-        // printed programs stay re-parseable (fusion is re-derived on
-        // the next compile+run).
-        NetSpec::FusedChain { stages } => {
-            out.push('(');
-            for (i, s) in stages.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(" .. ");
-                }
-                match s {
-                    ChainStage::Box(def) => out.push_str(&def.sig.name),
-                    ChainStage::Filter(f) => emit_filter(f, out),
-                }
-            }
-            out.push(')');
-        }
     }
 }
 

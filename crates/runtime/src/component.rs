@@ -18,13 +18,14 @@
 //! A network is instantiated at every `start`/`run_batch`, and *during*
 //! a run whenever a star or an index split unfolds — the paper's Fig 4
 //! net schedules that way, a fresh replica per wave of sections — so
-//! what one instance costs is coordination overhead. [`compile`] turns
-//! the (fused) [`NetSpec`] into a [`Node`] tree once per network:
+//! what one instance costs is coordination overhead. The topology is
+//! compiled once per network ([`snet_core::fusion::compile`], called by
+//! [`crate::config::Plan`]) into a shared [`Node`] tree; this module
+//! holds only what exists per instance:
 //!
 //! * **shared, immutable** (behind `Arc`s in the tree): every
 //!   [`BoxDef`], [`FilterSpec`], [`SyncSpec`] and fused-chain stage
-//!   list; each parallel node's branch patterns, derived once instead
-//!   of by a recursive walk per instantiation; each star's body and
+//!   list; each parallel node's branch patterns; each star's body and
 //!   exit pattern, each split's body and tag;
 //! * **per instance** (in `Kind`): one `Arc` pointer into the tree plus
 //!   the instance's own state — output ports, a synchrocell's slots, a
@@ -34,24 +35,23 @@
 //! copy reference counts, never a spec: an unfolding of a
 //! four-component star body is 7 heap allocations (its tasks), whatever
 //! the size of the signatures and templates inside (pinned by
-//! `tests/alloc_steady.rs`, timed by `bench_unfold`). Per-box projection
-//! plans and compiled filter templates, when they come, belong in this
-//! tree too.
+//! `tests/alloc_steady.rs`, timed by `bench_unfold`).
 //!
 //! [`crate::Interp`] deliberately does not use the tree: it is the
 //! reference the engines are tested against, so it stays an independent
-//! implementation that walks the [`NetSpec`] itself.
+//! implementation that walks the `NetSpec` itself.
 
 use crate::config::EngineConfig;
 use crate::run::Run;
 use crate::trace::Trace;
 use snet_core::boxdef::{BoxDef, Work};
 use snet_core::fault::{self, StepVerdict};
+use snet_core::fusion::{Node, ParNode, SplitNode, StarNode};
 use snet_core::pool;
 use snet_core::semantics::{self, MismatchPolicy};
 use snet_core::{
-    ChainRunner, ChainStage, ChainTally, FilterSpec, Label, NetSpec, Pattern, Record, SnetError,
-    SyncOutcome, SyncSpec, SyncState,
+    ChainRunner, ChainStage, ChainTally, FilterSpec, Record, SnetError, SyncOutcome, SyncSpec,
+    SyncState,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -121,68 +121,6 @@ enum Kind<P> {
         node: Arc<SplitNode>,
         replicas: HashMap<i64, P>,
     },
-}
-
-/// The compiled topology: what [`crate::config::Plan`] keeps and every
-/// run instantiates from. Immutable and shared — each leaf and each
-/// replicating combinator sits behind an `Arc`, so creating a component
-/// (at `start`, or when a star or split unfolds mid-run) copies
-/// reference counts and nothing whose size depends on the topology, and
-/// retiring one frees nothing but its own state.
-pub(crate) enum Node {
-    Box(Arc<BoxDef>),
-    Filter(Arc<FilterSpec>),
-    Chain(Arc<[ChainStage]>),
-    Sync(Arc<SyncSpec>),
-    Serial(Box<Node>, Box<Node>),
-    Par(Arc<ParNode>),
-    Star(Arc<StarNode>),
-    Split(Arc<SplitNode>),
-}
-
-pub(crate) struct ParNode {
-    branches: Vec<Node>,
-    /// What each branch attracts, for best-match dispatch; derived from
-    /// the branch topologies once, at compile time.
-    patterns: Vec<Vec<Pattern>>,
-}
-
-pub(crate) struct StarNode {
-    body: Node,
-    exit: Pattern,
-}
-
-pub(crate) struct SplitNode {
-    body: Node,
-    tag: Label,
-}
-
-/// Compiles a topology into its shared executable tree, consuming it:
-/// specs move behind their `Arc`s, nothing is copied. Placement (`At`)
-/// and naming wrappers are dropped — both engines ignore placement;
-/// `snet-dist` honours it on the simulated cluster. This is the only
-/// place the concurrent engines look at a [`NetSpec`].
-pub(crate) fn compile(spec: NetSpec) -> Node {
-    match spec {
-        NetSpec::Box(def) => Node::Box(Arc::new(def)),
-        NetSpec::Filter(f) => Node::Filter(Arc::new(f)),
-        NetSpec::FusedChain { stages } => Node::Chain(stages.into()),
-        NetSpec::Sync(spec) => Node::Sync(Arc::new(spec)),
-        NetSpec::Serial(a, b) => Node::Serial(Box::new(compile(*a)), Box::new(compile(*b))),
-        NetSpec::Parallel { branches, .. } => Node::Par(Arc::new(ParNode {
-            patterns: branches.iter().map(|b| b.input_patterns()).collect(),
-            branches: branches.into_iter().map(compile).collect(),
-        })),
-        NetSpec::Star { body, exit, .. } => Node::Star(Arc::new(StarNode {
-            body: compile(*body),
-            exit,
-        })),
-        NetSpec::Split { body, tag, .. } => Node::Split(Arc::new(SplitNode {
-            body: compile(*body),
-            tag,
-        })),
-        NetSpec::At { body, .. } | NetSpec::Named { body, .. } => compile(*body),
-    }
 }
 
 /// Recursively instantiates `node` feeding `output`, back to front, and

@@ -1,18 +1,18 @@
 //! Engine configuration and the construction-time work both concurrent
-//! engines share: fusion, the structural pre-flight, the entry-typed
-//! veto and compilation happen once, in [`Plan`], whichever engine then
-//! runs the plan.
+//! engines share: the structural pre-flight, the entry-typed veto and
+//! compilation (fusion included) happen once, in [`Plan`], whichever
+//! engine then runs the plan.
 //!
 //! The plan's executable form is one shared, immutable tree
-//! (`component::Node`; the fused topology is consumed to make it, not
-//! kept beside it). Every run — and every replica unfolded inside a run
-//! — is instantiated from that tree by reference count, so `&Plan` can
+//! ([`snet_core::fusion::Node`], compiled straight from the topology as
+//! written). Every run — and every replica unfolded inside a run — is
+//! instantiated from that tree by reference count, so `&Plan` can
 //! serve any number of concurrent runs without copying a spec.
 
-use crate::component::{compile, Node};
 use crate::run::{DeadDest, Run};
 use snet_analyze::AnalyzeConfig;
 use snet_core::fault::FailurePolicy;
+use snet_core::fusion::{compile, Node};
 use snet_core::semantics::MismatchPolicy;
 use snet_core::{Diagnostic, NetSpec, RType, SnetError};
 use std::sync::Arc;
@@ -45,7 +45,8 @@ pub struct EngineConfig {
     /// Worker threads in the scheduled engine's pool
     /// ([`crate::SchedNet`]); the threaded engine ignores it (its
     /// thread count is the component count).
-    /// Non-default: every `benchmark/` workload (T or T−1), `sched_stress`, CI's `SNET_WORKERS=1` lane.
+    /// Default: the CPUs available to the process, at most 4.
+    /// Non-default: every `benchmark/` workload (T or T−1), `sched_stress`, `bench_engines` (4, as its baselines).
     pub workers: usize,
     /// Records coalesced per mailbox hand-off in the scheduled engine:
     /// a task's activation buffers up to this many records per output
@@ -72,11 +73,11 @@ pub struct EngineConfig {
     /// Non-default: `fault_tolerance`'s deadline tests, the `snet-apps` robust runner.
     pub deadline: Option<Duration>,
     /// Fuse maximal static SISO chains of boxes/filters into single
-    /// components ([`snet_core::fusion::fuse`]) before instantiating
-    /// the network. Default `true`: fusion is observationally
-    /// equivalent (same output multiset, traces, and fault
-    /// attribution — see the `fusion_equivalence` property suite) and
-    /// strictly cheaper on deep pipelines. Set `false` to run the
+    /// components when compiling the network
+    /// ([`snet_core::fusion::compile`]). Default `true`: fusion is
+    /// observationally equivalent (same output multiset, traces, and
+    /// fault attribution — see the `fusion_equivalence` property suite)
+    /// and strictly cheaper on deep pipelines. Set `false` to run the
     /// topology exactly as written (one task/thread per component),
     /// e.g. to measure hand-off cost itself.
     /// Non-default: `fusion_equivalence`, `alloc_steady`, `memory_soak`, `benchmark/`'s `runtime.sched.hop_ns` row.
@@ -97,19 +98,14 @@ impl Default for EngineConfig {
     }
 }
 
-/// Default scheduled-engine pool size: the `SNET_WORKERS` environment
-/// variable when set to a positive integer (the CI constrained lane
-/// uses `SNET_WORKERS=1` under `taskset -c 0`), else 4. Read once; a
-/// later env change does not move the default mid-process.
+/// Default scheduled-engine pool size: the CPUs this process may run
+/// on ([`std::thread::available_parallelism`], which on Linux honours
+/// the affinity mask, so `taskset -c 0` yields one worker), capped at
+/// 4; 4 when the count is unavailable. Asked once: the query reads
+/// cgroup files, and `EngineConfig::default()` is called per network.
 fn default_workers() -> usize {
     static WORKERS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *WORKERS.get_or_init(|| {
-        std::env::var("SNET_WORKERS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(4)
-    })
+    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(4, |n| n.get().min(4)))
 }
 
 /// A topology prepared for execution: what [`crate::Network`] hands its
@@ -118,9 +114,9 @@ fn default_workers() -> usize {
 pub struct Plan {
     /// The topology as the caller wrote it.
     pub(crate) spec: NetSpec,
-    /// What actually runs: `spec` with maximal SISO chains fused into
-    /// single components (unless [`EngineConfig::fuse`] is off),
-    /// compiled into the shared tree every run instantiates from.
+    /// What actually runs: `spec` compiled into the shared tree every
+    /// run instantiates from, maximal SISO chains fused into single
+    /// components unless [`EngineConfig::fuse`] is off.
     pub(crate) root: Node,
     pub(crate) config: EngineConfig,
     /// Error-severity findings of the construction-time structural
@@ -134,55 +130,42 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// Fuses `spec` (unless opted out), compiles the result and runs the
+    /// Compiles `spec` (fusing unless opted out) and runs the
     /// structural pre-flight: sound for any input stream, and
     /// placement-blind (the local engines ignore `@`, so no node count
     /// is configured).
     pub(crate) fn new(spec: NetSpec, config: EngineConfig) -> Plan {
-        let fused = Plan::fused(&spec, &config);
-        Plan::compiled(spec, fused, config)
-    }
-
-    /// Like [`Plan::new`] for a declared (closed) entry type: the flow
-    /// analysis from `entry` runs on top of the structural pass, and any
-    /// error-severity finding of either refuses the plan.
-    pub(crate) fn with_entry_type(
-        spec: NetSpec,
-        entry: &RType,
-        config: EngineConfig,
-    ) -> Result<Plan, SnetError> {
-        let fused = Plan::fused(&spec, &config);
-        let errors: Vec<_> = snet_analyze::analyze(&fused, entry, &AnalyzeConfig::default())
-            .errors()
-            .cloned()
-            .collect();
-        if errors.is_empty() {
-            Ok(Plan::compiled(spec, fused, config))
-        } else {
-            Err(SnetError::Analysis(errors))
-        }
-    }
-
-    /// The topology the engines execute, before compilation.
-    fn fused(spec: &NetSpec, config: &EngineConfig) -> NetSpec {
-        if config.fuse {
-            snet_core::fuse(spec)
-        } else {
-            spec.clone()
-        }
-    }
-
-    fn compiled(spec: NetSpec, fused: NetSpec, config: EngineConfig) -> Plan {
         let preflight = snet_analyze::analyze_open(&spec, &AnalyzeConfig::default())
             .errors()
             .cloned()
             .collect();
         Plan {
             diverts: spec.diverts_under(config.policy),
+            root: compile(&spec, config.fuse),
             spec,
-            root: compile(fused),
             config,
             preflight,
+        }
+    }
+
+    /// Like [`Plan::new`] for a declared (closed) entry type: the flow
+    /// analysis from `entry` runs on top of the structural pass, and any
+    /// error-severity finding of either refuses the plan. Both passes
+    /// read `spec` as written, so a finding's path names the subnets
+    /// the author named.
+    pub(crate) fn with_entry_type(
+        spec: NetSpec,
+        entry: &RType,
+        config: EngineConfig,
+    ) -> Result<Plan, SnetError> {
+        let errors: Vec<_> = snet_analyze::analyze(&spec, entry, &AnalyzeConfig::default())
+            .errors()
+            .cloned()
+            .collect();
+        if errors.is_empty() {
+            Ok(Plan::new(spec, config))
+        } else {
+            Err(SnetError::Analysis(errors))
         }
     }
 
@@ -215,6 +198,20 @@ impl Plan {
             self.config.channel_capacity.max(1) * DEAD_CAPACITY_FACTOR
         } else {
             1
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn default_pool_fits_the_available_cpus() {
+        let workers = EngineConfig::default().workers;
+        assert!((1..=4).contains(&workers), "{workers}");
+        if let Ok(cpus) = std::thread::available_parallelism() {
+            assert!(workers <= cpus.get(), "{workers} workers on {cpus} CPUs");
         }
     }
 }

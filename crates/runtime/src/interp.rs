@@ -16,8 +16,7 @@ use snet_core::boxdef::{BoxDef, Work};
 use snet_core::fault::{self, DeadLetter, FailurePolicy, StepVerdict};
 use snet_core::semantics::{self, MismatchPolicy};
 use snet_core::{
-    ChainStage, FilterSpec, Label, NetSpec, Pattern, Record, SnetError, SyncOutcome, SyncSpec,
-    SyncState,
+    FilterSpec, Label, NetSpec, Pattern, Record, SnetError, SyncOutcome, SyncSpec, SyncState,
 };
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicU64;
@@ -202,17 +201,6 @@ impl Node {
                 replicas: BTreeMap::new(),
             },
             NetSpec::At { body, .. } | NetSpec::Named { body, .. } => Node::instantiate(body),
-            // Fusion is an execution-plan concern; the oracle expands a
-            // chain back to the serial composition it denotes, so fused
-            // and unfused specs are *literally* the same program here.
-            NetSpec::FusedChain { stages } => {
-                let mut nodes = stages.iter().rev().map(|s| match s {
-                    ChainStage::Box(def) => Node::Box(def.clone()),
-                    ChainStage::Filter(f) => Node::Filter(f.clone()),
-                });
-                let last = nodes.next().expect("fused chains are non-empty");
-                nodes.fold(last, |acc, n| Node::Serial(Box::new(n), Box::new(acc)))
-            }
         }
     }
 

@@ -40,8 +40,8 @@
 //! ## One engine core, two transports
 //!
 //! The two concurrent engines are one [`Network`] front end over an
-//! [`Engine`]: construction ([`config`]: fusion, pre-flight analysis,
-//! entry-typed veto), the per-run control block (`run`: first error,
+//! [`Engine`]: construction ([`config`]: pre-flight analysis,
+//! entry-typed veto, compilation), the per-run control block (`run`: first error,
 //! abort flag, deadline, dead letters, trace), the component step
 //! (`component`: failure policy, dispatch, lazy unfolding, counters)
 //! and the streaming [`Handle`] are each written once. An engine adds
@@ -52,9 +52,9 @@
 //!
 //! | module | protocol it owns | `snet-check` model |
 //! |---|---|---|
-//! | [`config`] | [`EngineConfig`]; `Plan`: fuse, pre-flight, entry-typed veto, compile, once per network | — (sequential) |
+//! | [`config`] | [`EngineConfig`]; `Plan`: pre-flight and entry-typed veto on the topology as written, then [`snet_core::fusion::compile`] (fusion is part of it), once per network | — (sequential) |
 //! | `run` | one run's first-error slot, abort flag, deadline, dead-letter stream: `fail` / `should_stop` / `divert` | — (a mutex and a flag; raced by `fault_tolerance.rs`) |
-//! | `component` | what one record does to one component, over an abstract `Transport`; `compile` to the shared tree, back-to-front `build` of a component graph from it | — (sequential per component; pinned to [`Interp`] by `engine_vs_interp.rs`, `fusion_equivalence.rs`) |
+//! | `component` | what is per instance: what one record does to one component, over an abstract `Transport`; back-to-front `build` of a component graph from the compiled tree | — (sequential per component; pinned to [`Interp`] by `engine_vs_interp.rs`, `fusion_equivalence.rs`) |
 //! | [`handle`] | the streaming handle: egress, cancel, finish, over an engine's [`Ingress`] | — |
 //! | [`engine`] | threaded transport: a thread per component, ports are channel senders, end-of-stream is disconnect | `channel.rs`, `eaten_wakeup.rs` (the channel shim it rides on) |
 //! | `sched::pool` | injector + per-worker deques, `notify` / `park` (lock-then-notify, sleeper gate, injector re-probe), deferral heap | `mailbox.rs` (wake protocol), `chase_lev.rs` (the deque) |
@@ -63,8 +63,8 @@
 //!
 //! ## The compiled plan, and what an instance costs
 //!
-//! A [`Network`] compiles its (fused) topology once into an immutable
-//! tree whose leaves — box definitions, filter and synchrocell specs,
+//! A [`Network`] compiles its topology once
+//! ([`snet_core::fusion::compile`]) into an immutable tree whose leaves — box definitions, filter and synchrocell specs,
 //! fused-chain stage lists — and replicating combinators — parallel
 //! branch patterns, star and split bodies — sit behind `Arc`s. Every
 //! run, and every star or split replica unfolded while a run is live,
@@ -129,12 +129,14 @@
 //!
 //! ## Operator fusion ([`EngineConfig::fuse`])
 //!
-//! Before instantiating a network, both concurrent engines rewrite the
-//! [`NetSpec`] with
-//! [`snet_core::fuse`]: every **maximal static SISO chain** — a serial
-//! run of boxes and filters with a single input and a single output
-//! and no intervening merge point — collapses into one
-//! `NetSpec::FusedChain` component. A fused chain is one scheduler
+//! Fusion is a step of compilation, not a topology: a [`NetSpec`] is
+//! always the network as written — that is what [`Interp`], `snet-dist`,
+//! `snet-analyze` and the printer read, and none of them ever sees a
+//! chain — while the tree both concurrent engines compile it into
+//! ([`snet_core::fusion::compile`]) holds every **maximal static SISO
+//! chain** — a serial run of boxes and filters with a single input and
+//! a single output and no intervening merge point — as one
+//! `Node::Chain` component. A fused chain is one scheduler
 //! task (one thread on the threaded engine): each activation runs its
 //! records through *all* stages back-to-back in two ping-pong buffers,
 //! so a depth-N pipeline costs zero mailbox hops, locks, or wakes
@@ -152,8 +154,8 @@
 //! in the chain is attributed to the exact stage that raised it. The
 //! trace still counts per-stage `box_ops`/`filter_ops` via the chain
 //! tally, so fused and unfused runs are indistinguishable to
-//! observers. `EngineConfig { fuse: false, .. }` disables the rewrite
-//! and runs the chain stage-per-task — the equivalence property suite
+//! observers. `EngineConfig { fuse: false, .. }` compiles every leaf
+//! standalone and runs the chain stage-per-task — the equivalence property suite
 //! (`fusion_equivalence.rs`) holds fused, unfused, and interpreter
 //! runs to the same output multisets, dead-letter multisets, and
 //! failure attributions. On the depth-16 pipeline benchmark the fused

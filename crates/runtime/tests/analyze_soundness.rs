@@ -349,3 +349,35 @@ fn entry_typed_construction_rejects_unroutable_nets() {
     };
     assert_eq!(err.diag_code(), Some(DiagCode::SyncNeverFires));
 }
+
+/// The entry-typed veto analyses the topology as written, not the
+/// engines' compiled plan: a defect inside a fusable run is located by
+/// the subnet names its author gave, exactly as `snet-lint` reports it.
+#[test]
+fn entry_typed_diagnostics_name_the_topology_as_written() {
+    // [] .. [{a} -> {a, c = b}] .. add, wrapped as `stage`: the filter
+    // in the middle copies field `b`, which {a} never carries.
+    let unbound = NetSpec::Filter(FilterSpec::new(
+        Pattern::from_variant(Variant::parse_labels(&["a"], &[])),
+        vec![OutputTemplate::empty()
+            .keep_field("a")
+            .rename_field("c", "b")],
+    ));
+    let spec = NetSpec::named(
+        "stage",
+        NetSpec::pipeline([NetSpec::identity(), unbound, add_box()]),
+    );
+    let entry = RType::single(Variant::parse_labels(&["a"], &[]));
+    let Err(SnetError::Analysis(diags)) =
+        SchedNet::with_entry_type(spec.clone(), &entry, EngineConfig::default())
+    else {
+        panic!("expected an analysis rejection");
+    };
+    let [d] = &diags[..] else {
+        panic!("expected one finding: {diags:?}");
+    };
+    assert_eq!(d.code, DiagCode::UnboundLabel);
+    assert_eq!(d.path, "net/stage/filter");
+    let direct = analyze(&spec, &entry, &AnalyzeConfig::default());
+    assert_eq!(diags, direct.errors().cloned().collect::<Vec<_>>());
+}

@@ -13,9 +13,12 @@
 use proptest::prelude::*;
 use snet_core::boxdef::{BoxDef, BoxOutput, BoxSig, RecordVec, Work};
 use snet_core::filter::OutputTemplate;
+use snet_core::fusion::Node;
 use snet_core::{BinOp, FilterSpec, NetSpec, Pattern, Record, SyncSpec, TagExpr, Value, Variant};
+use snet_runtime::engine::Threaded;
 use snet_runtime::faultinject::{chaos, FaultSpec};
-use snet_runtime::{EngineConfig, FailurePolicy, Interp, Net, SchedNet};
+use snet_runtime::sched::Scheduled;
+use snet_runtime::{Engine, EngineConfig, FailurePolicy, Interp, Net, Network, SchedNet};
 use std::time::Duration;
 
 /// A box consuming `{a}` and emitting `{a: a + 1}`.
@@ -155,20 +158,23 @@ fn unfused_cfg() -> EngineConfig {
     }
 }
 
+/// The fused chains in a compiled plan.
+fn count_chains(node: &Node) -> usize {
+    match node {
+        Node::Chain(_) => 1,
+        Node::Box(_) | Node::Filter(_) | Node::Sync(_) => 0,
+        Node::Serial(a, b) => count_chains(a) + count_chains(b),
+        Node::Par(par) => par.branches.iter().map(count_chains).sum(),
+        Node::Star(star) => count_chains(&star.body),
+        Node::Split(split) => count_chains(&split.body),
+    }
+}
+
 /// Whether a compiled plan contains at least one fused chain — used to
 /// keep the equivalence properties honest (a suite whose generator never
 /// produces a fusable run proves nothing about fusion).
-fn contains_chain(net: &NetSpec) -> bool {
-    match net {
-        NetSpec::FusedChain { .. } => true,
-        NetSpec::Box(_) | NetSpec::Filter(_) | NetSpec::Sync(_) => false,
-        NetSpec::Serial(a, b) => contains_chain(a) || contains_chain(b),
-        NetSpec::Parallel { branches, .. } => branches.iter().any(contains_chain),
-        NetSpec::Star { body, .. }
-        | NetSpec::Split { body, .. }
-        | NetSpec::At { body, .. }
-        | NetSpec::Named { body, .. } => contains_chain(body),
-    }
+fn contains_chain(node: &Node) -> bool {
+    count_chains(node) > 0
 }
 
 /// A flaky `{x} -> {x+1}` box on a content-keyed schedule.
@@ -378,25 +384,34 @@ fn generator_produces_fusable_chains() {
 }
 
 #[test]
+fn the_plan_shows_in_the_trace() {
+    // What the engines instantiate is the compiled tree: the same
+    // depth-4 pipeline is one component fused and four as written.
+    fn built<E: Engine>(config: EngineConfig) -> u64 {
+        let net = NetSpec::pipeline([add_box(), dup_box(), rename_filter(), tag_filter()]);
+        let batch = vec![Record::new()
+            .with_field("a", Value::Int(1))
+            .with_tag("n", 2)];
+        let (outs, trace) = Network::<E>::with_config(net, config)
+            .run_batch_traced(batch)
+            .unwrap();
+        assert_eq!(outs.len(), 2);
+        trace.get(&trace.components_built)
+    }
+    assert_eq!(built::<Scheduled>(fused_cfg()), 1);
+    assert_eq!(built::<Scheduled>(unfused_cfg()), 4);
+    assert_eq!(built::<Threaded>(fused_cfg()), 1);
+    assert_eq!(built::<Threaded>(unfused_cfg()), 4);
+}
+
+#[test]
 fn boundaries_split_chains_into_fused_halves() {
     // pipeline .. star .. pipeline: the star breaks the chain, both
     // halves fuse, and all engines agree with the oracle.
     let half = || NetSpec::pipeline([add_box(), tag_filter()]);
     let net = NetSpec::serial(half(), NetSpec::serial(countdown_star(), half()));
     let plan = snet_core::fuse(&net);
-    fn count_chains(net: &NetSpec) -> usize {
-        match net {
-            NetSpec::FusedChain { .. } => 1,
-            NetSpec::Serial(a, b) => count_chains(a) + count_chains(b),
-            NetSpec::Parallel { branches, .. } => branches.iter().map(count_chains).sum(),
-            NetSpec::Star { body, .. }
-            | NetSpec::Split { body, .. }
-            | NetSpec::At { body, .. }
-            | NetSpec::Named { body, .. } => count_chains(body),
-            _ => 0,
-        }
-    }
-    assert_eq!(count_chains(&plan), 2, "both halves must fuse: {plan}");
+    assert_eq!(count_chains(&plan), 2, "both halves must fuse: {plan:?}");
 
     let batch: Vec<Record> = (0..12)
         .map(|i| {

@@ -11,6 +11,8 @@
 
 use snet_apps::{run_snet_local, NetVariant, Schedule, SnetConfig, Workload};
 use snet_raytracer::ScenePreset;
+use snet_runtime::engine::Threaded;
+use snet_runtime::EngineConfig;
 use std::time::Instant;
 
 fn main() {
@@ -41,7 +43,8 @@ fn main() {
         cfg.nodes
     );
     let t0 = Instant::now();
-    let image = run_snet_local(&wl, &cfg).expect("the network runs to completion");
+    let (image, _) = run_snet_local::<Threaded>(&wl, &cfg, EngineConfig::default())
+        .expect("the network runs to completion");
     let parallel_time = t0.elapsed();
 
     let t1 = Instant::now();

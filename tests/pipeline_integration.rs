@@ -4,12 +4,14 @@
 //! every variant and under adversarial arrival orders in the merger.
 
 use snet_apps::{
-    image_slot, input_record, merger_net, raytracing_net, run_snet_local, run_snet_local_sched,
-    ChunkData, NetVariant, PicData, Schedule, SnetConfig, Workload,
+    image_slot, input_record, merger_net, raytracing_net, run_snet_local, ChunkData, NetVariant,
+    PicData, Schedule, SnetConfig, Workload,
 };
 use snet_core::{Record, SnetError, Value};
 use snet_raytracer::{split_rows, Chunk, Image, ScenePreset};
-use snet_runtime::{Engine, Interp, Net, Network, SchedNet};
+use snet_runtime::engine::Threaded;
+use snet_runtime::sched::Scheduled;
+use snet_runtime::{Engine, EngineConfig, Interp, Net, Network, SchedNet};
 
 fn workload() -> Workload {
     Workload {
@@ -24,11 +26,15 @@ fn workload() -> Workload {
 /// One engine entry point under test.
 type EngineFn = fn(&Workload, &SnetConfig) -> Result<Image, SnetError>;
 
+fn run_local<E: Engine>(wl: &Workload, cfg: &SnetConfig) -> Result<Image, SnetError> {
+    run_snet_local::<E>(wl, cfg, EngineConfig::default()).map(|(image, _)| image)
+}
+
 /// The local engines under test, behind one function shape.
 fn engines() -> [(&'static str, EngineFn); 2] {
     [
-        ("threaded", run_snet_local as EngineFn),
-        ("sched", run_snet_local_sched as EngineFn),
+        ("threaded", run_local::<Threaded> as EngineFn),
+        ("sched", run_local::<Scheduled> as EngineFn),
     ]
 }
 
