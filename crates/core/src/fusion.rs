@@ -1,35 +1,36 @@
 //! Compilation: one walk from the topology as written ([`NetSpec`]) to
-//! the shared tree the concurrent engines execute ([`Node`]), fusing
-//! static SISO chains into single components on the way.
+//! the shared tree the concurrent engines execute ([`Node`]), and the
+//! one way a box or filter is run ([`ChainRunner`]).
 //!
-//! The benches say inter-component hand-off dominates deep pipelines —
-//! depth-16 costs ~7x depth-1 on the scheduled engine even with batched
-//! mailboxes. But maximal runs of *stateless* SISO components (boxes
-//! and filters composed with `..`) are known statically from the
-//! [`NetSpec`], and nothing in the semantics requires a queue between
-//! them: serial composition of stateless components is function
-//! composition. [`compile`] therefore turns every such run into one
-//! [`Node::Chain`] whose execution pushes each record through the whole
-//! chain in place — zero mailbox hops — while mailboxes remain exactly
-//! at the boundaries where they carry semantics: synchrocells
-//! (stateful), parallel dispatch/merge, star taps, and index splits.
-//! This is the compile-time grain-tuning the S-Net-vs-CnC study
-//! (arXiv:1305.7167) credits for CnC's wins, applied at the
-//! coordination layer where S+Net (arXiv:1306.2743) argues such
-//! controls belong — which is why a chain exists only in the compiled
-//! tree: a [`NetSpec`] is always the network as its author wrote it,
-//! and the reference interpreter, the `snet-dist` simulator, the
-//! analyzer and the printer never see one.
+//! Boxes and filters are stateless SISO components, and serial
+//! composition of stateless components is function composition:
+//! nothing in the semantics requires a queue between them. So the
+//! compiled tree has one stateless leaf, the [`Node::Chain`] — a run of
+//! one or more boxes and filters executed as one component, each record
+//! crossing every stage in place — and mailboxes remain exactly at the
+//! boundaries where they carry semantics: synchrocells (stateful),
+//! parallel dispatch/merge, star taps, and index splits. How many
+//! consecutive leaves share a chain is a **grain** choice made at
+//! compile time (`fuse`: maximal runs, or one leaf per chain), the
+//! compile-time grain-tuning the S-Net-vs-CnC study (arXiv:1305.7167)
+//! treats as the compiler's business over one execution model; it
+//! changes how many components a run builds and how many hand-offs a
+//! record makes, and selects no code path. A chain exists only in the
+//! compiled tree: a [`NetSpec`] is always the network as its author
+//! wrote it, and the reference interpreter, the `snet-dist` simulator,
+//! the analyzer and the printer never see one.
 //!
-//! **Fault semantics are preserved per stage.** [`ChainRunner`] resolves
-//! the failure policy per original [`BoxDef`]
-//! ([`BoxDef::effective_policy`]), mints dead letters that name the
-//! original component (box name, or `"filter"`), retries only the
-//! failing stage (with the record exactly as it arrived *at that
-//! stage*), and charges the same trace counters — so a fused run is
-//! indistinguishable from an unfused one in everything but speed, and
-//! chaos wrappers (`snet_runtime::faultinject`) keep targeting
-//! individual stages because they wrap the `BoxDef` itself.
+//! **Every stage is its own component as far as faults go** — the one
+//! point of the coordination layer where failure policy is applied
+//! (S+Net, arXiv:1306.2743). [`ChainRunner`] resolves the policy per
+//! original [`BoxDef`] ([`BoxDef::effective_policy`]), mints dead
+//! letters that name the original component (box name, or `"filter"`),
+//! retries only the failing stage (with the record exactly as it
+//! arrived *at that stage*), and tallies per stage — so the output, the
+//! trace and the fault attribution of a run do not depend on the grain
+//! (the `fusion_equivalence` suite), and chaos wrappers
+//! (`snet_runtime::faultinject`) keep targeting individual stages
+//! because they wrap the `BoxDef` itself.
 
 use crate::boxdef::BoxDef;
 use crate::fault::{self, DeadLetter, FailurePolicy, StepVerdict};
@@ -44,7 +45,7 @@ use crate::SnetError;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
-/// One stage of a fused chain: the stateless SISO components.
+/// One stage of a chain: the stateless SISO components.
 ///
 /// Synchrocells are SISO too but stateful (they are their own fusion
 /// boundary), and combinators are not primitive — so a chain stage is
@@ -67,12 +68,9 @@ pub enum ChainStage {
 /// ignore placement, and `snet-dist` reads it from the [`NetSpec`].
 #[derive(Debug)]
 pub enum Node {
-    /// A box standing alone.
-    Box(Arc<BoxDef>),
-    /// A filter standing alone.
-    Filter(Arc<FilterSpec>),
-    /// A maximal serial run of two or more boxes/filters, executed as
-    /// one component. Only [`compile`] with `fuse` on makes these.
+    /// A serial run of one or more boxes/filters, executed as one
+    /// component — the only stateless leaf. Maximal with `fuse` on,
+    /// always of length 1 with it off.
     Chain(Arc<[ChainStage]>),
     /// A synchrocell.
     Sync(Arc<SyncSpec>),
@@ -131,12 +129,12 @@ pub fn fuse(spec: &NetSpec) -> Node {
 ///
 /// * serial spines are flattened and descriptive [`NetSpec::Named`]
 ///   wrappers are looked through (they carry no semantics);
-/// * with `fuse` on, consecutive box/filter elements of a spine are
-///   grouped into maximal runs: a run of length ≥ 2 becomes one
-///   [`Node::Chain`], a singleton stays a [`Node::Box`] or
-///   [`Node::Filter`]. With `fuse` off every leaf stands alone and the
-///   tree holds no chain — the topology runs exactly as written, one
-///   component per primitive;
+/// * every box and filter becomes a stage of a [`Node::Chain`]. With
+///   `fuse` on, consecutive box/filter elements of a spine share one
+///   chain (maximal runs); with `fuse` off every chain has length 1 —
+///   the topology runs exactly as written, one component per
+///   primitive. `fuse` picks that grain (in `leaf`) and nothing else:
+///   both settings execute through the same [`ChainRunner`];
 /// * every other combinator ([`NetSpec::Sync`], [`NetSpec::Parallel`],
 ///   [`NetSpec::Star`], [`NetSpec::Split`], [`NetSpec::At`]) is a
 ///   fusion **boundary**: it ends the run before it, and its
@@ -187,7 +185,8 @@ fn walk(spec: &NetSpec, fuse: bool, run: &mut Vec<ChainStage>, spine: &mut Vec<N
     spine.push(boundary);
 }
 
-/// Adds a leaf to the open run; unfused, the run ends with it.
+/// Adds a leaf to the open run; unfused, the run ends with it. This
+/// is the one place `fuse` is read.
 fn leaf(stage: ChainStage, fuse: bool, run: &mut Vec<ChainStage>, spine: &mut Vec<Node>) {
     run.push(stage);
     if !fuse {
@@ -195,23 +194,17 @@ fn leaf(stage: ChainStage, fuse: bool, run: &mut Vec<ChainStage>, spine: &mut Ve
     }
 }
 
-/// Closes the open run: length ≥ 2 becomes a chain, a singleton stays
-/// the leaf it was.
+/// Closes the open run, if any, into a chain.
 fn flush_run(run: &mut Vec<ChainStage>, spine: &mut Vec<Node>) {
-    match run.len() {
-        0 => {}
-        1 => spine.push(match run.pop().expect("len checked") {
-            ChainStage::Box(def) => Node::Box(Arc::new(def)),
-            ChainStage::Filter(f) => Node::Filter(Arc::new(f)),
-        }),
-        _ => spine.push(Node::Chain(run.drain(..).collect())),
+    if !run.is_empty() {
+        spine.push(Node::Chain(run.drain(..).collect()));
     }
 }
 
-/// Trace deltas accumulated while a record traverses a fused chain;
-/// engines fold them into their own counters after each
-/// [`ChainRunner::step_batch`] so fused and unfused runs report
-/// identical traces.
+/// Trace deltas accumulated while a batch traverses a chain; engines
+/// fold them into their own counters after each
+/// [`ChainRunner::step_batch`], so the trace reads the same whatever
+/// grain `fuse` picked.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ChainTally {
     /// Records fed through box stages (matched only).
@@ -227,14 +220,16 @@ pub struct ChainTally {
     pub retries: u64,
 }
 
-/// Reusable scratch state for driving records through a fused chain.
+/// Reusable scratch state for driving records through a chain.
 ///
-/// The two ping-pong buffers are the chain's only allocation and are
-/// reused across records, so the steady-state hot path allocates
-/// nothing beyond what the stages themselves produce. [`new`] draws
-/// the buffers from [`crate::pool`] and `Drop` returns them, so even
-/// runner churn (one per chain task, per threaded-engine stage thread)
-/// recycles warmed capacity instead of mallocing.
+/// The two ping-pong buffers carry a batch between the stages of a
+/// chain of two or more (a chain of one reads its input and writes its
+/// output directly) and are reused across batches, so the steady-state
+/// hot path allocates nothing beyond what the stages themselves
+/// produce; both are empty between calls, whether the last batch
+/// succeeded or failed. A runner belongs to whoever is stepping, not to
+/// a chain — the engines keep one per thread — and [`new`] draws the
+/// buffers from [`crate::pool`] and `Drop` returns them.
 ///
 /// [`new`]: ChainRunner::new
 #[derive(Debug, Default)]
@@ -253,16 +248,16 @@ impl ChainRunner {
     }
 
     /// Drives a hand-off batch through `stages`, appending the chain's
-    /// final outputs to `out`.
+    /// final outputs to `out` (nothing, if the batch fails).
     ///
-    /// Stage-by-stage semantics are *identical* to the unfused engines:
-    /// the policy is resolved per original component (per-box override
-    /// first, engine default otherwise), panics are contained and
-    /// attributed to the stage that raised them, retries re-run only the
-    /// failing stage on the record as it arrived there, and diverted
-    /// records go to `divert` carrying the original component name. A
-    /// fatal verdict aborts the whole chain (the run), exactly as it
-    /// aborts the whole run unfused. Counter deltas land in `tally`.
+    /// Every stage is its own component as far as faults go: the policy
+    /// is resolved per original component (per-box override first,
+    /// engine default otherwise), panics are contained and attributed
+    /// to the stage that raised them, retries re-run only the failing
+    /// stage on the record as it arrived there, and diverted records go
+    /// to `divert` carrying the original component name. A fatal
+    /// verdict aborts the whole chain and with it the run. Counter
+    /// deltas land in `tally`.
     ///
     /// The batch advances *stage-major*: every queued record goes
     /// through stage `k` before stage `k + 1` runs. Each stage is an
@@ -276,7 +271,7 @@ impl ChainRunner {
     /// per batch instead of one per stage: under `FailFast` any panic
     /// or error is fatal to the run either way, so a single catch
     /// observing the currently running stage reports exactly what the
-    /// per-stage guard would. Lenient stages still go through
+    /// per-stage guard would. Lenient stages go through
     /// [`fault::policy_step`], which owns the clone/retry machinery.
     #[allow(clippy::too_many_arguments)] // mirrors the per-engine step context
     pub fn step_batch(
@@ -290,9 +285,7 @@ impl ChainRunner {
         out: &mut Vec<Record>,
         divert: &mut dyn FnMut(Box<DeadLetter>) -> Result<(), SnetError>,
     ) -> Result<(), SnetError> {
-        self.cur.clear();
-        self.next.clear();
-        self.cur.extend(recs);
+        let mark = out.len();
         // Which stage is currently executing *outside* a per-stage
         // guard; the outer catch below uses it for fault attribution.
         let mut active: Option<&str> = None;
@@ -304,6 +297,7 @@ impl ChainRunner {
                     engine_policy,
                     mismatch,
                     seq,
+                    recs.into_iter(),
                     tally,
                     out,
                     divert,
@@ -311,13 +305,21 @@ impl ChainRunner {
                 )
             }))
         };
-        match caught {
+        let res = match caught {
             Ok(res) => res,
             Err(payload) => Err(SnetError::BoxFailure {
-                name: active.unwrap_or("fused-chain").to_owned(),
+                name: active.unwrap_or("chain").to_owned(),
                 cause: format!("panicked: {}", crate::panic_cause(payload.as_ref())),
             }),
+        };
+        if res.is_err() {
+            // A failed batch leaves nothing behind, in the scratch or in
+            // `out` (a success has moved everything to `out` already).
+            self.cur.clear();
+            self.next.clear();
+            out.truncate(mark);
         }
+        res
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -327,84 +329,81 @@ impl ChainRunner {
         engine_policy: FailurePolicy,
         mismatch: MismatchPolicy,
         seq: &AtomicU64,
+        recs: impl Iterator<Item = Record>,
         tally: &mut ChainTally,
         out: &mut Vec<Record>,
         divert: &mut dyn FnMut(Box<DeadLetter>) -> Result<(), SnetError>,
         active: &mut Option<&'a str>,
     ) -> Result<(), SnetError> {
-        for stage in stages {
-            if self.cur.is_empty() {
-                break;
-            }
-            for r in self.cur.drain(..) {
-                match stage {
-                    ChainStage::Box(def) => {
-                        let policy = def.effective_policy(engine_policy);
-                        if matches!(policy, FailurePolicy::FailFast) {
-                            *active = Some(&def.sig.name);
-                            let step = semantics::box_step(def, r, mismatch)?;
-                            *active = None;
-                            if step.matched {
-                                tally.box_records += 1;
-                                tally.box_ops += step.work.ops;
-                            } else {
-                                tally.passthroughs += 1;
-                            }
-                            self.next.extend(step.records);
-                            continue;
-                        }
-                        let verdict = fault::policy_step(policy, &def.sig.name, seq, r, |r| {
-                            semantics::box_step(def, r, mismatch)
-                        });
-                        match verdict {
-                            StepVerdict::Out { step, attempts } => {
-                                tally.retries += u64::from(attempts - 1);
-                                if step.matched {
-                                    tally.box_records += 1;
-                                    tally.box_ops += step.work.ops;
-                                } else {
-                                    tally.passthroughs += 1;
-                                }
-                                self.next.extend(step.records);
-                            }
-                            StepVerdict::Dead(dl) => divert(dl)?,
-                            StepVerdict::Fatal(e) => return Err(e),
-                        }
-                    }
-                    ChainStage::Filter(f) => {
-                        if matches!(engine_policy, FailurePolicy::FailFast) {
-                            *active = Some("filter");
-                            let step = semantics::filter_step(f, r, mismatch)?;
-                            *active = None;
-                            if step.matched {
-                                tally.filter_records += 1;
-                            } else {
-                                tally.passthroughs += 1;
-                            }
-                            self.next.extend(step.records);
-                            continue;
-                        }
-                        let verdict = fault::policy_step(engine_policy, "filter", seq, r, |r| {
-                            semantics::filter_step(f, r, mismatch)
-                        });
-                        match verdict {
-                            StepVerdict::Out { step, .. } => {
-                                if step.matched {
-                                    tally.filter_records += 1;
-                                } else {
-                                    tally.passthroughs += 1;
-                                }
-                                self.next.extend(step.records);
-                            }
-                            StepVerdict::Dead(dl) => divert(dl)?,
-                            StepVerdict::Fatal(e) => return Err(e),
-                        }
-                    }
+        // The one way a box or filter is run: every record of `input`
+        // through `stage`, its outputs appended to `sink`.
+        let mut run_stage = |stage: &'a ChainStage,
+                             input: &mut dyn Iterator<Item = Record>,
+                             sink: &mut Vec<Record>| {
+            // Resolved per original component: a box's own override
+            // first, the engine default otherwise; filters follow the
+            // engine (their errors are deterministic, so `Retry`
+            // degenerates to `FailFast` inside `policy_step`).
+            let (policy, name) = match stage {
+                ChainStage::Box(def) => {
+                    (def.effective_policy(engine_policy), def.sig.name.as_str())
                 }
+                ChainStage::Filter(_) => (engine_policy, "filter"),
+            };
+            let lean = matches!(policy, FailurePolicy::FailFast);
+            let run = |r: Record| match stage {
+                ChainStage::Box(def) => semantics::box_step(def, r, mismatch),
+                ChainStage::Filter(f) => semantics::filter_step(f, r, mismatch),
+            };
+            for r in input {
+                let step = if lean {
+                    *active = Some(name);
+                    let step = run(r)?;
+                    *active = None;
+                    step
+                } else {
+                    match fault::policy_step(policy, name, seq, r, run) {
+                        StepVerdict::Out { step, attempts } => {
+                            tally.retries += u64::from(attempts - 1);
+                            step
+                        }
+                        StepVerdict::Dead(dl) => {
+                            divert(dl)?;
+                            continue;
+                        }
+                        StepVerdict::Fatal(e) => return Err(e),
+                    }
+                };
+                match stage {
+                    _ if !step.matched => tally.passthroughs += 1,
+                    ChainStage::Box(_) => {
+                        tally.box_records += 1;
+                        tally.box_ops += step.work.ops;
+                    }
+                    ChainStage::Filter(_) => tally.filter_records += 1,
+                }
+                sink.extend(step.records);
+            }
+            Ok(())
+        };
+        // The first stage reads the batch itself and the last writes
+        // straight to `out`, so a chain of one touches no scratch; the
+        // stages between ping-pong through `cur` and `next`.
+        let mut batch = Some(recs);
+        for (k, stage) in stages.iter().enumerate() {
+            let sink = if k + 1 == stages.len() {
+                &mut *out
+            } else {
+                &mut self.next
+            };
+            match batch.take() {
+                Some(mut recs) => run_stage(stage, &mut recs, sink)?,
+                None => run_stage(stage, &mut self.cur.drain(..), sink)?,
             }
             std::mem::swap(&mut self.cur, &mut self.next);
         }
-        out.append(&mut self.cur);
+        // No stage at all is the identity.
+        out.extend(batch.into_iter().flatten());
         Ok(())
     }
 }
@@ -464,14 +463,15 @@ mod tests {
         }
     }
 
-    fn holds_chain(node: &Node) -> bool {
+    /// The length of every chain in the tree, in pipeline order.
+    fn chain_lengths(node: &Node) -> Vec<usize> {
         match node {
-            Node::Chain(_) => true,
-            Node::Box(_) | Node::Filter(_) | Node::Sync(_) => false,
-            Node::Serial(a, b) => holds_chain(a) || holds_chain(b),
-            Node::Par(par) => par.branches.iter().any(holds_chain),
-            Node::Star(star) => holds_chain(&star.body),
-            Node::Split(split) => holds_chain(&split.body),
+            Node::Chain(stages) => vec![stages.len()],
+            Node::Sync(_) => vec![],
+            Node::Serial(a, b) => [chain_lengths(a), chain_lengths(b)].concat(),
+            Node::Par(par) => par.branches.iter().flat_map(chain_lengths).collect(),
+            Node::Star(star) => chain_lengths(&star.body),
+            Node::Split(split) => chain_lengths(&split.body),
         }
     }
 
@@ -504,14 +504,14 @@ mod tests {
     }
 
     #[test]
-    fn singletons_stay_unfused() {
+    fn singletons_are_chains_of_one() {
         let spec = NetSpec::pipeline([inc("a"), sync_ab(), NetSpec::identity()]);
         let fused = fuse(&spec);
         let [a, _, id] = spine(&fused)[..] else {
             panic!("expected three elements: {fused:?}");
         };
-        assert!(matches!(a, Node::Box(def) if def.sig.name == "a"));
-        assert!(matches!(id, Node::Filter(_)));
+        assert_eq!(chain(a), Some(vec!["a"]));
+        assert_eq!(chain(id), Some(vec!["[]"]));
     }
 
     #[test]
@@ -533,7 +533,7 @@ mod tests {
             panic!("parallel survives compilation")
         };
         assert_eq!(chain(&par.branches[0]), Some(vec!["l1", "l2"]));
-        assert!(matches!(&par.branches[1], Node::Box(_)));
+        assert_eq!(chain(&par.branches[1]), Some(vec!["r"]));
         assert_eq!(par.patterns.len(), 2);
 
         // A placed subnet is a boundary too: it neither joins the run
@@ -545,10 +545,11 @@ mod tests {
         ]);
         let fused = fuse(&placed);
         let [a, body, d] = spine(&fused)[..] else {
-            panic!("expected box .. chain .. box: {fused:?}");
+            panic!("expected a .. (b .. c) .. d: {fused:?}");
         };
-        assert!(matches!(a, Node::Box(_)) && matches!(d, Node::Box(_)));
+        assert_eq!(chain(a), Some(vec!["a"]));
         assert_eq!(chain(body), Some(vec!["b", "c"]));
+        assert_eq!(chain(d), Some(vec!["d"]));
     }
 
     #[test]
@@ -568,13 +569,15 @@ mod tests {
             NetSpec::star(NetSpec::serial(inc("s1"), inc("s2")), pattern("z")),
             NetSpec::parallel(vec![NetSpec::serial(inc("l1"), inc("l2")), inc("r")]),
         ]);
-        assert!(holds_chain(&compile(&spec, true)));
+        // Fused: a..b..[] | s1..s2 | l1..l2, r.
+        assert_eq!(chain_lengths(&compile(&spec, true)), [3, 2, 2, 1]);
+        // Unfused: the same eight leaves, one chain each.
         let plain = compile(&spec, false);
-        assert!(!holds_chain(&plain), "{plain:?}");
+        assert_eq!(chain_lengths(&plain), [1; 8], "{plain:?}");
         let elems = spine(&plain);
         assert_eq!(elems.len(), 5);
-        assert!(matches!(elems[1], Node::Box(def) if def.sig.name == "b"));
-        assert!(matches!(elems[2], Node::Filter(_)));
+        assert_eq!(chain(elems[1]), Some(vec!["b"]));
+        assert_eq!(chain(elems[2]), Some(vec!["[]"]));
         let Node::Star(star) = elems[3] else {
             panic!("star keeps its place: {plain:?}")
         };

@@ -132,7 +132,10 @@ fn give_to<T: Recyclable>(
         return;
     }
     buf.reset();
-    let spill = local.with(|l| {
+    // `try_with`: a buffer owned by another thread-local (the engines'
+    // per-thread chain scratch) is given back from that value's
+    // destructor, which may run after this freelist's own.
+    let Ok(spill) = local.try_with(move |l| {
         let mut l = l.borrow_mut();
         if l.len() < LOCAL_CAP {
             l.push(buf);
@@ -140,7 +143,10 @@ fn give_to<T: Recyclable>(
         } else {
             Some(buf)
         }
-    });
+    }) else {
+        DROPPED.fetch_add(1, Ordering::Relaxed);
+        return;
+    };
     let Some(buf) = spill else {
         RECYCLED.fetch_add(1, Ordering::Relaxed);
         return;

@@ -1,17 +1,17 @@
-//! The component layer of both concurrent engines: what a box, filter,
-//! fused chain, synchrocell, parallel dispatcher, star tap or split
-//! dispatcher does to one record, written once over an abstract
-//! [`Transport`].
+//! The component layer of both concurrent engines: what a chain (the
+//! one stateless leaf: a run of one or more boxes and filters), a
+//! synchrocell, a parallel dispatcher, a star tap or a split dispatcher
+//! does to one record, written once over an abstract [`Transport`].
 //!
 //! An engine contributes only the transport — what a port is, how a
 //! record is put on one, and how a component gets something to run on
 //! (a thread, a scheduler task). Everything semantic lives here: the
 //! failure policy around each step, the trace counters, best-match
 //! dispatch, and the lazy unfolding of star and split replicas. This is
-//! the only code in the concurrent engines that calls
-//! [`fault::policy_step`], [`fault::reject`], [`semantics`],
-//! [`ChainRunner`] or bumps a [`Trace`] counter, so the engines cannot
-//! drift apart on what a component does.
+//! the only code in the concurrent engines that calls [`ChainRunner`]
+//! (which owns the failure policy around every box and filter step),
+//! [`fault::reject`], [`semantics::best_branch`] or bumps a [`Trace`]
+//! counter, so the engines cannot drift apart on what a component does.
 //!
 //! ## Compiled once, instantiated many times
 //!
@@ -23,13 +23,16 @@
 //! [`crate::config::Plan`]) into a shared [`Node`] tree; this module
 //! holds only what exists per instance:
 //!
-//! * **shared, immutable** (behind `Arc`s in the tree): every
-//!   [`BoxDef`], [`FilterSpec`], [`SyncSpec`] and fused-chain stage
-//!   list; each parallel node's branch patterns; each star's body and
-//!   exit pattern, each split's body and tag;
+//! * **shared, immutable** (behind `Arc`s in the tree): every chain's
+//!   stage list (its `BoxDef`s and `FilterSpec`s) and every
+//!   [`SyncSpec`]; each parallel node's branch patterns; each star's
+//!   body and exit pattern, each split's body and tag;
 //! * **per instance** (in `Kind`): one `Arc` pointer into the tree plus
-//!   the instance's own state — output ports, a synchrocell's slots, a
-//!   chain's scratch buffers, the replicas unfolded so far.
+//!   the instance's own state — output ports, a synchrocell's slots,
+//!   the replicas unfolded so far. A chain has no state of its own;
+//! * **per thread** (`SCRATCH`): the buffers a chain step works
+//!   in, so a standalone box costs an instance nothing a pointer does
+//!   not.
 //!
 //! [`build`] and the unfolding arms of [`Component::step`] therefore
 //! copy reference counts, never a spec: an unfolding of a
@@ -44,15 +47,14 @@
 use crate::config::EngineConfig;
 use crate::run::Run;
 use crate::trace::Trace;
-use snet_core::boxdef::{BoxDef, Work};
-use snet_core::fault::{self, StepVerdict};
+use snet_core::fault;
 use snet_core::fusion::{Node, ParNode, SplitNode, StarNode};
 use snet_core::pool;
 use snet_core::semantics::{self, MismatchPolicy};
 use snet_core::{
-    ChainRunner, ChainStage, ChainTally, FilterSpec, Record, SnetError, SyncOutcome, SyncSpec,
-    SyncState,
+    ChainRunner, ChainStage, ChainTally, Record, SnetError, SyncOutcome, SyncSpec, SyncState,
 };
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -90,16 +92,9 @@ pub(crate) struct Component<P> {
 }
 
 enum Kind<P> {
-    Box(Arc<BoxDef>),
-    Filter(Arc<FilterSpec>),
-    /// A fused SISO chain: each record crosses every stage inside one
-    /// step. `runner` and `outs` are reusable scratch, so the
-    /// steady-state per-record path allocates nothing.
-    Chain {
-        stages: Arc<[ChainStage]>,
-        runner: ChainRunner,
-        outs: Vec<Record>,
-    },
+    /// A run of boxes and filters: each record crosses every stage
+    /// inside one step. Stateless, so the instance is the pointer.
+    Chain(Arc<[ChainStage]>),
     Sync {
         spec: Arc<SyncSpec>,
         st: SyncState,
@@ -127,13 +122,7 @@ enum Kind<P> {
 /// returns the subnet's input port.
 pub(crate) fn build<T: Transport>(node: &Node, output: T::Port, run: &Run, t: &mut T) -> T::Port {
     let kind = match node {
-        Node::Box(def) => Kind::Box(Arc::clone(def)),
-        Node::Filter(spec) => Kind::Filter(Arc::clone(spec)),
-        Node::Chain(stages) => Kind::Chain {
-            stages: Arc::clone(stages),
-            runner: ChainRunner::new(),
-            outs: pool::take_vec(),
-        },
+        Node::Chain(stages) => Kind::Chain(Arc::clone(stages)),
         Node::Sync(spec) => Kind::Sync {
             st: spec.new_state(),
             spec: Arc::clone(spec),
@@ -173,32 +162,6 @@ fn spawn<T: Transport>(kind: Kind<T::Port>, out: T::Port, run: &Run, t: &mut T) 
     t.spawn(Component { kind, out })
 }
 
-/// Settles one policy verdict: count and emit, divert, or fail.
-fn settle<T: Transport>(
-    verdict: StepVerdict,
-    count_match: impl FnOnce(&Trace, Work),
-    run: &Run,
-    t: &mut T,
-    out: &mut T::Port,
-) -> Result<(), SnetError> {
-    match verdict {
-        StepVerdict::Out { step, attempts } => {
-            if attempts > 1 {
-                Trace::add(&run.trace.retries, u64::from(attempts - 1));
-            }
-            if step.matched {
-                count_match(&run.trace, step.work);
-            } else {
-                Trace::add(&run.trace.passthroughs, 1);
-            }
-            t.send_all(out, step.records);
-            Ok(())
-        }
-        StepVerdict::Dead(dl) => run.divert(dl),
-        StepVerdict::Fatal(e) => Err(e),
-    }
-}
-
 impl<P> Component<P> {
     /// Applies one record (the shared small-step semantics), emitting
     /// through `t`. An error is fatal to the run; a record diverted
@@ -212,31 +175,7 @@ impl<P> Component<P> {
     ) -> Result<(), SnetError> {
         let out = &mut self.out;
         match &mut self.kind {
-            Kind::Box(def) => {
-                // Box functions are user code: `policy_step` contains
-                // panics and applies the failure policy (per-box
-                // override first, engine default otherwise).
-                let policy = def.effective_policy(config.policy);
-                let verdict = fault::policy_step(policy, &def.sig.name, &run.seq, rec, |r| {
-                    semantics::box_step(def, r, config.mismatch)
-                });
-                settle(verdict, Trace::count_box, run, t, out)
-            }
-            Kind::Filter(spec) => {
-                // Filters follow the engine policy; their errors are
-                // deterministic, so Retry degenerates to FailFast
-                // inside `policy_step` (only `BoxFailure` retries).
-                let verdict = fault::policy_step(config.policy, "filter", &run.seq, rec, |r| {
-                    semantics::filter_step(spec, r, config.mismatch)
-                });
-                let count = |trace: &Trace, _| Trace::add(&trace.filter_records, 1);
-                settle(verdict, count, run, t, out)
-            }
-            Kind::Chain {
-                stages,
-                runner,
-                outs,
-            } => chain_step(stages, runner, outs, [rec], run, config, t, out),
+            Kind::Chain(stages) => chain_step(stages, [rec], run, config, t, out),
             Kind::Sync { spec, st } => {
                 match st.push(spec, rec) {
                     SyncOutcome::Stored => Trace::add(&run.trace.sync_stores, 1),
@@ -309,7 +248,7 @@ impl<P> Component<P> {
         }
     }
 
-    /// Applies a claimed hand-off batch. Fused chains take it in one
+    /// Applies a claimed hand-off batch. Chains take it in one
     /// stage-major traversal (identical observable semantics, one
     /// panic guard and one buffer reset per batch instead of per
     /// record); every other component steps record-at-a-time.
@@ -320,29 +259,22 @@ impl<P> Component<P> {
         config: &EngineConfig,
         t: &mut T,
     ) -> Result<(), SnetError> {
-        if let Kind::Chain {
-            stages,
-            runner,
-            outs,
-        } = &mut self.kind
-        {
-            return chain_step(stages, runner, outs, recs, run, config, t, &mut self.out);
+        if let Kind::Chain(stages) = &self.kind {
+            return chain_step(stages, recs, run, config, t, &mut self.out);
         }
         recs.into_iter()
             .try_for_each(|rec| self.step(rec, run, config, t))
     }
 
-    /// Observes end-of-stream: counts stranded synchrocell records,
-    /// returns pooled scratch, and hands every output port to `close`
+    /// Observes end-of-stream: counts stranded synchrocell records and
+    /// hands every output port to `close`
     /// (branch and replica ports first, the primary output last).
     pub(crate) fn end_of_stream(self, run: &Run, mut close: impl FnMut(P)) {
         // Counted before any port closes: the run's last close is what
         // lets its driver read the trace.
         Trace::add(&run.trace.components_finalized, 1);
         match self.kind {
-            Kind::Box(_) | Kind::Filter(_) => {}
-            // `runner` drops here and returns its ping-pong buffers.
-            Kind::Chain { outs, .. } => pool::give_vec(outs),
+            Kind::Chain(_) => {}
             Kind::Sync { st, .. } => {
                 let stranded = st.pending().count() as u64;
                 if stranded > 0 {
@@ -363,7 +295,7 @@ impl<P> Component<P> {
             Kind::Par { branches, .. } => branches.iter_mut().for_each(&mut f),
             Kind::Star { into_body, .. } => into_body.iter_mut().for_each(&mut f),
             Kind::Split { replicas, .. } => replicas.values_mut().for_each(&mut f),
-            Kind::Box(_) | Kind::Filter(_) | Kind::Chain { .. } | Kind::Sync { .. } => {}
+            Kind::Chain(_) | Kind::Sync { .. } => {}
         }
         f(&mut self.out);
     }
@@ -382,12 +314,24 @@ impl<P> Component<P> {
         )
     }
 
-    /// A short name for the component instance (thread names).
+    /// A short name for the component instance (thread names). A chain
+    /// is named for what is in it: its one stage, or its ends and
+    /// length.
     pub(crate) fn label(&self) -> String {
+        fn stage(s: &ChainStage) -> String {
+            match s {
+                ChainStage::Box(def) => format!("box-{}", def.sig.name),
+                ChainStage::Filter(_) => "filter".into(),
+            }
+        }
         match &self.kind {
-            Kind::Box(def) => format!("box-{}", def.sig.name),
-            Kind::Filter(_) => "filter".into(),
-            Kind::Chain { .. } => "fused-chain".into(),
+            Kind::Chain(stages) => match &stages[..] {
+                [only] => stage(only),
+                [first, .., last] => {
+                    format!("chain{}-{}..{}", stages.len(), stage(first), stage(last))
+                }
+                [] => unreachable!("compile never emits an empty chain"),
+            },
             Kind::Sync { .. } => "sync".into(),
             Kind::Par { .. } => "par-dispatch".into(),
             Kind::Star { .. } => "star-tap".into(),
@@ -396,35 +340,56 @@ impl<P> Component<P> {
     }
 }
 
-/// Drives `recs` through a fused chain. Per-stage policy resolution,
-/// retries, panic containment and dead-letter attribution all happen
-/// inside [`ChainRunner`] (the same `policy_step` calls the unfused
-/// components make); the tally folds into the trace so a fused run
-/// reports exactly what its unfused equivalent would.
-#[allow(clippy::too_many_arguments)] // the chain's parts plus the step context
+/// The buffers a chain step works in: the runner's ping-pong pair and
+/// the output batch. Both are empty whenever no step is using them.
+struct Scratch {
+    runner: ChainRunner,
+    outs: pool::PooledVec,
+}
+
+thread_local! {
+    /// This thread's chain scratch, absent while a step is using it.
+    static SCRATCH: Cell<Option<Scratch>> = const { Cell::new(None) };
+}
+
+/// Drives `recs` through a chain. Per-stage policy resolution, retries,
+/// panic containment and dead-letter attribution all happen inside
+/// [`ChainRunner`]; the tally folds into the trace, which therefore
+/// reads the same however the stages were grouped into components.
+///
+/// The step works in the calling thread's scratch, taken out of its
+/// slot for the duration and put back afterwards. A chain step nested
+/// inside another on the same thread (a box body that drives a second
+/// network) finds the slot empty and works in fresh buffers, so steps
+/// never share scratch; and a batch leaves nothing in it — a success is
+/// drained to `out`, a failure is dropped by `step_batch`.
 fn chain_step<T: Transport>(
     stages: &[ChainStage],
-    runner: &mut ChainRunner,
-    outs: &mut Vec<Record>,
     recs: impl IntoIterator<Item = Record>,
     run: &Run,
     config: &EngineConfig,
     t: &mut T,
     out: &mut T::Port,
 ) -> Result<(), SnetError> {
+    let mut scratch = SCRATCH.take().unwrap_or_else(|| Scratch {
+        runner: ChainRunner::new(),
+        outs: pool::PooledVec::take(),
+    });
     let mut tally = ChainTally::default();
-    let res = runner.step_batch(
+    let res = scratch.runner.step_batch(
         stages,
         config.policy,
         config.mismatch,
         &run.seq,
         recs,
         &mut tally,
-        outs,
+        &mut scratch.outs,
         &mut |dl| run.divert(dl),
     );
     run.trace.count_chain(&tally);
-    res?;
-    t.send_all(out, outs.drain(..));
-    Ok(())
+    if res.is_ok() {
+        t.send_all(out, scratch.outs.drain(..));
+    }
+    SCRATCH.set(Some(scratch));
+    res
 }

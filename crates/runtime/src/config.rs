@@ -37,7 +37,7 @@ pub struct EngineConfig {
     /// filters feeding themselves through a star, so the minimum is 1.
     /// The scheduled engine derives its mailbox high-water mark from
     /// this value.
-    /// Non-default: `sched_streaming` and `pipeline_integration` (1), `memory_soak`, `macro_scale`.
+    /// Non-default: `sched_streaming` and `pipeline_integration` (1), `memory_soak`.
     pub channel_capacity: usize,
     /// What to do when a record reaches a component it cannot match.
     /// Non-default: the engine suite's `strict_mismatch_policy_errors` (`Error`).
@@ -46,7 +46,7 @@ pub struct EngineConfig {
     /// ([`crate::SchedNet`]); the threaded engine ignores it (its
     /// thread count is the component count).
     /// Default: the CPUs available to the process, at most 4.
-    /// Non-default: every `benchmark/` workload (T or T−1), `sched_stress`, `bench_engines` (4, as its baselines).
+    /// Non-default: every `benchmark/` workload (T or T−1), `sched_stress`, `bench_engines` (1: CPU time per step).
     pub workers: usize,
     /// Records coalesced per mailbox hand-off in the scheduled engine:
     /// a task's activation buffers up to this many records per output
@@ -56,9 +56,12 @@ pub struct EngineConfig {
     /// (bit-identical scheduling to the pre-batching engine). The
     /// threaded engine hands off per record regardless, though
     /// multi-record component outputs go through the channel's batched
-    /// `send_iter`. Default 32, tuned on the serial-pipeline benchmark
-    /// (see `BENCH_batched_handoff.json`).
-    /// Non-default: `engine_vs_interp` (batched == unbatched == interp), `bench_engines`; `benchmark/` reads it.
+    /// `send_iter`. Default 32, and it shows: `route_stream`, the
+    /// `benchmark/` workload that hands off at every stage, reads
+    /// ≈1.45× the `throughput_per_s` of a build whose default is 1.
+    /// No caller needs another value; the field stays because the
+    /// frozen `benchmark/` names it.
+    /// Non-default: `engine_vs_interp` (batched == unbatched == interp); `benchmark/` reads it.
     pub batch: usize,
     /// Engine-wide failure policy; individual boxes may override it
     /// via [`snet_core::boxdef::BoxDef::with_policy`]. Default
@@ -72,14 +75,19 @@ pub struct EngineConfig {
     /// (default) disables the check entirely.
     /// Non-default: `fault_tolerance`'s deadline tests, the `snet-apps` robust runner.
     pub deadline: Option<Duration>,
-    /// Fuse maximal static SISO chains of boxes/filters into single
-    /// components when compiling the network
-    /// ([`snet_core::fusion::compile`]). Default `true`: fusion is
-    /// observationally equivalent (same output multiset, traces, and
-    /// fault attribution — see the `fusion_equivalence` property suite)
-    /// and strictly cheaper on deep pipelines. Set `false` to run the
-    /// topology exactly as written (one task/thread per component),
-    /// e.g. to measure hand-off cost itself.
+    /// The grain of the compiled network
+    /// ([`snet_core::fusion::compile`]): `true` (default) puts every
+    /// maximal static run of boxes/filters in one component, `false`
+    /// gives each box and filter its own (one task/thread per
+    /// primitive, the topology exactly as written). Either way a leaf
+    /// runs through the same chain step, so the choice moves what a
+    /// run builds and how far a record travels — `components_built`,
+    /// mailbox hops per record, resident tasks — and nothing
+    /// observable: same output multiset, traces and fault attribution
+    /// (the `fusion_equivalence` property suite). It is not a speed
+    /// switch: a hop saved is worth ≈160 ns, and on deep pipelines of
+    /// trivial boxes fused reads about the same as unfused once
+    /// records carry an inherited tag (ROADMAP).
     /// Non-default: `fusion_equivalence`, `alloc_steady`, `memory_soak`, `benchmark/`'s `runtime.sched.hop_ns` row.
     pub fuse: bool,
 }

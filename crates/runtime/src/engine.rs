@@ -1,6 +1,6 @@
 //! The threaded engine: asynchronous components over bounded channels.
 //!
-//! Every component instance (box, filter, fused chain, synchrocell)
+//! Every component instance (chain of boxes and filters, synchrocell)
 //! and every piece of combinator glue (parallel dispatcher, star tap,
 //! index dispatcher) runs as its own thread, connected by bounded
 //! [`crossbeam_channel`] channels. This is a direct rendering of the
@@ -263,6 +263,39 @@ mod tests {
     #[test]
     fn shared_plan_serves_concurrent_jobs() {
         crate::suite::concurrent_jobs::<crate::engine::Threaded>();
+    }
+
+    /// A component thread is named for what runs on it.
+    #[test]
+    fn threads_are_named_for_what_is_in_the_chain() {
+        use snet_core::boxdef::{BoxDef, BoxOutput, BoxSig, Work};
+        use std::sync::{Arc, Mutex};
+
+        let names = Arc::new(Mutex::new(Vec::new()));
+        let probe = |name: &str| {
+            let names = Arc::clone(&names);
+            NetSpec::Box(BoxDef::from_fn(
+                BoxSig::parse(name, &["x"], &[&["x"]]),
+                move |r| {
+                    let thread = std::thread::current().name().map(str::to_owned);
+                    names.lock().unwrap().push(thread);
+                    Ok(BoxOutput::one(r.clone(), Work::ZERO))
+                },
+            ))
+        };
+        let one = vec![Record::new().with_field("x", Value::Int(1))];
+        Net::new(probe("solo")).run_batch(one.clone()).unwrap();
+        let run = NetSpec::pipeline([probe("head"), NetSpec::identity(), probe("tail")]);
+        Net::new(run).run_batch(one).unwrap();
+        let name = |s: &str| Some(s.to_owned());
+        assert_eq!(
+            *names.lock().unwrap(),
+            [
+                name("snet-box-solo"),
+                name("snet-chain3-box-head..box-tail"),
+                name("snet-chain3-box-head..box-tail"),
+            ]
+        );
     }
 
     #[test]

@@ -9,15 +9,19 @@
 //!   paper's model of "asynchronously executed, stateless
 //!   stream-processing components" (§III). End-of-stream is channel
 //!   disconnect; parallel merge is arrival-order (nondeterministic, as
-//!   specified); serial replication unfolds lazily. Use it as the
-//!   *executable rendering of the paper's model* and when components
-//!   block on real I/O — but note that its thread count grows with the
-//!   unrolled component count, which stops scaling somewhere in the
-//!   hundreds of components.
+//!   specified); serial replication unfolds lazily. It is kept as the
+//!   *executable rendering of the paper's model* and as the second,
+//!   independent `Transport` under the equivalence suites — what
+//!   `Component` does is proved engine-independent by running it over
+//!   two transports that share nothing. It is in no performance gate
+//!   and no `benchmark/` workload: a thread per component is ≈100× the
+//!   interpreter per star unfolding (`BENCH_unfold.json`, reported
+//!   there ungated), and nobody would run it for speed.
 //!
 //! * [`SchedNet`] — the **scheduled engine**: the same component graph
 //!   as lightweight tasks multiplexed over a **persistent**
-//!   work-stealing worker pool ([`EngineConfig::workers`]; default 4).
+//!   work-stealing worker pool ([`EngineConfig::workers`]; default: the
+//!   available CPUs, at most 4).
 //!   The pool spawns on the first run and lives until the `SchedNet`
 //!   drops, so consecutive batches and any number of streaming runs
 //!   reuse the same OS threads — no per-call spawn/join. A component
@@ -64,14 +68,16 @@
 //! ## The compiled plan, and what an instance costs
 //!
 //! A [`Network`] compiles its topology once
-//! ([`snet_core::fusion::compile`]) into an immutable tree whose leaves — box definitions, filter and synchrocell specs,
-//! fused-chain stage lists — and replicating combinators — parallel
+//! ([`snet_core::fusion::compile`]) into an immutable tree whose
+//! leaves — chain stage lists (the box definitions and filter specs)
+//! and synchrocell specs — and replicating combinators — parallel
 //! branch patterns, star and split bodies — sit behind `Arc`s. Every
 //! run, and every star or split replica unfolded while a run is live,
 //! is instantiated from that tree: a component instance is a pointer
-//! into it plus its own state (ports, synchrocell slots, chain scratch),
-//! so creating or retiring one is reference-count traffic and copies
-//! nothing whose size depends on the topology. The paper's Fig 4 net
+//! into it plus its own state (ports, synchrocell slots; a chain has
+//! none — the buffers a chain step works in belong to the stepping
+//! thread), so creating or retiring one is reference-count traffic and
+//! copies nothing whose size depends on the topology. The paper's Fig 4 net
 //! schedules dynamically *by unfolding*, so this is coordination
 //! overhead in its own sense: one 16×16 job on that net builds and
 //! retires 234 components in 41 unfoldings, and instantiating from the
@@ -114,12 +120,11 @@
 //! oracle) are unaffected. `batch = 1` restores the pre-batching
 //! record-at-a-time protocol bit for bit.
 //!
-//! The default (`batch = 32`) was tuned on the serial-pipeline
-//! benchmark (`BENCH_batched_handoff.json`; see
-//! `crates/bench/src/bin/bench_engines.rs --handoff-out`): on the
-//! 16-deep pipeline it runs 1.37x the previous single-record
-//! scheduler (1.26x the in-tree `batch = 1` point), and larger
-//! batches plateau once the per-record lock cost is amortized away.
+//! The default (`batch = 32`) shows where records hand off at every
+//! stage: `route_stream` in `benchmark/` (nothing fuses) reads ≈1.45×
+//! the `throughput_per_s` of a build whose default is 1, which is also
+//! what guards the coalescing path — break it and that workload's 0.25
+//! bound trips. Serial runs of boxes do not hand off at all once fused.
 //! Under the hood the worker deques are a lock-free Chase–Lev
 //! implementation (see the `crossbeam-deque` shim), so stealing no
 //! longer serializes on a mutex either. Backpressure is cooperative:
@@ -133,34 +138,38 @@
 //! always the network as written — that is what [`Interp`], `snet-dist`,
 //! `snet-analyze` and the printer read, and none of them ever sees a
 //! chain — while the tree both concurrent engines compile it into
-//! ([`snet_core::fusion::compile`]) holds every **maximal static SISO
-//! chain** — a serial run of boxes and filters with a single input and
-//! a single output and no intervening merge point — as one
-//! `Node::Chain` component. A fused chain is one scheduler
-//! task (one thread on the threaded engine): each activation runs its
-//! records through *all* stages back-to-back in two ping-pong buffers,
-//! so a depth-N pipeline costs zero mailbox hops, locks, or wakes
-//! between its stages instead of N−1 of each. Combinator boundaries
+//! ([`snet_core::fusion::compile`]) has one kind of stateless leaf, the
+//! `Node::Chain`: a serial run of one or more boxes and filters executed
+//! as one component (one scheduler task, one thread on the threaded
+//! engine), each activation running its records through *all* stages
+//! back-to-back with no mailbox hop, lock or wake between them. `fuse`
+//! picks the **grain** and nothing else: on (the default), every
+//! maximal static SISO run — single input, single output, no
+//! intervening merge point — is one chain, so a depth-N pipeline is one
+//! component; off, every chain has length 1 and the topology runs one
+//! component per primitive, N−1 hand-offs apart. Both grains execute a
+//! box through the same [`snet_core::ChainRunner`] step — there is no
+//! second code path for a box standing alone. Combinator boundaries
 //! that can reorder, replicate, or synchronize records —
 //! parallel/split dispatch and merge, star unfolding, synchrocells —
-//! are never fused across; mailboxes remain exactly there, so the
+//! never share a chain; mailboxes remain exactly there, so the
 //! observable record flow (and the interpreter oracle) is unchanged.
 //!
-//! Fusion preserves **per-stage fault semantics**: each stage inside a
-//! chain still runs under its own [`FailurePolicy`], a
-//! `DeadLetter`-diverted record carries the *failing stage's* box name
-//! in its [`FailureReport`], `Retry` re-attempts only the failing
-//! stage (not the whole chain), and under `FailFast` a panic anywhere
-//! in the chain is attributed to the exact stage that raised it. The
-//! trace still counts per-stage `box_ops`/`filter_ops` via the chain
-//! tally, so fused and unfused runs are indistinguishable to
-//! observers. `EngineConfig { fuse: false, .. }` compiles every leaf
-//! standalone and runs the chain stage-per-task — the equivalence property suite
+//! Faults are **per stage** at either grain: each stage runs under its
+//! own [`FailurePolicy`], a `DeadLetter`-diverted record carries the
+//! *failing stage's* box name in its [`FailureReport`], `Retry`
+//! re-attempts only the failing stage (not the whole chain), and under
+//! `FailFast` a panic anywhere in a chain is attributed to the exact
+//! stage that raised it. The trace counts per stage via the chain
+//! tally, so the two grains are indistinguishable to observers except
+//! in `components_built` — the equivalence property suite
 //! (`fusion_equivalence.rs`) holds fused, unfused, and interpreter
 //! runs to the same output multisets, dead-letter multisets, and
-//! failure attributions. On the depth-16 pipeline benchmark the fused
-//! scheduled engine runs ≥1.5x the unfused one (`BENCH_fusion.json`,
-//! gated in CI via `scripts/check_bench.py`).
+//! failure attributions. What the grain buys is fewer components and
+//! hops (`components_built`, `runtime.sched.hop_ns` in the benchmark
+//! ledger), not a speed-up one can quote: on deep pipelines of trivial
+//! boxes the two grains read about the same once records carry an
+//! inherited tag (ROADMAP).
 //!
 //! ## Failure semantics
 //!
@@ -286,8 +295,9 @@
 //! **Pooling** (`snet_core::pool`): the scheduled engine's steady state
 //! cycles a fixed set of buffer shapes — the `Vec<Record>` a task
 //! drains its mailbox into each activation, the coalescing buffer of
-//! every producer port, the two ping-pong buffers inside each fused
-//! chain's `ChainRunner`, the sink's delivery window, and the
+//! every producer port, each thread's chain scratch (a `ChainRunner`'s
+//! two ping-pong buffers and an output batch), the sink's delivery
+//! window, and the
 //! `VecDeque<Record>` backing every mailbox. All of them are drawn from
 //! and returned to per-thread freelists (with a bounded cross-thread
 //! spill), so after warm-up an activation reuses warmed capacity
@@ -317,15 +327,9 @@
 //! binary-plus-pool baseline is `O(in_flight * record_size)` — a
 //! function of topology and configuration only. `tests/memory_soak.rs`
 //! pins it: a million records through a throttled depth-8 pipeline grow
-//! peak RSS by ~2 MiB. At macro scale the same holds across many
-//! concurrent sessions on one pool: the gated
-//! `crates/bench/src/bin/macro_scale.rs` harness streams >= 1M records
-//! over 8 sessions and reports sustained throughput, p50/p99
-//! end-to-end latency (timestamp-on-ingress tag), and peak RSS into
-//! `BENCH_macro_scale.json`, with cross-machine backstops enforced from
-//! `bench_gates.toml` in CI (reduced-record smoke mode; the metrics are
-//! rates and ceilings, so the record count does not change their
-//! meaning).
+//! peak RSS by ~2 MiB. Across concurrent sessions on one pool the
+//! same ceiling is what `chain_stream`'s and `route_stream`'s
+//! `peak_rss_bytes` bound in `benchmark/`.
 //!
 //! ## One API, two engines
 //!

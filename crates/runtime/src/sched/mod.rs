@@ -425,6 +425,76 @@ mod tests {
         assert_eq!(net.workers_spawned(), EngineConfig::default().workers);
     }
 
+    /// A box of one network streams its record through a second network
+    /// and `drive()`s that one along on its own thread: a chain step
+    /// nested inside a chain step. The thread's chain scratch is lent to
+    /// the outer step, so the inner one must get buffers of its own.
+    #[test]
+    fn nested_chain_steps_on_one_thread_do_not_share_scratch() {
+        use snet_core::boxdef::{BoxOutput, Work};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+
+        thread_local! {
+            /// Set while this thread is inside the outer box's body.
+            static IN_OUTER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+        }
+        let nested = Arc::new(AtomicUsize::new(0));
+        let count = Arc::clone(&nested);
+        let inner_spec = NetSpec::pipeline([
+            int_box("triple", "x", "x", |x| 3 * x),
+            NetSpec::Box(BoxDef::from_fn(
+                BoxSig::parse("probe", &["x"], &[&["x"]]),
+                move |r| {
+                    if IN_OUTER.get() {
+                        count.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Ok(BoxOutput::one(r.clone(), Work::ZERO))
+                },
+            )),
+        ]);
+        let inner = Arc::new(SchedNet::with_config(
+            inner_spec,
+            EngineConfig {
+                workers: 1,
+                ..EngineConfig::default()
+            },
+        ));
+        let via_inner = {
+            let inner = Arc::clone(&inner);
+            NetSpec::Box(BoxDef::from_fn(
+                BoxSig::parse("via_inner", &["x"], &[&["x"]]),
+                move |r| {
+                    IN_OUTER.set(true);
+                    let outs = crate::run_stream_interleaved(&inner, vec![r.clone()]);
+                    IN_OUTER.set(false);
+                    Ok(BoxOutput::from_iter(outs?, Work::ZERO))
+                },
+            ))
+        };
+        let outer_spec = NetSpec::pipeline([
+            int_box("inc", "x", "x", |x| x + 1),
+            via_inner,
+            int_box("dec", "x", "x", |x| x - 1),
+        ]);
+        let inputs = || -> Vec<Record> {
+            (0..64)
+                .map(|i| Record::new().with_field("x", Value::Int(i)))
+                .collect()
+        };
+        let want = crate::Interp::new(&outer_spec).run_batch(inputs()).unwrap();
+        let got = SchedNet::new(outer_spec).run_batch(inputs()).unwrap();
+        assert_eq!(ints(&got, "x"), ints(&want.outputs, "x"));
+        assert_eq!(
+            ints(&got, "x"),
+            (0..64).map(|i| 3 * (i + 1) - 1).collect::<Vec<_>>()
+        );
+        assert!(
+            nested.load(Ordering::Relaxed) > 0,
+            "no inner step ever ran inside the outer box's thread"
+        );
+    }
+
     #[test]
     fn empty_batch_terminates() {
         let net = SchedNet::new(int_box("inc", "x", "x", |x| x + 1));

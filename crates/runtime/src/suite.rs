@@ -2,13 +2,15 @@
 //! concurrent engine must show, instantiated for each engine by
 //! [`engine_suite!`] inside that engine's own `tests` module.
 
-use crate::{Engine, EngineConfig, Interp, Network, Trace};
+use crate::{Engine, EngineConfig, FailurePolicy, Interp, Network, Trace};
 use snet_core::boxdef::{BoxDef, BoxOutput, BoxSig, Work};
 use snet_core::semantics::MismatchPolicy;
 use snet_core::{
     BinOp, FilterSpec, Label, NetSpec, Pattern, Record, SnetError, SyncSpec, TagExpr, Value,
     Variant,
 };
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Instantiates every case of the generic suite for engine `$engine`.
@@ -28,6 +30,8 @@ macro_rules! engine_suite {
             strict_mismatch_policy_errors,
             streaming_interface_overlaps,
             net_is_reusable_with_fresh_state,
+            failed_batch_leaves_nothing_for_the_next_run,
+            standalone_box_honours_its_policy_at_either_grain,
             every_component_is_retired_exactly_once,
         );
     };
@@ -73,6 +77,14 @@ fn xs(range: std::ops::Range<i64>) -> Vec<Record> {
     range
         .map(|i| Record::new().with_field("x", Value::Int(i)))
         .collect()
+}
+
+/// The default configuration with `fuse` on, then off.
+fn either_grain() -> [EngineConfig; 2] {
+    [true, false].map(|fuse| EngineConfig {
+        fuse,
+        ..EngineConfig::default()
+    })
 }
 
 fn ab_cell() -> NetSpec {
@@ -197,13 +209,18 @@ pub(crate) fn panicking_box_is_reported_not_swallowed<E: Engine>() {
             Ok(BoxOutput::one(r.clone(), Work::ZERO))
         },
     ));
-    let err = Network::<E>::new(bomb).run_batch(xs(0..5)).unwrap_err();
-    match err {
-        SnetError::BoxFailure { name, cause } => {
-            assert_eq!(name, "bomb");
-            assert!(cause.contains("boom at 2"), "{cause}");
+    // A box standing alone is a chain of one whatever `fuse` says.
+    for config in either_grain() {
+        let err = Network::<E>::with_config(bomb.clone(), config)
+            .run_batch(xs(0..5))
+            .unwrap_err();
+        match err {
+            SnetError::BoxFailure { name, cause } => {
+                assert_eq!(name, "bomb");
+                assert!(cause.contains("boom at 2"), "{cause}");
+            }
+            other => panic!("expected box failure, got {other:?}"),
         }
-        other => panic!("expected box failure, got {other:?}"),
     }
 }
 
@@ -248,6 +265,78 @@ pub(crate) fn net_is_reusable_with_fresh_state<E: Engine>() {
             ])
             .unwrap();
         assert_eq!(outs.len(), 1, "cell must fire in every fresh run");
+    }
+}
+
+/// Chain scratch belongs to the stepping thread and outlives the run; a
+/// batch that dies half way through a stage must leave none of its
+/// records in it. One worker, so both runs step on the same thread.
+pub(crate) fn failed_batch_leaves_nothing_for_the_next_run<E: Engine>() {
+    let picky = NetSpec::Box(BoxDef::from_fn(
+        BoxSig::parse("picky", &["x"], &[&["x"]]),
+        |r| match r.field("x").and_then(|v| v.as_int()) {
+            Some(7) => Err(SnetError::Engine("deliberate".into())),
+            _ => Ok(BoxOutput::one(r.clone(), Work::ZERO)),
+        },
+    ));
+    for config in either_grain() {
+        let net = Network::<E>::with_config(
+            NetSpec::pipeline([int_box("inc", "x", "x", |x| x + 1), picky.clone()]),
+            EngineConfig {
+                workers: 1,
+                ..config
+            },
+        );
+        // 0..8 arrives at `picky` as 1..9: six records pass before 7.
+        let err = net.run_batch(xs(0..8)).unwrap_err();
+        assert!(matches!(err, SnetError::BoxFailure { .. }), "{err}");
+        let outs = net.run_batch(xs(100..104)).unwrap();
+        assert_eq!(ints(&outs, "x"), vec![101, 102, 103, 104]);
+    }
+}
+
+/// A per-box `DeadLetter` override diverts the record as it arrived and
+/// `Retry` counts its extra attempts, for a box standing alone under
+/// `fuse` on and off alike.
+pub(crate) fn standalone_box_honours_its_policy_at_either_grain<E: Engine>() {
+    for config in either_grain() {
+        let bad = BoxDef::from_fn(BoxSig::parse("bad", &["x"], &[&["x"]]), |r| {
+            match r.field("x").and_then(|v| v.as_int()) {
+                Some(3) => Err(SnetError::Engine("deliberate".into())),
+                _ => Ok(BoxOutput::one(r.clone(), Work::ZERO)),
+            }
+        })
+        .with_policy(FailurePolicy::DeadLetter);
+        let report = Network::<E>::with_config(NetSpec::Box(bad), config)
+            .run_batch_report(xs(0..6))
+            .unwrap();
+        assert_eq!(ints(&report.outputs, "x"), vec![0, 1, 2, 4, 5]);
+        let [dead] = &report.dead_letters[..] else {
+            panic!("one dead letter: {:?}", report.dead_letters);
+        };
+        assert_eq!(dead.report.component, "bad");
+        assert_eq!(ints(std::slice::from_ref(&dead.record), "x"), vec![3]);
+
+        // Fails every record's first attempt.
+        let calls = Arc::new(AtomicU64::new(0));
+        let flaky = BoxDef::from_fn(BoxSig::parse("flaky", &["x"], &[&["x"]]), move |r| {
+            if calls.fetch_add(1, Ordering::Relaxed).is_multiple_of(2) {
+                return Err(SnetError::Engine("first attempt".into()));
+            }
+            Ok(BoxOutput::one(r.clone(), Work::ZERO))
+        });
+        let retrying = EngineConfig {
+            policy: FailurePolicy::Retry {
+                max_attempts: 2,
+                backoff: Duration::ZERO,
+            },
+            ..config
+        };
+        let report = Network::<E>::with_config(NetSpec::Box(flaky), retrying)
+            .run_batch_report(xs(0..6))
+            .unwrap();
+        assert_eq!(report.outputs.len(), 6);
+        assert_eq!(report.trace.get(&report.trace.retries), 6);
     }
 }
 
@@ -326,7 +415,7 @@ pub(crate) fn concurrent_jobs<E: Engine + Sync>() -> Network<E> {
 }
 
 /// Waits (bounded) for a run nobody joined to finish tearing down.
-fn settled(trace: &Trace) -> (u64, u64) {
+fn torn_down(trace: &Trace) -> (u64, u64) {
     let counts = || {
         (
             trace.get(&trace.components_built),
@@ -345,7 +434,7 @@ fn settled(trace: &Trace) -> (u64, u64) {
 /// end-of-stream exactly once.
 pub(crate) fn every_component_is_retired_exactly_once<E: Engine>() {
     let retired = |what: &str, trace: &Trace| {
-        let (built, finalized) = settled(trace);
+        let (built, finalized) = torn_down(trace);
         assert!(built > 0, "{what}: nothing was built");
         assert_eq!(built, finalized, "{what}: built vs finalized");
     };

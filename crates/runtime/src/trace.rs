@@ -7,7 +7,7 @@
 //! unfired synchrocells at end-of-stream (almost always a coordination
 //! bug — the paper's merger net, for instance, must end with none).
 
-use snet_core::{ChainTally, Work};
+use snet_core::ChainTally;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Shared event counters; all methods are thread-safe and cheap.
@@ -53,17 +53,12 @@ impl Trace {
         Trace::default()
     }
 
-    pub(crate) fn count_box(&self, work: Work) {
-        self.box_records.fetch_add(1, Ordering::Relaxed);
-        self.box_ops.fetch_add(work.ops, Ordering::Relaxed);
-    }
-
     pub(crate) fn add(counter: &AtomicU64, n: u64) {
         counter.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Folds a fused-chain tally into the run counters, so a fused run
-    /// reports exactly the trace its unfused equivalent would.
+    /// Folds one chain step's tally into the run counters — the only way
+    /// a box or filter record is counted.
     pub(crate) fn count_chain(&self, t: &ChainTally) {
         self.box_records.fetch_add(t.box_records, Ordering::Relaxed);
         self.box_ops.fetch_add(t.box_ops, Ordering::Relaxed);
@@ -108,8 +103,11 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let t = Trace::new();
-        t.count_box(Work::ops(10));
-        t.count_box(Work::ops(5));
+        t.count_chain(&ChainTally {
+            box_records: 2,
+            box_ops: 15,
+            ..ChainTally::default()
+        });
         Trace::add(&t.sync_fires, 1);
         assert_eq!(t.get(&t.box_records), 2);
         assert_eq!(t.get(&t.box_ops), 15);

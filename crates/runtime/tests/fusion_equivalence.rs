@@ -1,8 +1,10 @@
-//! Property tests: operator fusion is semantically invisible.
+//! Property tests: the grain of the compiled network is semantically
+//! invisible.
 //!
-//! A fused run (`fuse: true`, the default), an unfused run
-//! (`fuse: false`, the exact pre-fusion execution), and the reference
-//! interpreter must agree on the output multiset for randomly generated
+//! A fused run (`fuse: true`, the default: maximal chains), an unfused
+//! run (`fuse: false`: a chain of one per box and filter — the same
+//! chain step, sixteen components where fused has one), and the
+//! reference interpreter must agree on the output multiset for randomly generated
 //! networks — including nets whose chains are broken by sync, star and
 //! split boundaries, and chains whose boxes carry per-box
 //! [`FailurePolicy`] overrides under seeded [`faultinject::chaos`]
@@ -158,11 +160,12 @@ fn unfused_cfg() -> EngineConfig {
     }
 }
 
-/// The fused chains in a compiled plan.
+/// The fused chains in a compiled plan: those of two or more stages (a
+/// standalone box or filter is a chain of one).
 fn count_chains(node: &Node) -> usize {
     match node {
-        Node::Chain(_) => 1,
-        Node::Box(_) | Node::Filter(_) | Node::Sync(_) => 0,
+        Node::Chain(stages) => usize::from(stages.len() >= 2),
+        Node::Sync(_) => 0,
         Node::Serial(a, b) => count_chains(a) + count_chains(b),
         Node::Par(par) => par.branches.iter().map(count_chains).sum(),
         Node::Star(star) => count_chains(&star.body),
