@@ -54,11 +54,18 @@
 //!
 //! ## Running
 //!
-//! The shims compile against this façade only under `--cfg snet_check`:
+//! The protocol models in `tests/` (`mailbox`, `sink_latch`,
+//! `eos_inplace`) are written against the façade and run in every
+//! build. The one piece of *real* code under the checker is the
+//! Chase–Lev deque (`tests/chase_lev.rs`): the `crossbeam-deque` shim,
+//! and the `parking_lot` mutex `snet-runtime` locks through, compile
+//! against this façade only under `--cfg snet_check`:
 //!
 //! ```text
 //! RUSTFLAGS="--cfg snet_check" cargo test -p snet-check
 //! ```
+//!
+//! Channels are not modelled: the workspace's are `std::sync::mpsc`.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 

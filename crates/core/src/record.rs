@@ -339,7 +339,7 @@ mod tests {
     #[test]
     fn approx_bytes_counts_payload_and_framing() {
         let r = Record::new()
-            .with_field("data", Value::Bytes(bytes::Bytes::from(vec![0u8; 100])))
+            .with_field("data", Value::from(vec![0u8; 100]))
             .with_tag("t", 1);
         assert_eq!(r.approx_bytes(), 100 + 8 + 16);
     }

@@ -7,7 +7,6 @@
 //! wire size, which drives the simulated-network cost model; the
 //! [`AnyData`] trait therefore carries a `approx_bytes` method.
 
-use bytes::Bytes;
 use std::any::Any;
 use std::fmt;
 use std::sync::Arc;
@@ -54,7 +53,7 @@ pub enum Value {
     /// An immutable string field.
     Str(Arc<str>),
     /// Raw bytes (e.g. an encoded image chunk).
-    Bytes(Bytes),
+    Bytes(Arc<[u8]>),
     /// An arbitrary shared payload from the box language.
     Data(Arc<dyn AnyData>),
 }
@@ -109,7 +108,7 @@ impl Value {
     }
 
     /// Byte payload, if this is `Bytes`.
-    pub fn as_bytes(&self) -> Option<&Bytes> {
+    pub fn as_bytes(&self) -> Option<&[u8]> {
         match self {
             Value::Bytes(b) => Some(b),
             _ => None,
@@ -181,9 +180,14 @@ impl From<String> for Value {
         Value::Str(Arc::from(v))
     }
 }
-impl From<Bytes> for Value {
-    fn from(v: Bytes) -> Self {
+impl From<Arc<[u8]>> for Value {
+    fn from(v: Arc<[u8]>) -> Self {
         Value::Bytes(v)
+    }
+}
+impl From<Vec<u8>> for Value {
+    fn from(v: Vec<u8>) -> Self {
+        Value::Bytes(Arc::from(v))
     }
 }
 
@@ -196,7 +200,7 @@ mod tests {
         assert_eq!(Value::Unit.approx_bytes(), 0);
         assert_eq!(Value::Int(7).approx_bytes(), 8);
         assert_eq!(Value::from("abcd").approx_bytes(), 4);
-        assert_eq!(Value::from(Bytes::from(vec![0u8; 100])).approx_bytes(), 100);
+        assert_eq!(Value::from(vec![0u8; 100]).approx_bytes(), 100);
     }
 
     #[test]
@@ -244,5 +248,11 @@ mod tests {
         assert_eq!(Value::Int(7), Value::Int(7));
         assert_ne!(Value::Int(7), Value::Float(7.0));
         assert_eq!(Value::from("x"), Value::from("x"));
+        let shared: Arc<[u8]> = Arc::from(&[1u8, 2, 3][..]);
+        assert_eq!(Value::from(vec![1u8, 2, 3]), Value::from(shared));
+        assert_eq!(
+            Value::from(vec![1u8, 2, 3]).as_bytes(),
+            Some(&[1u8, 2, 3][..])
+        );
     }
 }

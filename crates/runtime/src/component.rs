@@ -74,13 +74,6 @@ pub(crate) trait Transport {
 
     /// Puts one record on `port`.
     fn send(&mut self, port: &mut Self::Port, rec: Record);
-
-    /// Puts a component's whole output set on `port`, in order.
-    fn send_all(&mut self, port: &mut Self::Port, recs: impl IntoIterator<Item = Record>) {
-        for rec in recs {
-            self.send(port, rec);
-        }
-    }
 }
 
 /// One component instance: its semantic state and its output ports.
@@ -388,7 +381,9 @@ fn chain_step<T: Transport>(
     );
     run.trace.count_chain(&tally);
     if res.is_ok() {
-        t.send_all(out, scratch.outs.drain(..));
+        for rec in scratch.outs.drain(..) {
+            t.send(out, rec);
+        }
     }
     SCRATCH.set(Some(scratch));
     res

@@ -54,9 +54,8 @@ pub struct EngineConfig {
     /// and a single consumer wake; input mailboxes are drained at the
     /// same granularity. `1` restores record-at-a-time hand-off
     /// (bit-identical scheduling to the pre-batching engine). The
-    /// threaded engine hands off per record regardless, though
-    /// multi-record component outputs go through the channel's batched
-    /// `send_iter`. Default 32, and it shows: `route_stream`, the
+    /// threaded engine hands off per record regardless, one channel
+    /// `send` each. Default 32, and it shows: `route_stream`, the
     /// `benchmark/` workload that hands off at every stage, reads
     /// ≈1.45× the `throughput_per_s` of a build whose default is 1.
     /// No caller needs another value; the field stays because the

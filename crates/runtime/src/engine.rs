@@ -3,7 +3,7 @@
 //! Every component instance (chain of boxes and filters, synchrocell)
 //! and every piece of combinator glue (parallel dispatcher, star tap,
 //! index dispatcher) runs as its own thread, connected by bounded
-//! [`crossbeam_channel`] channels. This is a direct rendering of the
+//! [`std::sync::mpsc`] channels. This is a direct rendering of the
 //! paper's execution model (§III): components are "asynchronously
 //! executed, stateless stream-processing components"; merging of
 //! parallel branches is nondeterministic in arrival order; serial
@@ -11,9 +11,10 @@
 //! channels provide the throttling the coordination layer is responsible
 //! for.
 //!
-//! This module is only the transport: a port is a [`Sender`], spawning
-//! a component is spawning a thread that feeds its input channel
-//! through the shared component step. End-of-stream is channel
+//! This module is only the transport: a port is a [`SyncSender`],
+//! spawning a component is spawning a thread that owns the
+//! [`Receiver`] and feeds it through the shared component step, one
+//! blocking `send` per record downstream. End-of-stream is channel
 //! disconnection: a component terminates when its input disconnects,
 //! and closes its outputs by dropping their senders. The merge side of `|` and `!`
 //! finishes when *all* clones of the output sender have been dropped,
@@ -24,9 +25,9 @@ use crate::config::{EngineConfig, Plan};
 use crate::handle::{Handle, Ingress, TrySendError};
 use crate::run::{DeadDest, Run};
 use crate::{Engine, RunReport};
-use crossbeam_channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 use snet_core::{Record, SnetError};
+use std::sync::mpsc::{self, sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -63,10 +64,10 @@ impl Wire {
 }
 
 impl Transport for Wire {
-    type Port = Sender<Record>;
+    type Port = SyncSender<Record>;
 
-    fn spawn(&mut self, comp: Component<Sender<Record>>) -> Sender<Record> {
-        let (tx, rx) = bounded(self.threads.config.channel_capacity.max(1));
+    fn spawn(&mut self, comp: Component<SyncSender<Record>>) -> SyncSender<Record> {
+        let (tx, rx) = sync_channel(self.threads.config.channel_capacity.max(1));
         let threads = Arc::clone(&self.threads);
         let handle = std::thread::Builder::new()
             .name(format!("snet-{}", comp.label()))
@@ -76,32 +77,25 @@ impl Transport for Wire {
         tx
     }
 
-    fn another(port: &Sender<Record>) -> Sender<Record> {
+    fn another(port: &SyncSender<Record>) -> SyncSender<Record> {
         port.clone()
     }
 
-    fn send(&mut self, port: &mut Sender<Record>, rec: Record) {
+    fn send(&mut self, port: &mut SyncSender<Record>, rec: Record) {
         self.disconnected |= port.send(rec).is_err();
-    }
-
-    /// Multi-record outputs are handed to the channel as one batch:
-    /// one lock window and one receiver wake per output set instead of
-    /// one per record.
-    fn send_all(&mut self, port: &mut Sender<Record>, recs: impl IntoIterator<Item = Record>) {
-        self.disconnected |= port.send_iter(recs).is_err();
     }
 }
 
 /// A component thread's body: step every input record until the input
 /// disconnects, the run aborts, or downstream is gone.
 fn run_component(
-    mut comp: Component<Sender<Record>>,
+    mut comp: Component<SyncSender<Record>>,
     input: Receiver<Record>,
     threads: Arc<Threads>,
 ) {
     let run = &threads.run;
     let mut wire = Wire::new(&threads);
-    for rec in input.iter() {
+    for rec in input {
         if run.should_stop() {
             break;
         }
@@ -126,14 +120,14 @@ impl Engine for Threaded {
     }
 
     fn start(&self, plan: &Plan) -> Handle<ChannelIngress> {
-        let (dead_tx, dead_rx) = bounded(plan.dead_capacity());
+        let (dead_tx, dead_rx) = sync_channel(plan.dead_capacity());
         let run = plan.new_run(DeadDest::Stream(dead_tx));
         let threads = Arc::new(Threads {
             run: Arc::clone(&run),
             config: plan.config,
             handles: Mutex::new(Vec::new()),
         });
-        let (out_tx, out_rx) = bounded(plan.config.channel_capacity.max(1));
+        let (out_tx, out_rx) = sync_channel(plan.config.channel_capacity.max(1));
         // The first component's bounded input channel is the ingress.
         let entry = build(&plan.root, out_tx, &run, &mut Wire::new(&threads));
         Handle {
@@ -141,8 +135,8 @@ impl Engine for Threaded {
                 input: Mutex::new(Some(entry)),
                 threads,
             },
-            output: out_rx,
-            dead: dead_rx,
+            output: Mutex::new(out_rx),
+            dead: Mutex::new(dead_rx),
             run,
         }
     }
@@ -150,31 +144,7 @@ impl Engine for Threaded {
     fn run_batch_report(&self, plan: &Plan, records: Vec<Record>) -> Result<RunReport, SnetError> {
         plan.check()?;
         let handle = self.start(plan);
-        let mut outputs = Vec::new();
-        let mut dead_letters = Vec::new();
-        std::thread::scope(|s| {
-            let h = &handle;
-            // The batch is fed from a helper thread so that bounded
-            // channels cannot deadlock against the draining loop. A
-            // send error means the net tore down early (a component
-            // failed); `finish` reports why.
-            s.spawn(move || {
-                let _ = h.send_all(records);
-                h.close_input();
-            });
-            // `recv` enforces the deadline while blocked; dead letters
-            // are drained at the same cadence so the bounded dead
-            // stream never overflows while the batch driver is in
-            // charge.
-            loop {
-                dead_letters.extend(std::iter::from_fn(|| h.try_recv_dead_letter()));
-                match h.recv() {
-                    Some(rec) => outputs.push(rec),
-                    None => break,
-                }
-            }
-            dead_letters.extend(std::iter::from_fn(|| h.try_recv_dead_letter()));
-        });
+        let (outputs, dead_letters) = handle.feed_and_drain(records);
         let trace = handle.trace_arc();
         handle.finish()?;
         Ok(RunReport {
@@ -187,7 +157,7 @@ impl Engine for Threaded {
 
 /// The threaded engine's ingress: the bounded entry channel itself.
 pub struct ChannelIngress {
-    input: Mutex<Option<Sender<Record>>>,
+    input: Mutex<Option<SyncSender<Record>>>,
     threads: Arc<Threads>,
 }
 
@@ -199,7 +169,7 @@ impl ChannelIngress {
     /// the channel connected for the duration of an in-flight send that
     /// races `close`, which matches "close applies after
     /// already-submitted sends".
-    fn entry(&self) -> Result<Sender<Record>, SnetError> {
+    fn entry(&self) -> Result<SyncSender<Record>, SnetError> {
         let entry = self.input.lock().clone();
         entry.ok_or_else(|| SnetError::Engine("input already closed".into()))
     }
@@ -217,20 +187,21 @@ impl Ingress for ChannelIngress {
     }
 
     fn try_send(&self, rec: Record) -> Result<(), TrySendError> {
-        use crossbeam_channel::TrySendError as ChanTrySend;
         match self.entry().map_err(TrySendError::Closed)?.try_send(rec) {
             Ok(()) => Ok(()),
-            Err(ChanTrySend::Full(rec)) => Err(TrySendError::Full(rec)),
-            Err(ChanTrySend::Disconnected(_)) => Err(TrySendError::Closed(self.disconnected())),
+            Err(mpsc::TrySendError::Full(rec)) => Err(TrySendError::Full(rec)),
+            Err(mpsc::TrySendError::Disconnected(_)) => {
+                Err(TrySendError::Closed(self.disconnected()))
+            }
         }
     }
 
-    /// One `send_iter` through the bounded entry channel: one channel
-    /// lock and one receiver wake per capacity window.
     fn send_all(&self, records: Vec<Record>) -> Result<(), SnetError> {
-        self.entry()?
-            .send_iter(records)
-            .map_err(|_| self.disconnected())
+        let entry = self.entry()?;
+        for rec in records {
+            entry.send(rec).map_err(|_| self.disconnected())?;
+        }
+        Ok(())
     }
 
     fn close(&self) {

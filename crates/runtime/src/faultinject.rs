@@ -134,7 +134,7 @@ pub fn record_key(rec: &Record) -> u64 {
             Value::Str(s) => mix(h, str_key(s)),
             Value::Bytes(b) => {
                 let mut bh = 0u64;
-                for chunk in b.as_ref().chunks(8) {
+                for chunk in b.chunks(8) {
                     let mut word = [0u8; 8];
                     word[..chunk.len()].copy_from_slice(chunk);
                     bh = mix(bh, u64::from_le_bytes(word));

@@ -1,13 +1,20 @@
 //! The streaming handle of a running network: one [`Handle`] whose
 //! egress half is the same on every engine, over an engine-specific
 //! [`Ingress`].
+//!
+//! The egress is two bounded [`std::sync::mpsc`] channels, outputs and
+//! dead letters. An mpsc [`Receiver`] is single-consumer (`!Sync`), so
+//! each sits behind a mutex: the handle stays `Send + Sync`, one
+//! consumer at a time is the supported shape, and consumers that do
+//! call in concurrently take turns rather than race.
 
 use crate::run::Run;
 use crate::trace::Trace;
-use crossbeam_channel::{Receiver, RecvTimeoutError};
+use parking_lot::Mutex;
 use snet_core::fault::DeadLetter;
 use snet_core::{Record, SnetError};
 use std::fmt;
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -98,8 +105,8 @@ pub trait Ingress: Send + Sync {
 /// [`finish`]: Handle::finish
 pub struct Handle<I: Ingress> {
     pub(crate) ingress: I,
-    pub(crate) output: Receiver<Record>,
-    pub(crate) dead: Receiver<DeadLetter>,
+    pub(crate) output: Mutex<Receiver<Record>>,
+    pub(crate) dead: Mutex<Receiver<DeadLetter>>,
     pub(crate) run: Arc<Run>,
 }
 
@@ -121,10 +128,11 @@ impl<I: Ingress> Handle<I> {
     }
 
     /// Sends a pre-materialized batch, still against the bounded
-    /// ingress: records are delivered in capacity-sized windows (one
-    /// lock and one wake per window instead of per record) and the
-    /// call blocks for drain space between windows, so resident
-    /// records stay within [`crate::EngineConfig::channel_capacity`].
+    /// ingress: the call blocks for drain space whenever the ingress
+    /// is full, so resident records stay within
+    /// [`crate::EngineConfig::channel_capacity`]. (The scheduled
+    /// engine's mailbox takes them a capacity window per lock and
+    /// wake; the threaded engine's channel takes them one by one.)
     pub fn send_all(&self, records: Vec<Record>) -> Result<(), SnetError> {
         self.ingress.send_all(records)
     }
@@ -166,8 +174,9 @@ impl<I: Ingress> Handle<I> {
     /// blocked, so a stalled network cannot park the consumer past
     /// [`crate::EngineConfig::deadline`].
     pub fn recv(&self) -> Option<Record> {
+        let output = self.output.lock();
         loop {
-            match self.output.recv_timeout(I::POLL_INTERVAL) {
+            match output.recv_timeout(I::POLL_INTERVAL) {
                 Ok(rec) => return Some(rec),
                 Err(RecvTimeoutError::Disconnected) => return None,
                 Err(RecvTimeoutError::Timeout) => {
@@ -190,7 +199,7 @@ impl<I: Ingress> Handle<I> {
     /// (including after termination — use [`Handle::recv`] to
     /// distinguish end-of-stream).
     pub fn try_recv(&self) -> Option<Record> {
-        self.output.try_recv().ok()
+        self.output.lock().try_recv().ok()
     }
 
     /// Non-blocking receive on the run's dead-letter stream: the next
@@ -199,7 +208,35 @@ impl<I: Ingress> Handle<I> {
     /// nothing is queued. Drain it while the run progresses — the
     /// stream is bounded and overflow fails the run.
     pub fn try_recv_dead_letter(&self) -> Option<DeadLetter> {
-        self.dead.try_recv().ok()
+        self.dead.lock().try_recv().ok()
+    }
+
+    /// The scoped feed-and-drain loop under [`crate::run_stream`] and the
+    /// threaded engine's batch driver: a helper thread pushes `records`
+    /// against the bounded ingress and closes the input while the
+    /// calling thread drains the output to end-of-stream, so bounded
+    /// channels cannot deadlock against the draining loop. Dead letters
+    /// are drained at the same cadence, so the bounded dead-letter
+    /// stream never overflows while this driver is in charge. A send
+    /// error means the run tore down early; `finish` reports why.
+    pub(crate) fn feed_and_drain(&self, records: Vec<Record>) -> (Vec<Record>, Vec<DeadLetter>) {
+        let mut outputs = Vec::new();
+        let mut dead_letters = Vec::new();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                let _ = self.send_all(records);
+                self.close_input();
+            });
+            loop {
+                let out = self.recv();
+                dead_letters.extend(std::iter::from_fn(|| self.try_recv_dead_letter()));
+                match out {
+                    Some(rec) => outputs.push(rec),
+                    None => break,
+                }
+            }
+        });
+        (outputs, dead_letters)
     }
 
     /// Shared event counters of this run.

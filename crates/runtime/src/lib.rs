@@ -60,7 +60,7 @@
 //! | `run` | one run's first-error slot, abort flag, deadline, dead-letter stream: `fail` / `should_stop` / `divert` | — (a mutex and a flag; raced by `fault_tolerance.rs`) |
 //! | `component` | what is per instance: what one record does to one component, over an abstract `Transport`; back-to-front `build` of a component graph from the compiled tree | — (sequential per component; pinned to [`Interp`] by `engine_vs_interp.rs`, `fusion_equivalence.rs`) |
 //! | [`handle`] | the streaming handle: egress, cancel, finish, over an engine's [`Ingress`] | — |
-//! | [`engine`] | threaded transport: a thread per component, ports are channel senders, end-of-stream is disconnect | `channel.rs`, `eaten_wakeup.rs` (the channel shim it rides on) |
+//! | [`engine`] | threaded transport: a thread per component, ports are channel senders, end-of-stream is disconnect | — (`std::sync::mpsc`) |
 //! | `sched::pool` | injector + per-worker deques, `notify` / `park` (lock-then-notify, sleeper gate, injector re-probe), deferral heap | `mailbox.rs` (wake protocol), `chase_lev.rs` (the deque) |
 //! | `sched::task` | mailbox, sender-refcount end-of-stream (in place when the task is idle and drained, else by activation), one activation: drain → step → flush → finalize; backpressure and backoff | `mailbox.rs` (the `scheduled` flag hand-off), `eos_inplace.rs` (last close vs. a racing send and a queued activation) |
 //! | [`sched`] | worker pool lifetime, batch driver, bounded mailbox ingress, the sink's completion latch | `sink_latch.rs` |
@@ -262,11 +262,14 @@
 //!    bounded DFS, deterministic replay of any failing schedule). The
 //!    shims' concurrency façade and the `sched` modules compile against
 //!    `snet_check::sync` under `RUSTFLAGS="--cfg snet_check"`, so the
-//!    *real* Chase–Lev deque and channel implementations are
-//!    model-checked, not simplified copies (`cargo test -p snet-check`
-//!    runs the façade models in every build; the CI `model-check` lane
-//!    adds the cfg'd suite). The table above names the model behind
-//!    each module. The checker has already earned its keep: it found a
+//!    *real* Chase–Lev deque is model-checked, not a simplified copy
+//!    (`cargo test -p snet-check` runs the façade models in every
+//!    build; the CI `model-check` lane adds the cfg'd suite). The deque
+//!    is the one piece of real code under the checker: the channels are
+//!    `std::sync::mpsc`, which is the standard library's to prove, and
+//!    the mailbox, latch and end-of-stream protocols are modelled. The
+//!    table above names the model behind each module. The checker has
+//!    already earned its keep: it found a
 //!    missed-wake window in `sched::pool`'s `notify` — a producer's
 //!    push + sleeper-gate check + notify could land entirely between a
 //!    parking worker's injector re-probe and its condvar wait, burning
@@ -278,7 +281,8 @@
 //!    under ThreadSanitizer, and the `miri` lane runs the value/record
 //!    and smallvec layers under Miri for UB beyond data races.
 //! 3. **No unsafe here**: this crate is `#![forbid(unsafe_code)]`. The
-//!    lock-free and inline-buffer internals live in the two shims and
+//!    lock-free and inline-buffer internals live in two shims (the
+//!    `crossbeam-deque` Chase–Lev deque and `smallvec`) and
 //!    the model checker, where every block carries a `SAFETY:` comment
 //!    and `scripts/check_unsafe.py` fails CI on one without, or on any
 //!    in a crate outside its allowlist.
@@ -306,8 +310,12 @@
 //! and a pool miss just allocates — correctness never depends on the
 //! pool. What is *not* recycled: record payloads themselves (fields own
 //! their values; short records live inline via smallvec and never hit
-//! the heap), the bounded ingress/egress channels' internal queues
-//! (amortized by the channel, retained for the run's lifetime), and
+//! the heap), the streaming handle's egress and dead-letter rings
+//! (`std::sync::mpsc::sync_channel` preallocates all `cap` slots when
+//! the run starts and never allocates again: `cap × slot`, ≈8.5 KiB
+//! for 64 records of egress; the dead-letter ring is 16× as many,
+//! larger slots, which is why a net that provably cannot divert gets a
+//! one-slot stub), and
 //! per-run setup (task graph, trace) — which is why the guarantee is
 //! *steady-state* allocation freedom, proven by the counting-allocator
 //! test `tests/alloc_steady.rs`: a depth-16 fused chain streams 50k
@@ -531,10 +539,10 @@ impl<E: Engine> Network<E> {
 }
 
 /// Streams a batch of records through an engine: a feeder thread pushes
-/// them against the handle's bounded ingress
-/// ([`Handle::send_all`], capacity-window granularity) while the
-/// calling thread drains the output, then the run is finished and the
-/// collected outputs returned.
+/// them against the handle's bounded ingress ([`Handle::send_all`])
+/// while the calling thread drains the output (and the dead letters,
+/// which it discards), then the run is finished and the collected
+/// outputs returned.
 ///
 /// This is the streaming analogue of [`Network::run_batch`] — same
 /// inputs, same output multiset on confluent nets, but bounded
@@ -545,18 +553,7 @@ pub fn run_stream<E: Engine>(
     records: Vec<Record>,
 ) -> Result<Vec<Record>, SnetError> {
     let handle = engine.start();
-    let mut outs = Vec::new();
-    std::thread::scope(|s| {
-        let h = &handle;
-        s.spawn(move || {
-            // A send error means the run failed; finish() reports why.
-            let _ = h.send_all(records);
-            h.close_input();
-        });
-        while let Some(rec) = h.recv() {
-            outs.push(rec);
-        }
-    });
+    let (outs, _dead_letters) = handle.feed_and_drain(records);
     handle.finish()?;
     Ok(outs)
 }

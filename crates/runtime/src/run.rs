@@ -3,11 +3,11 @@
 //! dead-letter stream and event counters.
 
 use crate::trace::Trace;
-use crossbeam_channel::Sender;
 use parking_lot::Mutex;
 use snet_core::fault::DeadLetter;
 use snet_core::SnetError;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -39,7 +39,7 @@ pub(crate) enum DeadDest {
     /// Streaming mode: pushed into the handle's bounded dead-letter
     /// channel. A component never blocks on it — overflow fails the
     /// run.
-    Stream(Sender<DeadLetter>),
+    Stream(SyncSender<DeadLetter>),
 }
 
 impl Run {
@@ -90,7 +90,6 @@ impl Run {
     /// Never blocks; a full streaming channel (consumer not draining)
     /// is a fatal error so the bound is real.
     pub(crate) fn divert(&self, dl: Box<DeadLetter>) -> Result<(), SnetError> {
-        use crossbeam_channel::TrySendError as ChanTrySend;
         Trace::add(&self.trace.dead_letters, 1);
         match &self.dead {
             DeadDest::Collect(v) => {
@@ -99,13 +98,13 @@ impl Run {
             }
             DeadDest::Stream(tx) => match tx.try_send(*dl) {
                 Ok(()) => Ok(()),
-                Err(ChanTrySend::Full(dl)) => Err(SnetError::Engine(format!(
+                Err(TrySendError::Full(dl)) => Err(SnetError::Engine(format!(
                     "dead-letter channel overflow; last report: {}",
                     dl.report
                 ))),
                 // Receiver dropped: the consumer stopped listening;
                 // letters are discarded but the run continues.
-                Err(ChanTrySend::Disconnected(_)) => Ok(()),
+                Err(TrySendError::Disconnected(_)) => Ok(()),
             },
         }
     }

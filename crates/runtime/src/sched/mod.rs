@@ -70,12 +70,12 @@ use crate::config::{EngineConfig, Plan};
 use crate::handle::{Handle, Ingress, TrySendError};
 use crate::run::{DeadDest, Run};
 use crate::{Engine, Network, RunReport};
-use crossbeam_channel::bounded;
 use parking_lot::Mutex;
 use pool::{notify, Pool};
 use snet_core::{Record, SnetError};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -148,9 +148,9 @@ impl Engine for Scheduled {
     /// produces them.
     fn start(&self, plan: &Plan) -> Handle<MailboxIngress> {
         self.ensure_workers();
-        let (dead_tx, dead_rx) = bounded(plan.dead_capacity());
+        let (dead_tx, dead_rx) = sync_channel(plan.dead_capacity());
         let run = plan.new_run(DeadDest::Stream(dead_tx));
-        let (out_tx, out_rx) = bounded(plan.config.channel_capacity.max(1));
+        let (out_tx, out_rx) = sync_channel(plan.config.channel_capacity.max(1));
         let (entry, latch) = self.instantiate(plan, &run, SinkDest::Stream(out_tx));
         Handle {
             ingress: MailboxIngress {
@@ -159,8 +159,8 @@ impl Engine for Scheduled {
                 pool: Arc::clone(&self.pool),
                 latch,
             },
-            output: out_rx,
-            dead: dead_rx,
+            output: Mutex::new(out_rx),
+            dead: Mutex::new(dead_rx),
             run,
         }
     }

@@ -18,18 +18,25 @@
 //! the last task of a run to finalize and always does so in an
 //! activation of its own, so its finalization doubles as the run's
 //! completion signal ([`Latch`]).
+//!
+//! A streaming run's sink is where the graph meets the handle's egress,
+//! a bounded [`std::sync::mpsc`] channel: it delivers with `try_send`
+//! only (a worker never blocks on the consumer), keeps what the channel
+//! hands back at the front of its buffer, and re-defers itself through
+//! the same zero-progress back-off a backpressured component uses — the
+//! channel has no back-edge into the scheduler to wake it.
 
 use super::pool::{notify, Pool};
 use super::sync::{AtomicBool, AtomicU32, AtomicUsize, Condvar};
 use super::Latch;
 use crate::component::{Component, Transport};
 use crate::run::Run;
-use crossbeam_channel::Sender;
 use crossbeam_deque::Worker;
 use parking_lot::Mutex;
 use snet_core::{panic_cause, pool, Record, SnetError};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::{SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -96,7 +103,7 @@ pub(super) enum SinkDest {
     /// Streaming mode: push into the handle's bounded output channel.
     /// Dropping the sender (at sink finalization) is the consumer's
     /// end-of-stream.
-    Stream(Sender<Record>),
+    Stream(SyncSender<Record>),
 }
 
 impl SinkDest {
@@ -114,22 +121,23 @@ impl SinkDest {
         match self {
             SinkDest::Collect(outs) => outs.lock().append(buf),
             SinkDest::Stream(tx) => {
-                // One lock + at most one consumer wake for the whole
-                // window; leftovers stay in `buf` for the deferred
-                // retry. A disconnected consumer drops the rest.
-                if tx.try_send_front(buf).is_err() {
-                    buf.clear();
+                // Front to back, one `try_send` each. A record handed
+                // back as `Full` goes back where it was, at the front
+                // of the leftovers the deferred retry starts from; a
+                // disconnected consumer drops the rest.
+                let mut sent = 0;
+                while sent < buf.len() {
+                    match tx.try_send(std::mem::take(&mut buf[sent])) {
+                        Ok(()) => sent += 1,
+                        Err(TrySendError::Full(rec)) => {
+                            buf[sent] = rec;
+                            break;
+                        }
+                        Err(TrySendError::Disconnected(_)) => sent = buf.len(),
+                    }
                 }
+                buf.drain(..sent);
             }
-        }
-    }
-
-    /// Can the destination accept nothing further right now? Drives the
-    /// sink's cooperative-backpressure yield.
-    fn is_full(&self) -> bool {
-        match self {
-            SinkDest::Collect(_) => false,
-            SinkDest::Stream(tx) => tx.is_full(),
         }
     }
 }
@@ -385,7 +393,7 @@ fn run_task(
                 finalize(task, &mut state, sh, local, 0);
                 return None;
             }
-            if output_backpressured(&state, sh) {
+            if output_backpressured(&mut state, sh) {
                 break;
             }
             next_bp_check = processed + bp_stride;
@@ -524,12 +532,22 @@ fn flush_outputs(state: &mut State, sh: &Pool, local: Option<&Worker<Arc<Task>>>
 /// Cooperative backpressure: stop consuming while the primary output
 /// mailbox is over the high-water mark. Dispatchers are exempt (their
 /// work per record is trivial and they feed many outputs). A streaming
-/// sink with undelivered records and a full output channel yields the
-/// same way — it must not grow its buffer while the consumer lags.
-fn output_backpressured(state: &State, sh: &Pool) -> bool {
+/// sink yields the same way while its consumer lags — it must not grow
+/// its buffer then — and learns that from the channel handing a record
+/// back, not from probing it: a whole hand-off batch still buffered
+/// here means the delivery that was due found the channel full, so it
+/// is retried, and whatever comes back again is the backpressure. (A
+/// shorter buffer is a dribble the tail of `run_task` is holding on
+/// purpose, or leftovers the next due delivery takes along.)
+fn output_backpressured(state: &mut State, sh: &Pool) -> bool {
     match state {
         State::Live(comp) => !comp.is_dispatcher() && comp.out().backlog() >= sh.high_water(),
-        State::Sink { buf, dest, .. } => !buf.is_empty() && dest.is_full(),
+        State::Sink { buf, dest, .. } => {
+            buf.len() >= sh.config.batch.max(1) && {
+                dest.flush(buf);
+                !buf.is_empty()
+            }
+        }
         State::Done => false,
     }
 }

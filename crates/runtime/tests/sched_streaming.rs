@@ -15,7 +15,12 @@
 
 use snet_core::boxdef::{BoxDef, BoxOutput, BoxSig, Work};
 use snet_core::{NetSpec, Record, SnetError, Value};
-use snet_runtime::{run_stream, EngineConfig, SchedNet, TrySendError};
+use snet_runtime::engine::Threaded;
+use snet_runtime::sched::Scheduled;
+use snet_runtime::{
+    run_stream, run_stream_interleaved, Engine, EngineConfig, NetHandle, Network, SchedHandle,
+    SchedNet, TrySendError,
+};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -270,22 +275,63 @@ fn dropping_handle_without_finish_is_safe() {
     // thus the test.
 }
 
-/// Streaming a long input through a deep pipeline with a tiny ingress
-/// bound: maximal send-side blocking must still deliver every record
-/// in per-stream order.
+/// Streaming a long input through a deep pipeline with tiny ingress and
+/// egress bounds: maximal send-side blocking, and a sink that is never
+/// rid of leftovers — a 1 → 5 fan-out in front means every activation
+/// hands it more than the one- or two-slot output channel takes, so it
+/// delivers across deferrals, record by record — must still deliver
+/// every record in stream order. Both drivers, both engines (`workers`
+/// means nothing to the threaded one), one and two pool workers.
 #[test]
 fn tight_capacity_streaming_soak() {
-    let stages: Vec<NetSpec> = (0..8).map(|_| int_box("inc", |x| x + 1)).collect();
-    let net = SchedNet::with_config(
-        NetSpec::pipeline(stages),
-        EngineConfig {
-            workers: 2,
-            channel_capacity: 2,
-            ..EngineConfig::default()
-        },
-    );
-    for round in 0..2 {
-        let outs = run_stream(&net, recs(300)).unwrap();
-        assert_eq!(xs(&outs), (8..308).collect::<Vec<_>>(), "round {round}");
+    fn x_of(r: &Record) -> i64 {
+        r.field("x").and_then(|v| v.as_int()).expect("int field x")
     }
+    fn soak<E: Engine>() {
+        let fan_out = NetSpec::Box(BoxDef::from_fn(
+            BoxSig::parse("fan", &["x"], &[&["x"]]),
+            |r| {
+                let x = x_of(r);
+                let outs =
+                    (0..5).map(move |k| Record::new().with_field("x", Value::Int(5 * x + k)));
+                Ok(BoxOutput::from_iter(outs, Work::ops(1)))
+            },
+        ));
+        let stages = std::iter::once(fan_out).chain((0..8).map(|_| int_box("inc", |x| x + 1)));
+        let spec = NetSpec::pipeline(stages.collect::<Vec<_>>());
+        let want: Vec<i64> = (8..508).collect();
+        for (channel_capacity, workers) in [(1, 1), (1, 2), (2, 1), (2, 2)] {
+            let net = Network::<E>::with_config(
+                spec.clone(),
+                EngineConfig {
+                    workers,
+                    channel_capacity,
+                    ..EngineConfig::default()
+                },
+            );
+            let case = format!(
+                "{}: capacity {channel_capacity}, {workers} workers",
+                net.name()
+            );
+            for round in 0..2 {
+                let outs = run_stream(&net, recs(100)).unwrap();
+                let got: Vec<i64> = outs.iter().map(x_of).collect();
+                assert_eq!(got, want, "{case}, round {round}");
+            }
+            let outs = run_stream_interleaved(&net, recs(100)).unwrap();
+            let got: Vec<i64> = outs.iter().map(x_of).collect();
+            assert_eq!(got, want, "{case}, interleaved");
+        }
+    }
+    soak::<Scheduled>();
+    soak::<Threaded>();
+}
+
+/// A handle is shared by reference between a producer and a consumer
+/// thread, whatever its egress is made of.
+#[test]
+fn handles_are_send_and_sync() {
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<NetHandle>();
+    assert_send_sync::<SchedHandle>();
 }

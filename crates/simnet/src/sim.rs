@@ -15,12 +15,12 @@
 //! identical event logs, identical results and identical makespans.
 
 use crate::time::SimTime;
-use crossbeam_channel::{bounded, unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -112,7 +112,7 @@ enum YieldKind {
 
 struct ProcEntry {
     name: String,
-    go_tx: Sender<()>,
+    go_tx: SyncSender<()>,
     done: bool,
     /// Human-readable description of what the process is blocked on
     /// (for deadlock reports).
@@ -144,7 +144,7 @@ impl Kernel {
         self.now
     }
 
-    fn register(&mut self, name: String, go_tx: Sender<()>) -> ProcId {
+    fn register(&mut self, name: String, go_tx: SyncSender<()>) -> ProcId {
         let id = ProcId(self.procs.len() as u32);
         self.procs.push(ProcEntry {
             name,
@@ -176,7 +176,7 @@ impl SimHandle {
     where
         F: FnOnce(&SimCtx) + Send + 'static,
     {
-        let (go_tx, go_rx) = bounded(1);
+        let (go_tx, go_rx) = sync_channel(1);
         let pid = {
             let mut k = self.kernel.lock();
             let pid = k.register(name.to_owned(), go_tx);
@@ -322,7 +322,7 @@ impl Default for Simulation {
 impl Simulation {
     /// Creates an empty simulation at time zero.
     pub fn new() -> Simulation {
-        let (yield_tx, yield_rx) = unbounded();
+        let (yield_tx, yield_rx) = channel();
         let kernel = Arc::new(Mutex::new(Kernel {
             now: SimTime::ZERO,
             seq: 0,
@@ -432,7 +432,7 @@ impl Simulation {
         let threads = {
             let mut k = kernel.lock();
             for p in &mut k.procs {
-                let (dead_tx, _) = bounded(1);
+                let (dead_tx, _) = sync_channel(1);
                 p.go_tx = dead_tx; // drop the real sender
             }
             std::mem::take(&mut k.threads)

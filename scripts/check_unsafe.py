@@ -6,7 +6,9 @@ Rust file:
 
 1. **Allowlist** — only crates with a reviewed reason may contain
    ``unsafe`` at all. Today that is the two shims with lock-free /
-   inline-buffer internals, the model checker's sync facade, and the
+   inline-buffer internals (``crossbeam-deque``, ``smallvec``; the
+   other three shims and every channel, which is ``std::sync::mpsc``,
+   are safe code), the model checker's sync facade, and the
    two allocation counters (snet-runtime's ``alloc_steady`` test — the
    library itself forbids ``unsafe`` — and snet-bench's
    ``bench_unfold``).
