@@ -229,10 +229,10 @@ fn lock_exec(ctx: &Ctx) -> std::sync::MutexGuard<'_, Exec> {
 impl Ctx {
     /// One visible operation by the running thread `tid`: records the
     /// trace event and decides who performs the next operation.
-    /// `voluntary` marks explicit yields (`thread::yield_now`,
-    /// `hint::spin_loop`): switching away from a voluntary yield is
-    /// free (not a preemption) and switching is the *default* choice,
-    /// which keeps spin loops from monopolizing default schedules.
+    /// `voluntary` marks explicit yields (`thread::yield_now`):
+    /// switching away from a voluntary yield is free (not a
+    /// preemption) and switching is the *default* choice, which keeps
+    /// spin loops from monopolizing default schedules.
     pub(crate) fn op(self: &Arc<Ctx>, tid: usize, desc: &'static str, voluntary: bool) {
         let next_token;
         let my_token;

@@ -1,12 +1,12 @@
-//! # snet-check — a loom-style model checker for the workspace's lock-free internals
+//! # snet-check — a loom-style model checker for the scheduler's protocols
 //!
 //! Stress tests sample interleavings; this crate *enumerates* them.
 //! A model is an ordinary closure that spawns threads and touches
-//! shared state through [`sync`] / [`thread`] / [`hint`] — the same
-//! surface as `std`. The checker runs the closure repeatedly, each
-//! time under a different schedule, driving the choice of which thread
-//! performs each visible operation (atomic access, lock, notify, spawn,
-//! yield) by depth-first search over the decision tree.
+//! shared state through [`sync`] / [`thread`] — the same surface as
+//! `std`. The checker runs the closure repeatedly, each time under a
+//! different schedule, driving the choice of which thread performs each
+//! visible operation (atomic access, lock, notify, spawn, yield) by
+//! depth-first search over the decision tree.
 //!
 //! ```
 //! use snet_check::{model, sync::Mutex, sync::Arc, thread};
@@ -56,20 +56,19 @@
 //!
 //! The protocol models in `tests/` (`mailbox`, `sink_latch`,
 //! `eos_inplace`) are written against the façade and run in every
-//! build. The one piece of *real* code under the checker is the
-//! Chase–Lev deque (`tests/chase_lev.rs`): the `crossbeam-deque` shim,
-//! and the `parking_lot` mutex `snet-runtime` locks through, compile
-//! against this façade only under `--cfg snet_check`:
+//! build. The `parking_lot` mutex `snet-runtime` locks through, and the
+//! scheduler's own atomics and condvars, compile against this façade
+//! under `--cfg snet_check`, which proves the scheduler keeps to the
+//! surface the models are written in:
 //!
 //! ```text
-//! RUSTFLAGS="--cfg snet_check" cargo test -p snet-check
+//! RUSTFLAGS="--cfg snet_check" cargo check -p snet-runtime
 //! ```
 //!
 //! Channels are not modelled: the workspace's are `std::sync::mpsc`.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod hint;
 pub mod sync;
 pub mod thread;
 
@@ -260,7 +259,8 @@ pub fn timeouts_fired() -> usize {
 mod self_tests {
     //! The checker checking itself: these run under plain `cargo test`
     //! (no `--cfg snet_check` needed — the façade is always compiled,
-    //! only the *shims'* use of it is cfg-gated).
+    //! only the `parking_lot` shim's and the scheduler's use of it is
+    //! cfg-gated).
 
     use super::sync::atomic::{AtomicUsize, Ordering};
     use super::sync::{Arc, Condvar, Mutex};

@@ -1,9 +1,9 @@
-//! Drop-in replacements for the `std::sync` surface the shims and the
-//! sched mailbox path use. Under the model every access is a visible
-//! operation (a potential preemption point) and blocking is simulated,
-//! so the DFS driver in `lib.rs` can enumerate interleavings. The
-//! signatures mirror `std::sync` closely enough that the shims switch
-//! between the two with a pair of cfg'd `use` lines.
+//! Drop-in replacements for the `std::sync` surface the `parking_lot`
+//! shim and the sched mailbox path use. Under the model every access is
+//! a visible operation (a potential preemption point) and blocking is
+//! simulated, so the DFS driver in `lib.rs` can enumerate
+//! interleavings. The signatures mirror `std::sync` closely enough that
+//! both switch between the two with a pair of cfg'd `use` lines.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::Ordering;
@@ -373,7 +373,6 @@ pub mod atomic {
     }
 
     model_atomic!(AtomicUsize, AtomicUsize, usize, arith);
-    model_atomic!(AtomicIsize, AtomicIsize, isize, arith);
     model_atomic!(AtomicU32, AtomicU32, u32, arith);
     model_atomic!(AtomicU64, AtomicU64, u64, arith);
 
@@ -424,61 +423,5 @@ pub mod atomic {
         pub fn into_inner(self) -> bool {
             self.0.into_inner()
         }
-    }
-
-    #[derive(Debug)]
-    pub struct AtomicPtr<T>(std::sync::atomic::AtomicPtr<T>);
-
-    impl<T> AtomicPtr<T> {
-        pub const fn new(p: *mut T) -> Self {
-            Self(std::sync::atomic::AtomicPtr::new(p))
-        }
-
-        fn yield_op(desc: &'static str) {
-            let (ctx, tid) = exec::current();
-            ctx.op(tid, desc, false);
-        }
-
-        pub fn load(&self, _o: Ordering) -> *mut T {
-            Self::yield_op("AtomicPtr::load");
-            self.0.load(Ordering::SeqCst)
-        }
-
-        pub fn store(&self, p: *mut T, _o: Ordering) {
-            Self::yield_op("AtomicPtr::store");
-            self.0.store(p, Ordering::SeqCst)
-        }
-
-        pub fn swap(&self, p: *mut T, _o: Ordering) -> *mut T {
-            Self::yield_op("AtomicPtr::swap");
-            self.0.swap(p, Ordering::SeqCst)
-        }
-
-        pub fn compare_exchange(
-            &self,
-            cur: *mut T,
-            new: *mut T,
-            _s: Ordering,
-            _f: Ordering,
-        ) -> Result<*mut T, *mut T> {
-            Self::yield_op("AtomicPtr::compare_exchange");
-            self.0
-                .compare_exchange(cur, new, Ordering::SeqCst, Ordering::SeqCst)
-        }
-
-        pub fn get_mut(&mut self) -> &mut *mut T {
-            self.0.get_mut()
-        }
-
-        pub fn into_inner(self) -> *mut T {
-            self.0.into_inner()
-        }
-    }
-
-    /// Fences collapse under sequential consistency; this is a visible
-    /// operation (preemption point) and nothing more.
-    pub fn fence(_o: Ordering) {
-        let (ctx, tid) = exec::current();
-        ctx.op(tid, "fence", false);
     }
 }

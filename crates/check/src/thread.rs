@@ -1,5 +1,5 @@
 //! Model threads: `spawn`/`JoinHandle`/`yield_now` with the `std::thread`
-//! surface the shims use. Spawned closures run on real OS threads but
+//! surface the models use. Spawned closures run on real OS threads but
 //! only ever one at a time, under the scheduler in `exec.rs`.
 
 use std::sync::{Arc, Mutex as StdMutex};

@@ -3,23 +3,27 @@
 //! façade — runs in every build, no special RUSTFLAGS.
 //!
 //! The protocol: producers CAS a per-task `scheduled` flag, push the
-//! task, and wake the worker condvar only when `sleepers > 0`
-//! (skipping the syscall when every worker is busy). A parking worker
-//! registers as a sleeper and **re-probes the injector** before
-//! waiting, holding the sleep lock throughout; the producer-side wake
-//! is **lock-then-notify** (acquire and release the sleep lock before
-//! `notify_one`), which serializes the notify against the probe→wait
-//! window.
+//! task onto a run queue — the shared one from a thread outside the
+//! pool, its own from a worker mid-activation — and wake the worker
+//! condvar only when `sleepers > 0` (skipping the syscall when every
+//! worker is busy). A parking worker registers as a sleeper and
+//! **re-probes every run queue** before waiting, holding the sleep
+//! lock throughout; the producer-side wake is **lock-then-notify**
+//! (acquire and release the sleep lock before `notify_one`), which
+//! serializes the notify against the probe→wait window.
 //!
 //! That lock-then-notify is a fix this checker found. The original
 //! protocol notified without the lock, and the DFS driver surfaced the
 //! schedule where the producer's entire push+load+notify lands between
-//! the worker's injector re-probe and its condvar wait: the wake is
-//! lost and the worker burns its 1ms timed-wait backstop (observable
-//! here as `timeouts_fired() == 1`; in production, as bounded wake
-//! latency). `unlocked_notify_leans_on_the_timeout` keeps that
-//! schedule as a regression model; `shipped_protocol_*` pins that the
-//! fixed protocol never touches the backstop on any schedule.
+//! the worker's re-probe and its condvar wait: the wake is lost and
+//! the worker burns its 1ms timed-wait backstop (observable here as
+//! `timeouts_fired() == 1`; in production, as bounded wake latency).
+//! `unlocked_notify_leans_on_the_timeout` keeps that schedule as a
+//! regression model; `shipped_protocol_*` pins that the fixed protocol
+//! never touches the backstop on any schedule. The re-probe used to
+//! cover the shared queue only, which left the same hole for a push
+//! onto a busy worker's own queue: `shared_only_reprobe_*` is that
+//! protocol, `own_queue_push_*` the shipped one.
 
 use snet_check::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use snet_check::sync::{Arc, Condvar, Mutex};
@@ -33,25 +37,42 @@ struct Variant {
     gate_on_sleepers: bool,
     /// Acquire+release the sleep lock before notifying (the fix).
     lock_before_notify: bool,
-    /// Re-probe the injector after sleeper registration (shipped).
-    reprobe: bool,
+    /// Which run queues a parking worker re-probes after sleeper
+    /// registration (shipped: every one).
+    reprobe: Reprobe,
+    /// The queue the producer pushes to: `SHARED` for a thread outside
+    /// the pool, `SIBLING` for a worker that queues on its own queue and
+    /// stays busy, so only the modelled worker can take the task.
+    push_to: usize,
     /// Timed wait (the 1ms production backstop) vs. untimed — untimed
     /// turns any lost wake into a hard deadlock the checker reports.
     timed: bool,
 }
 
+/// How many of the run queues, shared one first, `park` re-probes.
+#[derive(Clone, Copy)]
+enum Reprobe {
+    Nothing = 0,
+    SharedOnly = 1,
+    Every = 2,
+}
+
+const SHARED: usize = 0;
+const SIBLING: usize = 1;
+
 const SHIPPED: Variant = Variant {
     gate_on_sleepers: true,
     lock_before_notify: true,
-    reprobe: true,
+    reprobe: Reprobe::Every,
+    push_to: SHARED,
     timed: true,
 };
 
-/// The worker-pool shared state, reduced to the wake protocol: the
-/// injector is a plain queue of task ids, each task is its `scheduled`
-/// flag.
+/// The worker-pool shared state, reduced to the wake protocol: a run
+/// queue is a plain queue of task ids (the shared one and a sibling
+/// worker's own), each task is its `scheduled` flag.
 struct Pool {
-    injector: Mutex<Vec<usize>>,
+    queues: [Mutex<Vec<usize>>; 2],
     sleep: Mutex<()>,
     cv: Condvar,
     sleepers: AtomicUsize,
@@ -62,7 +83,7 @@ struct Pool {
 impl Pool {
     fn new() -> Pool {
         Pool {
-            injector: Mutex::new(Vec::new()),
+            queues: [Mutex::new(Vec::new()), Mutex::new(Vec::new())],
             sleep: Mutex::new(()),
             cv: Condvar::new(),
             sleepers: AtomicUsize::new(0),
@@ -77,7 +98,7 @@ impl Pool {
             .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
         {
-            self.injector.lock().unwrap().push(task);
+            self.queues[v.push_to].lock().unwrap().push(task);
             if !v.gate_on_sleepers || self.sleepers.load(Ordering::SeqCst) > 0 {
                 if v.lock_before_notify {
                     drop(self.sleep.lock().unwrap());
@@ -92,7 +113,10 @@ impl Pool {
     fn park(&self, v: Variant) {
         let sleep = self.sleep.lock().unwrap();
         self.sleepers.fetch_add(1, Ordering::SeqCst);
-        if v.reprobe && !self.injector.lock().unwrap().is_empty() {
+        if self.queues[..v.reprobe as usize]
+            .iter()
+            .any(|q| !q.lock().unwrap().is_empty())
+        {
             self.sleepers.fetch_sub(1, Ordering::SeqCst);
             return;
         }
@@ -107,11 +131,12 @@ impl Pool {
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// Worker loop: probe, park when empty, run claimed tasks until
-    /// both have been executed once.
+    /// Worker loop: probe (the shared queue, then a raid on the
+    /// sibling's), park when empty, run claimed tasks until both have
+    /// been executed once.
     fn worker(&self, v: Variant) {
         loop {
-            let task = self.injector.lock().unwrap().pop();
+            let task = self.queues.iter().find_map(|q| q.lock().unwrap().pop());
             match task {
                 Some(t) => {
                     // `run_task`'s tail: clear the flag, process.
@@ -145,7 +170,7 @@ fn scenario(v: Variant) {
     assert_eq!(pool.done[0].load(Ordering::SeqCst), 1, "task 0 must run");
     assert_eq!(pool.done[1].load(Ordering::SeqCst), 1, "task 1 must run");
     assert!(
-        pool.injector.lock().unwrap().is_empty(),
+        pool.queues.iter().all(|q| q.lock().unwrap().is_empty()),
         "all pushed work drained"
     );
 }
@@ -227,12 +252,58 @@ fn unlocked_notify_leans_on_the_timeout() {
 fn missing_reprobe_is_a_lost_wakeup() {
     let failure = check(Config::default(), || {
         scenario(Variant {
-            reprobe: false,
+            reprobe: Reprobe::Nothing,
             timed: false,
             ..SHIPPED
         })
     })
     .expect_err("removing the re-probe must deadlock under some schedule");
+    assert!(
+        failure.message.contains("deadlock"),
+        "expected a deadlock report, got: {failure}"
+    );
+}
+
+/// A worker mid-activation queues on its own queue and stays busy, so
+/// the push is the parked sibling's to find: with every queue
+/// re-probed, no schedule needs the backstop.
+#[test]
+fn own_queue_push_never_uses_the_timeout() {
+    let report = check(Config::default(), || {
+        scenario(Variant {
+            push_to: SIBLING,
+            ..SHIPPED
+        });
+        assert_eq!(
+            snet_check::timeouts_fired(),
+            0,
+            "a push onto a sibling's queue must wake the parker without the backstop"
+        );
+    })
+    .unwrap_or_else(|f| panic!("{f}"));
+    assert!(report.complete, "{report:?}");
+    assert!(
+        report.schedules >= 1000,
+        "expected >= 1000 schedules, got {report:?}"
+    );
+}
+
+/// What shipped before: only the shared queue was re-probed, and the
+/// 1ms timed wait "backstopped" pushes to a worker's own queue. The
+/// producer pushes there after the worker's empty probe, reads
+/// `sleepers == 0` before registration and skips the notify; nothing in
+/// the re-probe sees the task. Untimed, that is a deadlock.
+#[test]
+fn shared_only_reprobe_leans_on_the_timeout() {
+    let failure = check(Config::default(), || {
+        scenario(Variant {
+            reprobe: Reprobe::SharedOnly,
+            push_to: SIBLING,
+            timed: false,
+            ..SHIPPED
+        })
+    })
+    .expect_err("a shared-only re-probe must lose a wake for a push to a sibling's queue");
     assert!(
         failure.message.contains("deadlock"),
         "expected a deadlock report, got: {failure}"

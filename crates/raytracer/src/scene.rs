@@ -16,8 +16,43 @@ use crate::bvh::Bvh;
 use crate::ray::Ray;
 use crate::shape::{Material, Shape};
 use crate::vec3::{v3, Vec3};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+
+/// The scenes' seeded generator: xoshiro256++ with its state drawn from
+/// the seed by SplitMix64. Every figure and every `benchmark/` scene
+/// hangs off this stream, so it is pinned bit for bit (`tests` below).
+struct Rng([u64; 4]);
+
+impl Rng {
+    fn new(seed: u64) -> Rng {
+        let mut sm = seed;
+        Rng(std::array::from_fn(|_| {
+            sm = sm.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = sm;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }))
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        let s = &mut self.0;
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
+    }
+
+    /// A uniform draw from `[lo, hi)`: 53 random mantissa bits.
+    fn range(&mut self, lo: f64, hi: f64) -> f64 {
+        let unit = (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        lo + unit * (hi - lo)
+    }
+}
 
 /// A point light.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -89,7 +124,7 @@ pub struct Scene {
 impl Scene {
     /// Builds a preset scene with `spheres` spheres from a seed.
     pub fn preset(preset: ScenePreset, spheres: usize, seed: u64) -> Scene {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::new(seed);
         let mut shapes = Vec::with_capacity(spheres + 1);
         let mut materials = Vec::with_capacity(spheres + 1);
 
@@ -111,29 +146,29 @@ impl Scene {
                 // it fills the lower image rows.
                 (
                     v3(
-                        rng.gen_range(-10.0..10.0),
-                        rng.gen_range(0.4..2.2),
-                        rng.gen_range(-4.0..8.0),
+                        rng.range(-10.0, 10.0),
+                        rng.range(0.4, 2.2),
+                        rng.range(-4.0, 8.0),
                     ),
-                    rng.gen_range(0.35..0.9),
+                    rng.range(0.35, 0.9),
                 )
             } else {
                 (
                     v3(
-                        rng.gen_range(-18.0..18.0),
-                        rng.gen_range(0.5..11.0),
-                        rng.gen_range(-10.0..22.0),
+                        rng.range(-18.0, 18.0),
+                        rng.range(0.5, 11.0),
+                        rng.range(-10.0, 22.0),
                     ),
-                    rng.gen_range(0.4..1.3),
+                    rng.range(0.4, 1.3),
                 )
             };
             shapes.push(Shape::Sphere { center, radius });
             let hue = v3(
-                rng.gen_range(0.2..1.0),
-                rng.gen_range(0.2..1.0),
-                rng.gen_range(0.2..1.0),
+                rng.range(0.2, 1.0),
+                rng.range(0.2, 1.0),
+                rng.range(0.2, 1.0),
             );
-            let style: f64 = rng.gen_range(0.0..1.0);
+            let style = rng.range(0.0, 1.0);
             let mat = if clustered {
                 // The cluster is mostly mirrors: deep secondary-ray
                 // trees inside the band amplify the imbalance.
@@ -205,6 +240,52 @@ mod tests {
         assert_eq!(a.shapes, b.shapes);
         let c = Scene::preset(ScenePreset::Clustered, 60, 8);
         assert_ne!(a.shapes, c.shapes);
+    }
+
+    /// Folds every drawn number of a scene (sphere geometry, material
+    /// colour and kind) into one word, FNV-1a over the `f64` bits.
+    fn checksum(scene: &Scene) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |x: f64| h = (h ^ x.to_bits()).wrapping_mul(0x0100_0000_01b3);
+        for shape in &scene.shapes {
+            if let Shape::Sphere { center, radius } = *shape {
+                [center.x, center.y, center.z, radius]
+                    .into_iter()
+                    .for_each(&mut eat);
+            }
+        }
+        for m in &scene.materials {
+            let d = m.diffuse;
+            [d.x, d.y, d.z, m.reflectivity, m.transparency]
+                .into_iter()
+                .for_each(&mut eat);
+        }
+        h
+    }
+
+    /// The generator's stream is a contract: the benchmark's scene
+    /// family, `fig5`/`fig6` and the distributed integration tests are
+    /// all `Scene::preset(.., seed)`. Values captured from the `rand`
+    /// shim's `StdRng` (the same xoshiro256++) before it was folded in
+    /// here.
+    #[test]
+    fn preset_stream_is_pinned() {
+        let s = Scene::preset(ScenePreset::Clustered, 180, 2010);
+        let Shape::Sphere { center, radius } = s.shapes[1] else {
+            panic!("shape 1 is the first sphere");
+        };
+        assert_eq!(
+            [center.x, center.y, center.z, radius].map(f64::to_bits),
+            [
+                0xc014_27e9_7907_0c40, // -5.038976565413634
+                0x400f_b9d5_6cce_254d, // 3.965739107171123
+                0x4030_9592_dec5_c5a5, // 16.58427231148166
+                0x3ff1_0767_c18f_3f48, // 1.0643079338951384
+            ]
+        );
+        assert_eq!(checksum(&s), 0x7c5e_997e_cb31_2751);
+        let balanced = Scene::preset(ScenePreset::Balanced, 60, 7);
+        assert_eq!(checksum(&balanced), 0x0de5_239a_3475_2bac);
     }
 
     #[test]

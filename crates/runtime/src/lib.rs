@@ -61,7 +61,7 @@
 //! | `component` | what is per instance: what one record does to one component, over an abstract `Transport`; back-to-front `build` of a component graph from the compiled tree | — (sequential per component; pinned to [`Interp`] by `engine_vs_interp.rs`, `fusion_equivalence.rs`) |
 //! | [`handle`] | the streaming handle: egress, cancel, finish, over an engine's [`Ingress`] | — |
 //! | [`engine`] | threaded transport: a thread per component, ports are channel senders, end-of-stream is disconnect | — (`std::sync::mpsc`) |
-//! | `sched::pool` | injector + per-worker deques, `notify` / `park` (lock-then-notify, sleeper gate, injector re-probe), deferral heap | `mailbox.rs` (wake protocol), `chase_lev.rs` (the deque) |
+//! | `sched::pool` | the run queues (one shared, one per worker: mutex-guarded `VecDeque`s, steal-half), `notify` / `park` (lock-then-notify, sleeper gate, re-probe of every queue), deferral heap | `mailbox.rs` (wake protocol; the queues are a lock around a std container, unit- and churn-tested beside them) |
 //! | `sched::task` | mailbox, sender-refcount end-of-stream (in place when the task is idle and drained, else by activation), one activation: drain → step → flush → finalize; backpressure and backoff | `mailbox.rs` (the `scheduled` flag hand-off), `eos_inplace.rs` (last close vs. a racing send and a queued activation) |
 //! | [`sched`] | worker pool lifetime, batch driver, bounded mailbox ingress, the sink's completion latch | `sink_latch.rs` |
 //!
@@ -125,12 +125,19 @@
 //! the `throughput_per_s` of a build whose default is 1, which is also
 //! what guards the coalescing path — break it and that workload's 0.25
 //! bound trips. Serial runs of boxes do not hand off at all once fused.
-//! Under the hood the worker deques are a lock-free Chase–Lev
-//! implementation (see the `crossbeam-deque` shim), so stealing no
-//! longer serializes on a mutex either. Backpressure is cooperative:
+//! Because a queue operation is paid per hand-off, not per record, and
+//! the pool is at most four workers, the run queues are plain
+//! mutex-guarded `VecDeque`s: against a lock-free work-stealing deque
+//! in their place, all four `benchmark/` workloads read the same
+//! `throughput_per_s` (medians 0.98–1.01× over six alternating pairs,
+//! each inside the parent's own quartiles). What did measure was
+//! collapsing them into a single shared queue — `forkjoin_burst`
+//! 0.75–0.86×, `route_stream` 0.95× — so a worker keeps a queue of its
+//! own: it is what keeps a consumer on its producer's core (ROADMAP has
+//! the runs). Backpressure is cooperative:
 //! a task whose downstream mailbox is over the high-water mark stops
 //! consuming and re-enqueues itself with exponential backoff (1µs
-//! doubling to ~1ms) rather than spinning on the global queue.
+//! doubling to ~1ms) rather than spinning on a run queue.
 //!
 //! ## Operator fusion ([`EngineConfig::fuse`])
 //!
@@ -252,44 +259,51 @@
 //!
 //! ## Concurrency correctness
 //!
-//! The scheduled engine's hot paths are lock-free or condvar-gated, and
-//! "it passed the stress tests" is not an argument there. Four layers
-//! back up the concurrent internals:
+//! The scheduled engine's hot paths are mutex- or condvar-gated hand-
+//! offs between threads, and "it passed the stress tests" is not an
+//! argument there. Four layers back up the concurrent internals:
 //!
 //! 1. **Model checking** (`crates/check`, the `snet-check` crate): a
 //!    loom-style deterministic scheduler explores thread interleavings
 //!    exhaustively (sequentially consistent schedules, preemption-
-//!    bounded DFS, deterministic replay of any failing schedule). The
-//!    shims' concurrency façade and the `sched` modules compile against
-//!    `snet_check::sync` under `RUSTFLAGS="--cfg snet_check"`, so the
-//!    *real* Chase–Lev deque is model-checked, not a simplified copy
-//!    (`cargo test -p snet-check` runs the façade models in every
-//!    build; the CI `model-check` lane adds the cfg'd suite). The deque
-//!    is the one piece of real code under the checker: the channels are
-//!    `std::sync::mpsc`, which is the standard library's to prove, and
-//!    the mailbox, latch and end-of-stream protocols are modelled. The
-//!    table above names the model behind each module. The checker has
+//!    bounded DFS, deterministic replay of any failing schedule). What
+//!    it checks are *protocol models* — the wake, latch and
+//!    end-of-stream protocols written out against `snet_check::sync`
+//!    (`cargo test -p snet-check`, every build); the table above names
+//!    the model behind each module. The `sched` modules and the
+//!    `parking_lot` mutex they lock through compile against the same
+//!    façade under `RUSTFLAGS="--cfg snet_check"` (the CI `model-check`
+//!    lane), which keeps the scheduler on the surface the models are
+//!    written in. The containers are not modelled: the run queues are
+//!    a lock around `VecDeque` and the channels are `std::sync::mpsc`,
+//!    both the standard library's to prove. The checker has
 //!    already earned its keep: it found a
 //!    missed-wake window in `sched::pool`'s `notify` — a producer's
 //!    push + sleeper-gate check + notify could land entirely between a
-//!    parking worker's injector re-probe and its condvar wait, burning
+//!    parking worker's re-probe and its condvar wait, burning
 //!    the 1ms timed backstop. The fix (lock-then-notify) and the
 //!    failing protocol are both pinned in
-//!    `crates/check/tests/mailbox.rs`.
+//!    `crates/check/tests/mailbox.rs`, as is the later one of the same
+//!    kind: the re-probe covers every run queue, not only the shared
+//!    one.
 //! 2. **Weak-memory coverage**: the model runs SeqCst-only, so the CI
-//!    `tsan` lane races the deque and the scheduler's streaming suite
-//!    under ThreadSanitizer, and the `miri` lane runs the value/record
+//!    `tsan` lane races the scheduler's streaming suite under
+//!    ThreadSanitizer, and the `miri` lane runs the value/record
 //!    and smallvec layers under Miri for UB beyond data races.
-//! 3. **No unsafe here**: this crate is `#![forbid(unsafe_code)]`. The
-//!    lock-free and inline-buffer internals live in two shims (the
-//!    `crossbeam-deque` Chase–Lev deque and `smallvec`) and
-//!    the model checker, where every block carries a `SAFETY:` comment
+//! 3. **No unsafe here**: this crate is `#![forbid(unsafe_code)]`, and
+//!    nothing under the scheduler has any: `unsafe` lives only in the
+//!    `smallvec` shim (inline buffer), the model checker's mutex façade
+//!    and two counting allocators (`tests/alloc_steady.rs`,
+//!    `bench_unfold`), where every block carries a `SAFETY:` comment
 //!    and `scripts/check_unsafe.py` fails CI on one without, or on any
 //!    in a crate outside its allowlist.
-//! 4. **Interleaving stress**: the deque's `steal_race.rs` drives the
-//!    2- and 3-thread last-element races and growth/steal overlap with
-//!    barrier-released replays; the fault-injection harness churns the
-//!    failure paths.
+//! 4. **Interleaving stress**: `tests/sched_stress.rs` unfolds a
+//!    ~1,750-component net on pools of 1, 2, 4 and 8 workers against
+//!    the interpreter, so stealing and contended hand-backs actually
+//!    happen; the churn test beside the run queues (`sched::pool`)
+//!    races one owner against three thieves and counts every element
+//!    consumed and dropped exactly once; the fault-injection harness
+//!    churns the failure paths.
 //!
 //! ## Memory & scale
 //!

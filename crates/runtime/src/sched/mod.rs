@@ -13,8 +13,9 @@
 //!   star tap) is a lightweight **task** with an SPSC mailbox
 //!   (`task`);
 //! * a task becomes **runnable** when a record lands in its mailbox (or
-//!   its last upstream sender closes), and is then queued on a
-//!   work-stealing deque (`pool`, over [`crossbeam_deque`]);
+//!   its last upstream sender closes), and is then queued on the run
+//!   queue of the worker that made it so, where idle siblings steal
+//!   from (`pool`; a thread outside the pool queues on a shared one);
 //! * a worker runs a task by draining its mailbox up to a batch budget
 //!   through the *same* component step (`crate::component`) as the
 //!   threaded engine, then yields the task back to the scheduler;

@@ -1,24 +1,89 @@
-//! The worker pool: the global injector, per-worker deques, the
+//! The worker pool: the run queues (one shared, one per worker), the
 //! `notify`/`park` wake protocol and the backpressure deferral heap.
 //!
+//! A run queue is a mutex around a `VecDeque` ([`Queues`]): the pool is
+//! at most four workers and a queue operation is paid once per hand-off
+//! batch, not per record, so a lock-free deque measured as the same
+//! scheduler on every `benchmark/` workload (ROADMAP, "What the
+//! committed numbers say") and this one has no `unsafe` to audit. What
+//! does show is having a queue per worker at all: it keeps a consumer
+//! on its producer's core.
+//!
 //! The wake protocol is the one `crates/check/tests/mailbox.rs` model-
-//! checks (lock-then-notify, the sleeper gate, the injector re-probe;
-//! `timeouts_fired() == 0` pins that the timed waits are backstops and
-//! never carry the protocol).
+//! checks (lock-then-notify, the sleeper gate, the re-probe of every
+//! run queue; `timeouts_fired() == 0` pins that the timed waits are
+//! backstops and never carry the protocol).
 
 use super::sync::{AtomicBool, AtomicUsize, Condvar};
 use super::task::{execute, Task};
 use crate::config::EngineConfig;
-use crossbeam_deque::{Injector, Steal, Stealer, Worker};
 use parking_lot::Mutex;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// The most tasks one raid on a sibling's queue takes.
+const STEAL_MAX: usize = 32;
+
+/// The pool's run queues, FIFO each: slot 0 is shared (fed by threads
+/// that are not workers, and where a contended task is handed back),
+/// slot `1 + i` is worker `i`'s own (fed by the activations that worker
+/// runs, raided by idle siblings). No operation holds two queue locks —
+/// two workers raiding each other would deadlock.
+struct Queues<T>(Box<[Mutex<VecDeque<T>>]>);
+
+impl<T> Queues<T> {
+    fn new(workers: usize) -> Queues<T> {
+        Queues((0..=workers).map(|_| Mutex::new(VecDeque::new())).collect())
+    }
+
+    /// Worker `i`'s own queue, or the shared one for `None`.
+    fn of(&self, worker: Option<usize>) -> &Mutex<VecDeque<T>> {
+        &self.0[worker.map_or(0, |i| i + 1)]
+    }
+
+    fn push(&self, worker: Option<usize>, item: T) {
+        self.of(worker).lock().push_back(item);
+    }
+
+    fn pop(&self, worker: Option<usize>) -> Option<T> {
+        self.of(worker).lock().pop_front()
+    }
+
+    /// Moves the older half of `victim`'s backlog (at least one task, at
+    /// most [`STEAL_MAX`]) to `thief`'s queue and returns the oldest:
+    /// one raid covers several future activations, so stolen tasks and
+    /// their record batches keep running on the thief's core instead of
+    /// ping-ponging back. The loot crosses on the stack: taken under the
+    /// victim's lock, pushed under the thief's, never both.
+    fn steal_half(&self, victim: usize, thief: usize) -> Option<T> {
+        let mut from = self.of(Some(victim)).lock();
+        let take = (from.len() / 2).clamp(1, STEAL_MAX);
+        let first = from.pop_front()?;
+        let mut loot = [const { None }; STEAL_MAX];
+        for (slot, item) in loot.iter_mut().zip(from.drain(..take - 1)) {
+            *slot = Some(item);
+        }
+        drop(from);
+        if take > 1 {
+            self.of(Some(thief))
+                .lock()
+                .extend(loot.into_iter().flatten());
+        }
+        Some(first)
+    }
+
+    /// Is a task waiting in any queue? Takes each lock in turn (never
+    /// two); only a parking worker asks.
+    fn any_ready(&self) -> bool {
+        self.0.iter().any(|q| !q.lock().is_empty())
+    }
+}
+
 /// Pool-lifetime scheduler state, shared by all runs of one `SchedNet`.
 pub(super) struct Pool {
-    injector: Injector<Arc<Task>>,
+    queues: Queues<Arc<Task>>,
     /// Backpressure-deferred tasks (min-heap on deadline), shared so
     /// that *any* worker picks an expired deferral up — a deferring
     /// worker that then sinks into a long activation must not pin the
@@ -43,7 +108,7 @@ pub(super) struct Pool {
 impl Pool {
     pub(super) fn new(config: EngineConfig) -> Pool {
         Pool {
-            injector: Injector::new(),
+            queues: Queues::new(config.workers.max(1)),
             deferred: Mutex::new(BinaryHeap::new()),
             deferred_count: AtomicUsize::new(0),
             sleep: Mutex::new(()),
@@ -52,6 +117,10 @@ impl Pool {
             shutdown: AtomicBool::new(false),
             config,
         }
+    }
+
+    fn workers(&self) -> usize {
+        self.config.workers.max(1)
     }
 
     /// Mailbox backlog past which a producing task stops consuming.
@@ -75,57 +144,50 @@ impl Pool {
 
     /// Spawns the pool's worker threads.
     pub(super) fn spawn_workers(self: &Arc<Pool>) -> Vec<std::thread::JoinHandle<()>> {
-        let n = self.config.workers.max(1);
-        let locals: Vec<Worker<Arc<Task>>> = (0..n).map(|_| Worker::new_fifo()).collect();
-        let stealers: Arc<Vec<Stealer<Arc<Task>>>> =
-            Arc::new(locals.iter().map(|w| w.stealer()).collect());
-        locals
-            .into_iter()
-            .enumerate()
-            .map(|(i, local)| {
+        (0..self.workers())
+            .map(|i| {
                 let pool = Arc::clone(self);
-                let stealers = Arc::clone(&stealers);
                 std::thread::Builder::new()
                     .name(format!("snet-sched-{i}"))
-                    .spawn(move || worker_loop(i, local, &stealers, &pool))
+                    .spawn(move || worker_loop(i, &pool))
                     .expect("spawn sched worker")
             })
             .collect()
     }
 
     /// Runs at most one ready task on the *calling* thread (caller-runs
-    /// work helping, à la Rayon): pops from the pool's global queues
+    /// work helping, à la Rayon): pops from the pool's shared sources
     /// and executes the activation in place. Returns `true` if a task
     /// was executed; `false` also when the popped task was
     /// mid-activation on another thread — it is handed back and the
     /// caller should yield to the thread actually running it.
     pub(super) fn drive(&self) -> bool {
-        pop_global(self).is_some_and(|task| activate(&task, self, None))
+        pop_shared(self).is_some_and(|task| activate(&task, self, None))
     }
 }
 
-/// Queues a task if it is not already queued.
-pub(super) fn notify(task: &Arc<Task>, sh: &Pool, local: Option<&Worker<Arc<Task>>>) {
+/// Queues a task if it is not already queued: on worker `local`'s own
+/// queue when an activation on that worker made it runnable, on the
+/// shared queue otherwise.
+pub(super) fn notify(task: &Arc<Task>, sh: &Pool, local: Option<usize>) {
     if task
         .scheduled
         .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
         .is_ok()
     {
-        match local {
-            Some(w) => w.push(Arc::clone(task)),
-            None => sh.injector.push(Arc::clone(task)),
-        }
+        sh.queues.push(local, Arc::clone(task));
         // Skipping the syscall when every worker is busy is a large win
-        // on the hot path. The push above is SeqCst-ordered against a
-        // parking worker's sleeper registration (see `park`), so a
-        // registered sleeper is always observed here.
+        // on the hot path. The push above (its queue lock is released
+        // by now) is ordered against a parking worker's sleeper
+        // registration and re-probe (see `park`), so either the parker
+        // finds the task or its registration is observed here.
         //
         // Lock-then-notify (as in `Pool::shut_down`): a parking
         // worker holds the sleep lock from sleeper registration until
         // its condvar wait releases it, so acquiring it here squeezes
         // out the window where the push lands after the worker's
-        // injector re-probe but the notify fires before the worker is
-        // actually waiting — a lost wake that previously cost the 1ms
+        // re-probe but the notify fires before the worker is actually
+        // waiting — a lost wake that previously cost the 1ms
         // timed-wait backstop in latency. Found by the snet-check
         // mailbox model (`crates/check/tests/mailbox.rs`, which pins
         // `timeouts_fired() == 0`); only taken when a worker is
@@ -166,8 +228,8 @@ impl Ord for Deferred {
 /// re-queued while its previous activation is still draining on another
 /// thread; blocking on the state mutex would idle this thread behind up
 /// to a full activation budget of box calls, so a locked task is handed
-/// back to the global queue instead and `false` is returned.
-fn activate(task: &Arc<Task>, sh: &Pool, local: Option<&Worker<Arc<Task>>>) -> bool {
+/// back to the shared queue instead and `false` is returned.
+fn activate(task: &Arc<Task>, sh: &Pool, local: Option<usize>) -> bool {
     let guard = task.state.try_lock();
     match guard {
         Some(state) => {
@@ -185,13 +247,13 @@ fn activate(task: &Arc<Task>, sh: &Pool, local: Option<&Worker<Arc<Task>>>) -> b
             true
         }
         None => {
-            sh.injector.push(Arc::clone(task));
+            sh.queues.push(None, Arc::clone(task));
             false
         }
     }
 }
 
-fn worker_loop(index: usize, local: Worker<Arc<Task>>, stealers: &[Stealer<Arc<Task>>], sh: &Pool) {
+fn worker_loop(index: usize, sh: &Pool) {
     // The task we last failed to lock (its activation was still running
     // on another worker). Seeing it twice in a row means there is no
     // other work — park briefly instead of spinning on the mutex.
@@ -204,10 +266,10 @@ fn worker_loop(index: usize, local: Worker<Arc<Task>>, stealers: &[Stealer<Arc<T
         if sh.shutdown.load(Ordering::Acquire) {
             return;
         }
-        let task = find_task(index, &local, stealers, &mut last_victim, sh);
+        let task = find_task(index, &mut last_victim, sh);
         match task {
             Some(task) => {
-                if activate(&task, sh, Some(&local)) {
+                if activate(&task, sh, Some(index)) {
                     contended = None;
                 } else {
                     let ptr = Arc::as_ptr(&task);
@@ -246,16 +308,21 @@ fn park(sh: &Pool, timeout: Duration) -> bool {
     }
     sh.sleepers.fetch_add(1, Ordering::SeqCst);
     // Closing the probe/park race: a producer that pushed after our
-    // (empty) queue probe may have read `sleepers == 0` before the
-    // increment above and skipped its notify. Re-probing the injector
-    // *after* registering as a sleeper bounds that loss to the
-    // injector-push window; the timed wait below backstops the
-    // remaining (local-deque) cases. Deferrals are deliberately NOT
-    // re-probed: they are deadline-driven, the caller's `timeout`
-    // already expires at the earliest deadline, and bailing out on a
-    // merely-pending (not yet due) deferral would turn every idle
-    // worker into a busy-spinner for the whole backpressure window.
-    if !sh.injector.is_empty() {
+    // (empty) probe of its queue may have read `sleepers == 0` before
+    // the increment above and skipped its notify. Re-probing *every*
+    // run queue after registering as a sleeper closes it whichever
+    // queue the push went to — a busy sibling's own queue included,
+    // which only this worker can relieve: a push that this probe
+    // misses comes after it, so its producer reads our registration
+    // and notifies. A handful of uncontended locks on the cold path;
+    // lock order is sleep → queue, and `notify` has released its queue
+    // lock before it takes the sleep lock. The timed wait below is a
+    // backstop only. Deferrals are deliberately NOT re-probed: they
+    // are deadline-driven, the caller's `timeout` already expires at
+    // the earliest deadline, and bailing out on a merely-pending (not
+    // yet due) deferral would turn every idle worker into a
+    // busy-spinner for the whole backpressure window.
+    if sh.queues.any_ready() {
         sh.sleepers.fetch_sub(1, Ordering::SeqCst);
         return false;
     }
@@ -286,77 +353,154 @@ fn pop_due_deferral(sh: &Pool) -> Option<Arc<Task>> {
     None
 }
 
-/// Pops one ready task from the pool's *global* sources (expired
-/// deferrals, then the injector) — the part of [`find_task`] available
-/// to threads without a worker deque, i.e. a driver thread helping out
-/// via [`Pool::drive`].
-fn pop_global(sh: &Pool) -> Option<Arc<Task>> {
-    if let Some(task) = pop_due_deferral(sh) {
-        return Some(task);
-    }
-    loop {
-        match sh.injector.steal() {
-            Steal::Success(t) => return Some(t),
-            Steal::Retry => std::hint::spin_loop(),
-            Steal::Empty => return None,
-        }
-    }
+/// Pops one ready task from the pool's *shared* sources (expired
+/// deferrals, then the shared queue) — the part of [`find_task`]
+/// available to threads without a queue of their own, i.e. a driver
+/// thread helping out via [`Pool::drive`].
+fn pop_shared(sh: &Pool) -> Option<Arc<Task>> {
+    pop_due_deferral(sh).or_else(|| sh.queues.pop(None))
 }
 
-fn find_task(
-    index: usize,
-    local: &Worker<Arc<Task>>,
-    stealers: &[Stealer<Arc<Task>>],
-    last_victim: &mut Option<usize>,
-    sh: &Pool,
-) -> Option<Arc<Task>> {
+fn find_task(index: usize, last_victim: &mut Option<usize>, sh: &Pool) -> Option<Arc<Task>> {
     // Expired backoff deferrals first: they are the oldest work and
     // their congestion has had the longest time to clear. The heap is
-    // shared, so whichever worker probes first resumes the task.
-    if let Some(task) = pop_due_deferral(sh) {
-        return Some(task);
+    // shared, so whichever worker probes first resumes the task. Then
+    // this worker's own queue, then the shared one.
+    let ready = pop_due_deferral(sh)
+        .or_else(|| sh.queues.pop(Some(index)))
+        .or_else(|| sh.queues.pop(None));
+    if ready.is_some() {
+        return ready;
     }
-    if let Some(t) = local.pop() {
-        return Some(t);
-    }
-    // The injector and sibling deques can report transient `Retry`
-    // (lost CAS or a mid-swap buffer); keep probing until every source
-    // reports a definitive miss. Sibling steals take *half* the
-    // victim's backlog into the local deque (steal-half): one raid
-    // covers several future activations, so stolen tasks and their
-    // record batches keep running on this worker's core instead of
-    // ping-ponging back.
-    loop {
-        let mut retry = false;
-        match sh.injector.steal() {
-            Steal::Success(t) => return Some(t),
-            Steal::Retry => retry = true,
-            Steal::Empty => {}
+    // Affinity probe: the last productive victim first.
+    if let Some(v) = *last_victim {
+        match sh.queues.steal_half(v, index) {
+            Some(task) => return Some(task),
+            None => *last_victim = None,
         }
-        // Affinity probe: the last productive victim first.
-        if let Some(v) = *last_victim {
-            match stealers[v].steal_batch_and_pop(local) {
-                Steal::Success(t) => return Some(t),
-                Steal::Retry => retry = true,
-                Steal::Empty => *last_victim = None,
+    }
+    // Ring scan from our own slot.
+    let n = sh.workers();
+    (1..n).map(|k| (index + k) % n).find_map(|v| {
+        let task = sh.queues.steal_half(v, index)?;
+        *last_victim = Some(v);
+        Some(task)
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{Queues, STEAL_MAX};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Barrier;
+
+    #[test]
+    fn fifo_order_across_owner_pop_and_thief() {
+        let q = Queues::new(2);
+        for i in 1..=3 {
+            q.push(Some(0), i);
+        }
+        assert_eq!(q.steal_half(0, 1), Some(1));
+        assert_eq!(q.pop(Some(0)), Some(2));
+        assert_eq!(q.steal_half(0, 1), Some(3));
+        assert_eq!(q.steal_half(0, 1), None);
+        assert_eq!(q.pop(Some(1)), None, "single steals leave nothing behind");
+        assert_eq!(q.pop(None), None, "the shared queue is a queue of its own");
+        assert!(!q.any_ready());
+    }
+
+    #[test]
+    fn steal_half_takes_the_older_half_capped() {
+        for len in [1usize, 2, 3, 10, 64, 65, 200] {
+            let q = Queues::new(2);
+            for i in 0..len {
+                q.push(Some(0), i);
+            }
+            let take = (len / 2).clamp(1, STEAL_MAX);
+            assert_eq!(q.steal_half(0, 1), Some(0), "returns the oldest of {len}");
+            let moved: Vec<usize> = std::iter::from_fn(|| q.pop(Some(1))).collect();
+            assert_eq!(moved, (1..take).collect::<Vec<_>>(), "of {len}");
+            let left: Vec<usize> = std::iter::from_fn(|| q.pop(Some(0))).collect();
+            assert_eq!(left, (take..len).collect::<Vec<_>>(), "of {len}");
+        }
+    }
+
+    /// One owner pushing and popping its own queue while three thieves
+    /// raid it into theirs: every element is consumed by exactly one
+    /// thread and dropped exactly once.
+    #[test]
+    fn churn_consumes_and_drops_every_element_once() {
+        const ITEMS: usize = 40_000;
+        static DROPS: AtomicUsize = AtomicUsize::new(0);
+        struct Item(usize);
+        impl Drop for Item {
+            fn drop(&mut self) {
+                DROPS.fetch_add(1, Ordering::Relaxed);
             }
         }
-        // Ring scan from our own slot.
-        let n = stealers.len();
-        for k in 1..n {
-            let v = (index + k) % n;
-            match stealers[v].steal_batch_and_pop(local) {
-                Steal::Success(t) => {
-                    *last_victim = Some(v);
-                    return Some(t);
+
+        let q = Queues::new(4);
+        let start = Barrier::new(4);
+        let pushed_all = AtomicBool::new(false);
+        let raids = AtomicUsize::new(0);
+        let mut seen = vec![0u8; ITEMS];
+        let per_thread: Vec<Vec<usize>> = std::thread::scope(|s| {
+            let owner = s.spawn(|| {
+                let mut got = Vec::new();
+                start.wait();
+                for i in 0..ITEMS {
+                    q.push(Some(0), Item(i));
+                    if i % 3 == 0 {
+                        got.extend(q.pop(Some(0)).map(|item| item.0));
+                    }
                 }
-                Steal::Retry => retry = true,
-                Steal::Empty => {}
-            }
+                pushed_all.store(true, Ordering::Release);
+                // Two thirds of the items are still queued: leave them
+                // until a thief has been in, however few cores there are.
+                while raids.load(Ordering::Acquire) == 0 {
+                    std::thread::yield_now();
+                }
+                got.extend(std::iter::from_fn(|| q.pop(Some(0))).map(|item| item.0));
+                got
+            });
+            let thieves: Vec<_> = (1..4)
+                .map(|me| {
+                    let (q, start, pushed_all, raids) = (&q, &start, &pushed_all, &raids);
+                    s.spawn(move || {
+                        let mut got = Vec::new();
+                        start.wait();
+                        loop {
+                            // Read the flag before the raid: a miss after
+                            // the last push means the queue is drained.
+                            let done = pushed_all.load(Ordering::Acquire);
+                            match q.steal_half(0, me) {
+                                Some(item) => {
+                                    raids.fetch_add(1, Ordering::Release);
+                                    got.push(item.0);
+                                }
+                                None if done => break,
+                                None => std::thread::yield_now(),
+                            }
+                            got.extend(std::iter::from_fn(|| q.pop(Some(me))).map(|item| item.0));
+                        }
+                        got
+                    })
+                })
+                .collect();
+            std::iter::once(owner)
+                .chain(thieves)
+                .map(|t| t.join().expect("churn thread"))
+                .collect()
+        });
+        for &i in per_thread.iter().flatten() {
+            seen[i] += 1;
         }
-        if !retry {
-            return None;
-        }
-        std::hint::spin_loop();
+        assert!(
+            seen.iter().all(|&n| n == 1),
+            "an element was lost or duplicated"
+        );
+        assert!(!q.any_ready());
+        assert!(per_thread[1..].iter().any(|got| !got.is_empty()));
+        assert_eq!(DROPS.load(Ordering::Relaxed), ITEMS);
     }
 }

@@ -31,7 +31,6 @@ use super::sync::{AtomicBool, AtomicU32, AtomicUsize, Condvar};
 use super::Latch;
 use crate::component::{Component, Transport};
 use crate::run::Run;
-use crossbeam_deque::Worker;
 use parking_lot::Mutex;
 use snet_core::{panic_cause, pool, Record, SnetError};
 use std::collections::VecDeque;
@@ -195,7 +194,7 @@ impl Port {
 
     /// Buffered send: coalesces until `batch` records are pending, then
     /// pushes the whole run with one lock acquisition and one wake.
-    fn send(&mut self, rec: Record, sh: &Pool, local: Option<&Worker<Arc<Task>>>) {
+    fn send(&mut self, rec: Record, sh: &Pool, local: Option<usize>) {
         self.buf.push(rec);
         if self.buf.len() >= sh.config.batch.max(1) {
             self.flush(sh, local);
@@ -204,7 +203,7 @@ impl Port {
 
     /// Pushes any buffered records downstream: one mailbox lock, one
     /// consumer wake, however many records.
-    fn flush(&mut self, sh: &Pool, local: Option<&Worker<Arc<Task>>>) {
+    fn flush(&mut self, sh: &Pool, local: Option<usize>) {
         if self.buf.is_empty() {
             return;
         }
@@ -221,7 +220,7 @@ impl Port {
         &self,
         recs: impl IntoIterator<Item = Record>,
         sh: &Pool,
-        local: Option<&Worker<Arc<Task>>>,
+        local: Option<usize>,
     ) {
         let any = {
             let mut mb = self.task.mailbox.lock();
@@ -243,7 +242,7 @@ impl Port {
     /// it is finalized here and now, which closes *its* outputs the
     /// same way (`depth` counts that nesting); otherwise it is queued
     /// and finalizes in its next activation.
-    pub(super) fn close(mut self, sh: &Pool, local: Option<&Worker<Arc<Task>>>, depth: u32) {
+    pub(super) fn close(mut self, sh: &Pool, local: Option<usize>, depth: u32) {
         // Sends happen-before close: drain the coalescing buffer first.
         self.flush(sh, local);
         pool::give_vec(std::mem::take(&mut self.buf));
@@ -267,12 +266,7 @@ impl Port {
 /// are still waiting, when the cascade is already `EOS_INPLACE_DEPTH`
 /// tasks deep, and always for the sink: its delivery gate and the run's
 /// completion signal live in `run_task`.
-fn finalize_in_place(
-    task: &Arc<Task>,
-    sh: &Pool,
-    local: Option<&Worker<Arc<Task>>>,
-    depth: u32,
-) -> bool {
+fn finalize_in_place(task: &Arc<Task>, sh: &Pool, local: Option<usize>, depth: u32) -> bool {
     if depth >= EOS_INPLACE_DEPTH {
         return false;
     }
@@ -291,7 +285,9 @@ fn finalize_in_place(
 pub(super) struct TaskCx<'a> {
     pub(super) pool: &'a Pool,
     pub(super) run: &'a Arc<Run>,
-    pub(super) local: Option<&'a Worker<Arc<Task>>>,
+    /// The worker stepping the component (`None`: a thread outside the
+    /// pool), whose own run queue takes the tasks it makes runnable.
+    pub(super) local: Option<usize>,
 }
 
 impl Transport for TaskCx<'_> {
@@ -322,7 +318,7 @@ pub(super) fn execute(
     task: &Arc<Task>,
     state: parking_lot::MutexGuard<'_, State>,
     sh: &Pool,
-    local: Option<&Worker<Arc<Task>>>,
+    local: Option<usize>,
 ) -> Option<Instant> {
     let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         run_task(task, state, sh, local)
@@ -358,7 +354,7 @@ fn run_task(
     task: &Arc<Task>,
     mut state: parking_lot::MutexGuard<'_, State>,
     sh: &Pool,
-    local: Option<&Worker<Arc<Task>>>,
+    local: Option<usize>,
 ) -> Option<Instant> {
     // From here on, producers may re-queue the task; the held state
     // lock serializes actual execution.
@@ -490,7 +486,7 @@ fn run_task(
         drop(state);
         if processed == 0 {
             // Zero-progress (backpressured) yield. Requeueing straight
-            // onto the global queue spins hot while the downstream
+            // onto a run queue spins hot while the downstream
             // mailbox stays full; instead, re-enqueue with exponential
             // backoff. Claiming `scheduled` here keeps producers from
             // double-queueing the task; if a producer won the race, its
@@ -508,8 +504,8 @@ fn run_task(
             }
             None
         } else {
-            // Budget yield with progress made: run again soon, from the
-            // local deque.
+            // Budget yield with progress made: run again soon, from this
+            // worker's own queue.
             notify(task, sh, local);
             None
         }
@@ -523,7 +519,7 @@ fn run_task(
 /// mailbox pauses), not at every activation boundary — flushing
 /// dribbles per activation would wake the consumer per couple of
 /// records and let it preempt the worker mid-stream.
-fn flush_outputs(state: &mut State, sh: &Pool, local: Option<&Worker<Arc<Task>>>) {
+fn flush_outputs(state: &mut State, sh: &Pool, local: Option<usize>) {
     if let State::Live(comp) = state {
         comp.for_each_port(|port| port.flush(sh, local));
     }
@@ -557,13 +553,7 @@ fn output_backpressured(state: &mut State, sh: &Pool) -> bool {
 /// the run's completion: it delivers the last buffered outputs, drops
 /// the streaming sender (end-of-stream for the consumer) and wakes the
 /// driver's completion latch.
-fn finalize(
-    task: &Arc<Task>,
-    state: &mut State,
-    sh: &Pool,
-    local: Option<&Worker<Arc<Task>>>,
-    depth: u32,
-) {
+fn finalize(task: &Arc<Task>, state: &mut State, sh: &Pool, local: Option<usize>, depth: u32) {
     // Retire the mailbox's backing storage (it is empty on every orderly
     // end-of-stream; abort paths cleared it). Stragglers that land after
     // teardown go into the fresh empty deque and are dropped with it.
