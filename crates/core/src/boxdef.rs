@@ -254,15 +254,28 @@ pub struct BoxDef {
     /// `sig` is never mutated after construction (every constructor
     /// funnels through `new`/`from_fn`), so the cache cannot go stale.
     iv: Variant,
+    /// `iv`'s fields and tags once more, each ascending by interned id
+    /// — the order a record stores its pairs in — so the per-record
+    /// match and split are merges over integers; `iv`'s own sets order
+    /// by spelling, which reads the global label table per comparison.
+    in_fields: Box<[Label]>,
+    in_tags: Box<[Label]>,
 }
 
 impl BoxDef {
     pub fn new(sig: BoxSig, func: Arc<dyn BoxFn>) -> BoxDef {
+        fn by_id(labels: impl Iterator<Item = Label>) -> Box<[Label]> {
+            let mut labels: Box<[Label]> = labels.collect();
+            labels.sort_unstable_by_key(Label::id);
+            labels
+        }
         let iv = sig.input_variant();
         BoxDef {
             sig,
             func,
             policy: None,
+            in_fields: by_id(iv.fields()),
+            in_tags: by_id(iv.tags()),
             iv,
         }
     }
@@ -279,6 +292,11 @@ impl BoxDef {
     /// hot path must not rebuild label sets).
     pub fn input_variant(&self) -> &Variant {
         &self.iv
+    }
+
+    /// The input variant's field and tag labels, each ascending by id.
+    pub(crate) fn input_ids(&self) -> (&[Label], &[Label]) {
+        (&self.in_fields, &self.in_tags)
     }
 
     /// Overrides the engine-level failure policy for this box only.

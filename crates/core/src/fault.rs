@@ -124,13 +124,14 @@ impl std::error::Error for DeadLetter {
 }
 
 /// Outcome of running one per-record component step under a
-/// [`FailurePolicy`].
+/// [`FailurePolicy`]; `T` is whatever the step itself returns (a
+/// [`StepOut`], or a tally when the step writes into a caller's sink).
 #[derive(Debug)]
-pub enum StepVerdict {
+pub enum StepVerdict<T = StepOut> {
     /// The step succeeded (possibly after retries); emit its records.
     Out {
         /// The successful step result.
-        step: StepOut,
+        step: T,
         /// Invocation attempts consumed (1 = no retry happened).
         attempts: u32,
     },
@@ -152,13 +153,13 @@ pub enum StepVerdict {
 /// clone the record per attempt (they must be able to hand the
 /// original back). `seq` is only consumed when a dead letter is
 /// actually minted.
-pub fn policy_step(
+pub fn policy_step<T>(
     policy: FailurePolicy,
     component: &str,
     seq: &AtomicU64,
     rec: Record,
-    mut attempt: impl FnMut(Record) -> Result<StepOut, SnetError>,
-) -> StepVerdict {
+    mut attempt: impl FnMut(Record) -> Result<T, SnetError>,
+) -> StepVerdict<T> {
     let mut guarded =
         |rec: Record| match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| attempt(rec)))
         {

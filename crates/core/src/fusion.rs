@@ -273,6 +273,8 @@ impl ChainRunner {
     /// observing the currently running stage reports exactly what the
     /// per-stage guard would. Lenient stages go through
     /// [`fault::policy_step`], which owns the clone/retry machinery.
+    /// Either way a step appends its outputs to the buffer the next
+    /// stage reads ([`semantics::box_step_into`]).
     #[allow(clippy::too_many_arguments)] // mirrors the per-engine step context
     pub fn step_batch(
         &mut self,
@@ -351,18 +353,21 @@ impl ChainRunner {
                 ChainStage::Filter(_) => (engine_policy, "filter"),
             };
             let lean = matches!(policy, FailurePolicy::FailFast);
-            let run = |r: Record| match stage {
-                ChainStage::Box(def) => semantics::box_step(def, r, mismatch),
-                ChainStage::Filter(f) => semantics::filter_step(f, r, mismatch),
+            // A step writes straight into `sink` — only once it has
+            // succeeded, so a failed attempt leaves nothing to undo —
+            // and reports `None` for a record it passed through.
+            let run = |r: Record, sink: &mut Vec<Record>| match stage {
+                ChainStage::Box(def) => semantics::box_step_into(def, r, mismatch, sink),
+                ChainStage::Filter(f) => semantics::filter_step_into(f, r, mismatch, sink),
             };
             for r in input {
-                let step = if lean {
+                let work = if lean {
                     *active = Some(name);
-                    let step = run(r)?;
+                    let work = run(r, sink)?;
                     *active = None;
-                    step
+                    work
                 } else {
-                    match fault::policy_step(policy, name, seq, r, run) {
+                    match fault::policy_step(policy, name, seq, r, |r| run(r, sink)) {
                         StepVerdict::Out { step, attempts } => {
                             tally.retries += u64::from(attempts - 1);
                             step
@@ -374,15 +379,14 @@ impl ChainRunner {
                         StepVerdict::Fatal(e) => return Err(e),
                     }
                 };
-                match stage {
-                    _ if !step.matched => tally.passthroughs += 1,
-                    ChainStage::Box(_) => {
+                match (work, stage) {
+                    (None, _) => tally.passthroughs += 1,
+                    (Some(work), ChainStage::Box(_)) => {
                         tally.box_records += 1;
-                        tally.box_ops += step.work.ops;
+                        tally.box_ops += work.ops;
                     }
-                    ChainStage::Filter(_) => tally.filter_records += 1,
+                    (Some(_), ChainStage::Filter(_)) => tally.filter_records += 1,
                 }
-                sink.extend(step.records);
             }
             Ok(())
         };

@@ -3,12 +3,16 @@
 //! S-Net labels name fields and tags. Every component instance compares
 //! labels on every record it handles, so labels are interned once into a
 //! global table and afterwards compared as plain `u32`s.
+//!
+//! Boxes written against the string API (`r.field("x")`) intern on every
+//! call, so each thread keeps a small direct-mapped table in front: a hit
+//! is an integer compare (and a string compare for names over seven
+//! bytes), a miss or an evicted slot refills from the global table.
 
 use parking_lot::RwLock;
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
 
 /// An interned label (field or tag name).
@@ -34,84 +38,79 @@ fn interner() -> &'static RwLock<Interner> {
     })
 }
 
-/// Multiply-xor string hasher (FxHash-style) for the thread-local label
-/// cache. Label spellings are a handful of bytes, so hashing throughput
-/// beats distribution quality; collisions only cost a probe.
-#[derive(Default)]
-struct FxHasher(u64);
-
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        const SEED: u64 = 0x517c_c1b7_2722_0a95;
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            let word = u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
-            self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(SEED);
-        }
-        let mut tail = bytes.len() as u64;
-        for &b in chunks.remainder() {
-            tail = (tail << 8) | b as u64;
-        }
-        self.0 = (self.0.rotate_left(5) ^ tail).wrapping_mul(SEED);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
+/// A spelling the global table has already assigned `id` to.
+#[derive(Clone, Copy)]
+struct Slot {
+    key: u64,
+    name: &'static str,
+    id: u32,
 }
+
+/// Slots per thread (2 KB); colliding names take turns in one, a trip
+/// to the global table per turn. Real topologies use a few dozen names.
+const SLOTS: usize = 64;
+
+/// Matches nothing, `""` included: no spelling packs to this key (255
+/// or more bytes starting with seven `0xFF`, which is not UTF-8).
+const EMPTY: Slot = Slot {
+    key: u64::MAX,
+    name: "",
+    id: 0,
+};
+
+/// Spellings up to this long are told apart by their key alone.
+const KEY_BYTES: usize = 7;
 
 thread_local! {
-    /// Per-thread mirror of the global table. Boxes and filters written
-    /// against string labels (`r.field("x")`) intern on every record, so
-    /// the per-record path must not take the global lock or pay SipHash.
-    /// The mirror can never go stale: the global table is append-only
-    /// and an id, once assigned, is final.
-    static LOCAL: RefCell<HashMap<&'static str, u32, BuildHasherDefault<FxHasher>>> =
-        RefCell::new(HashMap::default());
+    /// Never stale (the global table is append-only, an id is final) and
+    /// bounded: a million distinct labels only ever overwrite slots.
+    static LOCAL: [Cell<Slot>; SLOTS] = const { [const { Cell::new(EMPTY) }; SLOTS] };
 }
 
-/// Cap on the per-thread mirror. Real topologies use a few dozen
-/// spellings, but a soak run interning a million *distinct* labels
-/// (e.g. synthesized per-record names) must not grow every worker's
-/// mirror without bound. At the cap the mirror is reset — correctness
-/// is unaffected (misses fall through to the global table), the next
-/// few lookups just pay the lock again.
-const LOCAL_CACHE_CAP: usize = 4096;
+/// Length (saturating at a byte) and first [`KEY_BYTES`] bytes in one
+/// integer, injective up to `KEY_BYTES` bytes (longer names start at
+/// `8 << 56`). A byte loop on purpose: a variable-length
+/// `copy_from_slice` is a `memcpy` call costing more than the whole hit.
+#[inline]
+fn key_of(name: &str) -> u64 {
+    let mut key = name.len().min(0xFF) as u64;
+    for &b in name.as_bytes().iter().take(KEY_BYTES) {
+        key = (key << 8) | u64::from(b);
+    }
+    key
+}
+
+/// Multiplicative hash: the top bits depend on every key byte.
+#[inline]
+fn slot_of(key: u64) -> usize {
+    const { assert!(SLOTS.is_power_of_two()) };
+    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - SLOTS.trailing_zeros())) as usize
+}
 
 impl Label {
     /// Interns `name` and returns its label.
+    #[inline]
     pub fn new(name: &str) -> Label {
-        // Hot path: thread-local hit, no lock, no SipHash.
-        if let Some(id) = LOCAL.with(|m| m.borrow().get(name).copied()) {
-            return Label(id);
-        }
-        let label = Label::intern_global(name);
-        // Key the local mirror by the interner's leaked spelling so the
-        // miss path stays allocation-free too.
-        let spelling = label.as_str();
-        LOCAL.with(|m| {
-            let mut m = m.borrow_mut();
-            if m.len() >= LOCAL_CACHE_CAP {
-                m.clear();
+        let key = key_of(name);
+        LOCAL.with(|table| {
+            let slot = &table[slot_of(key)];
+            let hit = slot.get();
+            // The key alone decides a short name.
+            if hit.key == key && (name.len() <= KEY_BYTES || hit.name == name) {
+                return Label(hit.id);
             }
-            m.insert(spelling, label.0);
-        });
-        label
+            let (id, name) = Label::intern_global(name);
+            slot.set(Slot { key, name, id });
+            Label(id)
+        })
     }
 
-    /// Entries in this thread's intern mirror (test/diagnostic hook for
-    /// the cache bound).
-    #[doc(hidden)]
-    pub fn local_cache_len() -> usize {
-        LOCAL.with(|m| m.borrow().len())
-    }
-
-    /// The global, cross-thread interning slow path.
-    fn intern_global(name: &str) -> Label {
+    /// The global, cross-thread slow path: the id and its leaked spelling.
+    fn intern_global(name: &str) -> (u32, &'static str) {
         let table = interner();
         // Fast path under the read lock only.
-        if let Some(&id) = table.read().by_name.get(name) {
-            return Label(id);
+        if let Some((&name, &id)) = table.read().by_name.get_key_value(name) {
+            return (id, name);
         }
         // The read lock was released above, so another thread may have
         // interned the same spelling in the meantime: the lookup MUST be
@@ -119,8 +118,8 @@ impl Label {
         // could be handed out for one spelling (and `==` on labels would
         // silently break).
         let mut w = table.write();
-        if let Some(&id) = w.by_name.get(name) {
-            return Label(id);
+        if let Some((&name, &id)) = w.by_name.get_key_value(name) {
+            return (id, name);
         }
         // Labels live for the whole process; leaking keeps lookups
         // allocation-free on the hot path.
@@ -128,7 +127,7 @@ impl Label {
         let id = w.names.len() as u32;
         w.names.push(leaked);
         w.by_name.insert(leaked, id);
-        Label(id)
+        (id, leaked)
     }
 
     /// The spelling this label was interned with.
@@ -223,77 +222,157 @@ mod tests {
         assert!(ids.windows(2).all(|w| w[0] == w[1]));
     }
 
+    /// Runs `f` on a thread of its own, so it starts from an empty
+    /// per-thread table whatever the other tests interned.
+    fn on_fresh_thread<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
+        std::thread::spawn(f).join().unwrap()
+    }
+
     #[test]
     fn thread_local_cache_agrees_with_global_interner() {
         // Repeated interning (the per-record hot path) must keep
         // returning the id the global table assigned — including for
-        // spellings longer than one FxHasher chunk and for spellings
-        // first interned by a *different* thread.
+        // spellings longer than the key and for spellings first
+        // interned by a *different* thread.
         let long = "a-label-spelling-well-past-eight-bytes";
         let first = Label::new(long);
         for _ in 0..1000 {
             assert_eq!(Label::new(long), first);
         }
-        let from_other_thread = std::thread::spawn(move || Label::new(long)).join().unwrap();
-        assert_eq!(from_other_thread, first);
+        assert_eq!(on_fresh_thread(move || Label::new(long)), first);
         assert_eq!(first.as_str(), long);
     }
 
     #[test]
-    fn local_cache_is_bounded_and_stays_correct_after_reset() {
-        // Interning far more distinct spellings than the cap from one
-        // thread must leave the per-thread mirror bounded...
-        std::thread::spawn(|| {
-            let mut firsts = Vec::new();
-            for i in 0..(LOCAL_CACHE_CAP + 100) {
-                firsts.push(Label::new(&format!("bound-label-{i}")));
+    fn an_empty_slot_matches_no_name_not_even_the_empty_one() {
+        // Some non-empty spelling holds id 0 (this one, if nothing else
+        // was interned yet); a fresh thread's empty table must not hand
+        // that id out for `""`, whose key is all zeroes.
+        let other = Label::new("not-the-empty-name");
+        let empty = on_fresh_thread(|| Label::new(""));
+        assert_eq!(empty.as_str(), "");
+        assert_ne!(empty, other);
+        assert_eq!(
+            on_fresh_thread(|| (Label::new(""), Label::new(""))),
+            (empty, empty)
+        );
+    }
+
+    #[test]
+    fn names_at_the_key_boundary_stay_distinct() {
+        // Seven bytes are decided by the key alone; eight and up share
+        // a key when their first seven bytes and length agree, and are
+        // told apart by the stored spelling.
+        let names = ["bound-7", "bound-7x", "bound-7y", "bound-", "bound-7xy"];
+        assert_eq!(key_of(names[1]), key_of(names[2]));
+        on_fresh_thread(move || {
+            let first: Vec<Label> = names.iter().map(|n| Label::new(n)).collect();
+            for round in 0..3 {
+                for (n, l) in names.iter().zip(&first) {
+                    assert_eq!(Label::new(n), *l, "round {round}: {n}");
+                    assert_eq!(l.as_str(), *n);
+                }
             }
-            assert!(
-                Label::local_cache_len() <= LOCAL_CACHE_CAP,
-                "mirror grew past the cap: {}",
-                Label::local_cache_len()
-            );
-            // ...and evicted spellings must still resolve to the id the
-            // global table assigned (the reset is invisible to callers).
-            for (i, first) in firsts.iter().enumerate() {
-                assert_eq!(Label::new(&format!("bound-label-{i}")), *first);
+            for (i, a) in first.iter().enumerate() {
+                assert!(first[i + 1..].iter().all(|b| a != b), "{first:?}");
             }
-        })
-        .join()
-        .unwrap();
+        });
+    }
+
+    #[test]
+    fn long_names_sharing_a_prefix_do_not_alias() {
+        let (a, b) = ("shared-prefix-alpha", "shared-prefix-omega");
+        assert_eq!(key_of(a), key_of(b));
+        on_fresh_thread(move || {
+            let (la, lb) = (Label::new(a), Label::new(b));
+            assert_ne!(la, lb);
+            for _ in 0..10 {
+                assert_eq!((Label::new(a), Label::new(b)), (la, lb));
+            }
+            assert_eq!((la.as_str(), lb.as_str()), (a, b));
+        });
+    }
+
+    #[test]
+    fn eviction_is_invisible_to_callers() {
+        // Far more distinct spellings than slots: every slot is
+        // overwritten several times, and an evicted spelling still
+        // resolves to the id the global table assigned.
+        on_fresh_thread(|| {
+            let names: Vec<String> = (0..4 * SLOTS).map(|i| format!("evict-{i}")).collect();
+            let first: Vec<Label> = names.iter().map(|n| Label::new(n)).collect();
+            for (n, l) in names.iter().zip(&first) {
+                assert_eq!(Label::new(n), *l);
+                assert_eq!(Label::new(n), *l, "re-hit after the refill");
+                assert_eq!(l.as_str(), n);
+            }
+        });
+    }
+
+    #[test]
+    fn names_taking_turns_in_one_slot_keep_their_ids() {
+        // Two short names that map to the same slot evict each other on
+        // every lookup.
+        let names: Vec<String> = (0..=SLOTS).map(|i| format!("t{i}")).collect();
+        let slot = |n: &String| slot_of(key_of(n));
+        let (a, b) = names
+            .iter()
+            .enumerate()
+            .find_map(|(i, a)| Some((a, names[..i].iter().find(|b| slot(b) == slot(a))?)))
+            .expect("more names than slots: two share one");
+        let (a, b) = (a.clone(), b.clone());
+        on_fresh_thread(move || {
+            let (la, lb) = (Label::new(&a), Label::new(&b));
+            assert_ne!(la, lb);
+            for _ in 0..50 {
+                assert_eq!((Label::new(&a), Label::new(&b)), (la, lb));
+            }
+        });
     }
 
     #[test]
     fn racing_first_interns_agree_on_one_id() {
         // Many threads race to intern the same *fresh* spellings
-        // simultaneously — the double-check under the write lock must
-        // guarantee one id per spelling. (A check-then-act race here
-        // would make equal spellings compare unequal forever after.)
+        // simultaneously, each with spellings of its own in between —
+        // the double-check under the write lock must guarantee one id
+        // per spelling and one spelling per id. (A check-then-act race
+        // here would make equal spellings compare unequal forever
+        // after.)
         use std::sync::Barrier;
         const THREADS: usize = 16;
         const LABELS: usize = 32;
         let barrier = std::sync::Arc::new(Barrier::new(THREADS));
         let handles: Vec<_> = (0..THREADS)
-            .map(|_| {
+            .map(|t| {
                 let barrier = std::sync::Arc::clone(&barrier);
                 std::thread::spawn(move || {
                     barrier.wait();
                     (0..LABELS)
-                        .map(|i| Label::new(&format!("race-label-{i}")).id())
-                        .collect::<Vec<u32>>()
+                        .map(|i| {
+                            let shared = Label::new(&format!("race-label-{i}"));
+                            (shared.id(), Label::new(&format!("race-own-{t}-{i}")).id())
+                        })
+                        .unzip::<u32, u32, Vec<u32>, Vec<u32>>()
                 })
             })
             .collect();
-        let per_thread: Vec<Vec<u32>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        for ids in &per_thread {
-            assert_eq!(ids, &per_thread[0], "every thread must see the same ids");
-        }
-        // And the spellings round-trip.
-        for i in 0..LABELS {
+        let per_thread: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        for (shared, _) in &per_thread {
             assert_eq!(
-                Label::new(&format!("race-label-{i}")).as_str(),
-                format!("race-label-{i}")
+                shared, &per_thread[0].0,
+                "every thread must see the same ids"
             );
+        }
+        // And every spelling round-trips through the id its thread got.
+        for i in 0..LABELS {
+            let shared = format!("race-label-{i}");
+            assert_eq!(Label::new(&shared).id(), per_thread[0].0[i]);
+            assert_eq!(Label::new(&shared).as_str(), shared);
+            for (t, (_, own)) in per_thread.iter().enumerate() {
+                let name = format!("race-own-{t}-{i}");
+                assert_eq!(Label::new(&name).id(), own[i]);
+                assert_eq!(Label::new(&name).as_str(), name);
+            }
         }
     }
 }

@@ -21,6 +21,18 @@
 //! move-size/alloc-rate trade-off: records are moved by value through
 //! mailboxes and hand-off batches, so a larger inline buffer was
 //! measured slower than the allocs it avoided.
+//!
+//! Two things follow from the sorted-by-id layout and are used by the
+//! step semantics. An insert whose label sorts after every pair present
+//! — every first insert, and a record built in ascending id order —
+//! appends without a search. And a component that keeps its own labels
+//! as id-sorted arrays ([`crate::BoxDef`] does) matches a record
+//! (`covers`) and takes an *owned* record apart (`split_off`,
+//! `absorb_owned`) by merging integers and moving values, where the
+//! borrowed forms ([`Record::project`], [`Record::without`],
+//! [`Record::absorb`]) clone every value and probe a [`Variant`]'s
+//! spelling-ordered sets. A 128-byte record is cheap to build and
+//! expensive to shuffle: the owned forms work in place for that reason.
 
 use crate::label::Label;
 use crate::rtype::Variant;
@@ -36,12 +48,67 @@ fn find<V>(pairs: &[(Label, V)], label: Label) -> Result<usize, usize> {
     pairs.binary_search_by(|(l, _)| l.id().cmp(&label.id()))
 }
 
+/// Does `label` sort after every pair present (so it is absent, and
+/// belongs at the end)? True of every first insert and of a record
+/// built in ascending id order, which then skip the search and the
+/// shift.
+#[inline]
+fn appends<V>(pairs: &[(Label, V)], label: Label) -> bool {
+    pairs.last().is_none_or(|(last, _)| last.id() < label.id())
+}
+
 #[inline]
 fn upsert<V>(pairs: &mut Pairs<V>, label: Label, value: V) {
+    if appends(pairs, label) {
+        return pairs.push((label, value));
+    }
     match find(pairs, label) {
         Ok(i) => pairs[i].1 = value,
         Err(i) => pairs.insert(i, (label, value)),
     }
+}
+
+/// Adds every pair of `src` (ascending ids) whose label `dst` lacks;
+/// `own` turns a source value into a stored one (a clone, or the value
+/// itself) and runs only for the pairs added.
+fn merge_absent<T, V>(
+    dst: &mut Pairs<V>,
+    src: impl IntoIterator<Item = (Label, T)>,
+    own: impl Fn(T) -> V,
+) {
+    for (l, v) in src {
+        if appends(dst, l) {
+            dst.push((l, own(v)));
+        } else if let Err(i) = find(dst, l) {
+            dst.insert(i, (l, own(v)));
+        }
+    }
+}
+
+/// Is every label of `want` among `pairs`? Both ascend by id, so one
+/// pass over `pairs` answers for all of `want`: each label is looked for
+/// from where the one before it was found.
+#[inline]
+fn covers<V>(pairs: &[(Label, V)], want: &[Label]) -> bool {
+    let mut rest = pairs.iter();
+    want.len() <= pairs.len() && want.iter().all(|w| rest.any(|(l, _)| l == w))
+}
+
+/// Moves the pairs labelled in `want` out of `pairs` (both ascending by
+/// id); what stays keeps its order.
+fn extract<V>(pairs: &mut Pairs<V>, want: &[Label]) -> Pairs<V> {
+    let mut hit = Pairs::new();
+    let mut at = 0;
+    for w in want {
+        at += pairs[at..]
+            .iter()
+            .take_while(|(l, _)| l.id() < w.id())
+            .count();
+        if pairs.get(at).is_some_and(|(l, _)| l == w) {
+            hit.push(pairs.remove(at));
+        }
+    }
+    hit
 }
 
 #[inline]
@@ -156,15 +223,42 @@ impl Record {
     /// no-overwrite union used by flow inheritance and synchrocell
     /// merging — the receiver's own labels win).
     pub fn absorb(&mut self, other: &Record) {
-        for (l, v) in other.fields.iter() {
-            if let Err(i) = find(&self.fields, *l) {
-                self.fields.insert(i, (*l, v.clone()));
+        let fields = other.fields.iter().map(|(l, v)| (*l, v));
+        merge_absent(&mut self.fields, fields, Value::clone);
+        merge_absent(&mut self.tags, other.tags.iter().copied(), |v| v);
+    }
+
+    /// [`absorb`](Record::absorb) of a record the caller is done with:
+    /// the values move instead of being cloned.
+    pub(crate) fn absorb_owned(&mut self, other: Record) {
+        // A namespace the receiver lacks altogether (a box that emits
+        // no tags inheriting some) changes hands whole.
+        fn merge<V>(dst: &mut Pairs<V>, src: Pairs<V>) {
+            if dst.is_empty() {
+                *dst = src;
+            } else {
+                merge_absent(dst, src, |v| v);
             }
         }
-        for (l, v) in other.tags.iter() {
-            if let Err(i) = find(&self.tags, *l) {
-                self.tags.insert(i, (*l, *v));
-            }
+        merge(&mut self.fields, other.fields);
+        merge(&mut self.tags, other.tags);
+    }
+
+    /// Does the record carry every one of these labels (each slice
+    /// ascending by id)? [`Variant::accepts`] over id arrays: a merge
+    /// instead of a binary search per label.
+    pub(crate) fn covers(&self, fields: &[Label], tags: &[Label]) -> bool {
+        covers(&self.fields, fields) && covers(&self.tags, tags)
+    }
+
+    /// Moves the pairs labelled in `fields`/`tags` (each ascending by
+    /// id) out into a record of their own; `self` keeps the remainder.
+    /// The owned form of [`project`](Record::project) +
+    /// [`without`](Record::without).
+    pub(crate) fn split_off(&mut self, fields: &[Label], tags: &[Label]) -> Record {
+        Record {
+            fields: extract(&mut self.fields, fields),
+            tags: extract(&mut self.tags, tags),
         }
     }
 
@@ -324,6 +418,67 @@ mod tests {
         let mut merged = consumed;
         merged.absorb(&rest);
         assert_eq!(merged, r);
+    }
+
+    /// The labels of `names`, ascending by id as the id-array callers
+    /// keep them.
+    fn by_id(names: &[&str]) -> Vec<Label> {
+        let mut labels: Vec<Label> = names.iter().map(|n| Label::new(n)).collect();
+        labels.sort_unstable_by_key(Label::id);
+        labels
+    }
+
+    #[test]
+    fn covers_is_accepts_over_id_arrays() {
+        let r = sample();
+        assert!(r.covers(&[], &[]));
+        assert!(r.covers(&by_id(&["sect", "scene"]), &by_id(&["tasks"])));
+        assert!(r.covers(&by_id(&["scene"]), &by_id(&["node", "tasks"])));
+        assert!(!r.covers(&by_id(&["node"]), &[])); // a tag, not a field
+        assert!(!r.covers(&by_id(&["scene", "absent"]), &[]));
+        assert!(!r.covers(&[], &by_id(&["node", "tasks", "absent"])));
+        assert!(!Record::new().covers(&by_id(&["scene"]), &[]));
+    }
+
+    #[test]
+    fn split_off_moves_what_project_and_without_copy() {
+        let wide = sample()
+            .with_field("chunk", Value::from("payload"))
+            .with_tag("fst", 1);
+        let cases: [(&[&str], &[&str]); 5] = [
+            (&[], &[]),
+            (&["scene"], &["node"]),
+            (&["chunk", "scene", "sect"], &[]),
+            (&["sect"], &["fst", "node", "tasks"]),
+            (&["absent", "sect"], &["absent"]),
+        ];
+        for (fields, tags) in cases {
+            let v = Variant::parse_labels(fields, tags);
+            let mut rest = wide.clone();
+            let consumed = rest.split_off(&by_id(fields), &by_id(tags));
+            assert_eq!(consumed, wide.project(&v), "{v}");
+            assert_eq!(rest, wide.without(&v), "{v}");
+        }
+    }
+
+    #[test]
+    fn absorb_owned_is_absorb() {
+        let b = Record::new()
+            .with_tag("cnt", 99)
+            .with_tag("tasks", 8)
+            .with_field("chunk", Value::from("payload"));
+        let receivers = [
+            Record::new(),
+            Record::new().with_tag("cnt", 1),
+            Record::new().with_field("pic", Value::Int(10)),
+            sample().with_field("chunk", Value::Unit).with_tag("cnt", 1),
+        ];
+        for a in receivers {
+            let (mut by_ref, mut by_move) = (a.clone(), a);
+            by_ref.absorb(&b);
+            by_move.absorb_owned(b.clone());
+            assert_eq!(by_move, by_ref);
+        }
     }
 
     #[test]

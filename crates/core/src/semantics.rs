@@ -5,11 +5,25 @@
 //! calling these pure functions, so the three engines cannot drift apart
 //! semantically. Each function maps *one* input record to the records a
 //! component emits in response, plus the abstract work performed.
+//!
+//! A step comes in two forms over one implementation. [`box_step`] and
+//! [`filter_step`] return a [`StepOut`] — what the interpreter, the
+//! simulator and anything stepping one record at a time want.
+//! [`box_step_into`] and [`filter_step_into`] append the emitted records
+//! to a buffer the caller already has — what the chain driver
+//! (`fusion::ChainRunner`) wants, whose next stage reads that buffer:
+//! the records go from where the box wrote them to where the next stage
+//! reads them, without a `StepOut` in between.
+//!
+//! The box step works on the record it owns. Matched, exact or
+//! inheriting is decided by one merge of the record's id-sorted pairs
+//! with the box's id-sorted input labels; an inheriting step moves the
+//! consumed values out to the box's argument and what is left into the
+//! last output, cloning only for the outputs before the last.
 
-use crate::boxdef::{BoxDef, RecordVec, Work};
+use crate::boxdef::{BoxDef, BoxOutput, RecordVec, Work};
 use crate::error::SnetError;
 use crate::filter::FilterSpec;
-use crate::flow;
 use crate::pattern::Pattern;
 use crate::record::Record;
 use std::fmt;
@@ -49,21 +63,45 @@ pub enum MismatchPolicy {
     Error,
 }
 
-/// Feeds one record to a box.
-///
-/// If the record matches the box's input variant: split into
-/// consumed/rest, invoke the function on the consumed part, flow-inherit
-/// the rest into every output. Otherwise apply `policy`.
-pub fn box_step(def: &BoxDef, rec: Record, policy: MismatchPolicy) -> Result<StepOut, SnetError> {
-    let iv = def.input_variant();
-    if !iv.accepts(&rec) {
-        return match policy {
-            MismatchPolicy::Forward => Ok(StepOut::passthrough(rec)),
-            MismatchPolicy::Error => Err(SnetError::TypeMismatch {
-                expected: iv.to_string(),
-                got: format!("{rec:?}"),
-            }),
-        };
+/// What a stateless component made of one record, before anyone has
+/// collected it: the record itself when it did not match and was
+/// forwarded, the component's own output when it did.
+enum Stepped<T> {
+    Forwarded(Record),
+    Matched(T),
+}
+
+/// A record its component does not match: forwarded untouched, or an
+/// error naming what the component `expected`.
+fn mismatch<T>(
+    rec: Record,
+    policy: MismatchPolicy,
+    expected: &dyn fmt::Display,
+) -> Result<Stepped<T>, SnetError> {
+    match policy {
+        MismatchPolicy::Forward => Ok(Stepped::Forwarded(rec)),
+        MismatchPolicy::Error => Err(SnetError::TypeMismatch {
+            expected: expected.to_string(),
+            got: format!("{rec:?}"),
+        }),
+    }
+}
+
+/// The one implementation of box semantics; [`box_step`] and
+/// [`box_step_into`] differ only in the `done` they hand it, which
+/// says where the outcome goes. (A continuation, and inlined, rather
+/// than a returned `Stepped`: the output is then collected from where
+/// the box wrote it, without one more move of a 150-byte value.)
+#[inline(always)]
+fn box_core<T>(
+    def: &BoxDef,
+    rec: Record,
+    policy: MismatchPolicy,
+    done: impl FnOnce(Stepped<BoxOutput>) -> T,
+) -> Result<T, SnetError> {
+    let (fields, tags) = def.input_ids();
+    if !rec.covers(fields, tags) {
+        return mismatch(rec, policy, def.input_variant()).map(done);
     }
     let map_fail = |e| match e {
         SnetError::BoxFailure { .. } => e,
@@ -72,27 +110,76 @@ pub fn box_step(def: &BoxDef, rec: Record, policy: MismatchPolicy) -> Result<Ste
             cause: other.to_string(),
         },
     };
-    // Exact match: `accepts` proved the record a per-namespace superset of
-    // the variant, so equal totals mean the labels coincide exactly — the
-    // consumed part *is* the record and the rest is empty. Skip the two
-    // record builds in `flow::split` and the inheritance walk.
-    if rec.len() == iv.arity() {
+    // Exact match: the record covers the input labels per namespace, so
+    // equal totals mean the labels coincide exactly — the consumed part
+    // *is* the record and there is nothing to inherit.
+    if rec.len() == fields.len() + tags.len() {
         let out = def.func.call(&rec).map_err(map_fail)?;
-        return Ok(StepOut {
+        return Ok(done(Stepped::Matched(out)));
+    }
+    // Flow inheritance on the owned record: the consumed values move out
+    // to the box's argument, and what is left of the record moves into
+    // the last output (earlier outputs each take a copy).
+    let mut rest = rec;
+    let consumed = rest.split_off(fields, tags);
+    let mut out = def.func.call(&consumed).map_err(map_fail)?;
+    if let Some((last, earlier)) = out.records.split_last_mut() {
+        for o in earlier {
+            o.absorb(&rest);
+        }
+        last.absorb_owned(rest);
+    }
+    Ok(done(Stepped::Matched(out)))
+}
+
+/// Feeds one record to a box.
+///
+/// If the record matches the box's input variant: split into
+/// consumed/rest, invoke the function on the consumed part, flow-inherit
+/// the rest into every output. Otherwise apply `policy`.
+pub fn box_step(def: &BoxDef, rec: Record, policy: MismatchPolicy) -> Result<StepOut, SnetError> {
+    box_core(def, rec, policy, |stepped| match stepped {
+        Stepped::Forwarded(rec) => StepOut::passthrough(rec),
+        Stepped::Matched(out) => StepOut {
             records: out.records,
             work: out.work,
             matched: true,
-        });
-    }
-    let (consumed, rest) = flow::split(&rec, iv);
-    let out = def.func.call(&consumed).map_err(map_fail)?;
-    let mut records = out.records;
-    flow::inherit_all(&mut records, &rest);
-    Ok(StepOut {
-        records,
-        work: out.work,
-        matched: true,
+        },
     })
+}
+
+/// [`box_step`], appending the emitted records to `sink`: `Some` of the
+/// work performed when the record matched, `None` when it was passed
+/// through untouched. Nothing reaches `sink` unless the step succeeds.
+pub fn box_step_into(
+    def: &BoxDef,
+    rec: Record,
+    policy: MismatchPolicy,
+    sink: &mut impl Extend<Record>,
+) -> Result<Option<Work>, SnetError> {
+    box_core(def, rec, policy, |stepped| match stepped {
+        Stepped::Forwarded(rec) => {
+            sink.extend(Some(rec));
+            None
+        }
+        Stepped::Matched(out) => {
+            sink.extend(out.records);
+            Some(out.work)
+        }
+    })
+}
+
+/// The one implementation of filter semantics, as [`box_core`] is of a
+/// box's.
+fn filter_core(
+    spec: &FilterSpec,
+    rec: Record,
+    policy: MismatchPolicy,
+) -> Result<Stepped<Vec<Record>>, SnetError> {
+    if !spec.pattern.matches(&rec) {
+        return mismatch(rec, policy, &spec.pattern);
+    }
+    Ok(Stepped::Matched(spec.apply(&rec)?))
 }
 
 /// Feeds one record to a filter.
@@ -101,20 +188,33 @@ pub fn filter_step(
     rec: Record,
     policy: MismatchPolicy,
 ) -> Result<StepOut, SnetError> {
-    if !spec.pattern.matches(&rec) {
-        return match policy {
-            MismatchPolicy::Forward => Ok(StepOut::passthrough(rec)),
-            MismatchPolicy::Error => Err(SnetError::TypeMismatch {
-                expected: spec.pattern.to_string(),
-                got: format!("{rec:?}"),
-            }),
-        };
-    }
-    let records = RecordVec::from_vec(spec.apply(&rec)?);
-    Ok(StepOut {
-        records,
-        work: Work::ZERO,
-        matched: true,
+    Ok(match filter_core(spec, rec, policy)? {
+        Stepped::Forwarded(rec) => StepOut::passthrough(rec),
+        Stepped::Matched(records) => StepOut {
+            records: RecordVec::from_vec(records),
+            work: Work::ZERO,
+            matched: true,
+        },
+    })
+}
+
+/// [`filter_step`], appending the emitted records to `sink`; reads like
+/// [`box_step_into`], a matched filter reporting no work.
+pub fn filter_step_into(
+    spec: &FilterSpec,
+    rec: Record,
+    policy: MismatchPolicy,
+    sink: &mut impl Extend<Record>,
+) -> Result<Option<Work>, SnetError> {
+    Ok(match filter_core(spec, rec, policy)? {
+        Stepped::Forwarded(rec) => {
+            sink.extend(Some(rec));
+            None
+        }
+        Stepped::Matched(records) => {
+            sink.extend(records);
+            Some(Work::ZERO)
+        }
     })
 }
 
@@ -183,6 +283,54 @@ mod tests {
     }
 
     #[test]
+    fn every_output_inherits_and_its_own_labels_win() {
+        // Two outputs, the first overriding an inherited tag: the
+        // earlier output takes a copy of the remainder, the last one the
+        // remainder itself, and both read the same.
+        let fork = BoxDef::from_fn(
+            BoxSig::parse("fork", &["x"], &[&["y", "<extra>"], &["z"]]),
+            |_| {
+                Ok(BoxOutput::from_iter(
+                    [
+                        Record::new()
+                            .with_field("y", Value::Unit)
+                            .with_tag("extra", -1),
+                        Record::new().with_field("z", Value::Unit),
+                    ],
+                    Work::ops(2),
+                ))
+            },
+        );
+        let rec = Record::new()
+            .with_field("x", Value::Int(1))
+            .with_field("scene", Value::from("s"))
+            .with_tag("extra", 7);
+        let out = box_step(&fork, rec.clone(), MismatchPolicy::Forward).unwrap();
+        assert_eq!(out.work, Work::ops(2));
+        let [y, z] = &out.records[..] else {
+            panic!("two outputs expected: {out}")
+        };
+        assert_eq!((y.tag("extra"), z.tag("extra")), (Some(-1), Some(7)));
+        assert!(y.has_field("scene") && z.has_field("scene"));
+        assert!(!y.has_field("x") && !z.has_field("x"));
+        // The sink form appends the same two records.
+        let mut sink = vec![Record::new()];
+        let work = box_step_into(&fork, rec, MismatchPolicy::Forward, &mut sink).unwrap();
+        assert_eq!(work, Some(Work::ops(2)));
+        assert_eq!(sink[1..], out.records[..]);
+    }
+
+    #[test]
+    fn a_box_that_emits_nothing_drops_the_remainder() {
+        let sink_box = BoxDef::from_fn(BoxSig::parse("sink", &["x"], &[]), |_| {
+            Ok(BoxOutput::none(Work::ZERO))
+        });
+        let rec = Record::new().with_field("x", Value::Unit).with_tag("t", 1);
+        let out = box_step(&sink_box, rec, MismatchPolicy::Forward).unwrap();
+        assert!(out.matched && out.records.is_empty());
+    }
+
+    #[test]
     fn box_step_passthrough_on_mismatch() {
         let rec = Record::new().with_tag("other", 1);
         let out = box_step(&adder_box(), rec.clone(), MismatchPolicy::Forward).unwrap();
@@ -223,7 +371,20 @@ mod tests {
         let rec = Record::new().with_field("b", Value::Unit);
         let out = filter_step(&f, rec.clone(), MismatchPolicy::Forward).unwrap();
         assert!(!out.matched);
-        assert_eq!(out.records.to_vec(), vec![rec]);
+        assert_eq!(out.records.to_vec(), vec![rec.clone()]);
+        // The sink form: `None` for the pass-through, `Some` for a match.
+        let mut sink = Vec::new();
+        let work = filter_step_into(&f, rec.clone(), MismatchPolicy::Forward, &mut sink);
+        assert_eq!((work.unwrap(), &sink[..]), (None, &[rec][..]));
+        let hit = Record::new().with_field("a", Value::Unit).with_tag("t", 1);
+        let work = filter_step_into(&f, hit.clone(), MismatchPolicy::Forward, &mut sink);
+        assert_eq!(work.unwrap(), Some(Work::ZERO));
+        assert_eq!(
+            sink[1..],
+            filter_step(&f, hit, MismatchPolicy::Forward)
+                .unwrap()
+                .records[..]
+        );
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! neither duplicate nor invent labels.
 
 use proptest::prelude::*;
+use snet_core::boxdef::{BoxDef, BoxOutput, BoxSig, SigItem, Work};
 use snet_core::filter::{FilterSpec, OutputTemplate};
+use snet_core::semantics::{box_step, box_step_into, MismatchPolicy};
 use snet_core::{
-    flow, BinOp, Label, Pattern, Record, SyncOutcome, SyncSpec, TagExpr, Value, Variant,
+    flow, BinOp, Label, Pattern, Record, SnetError, SyncOutcome, SyncSpec, TagExpr, Value, Variant,
 };
 
 const FIELDS: [&str; 5] = ["a", "b", "c", "d", "e"];
@@ -45,8 +47,108 @@ fn arb_record() -> impl Strategy<Value = Record> {
         })
 }
 
+/// A box over `input` that emits one record per template, each stamped
+/// with what the box was handed (`<seen>`: how many labels, `<sum>`: its
+/// tags and integer fields added up), so a wrong consumed part shows in
+/// the output.
+fn stamping_box(input: &Variant, templates: Vec<Record>) -> BoxDef {
+    let items = input
+        .fields()
+        .map(SigItem::Field)
+        .chain(input.tags().map(SigItem::Tag))
+        .collect();
+    let sig = BoxSig {
+        name: "stamp".to_owned(),
+        input: items,
+        outputs: Vec::new(),
+    };
+    BoxDef::from_fn(sig, move |input| {
+        let ints = input.fields().filter_map(|(_, v)| v.as_int());
+        let sum: i64 = ints.chain(input.tags().map(|(_, v)| v)).sum();
+        let stamped = templates.iter().map(|t| {
+            t.clone()
+                .with_tag("seen", input.len() as i64)
+                .with_tag("sum", sum)
+        });
+        Ok(BoxOutput::from_iter(
+            stamped,
+            Work::ops(templates.len() as u64),
+        ))
+    })
+}
+
+/// `box_step` spelled out from the record operations it is defined by:
+/// the records emitted, the work, and whether the record matched.
+fn reference_box_step(
+    def: &BoxDef,
+    rec: &Record,
+    policy: MismatchPolicy,
+) -> Result<(Vec<Record>, Work, bool), SnetError> {
+    let iv = def.input_variant();
+    if !iv.accepts(rec) {
+        return match policy {
+            MismatchPolicy::Forward => Ok((vec![rec.clone()], Work::ZERO, false)),
+            MismatchPolicy::Error => Err(SnetError::TypeMismatch {
+                expected: iv.to_string(),
+                got: format!("{rec:?}"),
+            }),
+        };
+    }
+    let (consumed, rest) = (rec.project(iv), rec.without(iv));
+    let out = def.func.call(&consumed)?;
+    let inherit = |mut o: Record| {
+        o.absorb(&rest);
+        o
+    };
+    Ok((
+        out.records.into_iter().map(inherit).collect(),
+        out.work,
+        true,
+    ))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // ---- the box step -------------------------------------------------
+
+    #[test]
+    fn box_step_is_project_call_absorb(
+        input in arb_variant(),
+        templates in prop::collection::vec(arb_record(), 0..4),
+        rec in arb_record(),
+    ) {
+        // Signatures of any arity (none, tags only), zero to three
+        // outputs that may override what they would inherit, and the
+        // record as drawn (mostly a mismatch), widened to a superset of
+        // the input, and cut down to an exact match.
+        let def = stamping_box(&input, templates);
+        let mut superset = rec.clone();
+        for l in input.fields() {
+            superset.set_field(l, Value::Int(7));
+        }
+        for l in input.tags() {
+            superset.set_tag(l, 3);
+        }
+        let exact = superset.project(&input);
+        for rec in [rec, superset, exact] {
+            for policy in [MismatchPolicy::Forward, MismatchPolicy::Error] {
+                let expected = reference_box_step(&def, &rec, policy);
+                let step = box_step(&def, rec.clone(), policy)
+                    .map(|s| (s.records.into_vec(), s.work, s.matched));
+                prop_assert_eq!(&step, &expected, "box_step on {:?}", rec);
+                // The sink form appends the same records and reports
+                // the same work, `None` for a record passed through.
+                let mut sink = vec![Record::new().with_tag("already-there", 1)];
+                let into = box_step_into(&def, rec.clone(), policy, &mut sink).map(|work| {
+                    let records = sink.split_off(1);
+                    (records, work.unwrap_or(Work::ZERO), work.is_some())
+                });
+                prop_assert_eq!(&into, &expected, "box_step_into on {:?}", rec);
+                prop_assert_eq!(sink.len(), 1, "a failed step leaves the sink alone");
+            }
+        }
+    }
 
     // ---- subtyping is a partial order --------------------------------
 

@@ -297,6 +297,17 @@ fn allocs_per_replica(width: usize) -> u64 {
     many - one
 }
 
+/// The least of a few readings of `measure`, each on a net of its own.
+/// The counter is process-wide and the floor inside one reading is
+/// taken on one net: when the host is busy a net can settle into
+/// handing a retired buffer to the other thread's freelist on every
+/// job, and all of its runs then read one allocation high (37 for 36,
+/// about one reading in 750 under load). A fresh net draws again, so
+/// the two sides of an exact comparison are each the least of three.
+fn steadiest(measure: impl Fn() -> u64) -> u64 {
+    (0..3).map(|_| measure()).min().expect("three readings")
+}
+
 #[test]
 fn unfolding_allocates_per_task_not_per_spec() {
     let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
@@ -306,25 +317,25 @@ fn unfolding_allocates_per_task_not_per_spec() {
     // dispatcher and its two branches) plus the dispatcher's port list.
     // The engine used to deep-copy every spec in the body, and the body
     // itself once more per tap: 39.
-    let narrow = allocs_per_unfolding(1);
+    let narrow = steadiest(|| allocs_per_unfolding(1));
     assert!(
         narrow <= 10 * depth,
         "{narrow} allocations for {depth} unfoldings (> 10 each)"
     );
     assert_eq!(
         narrow,
-        allocs_per_unfolding(16),
+        steadiest(|| allocs_per_unfolding(16)),
         "a 16-item box signature must cost an unfolding nothing extra"
     );
 
-    let narrow = allocs_per_replica(1);
+    let narrow = steadiest(|| allocs_per_replica(1));
     assert!(
         narrow <= 10 * depth,
         "{narrow} allocations for {depth} split replicas (> 10 each)"
     );
     assert_eq!(
         narrow,
-        allocs_per_replica(16),
+        steadiest(|| allocs_per_replica(16)),
         "a 16-item box signature must cost a replica nothing extra"
     );
 }
