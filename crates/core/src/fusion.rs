@@ -17,8 +17,11 @@
 //! changes how many components a run builds and how many hand-offs a
 //! record makes, and selects no code path. A chain exists only in the
 //! compiled tree: a [`NetSpec`] is always the network as its author
-//! wrote it, and the reference interpreter, the `snet-dist` simulator,
-//! the analyzer and the printer never see one.
+//! wrote it, and the reference interpreter, the analyzer and the
+//! printer never see one. Placement (`@`, `!@`) survives compilation as
+//! data — it changes nothing a record observes, only where the
+//! `snet-dist` simulator, which instantiates this same tree at the
+//! unfused grain, starts a subtree's processes.
 //!
 //! **Every stage is its own component as far as faults go** — the one
 //! point of the coordination layer where failure policy is applied
@@ -64,8 +67,10 @@ pub enum ChainStage {
 /// component (at `start`, or when a star or split unfolds mid-run)
 /// copies reference counts and nothing whose size depends on the
 /// topology, and retiring one frees nothing but its own state.
-/// Placement (`At`) and naming wrappers are gone: the local engines
-/// ignore placement, and `snet-dist` reads it from the [`NetSpec`].
+/// Naming wrappers are gone; placement stays ([`Node::At`],
+/// [`SplitNode::placed`]) for whoever instantiates the tree to hand to
+/// its transport: the local engines have one node and ignore it, the
+/// `snet-dist` simulator starts the subtree's processes where it says.
 #[derive(Debug)]
 pub enum Node {
     /// A serial run of one or more boxes/filters, executed as one
@@ -82,6 +87,14 @@ pub enum Node {
     Star(Arc<StarNode>),
     /// `A ! <tag>`.
     Split(Arc<SplitNode>),
+    /// `A @ node`: `body`, placed. Not a component — instantiating it
+    /// instantiates the body and nothing else.
+    At {
+        /// The placed subnet.
+        body: Box<Node>,
+        /// The node it names (a cluster wraps it to its size).
+        node: u32,
+    },
 }
 
 /// A compiled parallel composition.
@@ -113,6 +126,9 @@ pub struct SplitNode {
     pub body: Node,
     /// The index tag.
     pub tag: Label,
+    /// `A !@ <tag>`: the tag value also names the node hosting the
+    /// replica.
+    pub placed: bool,
 }
 
 /// Compiles `spec` with fusion on: [`compile`]`(spec, true)`, the
@@ -175,11 +191,15 @@ fn walk(spec: &NetSpec, fuse: bool, run: &mut Vec<ChainStage>, spine: &mut Vec<N
             body: compile(body, fuse),
             exit: exit.clone(),
         })),
-        NetSpec::Split { body, tag, .. } => Node::Split(Arc::new(SplitNode {
+        NetSpec::Split { body, tag, placed } => Node::Split(Arc::new(SplitNode {
             body: compile(body, fuse),
             tag: *tag,
+            placed: *placed,
         })),
-        NetSpec::At { body, .. } => compile(body, fuse),
+        NetSpec::At { body, node } => Node::At {
+            body: Box::new(compile(body, fuse)),
+            node: *node,
+        },
     };
     flush_run(run, spine);
     spine.push(boundary);
@@ -476,6 +496,7 @@ mod tests {
             Node::Par(par) => par.branches.iter().flat_map(chain_lengths).collect(),
             Node::Star(star) => chain_lengths(&star.body),
             Node::Split(split) => chain_lengths(&split.body),
+            Node::At { body, .. } => chain_lengths(body),
         }
     }
 
@@ -541,19 +562,38 @@ mod tests {
         assert_eq!(par.patterns.len(), 2);
 
         // A placed subnet is a boundary too: it neither joins the run
-        // before it nor the one after.
+        // before it nor the one after, and it keeps its node — at
+        // either grain.
         let placed = NetSpec::pipeline([
             inc("a"),
             NetSpec::at(NetSpec::serial(inc("b"), inc("c")), 1),
             inc("d"),
         ]);
-        let fused = fuse(&placed);
-        let [a, body, d] = spine(&fused)[..] else {
-            panic!("expected a .. (b .. c) .. d: {fused:?}");
-        };
-        assert_eq!(chain(a), Some(vec!["a"]));
-        assert_eq!(chain(body), Some(vec!["b", "c"]));
-        assert_eq!(chain(d), Some(vec!["d"]));
+        for (grain, inside) in [(true, vec![2]), (false, vec![1, 1])] {
+            let compiled = compile(&placed, grain);
+            let [a, at, d] = spine(&compiled)[..] else {
+                panic!("expected a .. (b .. c)@1 .. d: {compiled:?}");
+            };
+            assert_eq!(chain(a), Some(vec!["a"]));
+            let Node::At { body, node: 1 } = at else {
+                panic!("placement survives compilation: {at:?}")
+            };
+            assert_eq!(chain_lengths(body), inside);
+            assert_eq!(chain(d), Some(vec!["d"]));
+        }
+    }
+
+    #[test]
+    fn split_node_mirrors_placed() {
+        for (spec, placed) in [
+            (NetSpec::split(inc("p"), "k"), false),
+            (NetSpec::split_placed(inc("p"), "k"), true),
+        ] {
+            let Node::Split(split) = fuse(&spec) else {
+                panic!("split survives compilation")
+            };
+            assert_eq!(split.placed, placed);
+        }
     }
 
     #[test]

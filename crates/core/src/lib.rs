@@ -28,10 +28,12 @@
 //!   runs of boxes and filters into single components on the way.
 //!
 //! The crate is engine-agnostic: the per-record small-step semantics live
-//! in [`semantics`] as pure functions so that the multithreaded runtime
-//! (`snet-runtime`), the deterministic reference interpreter, and the
-//! discrete-event cluster engine (`snet-dist`) all share one definition of
-//! what each component does to a record.
+//! in [`semantics`] as pure functions, and a network has exactly two
+//! operational readings of them — the deterministic reference
+//! interpreter (the oracle) and the component step of `snet-runtime`,
+//! which the threaded engine, the scheduled engine and the
+//! discrete-event cluster simulator (`snet-dist`) all drive, each over
+//! its own transport.
 
 pub mod boxdef;
 pub mod diag;

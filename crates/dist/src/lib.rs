@@ -1,40 +1,51 @@
 //! # snet-dist — Distributed S-Net on the simulated cluster
 //!
-//! Executes an [`snet_core::NetSpec`] on the deterministic
-//! discrete-event cluster of `snet-simnet`, honouring the Distributed
-//! S-Net placement combinators: `A @ n` pins a subtree to node `n`, and
-//! `A !@ <tag>` places each index replica on the node named by its tag
-//! value (modulo the cluster size), exactly the prototype's "numbers
-//! correspond to MPI task identifiers" (§III).
+//! Runs an [`snet_core::NetSpec`] on the deterministic discrete-event
+//! cluster of `snet-simnet`. What a component *does* is not here: a
+//! simulated run compiles the topology with the engines' `Plan`
+//! (pre-flight included), instantiates it with their `build`, and every
+//! simulated process is their component loop — `recv`,
+//! `Component::step`, `end_of_stream` — so failure policy, panic
+//! containment, best-match dispatch, lazy unfolding and every trace
+//! counter are `snet_runtime::component`'s own code. This crate is the
+//! third `Transport` under it, beside the threaded engine's channels
+//! and the scheduled engine's mailboxes, and adds exactly two things:
 //!
-//! Every component instance runs as a simulated process on its node.
-//! Box invocations execute the *real* box function (the ray tracer
-//! actually renders) and charge the reported abstract work as virtual
-//! CPU time on the hosting node; record hand-offs charge the
-//! [`OverheadModel`]'s per-hop glue cost on the sending node's CPU and
-//! the record's wire size on the network (NIC serialization + link
-//! latency across nodes, memory-copy cost within a node). The result is
-//! a virtual-time makespan comparable against the hand-written MPI
-//! baseline running on the same simulated hardware — the measurement
-//! the paper's §V figures are built from.
+//! * **where** — the Distributed S-Net placement combinators: `A @ n`
+//!   starts the subtree's processes on node `n`, `A !@ <tag>` starts
+//!   each index replica on the node its tag value names (both modulo
+//!   the cluster size; the prototype's "numbers correspond to MPI task
+//!   identifiers", §III). Anything else starts where the process that
+//!   instantiates it runs; the master is node 0.
+//! * **what it costs** — a step's box work (the real box function runs;
+//!   the ray tracer actually renders) occupies the hosting node's CPU
+//!   for the abstract ops it reports, before the step's outputs leave;
+//!   every record hand-off charges the [`OverheadModel`]'s per-hop glue
+//!   on the sending node's CPU and the record's wire size on the
+//!   network (NIC serialization + link latency across nodes, memory
+//!   copy within one). No hop is free: identity filters and fired
+//!   synchrocells are components on the real engines, and pay here too.
 //!
-//! The engine shares the small-step semantics of `snet_core::semantics`
-//! with the threaded engine, the scheduled engine, and the reference
-//! interpreter, so a network means the same thing on all four
-//! substrates; this crate only adds *where* things run and *what they
-//! cost*.
+//! The result is a virtual-time makespan comparable against the
+//! hand-written MPI baseline on the same simulated hardware — what the
+//! paper's §V figures are built from — and counters that equal a real
+//! engine's on the same topology by construction
+//! (`tests/sim_vs_engine.rs`). The grain is fixed: one process per
+//! primitive (`fuse = false`), what the paper's runtime executed, with
+//! `EngineConfig::default()` otherwise.
 
 use parking_lot::Mutex;
-use snet_core::semantics::{self, MismatchPolicy};
 use snet_core::value::AnyData;
-use snet_core::{panic_cause, NetSpec, Record, SnetError, SyncOutcome, Value};
-use snet_simnet::{Cluster, ClusterSpec, SimCtx, SimError, SimHandle, SimQueue, Simulation};
-use std::collections::{BTreeMap, HashMap};
+use snet_core::{NetSpec, Record, SnetError, Value};
+use snet_runtime::component::{build, Component, Transport};
+use snet_runtime::config::Plan;
+use snet_runtime::run::{DeadDest, Run};
+use snet_runtime::EngineConfig;
+use snet_simnet::{Cluster, ClusterSpec, SimCtx, SimQueue, Simulation};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-// ------------------------------------------------------------ overhead
 
 /// The S-Net runtime's per-record cost model.
 ///
@@ -72,48 +83,10 @@ impl Default for OverheadModel {
     }
 }
 
-// --------------------------------------------------------------- stats
-
-#[derive(Default)]
-struct Stats {
-    records_hopped: AtomicU64,
-    glue_ops: AtomicU64,
-    box_ops: AtomicU64,
-    wire_bytes: AtomicU64,
-    sync_stores: AtomicU64,
-    sync_fires: AtomicU64,
-    sync_stranded: AtomicU64,
-    star_unfoldings: AtomicU64,
-    split_replicas: AtomicU64,
-    dispatched: AtomicU64,
-    passthroughs: AtomicU64,
-}
-
-impl Stats {
-    fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> StatsSnapshot {
-        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        StatsSnapshot {
-            records_hopped: get(&self.records_hopped),
-            glue_ops: get(&self.glue_ops),
-            box_ops: get(&self.box_ops),
-            wire_bytes: get(&self.wire_bytes),
-            sync_stores: get(&self.sync_stores),
-            sync_fires: get(&self.sync_fires),
-            sync_stranded: get(&self.sync_stranded),
-            star_unfoldings: get(&self.star_unfoldings),
-            split_replicas: get(&self.split_replicas),
-            dispatched: get(&self.dispatched),
-            passthroughs: get(&self.passthroughs),
-        }
-    }
-}
-
 /// Runtime counters of one cluster run (deterministic across repeated
-/// runs of the same program).
+/// runs of the same program). `records_hopped`, `glue_ops` and
+/// `wire_bytes` are the simulator's own; the other eight are read off
+/// the run's `snet_runtime::Trace`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Records handed between components (every edge traversal).
@@ -140,8 +113,6 @@ pub struct StatsSnapshot {
     pub passthroughs: u64,
 }
 
-// -------------------------------------------------------------- result
-
 /// Result of one simulated cluster run.
 #[derive(Debug)]
 pub struct RunResult {
@@ -158,8 +129,6 @@ pub struct RunResult {
     /// Per-node CPU busy time in seconds (idle time = load imbalance).
     pub cpu_busy_secs: Vec<f64>,
 }
-
-// -------------------------------------------------------------- engine
 
 /// A shared-ownership sender onto a component's input stream.
 ///
@@ -199,13 +168,16 @@ impl Tx {
     }
 }
 
+/// What the processes of one run share: the engines' control block and
+/// the cost model.
 struct Env {
-    handle: SimHandle,
     cluster: Cluster,
     overhead: OverheadModel,
-    stats: Arc<Stats>,
-    error: Arc<Mutex<Option<SnetError>>>,
-    nodes: usize,
+    run: Arc<Run>,
+    config: EngineConfig,
+    records_hopped: AtomicU64,
+    glue_ops: AtomicU64,
+    wire_bytes: AtomicU64,
     /// Shared (`Arc`ed) payloads already resident on each node, keyed
     /// by pointer identity and *holding* the payload: keeping the `Arc`
     /// alive pins its address for the whole run, so a recycled
@@ -221,21 +193,8 @@ struct Env {
 }
 
 impl Env {
-    fn queue(&self, name: &str) -> SimQueue<Record> {
-        SimQueue::new(&self.handle, name)
-    }
-
-    /// Records a failure and aborts the hosting process; the simulation
-    /// kernel tears the remaining processes down.
-    fn fail(&self, e: SnetError) -> ! {
-        let msg = e.to_string();
-        {
-            let mut slot = self.error.lock();
-            if slot.is_none() {
-                *slot = Some(e);
-            }
-        }
-        panic!("snet-dist component aborted: {msg}");
+    fn box_ops(&self) -> u64 {
+        self.run.trace.get(&self.run.trace.box_ops)
     }
 
     /// The bytes this hop actually moves: per-label framing plus every
@@ -274,77 +233,153 @@ impl Env {
     /// `tx`: glue CPU cost on the sender, wire/memcpy cost on the path,
     /// delivery after the link latency.
     fn send(&self, ctx: &SimCtx, from: usize, tx: &Tx, rec: Record) {
-        self.send_inner(ctx, from, tx, rec, true);
-    }
-
-    /// Like [`Env::send`] but without the glue CPU charge — for
-    /// components the S-Net runtime splices out of the stream graph
-    /// (fired synchrocells, identity filters), which forward records
-    /// without touching them. Transport costs still apply.
-    fn forward(&self, ctx: &SimCtx, from: usize, tx: &Tx, rec: Record) {
-        self.send_inner(ctx, from, tx, rec, false);
-    }
-
-    fn send_inner(&self, ctx: &SimCtx, from: usize, tx: &Tx, rec: Record, glue: bool) {
-        Stats::add(&self.stats.records_hopped, 1);
-        if glue && self.overhead.hop_ops > 0 {
-            self.cluster.compute(ctx, from, self.overhead.hop_ops);
-            Stats::add(&self.stats.glue_ops, self.overhead.hop_ops);
-        }
+        self.records_hopped.fetch_add(1, Ordering::Relaxed);
+        self.cluster.compute(ctx, from, self.overhead.hop_ops);
+        self.glue_ops
+            .fetch_add(self.overhead.hop_ops, Ordering::Relaxed);
         let bytes = self.billable_bytes(&rec, from, tx.dst_node);
         if from != tx.dst_node {
-            Stats::add(&self.stats.wire_bytes, bytes as u64);
+            self.wire_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
         }
         let delay = self.cluster.transfer(ctx, from, tx.dst_node, bytes);
         tx.q.send_delayed(rec, delay);
     }
+}
 
-    fn place(&self, node: u32) -> usize {
-        node as usize % self.nodes
+/// One simulated process's end of the transport: a port is a [`Tx`],
+/// spawning a component is starting a process on the current node.
+struct Sim<'a> {
+    env: &'a Arc<Env>,
+    ctx: &'a SimCtx,
+    /// The node hosting this process: whose CPU its steps and sends
+    /// occupy, and where what it instantiates starts unless placed
+    /// (`at` swaps it for the duration of a build, which sends nothing).
+    node: usize,
+    /// `Trace::box_ops` as the step in progress found it, until that
+    /// step's work has been charged. The delta is this step's own: the
+    /// kernel runs one process at a time and a step does not block
+    /// before its first send.
+    unbilled_since: Option<u64>,
+}
+
+impl<'a> Sim<'a> {
+    fn on(node: usize, env: &'a Arc<Env>, ctx: &'a SimCtx) -> Sim<'a> {
+        Sim {
+            env,
+            ctx,
+            node,
+            unbilled_since: None,
+        }
     }
 
-    fn place_tag(&self, value: i64) -> usize {
-        value.rem_euclid(self.nodes as i64) as usize
+    /// Occupies the hosting node's CPU for the box work of the step in
+    /// progress — before its first output leaves, or once it returned
+    /// having emitted nothing.
+    fn bill_box_work(&mut self) {
+        if let Some(before) = self.unbilled_since.take() {
+            let ops = self.env.box_ops() - before;
+            self.env.cluster.compute(self.ctx, self.node, ops);
+        }
     }
 }
 
-/// The node whose CPU consumes a subtree's input stream (where its
-/// first component lives). Parents use it to charge transfer costs for
-/// the edge feeding the subtree.
-fn home_node(spec: &NetSpec, current: usize, nodes: usize) -> usize {
-    match spec {
-        NetSpec::At { body, node } => home_node(body, *node as usize % nodes, nodes),
-        NetSpec::Named { body, .. } => home_node(body, current, nodes),
-        NetSpec::Serial(a, _) => home_node(a, current, nodes),
-        _ => current,
+impl Transport for Sim<'_> {
+    type Port = Tx;
+
+    fn spawn(&mut self, comp: Component<Tx>) -> Tx {
+        let node = self.node;
+        let name = format!("{}@{node}", comp.label());
+        let input = SimQueue::new(self.ctx.handle(), &name);
+        let port = Tx::new(input.clone(), node);
+        let env = Arc::clone(self.env);
+        self.ctx.spawn(&name, move |ctx| {
+            run_component(comp, input, node, &env, ctx)
+        });
+        port
     }
+
+    fn another(port: &Tx) -> Tx {
+        port.another()
+    }
+
+    fn send(&mut self, port: &mut Tx, rec: Record) {
+        self.bill_box_work();
+        self.env.send(self.ctx, self.node, port, rec);
+    }
+
+    fn at<R>(&mut self, node: i64, build: impl FnOnce(&mut Self) -> R) -> R {
+        let nodes = self.env.cluster.len() as i64;
+        let here = std::mem::replace(&mut self.node, node.rem_euclid(nodes) as usize);
+        let built = build(self);
+        self.node = here;
+        built
+    }
+}
+
+/// A simulated process's body — the threaded engine's component loop
+/// over a [`SimQueue`]: step every input record until the input closes
+/// or the run aborts, then close the outputs.
+fn run_component(
+    mut comp: Component<Tx>,
+    input: SimQueue<Record>,
+    node: usize,
+    env: &Arc<Env>,
+    ctx: &SimCtx,
+) {
+    let mut sim = Sim::on(node, env, ctx);
+    while let Some(rec) = input.recv(ctx) {
+        if env.run.should_stop() {
+            break;
+        }
+        sim.unbilled_since = Some(env.box_ops());
+        if let Err(e) = comp.step(rec, &env.run, &env.config, &mut sim) {
+            env.run.fail(e);
+            break;
+        }
+        sim.bill_box_work();
+    }
+    comp.end_of_stream(&env.run, Tx::close);
 }
 
 /// Runs `spec` on a simulated cluster, feeding `inputs` from node 0 and
 /// reporting the virtual makespan, outputs, and runtime counters.
+///
+/// A component failure is the run's error, as on the engines. A record
+/// a per-box `DeadLetter` policy diverts is an error too: [`RunResult`]
+/// has no dead-letter stream, and dropping one silently is not an
+/// option.
 pub fn run_on_cluster(
     spec: &NetSpec,
     inputs: Vec<Record>,
     cluster_spec: ClusterSpec,
     overhead: OverheadModel,
 ) -> Result<RunResult, SnetError> {
-    assert!(cluster_spec.nodes > 0, "cluster needs at least one node");
+    if cluster_spec.nodes == 0 {
+        return Err(SnetError::Engine("cluster needs at least one node".into()));
+    }
+    let config = EngineConfig {
+        fuse: false,
+        ..EngineConfig::default()
+    };
+    let plan = Plan::new(spec.clone(), config);
+    plan.check()?;
     let sim = Simulation::new();
     let cluster = Cluster::new(sim.handle(), cluster_spec);
     let env = Arc::new(Env {
-        handle: sim.handle().clone(),
         cluster: cluster.clone(),
         overhead,
-        stats: Arc::new(Stats::default()),
-        error: Arc::new(Mutex::new(None)),
-        nodes: cluster_spec.nodes,
+        run: plan.new_run(DeadDest::Collect(Mutex::new(Vec::new()))),
+        config,
+        records_hopped: AtomicU64::new(0),
+        glue_ops: AtomicU64::new(0),
+        wire_bytes: AtomicU64::new(0),
         resident: (0..cluster_spec.nodes)
             .map(|_| Mutex::new(HashMap::new()))
             .collect(),
     });
 
     // Output collector on node 0 (the master assembles results).
-    let out_q = env.queue("net-output");
+    let out_q = SimQueue::new(sim.handle(), "net-output");
     let outputs: Arc<Mutex<Vec<Record>>> = Arc::new(Mutex::new(Vec::new()));
     {
         let out_q = out_q.clone();
@@ -356,283 +391,58 @@ pub fn run_on_cluster(
         });
     }
 
-    // The network between entry queue and collector.
-    let entry_home = home_node(spec, 0, env.nodes);
-    let entry_q = env.queue("net-input");
-    build(spec, entry_q.clone(), Tx::new(out_q, 0), 0, &env);
-
-    // Feeder: the master injects the input stream.
+    // The master instantiates the network in front of the collector and
+    // injects the input stream.
     {
         let env = Arc::clone(&env);
-        let entry_tx = Tx::new(entry_q, entry_home);
+        let output = Tx::new(out_q, 0);
         sim.spawn("feeder", move |ctx| {
+            let mut sim = Sim::on(0, &env, ctx);
+            let mut entry = build(&plan.root, output, &env.run, &mut sim);
             for rec in inputs {
-                env.send(ctx, 0, &entry_tx, rec);
+                if env.run.should_stop() {
+                    break;
+                }
+                sim.send(&mut entry, rec);
             }
-            entry_tx.close();
+            entry.close();
         });
     }
 
-    let report = match sim.run() {
-        Ok(report) => report,
-        Err(sim_err) => {
-            // A component failure is recorded before the process aborts;
-            // prefer the precise S-Net error over the kernel's report.
-            if let Some(e) = env.error.lock().take() {
-                return Err(e);
-            }
-            return Err(match sim_err {
-                SimError::Deadlock { at, blocked } => SnetError::Engine(format!(
-                    "cluster run deadlocked at {at}: {}",
-                    blocked.join("; ")
-                )),
-                SimError::ProcessPanic { name, message } => {
-                    SnetError::Engine(format!("cluster process `{name}` panicked: {message}"))
-                }
-            });
-        }
-    };
-    if let Some(e) = env.error.lock().take() {
-        return Err(e);
+    let report = sim
+        .run()
+        .map_err(|e| SnetError::Engine(format!("cluster run: {e}")))?;
+    env.run.take_result()?;
+    let dead = env.run.take_dead_letters();
+    if let Some(first) = dead.first() {
+        return Err(SnetError::Engine(format!(
+            "{} record(s) dead-lettered on the simulated cluster, which returns none; first: {first}",
+            dead.len()
+        )));
     }
 
     let outputs = std::mem::take(&mut *outputs.lock());
+    let trace = &env.run.trace;
     Ok(RunResult {
         makespan: Duration::from_nanos(report.end_time.as_nanos()),
         outputs,
-        stats: env.stats.snapshot(),
+        stats: StatsSnapshot {
+            records_hopped: env.records_hopped.load(Ordering::Relaxed),
+            glue_ops: env.glue_ops.load(Ordering::Relaxed),
+            wire_bytes: env.wire_bytes.load(Ordering::Relaxed),
+            box_ops: trace.get(&trace.box_ops),
+            sync_stores: trace.get(&trace.sync_stores),
+            sync_fires: trace.get(&trace.sync_fires),
+            sync_stranded: trace.get(&trace.sync_stranded),
+            star_unfoldings: trace.get(&trace.star_unfoldings),
+            split_replicas: trace.get(&trace.split_replicas),
+            dispatched: trace.get(&trace.dispatched),
+            passthroughs: trace.get(&trace.passthroughs),
+        },
         events: report.events,
         processes: report.processes,
         cpu_busy_secs: cluster.cpu_busy().iter().map(|d| d.as_secs_f64()).collect(),
     })
-}
-
-/// Recursively instantiates `spec` between `input` and `output` as
-/// simulated processes, with the subtree hosted on `node` unless a
-/// placement combinator overrides it.
-fn build(spec: &NetSpec, input: SimQueue<Record>, output: Tx, node: usize, env: &Arc<Env>) {
-    match spec {
-        NetSpec::Box(def) => {
-            let def = def.clone();
-            let env2 = Arc::clone(env);
-            let name = format!("box-{}@{node}", def.sig.name);
-            env.handle.spawn(&name, move |ctx| {
-                while let Some(rec) = input.recv(ctx) {
-                    let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        semantics::box_step(&def, rec, MismatchPolicy::Forward)
-                    }))
-                    .unwrap_or_else(|payload| {
-                        Err(SnetError::BoxFailure {
-                            name: def.sig.name.clone(),
-                            cause: format!("panicked: {}", panic_cause(payload.as_ref())),
-                        })
-                    });
-                    match step {
-                        Ok(step) => {
-                            if step.matched {
-                                Stats::add(&env2.stats.box_ops, step.work.ops);
-                                // The box's computation occupies this
-                                // node's CPU for its reported work.
-                                env2.cluster.compute(ctx, node, step.work.ops);
-                            } else {
-                                Stats::add(&env2.stats.passthroughs, 1);
-                            }
-                            for r in step.records {
-                                env2.send(ctx, node, &output, r);
-                            }
-                        }
-                        Err(e) => env2.fail(e),
-                    }
-                }
-                output.close();
-            });
-        }
-        NetSpec::Filter(f) => {
-            let f = f.clone();
-            let env2 = Arc::clone(env);
-            // The compiler splices identity filters (`[]`) out of the
-            // stream graph; they forward records at zero glue cost.
-            let transparent = f.is_identity();
-            env.handle.spawn(&format!("filter@{node}"), move |ctx| {
-                while let Some(rec) = input.recv(ctx) {
-                    if transparent {
-                        env2.forward(ctx, node, &output, rec);
-                        continue;
-                    }
-                    match semantics::filter_step(&f, rec, MismatchPolicy::Forward) {
-                        Ok(step) => {
-                            if !step.matched {
-                                Stats::add(&env2.stats.passthroughs, 1);
-                            }
-                            for r in step.records {
-                                env2.send(ctx, node, &output, r);
-                            }
-                        }
-                        Err(e) => env2.fail(e),
-                    }
-                }
-                output.close();
-            });
-        }
-        NetSpec::Sync(spec) => {
-            let spec = spec.clone();
-            let env2 = Arc::clone(env);
-            env.handle.spawn(&format!("sync@{node}"), move |ctx| {
-                let mut state = spec.new_state();
-                while let Some(rec) = input.recv(ctx) {
-                    // A fired synchrocell is removed from the network by
-                    // the runtime (it is the identity from then on), so
-                    // its pass-throughs carry no glue cost.
-                    let fired_before = state.is_fired();
-                    let out = match state.push(&spec, rec) {
-                        SyncOutcome::Stored => {
-                            Stats::add(&env2.stats.sync_stores, 1);
-                            continue;
-                        }
-                        SyncOutcome::Fired(m) => {
-                            Stats::add(&env2.stats.sync_fires, 1);
-                            m
-                        }
-                        SyncOutcome::Passed(r) if fired_before => {
-                            env2.forward(ctx, node, &output, r);
-                            continue;
-                        }
-                        SyncOutcome::Passed(r) => r,
-                    };
-                    env2.send(ctx, node, &output, out);
-                }
-                let stranded = state.pending().count() as u64;
-                if stranded > 0 {
-                    Stats::add(&env2.stats.sync_stranded, stranded);
-                }
-                output.close();
-            });
-        }
-        NetSpec::Serial(a, b) => {
-            let mid_home = home_node(b, node, env.nodes);
-            let mid = env.queue("serial-mid");
-            build(a, input, Tx::new(mid.clone(), mid_home), node, env);
-            build(b, mid, output, node, env);
-        }
-        NetSpec::Parallel { branches, .. } => {
-            let mut branch_txs = Vec::with_capacity(branches.len());
-            let mut patterns = Vec::with_capacity(branches.len());
-            for branch in branches {
-                let bq = env.queue("par-branch");
-                let bhome = home_node(branch, node, env.nodes);
-                build(branch, bq.clone(), output.another(), node, env);
-                branch_txs.push(Tx::new(bq, bhome));
-                patterns.push(branch.input_patterns());
-            }
-            let env2 = Arc::clone(env);
-            env.handle
-                .spawn(&format!("par-dispatch@{node}"), move |ctx| {
-                    while let Some(rec) = input.recv(ctx) {
-                        match semantics::best_branch(&patterns, &rec) {
-                            Some(i) => {
-                                Stats::add(&env2.stats.dispatched, 1);
-                                env2.send(ctx, node, &branch_txs[i], rec);
-                            }
-                            None => {
-                                Stats::add(&env2.stats.passthroughs, 1);
-                                env2.send(ctx, node, &output, rec);
-                            }
-                        }
-                    }
-                    for tx in branch_txs {
-                        tx.close();
-                    }
-                    output.close();
-                });
-        }
-        NetSpec::Star { body, exit, .. } => {
-            build_star_tap(body, exit.clone(), input, output, node, env);
-        }
-        NetSpec::Split { body, tag, placed } => {
-            let body = (**body).clone();
-            let tag = *tag;
-            let placed = *placed;
-            let env2 = Arc::clone(env);
-            env.handle
-                .spawn(&format!("split-dispatch@{node}"), move |ctx| {
-                    // BTreeMap: replica creation and teardown order must be
-                    // deterministic for reproducible event logs.
-                    let mut replicas: BTreeMap<i64, Tx> = BTreeMap::new();
-                    while let Some(rec) = input.recv(ctx) {
-                        let Some(value) = rec.tag(tag) else {
-                            env2.fail(SnetError::MissingTag(tag));
-                        };
-                        if let std::collections::btree_map::Entry::Vacant(e) = replicas.entry(value)
-                        {
-                            Stats::add(&env2.stats.split_replicas, 1);
-                            // `!@<tag>`: the tag value names the hosting
-                            // node; plain `!` keeps replicas local.
-                            let replica_node = if placed { env2.place_tag(value) } else { node };
-                            let rhome = home_node(&body, replica_node, env2.nodes);
-                            let rq = env2.queue("split-replica");
-                            build(&body, rq.clone(), output.another(), replica_node, &env2);
-                            e.insert(Tx::new(rq, rhome));
-                        }
-                        Stats::add(&env2.stats.dispatched, 1);
-                        env2.send(ctx, node, &replicas[&value], rec);
-                    }
-                    for (_, tx) in replicas {
-                        tx.close();
-                    }
-                    output.close();
-                });
-        }
-        NetSpec::At { body, node: n } => {
-            let placed = env.place(*n);
-            build(body, input, output, placed, env);
-        }
-        NetSpec::Named { body, .. } => build(body, input, output, node, env),
-    }
-}
-
-/// One tap of a serial-replication star (§III: "the chain is tapped
-/// before every replica"): matching records exit; the rest enter a
-/// lazily instantiated replica whose output feeds the next tap.
-fn build_star_tap(
-    body: &NetSpec,
-    exit: snet_core::Pattern,
-    input: SimQueue<Record>,
-    output: Tx,
-    node: usize,
-    env: &Arc<Env>,
-) {
-    let body = body.clone();
-    let env2 = Arc::clone(env);
-    env.handle.spawn(&format!("star-tap@{node}"), move |ctx| {
-        let mut into_body: Option<Tx> = None;
-        while let Some(rec) = input.recv(ctx) {
-            if exit.matches(&rec) {
-                env2.send(ctx, node, &output, rec);
-                continue;
-            }
-            if into_body.is_none() {
-                Stats::add(&env2.stats.star_unfoldings, 1);
-                let body_home = home_node(&body, node, env2.nodes);
-                let body_q = env2.queue("star-body");
-                let next_q = env2.queue("star-next");
-                build(
-                    &body,
-                    body_q.clone(),
-                    Tx::new(next_q.clone(), node),
-                    node,
-                    &env2,
-                );
-                build_star_tap(&body, exit.clone(), next_q, output.another(), node, &env2);
-                into_body = Some(Tx::new(body_q, body_home));
-            }
-            let tx = into_body.as_ref().expect("replica just unfolded");
-            env2.send(ctx, node, tx, rec);
-        }
-        if let Some(tx) = into_body {
-            tx.close();
-        }
-        output.close();
-    });
 }
 
 #[cfg(test)]
@@ -780,6 +590,45 @@ mod tests {
             msg.contains("fragile") && msg.contains("injected fault"),
             "{msg}"
         );
+    }
+
+    #[test]
+    fn zero_node_cluster_is_an_error() {
+        let err = run_on_cluster(&work_box("w", 1), xrecs(1), spec(0), OverheadModel::zero())
+            .expect_err("no node to run on");
+        assert!(matches!(err, SnetError::Engine(_)), "{err}");
+    }
+
+    #[test]
+    fn preflight_refusal_is_the_engines() {
+        // `w * {}`: the exit pattern matches every record, the body can
+        // never run (SNA007) — refused before anything is simulated, with
+        // the error a local engine gives.
+        let net = NetSpec::star(work_box("w", 1), Pattern::any());
+        let local = snet_runtime::SchedNet::new(net.clone())
+            .run_batch(xrecs(1))
+            .expect_err("engine refuses");
+        let err = run_on_cluster(&net, xrecs(1), spec(2), OverheadModel::zero())
+            .expect_err("simulator refuses");
+        assert!(matches!(err, SnetError::Analysis(_)), "{err}");
+        assert_eq!(err, local);
+    }
+
+    #[test]
+    fn dead_letters_are_an_error_not_a_silent_drop() {
+        let lenient = NetSpec::Box(
+            BoxDef::from_fn(BoxSig::parse("picky", &["x"], &[&["x"]]), |r| {
+                match r.field("x").and_then(|v| v.as_int()) {
+                    Some(1) => Err(SnetError::Engine("no ones".into())),
+                    _ => Ok(BoxOutput::one(r.clone(), Work::ops(1))),
+                }
+            })
+            .with_policy(snet_core::FailurePolicy::DeadLetter),
+        );
+        let err = run_on_cluster(&lenient, xrecs(3), spec(1), OverheadModel::zero())
+            .expect_err("a diverted record must surface");
+        let msg = err.to_string();
+        assert!(msg.contains("picky") && msg.contains("no ones"), "{msg}");
     }
 
     #[test]

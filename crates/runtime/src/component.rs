@@ -1,17 +1,30 @@
-//! The component layer of both concurrent engines: what a chain (the
-//! one stateless leaf: a run of one or more boxes and filters), a
+//! The component layer every engine shares: what a chain (the one
+//! stateless leaf: a run of one or more boxes and filters), a
 //! synchrocell, a parallel dispatcher, a star tap or a split dispatcher
 //! does to one record, written once over an abstract [`Transport`].
 //!
 //! An engine contributes only the transport — what a port is, how a
-//! record is put on one, and how a component gets something to run on
-//! (a thread, a scheduler task). Everything semantic lives here: the
-//! failure policy around each step, the trace counters, best-match
-//! dispatch, and the lazy unfolding of star and split replicas. This is
-//! the only code in the concurrent engines that calls [`ChainRunner`]
-//! (which owns the failure policy around every box and filter step),
-//! [`fault::reject`], [`semantics::best_branch`] or bumps a [`Trace`]
-//! counter, so the engines cannot drift apart on what a component does.
+//! record is put on one, and how a component gets something to run on.
+//! There are three: [`crate::engine`]'s `Wire` (a thread, a channel
+//! sender), [`crate::sched`]'s `TaskCx` (a scheduler task, a mailbox)
+//! and `snet-dist`'s simulated cluster (a discrete-event process on a
+//! named node, a queue whose sends cost virtual time). Everything
+//! semantic lives here: the failure policy around each step, the trace
+//! counters, best-match dispatch, and the lazy unfolding of star and
+//! split replicas. This is the only code outside the interpreter that
+//! calls [`ChainRunner`] (which owns the failure policy around every box
+//! and filter step), [`fault::reject`], [`semantics::best_branch`] or
+//! bumps a [`Trace`] counter, so the engines cannot drift apart on what
+//! a component does — and a simulated run of a topology agrees with a
+//! real one on every count by construction.
+//!
+//! The module is `pub` but hidden: the seam ([`Transport`],
+//! [`Component`], [`build`], with [`crate::run::Run`] and
+//! [`crate::config::Plan`]) is what `snet-dist` implements its transport
+//! against, not API. The simulator lives over there rather than in this
+//! crate so that nothing here — nor `benchmark/`, nor the `snet_check`
+//! lane — depends on `snet-simnet`, and so that this crate's documented
+//! surface does not grow by a `ClusterSpec`-typed entry point.
 //!
 //! ## Compiled once, instantiated many times
 //!
@@ -59,7 +72,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The seam between the component semantics and an engine.
-pub(crate) trait Transport {
+pub trait Transport {
     /// A sending handle onto one component's input stream. End of
     /// stream is every port onto it having been closed (how is the
     /// transport's business: disconnect, sender refcount).
@@ -74,10 +87,17 @@ pub(crate) trait Transport {
 
     /// Puts one record on `port`.
     fn send(&mut self, port: &mut Self::Port, rec: Record);
+
+    /// Runs `build` with its spawns placed on `node` (`A @ node`, or a
+    /// `!@` replica's tag value). The local engines have one node:
+    /// placement is inert and neither overrides this.
+    fn at<R>(&mut self, _node: i64, build: impl FnOnce(&mut Self) -> R) -> R {
+        build(self)
+    }
 }
 
 /// One component instance: its semantic state and its output ports.
-pub(crate) struct Component<P> {
+pub struct Component<P> {
     kind: Kind<P>,
     /// The primary output (for dispatchers: the merged output stream
     /// their branches also write to).
@@ -113,7 +133,7 @@ enum Kind<P> {
 
 /// Recursively instantiates `node` feeding `output`, back to front, and
 /// returns the subnet's input port.
-pub(crate) fn build<T: Transport>(node: &Node, output: T::Port, run: &Run, t: &mut T) -> T::Port {
+pub fn build<T: Transport>(node: &Node, output: T::Port, run: &Run, t: &mut T) -> T::Port {
     let kind = match node {
         Node::Chain(stages) => Kind::Chain(Arc::clone(stages)),
         Node::Sync(spec) => Kind::Sync {
@@ -142,6 +162,10 @@ pub(crate) fn build<T: Transport>(node: &Node, output: T::Port, run: &Run, t: &m
             node: Arc::clone(split),
             replicas: HashMap::new(),
         },
+        // Not a component: the body, built where the transport puts it.
+        Node::At { body, node } => {
+            return t.at(i64::from(*node), |t| build(body, output, run, t));
+        }
     };
     spawn(kind, output, run, t)
 }
@@ -159,7 +183,7 @@ impl<P> Component<P> {
     /// Applies one record (the shared small-step semantics), emitting
     /// through `t`. An error is fatal to the run; a record diverted
     /// under `DeadLetter` is not an error.
-    pub(crate) fn step<T: Transport<Port = P>>(
+    pub fn step<T: Transport<Port = P>>(
         &mut self,
         rec: Record,
         run: &Run,
@@ -232,7 +256,13 @@ impl<P> Component<P> {
                 };
                 let port = replicas.entry(value).or_insert_with(|| {
                     Trace::add(&run.trace.split_replicas, 1);
-                    build(&node.body, T::another(out), run, t)
+                    let replica = |t: &mut T| build(&node.body, T::another(out), run, t);
+                    // `!@<tag>`: the tag value names the hosting node.
+                    if node.placed {
+                        t.at(value, replica)
+                    } else {
+                        replica(t)
+                    }
                 });
                 Trace::add(&run.trace.dispatched, 1);
                 t.send(port, rec);
@@ -260,9 +290,11 @@ impl<P> Component<P> {
     }
 
     /// Observes end-of-stream: counts stranded synchrocell records and
-    /// hands every output port to `close`
-    /// (branch and replica ports first, the primary output last).
-    pub(crate) fn end_of_stream(self, run: &Run, mut close: impl FnMut(P)) {
+    /// hands every output port to `close` (branch ports in declaration
+    /// order or replica ports in ascending tag order first, the primary
+    /// output last — a fixed order, so a transport that logs its events
+    /// logs the same teardown every run).
+    pub fn end_of_stream(self, run: &Run, mut close: impl FnMut(P)) {
         // Counted before any port closes: the run's last close is what
         // lets its driver read the trace.
         Trace::add(&run.trace.components_finalized, 1);
@@ -276,7 +308,11 @@ impl<P> Component<P> {
             }
             Kind::Par { branches, .. } => branches.into_iter().for_each(&mut close),
             Kind::Star { into_body, .. } => into_body.into_iter().for_each(&mut close),
-            Kind::Split { replicas, .. } => replicas.into_values().for_each(&mut close),
+            Kind::Split { replicas, .. } => {
+                let mut replicas: Vec<_> = replicas.into_iter().collect();
+                replicas.sort_unstable_by_key(|&(tag, _)| tag);
+                replicas.into_iter().for_each(|(_, port)| close(port));
+            }
         }
         close(self.out);
     }
@@ -310,7 +346,7 @@ impl<P> Component<P> {
     /// A short name for the component instance (thread names). A chain
     /// is named for what is in it: its one stage, or its ends and
     /// length.
-    pub(crate) fn label(&self) -> String {
+    pub fn label(&self) -> String {
         fn stage(s: &ChainStage) -> String {
             match s {
                 ChainStage::Box(def) => format!("box-{}", def.sig.name),

@@ -124,7 +124,8 @@ pub struct Plan {
     /// What actually runs: `spec` compiled into the shared tree every
     /// run instantiates from, maximal SISO chains fused into single
     /// components unless [`EngineConfig::fuse`] is off.
-    pub(crate) root: Node,
+    #[doc(hidden)]
+    pub root: Node,
     pub(crate) config: EngineConfig,
     /// Error-severity findings of the construction-time structural
     /// pre-flight (empty when clean). A non-empty list fails every run
@@ -141,7 +142,8 @@ impl Plan {
     /// structural pre-flight: sound for any input stream, and
     /// placement-blind (the local engines ignore `@`, so no node count
     /// is configured).
-    pub(crate) fn new(spec: NetSpec, config: EngineConfig) -> Plan {
+    #[doc(hidden)]
+    pub fn new(spec: NetSpec, config: EngineConfig) -> Plan {
         let preflight = snet_analyze::analyze_open(&spec, &AnalyzeConfig::default())
             .errors()
             .cloned()
@@ -177,7 +179,8 @@ impl Plan {
     }
 
     /// The pre-flight verdict as a run result.
-    pub(crate) fn check(&self) -> Result<(), SnetError> {
+    #[doc(hidden)]
+    pub fn check(&self) -> Result<(), SnetError> {
         if self.preflight.is_empty() {
             Ok(())
         } else {
@@ -189,7 +192,8 @@ impl Plan {
     /// counted from now. A plan the pre-flight rejected starts its runs
     /// already failed: components stop at their first preemption check
     /// and `finish()` reports the analysis error.
-    pub(crate) fn new_run(&self, dead: DeadDest) -> Arc<Run> {
+    #[doc(hidden)]
+    pub fn new_run(&self, dead: DeadDest) -> Arc<Run> {
         let run = Run::new(self.config.deadline.map(|d| Instant::now() + d), dead);
         if let Err(e) = self.check() {
             run.fail(e);

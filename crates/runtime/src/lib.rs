@@ -41,7 +41,7 @@
 //!   independent implementation. Use it for debugging and as ground
 //!   truth — never for performance.
 //!
-//! ## One engine core, two transports
+//! ## One engine core, three transports
 //!
 //! The two concurrent engines are one [`Network`] front end over an
 //! [`Engine`]: construction ([`config`]: pre-flight analysis,
@@ -50,6 +50,12 @@
 //! (`component`: failure policy, dispatch, lazy unfolding, counters)
 //! and the streaming [`Handle`] are each written once. An engine adds
 //! only a *transport* — what a port is, and what a component runs on.
+//! The third transport is outside this crate: `snet-dist` puts the same
+//! plan, run block and component step on `snet-simnet`'s discrete-event
+//! cluster, where a port's `send` costs virtual time and a `spawn`
+//! lands on the node the placement combinators name. So a network has
+//! two operational readings, not one per substrate: [`Interp`], and
+//! `component` over whichever transport carries the records.
 //! Each module below owns one protocol; where the protocol is
 //! concurrent, the `snet-check` model that proves it is named beside
 //! it (`crates/check/tests/`):
@@ -61,6 +67,7 @@
 //! | `component` | what is per instance: what one record does to one component, over an abstract `Transport`; back-to-front `build` of a component graph from the compiled tree | — (sequential per component; pinned to [`Interp`] by `engine_vs_interp.rs`, `fusion_equivalence.rs`) |
 //! | [`handle`] | the streaming handle: egress, cancel, finish, over an engine's [`Ingress`] | — |
 //! | [`engine`] | threaded transport: a thread per component, ports are channel senders, end-of-stream is disconnect | — (`std::sync::mpsc`) |
+//! | `snet-dist` (its own crate, over the hidden `component`/`run` seam) | simulated-cluster transport: a discrete-event process per component on the node `@`/`!@` names, ports are sender-counted `SimQueue`s, `send` charges glue ops and wire bytes, a step's box work occupies the node before its outputs leave | — (the kernel runs one process at a time; pinned to [`SchedNet`] count for count by `tests/sim_vs_engine.rs`) |
 //! | `sched::pool` | the run queues (one shared, one per worker: mutex-guarded `VecDeque`s, steal-half), `notify` / `park` (lock-then-notify, sleeper gate, re-probe of every queue), deferral heap | `mailbox.rs` (wake protocol; the queues are a lock around a std container, unit- and churn-tested beside them) |
 //! | `sched::task` | mailbox, sender-refcount end-of-stream (in place when the task is idle and drained, else by activation), one activation: drain → step → flush → finalize; backpressure and backoff | `mailbox.rs` (the `scheduled` flag hand-off), `eos_inplace.rs` (last close vs. a racing send and a queued activation) |
 //! | [`sched`] | worker pool lifetime, batch driver, bounded mailbox ingress, the sink's completion latch | `sink_latch.rs` |
@@ -142,7 +149,7 @@
 //! ## Operator fusion ([`EngineConfig::fuse`])
 //!
 //! Fusion is a step of compilation, not a topology: a [`NetSpec`] is
-//! always the network as written — that is what [`Interp`], `snet-dist`,
+//! always the network as written — that is what [`Interp`],
 //! `snet-analyze` and the printer read, and none of them ever sees a
 //! chain — while the tree both concurrent engines compile it into
 //! ([`snet_core::fusion::compile`]) has one kind of stateless leaf, the
@@ -382,13 +389,15 @@
 
 #![forbid(unsafe_code)]
 
-mod component;
+#[doc(hidden)]
+pub mod component;
 pub mod config;
 pub mod engine;
 pub mod faultinject;
 pub mod handle;
 pub mod interp;
-mod run;
+#[doc(hidden)]
+pub mod run;
 pub mod sched;
 #[cfg(test)]
 mod suite;

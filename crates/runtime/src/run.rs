@@ -1,6 +1,8 @@
 //! The per-run control block shared by every component of one run, on
-//! either concurrent engine: first-error slot, abort flag, deadline,
-//! dead-letter stream and event counters.
+//! any transport: first-error slot, abort flag, deadline, dead-letter
+//! stream and event counters. (`pub` but hidden, like
+//! [`crate::component`]: `snet-dist`'s simulated processes report into
+//! the same block the threads and tasks do.)
 
 use crate::trace::Trace;
 use parking_lot::Mutex;
@@ -15,8 +17,8 @@ use std::time::Instant;
 /// it, which is how a thread or pool worker — which knows nothing about
 /// runs — finds the right trace and error slot for whatever component
 /// it is executing. Independent runs therefore share nothing.
-pub(crate) struct Run {
-    pub(crate) trace: Arc<Trace>,
+pub struct Run {
+    pub trace: Arc<Trace>,
     error: Mutex<Option<SnetError>>,
     /// Set by the first `fail` (including cancellation and deadline
     /// expiry); components poll it at their preemption points and stop
@@ -33,7 +35,7 @@ pub(crate) struct Run {
 }
 
 /// Where a run's dead letters are delivered.
-pub(crate) enum DeadDest {
+pub enum DeadDest {
     /// Batch mode: collected here for the driver to take at the end.
     Collect(Mutex<Vec<DeadLetter>>),
     /// Streaming mode: pushed into the handle's bounded dead-letter
@@ -56,7 +58,7 @@ impl Run {
 
     /// Records `e` as the run's error unless one is already recorded,
     /// and raises the abort flag.
-    pub(crate) fn fail(&self, e: SnetError) {
+    pub fn fail(&self, e: SnetError) {
         let mut slot = self.error.lock();
         if slot.is_none() {
             *slot = Some(e);
@@ -73,7 +75,7 @@ impl Run {
     /// Preemption check: true once the run is aborted or past its
     /// deadline (recording `DeadlineExceeded` on first detection).
     /// Without a deadline this is one atomic load and one branch.
-    pub(crate) fn should_stop(&self) -> bool {
+    pub fn should_stop(&self) -> bool {
         if self.is_aborted() {
             return true;
         }
@@ -111,7 +113,7 @@ impl Run {
 
     /// The dead letters a batch run collected (empty for streaming
     /// runs, whose letters went out through the channel).
-    pub(crate) fn take_dead_letters(&self) -> Vec<DeadLetter> {
+    pub fn take_dead_letters(&self) -> Vec<DeadLetter> {
         match &self.dead {
             DeadDest::Collect(v) => std::mem::take(&mut *v.lock()),
             DeadDest::Stream(_) => Vec::new(),
@@ -119,7 +121,7 @@ impl Run {
     }
 
     /// The run's outcome so far, consuming the recorded error.
-    pub(crate) fn take_result(&self) -> Result<(), SnetError> {
+    pub fn take_result(&self) -> Result<(), SnetError> {
         match self.error.lock().take() {
             Some(e) => Err(e),
             None => Ok(()),

@@ -170,6 +170,7 @@ fn count_chains(node: &Node) -> usize {
         Node::Par(par) => par.branches.iter().map(count_chains).sum(),
         Node::Star(star) => count_chains(&star.body),
         Node::Split(split) => count_chains(&split.body),
+        Node::At { body, .. } => count_chains(body),
     }
 }
 
