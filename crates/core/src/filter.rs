@@ -8,7 +8,19 @@
 //! Fig 4's `[{chunk,<node>} -> {chunk}; {<node>}]` — splitting a solver
 //! result into an image chunk and a freed node token — is the canonical
 //! example of a multi-output filter.
+//!
+//! The semantics are written twice. [`FilterSpec::apply`] is the
+//! definition, spelled with [`flow::split`] and [`flow::inherit_all`] on
+//! a borrowed record: two records built per input, one `Vec` per call,
+//! nothing clever. `FilterSpec::rewrite` is what the engines run
+//! (through `semantics::filter_core`): the same outputs, made by editing
+//! the record the step was handed, so the usual single-output filter —
+//! `[{<cnt>} -> {<cnt += 1>}]`, `[]` — builds no second record and
+//! allocates nothing, and a record whose arrays have spilled keeps them.
+//! The property `filter_step_is_match_apply_inherit` holds the second
+//! to the first.
 
+use crate::boxdef::RecordVec;
 use crate::error::SnetError;
 use crate::expr::TagExpr;
 use crate::flow;
@@ -86,6 +98,22 @@ impl OutputTemplate {
         }
         v
     }
+
+    /// The record this template produces from `input`, before
+    /// inheritance; every item reads the input, none reads another.
+    fn eval(&self, input: &Record) -> Result<Record, SnetError> {
+        let mut out = Record::new();
+        for item in &self.items {
+            match item {
+                OutItem::Field { dst, src } => {
+                    let v = input.field(*src).ok_or(SnetError::MissingField(*src))?;
+                    out.set_field(*dst, v.clone());
+                }
+                OutItem::Tag { dst, expr } => out.set_tag(*dst, expr.eval(input)?),
+            }
+        }
+        Ok(out)
+    }
 }
 
 /// A complete filter specification.
@@ -148,6 +176,42 @@ impl FilterSpec {
         }
         flow::inherit_all(&mut outs, &rest);
         Ok(outs)
+    }
+
+    /// [`apply`](FilterSpec::apply) to a matched record the caller owns,
+    /// the outputs appended to `sink` — what the engines run. Every
+    /// template is evaluated against the intact record first, so an
+    /// error leaves `sink` as it was; then the consumed labels are taken
+    /// out of the record in place, each output before the last takes a
+    /// copy of what is left, and the last output is laid over the
+    /// remainder itself, which moves on with the storage it came with.
+    pub(crate) fn rewrite(
+        &self,
+        mut rec: Record,
+        sink: &mut impl Extend<Record>,
+    ) -> Result<(), SnetError> {
+        let Some((last, earlier)) = self.outputs.split_last() else {
+            return Ok(()); // no template: the record is consumed whole
+        };
+        let mut copies = RecordVec::new();
+        for template in earlier {
+            copies.push(template.eval(&rec)?);
+        }
+        let top = last.eval(&rec)?;
+        let consumed = &self.pattern.variant;
+        for l in consumed.fields() {
+            rec.take_field(l);
+        }
+        for l in consumed.tags() {
+            rec.take_tag(l);
+        }
+        for mut out in copies {
+            out.absorb(&rec);
+            sink.extend(Some(out));
+        }
+        rec.overlay(top);
+        sink.extend(Some(rec));
+        Ok(())
     }
 }
 
@@ -288,6 +352,75 @@ mod tests {
             f.apply(&Record::new()),
             Err(SnetError::MissingField(_))
         ));
+    }
+
+    /// The owned form against the definition, on the shapes it treats
+    /// differently: no template, one, several; a consumed label kept,
+    /// renamed, redefined and dropped; an inherited label overridden.
+    #[test]
+    fn rewrite_is_apply() {
+        let on = |fields: &[&str], tags: &[&str]| {
+            Pattern::from_variant(Variant::parse_labels(fields, tags))
+        };
+        let bump = |t: &str| TagExpr::bin(BinOp::Add, TagExpr::tag(t), TagExpr::Const(1));
+        let specs = [
+            FilterSpec::identity(),
+            FilterSpec::new(on(&["a"], &["t"]), vec![]),
+            FilterSpec::new(
+                on(&[], &["t"]),
+                vec![OutputTemplate::empty().set_tag("t", bump("t"))],
+            ),
+            FilterSpec::new(
+                on(&["a"], &["t"]),
+                vec![OutputTemplate::empty()
+                    .rename_field("b", "a")
+                    .set_tag("u", bump("t"))],
+            ),
+            FilterSpec::new(
+                on(&["a"], &["t"]),
+                vec![
+                    OutputTemplate::empty()
+                        .keep_field("a")
+                        .set_tag("u", bump("u")),
+                    OutputTemplate::empty().rename_field("a", "b"),
+                    OutputTemplate::empty().keep_tag("t"),
+                ],
+            ),
+        ];
+        let narrow = Record::new()
+            .with_field("a", Value::Int(1))
+            .with_field("b", Value::Int(2))
+            .with_tag("t", 3)
+            .with_tag("u", 4);
+        let spilled = narrow
+            .clone()
+            .with_field("c", Value::Int(5))
+            .with_tag("v", 6);
+        for spec in &specs {
+            for rec in [&narrow, &spilled] {
+                let mut sink = vec![Record::new()];
+                spec.rewrite(rec.clone(), &mut sink).unwrap();
+                assert_eq!(sink[1..], spec.apply(rec).unwrap()[..], "{spec} on {rec:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_failing_template_leaves_the_sink_alone() {
+        let f = FilterSpec::new(
+            Pattern::any(),
+            vec![
+                OutputTemplate::empty().keep_field("a"),
+                OutputTemplate::empty().keep_tag("ghost"),
+            ],
+        );
+        let rec = Record::new().with_field("a", Value::Unit);
+        let mut sink = Vec::new();
+        assert!(matches!(
+            f.rewrite(rec, &mut sink),
+            Err(SnetError::MissingTag(_))
+        ));
+        assert!(sink.is_empty());
     }
 
     #[test]

@@ -5,9 +5,15 @@
 //! that record" — unless an identically labelled item is already present
 //! (override).
 //!
-//! Every component that transforms records (boxes, filters, synchrocell
-//! merges) funnels through these helpers, so all engines share one
-//! definition.
+//! These helpers are the *definition* of flow inheritance on borrowed
+//! records — readable, and paid for in copies: `split` builds two
+//! records, `inherit` clones every value it attaches. No step on an
+//! engine's path calls them any more: the box step and the filter step
+//! take the consumed part out of the record they own and move the
+//! remainder on (`semantics::box_core`, `FilterSpec::rewrite`).
+//! What still does is [`crate::FilterSpec::apply`], the reference the
+//! filter step is tested against, and the property tests that state the
+//! laws of §III over `split` and `inherit` themselves.
 
 use crate::record::Record;
 use crate::rtype::Variant;

@@ -33,6 +33,12 @@
 //! [`Record::absorb`]) clone every value and probe a [`Variant`]'s
 //! spelling-ordered sets. A 128-byte record is cheap to build and
 //! expensive to shuffle: the owned forms work in place for that reason.
+//! The filter step goes one further and never leaves the record: it
+//! takes the consumed labels out ([`Record::take_field`],
+//! [`Record::take_tag`]) and sets its output's pairs over the rest
+//! (`overlay`), so an array that has spilled — the third tag of
+//! `{x,<k>,<n>,<ts>}` — is allocated once, where the record was built,
+//! and not again at every filter it crosses.
 
 use crate::label::Label;
 use crate::rtype::Variant;
@@ -242,6 +248,18 @@ impl Record {
         }
         merge(&mut self.fields, other.fields);
         merge(&mut self.tags, other.tags);
+    }
+
+    /// Sets every pair of `top` here, overwriting: what
+    /// `top.absorb_owned(self)` leaves in `top`, built in `self`'s
+    /// storage instead.
+    pub(crate) fn overlay(&mut self, top: Record) {
+        for (l, v) in top.fields {
+            upsert(&mut self.fields, l, v);
+        }
+        for (l, v) in top.tags {
+            upsert(&mut self.tags, l, v);
+        }
     }
 
     /// Does the record carry every one of these labels (each slice

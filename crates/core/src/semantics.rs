@@ -12,14 +12,22 @@
 //! [`box_step_into`] and [`filter_step_into`] append the emitted records
 //! to a buffer the caller already has — what the chain driver
 //! (`fusion::ChainRunner`) wants, whose next stage reads that buffer:
-//! the records go from where the box wrote them to where the next stage
+//! the records go from where the step wrote them to where the next stage
 //! reads them, without a `StepOut` in between.
 //!
-//! The box step works on the record it owns. Matched, exact or
+//! Both steps work on the record they own. For a box, matched, exact or
 //! inheriting is decided by one merge of the record's id-sorted pairs
 //! with the box's id-sorted input labels; an inheriting step moves the
 //! consumed values out to the box's argument and what is left into the
-//! last output, cloning only for the outputs before the last.
+//! last output, cloning only for the outputs before the last. For a
+//! filter the pattern decides, every template is evaluated against the
+//! intact record, and then the record itself — consumed labels taken
+//! out in place, the last template's labels set over what is left —
+//! *is* the last output; only the outputs before it take a copy of the
+//! remainder (`FilterSpec::rewrite`). `FilterSpec::apply` over
+//! [`crate::flow`] stays as the definition that
+//! `tests/properties.rs::filter_step_is_match_apply_inherit` holds the
+//! step to, as `project` + `without` + `absorb` are the box step's.
 
 use crate::boxdef::{BoxDef, BoxOutput, RecordVec, Work};
 use crate::error::SnetError;
@@ -71,15 +79,15 @@ enum Stepped<T> {
     Matched(T),
 }
 
-/// A record its component does not match: forwarded untouched, or an
-/// error naming what the component `expected`.
-fn mismatch<T>(
+/// A record its component does not match: handed back to be forwarded
+/// untouched, or an error naming what the component `expected`.
+fn mismatch(
     rec: Record,
     policy: MismatchPolicy,
     expected: &dyn fmt::Display,
-) -> Result<Stepped<T>, SnetError> {
+) -> Result<Record, SnetError> {
     match policy {
-        MismatchPolicy::Forward => Ok(Stepped::Forwarded(rec)),
+        MismatchPolicy::Forward => Ok(rec),
         MismatchPolicy::Error => Err(SnetError::TypeMismatch {
             expected: expected.to_string(),
             got: format!("{rec:?}"),
@@ -101,7 +109,8 @@ fn box_core<T>(
 ) -> Result<T, SnetError> {
     let (fields, tags) = def.input_ids();
     if !rec.covers(fields, tags) {
-        return mismatch(rec, policy, def.input_variant()).map(done);
+        let rec = mismatch(rec, policy, def.input_variant())?;
+        return Ok(done(Stepped::Forwarded(rec)));
     }
     let map_fail = |e| match e {
         SnetError::BoxFailure { .. } => e,
@@ -170,16 +179,21 @@ pub fn box_step_into(
 }
 
 /// The one implementation of filter semantics, as [`box_core`] is of a
-/// box's.
+/// box's: the emitted records go to `sink`, which [`filter_step`] and
+/// [`filter_step_into`] choose, and `true` comes back for a match.
+#[inline(always)]
 fn filter_core(
     spec: &FilterSpec,
     rec: Record,
     policy: MismatchPolicy,
-) -> Result<Stepped<Vec<Record>>, SnetError> {
+    sink: &mut impl Extend<Record>,
+) -> Result<bool, SnetError> {
     if !spec.pattern.matches(&rec) {
-        return mismatch(rec, policy, &spec.pattern);
+        sink.extend(Some(mismatch(rec, policy, &spec.pattern)?));
+        return Ok(false);
     }
-    Ok(Stepped::Matched(spec.apply(&rec)?))
+    spec.rewrite(rec, sink)?;
+    Ok(true)
 }
 
 /// Feeds one record to a filter.
@@ -188,13 +202,12 @@ pub fn filter_step(
     rec: Record,
     policy: MismatchPolicy,
 ) -> Result<StepOut, SnetError> {
-    Ok(match filter_core(spec, rec, policy)? {
-        Stepped::Forwarded(rec) => StepOut::passthrough(rec),
-        Stepped::Matched(records) => StepOut {
-            records: RecordVec::from_vec(records),
-            work: Work::ZERO,
-            matched: true,
-        },
+    let mut records = RecordVec::new();
+    let matched = filter_core(spec, rec, policy, &mut records)?;
+    Ok(StepOut {
+        records,
+        work: Work::ZERO,
+        matched,
     })
 }
 
@@ -206,16 +219,8 @@ pub fn filter_step_into(
     policy: MismatchPolicy,
     sink: &mut impl Extend<Record>,
 ) -> Result<Option<Work>, SnetError> {
-    Ok(match filter_core(spec, rec, policy)? {
-        Stepped::Forwarded(rec) => {
-            sink.extend(Some(rec));
-            None
-        }
-        Stepped::Matched(records) => {
-            sink.extend(records);
-            Some(Work::ZERO)
-        }
-    })
+    let matched = filter_core(spec, rec, policy, sink)?;
+    Ok(matched.then_some(Work::ZERO))
 }
 
 /// Best-match branch selection for parallel composition: the index of

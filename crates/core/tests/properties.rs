@@ -8,11 +8,15 @@
 
 use proptest::prelude::*;
 use snet_core::boxdef::{BoxDef, BoxOutput, BoxSig, SigItem, Work};
-use snet_core::filter::{FilterSpec, OutputTemplate};
-use snet_core::semantics::{box_step, box_step_into, MismatchPolicy};
-use snet_core::{
-    flow, BinOp, Label, Pattern, Record, SnetError, SyncOutcome, SyncSpec, TagExpr, Value, Variant,
+use snet_core::filter::{FilterSpec, OutItem, OutputTemplate};
+use snet_core::semantics::{
+    box_step, box_step_into, filter_step, filter_step_into, MismatchPolicy,
 };
+use snet_core::{
+    flow, BinOp, ChainRunner, ChainStage, ChainTally, FailurePolicy, Label, Pattern, Record,
+    SnetError, SyncOutcome, SyncSpec, TagExpr, Value, Variant,
+};
+use std::sync::atomic::AtomicU64;
 
 const FIELDS: [&str; 5] = ["a", "b", "c", "d", "e"];
 const TAGS: [&str; 4] = ["t", "u", "v", "w"];
@@ -107,8 +111,155 @@ fn reference_box_step(
     ))
 }
 
+/// A pattern over `variant`: unguarded, guarded by a comparison, or by a
+/// guard that divides by a tag (a zero there is a mismatch, not an error).
+fn arb_pattern() -> impl Strategy<Value = Pattern> {
+    (arb_variant(), 0usize..3, -2i64..3).prop_map(|(variant, guard, c)| match guard {
+        0 => Pattern::from_variant(variant),
+        1 => Pattern::guarded(
+            variant,
+            TagExpr::bin(BinOp::Gt, TagExpr::tag("t"), TagExpr::Const(c)),
+        ),
+        _ => Pattern::guarded(
+            variant,
+            TagExpr::bin(
+                BinOp::Ge,
+                TagExpr::bin(BinOp::Div, TagExpr::tag("u"), TagExpr::tag("t")),
+                TagExpr::Const(c),
+            ),
+        ),
+    })
+}
+
+/// One template item. A label index one past `FIELDS`/`TAGS` names a
+/// label no record carries: fresh as a destination, missing as a source.
+/// Which of the others a pattern consumes and which a record carries is
+/// the draw's, so an item may keep, rename onto or redefine a consumed
+/// label, an inherited one or a new one, and read either kind.
+fn arb_item() -> impl Strategy<Value = OutItem> {
+    (0usize..5, 0usize..6, 0usize..6, -2i64..3).prop_map(|(kind, dst, src, c)| {
+        let field = |i: usize| Label::new(FIELDS.get(i).copied().unwrap_or("fresh"));
+        let tag = |i: usize| Label::new(TAGS.get(i % 5).copied().unwrap_or("absent"));
+        match kind {
+            0 => OutItem::Field {
+                dst: field(src),
+                src: field(src),
+            },
+            1 => OutItem::Field {
+                dst: field(dst),
+                src: field(src),
+            },
+            2 => OutItem::Tag {
+                dst: tag(dst),
+                expr: TagExpr::Const(c),
+            },
+            3 => OutItem::Tag {
+                dst: tag(dst),
+                expr: TagExpr::bin(BinOp::Add, TagExpr::Tag(tag(src)), TagExpr::Const(c)),
+            },
+            _ => OutItem::Tag {
+                dst: tag(dst),
+                expr: TagExpr::bin(BinOp::Div, TagExpr::Tag(tag(src)), TagExpr::Tag(tag(dst))),
+            },
+        }
+    })
+}
+
+/// `filter_step` spelled out from its definition: the pattern decides,
+/// `FilterSpec::apply` (`project` + `without` + `absorb`) produces.
+fn reference_filter_step(
+    spec: &FilterSpec,
+    rec: &Record,
+    policy: MismatchPolicy,
+) -> Result<(Vec<Record>, bool), SnetError> {
+    if spec.pattern.matches(rec) {
+        return Ok((spec.apply(rec)?, true));
+    }
+    match policy {
+        MismatchPolicy::Forward => Ok((vec![rec.clone()], false)),
+        MismatchPolicy::Error => Err(SnetError::TypeMismatch {
+            expected: spec.pattern.to_string(),
+            got: format!("{rec:?}"),
+        }),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // ---- the filter step ----------------------------------------------
+
+    #[test]
+    fn filter_step_is_match_apply_inherit(
+        pattern in arb_pattern(),
+        templates in prop::collection::vec(prop::collection::vec(arb_item(), 0..4), 0..4),
+        rec in arb_record(),
+    ) {
+        // The record as drawn (mostly a mismatch), widened to a superset
+        // of the pattern, cut down to an exact match, and carrying every
+        // label there is (spilled in both namespaces).
+        let outputs = templates.into_iter().map(|items| OutputTemplate { items }).collect();
+        let spec = FilterSpec::new(pattern, outputs);
+        let mut superset = rec.clone();
+        for l in spec.pattern.variant.fields() {
+            superset.set_field(l, Value::Int(7));
+        }
+        for l in spec.pattern.variant.tags() {
+            superset.set_tag(l, 3);
+        }
+        let exact = superset.project(&spec.pattern.variant);
+        let mut wide = superset.clone();
+        for (i, f) in FIELDS.iter().enumerate() {
+            wide.set_field(*f, Value::Int(i as i64));
+        }
+        for (i, t) in TAGS.iter().enumerate() {
+            wide.set_tag(*t, i as i64 - 1);
+        }
+        let stages = [ChainStage::Filter(spec.clone())];
+        let mut runner = ChainRunner::new();
+        let marker = Record::new().with_tag("already-there", 1);
+        for rec in [rec, superset, exact, wide] {
+            for policy in [MismatchPolicy::Forward, MismatchPolicy::Error] {
+                let expected = reference_filter_step(&spec, &rec, policy);
+                let step = filter_step(&spec, rec.clone(), policy).map(|s| {
+                    assert_eq!(s.work, Work::ZERO);
+                    (s.records.into_vec(), s.matched)
+                });
+                prop_assert_eq!(&step, &expected, "filter_step of {} on {:?}", spec, rec);
+                // The sink form appends the same records, `None` for a
+                // record passed through; an error leaves the sink alone.
+                let mut sink = vec![marker.clone()];
+                let into = filter_step_into(&spec, rec.clone(), policy, &mut sink).map(|work| {
+                    assert!(work.is_none_or(|w| w == Work::ZERO));
+                    (sink.split_off(1), work.is_some())
+                });
+                prop_assert_eq!(&into, &expected, "filter_step_into of {} on {:?}", spec, rec);
+                prop_assert_eq!(&sink, &vec![marker.clone()]);
+                // The chain driver runs the same step and tallies it.
+                let mut tally = ChainTally::default();
+                let ran = runner
+                    .step_batch(
+                        &stages,
+                        FailurePolicy::FailFast,
+                        policy,
+                        &AtomicU64::new(0),
+                        [rec.clone()],
+                        &mut tally,
+                        &mut sink,
+                        &mut |_| Ok(()),
+                    )
+                    .map(|()| (sink.split_off(1), tally.filter_records == 1));
+                prop_assert_eq!(&ran, &expected, "a chain of {} on {:?}", spec, rec);
+                prop_assert_eq!(&sink, &vec![marker.clone()]);
+                let (filter_records, passthroughs) = expected
+                    .map_or((0, 0), |(_, matched)| (u64::from(matched), u64::from(!matched)));
+                prop_assert_eq!(
+                    tally,
+                    ChainTally { filter_records, passthroughs, ..ChainTally::default() }
+                );
+            }
+        }
+    }
 
     // ---- the box step -------------------------------------------------
 

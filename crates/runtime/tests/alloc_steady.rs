@@ -17,11 +17,17 @@
 //! is a handful of allocations (its tasks), and none of them scales
 //! with the size of the specs it instantiates.
 //!
+//! The third pins the filter step itself: a filter works on the record
+//! it is handed, so the record that leaves has the storage the one that
+//! came had, and only an output that needs its own copy of the
+//! remainder pays for one.
+//!
 //! The counter is process-wide, so the tests take turns (`WINDOW`): no
 //! sibling test thread can allocate into a measured window.
 
 use snet_core::boxdef::{BoxDef, BoxOutput, BoxSig, Work};
 use snet_core::filter::OutputTemplate;
+use snet_core::semantics::{filter_step_into, MismatchPolicy};
 use snet_core::{BinOp, FilterSpec, NetSpec, Pattern, Record, TagExpr, Value, Variant};
 use snet_runtime::TrySendError;
 use snet_runtime::{EngineConfig, SchedNet};
@@ -214,16 +220,21 @@ fn wide_inc(width: usize) -> NetSpec {
     ))
 }
 
-/// `((inc | []) .. [{<n>} -> {<n -= 1>}]) * {<n> == 0}`: a record
-/// `{<n>}` unfolds `n` replicas of a four-component body.
-fn countdown_star(width: usize) -> NetSpec {
-    let dec = NetSpec::Filter(FilterSpec::new(
+/// `[{<n>} -> {<n -= 1>}]`.
+fn countdown() -> FilterSpec {
+    FilterSpec::new(
         Pattern::from_variant(Variant::parse_labels(&[], &["n"])),
         vec![OutputTemplate::empty().set_tag(
             "n",
             TagExpr::bin(BinOp::Sub, TagExpr::tag("n"), TagExpr::Const(1)),
         )],
-    ));
+    )
+}
+
+/// `((inc | []) .. [{<n>} -> {<n -= 1>}]) * {<n> == 0}`: a record
+/// `{<n>}` unfolds `n` replicas of a four-component body.
+fn countdown_star(width: usize) -> NetSpec {
+    let dec = NetSpec::Filter(countdown());
     let exit = Pattern::guarded(
         Variant::empty(),
         TagExpr::bin(BinOp::Eq, TagExpr::tag("n"), TagExpr::Const(0)),
@@ -338,4 +349,73 @@ fn unfolding_allocates_per_task_not_per_spec() {
         steadiest(|| allocs_per_replica(16)),
         "a 16-item box signature must cost a replica nothing extra"
     );
+}
+
+/// Fewest allocations a few matched steps of `filter` on a clone of
+/// `rec` make, the clone and the sink's room made beforehand; the step
+/// must emit `outputs` records.
+fn allocs_per_filter_step(filter: &FilterSpec, rec: &Record, outputs: usize) -> u64 {
+    (0..3)
+        .map(|_| {
+            let input = rec.clone();
+            let mut sink = Vec::with_capacity(outputs);
+            let before = ALLOCS.load(Ordering::Relaxed);
+            let work = filter_step_into(filter, input, MismatchPolicy::Error, &mut sink);
+            let delta = ALLOCS.load(Ordering::Relaxed) - before;
+            assert_eq!(work.expect("the record matches"), Some(Work::ZERO));
+            assert_eq!(sink.len(), outputs);
+            delta
+        })
+        .min()
+        .expect("three readings")
+}
+
+#[test]
+fn a_filter_step_keeps_the_storage_it_was_given() {
+    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
+    let dec = countdown();
+    // `route_stream`'s record: the third tag has spilled the tag array,
+    // and `<n>` is rewritten inside that array.
+    let routed = Record::new()
+        .with_field("x", Value::Int(1))
+        .with_tag("k", 2)
+        .with_tag("n", 3)
+        .with_tag("ts", 4);
+    assert_eq!(allocs_per_filter_step(&dec, &routed, 1), 0);
+    // Two labels a namespace at most: inline before and after.
+    let small = Record::new()
+        .with_field("x", Value::Int(1))
+        .with_field("y", Value::Int(2))
+        .with_tag("k", 2)
+        .with_tag("n", 3);
+    assert_eq!(allocs_per_filter_step(&dec, &small, 1), 0);
+    // `[]` hands on what it was handed, spilled arrays included.
+    let six = routed
+        .clone()
+        .with_field("y", Value::Int(2))
+        .with_field("z", Value::Int(3));
+    assert_eq!(allocs_per_filter_step(&FilterSpec::identity(), &six, 1), 0);
+
+    // Fig 4's token release, `[{chunk,<node>} -> {chunk}; {<node>}]`:
+    // the second output is the remainder itself, the first pays for its
+    // copy of it — nothing while the remainder fits inline, one array
+    // per namespace that has outgrown it.
+    let release = FilterSpec::new(
+        Pattern::from_variant(Variant::parse_labels(&["chunk"], &["node"])),
+        vec![
+            OutputTemplate::empty().keep_field("chunk"),
+            OutputTemplate::empty().keep_tag("node"),
+        ],
+    );
+    let solved = Record::new()
+        .with_field("chunk", Value::Int(1))
+        .with_tag("node", 2)
+        .with_tag("tasks", 8)
+        .with_tag("fst", 1);
+    assert_eq!(allocs_per_filter_step(&release, &solved, 2), 0);
+    let wide = solved
+        .with_tag("cnt", 5)
+        .with_field("pic", Value::Int(2))
+        .with_field("scene", Value::Int(3));
+    assert_eq!(allocs_per_filter_step(&release, &wide, 2), 2);
 }
