@@ -15,9 +15,12 @@
 //! compile-time grain-tuning the S-Net-vs-CnC study (arXiv:1305.7167)
 //! treats as the compiler's business over one execution model; it
 //! changes how many components a run builds and how many hand-offs a
-//! record makes, and selects no code path. A chain exists only in the
-//! compiled tree: a [`NetSpec`] is always the network as its author
-//! wrote it, and the reference interpreter, the analyzer and the
+//! record makes, and selects no code path. A star is still a boundary,
+//! but fused, its tap owns the body's leading chain
+//! ([`StarNode::head`]): a replica of a one-chain body is one
+//! component. A chain exists only in the compiled tree: a [`NetSpec`]
+//! is always the network as its author wrote it, and the reference
+//! interpreter, the analyzer and the
 //! printer never see one. Placement (`@`, `!@`) survives compilation as
 //! data — it changes nothing a record observes, only where the
 //! `snet-dist` simulator, which instantiates this same tree at the
@@ -112,10 +115,14 @@ pub struct ParNode {
 #[derive(Debug)]
 #[non_exhaustive]
 pub struct StarNode {
-    /// The replicated body.
-    pub body: Node,
     /// Exit pattern, checked before every replica.
     pub exit: Pattern,
+    /// With `fuse` on, the body's leading chain, if its spine starts
+    /// with one: the tap runs it on every record that stays in.
+    pub head: Option<Arc<[ChainStage]>>,
+    /// The rest of the body, built per replica; `None` if the head was
+    /// all of it.
+    pub body: Option<Node>,
 }
 
 /// A compiled parallel replication.
@@ -154,21 +161,33 @@ pub fn fuse(spec: &NetSpec) -> Node {
 /// * every other combinator ([`NetSpec::Sync`], [`NetSpec::Parallel`],
 ///   [`NetSpec::Star`], [`NetSpec::Split`], [`NetSpec::At`]) is a
 ///   fusion **boundary**: it ends the run before it, and its
-///   body/branches are compiled recursively.
+///   body/branches are compiled recursively;
+/// * with `fuse` on, a star whose compiled body starts with a chain
+///   hands that chain to its tap ([`StarNode::head`]); nothing outside
+///   the star joins it.
 ///
 /// Either way the compiled network is observationally equivalent to
 /// the original on every engine: same output multiset, same trace
 /// counters, same fault attribution (see the `fusion_equivalence`
 /// property suite).
 pub fn compile(spec: &NetSpec, fuse: bool) -> Node {
+    serial(compile_spine(spec, fuse)).expect("every topology has at least one element")
+}
+
+/// The compiled serial spine of `spec`, in pipeline order.
+fn compile_spine(spec: &NetSpec, fuse: bool) -> Vec<Node> {
     let mut spine = Vec::new();
     let mut run = Vec::new();
     walk(spec, fuse, &mut run, &mut spine);
     flush_run(&mut run, &mut spine);
     spine
+}
+
+/// Composes compiled elements in series; `None` for no element.
+fn serial(spine: impl IntoIterator<Item = Node>) -> Option<Node> {
+    spine
         .into_iter()
         .reduce(|a, b| Node::Serial(Box::new(a), Box::new(b)))
-        .expect("every topology has at least one element")
 }
 
 /// Appends the serial spine of `spec` to `spine`: leaves join the open
@@ -187,10 +206,18 @@ fn walk(spec: &NetSpec, fuse: bool, run: &mut Vec<ChainStage>, spine: &mut Vec<N
             patterns: branches.iter().map(|b| b.input_patterns()).collect(),
             branches: branches.iter().map(|b| compile(b, fuse)).collect(),
         })),
-        NetSpec::Star { body, exit, .. } => Node::Star(Arc::new(StarNode {
-            body: compile(body, fuse),
-            exit: exit.clone(),
-        })),
+        NetSpec::Star { body, exit, .. } => {
+            let mut body = compile_spine(body, fuse).into_iter().peekable();
+            let head = match body.next_if(|first| fuse && matches!(first, Node::Chain(_))) {
+                Some(Node::Chain(stages)) => Some(stages),
+                _ => None,
+            };
+            Node::Star(Arc::new(StarNode {
+                exit: exit.clone(),
+                head,
+                body: serial(body),
+            }))
+        }
         NetSpec::Split { body, tag, placed } => Node::Split(Arc::new(SplitNode {
             body: compile(body, fuse),
             tag: *tag,
@@ -205,8 +232,8 @@ fn walk(spec: &NetSpec, fuse: bool, run: &mut Vec<ChainStage>, spine: &mut Vec<N
     spine.push(boundary);
 }
 
-/// Adds a leaf to the open run; unfused, the run ends with it. This
-/// is the one place `fuse` is read.
+/// Adds a leaf to the open run; unfused, the run ends with it. Beside
+/// a star's head, this is the one place `fuse` is read.
 fn leaf(stage: ChainStage, fuse: bool, run: &mut Vec<ChainStage>, spine: &mut Vec<Node>) {
     run.push(stage);
     if !fuse {
@@ -467,16 +494,29 @@ mod tests {
         NetSpec::Sync(SyncSpec::new(vec![pattern("a"), pattern("b")]))
     }
 
+    /// The names of a run of stages (`[]` for a filter).
+    fn names(stages: &[ChainStage]) -> Vec<&str> {
+        let names = stages.iter().map(|s| match s {
+            ChainStage::Box(def) => def.sig.name.as_str(),
+            ChainStage::Filter(_) => "[]",
+        });
+        names.collect()
+    }
+
     /// The stage names of a chain; `None` for any other node.
     fn chain(node: &Node) -> Option<Vec<&str>> {
         let Node::Chain(stages) = node else {
             return None;
         };
-        let names = stages.iter().map(|s| match s {
-            ChainStage::Box(def) => def.sig.name.as_str(),
-            ChainStage::Filter(_) => "[]",
-        });
-        Some(names.collect())
+        Some(names(stages))
+    }
+
+    /// The compiled form of `spec`, which must be a star.
+    fn star(spec: &NetSpec, fuse: bool) -> Arc<StarNode> {
+        match compile(spec, fuse) {
+            Node::Star(star) => star,
+            other => panic!("star survives compilation: {other:?}"),
+        }
     }
 
     /// The elements of a compiled serial spine, in pipeline order.
@@ -494,7 +534,11 @@ mod tests {
             Node::Sync(_) => vec![],
             Node::Serial(a, b) => [chain_lengths(a), chain_lengths(b)].concat(),
             Node::Par(par) => par.branches.iter().flat_map(chain_lengths).collect(),
-            Node::Star(star) => chain_lengths(&star.body),
+            Node::Star(star) => {
+                let head = star.head.iter().map(|stages| stages.len());
+                head.chain(star.body.iter().flat_map(chain_lengths))
+                    .collect()
+            }
             Node::Split(split) => chain_lengths(&split.body),
             Node::At { body, .. } => chain_lengths(body),
         }
@@ -541,11 +585,12 @@ mod tests {
 
     #[test]
     fn boundaries_fuse_their_bodies() {
-        let star = NetSpec::star(NetSpec::serial(inc("s1"), inc("s2")), pattern("z"));
-        let Node::Star(star) = fuse(&star) else {
-            panic!("star survives compilation")
-        };
-        assert_eq!(chain(&star.body), Some(vec!["s1", "s2"]));
+        let star = star(
+            &NetSpec::star(NetSpec::serial(inc("s1"), inc("s2")), pattern("z")),
+            true,
+        );
+        assert_eq!(star.head.as_deref().map(names), Some(vec!["s1", "s2"]));
+        assert!(star.body.is_none(), "{star:?}");
 
         let split = NetSpec::split(NetSpec::serial(inc("p"), inc("q")), "k");
         let Node::Split(split) = fuse(&split) else {
@@ -625,7 +670,62 @@ mod tests {
         let Node::Star(star) = elems[3] else {
             panic!("star keeps its place: {plain:?}")
         };
-        assert_eq!(spine(&star.body).len(), 2);
+        assert!(star.head.is_none(), "{star:?}");
+        let body = star.body.as_ref().expect("the body as written");
+        assert_eq!(spine(body).len(), 2);
+    }
+
+    #[test]
+    fn a_fused_tap_owns_its_bodys_leading_chain() {
+        let dec = || NetSpec::Filter(FilterSpec::identity());
+        // Head only: `dec * exit` is one tap per replica.
+        let only = NetSpec::star(dec(), pattern("z"));
+        let fused = star(&only, true);
+        assert_eq!(fused.head.as_deref().map(names), Some(vec!["[]"]));
+        assert!(fused.body.is_none(), "{fused:?}");
+        // Head and rest: `(dec .. inc .. sync) * exit`.
+        let rest = NetSpec::star(
+            NetSpec::pipeline([dec(), inc("i"), sync_ab()]),
+            pattern("z"),
+        );
+        let fused = star(&rest, true);
+        assert_eq!(fused.head.as_deref().map(names), Some(vec!["[]", "i"]));
+        assert!(matches!(fused.body, Some(Node::Sync(_))), "{fused:?}");
+        // Unfused, the tap runs nothing and the body is as written.
+        let plain = star(&only, false);
+        assert!(plain.head.is_none());
+        assert_eq!(plain.body.as_ref().and_then(chain), Some(vec!["[]"]));
+        let plain = star(&rest, false);
+        assert!(plain.head.is_none());
+        assert_eq!(plain.body.as_ref().map(|b| spine(b).len()), Some(3));
+    }
+
+    #[test]
+    fn par_or_sync_led_bodies_leave_the_tap_plain() {
+        let id = NetSpec::identity;
+        let dec = || NetSpec::Filter(FilterSpec::identity());
+        // The shapes of Fig 3's merger, Fig 4's dynamic solver and
+        // `bench_unfold`'s countdown star.
+        let merger = NetSpec::serial(
+            sync_ab(),
+            NetSpec::parallel(vec![NetSpec::serial(inc("merge"), dec()), id()]),
+        );
+        let solver = NetSpec::serial(
+            NetSpec::parallel(vec![
+                NetSpec::split_placed(NetSpec::serial(inc("solve"), dec()), "node"),
+                id(),
+            ]),
+            NetSpec::parallel(vec![id(), sync_ab()]),
+        );
+        let countdown = NetSpec::serial(NetSpec::parallel(vec![inc("inc"), id()]), dec());
+        for body in [merger, solver, countdown] {
+            let written = compile(&body, true);
+            let fused = star(&NetSpec::star(body, pattern("z")), true);
+            assert!(fused.head.is_none(), "{fused:?}");
+            let fused_body = fused.body.as_ref().expect("the whole body");
+            assert_eq!(chain_lengths(fused_body), chain_lengths(&written));
+            assert_eq!(spine(fused_body).len(), spine(&written).len());
+        }
     }
 
     /// Compiles `spec`, which must fuse into one chain, and drives one

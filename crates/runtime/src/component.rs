@@ -39,7 +39,8 @@
 //! * **shared, immutable** (behind `Arc`s in the tree): every chain's
 //!   stage list (its `BoxDef`s and `FilterSpec`s) and every
 //!   [`SyncSpec`]; each parallel node's branch patterns; each star's
-//!   body and exit pattern, each split's body and tag;
+//!   exit pattern, the head its taps run and the rest of its body; each
+//!   split's body and tag;
 //! * **per instance** (in `Kind`): one `Arc` pointer into the tree plus
 //!   the instance's own state — output ports, a synchrocell's slots,
 //!   the replicas unfolded so far. A chain has no state of its own;
@@ -47,7 +48,7 @@
 //!   in, so a standalone box costs an instance nothing a pointer does
 //!   not.
 //!
-//! [`build`] and the unfolding arms of [`Component::step`] therefore
+//! [`build`] and the unfoldings a [`Component::step`] makes therefore
 //! copy reference counts, never a spec: an unfolding of a
 //! four-component star body is 7 heap allocations (its tasks), whatever
 //! the size of the signatures and templates inside (pinned by
@@ -120,10 +121,12 @@ enum Kind<P> {
     /// record *before* the replica (§III: "the chain is tapped before
     /// every replica"): matching records exit to `out`; the rest enter
     /// a lazily instantiated replica of the body whose output feeds the
-    /// next tap.
+    /// next tap. A tap with a [`StarNode::head`] runs it on the records
+    /// that stay, and `replica` is where its outputs go: the rest of
+    /// the body, or the next tap.
     Star {
         node: Arc<StarNode>,
-        into_body: Option<P>,
+        replica: Option<P>,
     },
     Split {
         node: Arc<SplitNode>,
@@ -156,7 +159,7 @@ pub fn build<T: Transport>(node: &Node, output: T::Port, run: &Run, t: &mut T) -
         },
         Node::Star(star) => Kind::Star {
             node: Arc::clone(star),
-            into_body: None,
+            replica: None,
         },
         Node::Split(split) => Kind::Split {
             node: Arc::clone(split),
@@ -226,28 +229,7 @@ impl<P> Component<P> {
                     }
                 },
             },
-            Kind::Star { node, into_body } => {
-                if node.exit.matches(&rec) {
-                    t.send(out, rec);
-                    return Ok(());
-                }
-                let port = match into_body {
-                    Some(port) => port,
-                    None => {
-                        // Unfold one replica: the body feeding the next
-                        // tap, which shares our exit stream.
-                        Trace::add(&run.trace.star_unfoldings, 1);
-                        let next_tap = Kind::Star {
-                            node: Arc::clone(node),
-                            into_body: None,
-                        };
-                        let next_tap = spawn(next_tap, T::another(out), run, t);
-                        into_body.insert(build(&node.body, next_tap, run, t))
-                    }
-                };
-                t.send(port, rec);
-                Ok(())
-            }
+            Kind::Star { node, replica } => tap(node, replica, out, [rec], run, config, t),
             Kind::Split { node, replicas } => {
                 let Some(value) = rec.tag(node.tag) else {
                     let cause = SnetError::MissingTag(node.tag);
@@ -271,10 +253,9 @@ impl<P> Component<P> {
         }
     }
 
-    /// Applies a claimed hand-off batch. Chains take it in one
-    /// stage-major traversal (identical observable semantics, one
-    /// panic guard and one buffer reset per batch instead of per
-    /// record); every other component steps record-at-a-time.
+    /// Applies a claimed hand-off batch. Chains and taps take it whole
+    /// (a chain step is stage-major: one panic guard and one buffer
+    /// reset per batch); every other component steps record-at-a-time.
     pub(crate) fn step_batch<T: Transport<Port = P>>(
         &mut self,
         recs: impl IntoIterator<Item = Record>,
@@ -282,11 +263,14 @@ impl<P> Component<P> {
         config: &EngineConfig,
         t: &mut T,
     ) -> Result<(), SnetError> {
-        if let Kind::Chain(stages) = &self.kind {
-            return chain_step(stages, recs, run, config, t, &mut self.out);
+        let out = &mut self.out;
+        match &mut self.kind {
+            Kind::Chain(stages) => chain_step(stages, recs, run, config, t, out),
+            Kind::Star { node, replica } => tap(node, replica, out, recs, run, config, t),
+            _ => recs
+                .into_iter()
+                .try_for_each(|rec| self.step(rec, run, config, t)),
         }
-        recs.into_iter()
-            .try_for_each(|rec| self.step(rec, run, config, t))
     }
 
     /// Observes end-of-stream: counts stranded synchrocell records and
@@ -307,7 +291,7 @@ impl<P> Component<P> {
                 }
             }
             Kind::Par { branches, .. } => branches.into_iter().for_each(&mut close),
-            Kind::Star { into_body, .. } => into_body.into_iter().for_each(&mut close),
+            Kind::Star { replica, .. } => replica.into_iter().for_each(&mut close),
             Kind::Split { replicas, .. } => {
                 let mut replicas: Vec<_> = replicas.into_iter().collect();
                 replicas.sort_unstable_by_key(|&(tag, _)| tag);
@@ -322,50 +306,100 @@ impl<P> Component<P> {
     pub(crate) fn for_each_port(&mut self, mut f: impl FnMut(&mut P)) {
         match &mut self.kind {
             Kind::Par { branches, .. } => branches.iter_mut().for_each(&mut f),
-            Kind::Star { into_body, .. } => into_body.iter_mut().for_each(&mut f),
+            Kind::Star { replica, .. } => replica.iter_mut().for_each(&mut f),
             Kind::Split { replicas, .. } => replicas.values_mut().for_each(&mut f),
             Kind::Chain(_) | Kind::Sync { .. } => {}
         }
         f(&mut self.out);
     }
 
-    /// The primary output port.
-    pub(crate) fn out(&self) -> &P {
-        &self.out
-    }
-
-    /// Whether this is combinator glue that routes records (parallel,
-    /// star tap, split) rather than a component that transforms them.
-    pub(crate) fn is_dispatcher(&self) -> bool {
-        matches!(
-            self.kind,
-            Kind::Par { .. } | Kind::Star { .. } | Kind::Split { .. }
-        )
+    /// The port whose backlog holds this component back: a chain's or
+    /// synchrocell's output, or a head-running tap's replica port. Pure
+    /// dispatchers (trivial work, many outputs) are never held back.
+    pub(crate) fn held_back_by(&self) -> Option<&P> {
+        match &self.kind {
+            Kind::Chain(_) | Kind::Sync { .. } => Some(&self.out),
+            Kind::Star { node, replica } if node.head.is_some() => replica.as_ref(),
+            Kind::Star { .. } | Kind::Par { .. } | Kind::Split { .. } => None,
+        }
     }
 
     /// A short name for the component instance (thread names). A chain
     /// is named for what is in it: its one stage, or its ends and
-    /// length.
+    /// length; a tap that runs a head, for that chain.
     pub fn label(&self) -> String {
-        fn stage(s: &ChainStage) -> String {
-            match s {
-                ChainStage::Box(def) => format!("box-{}", def.sig.name),
-                ChainStage::Filter(_) => "filter".into(),
-            }
-        }
         match &self.kind {
-            Kind::Chain(stages) => match &stages[..] {
-                [only] => stage(only),
-                [first, .., last] => {
-                    format!("chain{}-{}..{}", stages.len(), stage(first), stage(last))
-                }
-                [] => unreachable!("compile never emits an empty chain"),
-            },
+            Kind::Chain(stages) => chain_label(stages),
             Kind::Sync { .. } => "sync".into(),
             Kind::Par { .. } => "par-dispatch".into(),
-            Kind::Star { .. } => "star-tap".into(),
+            Kind::Star { node, .. } => match &node.head {
+                Some(head) => format!("star-tap+{}", chain_label(head)),
+                None => "star-tap".into(),
+            },
             Kind::Split { .. } => "split-dispatch".into(),
         }
+    }
+}
+
+fn chain_label(stages: &[ChainStage]) -> String {
+    fn stage(s: &ChainStage) -> String {
+        match s {
+            ChainStage::Box(def) => format!("box-{}", def.sig.name),
+            ChainStage::Filter(_) => "filter".into(),
+        }
+    }
+    match stages {
+        [only] => stage(only),
+        [first, .., last] => format!("chain{}-{}..{}", stages.len(), stage(first), stage(last)),
+        [] => unreachable!("compile never emits an empty chain"),
+    }
+}
+
+/// A tap's step over a batch: exits leave on `out`, the first stayer
+/// unfolds the replica, and the stayers go to it — through the head,
+/// if any, in one chain step (the policy, names and tally of the chain
+/// fusion handed the tap).
+fn tap<T: Transport>(
+    node: &Arc<StarNode>,
+    replica: &mut Option<T::Port>,
+    out: &mut T::Port,
+    recs: impl IntoIterator<Item = Record>,
+    run: &Run,
+    config: &EngineConfig,
+    t: &mut T,
+) -> Result<(), SnetError> {
+    let mut stayers = node.head.as_ref().map(|_| pool::PooledVec::take());
+    for rec in recs {
+        if node.exit.matches(&rec) {
+            t.send(out, rec);
+            continue;
+        }
+        let port = replica.get_or_insert_with(|| unfold(node, out, run, t));
+        match &mut stayers {
+            Some(stayers) => stayers.push(rec),
+            None => t.send(port, rec),
+        }
+    }
+    match (&node.head, stayers, replica) {
+        (Some(head), Some(mut stayers), Some(port)) => {
+            chain_step(head, stayers.drain(..), run, config, t, port)
+        }
+        _ => Ok(()),
+    }
+}
+
+/// Unfolds one replica behind a tap exiting on `out`: the rest of the
+/// body, if any, feeding the next tap, which shares `out`.
+fn unfold<T: Transport>(star: &Arc<StarNode>, out: &T::Port, run: &Run, t: &mut T) -> T::Port {
+    Trace::add(&run.trace.star_unfoldings, 1);
+    let next_tap = Kind::Star {
+        node: Arc::clone(star),
+        replica: None,
+    };
+    let next_tap = spawn(next_tap, T::another(out), run, t);
+    match &star.body {
+        Some(body) => build(body, next_tap, run, t),
+        None => next_tap,
     }
 }
 

@@ -269,6 +269,60 @@ mod tests {
         );
     }
 
+    /// A tap that runs its body's leading chain is named for it too.
+    #[test]
+    fn star_taps_are_named_for_the_chain_they_run() {
+        use snet_core::boxdef::{BoxDef, BoxOutput, BoxSig, Work};
+        use snet_core::filter::OutputTemplate;
+        use snet_core::{BinOp, FilterSpec, Pattern, TagExpr, Variant};
+        use std::sync::{Arc, Mutex};
+
+        let names = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&names);
+        let inc = NetSpec::Box(BoxDef::from_fn(
+            BoxSig::parse("inc", &["x"], &[&["x"]]),
+            move |r| {
+                let thread = std::thread::current().name().map(str::to_owned);
+                seen.lock().unwrap().push(thread);
+                Ok(BoxOutput::one(r.clone(), Work::ZERO))
+            },
+        ));
+        let dec = NetSpec::Filter(FilterSpec::new(
+            Pattern::from_variant(Variant::parse_labels(&[], &["n"])),
+            vec![OutputTemplate::empty().set_tag(
+                "n",
+                TagExpr::bin(BinOp::Sub, TagExpr::tag("n"), TagExpr::Const(1)),
+            )],
+        ));
+        let exit = Pattern::guarded(
+            Variant::empty(),
+            TagExpr::bin(BinOp::Eq, TagExpr::tag("n"), TagExpr::Const(0)),
+        );
+        let star = NetSpec::star(NetSpec::serial(dec, inc), exit);
+        let one = vec![Record::new()
+            .with_field("x", Value::Int(1))
+            .with_tag("n", 2)];
+        for fuse in [true, false] {
+            let config = EngineConfig {
+                fuse,
+                ..EngineConfig::default()
+            };
+            Net::with_config(star.clone(), config)
+                .run_batch(one.clone())
+                .unwrap();
+        }
+        let name = |s: &str| Some(s.to_owned());
+        assert_eq!(
+            *names.lock().unwrap(),
+            [
+                name("snet-star-tap+chain2-filter..box-inc"),
+                name("snet-star-tap+chain2-filter..box-inc"),
+                name("snet-box-inc"),
+                name("snet-box-inc"),
+            ]
+        );
+    }
+
     #[test]
     fn deep_pipeline_respects_backpressure() {
         // Tiny channels + many records: exercises the bounded-channel

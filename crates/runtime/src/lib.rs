@@ -166,8 +166,13 @@
 //! second code path for a box standing alone. Combinator boundaries
 //! that can reorder, replicate, or synchronize records —
 //! parallel/split dispatch and merge, star unfolding, synchrocells —
-//! never share a chain; mailboxes remain exactly there, so the
-//! observable record flow (and the interpreter oracle) is unchanged.
+//! never share a chain with what is outside them; mailboxes remain
+//! exactly there, so the observable record flow (and the interpreter
+//! oracle) is unchanged. One boundary owns a chain of its own: fused, a
+//! star tap runs its body's leading chain on every record that stays
+//! in the loop (`StarNode::head`), so a replica whose body is one chain
+//! is one component, and the tap is backpressured on the port that
+//! chain writes.
 //!
 //! Faults are **per stage** at either grain: each stage runs under its
 //! own [`FailurePolicy`], a `DeadLetter`-diverted record carries the
@@ -181,9 +186,14 @@
 //! runs to the same output multisets, dead-letter multisets, and
 //! failure attributions. What the grain buys is fewer components and
 //! hops (`components_built`, `runtime.sched.hop_ns` in the benchmark
-//! ledger), not a speed-up one can quote: on deep pipelines of trivial
-//! boxes the two grains read about the same once records carry an
-//! inherited tag (ROADMAP).
+//! ledger), and on deep pipelines of trivial boxes not a speed-up one
+//! can quote: the two grains read about the same once records carry an
+//! inherited tag (ROADMAP). The measured exception is the star tap
+//! that runs its body's head: `route_stream` in `benchmark/`, where a
+//! record makes ten hand-offs of ≈40 ns outside the step each and two
+//! of them are a tap's hand-off to a one-chain body, reads 1.076× the
+//! `throughput_per_s` with the head in the tap (higher in 12 of 12
+//! alternating pairs; ROADMAP has the runs).
 //!
 //! ## Failure semantics
 //!

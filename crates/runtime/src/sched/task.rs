@@ -525,8 +525,9 @@ fn flush_outputs(state: &mut State, sh: &Pool, local: Option<usize>) {
     }
 }
 
-/// Cooperative backpressure: stop consuming while the primary output
-/// mailbox is over the high-water mark. Dispatchers are exempt (their
+/// Cooperative backpressure: stop consuming while the mailbox the
+/// component's boxes and filters write to is over the high-water mark
+/// ([`Component::held_back_by`]; pure dispatchers are exempt: their
 /// work per record is trivial and they feed many outputs). A streaming
 /// sink yields the same way while its consumer lags — it must not grow
 /// its buffer then — and learns that from the channel handing a record
@@ -537,7 +538,9 @@ fn flush_outputs(state: &mut State, sh: &Pool, local: Option<usize>) {
 /// purpose, or leftovers the next due delivery takes along.)
 fn output_backpressured(state: &mut State, sh: &Pool) -> bool {
     match state {
-        State::Live(comp) => !comp.is_dispatcher() && comp.out().backlog() >= sh.high_water(),
+        State::Live(comp) => comp
+            .held_back_by()
+            .is_some_and(|out| out.backlog() >= sh.high_water()),
         State::Sink { buf, dest, .. } => {
             buf.len() >= sh.config.batch.max(1) && {
                 dest.flush(buf);

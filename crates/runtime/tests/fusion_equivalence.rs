@@ -16,11 +16,15 @@ use proptest::prelude::*;
 use snet_core::boxdef::{BoxDef, BoxOutput, BoxSig, RecordVec, Work};
 use snet_core::filter::OutputTemplate;
 use snet_core::fusion::Node;
-use snet_core::{BinOp, FilterSpec, NetSpec, Pattern, Record, SyncSpec, TagExpr, Value, Variant};
+use snet_core::{
+    BinOp, FilterSpec, NetSpec, Pattern, Record, SnetError, SyncSpec, TagExpr, Value, Variant,
+};
 use snet_runtime::engine::Threaded;
 use snet_runtime::faultinject::{chaos, FaultSpec};
 use snet_runtime::sched::Scheduled;
-use snet_runtime::{Engine, EngineConfig, FailurePolicy, Interp, Net, Network, SchedNet};
+use snet_runtime::{
+    DeadLetter, Engine, EngineConfig, FailurePolicy, Interp, Net, Network, SchedNet, Trace,
+};
 use std::time::Duration;
 
 /// A box consuming `{a}` and emitting `{a: a + 1}`.
@@ -168,7 +172,10 @@ fn count_chains(node: &Node) -> usize {
         Node::Sync(_) => 0,
         Node::Serial(a, b) => count_chains(a) + count_chains(b),
         Node::Par(par) => par.branches.iter().map(count_chains).sum(),
-        Node::Star(star) => count_chains(&star.body),
+        Node::Star(star) => {
+            let head = star.head.iter().filter(|stages| stages.len() >= 2).count();
+            head + star.body.iter().map(count_chains).sum::<usize>()
+        }
         Node::Split(split) => count_chains(&split.body),
         Node::At { body, .. } => count_chains(body),
     }
@@ -406,6 +413,242 @@ fn the_plan_shows_in_the_trace() {
     assert_eq!(built::<Scheduled>(unfused_cfg()), 4);
     assert_eq!(built::<Threaded>(fused_cfg()), 1);
     assert_eq!(built::<Threaded>(unfused_cfg()), 4);
+}
+
+#[test]
+fn a_fused_tap_is_the_whole_replica() {
+    // `countdown_star`'s body is one filter: fused, the tap runs it and
+    // a replica is the next tap alone; as written, a replica is the
+    // filter and the next tap. `<n> = 3` unfolds three replicas.
+    fn built<E: Engine>(config: EngineConfig) -> u64 {
+        let batch = vec![Record::new().with_tag("n", 3)];
+        let (outs, trace) = Network::<E>::with_config(countdown_star(), config)
+            .run_batch_traced(batch)
+            .unwrap();
+        assert_eq!(outs.len(), 1);
+        assert_eq!(trace.get(&trace.star_unfoldings), 3);
+        assert_eq!(trace.get(&trace.filter_records), 3);
+        let built = trace.get(&trace.components_built);
+        assert_eq!(trace.get(&trace.components_finalized), built);
+        built
+    }
+    assert_eq!(built::<Scheduled>(fused_cfg()), 4);
+    assert_eq!(built::<Scheduled>(unfused_cfg()), 7);
+    assert_eq!(built::<Threaded>(fused_cfg()), 4);
+    assert_eq!(built::<Threaded>(unfused_cfg()), 7);
+}
+
+/// A box consuming `{a}` and emitting `a mod 3` records `{a: a + 1}`:
+/// none, one or two.
+fn fan_box() -> NetSpec {
+    NetSpec::Box(BoxDef::from_fn(
+        BoxSig::parse("fan", &["a"], &[&["a"]]),
+        |r| {
+            let a = r.field("a").and_then(|v| v.as_int()).unwrap_or(0);
+            let outs =
+                (0..a.rem_euclid(3)).map(|_| Record::new().with_field("a", Value::Int(a + 1)));
+            Ok(BoxOutput::from_iter(outs, Work::ops(1)))
+        },
+    ))
+}
+
+/// `[{b} -> {c = b}; {b}]`: a filter emitting two records.
+fn fork_filter() -> NetSpec {
+    NetSpec::Filter(FilterSpec::new(
+        Pattern::from_variant(Variant::parse_labels(&["b"], &[])),
+        vec![
+            OutputTemplate::empty().rename_field("c", "b"),
+            OutputTemplate::empty().keep_field("b"),
+        ],
+    ))
+}
+
+/// `add` under a permanent content-keyed fault schedule, diverting what
+/// it selects under its own `DeadLetter` override.
+fn flaky_add(seed: u64) -> NetSpec {
+    let add = BoxDef::from_fn(BoxSig::parse("flaky", &["a"], &[&["a"]]), |r| {
+        let a = r.field("a").and_then(|v| v.as_int()).unwrap_or(0);
+        Ok(BoxOutput::one(
+            Record::new().with_field("a", Value::Int(a + 1)),
+            Work::ops(1),
+        ))
+    });
+    NetSpec::Box(
+        chaos(&add, FaultSpec::errors(seed, 3, u32::MAX)).with_policy(FailurePolicy::DeadLetter),
+    )
+}
+
+/// `[{<n>} -> {<n -= 1>}]`, the countdown that makes a star terminate.
+fn dec_filter() -> NetSpec {
+    let NetSpec::Star { body, .. } = countdown_star() else {
+        unreachable!("countdown_star is a star")
+    };
+    *body
+}
+
+/// `body * {<n> <= 0}`: `countdown_star`'s loop around another body.
+fn countdown_loop(body: NetSpec) -> NetSpec {
+    let NetSpec::Star { exit, .. } = countdown_star() else {
+        unreachable!("countdown_star is a star")
+    };
+    NetSpec::star(body, exit)
+}
+
+/// `(leaves with the countdown at `at` [.. rest ! <k>]) * {<n> <= 0}`:
+/// a star whose body starts with a chain (the whole body, or a head
+/// and a rest).
+fn arb_chain_star() -> impl Strategy<Value = NetSpec> {
+    let leaf = (0usize..6, 0u64..1024).prop_map(|(which, seed)| match which {
+        0 => add_box(),
+        1 => dup_box(),
+        2 => fan_box(),
+        3 => fork_filter(),
+        4 => tag_filter(),
+        _ => flaky_add(seed),
+    });
+    (
+        prop::collection::vec(leaf, 0..4),
+        0usize..4,
+        prop::option::of(arb_chain()),
+    )
+        .prop_map(|(mut leaves, at, rest)| {
+            leaves.insert(at.min(leaves.len()), dec_filter());
+            let mut body = NetSpec::pipeline(leaves);
+            if let Some(rest) = rest {
+                body = NetSpec::serial(body, NetSpec::split(rest, "k"));
+            }
+            countdown_loop(body)
+        })
+}
+
+/// Every counter of a run but the two that count components (which is
+/// what the grain changes), after checking that those two agree.
+fn semantic_counters(trace: &Trace) -> [u64; 12] {
+    assert_eq!(
+        trace.get(&trace.components_built),
+        trace.get(&trace.components_finalized)
+    );
+    [
+        &trace.box_records,
+        &trace.box_ops,
+        &trace.filter_records,
+        &trace.passthroughs,
+        &trace.sync_stores,
+        &trace.sync_fires,
+        &trace.sync_stranded,
+        &trace.star_unfoldings,
+        &trace.split_replicas,
+        &trace.dispatched,
+        &trace.dead_letters,
+        &trace.retries,
+    ]
+    .map(|counter| trace.get(counter))
+}
+
+fn dead_multiset(dead: &[DeadLetter]) -> Vec<String> {
+    let mut v: Vec<String> = dead
+        .iter()
+        .map(|d| format!("{} {:?}", d.report.component, d.record))
+        .collect();
+    v.sort();
+    v
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn a_tap_running_its_head_is_the_body_as_written(
+        net in arb_chain_star(),
+        batch in prop::collection::vec(arb_record(), 0..12),
+    ) {
+        let plan = snet_core::fuse(&net);
+        let Node::Star(star) = &plan else { panic!("a star: {plan:?}") };
+        prop_assert!(star.head.is_some(), "the tap takes the body's chain: {:?}", plan);
+
+        let oracle = Interp::new(&net).run_batch(batch.clone()).unwrap();
+        let fused = SchedNet::with_config(net.clone(), fused_cfg())
+            .run_batch_report(batch.clone())
+            .unwrap();
+        let unfused = SchedNet::with_config(net.clone(), unfused_cfg())
+            .run_batch_report(batch.clone())
+            .unwrap();
+        let threaded = Net::with_config(net, fused_cfg()).run_batch_report(batch).unwrap();
+        let counters = semantic_counters(&unfused.trace);
+        prop_assert_eq!(counters[1], oracle.work.ops);
+        for (engine, report) in [("fused", &fused), ("unfused", &unfused), ("threaded", &threaded)] {
+            prop_assert_eq!(
+                multiset(&report.outputs),
+                multiset(&oracle.outputs),
+                "{}: outputs", engine
+            );
+            prop_assert_eq!(
+                dead_multiset(&report.dead_letters),
+                dead_multiset(&oracle.dead_letters),
+                "{}: dead letters", engine
+            );
+            prop_assert_eq!(semantic_counters(&report.trace), counters, "{}: trace", engine);
+        }
+    }
+}
+
+#[test]
+fn a_panic_in_a_fused_head_is_attributed_to_its_stage() {
+    // FailFast, a chaos box that panics on one record in three inside
+    // the tap's head: every engine fails with the stage's own name, or
+    // none does and all agree on the outputs — and across the seeds
+    // both happen.
+    let batch: Vec<Record> = (0..6)
+        .map(|i| {
+            Record::new()
+                .with_field("a", Value::Int(i))
+                .with_tag("n", i % 4)
+        })
+        .collect();
+    let (mut failed, mut passed) = (0, 0);
+    for seed in 0..24 {
+        let boom = BoxDef::from_fn(BoxSig::parse("boom", &["a"], &[&["a"]]), |r| {
+            Ok(BoxOutput::one(r.clone(), Work::ops(1)))
+        });
+        let net = countdown_loop(NetSpec::pipeline([
+            add_box(),
+            NetSpec::Box(chaos(&boom, FaultSpec::panics(seed, 3, u32::MAX))),
+            dec_filter(),
+        ]));
+        let oracle = Interp::new(&net).run_batch(batch.clone());
+        for (engine, got) in [
+            (
+                "fused",
+                SchedNet::with_config(net.clone(), fused_cfg()).run_batch(batch.clone()),
+            ),
+            (
+                "unfused",
+                SchedNet::with_config(net.clone(), unfused_cfg()).run_batch(batch.clone()),
+            ),
+            (
+                "threaded",
+                Net::with_config(net.clone(), fused_cfg()).run_batch(batch.clone()),
+            ),
+        ] {
+            match (&oracle, got) {
+                (Ok(want), Ok(got)) => assert_eq!(multiset(&got), multiset(&want.outputs)),
+                (Err(_), Err(SnetError::BoxFailure { name, cause })) => {
+                    assert_eq!(name, "boom", "seed {seed}, {engine}");
+                    assert!(
+                        cause.starts_with("panicked"),
+                        "seed {seed}, {engine}: {cause}"
+                    );
+                }
+                (want, got) => panic!("seed {seed}, {engine}: {got:?} against {want:?}"),
+            }
+        }
+        match oracle {
+            Ok(_) => passed += 1,
+            Err(SnetError::BoxFailure { name, .. }) if name == "boom" => failed += 1,
+            Err(e) => panic!("seed {seed}: the oracle failed elsewhere: {e}"),
+        }
+    }
+    assert!(failed > 0 && passed > 0, "{failed} failed, {passed} passed");
 }
 
 #[test]

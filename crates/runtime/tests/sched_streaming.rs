@@ -18,8 +18,8 @@ use snet_core::{NetSpec, Record, SnetError, Value};
 use snet_runtime::engine::Threaded;
 use snet_runtime::sched::Scheduled;
 use snet_runtime::{
-    run_stream, run_stream_interleaved, Engine, EngineConfig, NetHandle, Network, SchedHandle,
-    SchedNet, TrySendError,
+    run_stream, run_stream_interleaved, Engine, EngineConfig, Handle, Ingress, NetHandle, Network,
+    SchedHandle, SchedNet, Trace, TrySendError,
 };
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -325,6 +325,159 @@ fn tight_capacity_streaming_soak() {
     }
     soak::<Scheduled>();
     soak::<Threaded>();
+}
+
+/// One streaming run through a handle, keeping its trace (the public
+/// drivers do not hand it back): shaped like `run_stream` (a feeder
+/// thread against the blocking ingress while this thread drains) or
+/// like `run_stream_interleaved` (one thread: `try_send`, drain what is
+/// there, help the pool).
+fn stream_traced<I: Ingress>(
+    h: Handle<I>,
+    records: Vec<Record>,
+    interleaved: bool,
+) -> (Vec<Record>, Arc<Trace>) {
+    let trace = h.trace_arc();
+    let mut outs = Vec::new();
+    if interleaved {
+        for mut pending in records {
+            while let Err(e) = h.try_send(pending) {
+                let TrySendError::Full(back) = e else {
+                    panic!("ingress closed mid-run: {e}")
+                };
+                pending = back;
+                outs.extend(std::iter::from_fn(|| h.try_recv()));
+                if !h.drive() {
+                    std::thread::yield_now();
+                }
+            }
+        }
+        h.close_input();
+    } else {
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                h.send_all(records).expect("network stays up");
+                h.close_input();
+            });
+            outs.extend(std::iter::from_fn(|| h.recv()));
+        });
+    }
+    outs.extend(std::iter::from_fn(|| h.recv()));
+    h.finish().unwrap();
+    (outs, trace)
+}
+
+/// `route_stream`'s net from its source, with a 1 → 2 fan-out box in
+/// the star body: at the fused grain each tap runs the body's whole
+/// chain (`[{<n>} -> {<n -= 1>}] .. fan .. inc`), so what a tap emits
+/// per record it takes in is no longer one, and the tap is held back by
+/// the next tap's mailbox. At capacities 1 and 2 the taps, the split
+/// and the sink all run against full mailboxes; every record must still
+/// come out, and every component unfolded must be torn down.
+#[test]
+fn tight_capacity_star_soak() {
+    fn x(v: i64) -> Result<BoxOutput, SnetError> {
+        Ok(BoxOutput::one(
+            Record::new().with_field("x", Value::Int(v)),
+            Work::ops(1),
+        ))
+    }
+    fn int(r: &Record, name: &str) -> i64 {
+        r.field(name).and_then(|v| v.as_int()).expect("int field")
+    }
+    let mut reg = snet_lang::BoxRegistry::new();
+    reg.register("fromA", |r: &Record| x(2 * int(r, "a") + 1));
+    reg.register("fromB", |r: &Record| x(3 * int(r, "b")));
+    reg.register("inc", |r: &Record| x(int(r, "x") + 1));
+    reg.register("fan", |r: &Record| {
+        let v = int(r, "x");
+        let outs = [2 * v, 2 * v + 1].map(|v| Record::new().with_field("x", Value::Int(v)));
+        Ok(BoxOutput::from_iter(outs, Work::ops(1)))
+    });
+    let spec = snet_lang::compile(
+        "net route_fan {\n    box fromA ((a) -> (x));\n    box fromB ((b) -> (x));\n    \
+         box inc ((x) -> (x));\n    box fan ((x) -> (x));\n} connect\n    \
+         (fromA | fromB) .. (inc ! <k>)\n    \
+         .. ([ {<n>} -> {<n -= 1>} ] .. fan .. inc) * {<n> == 0}\n",
+        &reg,
+    )
+    .unwrap();
+
+    // Record i: `a` or `b` alternately, `<k>` in 0..3, `<n>` in 0..4.
+    fn inputs() -> Vec<Record> {
+        (0..60)
+            .map(|i| {
+                let label = if i % 2 == 0 { "a" } else { "b" };
+                Record::new()
+                    .with_field(label, Value::Int(i))
+                    .with_tag("k", i % 3)
+                    .with_tag("n", i % 4)
+            })
+            .collect()
+    }
+    /// `(x, <k>)` of every output, sorted; `<n>` must have reached 0.
+    fn got(outs: &[Record]) -> Vec<(i64, i64)> {
+        let mut got: Vec<(i64, i64)> = outs
+            .iter()
+            .map(|r| {
+                assert_eq!(r.tag("n"), Some(0), "{r:?}");
+                (int(r, "x"), r.tag("k").expect("<k>"))
+            })
+            .collect();
+        got.sort_unstable();
+        got
+    }
+    // Closed form: `from` + 1 behind the split, then per round every
+    // `x` becomes `2x + 1` and `2x + 2`; `<k>` rides along.
+    let mut want: Vec<(i64, i64)> = Vec::new();
+    for r in inputs() {
+        let mut xs = vec![match r.field("a") {
+            Some(_) => 2 * int(&r, "a") + 1 + 1,
+            None => 3 * int(&r, "b") + 1,
+        }];
+        for _ in 0..r.tag("n").unwrap() {
+            xs = xs.iter().flat_map(|&x| [2 * x + 1, 2 * x + 2]).collect();
+        }
+        want.extend(xs.into_iter().map(|x| (x, r.tag("k").unwrap())));
+    }
+    want.sort_unstable();
+
+    fn soak<E: Engine>(spec: &NetSpec, want: &[(i64, i64)]) {
+        for (channel_capacity, workers) in [(1, 1), (1, 2), (2, 1), (2, 2)] {
+            let net = Network::<E>::with_config(
+                spec.clone(),
+                EngineConfig {
+                    workers,
+                    channel_capacity,
+                    ..EngineConfig::default()
+                },
+            );
+            let case = format!(
+                "{}: capacity {channel_capacity}, {workers} workers",
+                net.name()
+            );
+            let outs = run_stream(&net, inputs()).unwrap();
+            assert_eq!(got(&outs), want, "{case}, run_stream");
+            let outs = run_stream_interleaved(&net, inputs()).unwrap();
+            assert_eq!(got(&outs), want, "{case}, run_stream_interleaved");
+            for interleaved in [false, true] {
+                let (outs, trace) = stream_traced(net.start(), inputs(), interleaved);
+                assert_eq!(
+                    got(&outs),
+                    want,
+                    "{case}, traced, interleaved {interleaved}"
+                );
+                assert!(trace.get(&trace.star_unfoldings) > 0, "{case}");
+                assert_eq!(
+                    trace.get(&trace.components_built),
+                    trace.get(&trace.components_finalized),
+                    "{case}, interleaved {interleaved}: every component torn down"
+                );
+            }
+        }
+    }
+    soak::<Scheduled>(&spec, &want);
+    soak::<Threaded>(&spec, &want);
 }
 
 /// A handle is shared by reference between a producer and a consumer

@@ -237,20 +237,6 @@ impl<A: Array> SmallVec<A> {
         }
     }
 
-    /// Constructs from a `Vec`, moving short contents inline and
-    /// adopting the heap buffer otherwise.
-    pub fn from_vec(vec: Vec<A::Item>) -> SmallVec<A> {
-        if vec.len() <= A::CAP {
-            let mut out = SmallVec::new();
-            out.extend(vec);
-            out
-        } else {
-            SmallVec {
-                store: Store::Heap(vec),
-            }
-        }
-    }
-
     /// Converts into a `Vec`, handing over the heap buffer when already
     /// spilled (inline contents are moved out, which allocates).
     pub fn into_vec(self) -> Vec<A::Item> {
@@ -607,11 +593,12 @@ mod tests {
         assert_eq!(inline.len(), 4);
         assert_eq!(inline.into_vec(), vec!["a", "b", "c", "d"]);
 
-        let short: SmallVec<[u32; 4]> = SmallVec::from_vec(vec![1, 2]);
+        let short: SmallVec<[u32; 4]> = vec![1, 2].into_iter().collect();
         assert!(matches!(short.store, Store::Inline { .. }));
         assert_eq!(short.into_vec(), vec![1, 2]);
 
-        let long: SmallVec<[u32; 2]> = SmallVec::from_vec(vec![1, 2, 3, 4]);
+        let mut long: SmallVec<[u32; 2]> = SmallVec::new();
+        long.extend(vec![1, 2, 3, 4]);
         assert!(matches!(long.store, Store::Heap(_)));
         assert_eq!(long.into_vec(), vec![1, 2, 3, 4]);
     }
@@ -629,11 +616,13 @@ mod tests {
 
         let drops = AtomicUsize::new(0);
         {
-            let v: SmallVec<[Counted<'_>; 2]> =
-                SmallVec::from_vec(vec![Counted(&drops), Counted(&drops), Counted(&drops)]);
+            let v: SmallVec<[Counted<'_>; 2]> = [Counted(&drops), Counted(&drops), Counted(&drops)]
+                .into_iter()
+                .collect();
+            assert!(matches!(v.store, Store::Heap(_)));
             drop(v);
         }
-        assert_eq!(drops.load(Ordering::SeqCst), 3, "from_vec heap mode");
+        assert_eq!(drops.load(Ordering::SeqCst), 3, "collected, heap mode");
     }
 
     #[test]
