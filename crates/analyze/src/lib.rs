@@ -296,7 +296,7 @@ impl Analysis {
 /// `entry` is taken to be the complete label set of some class of input
 /// records, and no input outside `entry` is considered. This is the
 /// full-precision mode used by `snet-lint` and by
-/// `Net::with_entry_type`: the structural pass, then the flow pass with
+/// `SchedNet::with_entry_type`: the structural pass, then the flow pass with
 /// its absence proofs (SNA001/003/004/005).
 pub fn analyze(net: &NetSpec, entry: &RType, cfg: &AnalyzeConfig) -> Analysis {
     let mut ctx = Ctx::new(cfg);

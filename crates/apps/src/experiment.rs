@@ -1,5 +1,5 @@
 //! Experiment drivers: run the paper's network variants on the
-//! simulated cluster (or the local threaded engine) and report the
+//! simulated cluster (or the local scheduled engine) and report the
 //! numbers the evaluation section plots.
 
 use crate::boxes::{image_slot, ImageSlot};
@@ -9,7 +9,7 @@ use crate::schedule::Schedule;
 use snet_core::{Record, SnetError, Value};
 use snet_dist::{run_on_cluster, OverheadModel, StatsSnapshot};
 use snet_raytracer::{Bvh, Counters, Image, Scene, ScenePreset};
-use snet_runtime::{DeadLetter, Engine, EngineConfig, Network};
+use snet_runtime::{DeadLetter, EngineConfig, SchedNet};
 use snet_simnet::ClusterSpec;
 use std::sync::Arc;
 
@@ -213,12 +213,11 @@ fn take_picture(slot: &ImageSlot) -> Result<Image, SnetError> {
     picture.ok_or_else(|| SnetError::Engine("genImg never produced the picture".into()))
 }
 
-/// Runs an S-Net variant on a local engine `E` (real parallelism,
-/// wall-clock time) — [`snet_runtime::engine::Threaded`]: a thread per
-/// component; [`snet_runtime::sched::Scheduled`]: a fixed work-stealing
-/// pool — under `engine`'s failure policy and deadline, and returns the
-/// picture with any records diverted on the way.
-pub fn run_snet_local<E: Engine>(
+/// Runs an S-Net variant on the local scheduled engine (real
+/// parallelism on a work-stealing pool, wall-clock time) under
+/// `engine`'s failure policy and deadline, and returns the picture with
+/// any records diverted on the way.
+pub fn run_snet_local(
     wl: &Workload,
     cfg: &SnetConfig,
     engine: EngineConfig,
@@ -226,7 +225,7 @@ pub fn run_snet_local<E: Engine>(
     let slot = image_slot();
     let net = raytracing_net(cfg.variant, Arc::clone(&slot), None);
     let report =
-        Network::<E>::with_config(net, engine).run_batch_report(vec![input_record(wl, cfg)])?;
+        SchedNet::with_config(net, engine).run_batch_report(vec![input_record(wl, cfg)])?;
     debug_assert!(report.outputs.is_empty(), "genImg terminates the stream");
     let image = take_picture(&slot)?;
     Ok((image, report.dead_letters))
@@ -235,8 +234,6 @@ pub fn run_snet_local<E: Engine>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snet_runtime::engine::Threaded;
-    use snet_runtime::sched::Scheduled;
 
     fn testbed(nodes: usize) -> ClusterSpec {
         // The paper's testbed shape, sped up so tests render quickly.
@@ -325,21 +322,29 @@ mod tests {
         assert_eq!(out.image, reference);
     }
 
-    fn local<E: Engine>(cfg: &SnetConfig, engine: EngineConfig) -> Result<Image, SnetError> {
-        let (image, dead) = run_snet_local::<E>(&Workload::small(), cfg, engine)?;
+    fn local(cfg: &SnetConfig, engine: EngineConfig) -> Result<Image, SnetError> {
+        let (image, dead) = run_snet_local(&Workload::small(), cfg, engine)?;
         assert!(dead.is_empty());
         Ok(image)
     }
 
     #[test]
-    fn local_threaded_run_matches_reference() {
-        let img = local::<Threaded>(&SnetConfig::fig6_static(2), EngineConfig::default());
+    fn local_sched_run_matches_reference() {
+        let img = local(&SnetConfig::fig6_static(2), EngineConfig::default());
         assert_eq!(img.unwrap(), Workload::small().reference_image());
     }
 
+    /// Four workers and a task per box whatever the host's CPU count
+    /// (the default pool is one worker on a one-CPU host): the picture
+    /// must not depend on which thread renders which section.
     #[test]
-    fn local_sched_run_matches_reference() {
-        let img = local::<Scheduled>(&SnetConfig::fig6_static(2), EngineConfig::default());
+    fn local_threaded_run_matches_reference() {
+        let threaded = EngineConfig {
+            workers: 4,
+            fuse: false,
+            ..EngineConfig::default()
+        };
+        let img = local(&SnetConfig::fig6_static(2), threaded);
         assert_eq!(img.unwrap(), Workload::small().reference_image());
     }
 
@@ -350,14 +355,14 @@ mod tests {
             policy: snet_runtime::FailurePolicy::DeadLetter,
             ..EngineConfig::default()
         };
-        let img = local::<Scheduled>(&SnetConfig::fig6_static(2), lenient);
+        let img = local(&SnetConfig::fig6_static(2), lenient);
         assert_eq!(img.unwrap(), Workload::small().reference_image());
 
         let expired = EngineConfig {
             deadline: Some(std::time::Duration::ZERO),
             ..EngineConfig::default()
         };
-        let err = local::<Scheduled>(&SnetConfig::fig6_static(2), expired);
+        let err = local(&SnetConfig::fig6_static(2), expired);
         assert_eq!(err, Err(SnetError::DeadlineExceeded));
     }
 
@@ -370,7 +375,7 @@ mod tests {
             tokens: 2,
             schedule: Schedule::Block,
         };
-        let img = local::<Threaded>(&cfg, EngineConfig::default());
+        let img = local(&cfg, EngineConfig::default());
         assert_eq!(img.unwrap(), Workload::small().reference_image());
     }
 

@@ -13,7 +13,7 @@
 //! * [`schedule`] — block scheduling and the paper's simple variant of
 //!   factoring (Hummel et al. \[13\]);
 //! * [`experiment`] — drivers running any variant on the simulated
-//!   cluster ([`run_snet_cluster`]) or a local engine
+//!   cluster ([`run_snet_cluster`]) or the local scheduled engine
 //!   ([`run_snet_local`]), plus the [`Workload`] definitions;
 //! * [`mpi_app`] — the hand-written C/MPI baseline on simulated MPI.
 //!

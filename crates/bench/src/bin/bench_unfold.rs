@@ -1,5 +1,6 @@
 //! What instantiating a component costs: time and heap allocations per
-//! star unfolding and per index-split replica, on all three engines.
+//! star unfolding and per index-split replica, on the scheduled engine
+//! and the interpreter.
 //!
 //! Every other gated micro-benchmark is a serial chain; this one times
 //! the two combinators that create components *while a run is live*.
@@ -34,7 +35,7 @@
 use snet_core::boxdef::{BoxDef, BoxOutput, BoxSig, Work};
 use snet_core::filter::OutputTemplate;
 use snet_core::{BinOp, FilterSpec, NetSpec, Pattern, Record, TagExpr, Value, Variant};
-use snet_runtime::{Interp, Net, SchedNet};
+use snet_runtime::{Interp, SchedNet};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -221,12 +222,6 @@ fn main() {
         let sched = SchedNet::new(spec.clone());
         rows.push(row("sched", shape, iters, job, &|recs| {
             sched.run_batch(recs).expect("sched run").len()
-        }));
-        // A thread per component instance: a job is tens of
-        // milliseconds, so fewer of them.
-        let threaded = Net::new(spec.clone());
-        rows.push(row("threaded", shape, iters.div_ceil(10), job, &|recs| {
-            threaded.run_batch(recs).expect("threaded run").len()
         }));
         rows.push(row("interp", shape, iters, job, &|recs| {
             Interp::new(&spec)

@@ -11,8 +11,8 @@
 //! ```
 //!
 //! Boxes also report abstract *work* ([`Work`]) so that the cluster
-//! simulator can charge virtual CPU time for their execution; on the real
-//! threaded runtime the work value is simply recorded by the tracer.
+//! simulator can charge virtual CPU time for their execution; on the
+//! scheduled engine the work value is simply recorded by the tracer.
 
 use crate::error::SnetError;
 use crate::fault::FailurePolicy;

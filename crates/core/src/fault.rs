@@ -5,9 +5,9 @@
 //! not inside boxes. This module is that principle applied to failures:
 //! what happens when a component cannot process a record is a property
 //! of the *network configuration* ([`FailurePolicy`]), not of the box
-//! code, and every engine (threaded, scheduled, interpreter) resolves
-//! it through the same [`policy_step`] helper so the engines cannot
-//! drift apart on failure semantics.
+//! code, and every engine (scheduled, interpreter, simulated cluster)
+//! resolves it through the same [`policy_step`] helper so the engines
+//! cannot drift apart on failure semantics.
 //!
 //! The three policies:
 //!

@@ -1,6 +1,6 @@
 //! Compilation: one walk from the topology as written ([`NetSpec`]) to
-//! the shared tree the concurrent engines execute ([`Node`]), and the
-//! one way a box or filter is run ([`ChainRunner`]).
+//! the shared tree the engine and the simulator execute ([`Node`]), and
+//! the one way a box or filter is run ([`ChainRunner`]).
 //!
 //! Boxes and filters are stateless SISO components, and serial
 //! composition of stateless components is function composition:
@@ -64,7 +64,7 @@ pub enum ChainStage {
     Filter(FilterSpec),
 }
 
-/// The compiled topology: what the concurrent engines keep per network
+/// The compiled topology: what the engine keeps per network
 /// and instantiate every run from. Immutable and shared — each leaf and
 /// each replicating combinator sits behind an `Arc`, so creating a
 /// component (at `start`, or when a star or split unfolds mid-run)

@@ -24,16 +24,15 @@
 //!   parallel `|`, serial replication `*`, parallel replication `!`) plus
 //!   the Distributed S-Net placement combinators `@` and `!@`.
 //! * **Compilation** ([`fusion`]) — the one walk from a [`NetSpec`] to
-//!   the shared tree the concurrent engines instantiate, fusing serial
-//!   runs of boxes and filters into single components on the way.
+//!   the shared tree the engine and the simulator instantiate, fusing
+//!   serial runs of boxes and filters into single components on the way.
 //!
 //! The crate is engine-agnostic: the per-record small-step semantics live
 //! in [`semantics`] as pure functions, and a network has exactly two
 //! operational readings of them — the deterministic reference
 //! interpreter (the oracle) and the component step of `snet-runtime`,
-//! which the threaded engine, the scheduled engine and the
-//! discrete-event cluster simulator (`snet-dist`) all drive, each over
-//! its own transport.
+//! which the scheduled engine and the discrete-event cluster simulator
+//! (`snet-dist`) both drive, each over its own transport.
 
 pub mod boxdef;
 pub mod diag;

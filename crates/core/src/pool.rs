@@ -19,7 +19,7 @@
 //! spill** behind a mutex for cross-thread imbalance (e.g. buffers
 //! retired on the caller thread by `SchedHandle` but taken on workers).
 //! Both tiers are capacity-capped, and buffers whose retained element
-//! capacity exceeds [`MAX_RETAINED_CAP`] are dropped rather than pooled
+//! capacity exceeds `MAX_RETAINED_CAP` (4096) are dropped rather than pooled
 //! so a one-off giant batch cannot pin its memory forever. Everything
 //! is best-effort: a miss simply allocates, a full pool simply drops,
 //! so correctness never depends on the pool.

@@ -26,7 +26,7 @@
 //! step semantics. An insert whose label sorts after every pair present
 //! — every first insert, and a record built in ascending id order —
 //! appends without a search. And a component that keeps its own labels
-//! as id-sorted arrays ([`crate::BoxDef`] does) matches a record
+//! as id-sorted arrays ([`crate::boxdef::BoxDef`] does) matches a record
 //! (`covers`) and takes an *owned* record apart (`split_off`,
 //! `absorb_owned`) by merging integers and moving values, where the
 //! borrowed forms ([`Record::project`], [`Record::without`],

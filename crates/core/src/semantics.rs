@@ -1,8 +1,8 @@
 //! Engine-agnostic small-step semantics.
 //!
-//! The threaded runtime, the deterministic reference interpreter and the
-//! discrete-event cluster engine all drive records through components by
-//! calling these pure functions, so the three engines cannot drift apart
+//! The scheduled engine, the deterministic reference interpreter and the
+//! discrete-event cluster simulator all drive records through components
+//! by calling these pure functions, so the three cannot drift apart
 //! semantically. Each function maps *one* input record to the records a
 //! component emits in response, plus the abstract work performed.
 //!

@@ -178,8 +178,8 @@ impl NetSpec {
 
     /// Whether any record can be diverted to the dead-letter stream
     /// when this network runs under `engine_policy`: true iff the
-    /// engine default is [`FailurePolicy::DeadLetter`] or some box
-    /// overrides its policy to it. Engines use this to size (or skip)
+    /// engine default is [`crate::FailurePolicy::DeadLetter`] or some
+    /// box overrides its policy to it. Engines use this to size (or skip)
     /// per-run dead-letter plumbing — a network that provably never
     /// diverts needs no buffer.
     pub fn diverts_under(&self, engine_policy: crate::fault::FailurePolicy) -> bool {

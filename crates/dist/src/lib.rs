@@ -8,8 +8,8 @@
 //! `Component::step`, `end_of_stream` — so failure policy, panic
 //! containment, best-match dispatch, lazy unfolding and every trace
 //! counter are `snet_runtime::component`'s own code. This crate is the
-//! third `Transport` under it, beside the threaded engine's channels
-//! and the scheduled engine's mailboxes, and adds exactly two things:
+//! second `Transport` under it, beside the scheduled engine's tasks and
+//! mailboxes, and adds exactly two things:
 //!
 //! * **where** — the Distributed S-Net placement combinators: `A @ n`
 //!   starts the subtree's processes on node `n`, `A !@ <tag>` starts
@@ -133,8 +133,8 @@ pub struct RunResult {
 /// A shared-ownership sender onto a component's input stream.
 ///
 /// Closes the underlying queue when the *last* sender closes — the
-/// discrete-event equivalent of dropping the last `Sender` clone in the
-/// threaded engine.
+/// discrete-event equivalent of a scheduled task's sender count
+/// reaching zero.
 struct Tx {
     q: SimQueue<Record>,
     senders: Arc<AtomicUsize>,
@@ -316,9 +316,9 @@ impl Transport for Sim<'_> {
     }
 }
 
-/// A simulated process's body — the threaded engine's component loop
-/// over a [`SimQueue`]: step every input record until the input closes
-/// or the run aborts, then close the outputs.
+/// A simulated process's body, a component loop over a [`SimQueue`]:
+/// step every input record until the input closes or the run aborts,
+/// then close the outputs.
 fn run_component(
     mut comp: Component<Tx>,
     input: SimQueue<Record>,

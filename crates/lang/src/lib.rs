@@ -5,10 +5,11 @@
 //! (`net … { … } connect …`), filters, synchrocells, the four network
 //! combinators and the Distributed S-Net placement combinators.
 //!
-//! Modules: [`lexer`] → [`token`]s → [`parser`] → [`ast`] → [`compile`]
-//! (against a [`registry`] of box implementations) → `snet_core::NetSpec`,
-//! and [`printer`] back to source. Static checking of the compiled
-//! topology is not done here: `snet-analyze` is the one checker.
+//! Modules: [`lexer`] → [`token`]s → [`parser`] → [`ast`] →
+//! [`compile`](mod@compile) (against a [`registry`] of box
+//! implementations) → `snet_core::NetSpec`, and [`printer`] back to
+//! source. Static checking of the compiled topology is not done here:
+//! `snet-analyze` is the one checker.
 //!
 //! ```
 //! use snet_lang::{compile, BoxRegistry};

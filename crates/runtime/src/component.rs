@@ -1,22 +1,21 @@
-//! The component layer every engine shares: what a chain (the one
-//! stateless leaf: a run of one or more boxes and filters), a
+//! The component layer the engine and the simulator share: what a chain
+//! (the one stateless leaf: a run of one or more boxes and filters), a
 //! synchrocell, a parallel dispatcher, a star tap or a split dispatcher
 //! does to one record, written once over an abstract [`Transport`].
 //!
-//! An engine contributes only the transport — what a port is, how a
-//! record is put on one, and how a component gets something to run on.
-//! There are three: [`crate::engine`]'s `Wire` (a thread, a channel
-//! sender), [`crate::sched`]'s `TaskCx` (a scheduler task, a mailbox)
-//! and `snet-dist`'s simulated cluster (a discrete-event process on a
-//! named node, a queue whose sends cost virtual time). Everything
-//! semantic lives here: the failure policy around each step, the trace
-//! counters, best-match dispatch, and the lazy unfolding of star and
-//! split replicas. This is the only code outside the interpreter that
-//! calls [`ChainRunner`] (which owns the failure policy around every box
-//! and filter step), [`fault::reject`], [`semantics::best_branch`] or
-//! bumps a [`Trace`] counter, so the engines cannot drift apart on what
-//! a component does — and a simulated run of a topology agrees with a
-//! real one on every count by construction.
+//! A transport contributes only what a port is, how a record is put on
+//! one, and how a component gets something to run on. There are two:
+//! the scheduled engine's `TaskCx` (`sched::task`: a scheduler task, a
+//! mailbox) and `snet-dist`'s simulated cluster (a discrete-event
+//! process on a named node, a queue whose sends cost virtual time).
+//! Everything semantic lives here: the failure policy around each step,
+//! the trace counters, best-match dispatch, and the lazy unfolding of
+//! star and split replicas. This is the only code outside the
+//! interpreter that calls [`ChainRunner`] (which owns the failure policy
+//! around every box and filter step), [`fault::reject`],
+//! [`semantics::best_branch`] or bumps a [`Trace`] counter, so a
+//! simulated run of a topology agrees with a real one on every count by
+//! construction (`tests/sim_vs_engine.rs` checks it).
 //!
 //! The module is `pub` but hidden: the seam ([`Transport`],
 //! [`Component`], [`build`], with [`crate::run::Run`] and
@@ -55,7 +54,7 @@
 //! `tests/alloc_steady.rs`, timed by `bench_unfold`).
 //!
 //! [`crate::Interp`] deliberately does not use the tree: it is the
-//! reference the engines are tested against, so it stays an independent
+//! reference the engine is tested against, so it stays an independent
 //! implementation that walks the `NetSpec` itself.
 
 use crate::config::EngineConfig;
@@ -72,7 +71,7 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// The seam between the component semantics and an engine.
+/// The seam between the component semantics and what carries records.
 pub trait Transport {
     /// A sending handle onto one component's input stream. End of
     /// stream is every port onto it having been closed (how is the
@@ -90,8 +89,8 @@ pub trait Transport {
     fn send(&mut self, port: &mut Self::Port, rec: Record);
 
     /// Runs `build` with its spawns placed on `node` (`A @ node`, or a
-    /// `!@` replica's tag value). The local engines have one node:
-    /// placement is inert and neither overrides this.
+    /// `!@` replica's tag value). The local engine has one node:
+    /// placement is inert and it does not override this.
     fn at<R>(&mut self, _node: i64, build: impl FnOnce(&mut Self) -> R) -> R {
         build(self)
     }
@@ -324,9 +323,9 @@ impl<P> Component<P> {
         }
     }
 
-    /// A short name for the component instance (thread names). A chain
-    /// is named for what is in it: its one stage, or its ends and
-    /// length; a tap that runs a head, for that chain.
+    /// A short name for the component instance (the simulator's process
+    /// names). A chain is named for what is in it: its one stage, or its
+    /// ends and length; a tap that runs a head, for that chain.
     pub fn label(&self) -> String {
         match &self.kind {
             Kind::Chain(stages) => chain_label(stages),

@@ -1,7 +1,7 @@
-//! Engine configuration and the construction-time work both concurrent
-//! engines share: the structural pre-flight, the entry-typed veto and
-//! compilation (fusion included) happen once, in [`Plan`], whichever
-//! engine then runs the plan.
+//! Engine configuration and the construction-time work every run shares:
+//! the structural pre-flight, the entry-typed veto and compilation
+//! (fusion included) happen once, in [`Plan`], whether the scheduled
+//! engine or the simulated cluster then runs the plan.
 //!
 //! The plan's executable form is one shared, immutable tree
 //! ([`snet_core::fusion::Node`], compiled straight from the topology as
@@ -25,42 +25,40 @@ use std::time::{Duration, Instant};
 /// draining at output cadence never sees overflow.
 const DEAD_CAPACITY_FACTOR: usize = 16;
 
-/// Engine tuning knobs (shared by the threaded and scheduled engines;
-/// each engine reads the knobs that apply to it). Each field's last doc
-/// line names who needs a value other than the default — the audit that
-/// keeps a knob a knob.
+/// Engine tuning knobs. Each field's last doc line names who needs a
+/// value other than the default — the audit that keeps a knob a knob.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
-    /// Capacity of every inter-component channel. Bounded channels give
-    /// backpressure ("throttling" in the paper's list of coordination
-    /// concerns); 0 would mean rendezvous, which deadlocks multi-output
-    /// filters feeding themselves through a star, so the minimum is 1.
-    /// The scheduled engine derives its mailbox high-water mark from
-    /// this value.
-    /// Non-default: `sched_streaming` and `pipeline_integration` (1), `memory_soak`.
+    /// Records a streaming run holds at its ends: the entry mailbox
+    /// ([`crate::Handle::send`] waits beyond it) and the output channel
+    /// (the sink holds back beyond it); 16× it in the dead-letter
+    /// channel of a net that can divert. Every other mailbox's
+    /// high-water mark, past which its producer stops consuming, is 16×
+    /// it too. Bounds give backpressure
+    /// ("throttling" in the paper's list of coordination concerns); the
+    /// minimum is 1.
+    /// Non-default: `sched_streaming`, `pipeline_integration` and the engine suite at `fine_grain` (1), `memory_soak`.
     pub channel_capacity: usize,
     /// What to do when a record reaches a component it cannot match.
     /// Non-default: the engine suite's `strict_mismatch_policy_errors` (`Error`).
     pub mismatch: MismatchPolicy,
-    /// Worker threads in the scheduled engine's pool
-    /// ([`crate::SchedNet`]); the threaded engine ignores it (its
-    /// thread count is the component count).
+    /// Worker threads in the network's pool ([`crate::SchedNet`]),
+    /// whatever the number of components.
     /// Default: the CPUs available to the process, at most 4.
     /// Non-default: every `benchmark/` workload (T or T−1), `sched_stress`, `bench_engines` (1: CPU time per step).
     pub workers: usize,
-    /// Records coalesced per mailbox hand-off in the scheduled engine:
-    /// a task's activation buffers up to this many records per output
-    /// edge and pushes them downstream with a single lock acquisition
-    /// and a single consumer wake; input mailboxes are drained at the
-    /// same granularity. `1` restores record-at-a-time hand-off
-    /// (bit-identical scheduling to the pre-batching engine). The
-    /// threaded engine hands off per record regardless, one channel
-    /// `send` each. Default 32, and it shows: `route_stream`, the
-    /// `benchmark/` workload that hands off at every stage, reads
-    /// ≈1.45× the `throughput_per_s` of a build whose default is 1.
+    /// Records coalesced per mailbox hand-off: a task's activation
+    /// buffers up to this many records per output edge and pushes them
+    /// downstream with a single lock acquisition and a single consumer
+    /// wake; input mailboxes are drained at the same granularity. `1`
+    /// restores record-at-a-time hand-off (bit-identical scheduling to
+    /// the pre-batching engine). Default 32, and it shows:
+    /// `route_stream`, the `benchmark/` workload that hands off at every
+    /// stage, reads ≈1.45× the `throughput_per_s` of a build whose
+    /// default is 1.
     /// No caller needs another value; the field stays because the
     /// frozen `benchmark/` names it.
-    /// Non-default: `engine_vs_interp` (batched == unbatched == interp); `benchmark/` reads it.
+    /// Non-default: `engine_vs_interp` (batched == unbatched == interp), the engine suite at `fine_grain` (1); `benchmark/` reads it.
     pub batch: usize,
     /// Engine-wide failure policy; individual boxes may override it
     /// via [`snet_core::boxdef::BoxDef::with_policy`]. Default
@@ -77,8 +75,8 @@ pub struct EngineConfig {
     /// The grain of the compiled network
     /// ([`snet_core::fusion::compile`]): `true` (default) puts every
     /// maximal static run of boxes/filters in one component, `false`
-    /// gives each box and filter its own (one task/thread per
-    /// primitive, the topology exactly as written). Either way a leaf
+    /// gives each box and filter its own (one task per primitive, the
+    /// topology exactly as written). Either way a leaf
     /// runs through the same chain step, so the choice moves what a
     /// run builds and how far a record travels — `components_built`,
     /// mailbox hops per record, resident tasks — and nothing
@@ -87,7 +85,7 @@ pub struct EngineConfig {
     /// switch: a hop saved is worth ≈160 ns, and on deep pipelines of
     /// trivial boxes fused reads about the same as unfused once
     /// records carry an inherited tag (ROADMAP).
-    /// Non-default: `fusion_equivalence`, `alloc_steady`, `memory_soak`, `benchmark/`'s `runtime.sched.hop_ns` row.
+    /// Non-default: `fusion_equivalence`, `engine_vs_interp`, the engine suite at `fine_grain`, `alloc_steady`, `memory_soak`, `benchmark/`'s `runtime.sched.hop_ns` row.
     pub fuse: bool,
 }
 
@@ -116,8 +114,8 @@ fn default_workers() -> usize {
 }
 
 /// A topology prepared for execution: what [`crate::Network`] hands its
-/// engine on every run. Built once per network, identically for both
-/// engines.
+/// engine on every run, and what `snet-dist` simulates. Built once per
+/// network.
 pub struct Plan {
     /// The topology as the caller wrote it.
     pub(crate) spec: NetSpec,

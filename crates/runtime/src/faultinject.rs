@@ -4,8 +4,8 @@
 //! on a reproducible, **content-keyed** schedule: whether a record
 //! triggers a fault is a pure function of the harness seed and the
 //! record's own fields and tags. That makes the schedule independent of
-//! engine scheduling order — the interpreter, the threaded engine and
-//! the work-stealing engine all see the *same* records fault, no matter
+//! engine scheduling order — the interpreter, the scheduled engine and
+//! the simulated cluster all see the *same* records fault, no matter
 //! how their activations interleave — which is what makes cross-engine
 //! parity assertions possible at all.
 //!

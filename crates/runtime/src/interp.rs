@@ -1,14 +1,14 @@
 //! The deterministic reference interpreter.
 //!
 //! A single-threaded, depth-first executable semantics for S-Net
-//! networks. Where the threaded engine is free to interleave (parallel
+//! networks. Where the scheduled engine is free to interleave (parallel
 //! merge order, tie-breaks), the interpreter fixes every choice:
 //! records are processed one at a time to completion, parallel ties go
 //! to the first-declared branch, and the outputs of a component are
 //! propagated in emission order.
 //!
 //! The interpreter is the oracle for the engine's property tests — for
-//! any network and input batch, the threaded engine must produce the
+//! any network and input batch, the scheduled engine must produce the
 //! same output *multiset* (order may differ because the paper specifies
 //! arrival-order, i.e. nondeterministic, merging).
 
@@ -39,7 +39,7 @@ pub struct InterpResult {
 /// Per-run fault state threaded through every [`Node::feed`]: the
 /// engine-level policy, the dead-letter sequence allocator, and the
 /// letters diverted so far (deterministic order — the interpreter is
-/// the oracle for the concurrent engines' dead-letter *multiset*).
+/// the oracle for the scheduled engine's dead-letter *multiset*).
 struct FaultCtx {
     policy: FailurePolicy,
     seq: AtomicU64,
@@ -53,7 +53,7 @@ pub struct Interp {
     work: Work,
     faults: FaultCtx,
     deadline: Option<Duration>,
-    /// Fixed at the first `feed`, mirroring the concurrent engines
+    /// Fixed at the first `feed`, mirroring the scheduled engine
     /// (whose clock starts at `start()`).
     deadline_at: Option<Instant>,
 }
@@ -214,8 +214,8 @@ impl Node {
         match self {
             Node::Box(def) => {
                 // `policy_step` contains panics and applies the failure
-                // policy, exactly like the concurrent engines — the
-                // oracle must agree with them on error paths too.
+                // policy, exactly like the component step — the
+                // oracle must agree with it on error paths too.
                 let p = def.effective_policy(faults.policy);
                 match fault::policy_step(p, &def.sig.name, &faults.seq, rec, |r| {
                     semantics::box_step(def, r, policy)

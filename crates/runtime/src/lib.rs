@@ -1,27 +1,16 @@
 //! # snet-runtime — executing S-Net networks
 //!
-//! Three engines over the same [`snet_core::NetSpec`] topology and the
+//! Two engines over the same [`snet_core::NetSpec`] topology and the
 //! same shared small-step semantics ([`snet_core::semantics`]), so they
 //! cannot drift apart on what a component does to a record:
 //!
-//! * [`Net`] — the **threaded engine**: every component instance is an
-//!   asynchronous OS thread connected by bounded channels, exactly the
-//!   paper's model of "asynchronously executed, stateless
-//!   stream-processing components" (§III). End-of-stream is channel
-//!   disconnect; parallel merge is arrival-order (nondeterministic, as
-//!   specified); serial replication unfolds lazily. It is kept as the
-//!   *executable rendering of the paper's model* and as the second,
-//!   independent `Transport` under the equivalence suites — what
-//!   `Component` does is proved engine-independent by running it over
-//!   two transports that share nothing. It is in no performance gate
-//!   and no `benchmark/` workload: a thread per component is ≈100× the
-//!   interpreter per star unfolding (`BENCH_unfold.json`, reported
-//!   there ungated), and nobody would run it for speed.
-//!
-//! * [`SchedNet`] — the **scheduled engine**: the same component graph
-//!   as lightweight tasks multiplexed over a **persistent**
+//! * [`SchedNet`] — the **scheduled engine**: the paper's
+//!   "asynchronously executed, stateless stream-processing components"
+//!   (§III) as lightweight tasks multiplexed over a **persistent**
 //!   work-stealing worker pool ([`EngineConfig::workers`]; default: the
-//!   available CPUs, at most 4).
+//!   available CPUs, at most 4). Parallel merge is arrival-order
+//!   (nondeterministic, as specified) and serial replication unfolds
+//!   lazily.
 //!   The pool spawns on the first run and lives until the `SchedNet`
 //!   drops, so consecutive batches and any number of streaming runs
 //!   reuse the same OS threads — no per-call spawn/join. A component
@@ -30,32 +19,34 @@
 //!   completion is wake-driven (the sink's finalization signals the
 //!   driver — no polling). Outputs stream out of a bounded channel as
 //!   the sink produces them, so a slow consumer throttles the whole
-//!   network instead of buffering unboundedly. This is the default
-//!   choice for compute-bound workloads.
+//!   network instead of buffering unboundedly.
 //!
 //! * [`Interp`] — the **deterministic reference interpreter**:
 //!   single-threaded, FIFO scheduling, first-declared tie-breaks. It is
-//!   the executable semantics used as an oracle in property tests (both
-//!   concurrent engines must produce the same output *multiset* on
+//!   the executable semantics used as an oracle in property tests (the
+//!   scheduled engine must produce the same output *multiset* on
 //!   confluent networks, batch or streamed), and deliberately an
 //!   independent implementation. Use it for debugging and as ground
 //!   truth — never for performance.
 //!
-//! ## One engine core, three transports
+//! ## One component step, two transports
 //!
-//! The two concurrent engines are one [`Network`] front end over an
-//! [`Engine`]: construction ([`config`]: pre-flight analysis,
-//! entry-typed veto, compilation), the per-run control block (`run`: first error,
-//! abort flag, deadline, dead letters, trace), the component step
-//! (`component`: failure policy, dispatch, lazy unfolding, counters)
-//! and the streaming [`Handle`] are each written once. An engine adds
-//! only a *transport* — what a port is, and what a component runs on.
-//! The third transport is outside this crate: `snet-dist` puts the same
-//! plan, run block and component step on `snet-simnet`'s discrete-event
-//! cluster, where a port's `send` costs virtual time and a `spawn`
-//! lands on the node the placement combinators name. So a network has
-//! two operational readings, not one per substrate: [`Interp`], and
-//! `component` over whichever transport carries the records.
+//! The scheduled engine is written in layers: construction ([`config`]:
+//! pre-flight analysis, entry-typed veto, compilation), the per-run
+//! control block (`run`: first error, abort flag, deadline, dead
+//! letters, trace), the component step (`component`: failure policy,
+//! dispatch, lazy unfolding, counters) and the streaming [`Handle`].
+//! Under the component step sits a *transport* — what a port is, and
+//! what a component runs on. This crate has one, the scheduler's tasks
+//! and mailboxes. The second is outside it: `snet-dist` puts the same
+//! plan, run block and component step on `snet-simnet`'s
+//! discrete-event cluster, where a port's `send` costs virtual time and
+//! a `spawn` lands on the node the placement combinators name. So a
+//! network has two operational readings, not one per substrate:
+//! [`Interp`], and `component` over whichever transport carries the
+//! records; `tests/sim_vs_engine.rs` holds the simulated cluster to
+//! [`SchedNet`] count for count, which is what proves the step does not
+//! depend on its transport.
 //! Each module below owns one protocol; where the protocol is
 //! concurrent, the `snet-check` model that proves it is named beside
 //! it (`crates/check/tests/`):
@@ -65,12 +56,11 @@
 //! | [`config`] | [`EngineConfig`]; `Plan`: pre-flight and entry-typed veto on the topology as written, then [`snet_core::fusion::compile`] (fusion is part of it), once per network | — (sequential) |
 //! | `run` | one run's first-error slot, abort flag, deadline, dead-letter stream: `fail` / `should_stop` / `divert` | — (a mutex and a flag; raced by `fault_tolerance.rs`) |
 //! | `component` | what is per instance: what one record does to one component, over an abstract `Transport`; back-to-front `build` of a component graph from the compiled tree | — (sequential per component; pinned to [`Interp`] by `engine_vs_interp.rs`, `fusion_equivalence.rs`) |
-//! | [`handle`] | the streaming handle: egress, cancel, finish, over an engine's [`Ingress`] | — |
-//! | [`engine`] | threaded transport: a thread per component, ports are channel senders, end-of-stream is disconnect | — (`std::sync::mpsc`) |
+//! | [`handle`] | the streaming [`Handle`]'s egress (outputs, dead letters), cancel and finish | — |
 //! | `snet-dist` (its own crate, over the hidden `component`/`run` seam) | simulated-cluster transport: a discrete-event process per component on the node `@`/`!@` names, ports are sender-counted `SimQueue`s, `send` charges glue ops and wire bytes, a step's box work occupies the node before its outputs leave | — (the kernel runs one process at a time; pinned to [`SchedNet`] count for count by `tests/sim_vs_engine.rs`) |
 //! | `sched::pool` | the run queues (one shared, one per worker: mutex-guarded `VecDeque`s, steal-half), `notify` / `park` (lock-then-notify, sleeper gate, re-probe of every queue), deferral heap | `mailbox.rs` (wake protocol; the queues are a lock around a std container, unit- and churn-tested beside them) |
-//! | `sched::task` | mailbox, sender-refcount end-of-stream (in place when the task is idle and drained, else by activation), one activation: drain → step → flush → finalize; backpressure and backoff | `mailbox.rs` (the `scheduled` flag hand-off), `eos_inplace.rs` (last close vs. a racing send and a queued activation) |
-//! | [`sched`] | worker pool lifetime, batch driver, bounded mailbox ingress, the sink's completion latch | `sink_latch.rs` |
+//! | `sched::task` | the task transport: mailbox, sender-refcount end-of-stream (in place when the task is idle and drained, else by activation), one activation: drain → step → flush → finalize; backpressure and backoff | `mailbox.rs` (the `scheduled` flag hand-off), `eos_inplace.rs` (last close vs. a racing send and a queued activation) |
+//! | `sched` | worker pool lifetime, batch driver, the handle's bounded mailbox ingress, the sink's completion latch | `sink_latch.rs` |
 //!
 //! ## The compiled plan, and what an instance costs
 //!
@@ -100,15 +90,15 @@
 //! that is mid-activation or still has input, and always the sink, is
 //! queued and finalizes in an activation as before — that remains the
 //! general case, not an option. [`Trace`]'s `components_built` and
-//! `components_finalized` are equal after every run on both engines,
-//! however it ended: no instance is skipped or retired twice.
+//! `components_finalized` are equal after every run, on the engine and
+//! on the simulated cluster, however it ended: no instance is skipped
+//! or retired twice.
 //!
-//! The streaming API is the same on both engines — `start()` returns a
-//! [`Handle`] with `send` / `try_send` / `send_all` / `recv` /
-//! `close_input` / `cancel` / `finish` — and ingress is bounded on
-//! both: `send` blocks (and `try_send` reports `Full`) once
-//! [`EngineConfig::channel_capacity`] records are resident at the
-//! entry.
+//! Besides batches, a network streams: `start()` returns a [`Handle`]
+//! with `send` / `try_send` / `send_all` / `recv` / `close_input` /
+//! `cancel` / `finish`, and ingress is bounded: `send` blocks (and
+//! `try_send` reports `Full`) once [`EngineConfig::channel_capacity`]
+//! records are resident at the entry.
 //!
 //! ## Batched hand-off ([`EngineConfig::batch`])
 //!
@@ -151,11 +141,11 @@
 //! Fusion is a step of compilation, not a topology: a [`NetSpec`] is
 //! always the network as written — that is what [`Interp`],
 //! `snet-analyze` and the printer read, and none of them ever sees a
-//! chain — while the tree both concurrent engines compile it into
+//! chain — while the tree the engine compiles it into
 //! ([`snet_core::fusion::compile`]) has one kind of stateless leaf, the
 //! `Node::Chain`: a serial run of one or more boxes and filters executed
-//! as one component (one scheduler task, one thread on the threaded
-//! engine), each activation running its records through *all* stages
+//! as one component (one scheduler task), each activation running its
+//! records through *all* stages
 //! back-to-back with no mailbox hop, lock or wake between them. `fuse`
 //! picks the **grain** and nothing else: on (the default), every
 //! maximal static SISO run — single input, single output, no
@@ -197,7 +187,7 @@
 //!
 //! ## Failure semantics
 //!
-//! Every engine runs each component step under a [`FailurePolicy`] —
+//! Both engines run each component step under a [`FailurePolicy`] —
 //! the engine-wide default is [`EngineConfig::policy`], overridable per
 //! box with [`BoxDef::with_policy`](snet_core::boxdef::BoxDef::with_policy):
 //!
@@ -214,7 +204,7 @@
 //! `DeadLetter` the outputs plus the diverted records partition the
 //! input-derived record set — nothing is silently dropped. **Ordering
 //! caveat:** the stream is ordered by divert time, which on the
-//! concurrent engines is a race between components; only
+//! scheduled engine is a race between components; only
 //! per-component subsequences (and [`FailureReport::seq`] within one
 //! run) are deterministic. The streaming dead-letter channel is
 //! bounded; a consumer that never drains it while diversions pile up
@@ -225,8 +215,7 @@
 //! path `finish()` reports [`SnetError::Cancelled`] /
 //! [`SnetError::DeadlineExceeded`], outputs already produced stay
 //! retrievable (`recv` keeps draining until the output stream
-//! disconnects), and the scheduled engine's worker pool stays healthy
-//! and reusable — a later run on the same `SchedNet` spawns no new
+//! disconnects), and the worker pool stays healthy and reusable — a later run on the same `SchedNet` spawns no new
 //! workers. Cancellation points are activation boundaries (plus the
 //! batch stride inside long drains), so a box body is never
 //! interrupted mid-call: a stalled box delays detection but cannot
@@ -237,8 +226,8 @@
 //!
 //! ## Static analysis
 //!
-//! Both concurrent engines check the topology with `snet-analyze`
-//! before executing it, at two levels of precision:
+//! The engine checks the topology with `snet-analyze` before
+//! executing it, at two levels of precision:
 //!
 //! * **Structural pre-flight** (always on): [`Network::with_config`]
 //!   runs the analyzer's shape-free structural pass — one walk over
@@ -247,7 +236,7 @@
 //!   population: today a star whose exit pattern matches every record
 //!   (SNA007; its body could never run). Placement range (SNA006) is
 //!   part of the same pass but needs a node count, which the local
-//!   engines — they ignore `@` — do not have; whoever targets a
+//!   engine — it ignores `@` — does not have; whoever targets a
 //!   cluster calls `snet_analyze::analyze_open` with
 //!   `AnalyzeConfig::nodes` set. A finding is kept in
 //!   [`Network::preflight_diagnostics`] and reported as
@@ -370,12 +359,12 @@
 //! same ceiling is what `chain_stream`'s and `route_stream`'s
 //! `peak_rss_bytes` bound in `benchmark/`.
 //!
-//! ## One API, two engines
+//! ## Batch, stream, oracle
 //!
 //! ```
 //! use snet_core::{NetSpec, Record, Value, BoxOutput, Work};
 //! use snet_core::boxdef::{BoxDef, BoxSig};
-//! use snet_runtime::{Engine, Net, Network, SchedNet};
+//! use snet_runtime::{Interp, SchedNet};
 //!
 //! let double = NetSpec::Box(BoxDef::from_fn(
 //!     BoxSig::parse("double", &["x"], &[&["x"]]),
@@ -384,17 +373,20 @@
 //!         Ok(BoxOutput::one(Record::new().with_field("x", Value::Int(2 * x)), Work::ZERO))
 //!     },
 //! ));
+//! let x = |v: i64| Record::new().with_field("x", Value::Int(v));
+//! let net = SchedNet::new(double.clone());
 //!
-//! // The same streaming code drives either engine:
-//! fn stream_one<E: Engine>(net: &Network<E>, x: i64) -> i64 {
-//!     let h = net.start();
-//!     h.send(Record::new().with_field("x", Value::Int(x))).unwrap();
-//!     let out = h.recv().expect("one output");
-//!     h.finish().unwrap();
-//!     out.field("x").unwrap().as_int().unwrap()
-//! }
-//! assert_eq!(stream_one(&Net::new(double.clone()), 21), 42);   // thread per component
-//! assert_eq!(stream_one(&SchedNet::new(double), 21), 42);      // persistent worker pool
+//! // A live stream on the persistent worker pool:
+//! let h = net.start();
+//! h.send(x(21)).unwrap();
+//! let out = h.recv().expect("one output");
+//! h.finish().unwrap();
+//! assert_eq!(out.field("x").unwrap().as_int(), Some(42));
+//!
+//! // A batch, and the reference interpreter on the same input:
+//! let outs = net.run_batch(vec![x(4)]).unwrap();
+//! let oracle = Interp::new(&double).run_batch(vec![x(4)]).unwrap();
+//! assert_eq!(format!("{outs:?}"), format!("{:?}", oracle.outputs));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -402,20 +394,25 @@
 #[doc(hidden)]
 pub mod component;
 pub mod config;
-pub mod engine;
 pub mod faultinject;
 pub mod handle;
 pub mod interp;
 #[doc(hidden)]
 pub mod run;
-pub mod sched;
+mod sched;
 #[cfg(test)]
 mod suite;
 pub mod trace;
+/// The engine suite again at [`suite::fine_grain`], with the pins on
+/// the labels components are named by.
+#[cfg(test)]
+mod engine {
+    mod tests;
+}
 
 pub use config::EngineConfig;
 pub use faultinject::{chaos, chaos_with_stats, ChaosStats, FaultKind, FaultSpec};
-pub use handle::{Handle, Ingress, TrySendError};
+pub use handle::{Handle, TrySendError};
 pub use interp::{Interp, InterpResult};
 pub use trace::Trace;
 
@@ -443,54 +440,33 @@ pub struct RunReport {
     pub trace: Arc<Trace>,
 }
 
-/// An execution engine: what turns a prepared topology into running
-/// components. Implemented by [`engine::Threaded`] (a thread per
-/// component) and [`sched::Scheduled`] (tasks on a persistent worker
-/// pool); used through [`Network`], which tests, benchmarks and
-/// applications parameterize over the engine.
-pub trait Engine: Sized {
-    /// The ingress half of the engine's streaming [`Handle`].
-    type Ingress: Ingress;
-
-    /// Engine name for labels in tests and benchmark output.
-    const NAME: &'static str;
-
-    /// An engine for networks configured by `config`.
-    fn new(config: &EngineConfig) -> Self;
-
-    /// Instantiates `plan` and returns a streaming handle onto the run.
-    fn start(&self, plan: &Plan) -> Handle<Self::Ingress>;
-
-    /// Runs `records` through a fresh instance of `plan` to completion.
-    fn run_batch_report(&self, plan: &Plan, records: Vec<Record>) -> Result<RunReport, SnetError>;
-}
-
-/// A compiled network ready to execute records on engine `E`.
+/// A compiled network ready to execute records on the scheduled engine:
+/// component tasks multiplexed over a persistent work-stealing worker
+/// pool.
 ///
 /// A `Network` is reusable: every [`Network::start`] (or
 /// [`Network::run_batch`]) call instantiates a fresh set of components.
-/// Synchrocell and replication state never leaks between runs. What an
-/// engine keeps *between* runs is its own business — the scheduled
-/// engine's worker pool spawns lazily on the first run and lives until
-/// the network drops, so consecutive runs reuse the same OS threads.
-pub struct Network<E: Engine> {
+/// Synchrocell and replication state never leaks between runs. What
+/// lives *between* runs is the worker pool: it spawns lazily on the
+/// first run and lives until the network drops, so consecutive runs
+/// reuse the same OS threads.
+pub struct Network {
     plan: Plan,
-    engine: E,
+    engine: sched::Scheduled,
 }
 
-/// A network on the **threaded engine**: every component instance is an
-/// OS thread, connected by bounded channels (see [`engine`]).
-pub type Net = Network<engine::Threaded>;
-/// A network on the **scheduled engine**: component tasks multiplexed
-/// over a persistent work-stealing worker pool (see [`sched`]).
-pub type SchedNet = Network<sched::Scheduled>;
-/// A running instance of a [`Net`].
-pub type NetHandle = Handle<engine::ChannelIngress>;
-/// A running instance of a [`SchedNet`]; adds
-/// [`input_backlog`](Handle::input_backlog).
-pub type SchedHandle = Handle<sched::MailboxIngress>;
+/// The name callers use for a [`Network`].
+pub type SchedNet = Network;
+/// A running instance of a [`SchedNet`].
+pub type SchedHandle = Handle;
+/// `benchmark/src/ledger.rs` still builds a `Net` (its traced-only
+/// `runtime.engine.batch256_us` row, which therefore prices the
+/// scheduled engine); the `benchmark/` refresh ROADMAP lists deletes
+/// this alias.
+#[doc(hidden)]
+pub type Net = SchedNet;
 
-impl<E: Engine> Network<E> {
+impl Network {
     /// Wraps a topology with default configuration.
     pub fn new(spec: NetSpec) -> Self {
         Self::with_config(spec, EngineConfig::default())
@@ -499,7 +475,7 @@ impl<E: Engine> Network<E> {
     /// Wraps a topology with explicit configuration.
     pub fn with_config(spec: NetSpec, config: EngineConfig) -> Self {
         Network {
-            engine: E::new(&config),
+            engine: sched::Scheduled::new(&config),
             plan: Plan::new(spec, config),
         }
     }
@@ -518,13 +494,8 @@ impl<E: Engine> Network<E> {
     ) -> Result<Self, SnetError> {
         Ok(Network {
             plan: Plan::with_entry_type(spec, entry, config)?,
-            engine: E::new(&config),
+            engine: sched::Scheduled::new(&config),
         })
-    }
-
-    /// Engine name for labels in tests and benchmark output.
-    pub fn name(&self) -> &'static str {
-        E::NAME
     }
 
     /// The underlying topology.
@@ -541,7 +512,7 @@ impl<E: Engine> Network<E> {
 
     /// Instantiates the network and returns a handle for streaming
     /// records in and out.
-    pub fn start(&self) -> Handle<E::Ingress> {
+    pub fn start(&self) -> Handle {
         self.engine.start(&self.plan)
     }
 
@@ -571,22 +542,36 @@ impl<E: Engine> Network<E> {
     }
 }
 
-/// Streams a batch of records through an engine: a feeder thread pushes
-/// them against the handle's bounded ingress ([`Handle::send_all`])
-/// while the calling thread drains the output (and the dead letters,
-/// which it discards), then the run is finished and the collected
-/// outputs returned.
+/// Streams a batch of records through a network: a feeder thread pushes
+/// them against the handle's bounded ingress ([`Handle::send_all`]) and
+/// closes the input, while the calling thread drains the output (and
+/// the dead letters, at the same cadence, so the bounded dead-letter
+/// stream never overflows; they are discarded), then the run is
+/// finished and the collected outputs returned. A send error means the
+/// run tore down early; `finish` reports why.
 ///
 /// This is the streaming analogue of [`Network::run_batch`] — same
 /// inputs, same output multiset on confluent nets, but bounded
 /// residency instead of a materialized entry backlog — and is what the
-/// equivalence property tests and the streaming benchmark drive.
-pub fn run_stream<E: Engine>(
-    engine: &Network<E>,
-    records: Vec<Record>,
-) -> Result<Vec<Record>, SnetError> {
-    let handle = engine.start();
-    let (outs, _dead_letters) = handle.feed_and_drain(records);
+/// equivalence property tests drive.
+pub fn run_stream(net: &Network, records: Vec<Record>) -> Result<Vec<Record>, SnetError> {
+    let handle = net.start();
+    let mut outs = Vec::new();
+    std::thread::scope(|s| {
+        let h = &handle;
+        s.spawn(move || {
+            let _ = h.send_all(records);
+            h.close_input();
+        });
+        loop {
+            let out = h.recv();
+            while h.try_recv_dead_letter().is_some() {}
+            match out {
+                Some(rec) => outs.push(rec),
+                None => break,
+            }
+        }
+    });
     handle.finish()?;
     Ok(outs)
 }
@@ -594,8 +579,9 @@ pub fn run_stream<E: Engine>(
 /// Single-threaded streaming driver: pushes records through the bounded
 /// ingress and drains outputs on the calling thread, never parking
 /// while input remains. A full ingress triggers an output drain; if
-/// nothing is drainable either, the thread *yields* to the engine's
-/// workers instead of doing a condvar round trip.
+/// nothing is drainable either, the thread runs pool work itself
+/// ([`Handle::drive`]) or *yields* to the workers instead of doing a
+/// condvar round trip.
 ///
 /// Residency stays bounded exactly like [`run_stream`] (`try_send`
 /// refuses to exceed the ingress capacity), but no feeder or consumer
@@ -606,11 +592,11 @@ pub fn run_stream<E: Engine>(
 /// and consumes the stream; prefer [`run_stream`] (or a hand-rolled
 /// producer thread) when production and consumption are naturally
 /// concurrent.
-pub fn run_stream_interleaved<E: Engine>(
-    engine: &Network<E>,
+pub fn run_stream_interleaved(
+    net: &Network,
     records: Vec<Record>,
 ) -> Result<Vec<Record>, SnetError> {
-    let handle = engine.start();
+    let handle = net.start();
     let mut outs = Vec::new();
     'feed: for rec in records {
         let mut pending = rec;

@@ -1,8 +1,8 @@
 //! The per-run control block shared by every component of one run, on
-//! any transport: first-error slot, abort flag, deadline, dead-letter
-//! stream and event counters. (`pub` but hidden, like
+//! either transport: first-error slot, abort flag, deadline,
+//! dead-letter stream and event counters. (`pub` but hidden, like
 //! [`crate::component`]: `snet-dist`'s simulated processes report into
-//! the same block the threads and tasks do.)
+//! the same block the scheduler's tasks do.)
 
 use crate::trace::Trace;
 use parking_lot::Mutex;
@@ -14,9 +14,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Per-run state: every component of one run's graph holds an `Arc` to
-/// it, which is how a thread or pool worker — which knows nothing about
-/// runs — finds the right trace and error slot for whatever component
-/// it is executing. Independent runs therefore share nothing.
+/// it, which is how a pool worker — which knows nothing about runs —
+/// finds the right trace and error slot for whatever component it is
+/// executing. Independent runs therefore share nothing.
 pub struct Run {
     pub trace: Arc<Trace>,
     error: Mutex<Option<SnetError>>,

@@ -1,13 +1,9 @@
 //! The scheduled engine: component tasks multiplexed over a fixed,
 //! **persistent** work-stealing worker pool.
 //!
-//! The threaded engine ([`crate::engine`]) renders the paper's
-//! execution model literally: one OS thread per component instance.
-//! That is faithful but does not scale — a 16-deep pipeline with
-//! parallel branches and star unfoldings spawns hundreds of threads for
-//! a 256-record batch, and most of them sit blocked on channel edges.
-//! This module multiplexes the same component graph over a fixed pool
-//! of workers instead:
+//! A network of hundreds of component instances — a 16-deep pipeline
+//! with parallel branches and star unfoldings — runs on a handful of
+//! workers, not a thread each:
 //!
 //! * every component instance (box, filter, synchrocell, dispatcher,
 //!   star tap) is a lightweight **task** with an SPSC mailbox
@@ -17,13 +13,14 @@
 //!   queue of the worker that made it so, where idle siblings steal
 //!   from (`pool`; a thread outside the pool queues on a shared one);
 //! * a worker runs a task by draining its mailbox up to a batch budget
-//!   through the *same* component step (`crate::component`) as the
-//!   threaded engine, then yields the task back to the scheduler;
+//!   through the shared component step (`crate::component`, which the
+//!   simulated cluster of `snet-dist` runs too), then yields the task
+//!   back to the scheduler;
 //! * a task whose output mailbox is over the high-water mark stops
 //!   consuming input and re-queues itself — cooperative backpressure in
-//!   place of bounded-channel blocking.
+//!   place of blocking.
 //!
-//! The worker pool belongs to the engine, not to any single run: it is
+//! The worker pool belongs to the network, not to any single run: it is
 //! spawned lazily on the first run and joined when the `SchedNet`
 //! drops. Every run — a one-shot `run_batch` or a streaming `start` —
 //! instantiates a fresh task graph whose tasks carry their own per-run
@@ -38,9 +35,8 @@
 //!
 //! Streaming ingress is *bounded*: `send` refuses to grow the entry
 //! mailbox past [`EngineConfig::channel_capacity`] and blocks (or, for
-//! `try_send`, reports `Full`) until the entry task drains, giving the
-//! same real backpressure as the threaded engine's bounded entry
-//! channel.
+//! `try_send`, reports `Full`) until the entry task drains — real
+//! backpressure on the producer.
 
 mod pool;
 mod task;
@@ -68,15 +64,16 @@ mod sync {
 
 use crate::component::build;
 use crate::config::{EngineConfig, Plan};
-use crate::handle::{Handle, Ingress, TrySendError};
+use crate::handle::TrySendError;
 use crate::run::{DeadDest, Run};
-use crate::{Engine, Network, RunReport};
+use crate::{Network, RunReport};
 use parking_lot::Mutex;
 use pool::{notify, Pool};
+use snet_core::fault::DeadLetter;
 use snet_core::{Record, SnetError};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::sync_channel;
+use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -91,10 +88,10 @@ const DONE_SAFETY_TIMEOUT: Duration = Duration::from_millis(500);
 /// persistent worker pool.
 ///
 /// Dropping it stops the pool and joins its threads. Outstanding
-/// [`crate::SchedHandle`]s stay safe to use after that — sends fail and
-/// `recv` drains whatever was already produced — but no new records
-/// will be processed, so finish or drop handles first.
-pub struct Scheduled {
+/// [`crate::SchedHandle`]s stay safe to use after that, but no new
+/// records will be processed (see [`Handle`]), so finish or drop
+/// handles first.
+pub(crate) struct Scheduled {
     pool: Arc<Pool>,
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -131,13 +128,8 @@ impl Scheduled {
         };
         (build(&plan.root, Port::new(&sink), run, &mut cx), latch)
     }
-}
 
-impl Engine for Scheduled {
-    type Ingress = MailboxIngress;
-    const NAME: &'static str = "sched";
-
-    fn new(config: &EngineConfig) -> Scheduled {
+    pub(crate) fn new(config: &EngineConfig) -> Scheduled {
         Scheduled {
             pool: Arc::new(Pool::new(*config)),
             workers: Mutex::new(Vec::new()),
@@ -147,19 +139,16 @@ impl Engine for Scheduled {
     /// Ingress is bounded by [`EngineConfig::channel_capacity`];
     /// outputs stream out through a bounded channel as the sink
     /// produces them.
-    fn start(&self, plan: &Plan) -> Handle<MailboxIngress> {
+    pub(crate) fn start(&self, plan: &Plan) -> Handle {
         self.ensure_workers();
         let (dead_tx, dead_rx) = sync_channel(plan.dead_capacity());
         let run = plan.new_run(DeadDest::Stream(dead_tx));
         let (out_tx, out_rx) = sync_channel(plan.config.channel_capacity.max(1));
         let (entry, latch) = self.instantiate(plan, &run, SinkDest::Stream(out_tx));
         Handle {
-            ingress: MailboxIngress {
-                input: Mutex::new(Some(entry)),
-                run: Arc::clone(&run),
-                pool: Arc::clone(&self.pool),
-                latch,
-            },
+            input: Mutex::new(Some(entry)),
+            pool: Arc::clone(&self.pool),
+            latch,
             output: Mutex::new(out_rx),
             dead: Mutex::new(dead_rx),
             run,
@@ -171,7 +160,11 @@ impl Engine for Scheduled {
     /// wake (the input is already materialized, so bounding ingress
     /// would buy nothing), the input closes, and the driver sleeps
     /// until the sink's finalization signals completion.
-    fn run_batch_report(&self, plan: &Plan, records: Vec<Record>) -> Result<RunReport, SnetError> {
+    pub(crate) fn run_batch_report(
+        &self,
+        plan: &Plan,
+        records: Vec<Record>,
+    ) -> Result<RunReport, SnetError> {
         plan.check()?;
         self.ensure_workers();
         let run = plan.new_run(DeadDest::Collect(Mutex::new(Vec::new())));
@@ -179,7 +172,7 @@ impl Engine for Scheduled {
         let (entry, latch) = self.instantiate(plan, &run, SinkDest::Collect(Arc::clone(&outputs)));
         entry.send_now(records, &self.pool, None);
         entry.close(&self.pool, None, 0);
-        latch.wait(&run);
+        latch.wait(&run, &self.pool);
         run.take_result()?;
         let outputs = std::mem::take(&mut *outputs.lock());
         Ok(RunReport {
@@ -199,7 +192,7 @@ impl Drop for Scheduled {
     }
 }
 
-impl Network<Scheduled> {
+impl Network {
     /// Worker threads spawned by this net over its whole lifetime.
     /// Stays at [`EngineConfig::workers`] no matter how many runs the
     /// net executes — the observable guarantee that runs reuse the
@@ -224,14 +217,15 @@ impl Latch {
         self.cv.notify_all();
     }
 
-    /// Blocks until the run's sink has finalized. Purely wake-driven;
-    /// the timeout is a lost-wakeup safety net, not a poll interval.
-    /// Each wakeup re-checks the deadline so an expired run is failed
-    /// (and its tasks abort at their next activation) even while the
-    /// driver sleeps here.
-    fn wait(&self, run: &Run) {
+    /// Blocks until the run's sink has finalized, or `pool` has shut
+    /// down and never will; returns whether the sink finalized. Purely
+    /// wake-driven; the timeout is a lost-wakeup safety net, not a poll
+    /// interval. Each wakeup re-checks the deadline so an expired run is
+    /// failed (and its tasks abort at their next activation) even while
+    /// the driver sleeps here.
+    fn wait(&self, run: &Run, pool: &Pool) -> bool {
         let mut done = self.done.lock();
-        while !*done {
+        while !*done && !pool.is_shut_down() {
             let (guard, _) = self
                 .cv
                 .wait_timeout(done, DONE_SAFETY_TIMEOUT)
@@ -241,24 +235,50 @@ impl Latch {
                 let _ = run.should_stop();
             }
         }
+        *done
     }
 }
 
-/// The scheduled engine's ingress: the entry task's mailbox, capped at
-/// [`EngineConfig::channel_capacity`] resident records.
-pub struct MailboxIngress {
+/// A running network instance accepting an input stream and producing
+/// an output stream.
+///
+/// All methods take `&self`, so a producer thread can [`send`] while a
+/// consumer thread [`recv`]s through a shared reference — the shape
+/// [`crate::run_stream`] uses. Ingress is bounded (the entry mailbox
+/// holds at most [`crate::EngineConfig::channel_capacity`] records), so
+/// `send` exerts real backpressure on the producer.
+/// Dropping the handle closes the input, so the end-of-stream cascade
+/// tears the run down even when the user walks away without calling
+/// [`finish`]; the receiver drop disconnects the output channel, so
+/// undelivered records are discarded rather than blocked on.
+///
+/// A handle holds the worker pool, not the network: it stays safe to
+/// use after its [`crate::SchedNet`] drops, but nothing processes its
+/// records any more. A send that would wait for room, or a `try_send`
+/// that would report `Full`, fails instead; `recv` ends; and
+/// [`finish`] reports [`SnetError::Engine`] unless the run had
+/// completed — before the drop, or carried there by [`Handle::drive`].
+///
+/// [`send`]: Handle::send
+/// [`recv`]: Handle::recv
+/// [`finish`]: Handle::finish
+pub struct Handle {
+    /// The entry task while the input is open; its mailbox holds at
+    /// most [`EngineConfig::channel_capacity`] records.
     input: Mutex<Option<Port>>,
-    run: Arc<Run>,
     pool: Arc<Pool>,
     latch: Arc<Latch>,
+    pub(crate) output: Mutex<Receiver<Record>>,
+    pub(crate) dead: Mutex<Receiver<DeadLetter>>,
+    pub(crate) run: Arc<Run>,
 }
 
-impl MailboxIngress {
+impl Handle {
     /// The entry task, if the input is still open. Cloned out of the
     /// `input` mutex so no caller ever blocks while holding it — a
     /// `send` stalled on ingress backpressure must not lock out
-    /// `input_backlog`/`close` from other threads. A send racing
-    /// `close` may consequently land after finalization, where it is
+    /// `input_backlog`/`close_input` from other threads. A send racing
+    /// `close_input` may consequently land after finalization, where it is
     /// dropped like any other post-teardown straggler.
     fn entry_task(&self) -> Result<Arc<Task>, SnetError> {
         let task = self.input.lock().as_ref().map(|p| Arc::clone(&p.task));
@@ -273,10 +293,20 @@ impl MailboxIngress {
         self.run.current_error("network failed while sending")
     }
 
+    /// Fails the run for good: its pool shut down (the network was
+    /// dropped), so nothing will process its records.
+    fn abandon(&self) -> SnetError {
+        self.run.fail(SnetError::Engine(
+            "the worker pool shut down before the run finished".into(),
+        ));
+        self.failed()
+    }
+
     /// Blocks until the entry mailbox has room or the run aborts,
-    /// handing the re-acquired mailbox guard back. The timed wait is a
-    /// lost-wakeup safety net; the entry task signals `ingress_cv`
-    /// whenever it drains the mailbox.
+    /// handing the re-acquired mailbox guard back; a full mailbox on a
+    /// shut-down pool never drains, so that fails the run instead. The
+    /// timed wait is a lost-wakeup safety net; the entry task signals
+    /// `ingress_cv` whenever it drains the mailbox.
     fn wait_for_space<'a>(
         &self,
         task: &'a Task,
@@ -294,6 +324,9 @@ impl MailboxIngress {
             if mb.len() < self.capacity() {
                 return Ok(mb);
             }
+            if self.pool.is_shut_down() {
+                return Err(self.abandon());
+            }
             task.ingress_waiters.fetch_add(1, Ordering::AcqRel);
             let (guard, _) = task
                 .ingress_cv
@@ -303,12 +336,12 @@ impl MailboxIngress {
             mb = guard;
         }
     }
-}
 
-impl Ingress for MailboxIngress {
-    const POLL_INTERVAL: Duration = Duration::from_millis(100);
-
-    fn send(&self, rec: Record) -> Result<(), SnetError> {
+    /// Sends one record into the network, blocking while the bounded
+    /// ingress is full (real backpressure: a slow network throttles
+    /// its producer instead of buffering unboundedly). Fails once the
+    /// input is closed or the run has failed.
+    pub fn send(&self, rec: Record) -> Result<(), SnetError> {
         let task = self.entry_task()?;
         let mut mb = self.wait_for_space(&task, task.mailbox.lock())?;
         mb.push_back(rec);
@@ -317,7 +350,11 @@ impl Ingress for MailboxIngress {
         Ok(())
     }
 
-    fn try_send(&self, rec: Record) -> Result<(), TrySendError> {
+    /// Non-blocking send: hands the record back as
+    /// [`TrySendError::Full`] instead of blocking when the bounded
+    /// ingress is full.
+    #[allow(clippy::result_large_err)] // Full carries the record back by design
+    pub fn try_send(&self, rec: Record) -> Result<(), TrySendError> {
         let task = self.entry_task().map_err(TrySendError::Closed)?;
         if self.run.is_aborted() {
             return Err(TrySendError::Closed(self.failed()));
@@ -325,6 +362,9 @@ impl Ingress for MailboxIngress {
         {
             let mut mb = task.mailbox.lock();
             if mb.len() >= self.capacity() {
+                if self.pool.is_shut_down() {
+                    return Err(TrySendError::Closed(self.abandon()));
+                }
                 return Err(TrySendError::Full(rec));
             }
             mb.push_back(rec);
@@ -333,9 +373,12 @@ impl Ingress for MailboxIngress {
         Ok(())
     }
 
-    /// Records land in the entry mailbox in capacity-sized windows —
-    /// one mailbox lock and one wake per window instead of per record.
-    fn send_all(&self, records: Vec<Record>) -> Result<(), SnetError> {
+    /// Sends a pre-materialized batch, still against the bounded
+    /// ingress: the call blocks for drain space whenever the ingress
+    /// is full, so resident records stay within
+    /// [`crate::EngineConfig::channel_capacity`]. The entry mailbox
+    /// takes them a capacity window per lock and wake.
+    pub fn send_all(&self, records: Vec<Record>) -> Result<(), SnetError> {
         let task = self.entry_task()?;
         let cap = self.capacity();
         let mut queue = records.into_iter();
@@ -352,38 +395,46 @@ impl Ingress for MailboxIngress {
         Ok(())
     }
 
-    fn close(&self) {
+    /// Closes the input stream (end-of-stream for the network).
+    /// Idempotent.
+    pub fn close_input(&self) {
         if let Some(port) = self.input.lock().take() {
             port.close(&self.pool, None, 0);
         }
     }
 
-    fn drive(&self) -> bool {
+    /// Runs at most one unit of engine work on the calling thread
+    /// (caller-runs helping); returns `true` if something was executed.
+    /// A streaming driver that would otherwise block — ingress full,
+    /// nothing to drain — can call this to push the pipeline forward
+    /// itself instead of paying a park/wake round trip against the
+    /// worker pool; on a single-CPU host this is the difference between
+    /// streaming and batch-mode throughput. Work of *any* run on the
+    /// same pool may be executed, exactly as a pool worker would.
+    pub fn drive(&self) -> bool {
         self.pool.drive()
     }
 
     /// A dropped pool (`SchedNet` gone) can no longer run the sink;
     /// don't block forever on it.
-    fn abandoned(&self) -> bool {
+    pub(crate) fn abandoned(&self) -> bool {
         self.pool.is_shut_down()
     }
 
-    fn join(&self) {
-        if !self.pool.is_shut_down() {
-            self.latch.wait(&self.run);
+    /// Blocks until the run has terminated (the sink finalized); a run
+    /// whose pool shut down first is failed.
+    pub(crate) fn join(&self) {
+        if !self.latch.wait(&self.run, &self.pool) {
+            self.abandon();
         }
     }
-}
 
-impl Handle<MailboxIngress> {
     /// Records currently resident in the entry mailbox (0 once the
     /// input is closed). Never exceeds
     /// [`EngineConfig::channel_capacity`] when the handle's own senders
     /// are the only producers — the observable ingress bound.
     pub fn input_backlog(&self) -> usize {
-        self.ingress
-            .entry_task()
-            .map_or(0, |t| t.mailbox.lock().len())
+        self.entry_task().map_or(0, |t| t.mailbox.lock().len())
     }
 }
 
@@ -394,7 +445,7 @@ mod tests {
     use snet_core::boxdef::{BoxDef, BoxSig};
     use snet_core::{NetSpec, Record, SnetError, Value};
 
-    crate::suite::engine_suite!(crate::sched::Scheduled);
+    crate::suite::engine_suite!(EngineConfig::default());
 
     #[test]
     fn deep_pipeline_with_single_worker() {
@@ -422,7 +473,7 @@ mod tests {
 
     #[test]
     fn shared_plan_serves_concurrent_jobs() {
-        let net = crate::suite::concurrent_jobs::<crate::sched::Scheduled>();
+        let net = crate::suite::concurrent_jobs(EngineConfig::default());
         assert_eq!(net.workers_spawned(), EngineConfig::default().workers);
     }
 
@@ -511,6 +562,10 @@ mod tests {
         let net = SchedNet::new(bad);
         let h = net.start();
         let _ = h.send(Record::new().with_field("x", Value::Int(1)));
+        // The failure tears the run down; a cancel after it does not
+        // replace the first error.
+        while h.recv().is_some() {}
+        h.cancel();
         let err = h.finish().unwrap_err();
         assert!(matches!(err, SnetError::BoxFailure { .. }), "{err}");
     }

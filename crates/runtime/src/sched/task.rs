@@ -7,8 +7,8 @@
 //! every output edge, and finalizing once end-of-stream is reached.
 //! End-of-stream is sender refcounting: when the last upstream port of
 //! a task closes, the task finalizes and closes its own outputs, so
-//! termination cascades exactly like channel disconnection does in the
-//! threaded engine. The general way there is one more activation: the
+//! termination cascades from the entry to the sink the way channel
+//! disconnection would. The general way there is one more activation: the
 //! closer queues the task, whose activation finds no sender and an
 //! empty mailbox. The short way (`finalize_in_place`) skips that
 //! activation when it could do nothing else: a component that is idle

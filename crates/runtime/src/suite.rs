@@ -1,8 +1,9 @@
-//! The engine-generic unit suite: one body per behaviour every
-//! concurrent engine must show, instantiated for each engine by
-//! [`engine_suite!`] inside that engine's own `tests` module.
+//! The engine's unit suite: one body per behaviour the scheduled engine
+//! must show, instantiated by [`engine_suite!`] once per base
+//! configuration — the default one in `sched::tests`, [`fine_grain`] in
+//! `engine::tests`.
 
-use crate::{Engine, EngineConfig, FailurePolicy, Interp, Network, Trace};
+use crate::{EngineConfig, FailurePolicy, Interp, SchedNet, Trace};
 use snet_core::boxdef::{BoxDef, BoxOutput, BoxSig, Work};
 use snet_core::semantics::MismatchPolicy;
 use snet_core::{
@@ -13,10 +14,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Instantiates every case of the generic suite for engine `$engine`.
+/// Instantiates every case of the suite as a test, each building its
+/// networks from the base configuration `$base` (a case that needs a
+/// field of its own overrides just that one).
 macro_rules! engine_suite {
-    ($engine:ty) => {
-        crate::suite::engine_suite!(@cases $engine:
+    ($base:expr) => {
+        crate::suite::engine_suite!(@cases ($base)
             single_box_pipeline,
             serial_composes,
             parallel_routes_by_best_match,
@@ -35,16 +38,30 @@ macro_rules! engine_suite {
             every_component_is_retired_exactly_once,
         );
     };
-    (@cases $engine:ty: $($case:ident,)*) => {
+    (@cases ($base:expr) $($case:ident,)*) => {
         $(
             #[test]
             fn $case() {
-                crate::suite::$case::<$engine>();
+                crate::suite::$case($base);
             }
         )*
     };
 }
 pub(crate) use engine_suite;
+
+/// The finest grain the engine takes: a task per box and filter
+/// (`fuse: false`), record-at-a-time hand-off, one-record ends (so
+/// every interior mailbox's high-water mark is 16), and two workers so
+/// tasks still migrate on a one-CPU host.
+pub(crate) fn fine_grain() -> EngineConfig {
+    EngineConfig {
+        fuse: false,
+        batch: 1,
+        channel_capacity: 1,
+        workers: 2,
+        ..EngineConfig::default()
+    }
+}
 
 pub(crate) fn int_box(name: &str, input: &str, output: &str, f: fn(i64) -> i64) -> NetSpec {
     let out_label = output.to_owned();
@@ -79,12 +96,9 @@ fn xs(range: std::ops::Range<i64>) -> Vec<Record> {
         .collect()
 }
 
-/// The default configuration with `fuse` on, then off.
-fn either_grain() -> [EngineConfig; 2] {
-    [true, false].map(|fuse| EngineConfig {
-        fuse,
-        ..EngineConfig::default()
-    })
+/// `base` with `fuse` on, then off.
+fn either_grain(base: EngineConfig) -> [EngineConfig; 2] {
+    [true, false].map(|fuse| EngineConfig { fuse, ..base })
 }
 
 fn ab_cell() -> NetSpec {
@@ -94,39 +108,50 @@ fn ab_cell() -> NetSpec {
     ]))
 }
 
-pub(crate) fn single_box_pipeline<E: Engine>() {
-    let net = Network::<E>::new(int_box("double", "x", "x", |x| 2 * x));
+pub(crate) fn single_box_pipeline(base: EngineConfig) {
+    let net = SchedNet::with_config(int_box("double", "x", "x", |x| 2 * x), base);
     let outs = net.run_batch(xs(0..10)).unwrap();
     assert_eq!(ints(&outs, "x"), (0..10).map(|i| 2 * i).collect::<Vec<_>>());
 }
 
-pub(crate) fn serial_composes<E: Engine>() {
-    let net = Network::<E>::new(NetSpec::serial(
-        int_box("inc", "x", "x", |x| x + 1),
-        int_box("sq", "x", "x", |x| x * x),
-    ));
+pub(crate) fn serial_composes(base: EngineConfig) {
+    let net = SchedNet::with_config(
+        NetSpec::serial(
+            int_box("inc", "x", "x", |x| x + 1),
+            int_box("sq", "x", "x", |x| x * x),
+        ),
+        base,
+    );
     let outs = net.run_batch(xs(3..4)).unwrap();
     assert_eq!(ints(&outs, "x"), vec![16]);
 }
 
-pub(crate) fn parallel_routes_by_best_match<E: Engine>() {
-    // Branch 0 expects {a}, branch 1 expects {b}.
-    let net = Network::<E>::new(NetSpec::parallel(vec![
-        int_box("fa", "a", "ra", |x| x + 100),
-        int_box("fb", "b", "rb", |x| x + 200),
-    ]));
-    let outs = net
-        .run_batch(vec![
+pub(crate) fn parallel_routes_by_best_match(base: EngineConfig) {
+    // Branch 0 expects {a}, branch 1 expects {b}; {c} matches neither
+    // and passes through.
+    let net = SchedNet::with_config(
+        NetSpec::parallel(vec![
+            int_box("fa", "a", "ra", |x| x + 100),
+            int_box("fb", "b", "rb", |x| x + 200),
+        ]),
+        base,
+    );
+    let (outs, trace) = net
+        .run_batch_traced(vec![
             Record::new().with_field("a", Value::Int(1)),
             Record::new().with_field("b", Value::Int(2)),
             Record::new().with_field("a", Value::Int(3)),
+            Record::new().with_field("c", Value::Int(4)),
         ])
         .unwrap();
     assert_eq!(ints(&outs, "ra").len(), 2);
     assert_eq!(ints(&outs, "rb"), vec![202]);
+    assert_eq!(ints(&outs, "c"), vec![4]);
+    assert_eq!(trace.get(&trace.dispatched), 3);
+    assert_eq!(trace.get(&trace.passthroughs), 1);
 }
 
-pub(crate) fn star_unrolls_until_exit<E: Engine>() {
+pub(crate) fn star_unrolls_until_exit(base: EngineConfig) {
     // ( [ {<n>} -> {<n = n - 1>} ] ) * {<n> == 0}: decrement until zero.
     let dec = NetSpec::Filter(FilterSpec::new(
         Pattern::from_variant(Variant::parse_labels(&[], &["n"])),
@@ -139,7 +164,7 @@ pub(crate) fn star_unrolls_until_exit<E: Engine>() {
         Variant::empty(),
         TagExpr::bin(BinOp::Eq, TagExpr::tag("n"), TagExpr::Const(0)),
     );
-    let net = Network::<E>::new(NetSpec::star(dec, exit));
+    let net = SchedNet::with_config(NetSpec::star(dec, exit), base);
     let (outs, trace) = net
         .run_batch_traced(vec![Record::new().with_tag("n", 5)])
         .unwrap();
@@ -148,8 +173,8 @@ pub(crate) fn star_unrolls_until_exit<E: Engine>() {
     assert_eq!(trace.get(&trace.star_unfoldings), 5);
 }
 
-pub(crate) fn split_creates_replica_per_tag_value<E: Engine>() {
-    let net = Network::<E>::new(NetSpec::split(int_box("id", "x", "x", |x| x), "k"));
+pub(crate) fn split_creates_replica_per_tag_value(base: EngineConfig) {
+    let net = SchedNet::with_config(NetSpec::split(int_box("id", "x", "x", |x| x), "k"), base);
     let recs: Vec<Record> = (0..12)
         .map(|i| {
             Record::new()
@@ -160,16 +185,17 @@ pub(crate) fn split_creates_replica_per_tag_value<E: Engine>() {
     let (outs, trace) = net.run_batch_traced(recs).unwrap();
     assert_eq!(outs.len(), 12);
     assert_eq!(trace.get(&trace.split_replicas), 3);
+    assert_eq!(trace.get(&trace.dispatched), 12);
 }
 
-pub(crate) fn split_without_tag_is_an_error<E: Engine>() {
-    let net = Network::<E>::new(NetSpec::split(int_box("id", "x", "x", |x| x), "k"));
+pub(crate) fn split_without_tag_is_an_error(base: EngineConfig) {
+    let net = SchedNet::with_config(NetSpec::split(int_box("id", "x", "x", |x| x), "k"), base);
     let err = net.run_batch(xs(1..2)).unwrap_err();
     assert_eq!(err, SnetError::MissingTag(Label::new("k")));
 }
 
-pub(crate) fn sync_joins_in_stream<E: Engine>() {
-    let net = Network::<E>::new(ab_cell());
+pub(crate) fn sync_joins_in_stream(base: EngineConfig) {
+    let net = SchedNet::with_config(ab_cell(), base);
     let outs = net
         .run_batch(vec![
             Record::new().with_field("a", Value::Int(1)),
@@ -180,8 +206,8 @@ pub(crate) fn sync_joins_in_stream<E: Engine>() {
     assert!(outs[0].has_field("a") && outs[0].has_field("b"));
 }
 
-pub(crate) fn stranded_sync_records_are_counted<E: Engine>() {
-    let net = Network::<E>::new(ab_cell());
+pub(crate) fn stranded_sync_records_are_counted(base: EngineConfig) {
+    let net = SchedNet::with_config(ab_cell(), base);
     let (outs, trace) = net
         .run_batch_traced(vec![Record::new().with_field("a", Value::Int(1))])
         .unwrap();
@@ -189,16 +215,18 @@ pub(crate) fn stranded_sync_records_are_counted<E: Engine>() {
     assert_eq!(trace.get(&trace.sync_stranded), 1);
 }
 
-pub(crate) fn box_error_propagates<E: Engine>() {
+pub(crate) fn box_error_propagates(base: EngineConfig) {
     let bad = NetSpec::Box(BoxDef::from_fn(
         BoxSig::parse("bad", &["x"], &[&["y"]]),
         |_| Err(SnetError::Engine("deliberate".into())),
     ));
-    let err = Network::<E>::new(bad).run_batch(xs(1..2)).unwrap_err();
+    let err = SchedNet::with_config(bad, base)
+        .run_batch(xs(1..2))
+        .unwrap_err();
     assert!(matches!(err, SnetError::BoxFailure { .. }), "{err}");
 }
 
-pub(crate) fn panicking_box_is_reported_not_swallowed<E: Engine>() {
+pub(crate) fn panicking_box_is_reported_not_swallowed(base: EngineConfig) {
     let bomb = NetSpec::Box(BoxDef::from_fn(
         BoxSig::parse("bomb", &["x"], &[&["y"]]),
         |r| {
@@ -210,8 +238,8 @@ pub(crate) fn panicking_box_is_reported_not_swallowed<E: Engine>() {
         },
     ));
     // A box standing alone is a chain of one whatever `fuse` says.
-    for config in either_grain() {
-        let err = Network::<E>::with_config(bomb.clone(), config)
+    for config in either_grain(base) {
+        let err = SchedNet::with_config(bomb.clone(), config)
             .run_batch(xs(0..5))
             .unwrap_err();
         match err {
@@ -224,12 +252,12 @@ pub(crate) fn panicking_box_is_reported_not_swallowed<E: Engine>() {
     }
 }
 
-pub(crate) fn strict_mismatch_policy_errors<E: Engine>() {
-    let net = Network::<E>::with_config(
+pub(crate) fn strict_mismatch_policy_errors(base: EngineConfig) {
+    let net = SchedNet::with_config(
         int_box("f", "x", "y", |x| x),
         EngineConfig {
             mismatch: MismatchPolicy::Error,
-            ..EngineConfig::default()
+            ..base
         },
     );
     let err = net
@@ -238,8 +266,8 @@ pub(crate) fn strict_mismatch_policy_errors<E: Engine>() {
     assert!(matches!(err, SnetError::TypeMismatch { .. }));
 }
 
-pub(crate) fn streaming_interface_overlaps<E: Engine>() {
-    let net = Network::<E>::new(int_box("inc", "x", "x", |x| x + 1));
+pub(crate) fn streaming_interface_overlaps(base: EngineConfig) {
+    let net = SchedNet::with_config(int_box("inc", "x", "x", |x| x + 1), base);
     let h = net.start();
     h.send(Record::new().with_field("x", Value::Int(1)))
         .unwrap();
@@ -254,9 +282,9 @@ pub(crate) fn streaming_interface_overlaps<E: Engine>() {
     h.finish().unwrap();
 }
 
-pub(crate) fn net_is_reusable_with_fresh_state<E: Engine>() {
+pub(crate) fn net_is_reusable_with_fresh_state(base: EngineConfig) {
     // A synchrocell net must not remember fires across runs.
-    let net = Network::<E>::new(ab_cell());
+    let net = SchedNet::with_config(ab_cell(), base);
     for _ in 0..2 {
         let outs = net
             .run_batch(vec![
@@ -271,7 +299,7 @@ pub(crate) fn net_is_reusable_with_fresh_state<E: Engine>() {
 /// Chain scratch belongs to the stepping thread and outlives the run; a
 /// batch that dies half way through a stage must leave none of its
 /// records in it. One worker, so both runs step on the same thread.
-pub(crate) fn failed_batch_leaves_nothing_for_the_next_run<E: Engine>() {
+pub(crate) fn failed_batch_leaves_nothing_for_the_next_run(base: EngineConfig) {
     let picky = NetSpec::Box(BoxDef::from_fn(
         BoxSig::parse("picky", &["x"], &[&["x"]]),
         |r| match r.field("x").and_then(|v| v.as_int()) {
@@ -279,8 +307,8 @@ pub(crate) fn failed_batch_leaves_nothing_for_the_next_run<E: Engine>() {
             _ => Ok(BoxOutput::one(r.clone(), Work::ZERO)),
         },
     ));
-    for config in either_grain() {
-        let net = Network::<E>::with_config(
+    for config in either_grain(base) {
+        let net = SchedNet::with_config(
             NetSpec::pipeline([int_box("inc", "x", "x", |x| x + 1), picky.clone()]),
             EngineConfig {
                 workers: 1,
@@ -298,8 +326,8 @@ pub(crate) fn failed_batch_leaves_nothing_for_the_next_run<E: Engine>() {
 /// A per-box `DeadLetter` override diverts the record as it arrived and
 /// `Retry` counts its extra attempts, for a box standing alone under
 /// `fuse` on and off alike.
-pub(crate) fn standalone_box_honours_its_policy_at_either_grain<E: Engine>() {
-    for config in either_grain() {
+pub(crate) fn standalone_box_honours_its_policy_at_either_grain(base: EngineConfig) {
+    for config in either_grain(base) {
         let bad = BoxDef::from_fn(BoxSig::parse("bad", &["x"], &[&["x"]]), |r| {
             match r.field("x").and_then(|v| v.as_int()) {
                 Some(3) => Err(SnetError::Engine("deliberate".into())),
@@ -307,7 +335,7 @@ pub(crate) fn standalone_box_honours_its_policy_at_either_grain<E: Engine>() {
             }
         })
         .with_policy(FailurePolicy::DeadLetter);
-        let report = Network::<E>::with_config(NetSpec::Box(bad), config)
+        let report = SchedNet::with_config(NetSpec::Box(bad), config)
             .run_batch_report(xs(0..6))
             .unwrap();
         assert_eq!(ints(&report.outputs, "x"), vec![0, 1, 2, 4, 5]);
@@ -332,7 +360,7 @@ pub(crate) fn standalone_box_honours_its_policy_at_either_grain<E: Engine>() {
             },
             ..config
         };
-        let report = Network::<E>::with_config(NetSpec::Box(flaky), retrying)
+        let report = SchedNet::with_config(NetSpec::Box(flaky), retrying)
             .run_batch_report(xs(0..6))
             .unwrap();
         assert_eq!(report.outputs.len(), 6);
@@ -393,20 +421,20 @@ fn multiset(records: &[Record]) -> Vec<String> {
 /// Four threads run 250 jobs each on one network. Every run
 /// instantiates its components from the network's one compiled plan,
 /// concurrently with the other threads' runs unfolding and retiring
-/// theirs. Outside [`engine_suite!`] because the scheduled engine also
-/// checks its pool on the returned network.
-pub(crate) fn concurrent_jobs<E: Engine + Sync>() -> Network<E> {
+/// theirs. Outside [`engine_suite!`] because the caller also checks
+/// the pool on the returned network.
+pub(crate) fn concurrent_jobs(base: EngineConfig) -> SchedNet {
     let spec = fig4_net();
-    let net = Network::<E>::new(spec.clone());
+    let net = SchedNet::with_config(spec.clone(), base);
     std::thread::scope(|s| {
         for thread in 0..4 {
             let (net, spec) = (&net, &spec);
             s.spawn(move || {
                 for job in 0..250 {
-                    let base = (thread * 250 + job) * 10;
-                    let want = Interp::new(spec).run_batch(fig4_job(base)).unwrap();
-                    let got = net.run_batch(fig4_job(base)).unwrap();
-                    assert_eq!(multiset(&got), multiset(&want.outputs), "job {base}");
+                    let first = (thread * 250 + job) * 10;
+                    let want = Interp::new(spec).run_batch(fig4_job(first)).unwrap();
+                    let got = net.run_batch(fig4_job(first)).unwrap();
+                    assert_eq!(multiset(&got), multiset(&want.outputs), "job {first}");
                 }
             });
         }
@@ -432,14 +460,14 @@ fn torn_down(trace: &Trace) -> (u64, u64) {
 /// However a run ends, every component instance it created — the
 /// start-up graph and every replica unfolded on the way — observes
 /// end-of-stream exactly once.
-pub(crate) fn every_component_is_retired_exactly_once<E: Engine>() {
+pub(crate) fn every_component_is_retired_exactly_once(base: EngineConfig) {
     let retired = |what: &str, trace: &Trace| {
         let (built, finalized) = torn_down(trace);
         assert!(built > 0, "{what}: nothing was built");
         assert_eq!(built, finalized, "{what}: built vs finalized");
     };
 
-    let net = Network::<E>::new(fig4_net());
+    let net = SchedNet::with_config(fig4_net(), base);
     let (outs, trace) = net.run_batch_traced(fig4_job(0)).unwrap();
     assert_eq!(outs.len(), 6);
     assert!(trace.get(&trace.star_unfoldings) > 0 && trace.get(&trace.split_replicas) > 0);
@@ -452,17 +480,28 @@ pub(crate) fn every_component_is_retired_exactly_once<E: Engine>() {
     assert_eq!(h.finish(), Err(SnetError::Cancelled));
     retired("cancelled run", &trace);
 
+    // Once its six outputs are out the run sits idle; cancelling it
+    // closes the input, so it tears down before anything finishes it.
+    let h = net.start();
+    h.send_all(fig4_job(0)).unwrap();
+    for _ in 0..6 {
+        h.recv().expect("an output");
+    }
+    h.cancel();
+    retired("cancelled idle run", h.trace());
+    assert_eq!(h.finish(), Err(SnetError::Cancelled));
+
     let h = net.start();
     h.send_all(fig4_job(0)).unwrap();
     let trace = h.trace_arc();
     drop(h);
     retired("dropped handle", &trace);
 
-    let expired = Network::<E>::with_config(
+    let expired = SchedNet::with_config(
         fig4_net(),
         EngineConfig {
             deadline: Some(Duration::ZERO),
-            ..EngineConfig::default()
+            ..base
         },
     );
     let h = expired.start();
@@ -480,10 +519,10 @@ pub(crate) fn every_component_is_retired_exactly_once<E: Engine>() {
             _ => Ok(BoxOutput::one(r.clone(), Work::ZERO)),
         },
     ));
-    let net = Network::<E>::new(NetSpec::serial(
-        NetSpec::split(int_box("id", "x", "x", |x| x), "k"),
-        failing,
-    ));
+    let net = SchedNet::with_config(
+        NetSpec::serial(NetSpec::split(int_box("id", "x", "x", |x| x), "k"), failing),
+        base,
+    );
     let h = net.start();
     let _ = h.send_all(
         (0..8)

@@ -1,6 +1,6 @@
 //! Lightweight runtime instrumentation.
 //!
-//! A [`Trace`] is shared by all component threads of a running net and
+//! A [`Trace`] is shared by all components of a running net and
 //! counts the events the tests and benchmarks care about: records
 //! handled per component kind, box invocations and their abstract work,
 //! synchrocell fires, star unfoldings, and records left stranded in

@@ -12,7 +12,7 @@
 //! * arbitrary recursive nets, where an SNA001 claim implies the
 //!   strict-mismatch interpreter must reject the batch — and an
 //!   analyzer-accepted net must produce the interpreter's exact output
-//!   multiset on both concurrent engines.
+//!   multiset on the scheduled engine.
 
 use proptest::prelude::*;
 use snet_analyze::{analyze, AnalyzeConfig};
@@ -23,7 +23,7 @@ use snet_core::{
     BinOp, DiagCode, FilterSpec, NetSpec, Pattern, RType, Record, SnetError, SyncSpec, TagExpr,
     Value, Variant,
 };
-use snet_runtime::{EngineConfig, Interp, Net, SchedNet};
+use snet_runtime::{EngineConfig, Interp, SchedNet};
 
 fn add_box() -> NetSpec {
     NetSpec::Box(BoxDef::from_fn(
@@ -209,15 +209,9 @@ fn check_dispatchable(branches: Vec<NetSpec>, batch: Vec<Record>) -> Result<(), 
 /// interpreter must reject the batch too.
 fn check_verdict(net: NetSpec, batch: Vec<Record>) -> Result<(), String> {
     let entry = entry_of(&batch);
-    match Net::with_entry_type(net.clone(), &entry, EngineConfig::default()) {
-        Ok(threaded) => {
+    match SchedNet::with_entry_type(net.clone(), &entry, EngineConfig::default()) {
+        Ok(sched) => {
             let expected = Interp::new(&net).run_batch(batch.clone()).unwrap();
-            let actual = threaded.run_batch(batch.clone()).unwrap();
-            if multiset(&actual) != multiset(&expected.outputs) {
-                return Err("threaded engine diverged from interp on an accepted net".into());
-            }
-            let sched = SchedNet::with_entry_type(net, &entry, EngineConfig::default())
-                .expect("threaded and scheduled engines share the analysis");
             let actual = sched.run_batch(batch).unwrap();
             if multiset(&actual) != multiset(&expected.outputs) {
                 return Err("scheduled engine diverged from interp on an accepted net".into());
@@ -277,7 +271,7 @@ proptest! {
 #[test]
 fn runtime_errors_carry_diag_codes() {
     // Split without the index tag → SNA004.
-    let net = Net::new(NetSpec::split(add_box(), "k"));
+    let net = SchedNet::new(NetSpec::split(add_box(), "k"));
     let err = net
         .run_batch(vec![Record::new().with_field("a", Value::Int(1))])
         .unwrap_err();
@@ -293,7 +287,7 @@ fn runtime_errors_carry_diag_codes() {
 
 /// The construction-time pre-flight check: a structural defect (here a
 /// star whose exit pattern matches everything, SNA007) is caught before
-/// any record runs, on both engines, in the default configuration.
+/// any record runs, batch or streamed, in the default configuration.
 #[test]
 fn preflight_rejects_structural_errors() {
     let spec = NetSpec::star(add_box(), Pattern::any());
@@ -303,19 +297,16 @@ fn preflight_rejects_structural_errors() {
         assert_eq!(err.diag_code(), Some(DiagCode::StarBodyUnreachable));
         assert!(matches!(err, SnetError::Analysis(_)), "{err}");
     }
-    let threaded = Net::new(spec.clone());
-    assert_eq!(threaded.preflight_diagnostics().len(), 1);
-    rejected(threaded.run_batch(batch.clone()).unwrap_err());
     let sched = SchedNet::new(spec.clone());
+    assert_eq!(sched.preflight_diagnostics().len(), 1);
     rejected(sched.run_batch(batch.clone()).unwrap_err());
 
     // A started run fails at finish() with the same error.
-    rejected(threaded.start().finish().unwrap_err());
     rejected(sched.start().finish().unwrap_err());
 
     // The same star with a real exit condition runs normally.
     let exit = Pattern::from_variant(Variant::parse_labels(&[], &["done"]));
-    let ok = Net::new(NetSpec::star(add_box(), exit));
+    let ok = SchedNet::new(NetSpec::star(add_box(), exit));
     assert!(ok.preflight_diagnostics().is_empty());
     let done = vec![Record::new().with_tag("done", 1)];
     assert_eq!(ok.run_batch(done).unwrap().len(), 1);
@@ -328,7 +319,7 @@ fn entry_typed_construction_rejects_unroutable_nets() {
     // No branch accepts {z}: SNA001 at construction.
     let spec = NetSpec::parallel(vec![add_box(), rename_filter()]);
     let entry = RType::single(Variant::parse_labels(&["z"], &[]));
-    let Err(err) = Net::with_entry_type(spec, &entry, EngineConfig::default()) else {
+    let Err(err) = SchedNet::with_entry_type(spec, &entry, EngineConfig::default()) else {
         panic!("expected an analysis rejection");
     };
     let SnetError::Analysis(diags) = &err else {

@@ -1,7 +1,7 @@
-//! Property test: the threaded engine, the work-stealing scheduled
-//! engine, and the deterministic reference interpreter agree on the
-//! output *multiset* for randomly generated networks and record
-//! batches.
+//! Property test: the work-stealing scheduled engine and the
+//! deterministic reference interpreter agree on the output *multiset*
+//! for randomly generated networks and record batches, batch or
+//! streamed, at every hand-off batch size, pool size and grain.
 //!
 //! The generated networks are restricted to the confluent fragment of
 //! S-Net — stateless components composed with `..`, `|`, `*` (with a
@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use snet_core::boxdef::{BoxDef, BoxOutput, BoxSig, RecordVec, Work};
 use snet_core::filter::OutputTemplate;
 use snet_core::{BinOp, FilterSpec, NetSpec, Pattern, Record, SyncSpec, TagExpr, Value, Variant};
-use snet_runtime::{run_stream, EngineConfig, Interp, Net, SchedNet, Trace};
+use snet_runtime::{run_stream, run_stream_interleaved, EngineConfig, Interp, SchedNet, Trace};
 
 /// A box consuming `{a}` and emitting `{a: a + 1}`.
 fn add_box() -> NetSpec {
@@ -141,6 +141,14 @@ fn order_free_counters(t: &Trace) -> [u64; 5] {
     .map(|c| t.get(c))
 }
 
+/// A task per box and filter: every composition edge is a mailbox hop.
+fn unfused() -> EngineConfig {
+    EngineConfig {
+        fuse: false,
+        ..EngineConfig::default()
+    }
+}
+
 fn multiset(records: &[Record]) -> Vec<String> {
     let mut v: Vec<String> = records.iter().map(|r| format!("{r:?}")).collect();
     v.sort();
@@ -156,7 +164,7 @@ proptest! {
         batch in prop::collection::vec(arb_record(), 0..20),
     ) {
         let expected = Interp::new(&net).run_batch(batch.clone()).unwrap();
-        let actual = Net::new(net).run_batch(batch).unwrap();
+        let actual = SchedNet::with_config(net, unfused()).run_batch(batch).unwrap();
         prop_assert_eq!(multiset(&actual), multiset(&expected.outputs));
     }
 
@@ -165,15 +173,15 @@ proptest! {
         net in arb_net(),
         batch in prop::collection::vec(arb_record(), 0..20),
     ) {
-        // [| {a}, {b} |] at the head of the stream is fed in batch order
-        // by both engines, so its merges are deterministic.
+        // The cell is a task of its own here, fed in batch order all the
+        // same, so its merges stay deterministic.
         let cell = NetSpec::Sync(SyncSpec::new(vec![
             Pattern::from_variant(Variant::parse_labels(&["a"], &[])),
             Pattern::from_variant(Variant::parse_labels(&["b"], &[])),
         ]));
         let full = NetSpec::serial(cell, net);
         let expected = Interp::new(&full).run_batch(batch.clone()).unwrap();
-        let actual = Net::new(full).run_batch(batch).unwrap();
+        let actual = SchedNet::with_config(full, unfused()).run_batch(batch).unwrap();
         prop_assert_eq!(multiset(&actual), multiset(&expected.outputs));
     }
 
@@ -182,16 +190,22 @@ proptest! {
         net in arb_net(),
         batch in prop::collection::vec(arb_record(), 0..16),
     ) {
-        // Abstract work is part of the semantics (it drives the cluster
-        // simulator): both engines must charge the interpreter's total
-        // ops for the same inputs on confluent nets, and — running one
-        // component step — agree with each other on every counter that
-        // does not depend on arrival order.
+        // Fused or not, one worker stepping record at a time or the
+        // default pool: every run charges the interpreter's total ops
+        // and agrees with the others on every counter that does not
+        // depend on arrival order.
         let expected = Interp::new(&net).run_batch(batch.clone()).unwrap();
-        let (_, threaded) = Net::new(net.clone()).run_batch_traced(batch.clone()).unwrap();
-        let (_, sched) = SchedNet::new(net).run_batch_traced(batch).unwrap();
-        prop_assert_eq!(threaded.get(&threaded.box_ops), expected.work.ops);
-        prop_assert_eq!(order_free_counters(&threaded), order_free_counters(&sched));
+        let serial = EngineConfig { workers: 1, batch: 1, ..EngineConfig::default() };
+        let traces = [EngineConfig::default(), unfused(), serial].map(|cfg| {
+            let (_, trace) = SchedNet::with_config(net.clone(), cfg)
+                .run_batch_traced(batch.clone())
+                .unwrap();
+            trace
+        });
+        for trace in &traces {
+            prop_assert_eq!(trace.get(&trace.box_ops), expected.work.ops);
+            prop_assert_eq!(order_free_counters(trace), order_free_counters(&traces[0]));
+        }
     }
 
     #[test]
@@ -209,6 +223,8 @@ proptest! {
         net in arb_net(),
         batch in prop::collection::vec(arb_record(), 0..20),
     ) {
+        // [| {a}, {b} |] at the head of the stream is fed in batch order,
+        // so its merges are deterministic.
         let cell = NetSpec::Sync(SyncSpec::new(vec![
             Pattern::from_variant(Variant::parse_labels(&["a"], &[])),
             Pattern::from_variant(Variant::parse_labels(&["b"], &[])),
@@ -224,6 +240,9 @@ proptest! {
         net in arb_net(),
         batch in prop::collection::vec(arb_record(), 0..16),
     ) {
+        // Abstract work is part of the semantics (it drives the cluster
+        // simulator): the engine must charge the interpreter's total ops
+        // for the same inputs on confluent nets.
         let expected = Interp::new(&net).run_batch(batch.clone()).unwrap();
         let (_, trace) = SchedNet::new(net).run_batch_traced(batch).unwrap();
         prop_assert_eq!(
@@ -338,11 +357,16 @@ proptest! {
         net in arb_net(),
         batch in prop::collection::vec(arb_record(), 0..12),
     ) {
-        // The same engine-generic streaming driver over the threaded
-        // engine: the unified handle API must not change its semantics.
+        // Both streaming drivers over one unfused net: `run_stream`'s
+        // feeder thread against the blocking ingress, and
+        // `run_stream_interleaved` feeding, draining and stepping on
+        // this one thread.
         let expected = Interp::new(&net).run_batch(batch.clone()).unwrap();
-        let streamed = run_stream(&Net::new(net), batch).unwrap();
-        prop_assert_eq!(multiset(&streamed), multiset(&expected.outputs));
+        let sched = SchedNet::with_config(net, unfused());
+        let threaded = run_stream(&sched, batch.clone()).unwrap();
+        let interleaved = run_stream_interleaved(&sched, batch).unwrap();
+        prop_assert_eq!(multiset(&threaded), multiset(&expected.outputs));
+        prop_assert_eq!(multiset(&interleaved), multiset(&expected.outputs));
     }
 
     #[test]

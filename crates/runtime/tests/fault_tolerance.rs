@@ -1,16 +1,15 @@
 //! Robustness properties under deterministic fault injection.
 //!
 //! Every test drives the same content-keyed chaos schedules
-//! ([`snet_runtime::faultinject`]) through the reference interpreter,
-//! the threaded engine, and the scheduled engine, so the *same* records
-//! fault in each — which is what lets us assert convergence, dead-letter
-//! partitioning, and cross-engine parity rather than merely "it didn't
-//! crash".
+//! ([`snet_runtime::faultinject`]) through the reference interpreter
+//! and the scheduled engine, so the *same* records fault in each —
+//! which is what lets us assert convergence, dead-letter partitioning,
+//! and parity with the oracle rather than merely "it didn't crash".
 
 use snet_core::boxdef::{BoxDef, BoxOutput, BoxSig, Work};
 use snet_core::{NetSpec, Record, SnetError, Value};
 use snet_runtime::faultinject::{chaos, chaos_with_stats, FaultSpec};
-use snet_runtime::{Engine, EngineConfig, FailurePolicy, Interp, Net, Network, SchedNet};
+use snet_runtime::{run_stream, DeadLetter, EngineConfig, FailurePolicy, Interp, SchedNet};
 use std::time::Duration;
 
 /// A box consuming `{x}` and emitting `{x: x + 1}`.
@@ -54,19 +53,16 @@ fn retry_converges_to_fault_free_output_on_all_engines() {
 
     // Fresh chaos wrap per engine: the per-record fault budget lives in
     // the wrapper, and a shared one would let the first run spend it.
-    for run in [
-        |net: NetSpec, cfg: EngineConfig| Net::with_config(net, cfg).run_batch(inputs(40)),
-        |net: NetSpec, cfg: EngineConfig| SchedNet::with_config(net, cfg).run_batch(inputs(40)),
-    ] {
-        let (flaky, stats) = chaos_with_stats(&inc_box(), spec);
-        let cfg = EngineConfig {
-            policy: retry(),
-            ..EngineConfig::default()
-        };
-        let outs = run(NetSpec::Box(flaky), cfg).unwrap();
-        assert_eq!(multiset(&outs), multiset(&expected.outputs));
-        assert!(stats.injected() > 0, "schedule injected nothing");
-    }
+    let (flaky, stats) = chaos_with_stats(&inc_box(), spec);
+    let cfg = EngineConfig {
+        policy: retry(),
+        ..EngineConfig::default()
+    };
+    let outs = SchedNet::with_config(NetSpec::Box(flaky), cfg)
+        .run_batch(inputs(40))
+        .unwrap();
+    assert_eq!(multiset(&outs), multiset(&expected.outputs));
+    assert!(stats.injected() > 0, "schedule injected nothing");
 
     let (flaky, stats) = chaos_with_stats(&inc_box(), spec);
     let interp = Interp::new(&NetSpec::Box(flaky)).with_policy(retry());
@@ -88,13 +84,6 @@ fn retry_recovers_from_formatted_panics() {
         policy: retry(),
         ..EngineConfig::default()
     };
-
-    let (flaky, stats) = chaos_with_stats(&inc_box(), spec);
-    let outs = Net::with_config(NetSpec::Box(flaky), cfg)
-        .run_batch(inputs(24))
-        .unwrap();
-    assert_eq!(multiset(&outs), multiset(&expected.outputs));
-    assert!(stats.injected() > 0);
 
     let (flaky, stats) = chaos_with_stats(&inc_box(), spec);
     let outs = SchedNet::with_config(NetSpec::Box(flaky), cfg)
@@ -168,11 +157,6 @@ fn dead_letter_partitions_the_input_set() {
         }
     };
 
-    let report = Net::with_config(NetSpec::Box(chaos(&inc_box(), spec)), cfg)
-        .run_batch_report(batch.clone())
-        .unwrap();
-    check(report.outputs, report.dead_letters, "threaded");
-
     let report = SchedNet::with_config(NetSpec::Box(chaos(&inc_box(), spec)), cfg)
         .run_batch_report(batch.clone())
         .unwrap();
@@ -195,18 +179,11 @@ fn engines_agree_on_the_error_variant_under_fail_fast() {
     let interp_err = Interp::new(&NetSpec::Box(chaos(&inc_box(), spec)))
         .run_batch(batch.clone())
         .unwrap_err();
-    let threaded_err = Net::new(NetSpec::Box(chaos(&inc_box(), spec)))
-        .run_batch(batch.clone())
-        .unwrap_err();
     let sched_err = SchedNet::new(NetSpec::Box(chaos(&inc_box(), spec)))
         .run_batch(batch)
         .unwrap_err();
 
-    for (engine, err) in [
-        ("interp", &interp_err),
-        ("threaded", &threaded_err),
-        ("sched", &sched_err),
-    ] {
+    for (engine, err) in [("interp", &interp_err), ("sched", &sched_err)] {
         match err {
             SnetError::BoxFailure { name, cause } => {
                 assert_eq!(name, "inc", "{engine}");
@@ -219,8 +196,9 @@ fn engines_agree_on_the_error_variant_under_fail_fast() {
 
 #[test]
 fn engines_agree_on_dead_letter_survivors() {
-    // Same permanent schedule, DeadLetter policy: all three engines
-    // must keep the same survivors and divert the same records.
+    // Same permanent schedule, DeadLetter policy: the engine must keep
+    // the oracle's survivors and divert the same records, batch or
+    // streamed.
     let spec = FaultSpec::panics(0x5eed, 4, u32::MAX);
     let batch = inputs(32);
     let cfg = EngineConfig {
@@ -234,44 +212,33 @@ fn engines_agree_on_dead_letter_survivors() {
         .unwrap();
     assert!(!oracle.dead_letters.is_empty(), "degenerate schedule");
 
-    for (engine, report) in [
-        (
-            "threaded",
-            Net::with_config(NetSpec::Box(chaos(&inc_box(), spec)), cfg)
-                .run_batch_report(batch.clone())
-                .unwrap(),
-        ),
-        (
-            "sched",
-            SchedNet::with_config(NetSpec::Box(chaos(&inc_box(), spec)), cfg)
-                .run_batch_report(batch.clone())
-                .unwrap(),
-        ),
-    ] {
-        assert_eq!(
-            multiset(&report.outputs),
-            multiset(&oracle.outputs),
-            "{engine}: surviving outputs diverge from the oracle"
-        );
-        let dead: Vec<Record> = report
-            .dead_letters
-            .iter()
-            .map(|d| d.record.clone())
-            .collect();
-        let oracle_dead: Vec<Record> = oracle
-            .dead_letters
-            .iter()
-            .map(|d| d.record.clone())
-            .collect();
-        assert_eq!(multiset(&dead), multiset(&oracle_dead), "{engine}");
-    }
+    let report = SchedNet::with_config(NetSpec::Box(chaos(&inc_box(), spec)), cfg)
+        .run_batch_report(batch)
+        .unwrap();
+    assert_eq!(
+        multiset(&report.outputs),
+        multiset(&oracle.outputs),
+        "surviving outputs diverge from the oracle"
+    );
+    let records = |dead: &[snet_runtime::DeadLetter]| -> Vec<Record> {
+        dead.iter().map(|d| d.record.clone()).collect()
+    };
+    assert_eq!(
+        multiset(&records(&report.dead_letters)),
+        multiset(&records(&oracle.dead_letters))
+    );
+    assert_eq!(
+        report.trace.get(&report.trace.dead_letters),
+        oracle.dead_letters.len() as u64,
+        "the trace counts every diversion"
+    );
 }
 
 #[test]
 fn glue_errors_divert_under_dead_letter() {
     // A split on `<k>` fed a record with no `<k>`: under FailFast that
     // is fatal; under DeadLetter the dispatcher diverts it and the rest
-    // of the batch flows on. Same on all three engines.
+    // of the batch flows on. Same on the engine as on the oracle.
     let net = NetSpec::split(NetSpec::Box(inc_box()), "k");
     let mut batch = vec![
         Record::new()
@@ -299,18 +266,12 @@ fn glue_errors_divert_under_dead_letter() {
         SnetError::MissingTag(_)
     ));
 
-    for report in [
-        Net::with_config(net.clone(), cfg)
-            .run_batch_report(batch.clone())
-            .unwrap(),
-        SchedNet::with_config(net.clone(), cfg)
-            .run_batch_report(batch.clone())
-            .unwrap(),
-    ] {
-        assert_eq!(report.outputs.len(), 2);
-        assert_eq!(report.dead_letters.len(), 1);
-        assert_eq!(report.dead_letters[0].report.component, "split-dispatch");
-    }
+    let report = SchedNet::with_config(net.clone(), cfg)
+        .run_batch_report(batch.clone())
+        .unwrap();
+    assert_eq!(report.outputs.len(), 2);
+    assert_eq!(report.dead_letters.len(), 1);
+    assert_eq!(report.dead_letters[0].report.component, "split-dispatch");
 
     // And FailFast still refuses.
     batch.rotate_left(1); // lead with the bad record to lose the race less
@@ -330,8 +291,8 @@ fn streaming_dead_letters_arrive_on_the_handle() {
         ..EngineConfig::default()
     };
 
-    fn drive<E: Engine>(engine: &Network<E>, batch: Vec<Record>) -> (Vec<Record>, Vec<Record>) {
-        let h = engine.start();
+    fn drive(net: &SchedNet, batch: Vec<Record>) -> (Vec<Record>, Vec<Record>) {
+        let h = net.start();
         let mut outs = Vec::new();
         let mut dead = Vec::new();
         std::thread::scope(|s| {
@@ -361,11 +322,31 @@ fn streaming_dead_letters_arrive_on_the_handle() {
     let (outs, dead) = drive(&sched, batch.clone());
     assert_eq!(outs.len() + dead.len(), batch.len());
     assert_eq!(multiset(&dead), multiset(&doomed));
+}
 
-    let net = Net::with_config(NetSpec::Box(chaos(&inc_box(), spec)), cfg);
-    let (outs, dead) = drive(&net, batch.clone());
-    assert_eq!(outs.len() + dead.len(), batch.len());
-    assert_eq!(multiset(&dead), multiset(&doomed));
+/// `run_stream` hands back only the outputs, but it drains the bounded
+/// dead-letter stream as it goes: a run that diverts more records than
+/// the stream holds (16 × `channel_capacity`) must not overflow it.
+/// One record in four is doomed, so however far the engine runs ahead
+/// of the draining consumer, the letters in flight stay a third of the
+/// outputs it can buffer, well under the bound.
+#[test]
+fn run_stream_drains_the_dead_letters_it_discards() {
+    let spec = FaultSpec::errors(0x0dead, 4, u32::MAX);
+    let batch = inputs(6000);
+    let (doomed, healthy) = partition(spec, &batch);
+    let cfg = EngineConfig {
+        policy: FailurePolicy::DeadLetter,
+        ..EngineConfig::default()
+    };
+    assert!(
+        doomed.len() > 16 * cfg.channel_capacity,
+        "{} diversions fit in the stream undrained",
+        doomed.len()
+    );
+    let net = SchedNet::with_config(NetSpec::Box(chaos(&inc_box(), spec)), cfg);
+    let outs = run_stream(&net, batch).expect("no dead-letter overflow");
+    assert_eq!(outs.len(), healthy.len());
 }
 
 #[test]
@@ -382,11 +363,7 @@ fn per_box_policy_overrides_the_engine_default() {
     assert!(!doomed.is_empty());
 
     // Engine default FailFast; the override still diverts.
-    let report = SchedNet::new(net.clone())
-        .run_batch_report(batch.clone())
-        .unwrap();
-    assert_eq!(report.dead_letters.len(), doomed.len());
-    let report = Net::new(net).run_batch_report(batch).unwrap();
+    let report = SchedNet::new(net).run_batch_report(batch).unwrap();
     assert_eq!(report.dead_letters.len(), doomed.len());
 }
 
@@ -435,20 +412,40 @@ fn cancel_reports_cancelled_and_leaves_the_pool_reusable() {
     assert_eq!(sched.workers_spawned(), spawned, "cancel respawned workers");
 }
 
+/// A cancel issued from a thread of its own reaches the threads blocked
+/// on the run: a feeder waiting on a full one-record ingress in front of
+/// a stalling box, and this thread waiting in `recv`. Both return, and
+/// the run reports `Cancelled`.
 #[test]
 fn cancel_works_on_the_threaded_engine() {
-    let net = Net::new(stalling_net());
+    let net = SchedNet::with_config(
+        stalling_net(),
+        EngineConfig {
+            channel_capacity: 1,
+            ..EngineConfig::default()
+        },
+    );
     let h = net.start();
-    for rec in inputs(100) {
-        h.send(rec).unwrap();
-    }
-    let _ = h.recv().expect("one output before cancel");
-    h.cancel();
-    while h.recv().is_some() {}
-    match h.finish() {
-        Err(SnetError::Cancelled) => {}
-        other => panic!("expected Cancelled, got {other:?}"),
-    }
+    let accepted = std::thread::scope(|s| {
+        let h = &h;
+        let feeder = s.spawn(move || {
+            let mut accepted = 0;
+            for rec in inputs(100) {
+                if h.send(rec).is_err() {
+                    break;
+                }
+                accepted += 1;
+            }
+            accepted
+        });
+        let first = h.recv().expect("one output before cancel");
+        assert!(first.field("x").is_some());
+        s.spawn(move || h.cancel()).join().unwrap();
+        while h.recv().is_some() {}
+        feeder.join().unwrap()
+    });
+    assert!(accepted < 100, "cancel never refused the feeder");
+    assert_eq!(h.finish(), Err(SnetError::Cancelled));
 }
 
 #[test]
@@ -459,10 +456,6 @@ fn deadlines_expire_with_deadline_exceeded() {
     };
     let batch = inputs(100); // ~1s of stalls: cannot finish in 30ms
 
-    match Net::with_config(stalling_net(), cfg).run_batch(batch.clone()) {
-        Err(SnetError::DeadlineExceeded) => {}
-        other => panic!("threaded: expected DeadlineExceeded, got {other:?}"),
-    }
     match SchedNet::with_config(stalling_net(), cfg).run_batch(batch.clone()) {
         Err(SnetError::DeadlineExceeded) => {}
         other => panic!("sched: expected DeadlineExceeded, got {other:?}"),
@@ -474,6 +467,24 @@ fn deadlines_expire_with_deadline_exceeded() {
         Err(SnetError::DeadlineExceeded) => {}
         other => panic!("interp: expected DeadlineExceeded, got {other:?}"),
     }
+}
+
+/// A deadline that expires while the input is still open and every
+/// task is idle ends the stream anyway: the blocked `recv` notices,
+/// closes the input, and returns `None` once the teardown has drained.
+#[test]
+fn an_expired_deadline_ends_an_open_stream() {
+    let net = SchedNet::with_config(
+        NetSpec::Box(inc_box()),
+        EngineConfig {
+            deadline: Some(Duration::from_millis(30)),
+            ..EngineConfig::default()
+        },
+    );
+    let h = net.start();
+    let _ = h.send(Record::new().with_field("x", Value::Int(1)));
+    while h.recv().is_some() {}
+    assert_eq!(h.finish(), Err(SnetError::DeadlineExceeded));
 }
 
 #[test]
@@ -496,25 +507,19 @@ fn string_panic_payloads_reach_failure_reports() {
         policy: FailurePolicy::DeadLetter,
         ..EngineConfig::default()
     };
-    for report in [
-        Net::with_config(NetSpec::Box(chaos(&inc_box(), spec)), cfg)
-            .run_batch_report(inputs(4))
-            .unwrap(),
-        SchedNet::with_config(NetSpec::Box(chaos(&inc_box(), spec)), cfg)
-            .run_batch_report(inputs(4))
-            .unwrap(),
-    ] {
-        assert_eq!(report.dead_letters.len(), 4);
-        for d in &report.dead_letters {
-            match &d.report.cause {
-                SnetError::BoxFailure { cause, .. } => {
-                    assert!(
-                        cause.contains("injected panic in inc"),
-                        "payload lost: {cause}"
-                    );
-                }
-                other => panic!("expected BoxFailure, got {other:?}"),
+    let report = SchedNet::with_config(NetSpec::Box(chaos(&inc_box(), spec)), cfg)
+        .run_batch_report(inputs(4))
+        .unwrap();
+    assert_eq!(report.dead_letters.len(), 4);
+    for d in &report.dead_letters {
+        match &d.report.cause {
+            SnetError::BoxFailure { cause, .. } => {
+                assert!(
+                    cause.contains("injected panic in inc"),
+                    "payload lost: {cause}"
+                );
             }
+            other => panic!("expected BoxFailure, got {other:?}"),
         }
     }
 }
@@ -588,31 +593,56 @@ fn chaos_schedule_is_reproducible_across_runs() {
     assert_eq!(multiset(&a.outputs), multiset(&b.outputs));
 }
 
+/// Code that knows only "something that runs a batch" reaches the
+/// fault APIs through `FnOnce` alone: the engine's batch report, its
+/// streaming handle and the interpreter fed one record at a time keep
+/// the same survivors and divert the same records.
 #[test]
 fn engine_generic_code_reaches_fault_apis_through_the_traits() {
-    // The unified API: cancel + dead letters without naming an engine.
-    fn survivors<E: Engine>(engine: &Network<E>, batch: Vec<Record>) -> (usize, usize) {
-        let report = engine.run_batch_report(batch).unwrap();
-        (report.outputs.len(), report.dead_letters.len())
+    type Run = (Vec<Record>, Vec<DeadLetter>);
+    fn survivors(run: impl FnOnce(Vec<Record>) -> Run, batch: Vec<Record>) -> [Vec<String>; 2] {
+        let (outs, dead) = run(batch);
+        let dead: Vec<Record> = dead.into_iter().map(|d| d.record).collect();
+        [multiset(&outs), multiset(&dead)]
     }
     let spec = FaultSpec::errors(0x0dead, 3, u32::MAX);
     let batch = inputs(30);
     let (doomed, healthy) = partition(spec, &batch);
+    let healthy = Interp::new(&NetSpec::Box(inc_box()))
+        .run_batch(healthy)
+        .unwrap();
+    let want = [multiset(&healthy.outputs), multiset(&doomed)];
+    let net = || NetSpec::Box(chaos(&inc_box(), spec));
     let cfg = EngineConfig {
         policy: FailurePolicy::DeadLetter,
         ..EngineConfig::default()
     };
-    for (outs, dead) in [
-        survivors(
-            &Net::with_config(NetSpec::Box(chaos(&inc_box(), spec)), cfg),
-            batch.clone(),
-        ),
-        survivors(
-            &SchedNet::with_config(NetSpec::Box(chaos(&inc_box(), spec)), cfg),
-            batch.clone(),
-        ),
-    ] {
-        assert_eq!(outs, healthy.len());
-        assert_eq!(dead, doomed.len());
-    }
+
+    let reported = |batch| {
+        let report = SchedNet::with_config(net(), cfg)
+            .run_batch_report(batch)
+            .unwrap();
+        (report.outputs, report.dead_letters)
+    };
+    let streamed = |batch| {
+        let sched = SchedNet::with_config(net(), cfg);
+        let h = sched.start();
+        h.send_all(batch).unwrap();
+        h.close_input();
+        let outs: Vec<Record> = std::iter::from_fn(|| h.recv()).collect();
+        let dead: Vec<DeadLetter> = std::iter::from_fn(|| h.try_recv_dead_letter()).collect();
+        h.finish().unwrap();
+        (outs, dead)
+    };
+    let fed = |batch: Vec<Record>| {
+        let mut interp = Interp::new(&net()).with_policy(FailurePolicy::DeadLetter);
+        let mut outs = Vec::new();
+        for rec in batch {
+            outs.extend(interp.feed(rec).unwrap());
+        }
+        (outs, interp.dead_letters().to_vec())
+    };
+    assert_eq!(survivors(reported, batch.clone()), want, "batch report");
+    assert_eq!(survivors(streamed, batch.clone()), want, "streaming handle");
+    assert_eq!(survivors(fed, batch), want, "interpreter, fed");
 }

@@ -19,12 +19,8 @@ use snet_core::fusion::Node;
 use snet_core::{
     BinOp, FilterSpec, NetSpec, Pattern, Record, SnetError, SyncSpec, TagExpr, Value, Variant,
 };
-use snet_runtime::engine::Threaded;
 use snet_runtime::faultinject::{chaos, FaultSpec};
-use snet_runtime::sched::Scheduled;
-use snet_runtime::{
-    DeadLetter, Engine, EngineConfig, FailurePolicy, Interp, Net, Network, SchedNet, Trace,
-};
+use snet_runtime::{DeadLetter, EngineConfig, FailurePolicy, Interp, SchedNet, Trace};
 use std::time::Duration;
 
 /// A box consuming `{a}` and emitting `{a: a + 1}`.
@@ -164,6 +160,15 @@ fn unfused_cfg() -> EngineConfig {
     }
 }
 
+/// Fused, with every hand-off one record: a tap steps its head on one
+/// record at a time, as the simulated cluster's processes do.
+fn record_at_a_time_cfg() -> EngineConfig {
+    EngineConfig {
+        batch: 1,
+        ..fused_cfg()
+    }
+}
+
 /// The fused chains in a compiled plan: those of two or more stages (a
 /// standalone box or filter is a chain of one).
 fn count_chains(node: &Node) -> usize {
@@ -233,13 +238,11 @@ proptest! {
         let fused = SchedNet::with_config(net.clone(), fused_cfg())
             .run_batch(batch.clone())
             .unwrap();
-        let unfused = SchedNet::with_config(net.clone(), unfused_cfg())
-            .run_batch(batch.clone())
+        let unfused = SchedNet::with_config(net, unfused_cfg())
+            .run_batch(batch)
             .unwrap();
-        let threaded = Net::with_config(net, fused_cfg()).run_batch(batch).unwrap();
         prop_assert_eq!(multiset(&fused), multiset(&expected.outputs));
         prop_assert_eq!(multiset(&unfused), multiset(&expected.outputs));
-        prop_assert_eq!(multiset(&threaded), multiset(&expected.outputs));
     }
 
     #[test]
@@ -327,12 +330,6 @@ proptest! {
                     .run_batch_report(batch.clone())
                     .unwrap(),
             ),
-            (
-                "threaded-fused",
-                Net::with_config(chain(spec), fused_cfg())
-                    .run_batch_report(batch.clone())
-                    .unwrap(),
-            ),
         ] {
             prop_assert_eq!(
                 multiset(&report.outputs),
@@ -398,21 +395,19 @@ fn generator_produces_fusable_chains() {
 fn the_plan_shows_in_the_trace() {
     // What the engines instantiate is the compiled tree: the same
     // depth-4 pipeline is one component fused and four as written.
-    fn built<E: Engine>(config: EngineConfig) -> u64 {
+    fn built(config: EngineConfig) -> u64 {
         let net = NetSpec::pipeline([add_box(), dup_box(), rename_filter(), tag_filter()]);
         let batch = vec![Record::new()
             .with_field("a", Value::Int(1))
             .with_tag("n", 2)];
-        let (outs, trace) = Network::<E>::with_config(net, config)
+        let (outs, trace) = SchedNet::with_config(net, config)
             .run_batch_traced(batch)
             .unwrap();
         assert_eq!(outs.len(), 2);
         trace.get(&trace.components_built)
     }
-    assert_eq!(built::<Scheduled>(fused_cfg()), 1);
-    assert_eq!(built::<Scheduled>(unfused_cfg()), 4);
-    assert_eq!(built::<Threaded>(fused_cfg()), 1);
-    assert_eq!(built::<Threaded>(unfused_cfg()), 4);
+    assert_eq!(built(fused_cfg()), 1);
+    assert_eq!(built(unfused_cfg()), 4);
 }
 
 #[test]
@@ -420,9 +415,9 @@ fn a_fused_tap_is_the_whole_replica() {
     // `countdown_star`'s body is one filter: fused, the tap runs it and
     // a replica is the next tap alone; as written, a replica is the
     // filter and the next tap. `<n> = 3` unfolds three replicas.
-    fn built<E: Engine>(config: EngineConfig) -> u64 {
+    fn built(config: EngineConfig) -> u64 {
         let batch = vec![Record::new().with_tag("n", 3)];
-        let (outs, trace) = Network::<E>::with_config(countdown_star(), config)
+        let (outs, trace) = SchedNet::with_config(countdown_star(), config)
             .run_batch_traced(batch)
             .unwrap();
         assert_eq!(outs.len(), 1);
@@ -432,10 +427,8 @@ fn a_fused_tap_is_the_whole_replica() {
         assert_eq!(trace.get(&trace.components_finalized), built);
         built
     }
-    assert_eq!(built::<Scheduled>(fused_cfg()), 4);
-    assert_eq!(built::<Scheduled>(unfused_cfg()), 7);
-    assert_eq!(built::<Threaded>(fused_cfg()), 4);
-    assert_eq!(built::<Threaded>(unfused_cfg()), 7);
+    assert_eq!(built(fused_cfg()), 4);
+    assert_eq!(built(unfused_cfg()), 7);
 }
 
 /// A box consuming `{a}` and emitting `a mod 3` records `{a: a + 1}`:
@@ -573,10 +566,16 @@ proptest! {
         let unfused = SchedNet::with_config(net.clone(), unfused_cfg())
             .run_batch_report(batch.clone())
             .unwrap();
-        let threaded = Net::with_config(net, fused_cfg()).run_batch_report(batch).unwrap();
+        let one_by_one = SchedNet::with_config(net, record_at_a_time_cfg())
+            .run_batch_report(batch)
+            .unwrap();
         let counters = semantic_counters(&unfused.trace);
         prop_assert_eq!(counters[1], oracle.work.ops);
-        for (engine, report) in [("fused", &fused), ("unfused", &unfused), ("threaded", &threaded)] {
+        for (engine, report) in [
+            ("fused", &fused),
+            ("unfused", &unfused),
+            ("fused, batch 1", &one_by_one),
+        ] {
             prop_assert_eq!(
                 multiset(&report.outputs),
                 multiset(&oracle.outputs),
@@ -626,8 +625,8 @@ fn a_panic_in_a_fused_head_is_attributed_to_its_stage() {
                 SchedNet::with_config(net.clone(), unfused_cfg()).run_batch(batch.clone()),
             ),
             (
-                "threaded",
-                Net::with_config(net.clone(), fused_cfg()).run_batch(batch.clone()),
+                "fused, batch 1",
+                SchedNet::with_config(net.clone(), record_at_a_time_cfg()).run_batch(batch.clone()),
             ),
         ] {
             match (&oracle, got) {
@@ -671,13 +670,11 @@ fn boundaries_split_chains_into_fused_halves() {
     let fused = SchedNet::with_config(net.clone(), fused_cfg())
         .run_batch(batch.clone())
         .unwrap();
-    let unfused = SchedNet::with_config(net.clone(), unfused_cfg())
-        .run_batch(batch.clone())
+    let unfused = SchedNet::with_config(net, unfused_cfg())
+        .run_batch(batch)
         .unwrap();
-    let threaded = Net::with_config(net, fused_cfg()).run_batch(batch).unwrap();
     assert_eq!(multiset(&fused), multiset(&expected.outputs));
     assert_eq!(multiset(&unfused), multiset(&expected.outputs));
-    assert_eq!(multiset(&threaded), multiset(&expected.outputs));
 }
 
 #[test]

@@ -11,15 +11,15 @@
 //!   streaming ingress must hold resident records at
 //!   `EngineConfig::channel_capacity`;
 //! * dropping a handle without `finish()` must neither deadlock nor
-//!   leak pool threads.
+//!   leak pool threads;
+//! * a handle that outlives its network used to accept records nobody
+//!   would process, block a full send forever and finish `Ok` — it
+//!   must fail instead, unless its run had completed.
 
 use snet_core::boxdef::{BoxDef, BoxOutput, BoxSig, Work};
 use snet_core::{NetSpec, Record, SnetError, Value};
-use snet_runtime::engine::Threaded;
-use snet_runtime::sched::Scheduled;
 use snet_runtime::{
-    run_stream, run_stream_interleaved, Engine, EngineConfig, Handle, Ingress, NetHandle, Network,
-    SchedHandle, SchedNet, Trace, TrySendError,
+    run_stream, run_stream_interleaved, EngineConfig, SchedHandle, SchedNet, Trace, TrySendError,
 };
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -280,51 +280,42 @@ fn dropping_handle_without_finish_is_safe() {
 /// rid of leftovers — a 1 → 5 fan-out in front means every activation
 /// hands it more than the one- or two-slot output channel takes, so it
 /// delivers across deferrals, record by record — must still deliver
-/// every record in stream order. Both drivers, both engines (`workers`
-/// means nothing to the threaded one), one and two pool workers.
+/// every record in stream order. Both drivers, one and two pool workers.
 #[test]
 fn tight_capacity_streaming_soak() {
     fn x_of(r: &Record) -> i64 {
         r.field("x").and_then(|v| v.as_int()).expect("int field x")
     }
-    fn soak<E: Engine>() {
-        let fan_out = NetSpec::Box(BoxDef::from_fn(
-            BoxSig::parse("fan", &["x"], &[&["x"]]),
-            |r| {
-                let x = x_of(r);
-                let outs =
-                    (0..5).map(move |k| Record::new().with_field("x", Value::Int(5 * x + k)));
-                Ok(BoxOutput::from_iter(outs, Work::ops(1)))
+    let fan_out = NetSpec::Box(BoxDef::from_fn(
+        BoxSig::parse("fan", &["x"], &[&["x"]]),
+        |r| {
+            let x = x_of(r);
+            let outs = (0..5).map(move |k| Record::new().with_field("x", Value::Int(5 * x + k)));
+            Ok(BoxOutput::from_iter(outs, Work::ops(1)))
+        },
+    ));
+    let stages = std::iter::once(fan_out).chain((0..8).map(|_| int_box("inc", |x| x + 1)));
+    let spec = NetSpec::pipeline(stages.collect::<Vec<_>>());
+    let want: Vec<i64> = (8..508).collect();
+    for (channel_capacity, workers) in [(1, 1), (1, 2), (2, 1), (2, 2)] {
+        let net = SchedNet::with_config(
+            spec.clone(),
+            EngineConfig {
+                workers,
+                channel_capacity,
+                ..EngineConfig::default()
             },
-        ));
-        let stages = std::iter::once(fan_out).chain((0..8).map(|_| int_box("inc", |x| x + 1)));
-        let spec = NetSpec::pipeline(stages.collect::<Vec<_>>());
-        let want: Vec<i64> = (8..508).collect();
-        for (channel_capacity, workers) in [(1, 1), (1, 2), (2, 1), (2, 2)] {
-            let net = Network::<E>::with_config(
-                spec.clone(),
-                EngineConfig {
-                    workers,
-                    channel_capacity,
-                    ..EngineConfig::default()
-                },
-            );
-            let case = format!(
-                "{}: capacity {channel_capacity}, {workers} workers",
-                net.name()
-            );
-            for round in 0..2 {
-                let outs = run_stream(&net, recs(100)).unwrap();
-                let got: Vec<i64> = outs.iter().map(x_of).collect();
-                assert_eq!(got, want, "{case}, round {round}");
-            }
-            let outs = run_stream_interleaved(&net, recs(100)).unwrap();
+        );
+        let case = format!("capacity {channel_capacity}, {workers} workers");
+        for round in 0..2 {
+            let outs = run_stream(&net, recs(100)).unwrap();
             let got: Vec<i64> = outs.iter().map(x_of).collect();
-            assert_eq!(got, want, "{case}, interleaved");
+            assert_eq!(got, want, "{case}, round {round}");
         }
+        let outs = run_stream_interleaved(&net, recs(100)).unwrap();
+        let got: Vec<i64> = outs.iter().map(x_of).collect();
+        assert_eq!(got, want, "{case}, interleaved");
     }
-    soak::<Scheduled>();
-    soak::<Threaded>();
 }
 
 /// One streaming run through a handle, keeping its trace (the public
@@ -332,8 +323,8 @@ fn tight_capacity_streaming_soak() {
 /// thread against the blocking ingress while this thread drains) or
 /// like `run_stream_interleaved` (one thread: `try_send`, drain what is
 /// there, help the pool).
-fn stream_traced<I: Ingress>(
-    h: Handle<I>,
+fn stream_traced(
+    h: SchedHandle,
     records: Vec<Record>,
     interleaved: bool,
 ) -> (Vec<Record>, Arc<Trace>) {
@@ -442,49 +433,113 @@ fn tight_capacity_star_soak() {
     }
     want.sort_unstable();
 
-    fn soak<E: Engine>(spec: &NetSpec, want: &[(i64, i64)]) {
-        for (channel_capacity, workers) in [(1, 1), (1, 2), (2, 1), (2, 2)] {
-            let net = Network::<E>::with_config(
-                spec.clone(),
-                EngineConfig {
-                    workers,
-                    channel_capacity,
-                    ..EngineConfig::default()
-                },
+    for (channel_capacity, workers) in [(1, 1), (1, 2), (2, 1), (2, 2)] {
+        let net = SchedNet::with_config(
+            spec.clone(),
+            EngineConfig {
+                workers,
+                channel_capacity,
+                ..EngineConfig::default()
+            },
+        );
+        let case = format!("capacity {channel_capacity}, {workers} workers");
+        let outs = run_stream(&net, inputs()).unwrap();
+        assert_eq!(got(&outs), want, "{case}, run_stream");
+        let outs = run_stream_interleaved(&net, inputs()).unwrap();
+        assert_eq!(got(&outs), want, "{case}, run_stream_interleaved");
+        for interleaved in [false, true] {
+            let (outs, trace) = stream_traced(net.start(), inputs(), interleaved);
+            assert_eq!(
+                got(&outs),
+                want,
+                "{case}, traced, interleaved {interleaved}"
             );
-            let case = format!(
-                "{}: capacity {channel_capacity}, {workers} workers",
-                net.name()
+            assert!(trace.get(&trace.star_unfoldings) > 0, "{case}");
+            assert_eq!(
+                trace.get(&trace.components_built),
+                trace.get(&trace.components_finalized),
+                "{case}, interleaved {interleaved}: every component torn down"
             );
-            let outs = run_stream(&net, inputs()).unwrap();
-            assert_eq!(got(&outs), want, "{case}, run_stream");
-            let outs = run_stream_interleaved(&net, inputs()).unwrap();
-            assert_eq!(got(&outs), want, "{case}, run_stream_interleaved");
-            for interleaved in [false, true] {
-                let (outs, trace) = stream_traced(net.start(), inputs(), interleaved);
-                assert_eq!(
-                    got(&outs),
-                    want,
-                    "{case}, traced, interleaved {interleaved}"
-                );
-                assert!(trace.get(&trace.star_unfoldings) > 0, "{case}");
-                assert_eq!(
-                    trace.get(&trace.components_built),
-                    trace.get(&trace.components_finalized),
-                    "{case}, interleaved {interleaved}: every component torn down"
-                );
-            }
         }
     }
-    soak::<Scheduled>(&spec, &want);
-    soak::<Threaded>(&spec, &want);
 }
 
 /// A handle is shared by reference between a producer and a consumer
-/// thread, whatever its egress is made of.
+/// thread.
 #[test]
 fn handles_are_send_and_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<NetHandle>();
     assert_send_sync::<SchedHandle>();
+}
+
+fn inc_net(channel_capacity: usize) -> SchedNet {
+    SchedNet::with_config(
+        int_box("inc", |x| x + 1),
+        EngineConfig {
+            channel_capacity,
+            ..EngineConfig::default()
+        },
+    )
+}
+
+/// A handle whose network dropped right after `start()`: the records it
+/// accepts while the entry mailbox has room are never processed, so
+/// `recv` ends with nothing and `finish` reports an engine error; a
+/// send that would wait for room fails at once instead of blocking
+/// forever, and so does a `try_send` that would report `Full`.
+#[test]
+fn a_handle_outliving_its_network_fails_instead_of_hanging() {
+    let net = inc_net(4);
+    let h = net.start();
+    drop(net);
+    for i in 0..3 {
+        h.send(Record::new().with_field("x", Value::Int(i)))
+            .expect("room in the entry mailbox");
+    }
+    assert!(h.recv().is_none(), "nothing processes the records");
+    assert!(matches!(h.finish(), Err(SnetError::Engine(_))));
+
+    let net = inc_net(4);
+    let h = net.start();
+    drop(net);
+    for i in 0..4 {
+        h.send(Record::new().with_field("x", Value::Int(i)))
+            .expect("room in the entry mailbox");
+    }
+    let t0 = Instant::now();
+    let err = h
+        .send(Record::new().with_field("x", Value::Int(4)))
+        .expect_err("a full mailbox on a dead pool never drains");
+    assert!(matches!(err, SnetError::Engine(_)), "{err}");
+    assert!(t0.elapsed() < Duration::from_secs(2), "{:?}", t0.elapsed());
+    match h.try_send(Record::new().with_field("x", Value::Int(5))) {
+        Err(TrySendError::Closed(SnetError::Engine(_))) => {}
+        other => panic!("expected Closed, got {other:?}"),
+    }
+    assert!(matches!(h.finish(), Err(SnetError::Engine(_))));
+}
+
+/// A run that completed before its network dropped, or that the
+/// handle's owner carried to completion with `drive()` afterwards, still
+/// finishes `Ok` with every output.
+#[test]
+fn a_run_completed_despite_its_dropped_network_finishes_ok() {
+    let net = inc_net(4);
+    let h = net.start();
+    h.send_all(recs(3)).unwrap();
+    h.close_input();
+    let outs: Vec<Record> = std::iter::from_fn(|| h.recv()).collect();
+    drop(net);
+    assert_eq!(xs(&outs), vec![1, 2, 3]);
+    h.finish().unwrap();
+
+    let net = inc_net(4);
+    let h = net.start();
+    drop(net);
+    h.send_all(recs(3)).unwrap();
+    h.close_input();
+    while h.drive() {}
+    let outs: Vec<Record> = std::iter::from_fn(|| h.recv()).collect();
+    assert_eq!(xs(&outs), vec![1, 2, 3]);
+    h.finish().unwrap();
 }

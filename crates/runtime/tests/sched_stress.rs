@@ -1,15 +1,13 @@
-//! Stress test: topology scale the thread-per-component engine cannot
-//! reach.
+//! Stress test: topology scale a thread per component could not reach.
 //!
 //! The generated network is a star whose body is a 16-branch parallel
 //! composition of 16-deep box pipelines. Every star unfolding
 //! instantiates ~290 component instances (16 × 16 boxes plus glue); a
-//! 6-level unfolding is ~1,750 components. Under the threaded engine
-//! that is ~1,750 OS threads *per run* — past default thread limits in
-//! constrained environments and far past the point where spawn cost
-//! dominates. The scheduled engine runs the same topology on a 4-worker
-//! pool, and must still agree with the deterministic interpreter on the
-//! output multiset.
+//! 6-level unfolding is ~1,750 components — ~1,750 OS threads *per run*
+//! if each were a thread, past default thread limits in constrained
+//! environments. The scheduled engine runs the same topology on pools of
+//! 1 to 8 workers, and must still agree with the deterministic
+//! interpreter on the output multiset.
 
 use snet_core::boxdef::{BoxDef, BoxOutput, BoxSig, Work};
 use snet_core::filter::OutputTemplate;

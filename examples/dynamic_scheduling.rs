@@ -1,9 +1,9 @@
 //! Watch Fig 4's token-based dynamic scheduling at work.
 //!
 //! First runs the dynamic (token-scheduled) raytracing net *locally*,
-//! streamed through the unified handle API on both real engines — the
-//! thread-per-component engine and the persistent-pool scheduled
-//! engine — to show the same coordination program executing live.
+//! streamed through the handle API on the scheduled engine's
+//! persistent worker pool, to show the coordination program executing
+//! live.
 //! Then sweeps the token count for a fixed task count on the simulated
 //! 8-node testbed and prints the resulting virtual runtimes — a single
 //! row of Fig 5 — together with the synchrocell statistics that reveal
@@ -21,22 +21,18 @@ use snet_apps::{
 };
 use snet_dist::OverheadModel;
 use snet_raytracer::ScenePreset;
-use snet_runtime::{Engine, Net, Network, SchedNet};
+use snet_runtime::SchedNet;
 use snet_simnet::ClusterSpec;
 
 const NODES: usize = 8;
 
-/// Streams the single input record of the raytracing net through any
+/// Streams the single input record of the raytracing net through the
 /// engine and returns the wall time: the net's `genImg` sink consumes
 /// the stream (the picture lands in the image slot), so the drain loop
 /// simply waits for end-of-stream.
-fn stream_locally<E: Engine>(
-    engine: &Network<E>,
-    wl: &Workload,
-    cfg: &SnetConfig,
-) -> std::time::Duration {
+fn stream_locally(net: &SchedNet, wl: &Workload, cfg: &SnetConfig) -> std::time::Duration {
     let t0 = std::time::Instant::now();
-    let handle = engine.start();
+    let handle = net.start();
     handle.send(input_record(wl, cfg)).expect("input accepted");
     handle.close_input();
     while handle.recv().is_some() {}
@@ -49,7 +45,7 @@ fn main() {
     let tasks: u32 = args.next().and_then(|a| a.parse().ok()).unwrap_or(32);
     let size: u32 = args.next().and_then(|a| a.parse().ok()).unwrap_or(256);
 
-    // ---- Local streaming execution, both engines, unified API. ----
+    // ---- Local streaming execution on the scheduled engine. ----
     let local_wl = Workload {
         preset: ScenePreset::Clustered,
         spheres: 35,
@@ -71,25 +67,11 @@ fn main() {
     );
     {
         let slot = image_slot();
-        let threaded = Net::new(raytracing_net(NetVariant::Dynamic, slot.clone(), None));
-        let took = stream_locally(&threaded, &local_wl, &local_cfg);
-        let img = slot.lock().take().expect("picture produced");
-        assert_eq!(img, reference_small, "threaded engine must render exactly");
-        println!(
-            "  {:>8}: {took:>10.3?} (thread per component)",
-            threaded.name()
-        );
-    }
-    {
-        let slot = image_slot();
         let sched = SchedNet::new(raytracing_net(NetVariant::Dynamic, slot.clone(), None));
         let took = stream_locally(&sched, &local_wl, &local_cfg);
         let img = slot.lock().take().expect("picture produced");
         assert_eq!(img, reference_small, "scheduled engine must render exactly");
-        println!(
-            "  {:>8}: {took:>10.3?} (persistent worker pool)",
-            sched.name()
-        );
+        println!("  {took:>10.3?} on the persistent worker pool");
     }
     println!();
 

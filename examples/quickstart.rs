@@ -1,14 +1,14 @@
 //! Quickstart: build a tiny S-Net streaming network and run it — as a
-//! batch and as a live stream, on both concurrent engines.
+//! batch and as a live stream on the scheduled engine, checked against
+//! the reference interpreter.
 //!
 //! Demonstrates the core methodology of the paper in ~100 lines:
 //! *algorithm engineering* is the plain `double` function; *concurrency
 //! engineering* is the coordination source text; the two only meet at
 //! the box signature. Flow inheritance carries labels the boxes never
-//! mention. The same compiled network then runs unchanged on the
-//! threaded engine (a thread per component, the paper's literal model)
-//! and the scheduled engine (a persistent work-stealing worker pool),
-//! through the engine-generic `Network<E>`/`Handle` API.
+//! mention. The compiled network then runs on the scheduled engine (a
+//! persistent work-stealing worker pool) through its batch and
+//! streaming `Handle` APIs, and on the deterministic interpreter.
 //!
 //! ```text
 //! cargo run --example quickstart
@@ -17,14 +17,14 @@
 use snet_core::boxdef::{BoxOutput, Work};
 use snet_core::{Record, Value};
 use snet_lang::{compile, BoxRegistry};
-use snet_runtime::{Engine, Net, Network, SchedNet};
+use snet_runtime::{Interp, SchedNet};
 
-/// Streams records one at a time through any engine: sends push against
+/// Streams records one at a time through the network: sends push against
 /// the handle's bounded ingress while this thread drains outputs — the
 /// continuous-stream execution mode the paper's runtime section is
 /// about, as opposed to a one-shot batch.
-fn stream_through<E: Engine>(engine: &Network<E>, inputs: Vec<Record>) -> Vec<(i64, i64)> {
-    let handle = engine.start();
+fn stream_through(net: &SchedNet, inputs: Vec<Record>) -> Vec<(i64, i64)> {
+    let handle = net.start();
     let mut results = Vec::new();
     std::thread::scope(|s| {
         let h = &handle;
@@ -80,39 +80,43 @@ fn main() {
     // i doubled i times = i * 2^i.
     let expected: Vec<(i64, i64)> = (1..=5).map(|i| (i << i, 0)).collect();
 
-    // --- Execution: one-shot batch on the threaded engine. -----------
-    let outputs = Net::new(net.clone())
-        .run_batch(inputs.clone())
-        .expect("runs to completion");
-    let mut batch: Vec<(i64, i64)> = outputs
-        .iter()
-        .map(|r| {
-            (
-                r.field("x").and_then(|v| v.as_int()).expect("x survives"),
-                r.tag("n").expect("n survives"),
-            )
-        })
-        .collect();
-    batch.sort_unstable();
+    let pairs = |outputs: Vec<Record>| {
+        let mut pairs: Vec<(i64, i64)> = outputs
+            .iter()
+            .map(|r| {
+                (
+                    r.field("x").and_then(|v| v.as_int()).expect("x survives"),
+                    r.tag("n").expect("n survives"),
+                )
+            })
+            .collect();
+        pairs.sort_unstable();
+        pairs
+    };
+
+    // --- Execution: one-shot batch on the scheduled engine. ----------
+    let sched = SchedNet::new(net.clone());
+    let batch = pairs(sched.run_batch(inputs.clone()).expect("runs to completion"));
     assert_eq!(batch, expected, "each record is doubled <n> times");
-    println!("batch (threaded engine):");
+    println!("batch (scheduled engine):");
     for (x, n) in &batch {
         println!("  x = {x:3}  (counter ended at {n})");
     }
 
-    // --- Execution: the same net as a live stream, either engine. ----
-    // `stream_through` is engine-generic: the threaded engine's bounded
-    // entry channel and the scheduled engine's capped entry mailbox
-    // both push back on the sender; outputs arrive while input is
-    // still being fed.
-    let threaded = Net::new(net.clone());
-    let sched = SchedNet::new(net);
-    for results in [
-        stream_through(&threaded, inputs.clone()),
-        stream_through(&sched, inputs),
-    ] {
-        assert_eq!(results, expected, "streaming preserves the batch semantics");
-    }
-    println!("streaming (threaded + sched engines): same results, fed record by record");
+    // --- Execution: the same net as a live stream. --------------------
+    // The capped entry mailbox pushes back on the sender; outputs
+    // arrive while input is still being fed.
+    let streamed = stream_through(&sched, inputs.clone());
+    assert_eq!(
+        streamed, expected,
+        "streaming preserves the batch semantics"
+    );
+    println!("streaming: same results, fed record by record");
+
+    // --- The oracle: the deterministic reference interpreter. ---------
+    let oracle = Interp::new(&net)
+        .run_batch(inputs)
+        .expect("runs to completion");
+    assert_eq!(pairs(oracle.outputs), expected, "the interpreter agrees");
     println!("ok: every record was doubled exactly <n> times on every path");
 }

@@ -1,8 +1,8 @@
-//! Render the paper's case study on the local threaded engine.
+//! Render the paper's case study on the local scheduled engine.
 //!
 //! Runs the full Fig 2 network — `splitter .. solver!@<node> ..
-//! merger .. genImg` — on this machine's threads (real parallelism,
-//! not simulation), verifies the picture against the sequential
+//! merger .. genImg` — on this machine's worker pool (real
+//! parallelism, not simulation), verifies the picture against the sequential
 //! Algorithm 1 render, and writes it next to the target directory.
 //!
 //! ```text
@@ -11,7 +11,6 @@
 
 use snet_apps::{run_snet_local, NetVariant, Schedule, SnetConfig, Workload};
 use snet_raytracer::ScenePreset;
-use snet_runtime::engine::Threaded;
 use snet_runtime::EngineConfig;
 use std::time::Instant;
 
@@ -29,9 +28,9 @@ fn main() {
     };
     let cfg = SnetConfig {
         variant: NetVariant::Static,
-        // On the threaded engine placement tags pick solver *instances*
-        // (threads), not machines — more "nodes" means more render
-        // threads.
+        // Locally, placement tags pick solver *instances* (split
+        // replicas, each a task on the pool), not machines — more
+        // "nodes" means more sections rendered side by side.
         nodes: std::thread::available_parallelism().map_or(4, |n| n.get()),
         tasks,
         tokens: tasks,
@@ -39,12 +38,12 @@ fn main() {
     };
 
     println!(
-        "rendering {size}x{size} ({tasks} sections over {} solver threads)…",
+        "rendering {size}x{size} ({tasks} sections over {} solver instances)…",
         cfg.nodes
     );
     let t0 = Instant::now();
-    let (image, _) = run_snet_local::<Threaded>(&wl, &cfg, EngineConfig::default())
-        .expect("the network runs to completion");
+    let (image, _) =
+        run_snet_local(&wl, &cfg, EngineConfig::default()).expect("the network runs to completion");
     let parallel_time = t0.elapsed();
 
     let t1 = Instant::now();
@@ -62,7 +61,7 @@ fn main() {
         image.checksum()
     );
     println!(
-        "S-Net threaded: {parallel_time:?}   sequential: {sequential_time:?}   -> {}",
+        "S-Net scheduled: {parallel_time:?}   sequential: {sequential_time:?}   -> {}",
         out.display()
     );
 }

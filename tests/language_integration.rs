@@ -6,7 +6,7 @@ use snet_core::boxdef::{BoxOutput, Work};
 use snet_core::{Record, Value};
 use snet_lang::{compile, BoxRegistry};
 use snet_raytracer::ScenePreset;
-use snet_runtime::{Interp, Net};
+use snet_runtime::{Interp, SchedNet};
 
 fn workload() -> Workload {
     Workload {
@@ -21,7 +21,7 @@ fn workload() -> Workload {
 #[test]
 fn fig2_source_compiles_and_renders() {
     // The paper's own program text (extended with the scheduling tags),
-    // compiled against the real boxes and executed on the threaded
+    // compiled against the real boxes and executed on the scheduled
     // engine.
     let wl = workload();
     let reference = wl.reference_image();
@@ -38,7 +38,7 @@ fn fig2_source_compiles_and_renders() {
         tokens: 4,
         schedule: Schedule::Block,
     };
-    let outs = Net::new(net)
+    let outs = SchedNet::new(net)
         .run_batch(vec![input_record(&wl, &cfg)])
         .unwrap();
     assert!(outs.is_empty(), "genImg terminates the stream");
@@ -80,7 +80,9 @@ fn textual_star_with_guard_runs_on_both_engines() {
         .with_field("acc", Value::Int(0))
         .with_tag("i", 0)
         .with_tag("stop", 4)];
-    let a = Net::new(net.clone()).run_batch(inputs.clone()).unwrap();
+    let a = SchedNet::new(net.clone())
+        .run_batch(inputs.clone())
+        .unwrap();
     let b = Interp::new(&net).run_batch(inputs).unwrap();
     assert_eq!(a.len(), 1);
     assert_eq!(a[0].field("acc").unwrap().as_int(), Some(12)); // 4 bumps
@@ -112,7 +114,7 @@ fn subtyping_routes_records_in_compiled_parallel() {
         connect ( wide | narrow )
     "#;
     let net = compile(src, &reg).unwrap();
-    let outs = Net::new(net)
+    let outs = SchedNet::new(net)
         .run_batch(vec![
             Record::new().with_field("a", Value::Int(1)),
             Record::new()
@@ -153,7 +155,7 @@ fn flow_inheritance_survives_compiled_pipelines() {
         connect stage_a .. stage_b
     "#;
     let net = compile(src, &reg).unwrap();
-    let outs = Net::new(net)
+    let outs = SchedNet::new(net)
         .run_batch(vec![Record::new()
             .with_field("a", Value::Int(4))
             .with_field("payload", Value::from("untouched"))

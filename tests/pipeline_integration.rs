@@ -1,17 +1,17 @@
-//! Cross-crate integration: the full ray-tracing pipelines (threaded
-//! engine, scheduled engine, and reference interpreter) produce
+//! Cross-crate integration: the full ray-tracing pipelines (scheduled
+//! engine, simulated cluster, and reference interpreter) produce
 //! pictures byte-identical to the sequential Algorithm 1 render, under
 //! every variant and under adversarial arrival orders in the merger.
 
 use snet_apps::{
-    image_slot, input_record, merger_net, raytracing_net, run_snet_local, ChunkData, NetVariant,
-    PicData, Schedule, SnetConfig, Workload,
+    image_slot, input_record, merger_net, raytracing_net, run_snet_cluster, run_snet_local,
+    ChunkData, NetVariant, PicData, Schedule, SnetConfig, Workload,
 };
 use snet_core::{Record, SnetError, Value};
+use snet_dist::OverheadModel;
 use snet_raytracer::{split_rows, Chunk, Image, ScenePreset};
-use snet_runtime::engine::Threaded;
-use snet_runtime::sched::Scheduled;
-use snet_runtime::{Engine, EngineConfig, Interp, Net, Network, SchedNet};
+use snet_runtime::{EngineConfig, Interp, SchedNet};
+use snet_simnet::ClusterSpec;
 
 fn workload() -> Workload {
     Workload {
@@ -26,15 +26,21 @@ fn workload() -> Workload {
 /// One engine entry point under test.
 type EngineFn = fn(&Workload, &SnetConfig) -> Result<Image, SnetError>;
 
-fn run_local<E: Engine>(wl: &Workload, cfg: &SnetConfig) -> Result<Image, SnetError> {
-    run_snet_local::<E>(wl, cfg, EngineConfig::default()).map(|(image, _)| image)
+fn run_local(wl: &Workload, cfg: &SnetConfig) -> Result<Image, SnetError> {
+    run_snet_local(wl, cfg, EngineConfig::default()).map(|(image, _)| image)
 }
 
-/// The local engines under test, behind one function shape.
+fn run_simulated(wl: &Workload, cfg: &SnetConfig) -> Result<Image, SnetError> {
+    let cluster = ClusterSpec::paper_testbed(cfg.nodes);
+    run_snet_cluster(wl, cfg, cluster, OverheadModel::default()).map(|out| out.image)
+}
+
+/// The two transports the component step runs on, behind one function
+/// shape: the scheduled engine's tasks and the simulated cluster.
 fn engines() -> [(&'static str, EngineFn); 2] {
     [
-        ("threaded", run_local::<Threaded> as EngineFn),
-        ("sched", run_local::<Scheduled> as EngineFn),
+        ("sched", run_local as EngineFn),
+        ("sim", run_simulated as EngineFn),
     ]
 }
 
@@ -96,11 +102,10 @@ fn factoring_schedule_end_to_end() {
     }
 }
 
-/// Streams the raytracing input through an engine via the unified
-/// handle API (send → close → drain → finish) and returns the picture
-/// deposited in `slot`.
-fn render_streamed<E: Engine>(
-    engine: &Network<E>,
+/// Streams the raytracing input through the handle API (send → close →
+/// drain → finish) and returns the picture deposited in `slot`.
+fn render_streamed(
+    engine: &SchedNet,
     wl: &Workload,
     cfg: &SnetConfig,
     slot: &snet_apps::ImageSlot,
@@ -118,10 +123,9 @@ fn render_streamed<E: Engine>(
 }
 
 #[test]
-fn streaming_handles_render_exact_on_both_engines() {
-    // The engine-generic streaming path — the same code driving a
-    // threaded NetHandle and a scheduled SchedHandle — must produce
-    // the byte-exact picture on the full application net.
+fn streaming_handle_renders_exact() {
+    // The streaming path must produce the byte-exact picture on the
+    // full application net.
     let wl = workload();
     let reference = wl.reference_image();
     let cfg = SnetConfig {
@@ -131,21 +135,13 @@ fn streaming_handles_render_exact_on_both_engines() {
         tokens: 4,
         schedule: Schedule::Block,
     };
-    {
-        let slot = image_slot();
-        let engine = Net::new(raytracing_net(cfg.variant, slot.clone(), None));
+    let slot = image_slot();
+    let engine = SchedNet::new(raytracing_net(cfg.variant, slot.clone(), None));
+    // Two streamed renders on one engine: the persistent pool and a
+    // fresh task graph per run must not leak state between them.
+    for round in 0..2 {
         let img = render_streamed(&engine, &wl, &cfg, &slot);
-        assert_eq!(img, reference, "threaded streaming render");
-    }
-    {
-        let slot = image_slot();
-        let engine = SchedNet::new(raytracing_net(cfg.variant, slot.clone(), None));
-        // Two streamed renders on one engine: the persistent pool and a
-        // fresh task graph per run must not leak state between them.
-        for round in 0..2 {
-            let img = render_streamed(&engine, &wl, &cfg, &slot);
-            assert_eq!(img, reference, "sched streaming render, round {round}");
-        }
+        assert_eq!(img, reference, "streaming render, round {round}");
     }
 }
 
@@ -204,7 +200,7 @@ fn merger_tolerates_adversarial_arrival_order() {
         })
         .collect();
     records.reverse(); // <fst> arrives last
-    let outs = Net::new(merger_net())
+    let outs = SchedNet::new(merger_net())
         .run_batch(records)
         .expect("merger completes");
     assert_eq!(outs.len(), 1, "exactly one assembled picture");
@@ -235,7 +231,7 @@ fn merger_single_chunk_degenerate_case() {
         )
         .with_tag("tasks", 1)
         .with_tag("fst", 1);
-    let outs = Net::new(merger_net())
+    let outs = SchedNet::new(merger_net())
         .run_batch(vec![rec])
         .expect("merger completes");
     assert_eq!(outs.len(), 1);
@@ -244,10 +240,10 @@ fn merger_single_chunk_degenerate_case() {
 }
 
 #[test]
-fn concurrent_engines_match_interpreter_on_the_real_merger() {
+fn sched_engine_matches_interpreter_on_the_real_merger() {
     // The confluence property, exercised on the actual application
     // net rather than synthetic nets: same output multiset from the
-    // threaded engine, the scheduled engine, and the oracle.
+    // scheduled engine and the oracle.
     let wl = workload();
     let (scene, bvh) = wl.scene();
     let tasks = 5u32;
@@ -281,19 +277,6 @@ fn concurrent_engines_match_interpreter_on_the_real_merger() {
         .and_then(|v| v.downcast_ref())
         .unwrap();
 
-    let from_threaded = Net::new(merger_net())
-        .run_batch(records.clone())
-        .expect("threaded engine completes");
-    assert_eq!(from_threaded.len(), from_interp.outputs.len());
-    let pic_t: &PicData = from_threaded[0]
-        .field("pic")
-        .and_then(|v| v.downcast_ref())
-        .unwrap();
-    assert_eq!(
-        pic_t.0, pic_oracle.0,
-        "threaded engine agrees with the oracle"
-    );
-
     let from_sched = SchedNet::new(merger_net())
         .run_batch(records)
         .expect("scheduled engine completes");
@@ -311,9 +294,9 @@ fn concurrent_engines_match_interpreter_on_the_real_merger() {
 #[test]
 fn many_sections_under_tight_backpressure() {
     // Soak: 32 sections through the full static net with every channel
-    // capacity forced to 1 — maximal blocking/unblocking churn across
-    // ~hundreds of component threads must still produce the exact image.
-    use snet_runtime::{EngineConfig, Net};
+    // capacity and mailbox high-water mark forced to their minimum —
+    // maximal deferral churn across hundreds of component tasks must
+    // still produce the exact image.
     let wl = workload();
     let reference = wl.reference_image();
     let slot = image_slot();
@@ -325,7 +308,7 @@ fn many_sections_under_tight_backpressure() {
         tokens: 32,
         schedule: Schedule::Block,
     };
-    let engine = Net::with_config(
+    let engine = SchedNet::with_config(
         net,
         EngineConfig {
             channel_capacity: 1,
@@ -364,7 +347,6 @@ fn repeated_runs_share_nothing() {
 fn sched_engine_scales_workers_without_changing_the_picture() {
     // Worker-pool size is a pure performance knob: 1, 2, and 8 workers
     // must all render the exact image.
-    use snet_runtime::EngineConfig;
     let wl = workload();
     let reference = wl.reference_image();
     let cfg = SnetConfig {
