@@ -16,17 +16,19 @@
 
 use crate::error::SnetError;
 use crate::fault::FailurePolicy;
+use crate::inline::InlineVec;
 use crate::label::Label;
 use crate::record::Record;
 use crate::rtype::{RType, Variant};
-use smallvec::SmallVec;
 use std::fmt;
 use std::sync::Arc;
 
 /// Records emitted by one step. Every engine produces one of these per
 /// record per component, and the overwhelmingly common case is a single
-/// output record — the inline capacity keeps that case off the heap.
-pub type RecordVec = SmallVec<[Record; 1]>;
+/// output record, which `RecordVec::One` holds in place; two or more
+/// move to the heap. It dereferences to `[Record]` and grows by `push`,
+/// `insert`, `extend` or `collect`.
+pub type RecordVec = InlineVec<Record, 1>;
 
 /// One entry of an ordered box signature.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -187,18 +189,18 @@ pub struct BoxOutput {
 }
 
 impl BoxOutput {
-    /// Single-record output with work (no heap allocation).
+    /// Single-record output with work: `RecordVec::One`, no heap
+    /// allocation.
     pub fn one(rec: Record, work: Work) -> BoxOutput {
         BoxOutput {
-            records: SmallVec::from_buf([rec]),
+            records: RecordVec::One(rec),
             work,
         }
     }
 
-    /// Multi-record output from an already-built [`RecordVec`] — the
-    /// allocation-free way to emit several records: build the
-    /// `RecordVec` in place (inline for short outputs) and hand it
-    /// over, no intermediate heap `Vec` round-trip.
+    /// Multi-record output from an already-built [`RecordVec`]: build
+    /// it in place (one record stays inline, more take one allocation)
+    /// and hand it over, with no intermediate `Vec` round-trip.
     pub fn many_into(records: RecordVec, work: Work) -> BoxOutput {
         BoxOutput { records, work }
     }
@@ -355,11 +357,11 @@ mod tests {
     fn output_constructors_avoid_the_heap_when_short() {
         // `one` and a single-record `many_into` stay inline.
         let a = BoxOutput::one(Record::new().with_tag("t", 1), Work::ZERO);
-        assert!(!a.records.spilled());
+        assert!(matches!(a.records, RecordVec::One(_)));
         let mut rv = RecordVec::new();
         rv.push(Record::new().with_tag("t", 2));
         let b = BoxOutput::many_into(rv, Work::ops(3));
-        assert!(!b.records.spilled());
+        assert!(matches!(b.records, RecordVec::One(_)));
         assert_eq!(b.work, Work::ops(3));
         assert!(BoxOutput::none(Work::ZERO).records.is_empty());
         // The iterator form keeps emission order.
@@ -368,7 +370,7 @@ mod tests {
             Record::new().with_tag("t", 4),
         ];
         let d = BoxOutput::from_iter(recs.clone(), Work::ZERO);
-        assert_eq!(d.records.as_slice(), recs.as_slice());
+        assert_eq!(d.records[..], recs[..]);
     }
 
     #[test]

@@ -34,6 +34,8 @@
 //! which the scheduled engine and the discrete-event cluster simulator
 //! (`snet-dist`) both drive, each over its own transport.
 
+#![forbid(unsafe_code)]
+
 pub mod boxdef;
 pub mod diag;
 pub mod error;
@@ -42,6 +44,7 @@ pub mod fault;
 pub mod filter;
 pub mod flow;
 pub mod fusion;
+mod inline;
 pub mod label;
 pub mod pattern;
 pub mod pool;

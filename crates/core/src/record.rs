@@ -8,19 +8,22 @@
 //!
 //! Every component hop performs label lookups, projections and merges,
 //! so the representation is the hottest data structure in the workspace.
-//! Records are stored as two flat arrays ([`SmallVec`]s) sorted by
-//! interned label id: the first two labels per namespace live *inline*
-//! in the record itself (the 1–2-field records the benchmarks and the
-//! paper's application stream through pipelines allocate nothing),
-//! larger records spill to one contiguous allocation per namespace.
-//! Lookups are a branch-light binary search over `u32` keys, and set
-//! operations (absorb/project/without) are linear merges — replacing
-//! the previous pointer-chasing `BTreeMap` pair. Iteration order is
-//! interning-id order: deterministic within a process, which is all the
-//! engines' multiset comparisons need. The inline capacity is a
+//! Records are stored as two flat arrays sorted by interned label id,
+//! one per namespace. Each is an `InlineVec` (in safe code, `inline.rs`)
+//! that holds none, one or two pairs *inline* in the record itself (the
+//! 1–2-field records the benchmarks and the paper's application stream
+//! through pipelines allocate nothing); a third pair moves the
+//! namespace to one contiguous allocation. Lookups are a branch-light
+//! binary search over `u32` keys, and set operations
+//! (absorb/project/without) are linear merges — replacing the previous
+//! pointer-chasing `BTreeMap` pair. Iteration order is interning-id
+//! order: deterministic within a process, which is all the engines'
+//! multiset comparisons need. The inline capacity is a
 //! move-size/alloc-rate trade-off: records are moved by value through
 //! mailboxes and hand-off batches, so a larger inline buffer was
-//! measured slower than the allocs it avoided.
+//! measured slower than the allocs it avoided, and a plain `Vec` per
+//! namespace slower than both (`chain_stream` 0.71×, and an allocation
+//! per record built).
 //!
 //! Two things follow from the sorted-by-id layout and are used by the
 //! step semantics. An insert whose label sorts after every pair present
@@ -31,7 +34,7 @@
 //! `absorb_owned`) by merging integers and moving values, where the
 //! borrowed forms ([`Record::project`], [`Record::without`],
 //! [`Record::absorb`]) clone every value and probe a [`Variant`]'s
-//! spelling-ordered sets. A 128-byte record is cheap to build and
+//! spelling-ordered sets. A 104-byte record is cheap to build and
 //! expensive to shuffle: the owned forms work in place for that reason.
 //! The filter step goes one further and never leaves the record: it
 //! takes the consumed labels out ([`Record::take_field`],
@@ -40,14 +43,14 @@
 //! `{x,<k>,<n>,<ts>}` — is allocated once, where the record was built,
 //! and not again at every filter it crosses.
 
+use crate::inline::InlineVec;
 use crate::label::Label;
 use crate::rtype::Variant;
 use crate::value::Value;
-use smallvec::SmallVec;
 use std::fmt;
 
 /// Sorted flat storage for one label namespace.
-type Pairs<V> = SmallVec<[(Label, V); 2]>;
+type Pairs<V> = InlineVec<(Label, V), 2>;
 
 #[inline]
 fn find<V>(pairs: &[(Label, V)], label: Label) -> Result<usize, usize> {

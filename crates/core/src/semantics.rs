@@ -51,7 +51,7 @@ pub struct StepOut {
 impl StepOut {
     fn passthrough(rec: Record) -> StepOut {
         StepOut {
-            records: RecordVec::from_buf([rec]),
+            records: RecordVec::One(rec),
             work: Work::ZERO,
             matched: false,
         }

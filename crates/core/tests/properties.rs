@@ -223,7 +223,7 @@ proptest! {
                 let expected = reference_filter_step(&spec, &rec, policy);
                 let step = filter_step(&spec, rec.clone(), policy).map(|s| {
                     assert_eq!(s.work, Work::ZERO);
-                    (s.records.into_vec(), s.matched)
+                    (s.records.into_iter().collect(), s.matched)
                 });
                 prop_assert_eq!(&step, &expected, "filter_step of {} on {:?}", spec, rec);
                 // The sink form appends the same records, `None` for a
@@ -286,7 +286,7 @@ proptest! {
             for policy in [MismatchPolicy::Forward, MismatchPolicy::Error] {
                 let expected = reference_box_step(&def, &rec, policy);
                 let step = box_step(&def, rec.clone(), policy)
-                    .map(|s| (s.records.into_vec(), s.work, s.matched));
+                    .map(|s| (s.records.into_iter().collect(), s.work, s.matched));
                 prop_assert_eq!(&step, &expected, "box_step on {:?}", rec);
                 // The sink form appends the same records and reports
                 // the same work, `None` for a record passed through.

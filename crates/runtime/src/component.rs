@@ -224,7 +224,7 @@ impl<P> Component<P> {
                             got: format!("{rec:?}"),
                         };
                         fault::reject(config.policy, "par-dispatch", &run.seq, rec, cause)
-                            .and_then(|dl| run.divert(dl))
+                            .and_then(|dl| run.divert(*dl))
                     }
                 },
             },
@@ -233,7 +233,7 @@ impl<P> Component<P> {
                 let Some(value) = rec.tag(node.tag) else {
                     let cause = SnetError::MissingTag(node.tag);
                     return fault::reject(config.policy, "split-dispatch", &run.seq, rec, cause)
-                        .and_then(|dl| run.divert(dl));
+                        .and_then(|dl| run.divert(*dl));
                 };
                 let port = replicas.entry(value).or_insert_with(|| {
                     Trace::add(&run.trace.split_replicas, 1);
@@ -446,7 +446,7 @@ fn chain_step<T: Transport>(
         recs,
         &mut tally,
         &mut scratch.outs,
-        &mut |dl| run.divert(dl),
+        &mut |dl| run.divert(*dl),
     );
     run.trace.count_chain(&tally);
     if res.is_ok() {

@@ -222,7 +222,7 @@ impl Node {
                 }) {
                     StepVerdict::Out { step, .. } => {
                         *work += step.work;
-                        Ok(step.records.into_vec())
+                        Ok(step.records.into_iter().collect())
                     }
                     StepVerdict::Dead(dl) => {
                         faults.dead.push(*dl);
@@ -235,7 +235,7 @@ impl Node {
                 match fault::policy_step(faults.policy, "filter", &faults.seq, rec, |r| {
                     semantics::filter_step(f, r, policy)
                 }) {
-                    StepVerdict::Out { step, .. } => Ok(step.records.into_vec()),
+                    StepVerdict::Out { step, .. } => Ok(step.records.into_iter().collect()),
                     StepVerdict::Dead(dl) => {
                         faults.dead.push(*dl);
                         Ok(Vec::new())

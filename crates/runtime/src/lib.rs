@@ -294,13 +294,14 @@
 //!    one.
 //! 2. **Weak-memory coverage**: the model runs SeqCst-only, so the CI
 //!    `tsan` lane races the scheduler's streaming suite under
-//!    ThreadSanitizer, and the `miri` lane runs the value/record
-//!    and smallvec layers under Miri for UB beyond data races.
-//! 3. **No unsafe here**: this crate is `#![forbid(unsafe_code)]`, and
-//!    nothing under the scheduler has any: `unsafe` lives only in the
-//!    `smallvec` shim (inline buffer), the model checker's mutex façade
-//!    and two counting allocators (`tests/alloc_steady.rs`,
-//!    `bench_unfold`), where every block carries a `SAFETY:` comment
+//!    ThreadSanitizer, and the `miri` lane runs snet-core's
+//!    value/record layers and their in-place storage under Miri for UB
+//!    beyond data races.
+//! 3. **No unsafe here**: this crate and `snet-core` are
+//!    `#![forbid(unsafe_code)]`, so nothing an engine runs has any:
+//!    `unsafe` lives only in the model checker's mutex façade and two
+//!    counting allocators (`tests/alloc_steady.rs`, `bench_unfold`),
+//!    where every block carries a `SAFETY:` comment
 //!    and `scripts/check_unsafe.py` fails CI on one without, or on any
 //!    in a crate outside its allowlist.
 //! 4. **Interleaving stress**: `tests/sched_stress.rs` unfolds a
@@ -329,8 +330,9 @@
 //! capacity-capped: oversized buffers are dropped rather than pinned,
 //! and a pool miss just allocates — correctness never depends on the
 //! pool. What is *not* recycled: record payloads themselves (fields own
-//! their values; short records live inline via smallvec and never hit
-//! the heap), the streaming handle's egress and dead-letter rings
+//! their values; a record keeps up to two pairs per namespace in
+//! itself, and a step's one output record sits in place, so short
+//! records never hit the heap), the streaming handle's egress and dead-letter rings
 //! (`std::sync::mpsc::sync_channel` preallocates all `cap` slots when
 //! the run starts and never allocates again: `cap × slot`, ≈8.5 KiB
 //! for 64 records of egress; the dead-letter ring is 16× as many,

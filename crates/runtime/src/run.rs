@@ -91,14 +91,14 @@ impl Run {
     /// Delivers a diverted record to the run's dead-letter destination.
     /// Never blocks; a full streaming channel (consumer not draining)
     /// is a fatal error so the bound is real.
-    pub(crate) fn divert(&self, dl: Box<DeadLetter>) -> Result<(), SnetError> {
+    pub(crate) fn divert(&self, dl: DeadLetter) -> Result<(), SnetError> {
         Trace::add(&self.trace.dead_letters, 1);
         match &self.dead {
             DeadDest::Collect(v) => {
-                v.lock().push(*dl);
+                v.lock().push(dl);
                 Ok(())
             }
-            DeadDest::Stream(tx) => match tx.try_send(*dl) {
+            DeadDest::Stream(tx) => match tx.try_send(dl) {
                 Ok(()) => Ok(()),
                 Err(TrySendError::Full(dl)) => Err(SnetError::Engine(format!(
                     "dead-letter channel overflow; last report: {}",

@@ -239,6 +239,84 @@ fn slow_consumer_bounds_resident_records() {
     );
 }
 
+/// Backpressure propagates upstream: with the second stage of an
+/// unfused `fast .. gate` pipeline wedged in its box, the first stage
+/// stops consuming once the gate's mailbox passes its high-water mark,
+/// so the entry mailbox fills and `try_send` stays `Full` after a few
+/// dozen records — the bound a component's `held_back_by` port sets.
+/// Opened, the gate lets every record through.
+#[test]
+fn a_stalled_stage_holds_back_the_stage_feeding_it() {
+    const TOTAL: i64 = 20_000;
+    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let gate2 = Arc::clone(&gate);
+    let gated = NetSpec::Box(BoxDef::from_fn(
+        BoxSig::parse("gate", &["x"], &[&["x"]]),
+        move |r| {
+            let (lock, cv) = &*gate2;
+            let mut open = lock.lock().unwrap();
+            while !*open {
+                open = cv.wait(open).unwrap();
+            }
+            drop(open);
+            Ok(BoxOutput::one(r.clone(), Work::ops(1)))
+        },
+    ));
+    let net = SchedNet::with_config(
+        NetSpec::serial(int_box("fast", |x| x + 1), gated),
+        EngineConfig {
+            workers: 2,
+            channel_capacity: 4,
+            fuse: false,
+            ..EngineConfig::default()
+        },
+    );
+    let h = net.start();
+    let mut accepted = 0;
+    let mut full_since: Option<Instant> = None;
+    while accepted < TOTAL {
+        match h.try_send(Record::new().with_field("x", Value::Int(accepted))) {
+            Ok(()) => {
+                accepted += 1;
+                full_since = None;
+            }
+            Err(TrySendError::Full(_)) => {
+                let since = *full_since.get_or_insert_with(Instant::now);
+                if since.elapsed() >= Duration::from_millis(200) {
+                    break;
+                }
+                std::thread::yield_now();
+            }
+            Err(other) => panic!("the network stays up: {other:?}"),
+        }
+    }
+    // Opened before the bound is checked, so a run that breaks it fails
+    // instead of leaving a worker wedged in the gate.
+    {
+        let (lock, cv) = &*gate;
+        *lock.lock().unwrap() = true;
+        cv.notify_all();
+    }
+    assert!(
+        accepted < 1_000,
+        "{accepted} records accepted against a stalled stage"
+    );
+    // The egress fills while `send` blocks, so a thread of its own
+    // drains it.
+    let outs = std::thread::scope(|s| {
+        let h = &h;
+        let consumer = s.spawn(move || std::iter::from_fn(|| h.recv()).collect::<Vec<_>>());
+        for i in accepted..TOTAL {
+            h.send(Record::new().with_field("x", Value::Int(i)))
+                .expect("network stays up");
+        }
+        h.close_input();
+        consumer.join().expect("the consumer does not panic")
+    });
+    h.finish().unwrap();
+    assert_eq!(xs(&outs), (1..=TOTAL).collect::<Vec<_>>());
+}
+
 /// Dropping a handle without `finish()` — with input still open and
 /// outputs undelivered in a full output channel — must tear the run
 /// down without deadlocking a pool worker, and the pool must stay

@@ -5,12 +5,14 @@ Two rules, enforced over every ``crates/**/src`` and ``crates/**/tests``
 Rust file:
 
 1. **Allowlist** — only crates with a reviewed reason may contain
-   ``unsafe`` at all. Today that is the one shim with inline-buffer
-   internals (``smallvec``; the other two shims, the scheduler's run
-   queues and every channel, which is ``std::sync::mpsc``, are safe
-   code), the model checker's sync facade, and the two allocation
-   counters (snet-runtime's ``alloc_steady`` test — the library itself
-   forbids ``unsafe`` — and snet-bench's ``bench_unfold``).
+   ``unsafe`` at all. Today that is the model checker's sync facade and
+   the two allocation counters (snet-runtime's ``alloc_steady`` test —
+   the library itself forbids ``unsafe`` — and snet-bench's
+   ``bench_unfold``). Everything an engine runs is safe code: snet-core
+   (whose records keep their inline pairs in an enum of live states)
+   and snet-runtime forbid ``unsafe``, and the two shims, the
+   scheduler's run queues and every channel (``std::sync::mpsc``) use
+   none.
 2. **SAFETY adjacency** — every ``unsafe`` occurrence must be
    *justified*: a comment line containing ``SAFETY:`` within the
    preceding ``MAX_GAP`` lines (comment/attribute lines only — any
@@ -33,7 +35,6 @@ from pathlib import Path
 # Crate directories (relative to the repo root) permitted to contain
 # `unsafe`. Adding a crate here is a review decision: say why.
 ALLOWED_UNSAFE_CRATES = {
-    "crates/shims/smallvec",  # inline MaybeUninit buffer
     "crates/check",  # model-checker Mutex facade (UnsafeCell)
     # tests/alloc_steady.rs only (counting GlobalAlloc); the library
     # itself is `#![forbid(unsafe_code)]`.
