@@ -55,6 +55,9 @@ pub mod sync;
 pub mod topology;
 pub mod value;
 
+#[cfg(test)]
+mod tests;
+
 pub use boxdef::{BoxFn, BoxOutput, BoxSig, RecordVec, SigItem, Work};
 pub use diag::{DiagCode, DiagSeverity, Diagnostic};
 pub use error::{panic_cause, SnetError};
