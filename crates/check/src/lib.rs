@@ -55,7 +55,7 @@
 //! ## Running
 //!
 //! The protocol models in `tests/` (`mailbox`, `sink_latch`,
-//! `eos_inplace`) are written against the façade and run in every
+//! `eos_inplace`, `backpressure`) are written against the façade and run in every
 //! build. The `parking_lot` mutex `snet-runtime` locks through, and the
 //! scheduler's own atomics and condvars, compile against this façade
 //! under `--cfg snet_check`, which proves the scheduler keeps to the

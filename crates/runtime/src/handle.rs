@@ -68,11 +68,17 @@ impl Handle {
     /// has terminated, or once the worker pool is gone. Checks the
     /// abort flag and run deadline while blocked, so a stalled network
     /// cannot park the consumer past [`crate::EngineConfig::deadline`].
+    /// A record taken from a full output channel makes room for the
+    /// sink waiting on it, whose next delivery then runs on the calling
+    /// thread (as with [`Handle::try_recv`]).
     pub fn recv(&self) -> Option<Record> {
         let output = self.output.lock();
         loop {
             match output.recv_timeout(POLL_INTERVAL) {
-                Ok(rec) => return Some(rec),
+                Ok(rec) => {
+                    self.egress.took();
+                    return Some(rec);
+                }
                 Err(RecvTimeoutError::Disconnected) => return None,
                 Err(RecvTimeoutError::Timeout) => {
                     if self.abandoned() {
@@ -94,7 +100,9 @@ impl Handle {
     /// (including after termination — use [`Handle::recv`] to
     /// distinguish end-of-stream).
     pub fn try_recv(&self) -> Option<Record> {
-        self.output.lock().try_recv().ok()
+        let rec = self.output.lock().try_recv().ok()?;
+        self.egress.took();
+        Some(rec)
     }
 
     /// Non-blocking receive on the run's dead-letter stream: the next

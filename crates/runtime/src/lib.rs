@@ -58,8 +58,8 @@
 //! | `component` | what is per instance: what one record does to one component, over an abstract `Transport`; back-to-front `build` of a component graph from the compiled tree | — (sequential per component; pinned to [`Interp`] by `engine_vs_interp.rs`, `fusion_equivalence.rs`) |
 //! | [`handle`] | the streaming [`Handle`]'s egress (outputs, dead letters), cancel and finish | — |
 //! | `snet-dist` (its own crate, over the hidden `component`/`run` seam) | simulated-cluster transport: a discrete-event process per component on the node `@`/`!@` names, ports are sender-counted `SimQueue`s, `send` charges glue ops and wire bytes, a step's box work occupies the node before its outputs leave | — (the kernel runs one process at a time; pinned to [`SchedNet`] count for count by `tests/sim_vs_engine.rs`) |
-//! | `sched::pool` | the run queues (one shared, one per worker: mutex-guarded `VecDeque`s, steal-half), `notify` / `park` (lock-then-notify, sleeper gate, re-probe of every queue), deferral heap | `mailbox.rs` (wake protocol; the queues are a lock around a std container, unit- and churn-tested beside them) |
-//! | `sched::task` | the task transport: mailbox, sender-refcount end-of-stream (in place when the task is idle and drained, else by activation), one activation: drain → step → flush → finalize; backpressure and backoff | `mailbox.rs` (the `scheduled` flag hand-off), `eos_inplace.rs` (last close vs. a racing send and a queued activation) |
+//! | `sched::pool` | the run queues (one shared, one per worker: mutex-guarded `VecDeque`s, steal-half), `notify` (and `run_here`, its caller-runs form) / `park` (lock-then-notify, sleeper gate, re-probe of every queue): every wake, none by the clock | `mailbox.rs` (wake protocol; the queues are a lock around a std container, unit- and churn-tested beside them), `backpressure.rs` (what the backpressure wakes hand to `notify`) |
+//! | `sched::task` | the task transport: mailbox, sender-refcount end-of-stream (in place when the task is idle and drained, else by activation), one activation: drain → step → flush → finalize; backpressure registration (a held-back producer on its downstream mailbox, woken by the drain under the high-water mark; the streaming sink on the egress flag, woken by the handle's take) | `mailbox.rs` (the `scheduled` flag hand-off), `eos_inplace.rs` (last close vs. a racing send and a queued activation), `backpressure.rs` (registration vs. the drain, the egress flag vs. the take) |
 //! | `sched` | worker pool lifetime, batch driver, the handle's bounded mailbox ingress, the sink's completion latch | `sink_latch.rs` |
 //!
 //! ## The compiled plan, and what an instance costs
@@ -131,10 +131,11 @@
 //! collapsing them into a single shared queue — `forkjoin_burst`
 //! 0.75–0.86×, `route_stream` 0.95× — so a worker keeps a queue of its
 //! own: it is what keeps a consumer on its producer's core (ROADMAP has
-//! the runs). Backpressure is cooperative:
-//! a task whose downstream mailbox is over the high-water mark stops
-//! consuming and re-enqueues itself with exponential backoff (1µs
-//! doubling to ~1ms) rather than spinning on a run queue.
+//! the runs). Backpressure is cooperative and woken, not timed:
+//! a task whose downstream mailbox is at the high-water mark stops
+//! consuming and registers on that mailbox, and the drain that takes
+//! the backlog under the mark queues it again; a streaming sink facing
+//! a full output channel waits the same way for the consumer's take.
 //!
 //! ## Operator fusion ([`EngineConfig::fuse`])
 //!
@@ -273,8 +274,8 @@
 //!    loom-style deterministic scheduler explores thread interleavings
 //!    exhaustively (sequentially consistent schedules, preemption-
 //!    bounded DFS, deterministic replay of any failing schedule). What
-//!    it checks are *protocol models* — the wake, latch and
-//!    end-of-stream protocols written out against `snet_check::sync`
+//!    it checks are *protocol models* — the wake, latch, backpressure
+//!    and end-of-stream protocols written out against `snet_check::sync`
 //!    (`cargo test -p snet-check`, every build); the table above names
 //!    the model behind each module. The `sched` modules and the
 //!    `parking_lot` mutex they lock through compile against the same

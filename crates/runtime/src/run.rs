@@ -66,17 +66,11 @@ impl Run {
         self.aborted.store(true, Ordering::Release);
     }
 
-    /// Whether the run has failed or been cancelled (no deadline check:
-    /// one atomic load, for per-record paths).
-    pub(crate) fn is_aborted(&self) -> bool {
-        self.aborted.load(Ordering::Acquire)
-    }
-
     /// Preemption check: true once the run is aborted or past its
     /// deadline (recording `DeadlineExceeded` on first detection).
     /// Without a deadline this is one atomic load and one branch.
     pub fn should_stop(&self) -> bool {
-        if self.is_aborted() {
+        if self.aborted.load(Ordering::Acquire) {
             return true;
         }
         if let Some(at) = self.deadline_at {

@@ -1,5 +1,8 @@
-//! The worker pool: the run queues (one shared, one per worker), the
-//! `notify`/`park` wake protocol and the backpressure deferral heap.
+//! The worker pool: the run queues (one shared, one per worker) and the
+//! `notify`/`park` wake protocol. Every wake goes through `notify` or
+//! its caller-runs form `run_here`, backpressure included (a held-back
+//! task is queued by the drain that makes room, `sched::task`); nothing
+//! is queued by the clock.
 //!
 //! A run queue is a mutex around a `VecDeque` ([`Queues`]): the pool is
 //! at most four workers and a queue operation is paid once per hand-off
@@ -12,19 +15,24 @@
 //! The wake protocol is the one `crates/check/tests/mailbox.rs` model-
 //! checks (lock-then-notify, the sleeper gate, the re-probe of every
 //! run queue; `timeouts_fired() == 0` pins that the timed waits are
-//! backstops and never carry the protocol).
+//! backstops and never carry the protocol). The backpressure wakes are
+//! modelled in `crates/check/tests/backpressure.rs`.
 
 use super::sync::{AtomicBool, AtomicUsize, Condvar};
 use super::task::{execute, Task};
 use crate::config::EngineConfig;
 use parking_lot::Mutex;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The most tasks one raid on a sibling's queue takes.
 const STEAL_MAX: usize = 32;
+
+/// How long a parked worker sleeps before it re-probes the run queues
+/// on its own: a backstop, the wakes carry the protocol.
+const PARK_QUANTUM: Duration = Duration::from_millis(1);
 
 /// The pool's run queues, FIFO each: slot 0 is shared (fed by threads
 /// that are not workers, and where a contended task is handed back),
@@ -84,17 +92,6 @@ impl<T> Queues<T> {
 /// Pool-lifetime scheduler state, shared by all runs of one `SchedNet`.
 pub(super) struct Pool {
     queues: Queues<Arc<Task>>,
-    /// Backpressure-deferred tasks (min-heap on deadline), shared so
-    /// that *any* worker picks an expired deferral up — a deferring
-    /// worker that then sinks into a long activation must not pin the
-    /// deferred task. Survives across runs: a deferral parked at the
-    /// end of one run is resumed by whichever worker probes next.
-    /// Guarded by `deferred_count` so the lock is only touched under
-    /// backpressure (cold path).
-    deferred: Mutex<BinaryHeap<Deferred>>,
-    /// Entries in `deferred`; lets the per-activation dispatch path skip
-    /// the heap mutex entirely in the common no-backpressure case.
-    deferred_count: AtomicUsize,
     sleep: Mutex<()>,
     cv: Condvar,
     /// Workers currently parked on the condvar (lets producers skip the
@@ -109,8 +106,6 @@ impl Pool {
     pub(super) fn new(config: EngineConfig) -> Pool {
         Pool {
             queues: Queues::new(config.workers.max(1)),
-            deferred: Mutex::new(BinaryHeap::new()),
-            deferred_count: AtomicUsize::new(0),
             sleep: Mutex::new(()),
             cv: Condvar::new(),
             sleepers: AtomicUsize::new(0),
@@ -156,13 +151,15 @@ impl Pool {
     }
 
     /// Runs at most one ready task on the *calling* thread (caller-runs
-    /// work helping, à la Rayon): pops from the pool's shared sources
-    /// and executes the activation in place. Returns `true` if a task
+    /// work helping, à la Rayon): pops from the pool's shared queue and
+    /// executes the activation in place. Returns `true` if a task
     /// was executed; `false` also when the popped task was
     /// mid-activation on another thread — it is handed back and the
     /// caller should yield to the thread actually running it.
     pub(super) fn drive(&self) -> bool {
-        pop_shared(self).is_some_and(|task| activate(&task, self, None))
+        self.queues
+            .pop(None)
+            .is_some_and(|task| activate(&task, self, None))
     }
 }
 
@@ -199,28 +196,18 @@ pub(super) fn notify(task: &Arc<Task>, sh: &Pool, local: Option<usize>) {
     }
 }
 
-/// A backpressure-deferred task: re-run no earlier than `due`.
-/// Ordered as a min-heap on the deadline.
-struct Deferred {
-    due: Instant,
-    task: Arc<Task>,
-}
-
-impl PartialEq for Deferred {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due
-    }
-}
-impl Eq for Deferred {}
-impl PartialOrd for Deferred {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Deferred {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest due.
-        other.due.cmp(&self.due)
+/// The caller-runs form of [`notify`]: claims the task's `scheduled`
+/// flag as `notify` would, then runs the activation on the calling
+/// thread instead of queueing it (handed to the shared queue if another
+/// thread is mid-activation). For a wake whose caller is not a worker
+/// and whose task should not wait behind the workers' own queues.
+pub(super) fn run_here(task: &Arc<Task>, sh: &Pool) {
+    if task
+        .scheduled
+        .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
+        .is_ok()
+    {
+        activate(task, sh, None);
     }
 }
 
@@ -233,17 +220,7 @@ fn activate(task: &Arc<Task>, sh: &Pool, local: Option<usize>) -> bool {
     let guard = task.state.try_lock();
     match guard {
         Some(state) => {
-            if let Some(due) = execute(task, state, sh, local) {
-                // Zero-progress backpressure yield: the task holds its
-                // `scheduled` flag and re-runs at the deadline. Count
-                // first (release): a probe that sees the count also
-                // sees the entry once it takes the heap lock.
-                sh.deferred_count.fetch_add(1, Ordering::Release);
-                sh.deferred.lock().push(Deferred {
-                    due,
-                    task: Arc::clone(task),
-                });
-            }
+            execute(task, state, sh, local);
             true
         }
         None => {
@@ -273,26 +250,14 @@ fn worker_loop(index: usize, sh: &Pool) {
                     contended = None;
                 } else {
                     let ptr = Arc::as_ptr(&task);
-                    if contended.replace(ptr) == Some(ptr) && park(sh, Duration::from_millis(1)) {
+                    if contended.replace(ptr) == Some(ptr) && park(sh) {
                         return;
                     }
                 }
             }
             None => {
                 contended = None;
-                // Park until notified, but no longer than the earliest
-                // deferred deadline (nor the 1ms re-probe quantum).
-                let quantum = Duration::from_millis(1);
-                let timeout = if sh.deferred_count.load(Ordering::Acquire) > 0 {
-                    sh.deferred
-                        .lock()
-                        .peek()
-                        .map(|d| d.due.saturating_duration_since(Instant::now()).min(quantum))
-                        .unwrap_or(quantum)
-                } else {
-                    quantum
-                };
-                if park(sh, timeout) {
+                if park(sh) {
                     return;
                 }
             }
@@ -301,7 +266,7 @@ fn worker_loop(index: usize, sh: &Pool) {
 }
 
 /// Parks the worker until new work may exist; returns true on shutdown.
-fn park(sh: &Pool, timeout: Duration) -> bool {
+fn park(sh: &Pool) -> bool {
     let sleep = sh.sleep.lock();
     if sh.shutdown.load(Ordering::Acquire) {
         return true;
@@ -317,58 +282,22 @@ fn park(sh: &Pool, timeout: Duration) -> bool {
     // and notifies. A handful of uncontended locks on the cold path;
     // lock order is sleep → queue, and `notify` has released its queue
     // lock before it takes the sleep lock. The timed wait below is a
-    // backstop only. Deferrals are deliberately NOT re-probed: they
-    // are deadline-driven, the caller's `timeout` already expires at
-    // the earliest deadline, and bailing out on a merely-pending (not
-    // yet due) deferral would turn every idle worker into a
-    // busy-spinner for the whole backpressure window.
+    // backstop only.
     if sh.queues.any_ready() {
         sh.sleepers.fetch_sub(1, Ordering::SeqCst);
         return false;
     }
     let _ = sh
         .cv
-        .wait_timeout(sleep, timeout)
+        .wait_timeout(sleep, PARK_QUANTUM)
         .unwrap_or_else(|e| e.into_inner());
     sh.sleepers.fetch_sub(1, Ordering::SeqCst);
     false
 }
 
-/// Pops the earliest backpressure deferral if its deadline has passed.
-/// The atomic count keeps the no-backpressure path off the heap mutex;
-/// counting is Release/AcqRel-paired with the push sites so a probe
-/// that sees the count also sees the entry under the lock.
-fn pop_due_deferral(sh: &Pool) -> Option<Arc<Task>> {
-    if sh.deferred_count.load(Ordering::Acquire) == 0 {
-        return None;
-    }
-    let mut deferred = sh.deferred.lock();
-    if let Some(d) = deferred.peek() {
-        if d.due <= Instant::now() {
-            let task = deferred.pop().expect("peeked entry").task;
-            sh.deferred_count.fetch_sub(1, Ordering::AcqRel);
-            return Some(task);
-        }
-    }
-    None
-}
-
-/// Pops one ready task from the pool's *shared* sources (expired
-/// deferrals, then the shared queue) — the part of [`find_task`]
-/// available to threads without a queue of their own, i.e. a driver
-/// thread helping out via [`Pool::drive`].
-fn pop_shared(sh: &Pool) -> Option<Arc<Task>> {
-    pop_due_deferral(sh).or_else(|| sh.queues.pop(None))
-}
-
 fn find_task(index: usize, last_victim: &mut Option<usize>, sh: &Pool) -> Option<Arc<Task>> {
-    // Expired backoff deferrals first: they are the oldest work and
-    // their congestion has had the longest time to clear. The heap is
-    // shared, so whichever worker probes first resumes the task. Then
-    // this worker's own queue, then the shared one.
-    let ready = pop_due_deferral(sh)
-        .or_else(|| sh.queues.pop(Some(index)))
-        .or_else(|| sh.queues.pop(None));
+    // This worker's own queue, then the shared one.
+    let ready = sh.queues.pop(Some(index)).or_else(|| sh.queues.pop(None));
     if ready.is_some() {
         return ready;
     }

@@ -19,15 +19,20 @@
 //! activation of its own, so its finalization doubles as the run's
 //! completion signal ([`Latch`]).
 //!
-//! A streaming run's sink is where the graph meets the handle's egress,
-//! a bounded [`std::sync::mpsc`] channel: it delivers with `try_send`
-//! only (a worker never blocks on the consumer), keeps what the channel
-//! hands back at the front of its buffer, and re-defers itself through
-//! the same zero-progress back-off a backpressured component uses — the
-//! channel has no back-edge into the scheduler to wake it.
+//! Backpressure is a wake, like everything else that makes a task
+//! runnable. A component whose downstream backlog is at or over the
+//! high-water mark registers on that mailbox and stops; the drain that
+//! takes the backlog under the mark queues it again. A streaming run's
+//! sink is where the graph meets the handle's egress, a bounded
+//! [`std::sync::mpsc`] channel: it delivers with `try_send` only (a
+//! worker never blocks on the consumer), keeps what the channel hands
+//! back at the front of its buffer, raises a flag it shares with the
+//! handle and stops; the consumer's take that finds the flag raised
+//! runs the sink's next activation. The models are
+//! `crates/check/tests/backpressure.rs`.
 
 use super::pool::{notify, Pool};
-use super::sync::{AtomicBool, AtomicU32, AtomicUsize, Condvar};
+use super::sync::{AtomicBool, AtomicUsize, Condvar};
 use super::Latch;
 use crate::component::{Component, Transport};
 use crate::run::Run;
@@ -37,7 +42,6 @@ use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{SyncSender, TrySendError};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Records processed per task activation before yielding back to the
 /// scheduler (keeps long streams from starving sibling components).
@@ -45,11 +49,6 @@ use std::time::{Duration, Instant};
 /// stretches so a full hand-off batch is always processed in one
 /// activation.
 const ACTIVATION_BUDGET: usize = 64;
-
-/// Cap on the exponential backpressure backoff: a zero-progress task is
-/// re-enqueued after `1µs << min(n, BACKOFF_MAX_SHIFT)`, i.e. at most
-/// ~1ms — the same latency bound as a worker's park quantum.
-const BACKOFF_MAX_SHIFT: u32 = 10;
 
 /// How many tasks one end-of-stream cascade may finalize in place,
 /// nested, before it hands the next one to the queue. Each level holds
@@ -61,7 +60,7 @@ const EOS_INPLACE_DEPTH: u32 = 32;
 pub(super) struct Task {
     /// The run this task belongs to (trace, error slot, abort flag).
     pub(super) run: Arc<Run>,
-    pub(super) mailbox: Mutex<VecDeque<Record>>,
+    pub(super) mailbox: Mutex<Mailbox>,
     /// Signalled (paired with the `mailbox` mutex) whenever the mailbox
     /// shrinks while `ingress_waiters` is non-zero; only the streaming
     /// entry path ever waits on it.
@@ -69,13 +68,32 @@ pub(super) struct Task {
     pub(super) ingress_waiters: AtomicUsize,
     /// Open upstream ports; 0 = end-of-stream once the mailbox drains.
     open_senders: AtomicUsize,
-    /// True while queued or deferred (prevents double-queueing; cleared
-    /// when a worker picks the task up).
+    /// True while queued (prevents double-queueing; cleared when an
+    /// activation starts, so a wake that lands during it re-queues).
     pub(super) scheduled: AtomicBool,
-    /// Consecutive zero-progress (backpressured) activations; drives
-    /// the exponential re-enqueue backoff. Reset on any progress.
-    backoff: AtomicU32,
     pub(super) state: Mutex<State>,
+}
+
+/// A task's input: the records waiting for it and the producers its
+/// backlog holds back. One lock covers both, so a producer registers in
+/// the same critical section that found the backlog at the high-water
+/// mark, and no drain can slip in between the look and the
+/// registration.
+pub(super) struct Mailbox {
+    pub(super) queue: VecDeque<Record>,
+    /// Held-back producers, each at most once. Strong: once its senders
+    /// have closed, a held-back task is owned by nothing else. The cycle
+    /// this makes with the producer's port is broken by the drain that
+    /// wakes it, or by this task's finalize; a run stranded on a shut-
+    /// down pool (its network dropped mid-run) keeps it.
+    waiters: Vec<Arc<Task>>,
+}
+
+/// Queues every producer in `waiters`.
+fn wake(waiters: Vec<Arc<Task>>, sh: &Pool, local: Option<usize>) {
+    for producer in &waiters {
+        notify(producer, sh, local);
+    }
 }
 
 // One `State` per task, inside the task's own heap allocation: boxing
@@ -101,8 +119,13 @@ pub(super) enum SinkDest {
     Collect(Arc<Mutex<Vec<Record>>>),
     /// Streaming mode: push into the handle's bounded output channel.
     /// Dropping the sender (at sink finalization) is the consumer's
-    /// end-of-stream.
-    Stream(SyncSender<Record>),
+    /// end-of-stream. `full` is the flag shared with the handle: raised
+    /// when the channel refuses a record, lowered by the consumer's
+    /// take that runs the sink again.
+    Stream {
+        tx: SyncSender<Record>,
+        full: Arc<AtomicBool>,
+    },
 }
 
 impl SinkDest {
@@ -111,26 +134,32 @@ impl SinkDest {
     /// the sink's state lock, so every other worker would churn on the
     /// re-queued-but-locked task while the consumer starves. Streamed
     /// records that do not fit in the output channel therefore stay at
-    /// the front of `buf` and the sink *defers* through the scheduler's
-    /// zero-progress backoff machinery until the consumer drains.
+    /// the front of `buf`, with the `full` flag raised before one retry:
+    /// a take that makes room after the retry failed reads the flag and
+    /// runs the sink, which then waits for that wake.
     fn flush(&self, buf: &mut Vec<Record>) {
         if buf.is_empty() {
             return;
         }
         match self {
             SinkDest::Collect(outs) => outs.lock().append(buf),
-            SinkDest::Stream(tx) => {
+            SinkDest::Stream { tx, full } => {
                 // Front to back, one `try_send` each. A record handed
                 // back as `Full` goes back where it was, at the front
-                // of the leftovers the deferred retry starts from; a
+                // of the leftovers the next delivery starts from; a
                 // disconnected consumer drops the rest.
                 let mut sent = 0;
+                let mut retried = false;
                 while sent < buf.len() {
                     match tx.try_send(std::mem::take(&mut buf[sent])) {
                         Ok(()) => sent += 1,
                         Err(TrySendError::Full(rec)) => {
                             buf[sent] = rec;
-                            break;
+                            if retried {
+                                break;
+                            }
+                            full.store(true, Ordering::SeqCst);
+                            retried = true;
                         }
                         Err(TrySendError::Disconnected(_)) => sent = buf.len(),
                     }
@@ -145,23 +174,16 @@ impl Task {
     pub(super) fn new(state: State, run: &Arc<Run>) -> Arc<Task> {
         Arc::new(Task {
             run: Arc::clone(run),
-            mailbox: Mutex::new(pool::take_deque()),
+            mailbox: Mutex::new(Mailbox {
+                queue: pool::take_deque(),
+                waiters: Vec::new(),
+            }),
             ingress_cv: Condvar::new(),
             ingress_waiters: AtomicUsize::new(0),
             open_senders: AtomicUsize::new(0),
             scheduled: AtomicBool::new(false),
-            backoff: AtomicU32::new(0),
             state: Mutex::new(state),
         })
-    }
-
-    /// Discards buffered input (abort path), waking any ingress waiter
-    /// blocked on the freed space.
-    fn clear_mailbox(&self) {
-        self.mailbox.lock().clear();
-        if self.ingress_waiters.load(Ordering::Acquire) > 0 {
-            self.ingress_cv.notify_all();
-        }
     }
 }
 
@@ -207,10 +229,7 @@ impl Port {
         if self.buf.is_empty() {
             return;
         }
-        {
-            let mut mb = self.task.mailbox.lock();
-            mb.extend(self.buf.drain(..));
-        }
+        self.task.mailbox.lock().queue.extend(self.buf.drain(..));
         notify(&self.task, sh, local);
     }
 
@@ -224,17 +243,25 @@ impl Port {
     ) {
         let any = {
             let mut mb = self.task.mailbox.lock();
-            let before = mb.len();
-            mb.extend(recs);
-            mb.len() > before
+            let before = mb.queue.len();
+            mb.queue.extend(recs);
+            mb.queue.len() > before
         };
         if any {
             notify(&self.task, sh, local);
         }
     }
 
-    fn backlog(&self) -> usize {
-        self.task.mailbox.lock().len()
+    /// Is the receiving backlog at or over `high_water`? If so,
+    /// `producer` is registered, under the lock the backlog was read
+    /// with, to be queued when a drain takes it under the mark.
+    fn holds_back(&self, producer: &Arc<Task>, high_water: usize) -> bool {
+        let mut mb = self.task.mailbox.lock();
+        let full = mb.queue.len() >= high_water;
+        if full && !mb.waiters.iter().any(|w| Arc::ptr_eq(w, producer)) {
+            mb.waiters.push(Arc::clone(producer));
+        }
+        full
     }
 
     /// Closes the port. When it was the task's last sender, the task
@@ -273,7 +300,7 @@ fn finalize_in_place(task: &Arc<Task>, sh: &Pool, local: Option<usize>, depth: u
     let Some(mut state) = task.state.try_lock() else {
         return false;
     };
-    if !matches!(*state, State::Live(_)) || !task.mailbox.lock().is_empty() {
+    if !matches!(*state, State::Live(_)) || !task.mailbox.lock().queue.is_empty() {
         return false;
     }
     finalize(task, &mut state, sh, local, depth);
@@ -319,25 +346,21 @@ pub(super) fn execute(
     state: parking_lot::MutexGuard<'_, State>,
     sh: &Pool,
     local: Option<usize>,
-) -> Option<Instant> {
+) {
     let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         run_task(task, state, sh, local)
     }));
-    match unwound {
-        Ok(defer) => defer,
-        Err(payload) => {
-            let cause = panic_cause(payload.as_ref());
-            task.run.fail(SnetError::Engine(format!(
-                "scheduler activation panicked: {cause}"
-            )));
-            task.clear_mailbox();
-            // The state mutex recovers from the poisoned unwind (shim
-            // semantics); finalizing closes the task's ports so the
-            // cascade still reaches the sink.
-            if let Some(mut st) = task.state.try_lock() {
-                finalize(task, &mut st, sh, local, 0);
-            }
-            None
+    if let Err(payload) = unwound {
+        let cause = panic_cause(payload.as_ref());
+        task.run.fail(SnetError::Engine(format!(
+            "scheduler activation panicked: {cause}"
+        )));
+        // The state mutex recovers from the poisoned unwind (shim
+        // semantics); finalizing closes the task's ports so the cascade
+        // still reaches the sink. A racing activation that holds the
+        // lock instead finds the run failed and finalizes.
+        if let Some(mut st) = task.state.try_lock() {
+            finalize(task, &mut st, sh, local, 0);
         }
     }
 }
@@ -347,24 +370,24 @@ pub(super) fn execute(
 /// marks), flush every output edge once, then finalize if end-of-stream
 /// has been reached. The caller holds the state lock (acquired with
 /// `try_lock`, so workers never block behind a running activation).
-///
-/// Returns `Some(deadline)` for a zero-progress backpressure yield that
-/// must be re-run no earlier than the deadline, `None` otherwise.
+/// An activation ends in one of four ways: finalized, idle (nothing
+/// queued for it), re-queued (budget spent), or waiting for the wake it
+/// registered for (held back by its downstream, or a sink whose
+/// consumer lags).
 fn run_task(
     task: &Arc<Task>,
     mut state: parking_lot::MutexGuard<'_, State>,
     sh: &Pool,
     local: Option<usize>,
-) -> Option<Instant> {
+) {
     // From here on, producers may re-queue the task; the held state
     // lock serializes actual execution.
     task.scheduled.store(false, Ordering::Release);
 
     // Activation-start preemption point: abort flag and run deadline.
     if task.run.should_stop() {
-        task.clear_mailbox();
         finalize(task, &mut state, sh, local, 0);
-        return None;
+        return;
     }
 
     let batch = sh.config.batch.max(1);
@@ -375,6 +398,7 @@ fn run_task(
     let bp_stride = batch.max(16);
     let mut next_bp_check = 0usize;
     let mut processed = 0usize;
+    let mut held_back = false;
     // Records claimed from the mailbox for the current hand-off batch.
     // Pooled (with drop-reclaim, for the failure exits): one activation
     // per batch used to mean one short-lived Vec per batch — in steady
@@ -385,29 +409,36 @@ fn run_task(
             // Mid-drain preemption point, amortized on the same stride
             // as the backpressure probe.
             if task.run.should_stop() {
-                task.clear_mailbox();
                 finalize(task, &mut state, sh, local, 0);
-                return None;
+                return;
             }
-            if output_backpressured(&mut state, sh) {
+            if output_backpressured(task, &mut state, sh) {
+                held_back = true;
                 break;
             }
             next_bp_check = processed + bp_stride;
         }
         // Refill: claim up to a whole batch with one mailbox lock.
-        {
+        let woken = {
             let mut mb = task.mailbox.lock();
-            let take = batch.min(budget - processed).min(mb.len());
+            let take = batch.min(budget - processed).min(mb.queue.len());
             if take == 0 {
                 break;
             }
-            inbuf.extend(mb.drain(..take));
-        }
+            inbuf.extend(mb.queue.drain(..take));
+            if mb.queue.len() < sh.high_water() {
+                std::mem::take(&mut mb.waiters)
+            } else {
+                Vec::new()
+            }
+        };
         // The mailbox just shrank: wake a streaming sender blocked on
-        // the ingress bound, if any.
+        // the ingress bound, if any, and the producers the backlog held
+        // back once it is under the mark.
         if task.ingress_waiters.load(Ordering::Acquire) > 0 {
             task.ingress_cv.notify_all();
         }
+        wake(woken, sh, local);
         match &mut *state {
             State::Live(comp) => {
                 let n = inbuf.len();
@@ -418,9 +449,8 @@ fn run_task(
                 };
                 if let Err(e) = comp.step_batch(inbuf.drain(..), &task.run, &sh.config, &mut cx) {
                     task.run.fail(e);
-                    task.clear_mailbox();
                     finalize(task, &mut state, sh, local, 0);
-                    return None;
+                    return;
                 }
                 processed += n;
             }
@@ -442,9 +472,6 @@ fn run_task(
     // one more mailbox push + wake, and the between-activations
     // invariant (empty coalescing buffers) is restored.
     flush_outputs(&mut state, sh, local);
-    if processed > 0 {
-        task.backoff.store(0, Ordering::Relaxed);
-    }
 
     // Order matters: read the sender count BEFORE the final mailbox
     // probe. Each port's sends happen-before its close, so observing
@@ -452,64 +479,37 @@ fn run_task(
     // — probing the mailbox first could miss a record sent (and closed)
     // between the two reads.
     let senders = task.open_senders.load(Ordering::Acquire);
-    let mailbox_empty = task.mailbox.lock().is_empty();
+    let mailbox_empty = task.mailbox.lock().queue.is_empty();
     // Sink delivery happens here, not in `flush_outputs`: deliver when
     // the inbound stream pauses (empty mailbox — latency now matters)
     // or a full hand-off batch has accumulated; holding smaller
     // dribbles while more input is already queued coalesces consumer
     // wakes without ever stranding a record (a non-empty mailbox
-    // guarantees another activation). A streaming sink can still be
-    // left with undelivered records when the output channel was full:
-    // nothing in the graph re-schedules it when the consumer drains
-    // (the channel has no back-edge into the scheduler), so it must
-    // re-defer itself even with an empty mailbox.
-    let undelivered = if let State::Sink { buf, dest, .. } = &mut *state {
-        if mailbox_empty || buf.len() >= batch {
+    // guarantees another activation). What the output channel refuses
+    // stays in the buffer, under the raised egress flag.
+    let undelivered = match &mut *state {
+        State::Sink { buf, dest, .. } if mailbox_empty || buf.len() >= batch => {
             dest.flush(buf);
+            !buf.is_empty()
         }
-        !buf.is_empty()
-    } else {
-        false
+        _ => false,
     };
     if mailbox_empty && !undelivered {
         if senders == 0 {
             finalize(task, &mut state, sh, local, 0);
         }
-        None
-    } else {
-        // Note the finalize-gate: a sink with undelivered output is
-        // never finalized, even at end-of-stream — it re-defers until
-        // the consumer makes room (or hangs up). Finalizing instead
-        // would force a blocking drain inside an activation, which
-        // deadlocks a single-threaded driver that is simultaneously
-        // the pool helper (`drive`) and the consumer.
+    } else if !held_back && !undelivered {
+        // Budget yield: run again soon, from this worker's own queue.
         drop(state);
-        if processed == 0 {
-            // Zero-progress (backpressured) yield. Requeueing straight
-            // onto a run queue spins hot while the downstream
-            // mailbox stays full; instead, re-enqueue with exponential
-            // backoff. Claiming `scheduled` here keeps producers from
-            // double-queueing the task; if a producer won the race, its
-            // queue entry owns the re-run.
-            if task
-                .scheduled
-                .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                let shift = task
-                    .backoff
-                    .fetch_add(1, Ordering::Relaxed)
-                    .min(BACKOFF_MAX_SHIFT);
-                return Some(Instant::now() + Duration::from_micros(1u64 << shift));
-            }
-            None
-        } else {
-            // Budget yield with progress made: run again soon, from this
-            // worker's own queue.
-            notify(task, sh, local);
-            None
-        }
+        notify(task, sh, local);
     }
+    // Otherwise the task waits for the wake it registered for: its
+    // downstream's drain under the high-water mark, or the consumer's
+    // take under the raised egress flag. Note the finalize-gate: a sink
+    // with undelivered output is never finalized, even at end-of-stream
+    // — finalizing instead would force a blocking drain inside an
+    // activation, which deadlocks a single-threaded driver that is
+    // simultaneously the pool helper (`drive`) and the consumer.
 }
 
 /// Flushes every coalescing output buffer reachable from `state`: one
@@ -526,21 +526,22 @@ fn flush_outputs(state: &mut State, sh: &Pool, local: Option<usize>) {
 }
 
 /// Cooperative backpressure: stop consuming while the mailbox the
-/// component's boxes and filters write to is over the high-water mark
-/// ([`Component::held_back_by`]; pure dispatchers are exempt: their
-/// work per record is trivial and they feed many outputs). A streaming
-/// sink yields the same way while its consumer lags — it must not grow
-/// its buffer then — and learns that from the channel handing a record
+/// component's boxes and filters write to is at or over the high-water
+/// mark ([`Component::held_back_by`]; pure dispatchers are exempt:
+/// their work per record is trivial and they feed many outputs), and
+/// register there for the drain that takes it under. A streaming sink
+/// stops the same way while its consumer lags — it must not grow its
+/// buffer then — and learns that from the channel handing a record
 /// back, not from probing it: a whole hand-off batch still buffered
 /// here means the delivery that was due found the channel full, so it
 /// is retried, and whatever comes back again is the backpressure. (A
 /// shorter buffer is a dribble the tail of `run_task` is holding on
 /// purpose, or leftovers the next due delivery takes along.)
-fn output_backpressured(state: &mut State, sh: &Pool) -> bool {
+fn output_backpressured(task: &Arc<Task>, state: &mut State, sh: &Pool) -> bool {
     match state {
         State::Live(comp) => comp
             .held_back_by()
-            .is_some_and(|out| out.backlog() >= sh.high_water()),
+            .is_some_and(|out| out.holds_back(task, sh.high_water())),
         State::Sink { buf, dest, .. } => {
             buf.len() >= sh.config.batch.max(1) && {
                 dest.flush(buf);
@@ -558,12 +559,22 @@ fn output_backpressured(state: &mut State, sh: &Pool) -> bool {
 /// driver's completion latch.
 fn finalize(task: &Arc<Task>, state: &mut State, sh: &Pool, local: Option<usize>, depth: u32) {
     // Retire the mailbox's backing storage (it is empty on every orderly
-    // end-of-stream; abort paths cleared it). Stragglers that land after
-    // teardown go into the fresh empty deque and are dropped with it.
-    pool::give_deque(std::mem::take(&mut *task.mailbox.lock()));
+    // end-of-stream; on abort the pool discards what is left). Stragglers
+    // that land after teardown go into the fresh empty deque and are
+    // dropped with it. Whoever waits on the mailbox is woken: a sender
+    // on the ingress bound, producers it held back.
+    let (queue, waiters) = {
+        let mut mb = task.mailbox.lock();
+        (
+            std::mem::take(&mut mb.queue),
+            std::mem::take(&mut mb.waiters),
+        )
+    };
+    pool::give_deque(queue);
     if task.ingress_waiters.load(Ordering::Acquire) > 0 {
         task.ingress_cv.notify_all();
     }
+    wake(waiters, sh, local);
     match std::mem::replace(state, State::Done) {
         State::Live(comp) => comp.end_of_stream(&task.run, |port| port.close(sh, local, depth + 1)),
         State::Sink {

@@ -161,12 +161,12 @@ fn steady_state_allocations_are_pooled_away() {
 
     // The budget is a *flat* constant for the whole window — one
     // `start()` (task graph + channels), plus a handful of stragglers
-    // (a rare deque doubling past the warm-up plateau, a deferred-heap
-    // regrowth). 50k records through 16 stages is 800k box invocations;
-    // without the pool this window costs >100k allocations (one inbuf
-    // per activation, one port buffer per graph edge per run, two chain
-    // buffers per runner, ...). 2000 total = 0.04 per record, i.e. 0
-    // per record in steady state.
+    // (a rare deque doubling past the warm-up plateau, a mailbox waiter
+    // list regrowing after a wake took it). 50k records through 16
+    // stages is 800k box invocations; without the pool this window
+    // costs >100k allocations (one inbuf per activation, one port
+    // buffer per graph edge per run, two chain buffers per runner, ...).
+    // 2000 total = 0.04 per record, i.e. 0 per record in steady state.
     assert!(
         fused_delta < 2_000,
         "fused depth-16 steady state allocated {fused_delta} times over {MEASURE} records \

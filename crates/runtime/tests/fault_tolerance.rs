@@ -9,7 +9,9 @@
 use snet_core::boxdef::{BoxDef, BoxOutput, BoxSig, Work};
 use snet_core::{NetSpec, Record, SnetError, Value};
 use snet_runtime::faultinject::{chaos, chaos_with_stats, FaultSpec};
-use snet_runtime::{run_stream, DeadLetter, EngineConfig, FailurePolicy, Interp, SchedNet};
+use snet_runtime::{
+    run_stream, DeadLetter, EngineConfig, FailurePolicy, Interp, SchedNet, TrySendError,
+};
 use std::time::Duration;
 
 /// A box consuming `{x}` and emitting `{x: x + 1}`.
@@ -484,6 +486,27 @@ fn an_expired_deadline_ends_an_open_stream() {
     let h = net.start();
     let _ = h.send(Record::new().with_field("x", Value::Int(1)));
     while h.recv().is_some() {}
+    assert_eq!(h.finish(), Err(SnetError::DeadlineExceeded));
+}
+
+/// `try_send` tests the deadline as `send` does: on an idle net whose
+/// deadline has passed, an offered record is refused with
+/// `DeadlineExceeded` instead of accepted.
+#[test]
+fn try_send_after_the_deadline_is_refused() {
+    let net = SchedNet::with_config(
+        NetSpec::Box(inc_box()),
+        EngineConfig {
+            deadline: Some(Duration::from_millis(1)),
+            ..EngineConfig::default()
+        },
+    );
+    let h = net.start();
+    std::thread::sleep(Duration::from_millis(20));
+    match h.try_send(Record::new().with_field("x", Value::Int(1))) {
+        Err(TrySendError::Closed(SnetError::DeadlineExceeded)) => {}
+        other => panic!("expected Closed(DeadlineExceeded), got {other:?}"),
+    }
     assert_eq!(h.finish(), Err(SnetError::DeadlineExceeded));
 }
 

@@ -123,9 +123,9 @@ fn million_record_soak_stays_under_the_rss_ceiling() {
     // are bounded by the ingress channel + one high-water mark per
     // component (DEPTH boxes + sink) + the egress channel, each record
     // costing well under 1 KiB here. Everything else (pool freelists,
-    // deferred heap, trace counters) is configuration-sized too. 16 MiB
-    // of slack covers allocator fragmentation and thread-cache noise; a
-    // million resident records (~100+ MB) fails by an order of
+    // mailbox waiter lists, trace counters) is configuration-sized too.
+    // 16 MiB of slack covers allocator fragmentation and thread-cache
+    // noise; a million resident records (~100+ MB) fails by an order of
     // magnitude, in debug-mode record counts too.
     let cap = config.channel_capacity;
     let high_water = cap * 16;

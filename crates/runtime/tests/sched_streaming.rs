@@ -353,6 +353,65 @@ fn dropping_handle_without_finish_is_safe() {
     // thus the test.
 }
 
+/// A handle dropped unread while its sink waits on a full output
+/// channel, with everything upstream held back behind the sink: only
+/// the receiver's drop can wake the sink now. It must find the channel
+/// gone, let the held-back stages drain through it and retire every
+/// component.
+#[test]
+fn an_abandoned_handle_retires_every_component() {
+    let net = SchedNet::with_config(
+        NetSpec::pipeline([int_box("inc", |x| x + 1), int_box("dec", |x| x - 1)]),
+        EngineConfig {
+            workers: 2,
+            channel_capacity: 2,
+            fuse: false,
+            ..EngineConfig::default()
+        },
+    );
+    let h = net.start();
+    let trace = h.trace_arc();
+    // Offer records until the ingress has stayed full for 100 ms: the
+    // output channel, the sink and every mailbox behind it are full.
+    let mut full_since = None;
+    for i in 0..10_000 {
+        let mut rec = Record::new().with_field("x", Value::Int(i));
+        loop {
+            match h.try_send(rec) {
+                Ok(()) => {
+                    full_since = None;
+                    break;
+                }
+                Err(TrySendError::Full(back)) => rec = back,
+                Err(TrySendError::Closed(e)) => panic!("ingress closed: {e}"),
+            }
+            if full_since.get_or_insert_with(Instant::now).elapsed() > Duration::from_millis(100) {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        if full_since.is_some() {
+            break;
+        }
+    }
+    assert!(
+        full_since.is_some(),
+        "10 000 records and the ingress never filled"
+    );
+    drop(h);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while trace.get(&trace.components_finalized) < trace.get(&trace.components_built)
+        && Instant::now() < deadline
+    {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(
+        trace.get(&trace.components_finalized),
+        trace.get(&trace.components_built),
+        "a component of the abandoned run was never retired"
+    );
+}
+
 /// Streaming a long input through a deep pipeline with tiny ingress and
 /// egress bounds: maximal send-side blocking, and a sink that is never
 /// rid of leftovers — a 1 → 5 fan-out in front means every activation

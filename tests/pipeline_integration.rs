@@ -295,7 +295,7 @@ fn sched_engine_matches_interpreter_on_the_real_merger() {
 fn many_sections_under_tight_backpressure() {
     // Soak: 32 sections through the full static net with every channel
     // capacity and mailbox high-water mark forced to their minimum —
-    // maximal deferral churn across hundreds of component tasks must
+    // maximal backpressure churn across hundreds of component tasks must
     // still produce the exact image.
     let wl = workload();
     let reference = wl.reference_image();
