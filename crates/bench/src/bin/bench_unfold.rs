@@ -15,8 +15,8 @@
 //!   against one — 32 replicas more.
 //!
 //! Each row is the difference between the deep and the flat job on the
-//! same warm engine, divided by 32, so per-run set-up (entry task, sink,
-//! latch; the interpreter's instantiation of the static tree) cancels:
+//! same warm engine, divided by 32, so per-run set-up (entry task,
+//! egress; the interpreter's instantiation of the static tree) cancels:
 //! medians of `--iters` alternating jobs for time, floors for
 //! allocations (a counting global allocator; the floor, because which
 //! thread's buffer freelist a retired mailbox lands in varies). The

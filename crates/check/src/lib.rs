@@ -54,7 +54,7 @@
 //!
 //! ## Running
 //!
-//! The protocol models in `tests/` (`mailbox`, `sink_latch`,
+//! The protocol models in `tests/` (`mailbox`, `egress`,
 //! `eos_inplace`, `backpressure`) are written against the façade and run in every
 //! build. The `parking_lot` mutex `snet-runtime` locks through, and the
 //! scheduler's own atomics and condvars, compile against this façade

@@ -1,39 +1,30 @@
-//! The scheduled engine's backpressure wakes (`Port::holds_back`, the
-//! refill in `run_task` and `SinkDest::flush` in
-//! `crates/runtime/src/sched/task.rs`; `Egress::took` in
-//! `crates/runtime/src/sched/mod.rs`), modeled against the snet-check
-//! façade — runs in every build, no special RUSTFLAGS.
+//! The scheduled engine's backpressure wake (`Port::holds_back` and the
+//! refill in `run_task`, `crates/runtime/src/sched/task.rs`; the take
+//! in `Handle::take`, `crates/runtime/src/sched/mod.rs`), modeled
+//! against the snet-check façade — runs in every build, no special
+//! RUSTFLAGS.
 //!
-//! Two protocols, one shape: a task that cannot hand its output on
-//! leaves a note where the room will appear and stops; whoever makes
-//! the room reads the note and queues the task.
-//!
-//! * **Full mailbox.** A producer looks at its consumer's backlog under
-//!   the mailbox lock and, finding it at the high-water mark, registers
-//!   as a waiter in the same critical section. The consumer's drain
-//!   takes the waiters, under that lock, once the backlog is under the
-//!   mark, and queues them. `split_look_and_register_loses_the_wake`
-//!   looks and registers under two acquisitions: the drain slips in
-//!   between and the producer waits for a wake nobody will send.
-//! * **Full egress.** The sink's `try_send` is refused; it raises the
-//!   flag it shares with the handle, tries once more and stops. The
-//!   consumer's take reads the flag and, finding it raised, lowers it
-//!   and runs the sink (`run_here`: `notify`'s claim of the `scheduled`
-//!   flag, then the activation on the consumer's thread; here, the
-//!   sink's wake token). `flag_after_the_retry_loses_the_wake` raises
-//!   the flag after the retry: a take between the two reads a lowered
-//!   flag.
+//! A task that cannot hand its output on leaves a note where the room
+//! will appear and stops; whoever makes the room reads the note and
+//! queues the task. A producer looks at its consumer's backlog under
+//! the mailbox lock and, finding it at the limit, registers as a
+//! waiter in the same critical section. The consumer's drain takes the
+//! waiters, under that lock, once the backlog is under the limit, and
+//! queues them. The egress is a mailbox like any other, and the
+//! handle's take is its drain, so this one protocol covers the last
+//! stage held back by a lagging consumer too.
+//! `split_look_and_register_loses_the_wake` looks and registers under
+//! two acquisitions: the drain slips in between and the producer waits
+//! for a wake nobody will send.
 //!
 //! A task is a thread here, and "queued" is a wake token (the
 //! `scheduled` flag and run queue of `sched::pool`, which
 //! `tests/mailbox.rs` models): a notify before the park is not lost,
 //! the park then returns at once, as a task queued mid-activation runs
-//! again. The timed variants re-run the stopped task when the park
+//! again. The timed variant re-runs the stopped task when the park
 //! times out, as a timer-driven retry would; `timeouts_fired() == 0`
-//! pins that the shipped protocols never need one. The six checks take
-//! about 0.2 s together in a debug build.
+//! pins that the shipped protocol never needs one.
 
-use snet_check::sync::atomic::{AtomicBool, Ordering};
 use snet_check::sync::{Arc, Condvar, Mutex};
 use snet_check::{check, thread, Config};
 use std::time::Duration;
@@ -197,124 +188,6 @@ fn registering_under_the_look_never_needs_a_timer() {
 fn split_look_and_register_loses_the_wake() {
     let failure = check(Config::default(), || mailbox_scenario(true, false))
         .expect_err("a split look and register must lose a wake under some schedule");
-    assert!(
-        failure.message.contains("deadlock"),
-        "expected a deadlock report, got: {failure}"
-    );
-}
-
-/// The streaming sink against its output channel (capacity one) and
-/// the consumer draining it.
-struct Egress {
-    /// Records in the channel (not modelled: std's mpsc; a mutex and a
-    /// condvar stand in).
-    channel: Mutex<usize>,
-    readable: Condvar,
-    full: AtomicBool,
-    sink: Wake,
-}
-
-impl Egress {
-    fn try_send(&self) -> bool {
-        let mut queued = self.channel.lock().unwrap();
-        if *queued == 1 {
-            return false;
-        }
-        *queued += 1;
-        self.readable.notify_one();
-        true
-    }
-
-    /// `SinkDest::flush`: returns the records still undelivered. The
-    /// shipped flush raises the flag before its one retry; the broken
-    /// one after.
-    fn flush(&self, mut left: usize, flag_after_retry: bool) -> usize {
-        let mut retried = false;
-        while left > 0 {
-            if self.try_send() {
-                left -= 1;
-            } else if retried {
-                break;
-            } else {
-                if !flag_after_retry {
-                    self.full.store(true, Ordering::SeqCst);
-                }
-                retried = true;
-            }
-        }
-        if flag_after_retry && left > 0 {
-            self.full.store(true, Ordering::SeqCst);
-        }
-        left
-    }
-
-    fn sink(&self, flag_after_retry: bool, timed: bool) {
-        let mut left = RECORDS;
-        loop {
-            left = self.flush(left, flag_after_retry);
-            if left == 0 {
-                return;
-            }
-            self.sink.park(timed);
-        }
-    }
-
-    /// `Handle::recv`, then `Egress::took`.
-    fn recv(&self) {
-        let mut queued = self.channel.lock().unwrap();
-        while *queued == 0 {
-            queued = self.readable.wait(queued).unwrap();
-        }
-        *queued -= 1;
-        drop(queued);
-        if self.full.load(Ordering::SeqCst) && self.full.swap(false, Ordering::SeqCst) {
-            self.sink.notify();
-        }
-    }
-}
-
-fn egress_scenario(flag_after_retry: bool, timed: bool) {
-    let egress = Arc::new(Egress {
-        channel: Mutex::new(0),
-        readable: Condvar::new(),
-        full: AtomicBool::new(false),
-        sink: Wake::new(),
-    });
-    let sink = {
-        let egress = Arc::clone(&egress);
-        thread::spawn(move || egress.sink(flag_after_retry, timed))
-    };
-    for _ in 0..RECORDS {
-        egress.recv();
-    }
-    sink.join().unwrap();
-}
-
-/// The shipped sink: every schedule delivers both records.
-#[test]
-fn flag_before_the_retry_never_loses_the_wake() {
-    let report = check(Config::default(), || egress_scenario(false, false))
-        .unwrap_or_else(|f| panic!("{f}"));
-    assert!(report.complete, "{report:?}");
-}
-
-/// With the old timer back as a fallback, it never fires.
-#[test]
-fn flag_before_the_retry_never_needs_a_timer() {
-    let report = check(Config::default(), || {
-        egress_scenario(false, true);
-        assert_eq!(snet_check::timeouts_fired(), 0, "a wake was lost");
-    })
-    .unwrap_or_else(|f| panic!("{f}"));
-    assert!(report.complete, "{report:?}");
-}
-
-/// Negative twin: the consumer's take lands between the failed retry
-/// and the flag, reads it lowered, and the sink parks for good.
-#[test]
-fn flag_after_the_retry_loses_the_wake() {
-    let failure = check(Config::default(), || egress_scenario(true, false))
-        .expect_err("a flag raised after the retry must lose a wake under some schedule");
     assert!(
         failure.message.contains("deadlock"),
         "expected a deadlock report, got: {failure}"

@@ -5,9 +5,9 @@
 //! The protocol: whoever drops a task's last sender finalizes the task
 //! on the spot when it can take the task's state lock (`try_lock`: no
 //! activation is running) and finds the mailbox empty; otherwise it
-//! queues the task (`notify`) and the activation finalizes it. The sink
-//! is never finalized in place — its finalization is the run's
-//! completion signal and stays with the queue.
+//! queues the task (`notify`) and the activation finalizes it. The
+//! model's sink stands for any downstream task that observes its
+//! end-of-stream in an activation of its own.
 //!
 //! The model is two producers feeding one relay task that feeds the
 //! sink, plus one worker. Each producer sends a record (mailbox push +

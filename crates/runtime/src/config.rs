@@ -29,12 +29,12 @@ const DEAD_CAPACITY_FACTOR: usize = 16;
 /// value other than the default — the audit that keeps a knob a knob.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
-    /// Records a streaming run holds at its ends: the entry mailbox
-    /// ([`crate::Handle::send`] waits beyond it) and the output channel
-    /// (the sink holds back beyond it); 16× it in the dead-letter
-    /// channel of a net that can divert. Every other mailbox's
-    /// high-water mark, past which its producer stops consuming, is 16×
-    /// it too. Bounds give backpressure
+    /// Records a streaming run holds at its entry mailbox
+    /// ([`crate::Handle::send`] waits beyond it); 16× it in the
+    /// dead-letter channel of a net that can divert. Every other
+    /// mailbox's high-water mark, past which its producer stops
+    /// consuming, is 16× it too — the egress's included, which the
+    /// handle takes the outputs from. Bounds give backpressure
     /// ("throttling" in the paper's list of coordination concerns); the
     /// minimum is 1.
     /// Non-default: `sched_streaming`, `pipeline_integration` and the engine suite at `fine_grain` (1), `memory_soak`.

@@ -1,12 +1,14 @@
 //! The streaming handle of a running network. Records enter through
-//! the entry task's bounded mailbox — [`Handle`]'s ingress methods live
-//! with the scheduler (`sched`), whose tasks and pool they reach into —
-//! and leave through an egress of two bounded [`std::sync::mpsc`]
-//! channels, outputs and dead letters, which this module reads. An mpsc
-//! [`Receiver`](std::sync::mpsc::Receiver) is single-consumer (`!Sync`),
-//! so each sits behind a mutex: the handle stays `Send + Sync`, one
-//! consumer at a time is the supported shape, and consumers that do
-//! call in concurrently take turns rather than race.
+//! the entry task's bounded mailbox and leave through the run's egress
+//! mailbox — [`Handle`]'s methods that reach into tasks and the pool
+//! live with the scheduler (`sched`). A take moves the egress's whole
+//! backlog into the handle's window, which `recv` and `try_recv` hand
+//! out a record at a time; dead letters leave through a bounded
+//! [`std::sync::mpsc`] channel. The window and the channel's
+//! single-consumer [`Receiver`](std::sync::mpsc::Receiver) each sit
+//! behind a mutex: the handle stays `Send + Sync`, one consumer at a
+//! time is the supported shape, and consumers that do call in
+//! concurrently take turns rather than race.
 
 pub use crate::sched::Handle;
 
@@ -14,13 +16,7 @@ use crate::trace::Trace;
 use snet_core::fault::DeadLetter;
 use snet_core::{Record, SnetError};
 use std::fmt;
-use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
-use std::time::Duration;
-
-/// How long a blocked [`Handle::recv`] sleeps between checks of the
-/// abort flag, the deadline and the worker pool.
-const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
 /// Error returned by [`Handle::try_send`].
 #[derive(Debug)]
@@ -67,42 +63,25 @@ impl Handle {
     /// Receives the next output record; `None` once the output stream
     /// has terminated, or once the worker pool is gone. Checks the
     /// abort flag and run deadline while blocked, so a stalled network
-    /// cannot park the consumer past [`crate::EngineConfig::deadline`].
-    /// A record taken from a full output channel makes room for the
-    /// sink waiting on it, whose next delivery then runs on the calling
-    /// thread (as with [`Handle::try_recv`]).
+    /// cannot park the consumer past [`crate::EngineConfig::deadline`];
+    /// an aborted run's records already in flight are still delivered.
     pub fn recv(&self) -> Option<Record> {
-        let output = self.output.lock();
-        loop {
-            match output.recv_timeout(POLL_INTERVAL) {
-                Ok(rec) => {
-                    self.egress.took();
-                    return Some(rec);
-                }
-                Err(RecvTimeoutError::Disconnected) => return None,
-                Err(RecvTimeoutError::Timeout) => {
-                    if self.abandoned() {
-                        return None;
-                    }
-                    if self.run.should_stop() {
-                        // Aborted (cancel / failure / deadline): close
-                        // the input so the cascade tears the run down,
-                        // then keep draining what is already in flight
-                        // until the channel disconnects.
-                        self.close_input();
-                    }
-                }
-            }
+        let mut window = self.window.lock();
+        if window.is_empty() {
+            self.take(&mut window, true);
         }
+        window.pop_front()
     }
 
     /// Non-blocking receive: `None` when nothing is currently queued
     /// (including after termination — use [`Handle::recv`] to
     /// distinguish end-of-stream).
     pub fn try_recv(&self) -> Option<Record> {
-        let rec = self.output.lock().try_recv().ok()?;
-        self.egress.took();
-        Some(rec)
+        let mut window = self.window.lock();
+        if window.is_empty() {
+            self.take(&mut window, false);
+        }
+        window.pop_front()
     }
 
     /// Non-blocking receive on the run's dead-letter stream: the next
@@ -129,16 +108,10 @@ impl Handle {
     /// run, if any.
     pub fn finish(self) -> Result<(), SnetError> {
         self.close_input();
-        // Drain the output so nothing upstream can block on a full
-        // channel; `recv` keeps enforcing the deadline while blocked.
+        // Drain the output so nothing upstream stays held back on the
+        // egress; `recv` keeps enforcing the deadline while blocked.
         while self.recv().is_some() {}
         self.join();
         self.run.take_result()
-    }
-}
-
-impl Drop for Handle {
-    fn drop(&mut self) {
-        self.close_input();
     }
 }

@@ -16,10 +16,11 @@
 //!   reuse the same OS threads — no per-call spawn/join. A component
 //!   runs when input is in its mailbox, drains up to a budget, and
 //!   yields; end-of-stream is sender refcounting, and a run's
-//!   completion is wake-driven (the sink's finalization signals the
-//!   driver — no polling). Outputs stream out of a bounded channel as
-//!   the sink produces them, so a slow consumer throttles the whole
-//!   network instead of buffering unboundedly.
+//!   completion is wake-driven (the last close onto its egress wakes
+//!   the driver — no polling). The egress is a mailbox like any other,
+//!   which the handle takes outputs from as they arrive, so a slow
+//!   consumer throttles the whole network instead of buffering
+//!   unboundedly.
 //!
 //! * [`Interp`] — the **deterministic reference interpreter**:
 //!   single-threaded, FIFO scheduling, first-declared tie-breaks. It is
@@ -56,11 +57,11 @@
 //! | [`config`] | [`EngineConfig`]; `Plan`: pre-flight and entry-typed veto on the topology as written, then [`snet_core::fusion::compile`] (fusion is part of it), once per network | — (sequential) |
 //! | `run` | one run's first-error slot, abort flag, deadline, dead-letter stream: `fail` / `should_stop` / `divert` | — (a mutex and a flag; raced by `fault_tolerance.rs`) |
 //! | `component` | what is per instance: what one record does to one component, over an abstract `Transport`; back-to-front `build` of a component graph from the compiled tree | — (sequential per component; pinned to [`Interp`] by `engine_vs_interp.rs`, `fusion_equivalence.rs`) |
-//! | [`handle`] | the streaming [`Handle`]'s egress (outputs, dead letters), cancel and finish | — |
+//! | [`handle`] | the streaming [`Handle`]'s receive side (the window a take fills, dead letters), cancel and finish | — |
 //! | `snet-dist` (its own crate, over the hidden `component`/`run` seam) | simulated-cluster transport: a discrete-event process per component on the node `@`/`!@` names, ports are sender-counted `SimQueue`s, `send` charges glue ops and wire bytes, a step's box work occupies the node before its outputs leave | — (the kernel runs one process at a time; pinned to [`SchedNet`] count for count by `tests/sim_vs_engine.rs`) |
-//! | `sched::pool` | the run queues (one shared, one per worker: mutex-guarded `VecDeque`s, steal-half), `notify` (and `run_here`, its caller-runs form) / `park` (lock-then-notify, sleeper gate, re-probe of every queue): every wake, none by the clock | `mailbox.rs` (wake protocol; the queues are a lock around a std container, unit- and churn-tested beside them), `backpressure.rs` (what the backpressure wakes hand to `notify`) |
-//! | `sched::task` | the task transport: mailbox, sender-refcount end-of-stream (in place when the task is idle and drained, else by activation), one activation: drain → step → flush → finalize; backpressure registration (a held-back producer on its downstream mailbox, woken by the drain under the high-water mark; the streaming sink on the egress flag, woken by the handle's take) | `mailbox.rs` (the `scheduled` flag hand-off), `eos_inplace.rs` (last close vs. a racing send and a queued activation), `backpressure.rs` (registration vs. the drain, the egress flag vs. the take) |
-//! | `sched` | worker pool lifetime, batch driver, the handle's bounded mailbox ingress, the sink's completion latch | `sink_latch.rs` |
+//! | `sched::pool` | the run queues (one shared, one per worker: mutex-guarded `VecDeque`s, steal-half), `notify` / `park` (lock-then-notify, sleeper gate, re-probe of every queue): every wake, none by the clock | `mailbox.rs` (wake protocol; the queues are a lock around a std container, unit- and churn-tested beside them), `backpressure.rs` (what the backpressure wake hands to `notify`) |
+//! | `sched::task` | the task transport: mailbox, sender-refcount end-of-stream (in place when the task is idle and drained, else by activation), one activation: drain → step → flush → finalize; backpressure registration (a held-back producer on its downstream mailbox, woken by the drain under its limit); the egress, a mailbox never queued; the waits of threads outside the pool (register, re-check, woken by every flush, drain and last close) | `mailbox.rs` (the `scheduled` flag hand-off), `eos_inplace.rs` (last close vs. a racing send and a queued activation), `backpressure.rs` (registration vs. the drain), `egress.rs` (the consumer's wait vs. the last close) |
+//! | `sched` | worker pool lifetime, batch driver, the handle's bounded mailbox ingress and its take of the egress | `egress.rs`, `backpressure.rs` (the take is the egress's drain) |
 //!
 //! ## The compiled plan, and what an instance costs
 //!
@@ -87,9 +88,9 @@
 //! onto a scheduled task closes and the task is an idle component with
 //! an empty mailbox, the closer finalizes it on the spot and goes on to
 //! close *its* outputs the same way (nesting bounded at 32); a task
-//! that is mid-activation or still has input, and always the sink, is
-//! queued and finalizes in an activation as before — that remains the
-//! general case, not an option. [`Trace`]'s `components_built` and
+//! that is mid-activation or still has input is queued and finalizes in
+//! an activation as before — that remains the general case, not an
+//! option. The egress is never finalized: its last close ends the run. [`Trace`]'s `components_built` and
 //! `components_finalized` are equal after every run, on the engine and
 //! on the simulated cluster, however it ended: no instance is skipped
 //! or retired twice.
@@ -134,8 +135,10 @@
 //! the runs). Backpressure is cooperative and woken, not timed:
 //! a task whose downstream mailbox is at the high-water mark stops
 //! consuming and registers on that mailbox, and the drain that takes
-//! the backlog under the mark queues it again; a streaming sink facing
-//! a full output channel waits the same way for the consumer's take.
+//! the backlog under the mark queues it again. The run's egress is such
+//! a mailbox, with the handle's take as its drain: a last stage whose
+//! consumer lags waits the same way, and the take that moves the
+//! egress's backlog out wakes it.
 //!
 //! ## Operator fusion ([`EngineConfig::fuse`])
 //!
@@ -215,8 +218,7 @@
 //! [`Handle::cancel`] and [`EngineConfig::deadline`]. On either
 //! path `finish()` reports [`SnetError::Cancelled`] /
 //! [`SnetError::DeadlineExceeded`], outputs already produced stay
-//! retrievable (`recv` keeps draining until the output stream
-//! disconnects), and the worker pool stays healthy and reusable — a later run on the same `SchedNet` spawns no new
+//! retrievable (`recv` keeps draining until the egress closes), and the worker pool stays healthy and reusable — a later run on the same `SchedNet` spawns no new
 //! workers. Cancellation points are activation boundaries (plus the
 //! batch stride inside long drains), so a box body is never
 //! interrupted mid-call: a stalled box delays detection but cannot
@@ -274,7 +276,7 @@
 //!    loom-style deterministic scheduler explores thread interleavings
 //!    exhaustively (sequentially consistent schedules, preemption-
 //!    bounded DFS, deterministic replay of any failing schedule). What
-//!    it checks are *protocol models* — the wake, latch, backpressure
+//!    it checks are *protocol models* — the wake, egress, backpressure
 //!    and end-of-stream protocols written out against `snet_check::sync`
 //!    (`cargo test -p snet-check`, every build); the table above names
 //!    the model behind each module. The `sched` modules and the
@@ -322,8 +324,7 @@
 //! cycles a fixed set of buffer shapes — the `Vec<Record>` a task
 //! drains its mailbox into each activation, the coalescing buffer of
 //! every producer port, each thread's chain scratch (a `ChainRunner`'s
-//! two ping-pong buffers and an output batch), the sink's delivery
-//! window, and the
+//! two ping-pong buffers and an output batch), and the
 //! `VecDeque<Record>` backing every mailbox. All of them are drawn from
 //! and returned to per-thread freelists (with a bounded cross-thread
 //! spill), so after warm-up an activation reuses warmed capacity
@@ -333,12 +334,13 @@
 //! pool. What is *not* recycled: record payloads themselves (fields own
 //! their values; a record keeps up to two pairs per namespace in
 //! itself, and a step's one output record sits in place, so short
-//! records never hit the heap), the streaming handle's egress and dead-letter rings
-//! (`std::sync::mpsc::sync_channel` preallocates all `cap` slots when
-//! the run starts and never allocates again: `cap × slot`, ≈8.5 KiB
-//! for 64 records of egress; the dead-letter ring is 16× as many,
-//! larger slots, which is why a net that provably cannot divert gets a
-//! one-slot stub), and
+//! records never hit the heap), the streaming handle's window (a take
+//! swaps it with the egress's deque, so the two grow to the egress's
+//! high-water mark once and are reused from then on), the dead-letter
+//! ring (`std::sync::mpsc::sync_channel` preallocates all its slots
+//! when the run starts and never allocates again: 16 × `cap` of them,
+//! which is why a net that provably cannot divert gets a one-slot
+//! stub), and
 //! per-run setup (task graph, trace) — which is why the guarantee is
 //! *steady-state* allocation freedom, proven by the counting-allocator
 //! test `tests/alloc_steady.rs`: a depth-16 fused chain streams 50k
@@ -349,12 +351,13 @@
 //! components in the run's graph, records in flight are bounded by
 //!
 //! ```text
-//! in_flight  <=  cap              (ingress channel)
+//! in_flight  <=  cap              (ingress mailbox)
 //!             +  C * 16 * cap     (per-component mailbox high-water)
-//!             +  cap              (egress channel)
+//!             +  16 * cap         (egress high-water)
 //! ```
 //!
-//! (plus one hand-off batch of slop per edge), so peak RSS above the
+//! (plus one hand-off batch of slop per edge, and what the consumer's
+//! last take moved into its window, at most one egress's worth), so peak RSS above the
 //! binary-plus-pool baseline is `O(in_flight * record_size)` — a
 //! function of topology and configuration only. `tests/memory_soak.rs`
 //! pins it: a million records through a throttled depth-8 pipeline grow
@@ -580,8 +583,9 @@ pub fn run_stream(net: &Network, records: Vec<Record>) -> Result<Vec<Record>, Sn
 }
 
 /// Single-threaded streaming driver: pushes records through the bounded
-/// ingress and drains outputs on the calling thread, never parking
-/// while input remains. A full ingress triggers an output drain; if
+/// ingress and drains outputs on the calling thread (the dead letters
+/// too, at the same cadence, discarded as [`run_stream`] does), never
+/// parking while input remains. A full ingress triggers an output drain; if
 /// nothing is drainable either, the thread runs pool work itself
 /// ([`Handle::drive`]) or *yields* to the workers instead of doing a
 /// condvar round trip.
@@ -613,6 +617,7 @@ pub fn run_stream_interleaved(
                         outs.push(out);
                         drained = true;
                     }
+                    while handle.try_recv_dead_letter().is_some() {}
                     if !drained && !handle.drive() {
                         // Ingress full, nothing to drain, no task to
                         // help with: the pipeline is mid-flight on the
@@ -629,6 +634,7 @@ pub fn run_stream_interleaved(
     // Tail drain, still helping: run leftover engine work in place and
     // only block on `recv` when there is truly nothing else to do.
     loop {
+        while handle.try_recv_dead_letter().is_some() {}
         if let Some(rec) = handle.try_recv() {
             outs.push(rec);
         } else if !handle.drive() {

@@ -16,25 +16,24 @@
 //!   through the shared component step (`crate::component`, which the
 //!   simulated cluster of `snet-dist` runs too), then yields the task
 //!   back to the scheduler;
-//! * a task whose output mailbox is at the high-water mark stops
-//!   consuming input and registers on that mailbox; the drain that
-//!   takes it under the mark queues the task again — cooperative
-//!   backpressure in place of blocking, woken rather than timed. The
-//!   streaming sink waits the same way on a full output channel, and
-//!   the handle's `recv` that makes room runs it.
+//! * a task whose output mailbox is at its limit stops consuming input
+//!   and registers on that mailbox; the drain that takes it under the
+//!   limit queues the task again — cooperative backpressure in place of
+//!   blocking, woken rather than timed.
 //!
 //! The worker pool belongs to the network, not to any single run: it is
 //! spawned lazily on the first run and joined when the `SchedNet`
 //! drops. Every run — a one-shot `run_batch` or a streaming `start` —
 //! instantiates a fresh task graph whose tasks carry their own per-run
-//! state (trace counters, error slot, completion latch), so any number
-//! of runs can share the pool, even concurrently, and repeated batches
-//! stop paying per-call thread spawn/join.
+//! state (trace counters, error slot), so any number of runs can share
+//! the pool, even concurrently, and repeated batches stop paying
+//! per-call thread spawn/join.
 //!
-//! The sink is always the last task of a run to finalize, so its
-//! finalization doubles as the run's completion signal: it wakes the
-//! waiting driver (`Latch` — no completion polling) and, in
-//! streaming mode, disconnects the output channel.
+//! A run's output is a mailbox like any other, its **egress**, which no
+//! worker ever runs: the last components write into it, and the handle
+//! (or the batch driver) takes its whole backlog at a time from outside
+//! the pool, waking the producers it held back. The egress's last port
+//! closing is the run's end, and it wakes whoever waits there.
 //!
 //! Streaming ingress is *bounded*: `send` refuses to grow the entry
 //! mailbox past [`EngineConfig::channel_capacity`] and blocks (or, for
@@ -48,10 +47,10 @@ mod task;
 // hand-off path come from the snet-check model scheduler, which makes
 // `RUSTFLAGS="--cfg snet_check" cargo check -p snet-runtime` prove the
 // whole scheduler compiles against the façade (the protocol models in
-// crates/check/tests mirror `pool`'s notify/park and the latch below;
-// see the table in lib.rs). The snet-check Condvar's timed waits have
-// stuck-state semantics, matching how this module uses timeouts: pure
-// lost-wakeup backstops, never deadlines.
+// crates/check/tests mirror `pool`'s notify/park and the mailbox
+// waits of `task`; see the table in lib.rs). The snet-check Condvar's
+// timed waits have stuck-state semantics, matching how this module
+// uses timeouts: pure lost-wakeup backstops, never deadlines.
 mod sync {
     #[cfg(snet_check)]
     pub(super) use snet_check::sync::{
@@ -71,21 +70,14 @@ use crate::handle::TrySendError;
 use crate::run::{DeadDest, Run};
 use crate::{Network, RunReport};
 use parking_lot::Mutex;
-use pool::{notify, run_here, Pool};
+use pool::{notify, Pool};
 use snet_core::fault::DeadLetter;
 use snet_core::{Record, SnetError};
-use std::sync::atomic::Ordering;
+use std::collections::VecDeque;
 use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
-use sync::AtomicBool;
-use task::{Mailbox, Port, SinkDest, State, Task, TaskCx};
-
-/// Safety net on the driver's completion wait. Completion is
-/// wake-driven (the sink's finalization signals the run's latch); the
-/// timeout only bounds how long a lost wakeup could strand the driver.
-const DONE_SAFETY_TIMEOUT: Duration = Duration::from_millis(500);
+use task::{wake, Mailbox, Port, Task, TaskCx};
 
 /// The scheduled engine (see [`crate::SchedNet`]): owner of the
 /// persistent worker pool.
@@ -108,34 +100,18 @@ impl Scheduled {
         }
     }
 
-    /// Instantiates the plan's task graph for `run`, draining into a
-    /// fresh sink that delivers to `dest`; returns the entry port, the
-    /// sink and the run's completion latch.
-    fn instantiate(
-        &self,
-        plan: &Plan,
-        run: &Arc<Run>,
-        dest: SinkDest,
-    ) -> (Port, Arc<Task>, Arc<Latch>) {
-        let latch = Arc::new(Latch {
-            done: Mutex::new(false),
-            cv: sync::Condvar::new(),
-        });
-        let sink = Task::new(
-            State::Sink {
-                buf: snet_core::pool::take_vec(),
-                dest,
-                latch: Arc::clone(&latch),
-            },
-            run,
-        );
+    /// Instantiates the plan's task graph for `run`, writing into a
+    /// fresh egress that holds back its producers at `limit`; returns
+    /// the entry port and the egress.
+    fn instantiate(&self, plan: &Plan, run: &Arc<Run>, limit: usize) -> (Port, Arc<Task>) {
+        let egress = Task::egress(run, limit);
         let mut cx = TaskCx {
             pool: &self.pool,
             run,
             local: None,
         };
-        let entry = build(&plan.root, Port::new(&sink), run, &mut cx);
-        (entry, sink, latch)
+        let entry = build(&plan.root, Port::new(&egress), run, &mut cx);
+        (entry, egress)
     }
 
     pub(crate) fn new(config: &EngineConfig) -> Scheduled {
@@ -145,32 +121,21 @@ impl Scheduled {
         }
     }
 
-    /// Ingress is bounded by [`EngineConfig::channel_capacity`];
-    /// outputs stream out through a bounded channel as the sink
-    /// produces them.
+    /// Ingress is bounded by [`EngineConfig::channel_capacity`]; the
+    /// egress holds back its producers at the pool's high-water mark
+    /// until the handle takes what it holds.
     pub(crate) fn start(&self, plan: &Plan) -> Handle {
         self.ensure_workers();
         let (dead_tx, dead_rx) = sync_channel(plan.dead_capacity());
         let run = plan.new_run(DeadDest::Stream(dead_tx));
-        let (tx, out_rx) = sync_channel(plan.config.channel_capacity.max(1));
-        let full = Arc::new(AtomicBool::new(false));
-        let dest = SinkDest::Stream {
-            tx,
-            full: Arc::clone(&full),
-        };
-        let (entry, sink, latch) = self.instantiate(plan, &run, dest);
+        let (entry, egress) = self.instantiate(plan, &run, self.pool.high_water());
         Handle {
             input: Mutex::new(Some(entry)),
             pool: Arc::clone(&self.pool),
-            latch,
-            output: Mutex::new(out_rx),
+            egress,
+            window: Mutex::new(VecDeque::new()),
             dead: Mutex::new(dead_rx),
             run,
-            egress: Egress {
-                full,
-                sink,
-                pool: Arc::clone(&self.pool),
-            },
         }
     }
 
@@ -178,7 +143,8 @@ impl Scheduled {
     /// whole input lands in the entry mailbox under one lock with one
     /// wake (the input is already materialized, so bounding ingress
     /// would buy nothing), the input closes, and the driver sleeps
-    /// until the sink's finalization signals completion.
+    /// until the egress — unbounded, nobody takes from it before the
+    /// end — closes; what it holds is the outputs, in arrival order.
     pub(crate) fn run_batch_report(
         &self,
         plan: &Plan,
@@ -187,16 +153,14 @@ impl Scheduled {
         plan.check()?;
         self.ensure_workers();
         let run = plan.new_run(DeadDest::Collect(Mutex::new(Vec::new())));
-        let outputs = Arc::new(Mutex::new(Vec::new()));
-        let (entry, _, latch) =
-            self.instantiate(plan, &run, SinkDest::Collect(Arc::clone(&outputs)));
+        let (entry, egress) = self.instantiate(plan, &run, usize::MAX);
         entry.send_now(records, &self.pool, None);
         entry.close(&self.pool, None, 0);
-        latch.wait(&run, &self.pool);
+        wait_closed(&egress, &run, &self.pool);
         run.take_result()?;
-        let outputs = std::mem::take(&mut *outputs.lock());
+        let outputs = std::mem::take(&mut egress.mailbox.lock().queue);
         Ok(RunReport {
-            outputs,
+            outputs: outputs.into(),
             dead_letters: run.take_dead_letters(),
             trace: Arc::clone(&run.trace),
         })
@@ -222,40 +186,19 @@ impl Network {
     }
 }
 
-/// A run's completion latch, set by the sink's finalization (the sink
-/// is always the last task of a run to finalize — its senders only
-/// reach zero after every upstream task has closed its ports). The
-/// protocol `crates/check/tests/sink_latch.rs` model-checks.
-pub(crate) struct Latch {
-    done: Mutex<bool>,
-    cv: sync::Condvar,
-}
-
-impl Latch {
-    fn signal(&self) {
-        *self.done.lock() = true;
-        self.cv.notify_all();
-    }
-
-    /// Blocks until the run's sink has finalized, or `pool` has shut
-    /// down and never will; returns whether the sink finalized. Purely
-    /// wake-driven; the timeout is a lost-wakeup safety net, not a poll
-    /// interval. Each wakeup re-checks the deadline so an expired run is
-    /// failed (and its tasks abort at their next activation) even while
-    /// the driver sleeps here.
-    fn wait(&self, run: &Run, pool: &Pool) -> bool {
-        let mut done = self.done.lock();
-        while !*done && !pool.is_shut_down() {
-            let (guard, _) = self
-                .cv
-                .wait_timeout(done, DONE_SAFETY_TIMEOUT)
-                .unwrap_or_else(|e| e.into_inner());
-            done = guard;
-            if !*done {
-                let _ = run.should_stop();
-            }
+/// Blocks until the run's egress has closed, or `pool` has shut down
+/// and never will close it; returns whether it closed. Each wakeup
+/// re-checks the deadline, so an expired run is failed (and its tasks
+/// abort at their next activation) even while the driver sleeps here.
+fn wait_closed(egress: &Task, run: &Run, pool: &Pool) -> bool {
+    let mut mb = egress.mailbox.lock();
+    loop {
+        let (guard, ready) = egress.wait_outside(mb, |_| egress.closed() || pool.is_shut_down());
+        if ready {
+            return egress.closed();
         }
-        *done
+        mb = guard;
+        let _ = run.should_stop();
     }
 }
 
@@ -269,8 +212,8 @@ impl Latch {
 /// `send` exerts real backpressure on the producer.
 /// Dropping the handle closes the input, so the end-of-stream cascade
 /// tears the run down even when the user walks away without calling
-/// [`finish`]; the receiver drop disconnects the output channel, so
-/// undelivered records are discarded rather than blocked on.
+/// [`finish`]; it also hangs up the egress, so undelivered records are
+/// discarded rather than held back on.
 ///
 /// A handle holds the worker pool, not the network: it stays safe to
 /// use after its [`crate::SchedNet`] drops, but nothing processes its
@@ -287,45 +230,12 @@ pub struct Handle {
     /// most [`EngineConfig::channel_capacity`] records.
     input: Mutex<Option<Port>>,
     pool: Arc<Pool>,
-    latch: Arc<Latch>,
-    pub(crate) output: Mutex<Receiver<Record>>,
+    /// The run's output mailbox, which no worker runs.
+    egress: Arc<Task>,
+    /// What the consumer took from the egress and has not received yet.
+    pub(crate) window: Mutex<VecDeque<Record>>,
     pub(crate) dead: Mutex<Receiver<DeadLetter>>,
     pub(crate) run: Arc<Run>,
-    /// Declared after `output`, so it drops after the receiver.
-    pub(crate) egress: Egress,
-}
-
-/// The handle's end of the streaming sink's wake: the flag the sink
-/// raises when the output channel refuses a record, and the sink to
-/// queue once a record has left the channel. Dropping it, after the
-/// receiver, wakes a waiting sink one last time: it finds the channel
-/// disconnected, drops what it holds and goes on to finalize.
-pub(crate) struct Egress {
-    full: Arc<AtomicBool>,
-    sink: Arc<Task>,
-    pool: Arc<Pool>,
-}
-
-impl Egress {
-    /// The consumer took a record: if the sink is waiting on the full
-    /// channel, run it. The sink raises the flag before its last try
-    /// (`SinkDest::flush`), so a take after that try fails reads it.
-    /// The consumer runs the activation itself: queued from outside the
-    /// pool, the sink would wait on the shared queue until a worker's
-    /// own queue ran dry, while its upstream filled the sink's mailbox
-    /// to the high-water mark (`chain_stream`'s peak RSS read 1.17x
-    /// that way, ten 20 s benchmark pairs on a 2-vCPU host).
-    pub(crate) fn took(&self) {
-        if self.full.load(Ordering::SeqCst) && self.full.swap(false, Ordering::SeqCst) {
-            run_here(&self.sink, &self.pool);
-        }
-    }
-}
-
-impl Drop for Egress {
-    fn drop(&mut self) {
-        self.took();
-    }
 }
 
 impl Handle {
@@ -360,13 +270,13 @@ impl Handle {
     /// Blocks until the entry mailbox has room or the run aborts,
     /// handing the re-acquired mailbox guard back; a full mailbox on a
     /// shut-down pool never drains, so that fails the run instead. The
-    /// timed wait is a lost-wakeup safety net; the entry task signals
-    /// `ingress_cv` whenever it drains the mailbox.
+    /// entry task's drains wake the wait.
     fn wait_for_space<'a>(
         &self,
         task: &'a Task,
         mut mb: parking_lot::MutexGuard<'a, Mailbox>,
     ) -> Result<parking_lot::MutexGuard<'a, Mailbox>, SnetError> {
+        let cap = self.capacity();
         loop {
             // `should_stop` also trips on deadline expiry, so a sender
             // blocked on a stalled network is released with
@@ -376,19 +286,15 @@ impl Handle {
             if self.run.should_stop() {
                 return Err(self.failed());
             }
-            if mb.queue.len() < self.capacity() {
+            let (guard, _) =
+                task.wait_outside(mb, |mb| mb.queue.len() < cap || self.pool.is_shut_down());
+            mb = guard;
+            if mb.queue.len() < cap {
                 return Ok(mb);
             }
             if self.pool.is_shut_down() {
                 return Err(self.abandon());
             }
-            task.ingress_waiters.fetch_add(1, Ordering::AcqRel);
-            let (guard, _) = task
-                .ingress_cv
-                .wait_timeout(mb, Duration::from_millis(100))
-                .unwrap_or_else(|e| e.into_inner());
-            task.ingress_waiters.fetch_sub(1, Ordering::AcqRel);
-            mb = guard;
         }
     }
 
@@ -470,16 +376,40 @@ impl Handle {
         self.pool.drive()
     }
 
-    /// A dropped pool (`SchedNet` gone) can no longer run the sink;
-    /// don't block forever on it.
-    pub(crate) fn abandoned(&self) -> bool {
-        self.pool.is_shut_down()
+    /// Moves the egress's whole backlog into `window` (empty) and
+    /// wakes the producers the egress held back. With `block`, first
+    /// waits until there is a backlog, the egress has closed or the
+    /// pool has shut down; an abort seen while waiting closes the input,
+    /// so the run tears down and the egress closes.
+    pub(crate) fn take(&self, window: &mut VecDeque<Record>, block: bool) {
+        let egress = &*self.egress;
+        let mut mb = egress.mailbox.lock();
+        if block {
+            loop {
+                let (guard, ready) = egress.wait_outside(mb, |mb| {
+                    !mb.queue.is_empty() || egress.closed() || self.pool.is_shut_down()
+                });
+                mb = guard;
+                if ready {
+                    break;
+                }
+                if self.run.should_stop() {
+                    drop(mb);
+                    self.close_input();
+                    mb = egress.mailbox.lock();
+                }
+            }
+        }
+        std::mem::swap(window, &mut mb.queue);
+        let woken = std::mem::take(&mut mb.waiters);
+        drop(mb);
+        wake(woken, &self.pool, None);
     }
 
-    /// Blocks until the run has terminated (the sink finalized); a run
+    /// Blocks until the run has terminated (its egress closed); a run
     /// whose pool shut down first is failed.
     pub(crate) fn join(&self) {
-        if !self.latch.wait(&self.run, &self.pool) {
+        if !wait_closed(&self.egress, &self.run, &self.pool) {
             self.abandon();
         }
     }
@@ -491,6 +421,22 @@ impl Handle {
     pub fn input_backlog(&self) -> usize {
         self.entry_task()
             .map_or(0, |t| t.mailbox.lock().queue.len())
+    }
+}
+
+/// Dropping the handle closes the input and hangs up the egress: what it
+/// holds is discarded, it holds nobody back any more, and the producers
+/// it held are woken, so the run drains to its end unread.
+impl Drop for Handle {
+    fn drop(&mut self) {
+        self.close_input();
+        let woken = {
+            let mut mb = self.egress.mailbox.lock();
+            mb.queue.clear();
+            mb.limit = usize::MAX;
+            std::mem::take(&mut mb.waiters)
+        };
+        wake(woken, &self.pool, None);
     }
 }
 

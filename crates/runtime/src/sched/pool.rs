@@ -1,8 +1,7 @@
 //! The worker pool: the run queues (one shared, one per worker) and the
-//! `notify`/`park` wake protocol. Every wake goes through `notify` or
-//! its caller-runs form `run_here`, backpressure included (a held-back
-//! task is queued by the drain that makes room, `sched::task`); nothing
-//! is queued by the clock.
+//! `notify`/`park` wake protocol. Every wake goes through `notify`,
+//! backpressure included (a held-back task is queued by the drain that
+//! makes room, `sched::task`); nothing is queued by the clock.
 //!
 //! A run queue is a mutex around a `VecDeque` ([`Queues`]): the pool is
 //! at most four workers and a queue operation is paid once per hand-off
@@ -193,21 +192,6 @@ pub(super) fn notify(task: &Arc<Task>, sh: &Pool, local: Option<usize>) {
             drop(sh.sleep.lock());
             sh.cv.notify_one();
         }
-    }
-}
-
-/// The caller-runs form of [`notify`]: claims the task's `scheduled`
-/// flag as `notify` would, then runs the activation on the calling
-/// thread instead of queueing it (handed to the shared queue if another
-/// thread is mid-activation). For a wake whose caller is not a worker
-/// and whose task should not wait behind the workers' own queues.
-pub(super) fn run_here(task: &Arc<Task>, sh: &Pool) {
-    if task
-        .scheduled
-        .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-        .is_ok()
-    {
-        activate(task, sh, None);
     }
 }
 

@@ -7,41 +7,46 @@
 //! every output edge, and finalizing once end-of-stream is reached.
 //! End-of-stream is sender refcounting: when the last upstream port of
 //! a task closes, the task finalizes and closes its own outputs, so
-//! termination cascades from the entry to the sink the way channel
+//! termination cascades from the entry to the egress the way channel
 //! disconnection would. The general way there is one more activation: the
 //! closer queues the task, whose activation finds no sender and an
 //! empty mailbox. The short way (`finalize_in_place`) skips that
 //! activation when it could do nothing else: a component that is idle
 //! and drained when its last sender closes is finalized by the closer,
 //! and the cascade continues from there, to a bounded depth — a torn-
-//! down replica costs no queue round trip per task. The sink is always
-//! the last task of a run to finalize and always does so in an
-//! activation of its own, so its finalization doubles as the run's
-//! completion signal ([`Latch`]).
+//! down replica costs no queue round trip per task.
+//!
+//! A run's egress is a task too, one that is never queued
+//! ([`Task::egress`]): the last components write into its mailbox as
+//! into any other, and the handle or the batch driver takes what it
+//! holds from outside the pool. Its last port's close is the run's
+//! end. A thread outside the pool — a sender waiting for room at the
+//! entry, the consumer waiting for records or end-of-stream at the
+//! egress — registers on the mailbox and then re-checks under its lock;
+//! every flush, drain and last close wakes it ([`Task::wake_outside`]).
+//! The model is `crates/check/tests/egress.rs`.
 //!
 //! Backpressure is a wake, like everything else that makes a task
-//! runnable. A component whose downstream backlog is at or over the
-//! high-water mark registers on that mailbox and stops; the drain that
-//! takes the backlog under the mark queues it again. A streaming run's
-//! sink is where the graph meets the handle's egress, a bounded
-//! [`std::sync::mpsc`] channel: it delivers with `try_send` only (a
-//! worker never blocks on the consumer), keeps what the channel hands
-//! back at the front of its buffer, raises a flag it shares with the
-//! handle and stops; the consumer's take that finds the flag raised
-//! runs the sink's next activation. The models are
-//! `crates/check/tests/backpressure.rs`.
+//! runnable. A component whose downstream backlog is at or over that
+//! mailbox's limit registers on it and stops; the drain that takes the
+//! backlog under the limit queues it again — at the egress, the take.
+//! The models are `crates/check/tests/backpressure.rs`.
 
 use super::pool::{notify, Pool};
 use super::sync::{AtomicBool, AtomicUsize, Condvar};
-use super::Latch;
 use crate::component::{Component, Transport};
 use crate::run::Run;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use snet_core::{panic_cause, pool, Record, SnetError};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{SyncSender, TrySendError};
 use std::sync::Arc;
+use std::time::Duration;
+
+/// How long a thread outside the pool waits on a mailbox before it
+/// looks at the abort flag, the deadline and the worker pool again:
+/// the one backstop of every wait from outside, never the wake.
+const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
 /// Records processed per task activation before yielding back to the
 /// scheduler (keeps long streams from starving sibling components).
@@ -61,11 +66,11 @@ pub(super) struct Task {
     /// The run this task belongs to (trace, error slot, abort flag).
     pub(super) run: Arc<Run>,
     pub(super) mailbox: Mutex<Mailbox>,
-    /// Signalled (paired with the `mailbox` mutex) whenever the mailbox
-    /// shrinks while `ingress_waiters` is non-zero; only the streaming
-    /// entry path ever waits on it.
-    pub(super) ingress_cv: Condvar,
-    pub(super) ingress_waiters: AtomicUsize,
+    /// Threads outside the pool waiting on the mailbox (paired with its
+    /// mutex): a sender for room at the entry, the consumer for records
+    /// or end-of-stream at the egress.
+    outside_cv: Condvar,
+    outside_waiters: AtomicUsize,
     /// Open upstream ports; 0 = end-of-stream once the mailbox drains.
     open_senders: AtomicUsize,
     /// True while queued (prevents double-queueing; cleared when an
@@ -76,9 +81,8 @@ pub(super) struct Task {
 
 /// A task's input: the records waiting for it and the producers its
 /// backlog holds back. One lock covers both, so a producer registers in
-/// the same critical section that found the backlog at the high-water
-/// mark, and no drain can slip in between the look and the
-/// registration.
+/// the same critical section that found the backlog at the limit, and
+/// no drain can slip in between the look and the registration.
 pub(super) struct Mailbox {
     pub(super) queue: VecDeque<Record>,
     /// Held-back producers, each at most once. Strong: once its senders
@@ -86,11 +90,15 @@ pub(super) struct Mailbox {
     /// this makes with the producer's port is broken by the drain that
     /// wakes it, or by this task's finalize; a run stranded on a shut-
     /// down pool (its network dropped mid-run) keeps it.
-    waiters: Vec<Arc<Task>>,
+    pub(super) waiters: Vec<Arc<Task>>,
+    /// The backlog at which a producer is held back: the pool's high-
+    /// water mark, or unbounded for an egress nobody takes from before
+    /// the end (a batch run's, a hung-up handle's).
+    pub(super) limit: usize,
 }
 
 /// Queues every producer in `waiters`.
-fn wake(waiters: Vec<Arc<Task>>, sh: &Pool, local: Option<usize>) {
+pub(super) fn wake(waiters: Vec<Arc<Task>>, sh: &Pool, local: Option<usize>) {
     for producer in &waiters {
         notify(producer, sh, local);
     }
@@ -102,88 +110,73 @@ fn wake(waiters: Vec<Arc<Task>>, sh: &Pool, local: Option<usize>) {
 pub(super) enum State {
     /// A live component and its output ports.
     Live(Component<Port>),
-    /// Terminal output collector; records coalesce in `buf` and move to
-    /// `dest` once per batch/activation.
-    Sink {
-        buf: Vec<Record>,
-        dest: SinkDest,
-        latch: Arc<Latch>,
-    },
-    /// Finalized: outputs closed, no further effects.
+    /// Finalized (outputs closed, no further effects), or an egress.
     Done,
 }
 
-/// Where a run's sink delivers its records.
-pub(super) enum SinkDest {
-    /// Batch mode: append to the driver's output vector.
-    Collect(Arc<Mutex<Vec<Record>>>),
-    /// Streaming mode: push into the handle's bounded output channel.
-    /// Dropping the sender (at sink finalization) is the consumer's
-    /// end-of-stream. `full` is the flag shared with the handle: raised
-    /// when the channel refuses a record, lowered by the consumer's
-    /// take that runs the sink again.
-    Stream {
-        tx: SyncSender<Record>,
-        full: Arc<AtomicBool>,
-    },
-}
-
-impl SinkDest {
-    /// Best-effort delivery of the sink's coalescing buffer. A worker
-    /// must never block (or sleep) inside a sink activation — it holds
-    /// the sink's state lock, so every other worker would churn on the
-    /// re-queued-but-locked task while the consumer starves. Streamed
-    /// records that do not fit in the output channel therefore stay at
-    /// the front of `buf`, with the `full` flag raised before one retry:
-    /// a take that makes room after the retry failed reads the flag and
-    /// runs the sink, which then waits for that wake.
-    fn flush(&self, buf: &mut Vec<Record>) {
-        if buf.is_empty() {
-            return;
-        }
-        match self {
-            SinkDest::Collect(outs) => outs.lock().append(buf),
-            SinkDest::Stream { tx, full } => {
-                // Front to back, one `try_send` each. A record handed
-                // back as `Full` goes back where it was, at the front
-                // of the leftovers the next delivery starts from; a
-                // disconnected consumer drops the rest.
-                let mut sent = 0;
-                let mut retried = false;
-                while sent < buf.len() {
-                    match tx.try_send(std::mem::take(&mut buf[sent])) {
-                        Ok(()) => sent += 1,
-                        Err(TrySendError::Full(rec)) => {
-                            buf[sent] = rec;
-                            if retried {
-                                break;
-                            }
-                            full.store(true, Ordering::SeqCst);
-                            retried = true;
-                        }
-                        Err(TrySendError::Disconnected(_)) => sent = buf.len(),
-                    }
-                }
-                buf.drain(..sent);
-            }
-        }
-    }
-}
-
 impl Task {
-    pub(super) fn new(state: State, run: &Arc<Run>) -> Arc<Task> {
+    fn new(state: State, run: &Arc<Run>, limit: usize, scheduled: bool) -> Arc<Task> {
         Arc::new(Task {
             run: Arc::clone(run),
             mailbox: Mutex::new(Mailbox {
                 queue: pool::take_deque(),
                 waiters: Vec::new(),
+                limit,
             }),
-            ingress_cv: Condvar::new(),
-            ingress_waiters: AtomicUsize::new(0),
+            outside_cv: Condvar::new(),
+            outside_waiters: AtomicUsize::new(0),
             open_senders: AtomicUsize::new(0),
-            scheduled: AtomicBool::new(false),
+            scheduled: AtomicBool::new(scheduled),
             state: Mutex::new(state),
         })
+    }
+
+    /// A run's egress: a mailbox with no component behind it, built
+    /// with `scheduled` raised so no wake ever queues it (and, `Done`,
+    /// no close finalizes it). Threads outside the pool take what it
+    /// holds.
+    pub(super) fn egress(run: &Arc<Run>, limit: usize) -> Arc<Task> {
+        Task::new(State::Done, run, limit, true)
+    }
+
+    /// Has the last port onto this task closed?
+    pub(super) fn closed(&self) -> bool {
+        self.open_senders.load(Ordering::SeqCst) == 0
+    }
+
+    /// Wakes the threads outside the pool waiting on the mailbox, if
+    /// any registered. Lock-then-notify: a waiter holds the lock from
+    /// its registration through its re-check into the wait, so a change
+    /// it did not see — a close is not made under the lock — cannot
+    /// land its notify before the wait.
+    pub(super) fn wake_outside(&self) {
+        if self.outside_waiters.load(Ordering::SeqCst) > 0 {
+            drop(self.mailbox.lock());
+            self.outside_cv.notify_all();
+        }
+    }
+
+    /// Waits on the mailbox from a thread outside the pool until
+    /// `ready` holds or [`POLL_INTERVAL`] passes; returns the guard and
+    /// whether `ready` held before the wait. Registers first, then
+    /// checks: a wake after the check finds the registration.
+    pub(super) fn wait_outside<'a>(
+        &self,
+        mb: MutexGuard<'a, Mailbox>,
+        ready: impl Fn(&Mailbox) -> bool,
+    ) -> (MutexGuard<'a, Mailbox>, bool) {
+        self.outside_waiters.fetch_add(1, Ordering::SeqCst);
+        let ready = ready(&mb);
+        let mb = if ready {
+            mb
+        } else {
+            self.outside_cv
+                .wait_timeout(mb, POLL_INTERVAL)
+                .unwrap_or_else(|e| e.into_inner())
+                .0
+        };
+        self.outside_waiters.fetch_sub(1, Ordering::SeqCst);
+        (mb, ready)
     }
 }
 
@@ -231,6 +224,7 @@ impl Port {
         }
         self.task.mailbox.lock().queue.extend(self.buf.drain(..));
         notify(&self.task, sh, local);
+        self.task.wake_outside();
     }
 
     /// Unbuffered batch send (batch-driver feed path): extends the
@@ -252,12 +246,12 @@ impl Port {
         }
     }
 
-    /// Is the receiving backlog at or over `high_water`? If so,
+    /// Is the receiving backlog at or over its limit? If so,
     /// `producer` is registered, under the lock the backlog was read
-    /// with, to be queued when a drain takes it under the mark.
-    fn holds_back(&self, producer: &Arc<Task>, high_water: usize) -> bool {
+    /// with, to be queued when a drain takes it under the limit.
+    fn holds_back(&self, producer: &Arc<Task>) -> bool {
         let mut mb = self.task.mailbox.lock();
-        let full = mb.queue.len() >= high_water;
+        let full = mb.queue.len() >= mb.limit;
         if full && !mb.waiters.iter().any(|w| Arc::ptr_eq(w, producer)) {
             mb.waiters.push(Arc::clone(producer));
         }
@@ -268,17 +262,19 @@ impl Port {
     /// has reached end-of-stream: if it is an idle, drained component
     /// it is finalized here and now, which closes *its* outputs the
     /// same way (`depth` counts that nesting); otherwise it is queued
-    /// and finalizes in its next activation.
+    /// and finalizes in its next activation. An egress is never queued:
+    /// its last close wakes the thread waiting on it for the end.
     pub(super) fn close(mut self, sh: &Pool, local: Option<usize>, depth: u32) {
         // Sends happen-before close: drain the coalescing buffer first.
         self.flush(sh, local);
         pool::give_vec(std::mem::take(&mut self.buf));
-        if self.task.open_senders.fetch_sub(1, Ordering::AcqRel) == 1
+        if self.task.open_senders.fetch_sub(1, Ordering::SeqCst) == 1
             && !finalize_in_place(&self.task, sh, local, depth)
         {
             // Last sender gone: the task must run once more to observe
             // end-of-stream and finalize.
             notify(&self.task, sh, local);
+            self.task.wake_outside();
         }
     }
 }
@@ -291,8 +287,7 @@ impl Port {
 /// as usual — when an activation holds the state lock (its tail sees
 /// the zero sender count, or the queued activation does), when records
 /// are still waiting, when the cascade is already `EOS_INPLACE_DEPTH`
-/// tasks deep, and always for the sink: its delivery gate and the run's
-/// completion signal live in `run_task`.
+/// tasks deep, and always for an egress (no component behind it).
 fn finalize_in_place(task: &Arc<Task>, sh: &Pool, local: Option<usize>, depth: u32) -> bool {
     if depth >= EOS_INPLACE_DEPTH {
         return false;
@@ -321,7 +316,8 @@ impl Transport for TaskCx<'_> {
     type Port = Port;
 
     fn spawn(&mut self, comp: Component<Port>) -> Port {
-        Port::new(&Task::new(State::Live(comp), self.run))
+        let limit = self.pool.high_water();
+        Port::new(&Task::new(State::Live(comp), self.run, limit, false))
     }
 
     fn another(port: &Port) -> Port {
@@ -337,8 +333,8 @@ impl Transport for TaskCx<'_> {
 /// already converted to errors inside `step`; a panic escaping the
 /// activation itself (a semantics/scheduler bug) must still not kill a
 /// persistent-pool thread — the pool never respawns workers, so an
-/// unwinding activation would silently shrink the pool and strand the
-/// run's completion latch forever. Instead the task's run is failed and
+/// unwinding activation would silently shrink the pool and leave the
+/// run's egress open forever. Instead the task's run is failed and
 /// the task finalized, so the end-of-stream cascade (and the driver)
 /// still complete, with the panic reported as the run's error.
 pub(super) fn execute(
@@ -357,7 +353,7 @@ pub(super) fn execute(
         )));
         // The state mutex recovers from the poisoned unwind (shim
         // semantics); finalizing closes the task's ports so the cascade
-        // still reaches the sink. A racing activation that holds the
+        // still reaches the egress. A racing activation that holds the
         // lock instead finds the run failed and finalizes.
         if let Some(mut st) = task.state.try_lock() {
             finalize(task, &mut st, sh, local, 0);
@@ -366,14 +362,13 @@ pub(super) fn execute(
 }
 
 /// Runs one activation of a task: drain its mailbox in hand-off
-/// batches (bounded by the activation budget and downstream high-water
-/// marks), flush every output edge once, then finalize if end-of-stream
-/// has been reached. The caller holds the state lock (acquired with
-/// `try_lock`, so workers never block behind a running activation).
-/// An activation ends in one of four ways: finalized, idle (nothing
-/// queued for it), re-queued (budget spent), or waiting for the wake it
-/// registered for (held back by its downstream, or a sink whose
-/// consumer lags).
+/// batches (bounded by the activation budget and the downstream
+/// mailbox's limit), flush every output edge once, then finalize if
+/// end-of-stream has been reached. The caller holds the state lock
+/// (acquired with `try_lock`, so workers never block behind a running
+/// activation). An activation ends in one of four ways: finalized, idle
+/// (nothing queued for it), re-queued (budget spent), or held back by
+/// its downstream, waiting for the wake it registered for.
 fn run_task(
     task: &Arc<Task>,
     mut state: parking_lot::MutexGuard<'_, State>,
@@ -412,7 +407,7 @@ fn run_task(
                 finalize(task, &mut state, sh, local, 0);
                 return;
             }
-            if output_backpressured(task, &mut state, sh) {
+            if output_backpressured(task, &state) {
                 held_back = true;
                 break;
             }
@@ -426,7 +421,7 @@ fn run_task(
                 break;
             }
             inbuf.extend(mb.queue.drain(..take));
-            if mb.queue.len() < sh.high_water() {
+            if mb.queue.len() < mb.limit {
                 std::mem::take(&mut mb.waiters)
             } else {
                 Vec::new()
@@ -434,10 +429,8 @@ fn run_task(
         };
         // The mailbox just shrank: wake a streaming sender blocked on
         // the ingress bound, if any, and the producers the backlog held
-        // back once it is under the mark.
-        if task.ingress_waiters.load(Ordering::Acquire) > 0 {
-            task.ingress_cv.notify_all();
-        }
+        // back once it is under the limit.
+        task.wake_outside();
         wake(woken, sh, local);
         match &mut *state {
             State::Live(comp) => {
@@ -454,15 +447,6 @@ fn run_task(
                 }
                 processed += n;
             }
-            State::Sink { buf, dest, .. } => {
-                processed += inbuf.len();
-                for rec in inbuf.drain(..) {
-                    buf.push(rec);
-                    if buf.len() >= batch {
-                        dest.flush(buf);
-                    }
-                }
-            }
             // Post-teardown stragglers are dropped.
             State::Done => processed += inbuf.drain(..).count(),
         }
@@ -471,7 +455,9 @@ fn run_task(
     // Forward this activation's entire output: every edge gets at most
     // one more mailbox push + wake, and the between-activations
     // invariant (empty coalescing buffers) is restored.
-    flush_outputs(&mut state, sh, local);
+    if let State::Live(comp) = &mut *state {
+        comp.for_each_port(|port| port.flush(sh, local));
+    }
 
     // Order matters: read the sender count BEFORE the final mailbox
     // probe. Each port's sends happen-before its close, so observing
@@ -479,84 +465,33 @@ fn run_task(
     // — probing the mailbox first could miss a record sent (and closed)
     // between the two reads.
     let senders = task.open_senders.load(Ordering::Acquire);
-    let mailbox_empty = task.mailbox.lock().queue.is_empty();
-    // Sink delivery happens here, not in `flush_outputs`: deliver when
-    // the inbound stream pauses (empty mailbox — latency now matters)
-    // or a full hand-off batch has accumulated; holding smaller
-    // dribbles while more input is already queued coalesces consumer
-    // wakes without ever stranding a record (a non-empty mailbox
-    // guarantees another activation). What the output channel refuses
-    // stays in the buffer, under the raised egress flag.
-    let undelivered = match &mut *state {
-        State::Sink { buf, dest, .. } if mailbox_empty || buf.len() >= batch => {
-            dest.flush(buf);
-            !buf.is_empty()
-        }
-        _ => false,
-    };
-    if mailbox_empty && !undelivered {
+    if task.mailbox.lock().queue.is_empty() {
         if senders == 0 {
             finalize(task, &mut state, sh, local, 0);
         }
-    } else if !held_back && !undelivered {
+    } else if !held_back {
         // Budget yield: run again soon, from this worker's own queue.
         drop(state);
         notify(task, sh, local);
     }
     // Otherwise the task waits for the wake it registered for: its
-    // downstream's drain under the high-water mark, or the consumer's
-    // take under the raised egress flag. Note the finalize-gate: a sink
-    // with undelivered output is never finalized, even at end-of-stream
-    // — finalizing instead would force a blocking drain inside an
-    // activation, which deadlocks a single-threaded driver that is
-    // simultaneously the pool helper (`drive`) and the consumer.
-}
-
-/// Flushes every coalescing output buffer reachable from `state`: one
-/// downstream mailbox push + consumer wake per edge with pending
-/// records. The sink is absent on purpose: its delivery cadence is
-/// decided in `run_task`'s tail (full batches, or everything once its
-/// mailbox pauses), not at every activation boundary — flushing
-/// dribbles per activation would wake the consumer per couple of
-/// records and let it preempt the worker mid-stream.
-fn flush_outputs(state: &mut State, sh: &Pool, local: Option<usize>) {
-    if let State::Live(comp) = state {
-        comp.for_each_port(|port| port.flush(sh, local));
-    }
+    // downstream's drain under the limit.
 }
 
 /// Cooperative backpressure: stop consuming while the mailbox the
-/// component's boxes and filters write to is at or over the high-water
-/// mark ([`Component::held_back_by`]; pure dispatchers are exempt:
-/// their work per record is trivial and they feed many outputs), and
-/// register there for the drain that takes it under. A streaming sink
-/// stops the same way while its consumer lags — it must not grow its
-/// buffer then — and learns that from the channel handing a record
-/// back, not from probing it: a whole hand-off batch still buffered
-/// here means the delivery that was due found the channel full, so it
-/// is retried, and whatever comes back again is the backpressure. (A
-/// shorter buffer is a dribble the tail of `run_task` is holding on
-/// purpose, or leftovers the next due delivery takes along.)
-fn output_backpressured(task: &Arc<Task>, state: &mut State, sh: &Pool) -> bool {
+/// component's boxes and filters write to is at or over its limit
+/// ([`Component::held_back_by`]; pure dispatchers are exempt: their
+/// work per record is trivial and they feed many outputs), and register
+/// there for the drain that takes it under.
+fn output_backpressured(task: &Arc<Task>, state: &State) -> bool {
     match state {
-        State::Live(comp) => comp
-            .held_back_by()
-            .is_some_and(|out| out.holds_back(task, sh.high_water())),
-        State::Sink { buf, dest, .. } => {
-            buf.len() >= sh.config.batch.max(1) && {
-                dest.flush(buf);
-                !buf.is_empty()
-            }
-        }
+        State::Live(comp) => comp.held_back_by().is_some_and(|out| out.holds_back(task)),
         State::Done => false,
     }
 }
 
 /// Observes end-of-stream: count stranded synchrocell records, close
-/// every downstream port, and become inert. The sink's finalization is
-/// the run's completion: it delivers the last buffered outputs, drops
-/// the streaming sender (end-of-stream for the consumer) and wakes the
-/// driver's completion latch.
+/// every downstream port, and become inert.
 fn finalize(task: &Arc<Task>, state: &mut State, sh: &Pool, local: Option<usize>, depth: u32) {
     // Retire the mailbox's backing storage (it is empty on every orderly
     // end-of-stream; on abort the pool discards what is left). Stragglers
@@ -571,28 +506,9 @@ fn finalize(task: &Arc<Task>, state: &mut State, sh: &Pool, local: Option<usize>
         )
     };
     pool::give_deque(queue);
-    if task.ingress_waiters.load(Ordering::Acquire) > 0 {
-        task.ingress_cv.notify_all();
-    }
+    task.wake_outside();
     wake(waiters, sh, local);
-    match std::mem::replace(state, State::Done) {
-        State::Live(comp) => comp.end_of_stream(&task.run, |port| port.close(sh, local, depth + 1)),
-        State::Sink {
-            mut buf,
-            dest,
-            latch,
-        } => {
-            // By the finalize-gate in `run_task` the buffer is empty on
-            // every orderly end-of-stream; a non-empty buffer here means
-            // abort or a hung-up consumer, where dropping leftovers is
-            // the contract.
-            dest.flush(&mut buf);
-            pool::give_vec(buf);
-            // Streaming mode: dropping `dest` here disconnects the
-            // output channel — the consumer's end-of-stream.
-            drop(dest);
-            latch.signal();
-        }
-        State::Done => {}
+    if let State::Live(comp) = std::mem::replace(state, State::Done) {
+        comp.end_of_stream(&task.run, |port| port.close(sh, local, depth + 1));
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The buffer pool (`snet_core::pool`) exists so that streaming's hot
 //! loop — mailbox drain, fused-chain traversal, producer-side
-//! coalescing, sink delivery — reuses warmed buffers instead of
+//! coalescing, the egress take — reuses warmed buffers instead of
 //! mallocing per activation. This test proves the claim with a counting
 //! global allocator: after a warm-up phase (pools filled, worker pool
 //! spawned, every mailbox/channel grown to its plateau), streaming tens

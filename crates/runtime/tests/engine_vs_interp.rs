@@ -341,7 +341,7 @@ proptest! {
         batch in prop::collection::vec(arb_record(), 0..20),
     ) {
         // The streaming handle (bounded ingress, outputs draining
-        // concurrently through the bounded output channel) must produce
+        // concurrently out of the bounded egress) must produce
         // the same multiset as the one-shot batch path and the oracle —
         // both runs sharing one SchedNet's persistent pool.
         let expected = Interp::new(&net).run_batch(batch.clone()).unwrap();

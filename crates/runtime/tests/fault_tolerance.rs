@@ -10,7 +10,8 @@ use snet_core::boxdef::{BoxDef, BoxOutput, BoxSig, Work};
 use snet_core::{NetSpec, Record, SnetError, Value};
 use snet_runtime::faultinject::{chaos, chaos_with_stats, FaultSpec};
 use snet_runtime::{
-    run_stream, DeadLetter, EngineConfig, FailurePolicy, Interp, SchedNet, TrySendError,
+    run_stream, run_stream_interleaved, DeadLetter, EngineConfig, FailurePolicy, Interp, SchedNet,
+    TrySendError,
 };
 use std::time::Duration;
 
@@ -326,12 +327,13 @@ fn streaming_dead_letters_arrive_on_the_handle() {
     assert_eq!(multiset(&dead), multiset(&doomed));
 }
 
-/// `run_stream` hands back only the outputs, but it drains the bounded
-/// dead-letter stream as it goes: a run that diverts more records than
-/// the stream holds (16 × `channel_capacity`) must not overflow it.
-/// One record in four is doomed, so however far the engine runs ahead
-/// of the draining consumer, the letters in flight stay a third of the
-/// outputs it can buffer, well under the bound.
+/// `run_stream` and `run_stream_interleaved` hand back only the
+/// outputs, but they drain the bounded dead-letter stream as they go: a
+/// run that diverts more records than the stream holds (16 ×
+/// `channel_capacity`) must not overflow it. One record in four is
+/// doomed, so however far the engine runs ahead of the draining
+/// consumer, the letters in flight stay a third of the outputs it can
+/// buffer, well under the bound.
 #[test]
 fn run_stream_drains_the_dead_letters_it_discards() {
     let spec = FaultSpec::errors(0x0dead, 4, u32::MAX);
@@ -347,7 +349,9 @@ fn run_stream_drains_the_dead_letters_it_discards() {
         doomed.len()
     );
     let net = SchedNet::with_config(NetSpec::Box(chaos(&inc_box(), spec)), cfg);
-    let outs = run_stream(&net, batch).expect("no dead-letter overflow");
+    let outs = run_stream(&net, batch.clone()).expect("no dead-letter overflow");
+    assert_eq!(outs.len(), healthy.len());
+    let outs = run_stream_interleaved(&net, batch).expect("no dead-letter overflow, interleaved");
     assert_eq!(outs.len(), healthy.len());
 }
 

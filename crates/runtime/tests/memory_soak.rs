@@ -120,8 +120,10 @@ fn million_record_soak_stays_under_the_rss_ceiling() {
     let growth = after.saturating_sub(before);
 
     // The ceiling, derived from the configuration: records in flight
-    // are bounded by the ingress channel + one high-water mark per
-    // component (DEPTH boxes + sink) + the egress channel, each record
+    // are bounded by the ingress mailbox + one high-water mark per
+    // mailbox behind it (DEPTH boxes + the egress) + `cap` (the window
+    // a take moves the egress's backlog into can hold up to one more
+    // high-water mark, well inside the slack below), each record
     // costing well under 1 KiB here. Everything else (pool freelists,
     // mailbox waiter lists, trace counters) is configuration-sized too.
     // 16 MiB of slack covers allocator fragmentation and thread-cache

@@ -99,12 +99,14 @@ fn run_batch_reuses_pool_threads() {
     );
 }
 
-/// Completion is wake-driven (the sink's finalization signals the
+/// Completion is wake-driven (the egress's last close wakes the
 /// driver), so a trivial depth-1 run must not pay a polling-interval
 /// tail. 50 runs at the old 5 ms poll interval alone would take 250 ms;
 /// the bound below fails even the cheapest polling regression while
 /// leaving two orders of magnitude of headroom over the measured
-/// per-run cost on a loaded CI box.
+/// per-run cost on a loaded CI box. The stream case holds a consumer
+/// blocked in `recv` across the close: a close that does not wake it
+/// leaves it to the 100 ms backstop, 5 s over 50 runs.
 #[test]
 fn short_runs_complete_promptly_without_polling() {
     let net = SchedNet::new(int_box("inc", |x| x + 1));
@@ -118,6 +120,25 @@ fn short_runs_complete_promptly_without_polling() {
     assert!(
         elapsed < Duration::from_millis(250),
         "50 warm depth-1 batches took {elapsed:?} — completion is polling, not wake-driven"
+    );
+
+    let t0 = Instant::now();
+    for _ in 0..50 {
+        let h = net.start();
+        h.send_all(recs(1)).unwrap();
+        assert!(h.recv().is_some());
+        std::thread::scope(|s| {
+            let consumer = s.spawn(|| h.recv());
+            std::thread::sleep(Duration::from_millis(1));
+            h.close_input();
+            assert!(consumer.join().unwrap().is_none());
+        });
+        h.finish().unwrap();
+    }
+    let elapsed = t0.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(250),
+        "50 warm depth-1 streams took {elapsed:?} — end-of-stream is polling, not wake-driven"
     );
 }
 
@@ -318,7 +339,7 @@ fn a_stalled_stage_holds_back_the_stage_feeding_it() {
 }
 
 /// Dropping a handle without `finish()` — with input still open and
-/// outputs undelivered in a full output channel — must tear the run
+/// outputs undelivered in the egress — must tear the run
 /// down without deadlocking a pool worker, and the pool must stay
 /// usable (and un-respawned) for later runs.
 #[test]
@@ -327,7 +348,7 @@ fn dropping_handle_without_finish_is_safe() {
         int_box("inc", |x| x + 1),
         EngineConfig {
             workers: 2,
-            channel_capacity: 2, // tiny output channel: the sink WILL block on undrained outputs
+            channel_capacity: 2, // tiny bounds: nobody takes from the egress
             ..EngineConfig::default()
         },
     );
@@ -353,11 +374,10 @@ fn dropping_handle_without_finish_is_safe() {
     // thus the test.
 }
 
-/// A handle dropped unread while its sink waits on a full output
-/// channel, with everything upstream held back behind the sink: only
-/// the receiver's drop can wake the sink now. It must find the channel
-/// gone, let the held-back stages drain through it and retire every
-/// component.
+/// A handle dropped unread while its egress holds back the last stage,
+/// with everything upstream held back behind it: only the handle's drop
+/// can wake that stage now. The drop hangs up the egress, which must
+/// let the held-back stages drain into it and retire every component.
 #[test]
 fn an_abandoned_handle_retires_every_component() {
     let net = SchedNet::with_config(
@@ -372,7 +392,7 @@ fn an_abandoned_handle_retires_every_component() {
     let h = net.start();
     let trace = h.trace_arc();
     // Offer records until the ingress has stayed full for 100 ms: the
-    // output channel, the sink and every mailbox behind it are full.
+    // egress and every mailbox behind it are full.
     let mut full_since = None;
     for i in 0..10_000 {
         let mut rec = Record::new().with_field("x", Value::Int(i));
@@ -413,11 +433,12 @@ fn an_abandoned_handle_retires_every_component() {
 }
 
 /// Streaming a long input through a deep pipeline with tiny ingress and
-/// egress bounds: maximal send-side blocking, and a sink that is never
-/// rid of leftovers — a 1 → 5 fan-out in front means every activation
-/// hands it more than the one- or two-slot output channel takes, so it
-/// delivers across deferrals, record by record — must still deliver
-/// every record in stream order. Both drivers, one and two pool workers.
+/// egress bounds: maximal send-side blocking, and a last stage the
+/// egress holds back over and over — a 1 → 5 fan-out in front means
+/// every activation hands the egress more than its 16- or 32-record
+/// limit, so the stage waits on the consumer's take again and again —
+/// must still deliver every record in stream order. Both drivers, one
+/// and two pool workers.
 #[test]
 fn tight_capacity_streaming_soak() {
     fn x_of(r: &Record) -> i64 {
@@ -500,7 +521,7 @@ fn stream_traced(
 /// chain (`[{<n>} -> {<n -= 1>}] .. fan .. inc`), so what a tap emits
 /// per record it takes in is no longer one, and the tap is held back by
 /// the next tap's mailbox. At capacities 1 and 2 the taps, the split
-/// and the sink all run against full mailboxes; every record must still
+/// and the last stage all run against full mailboxes; every record must still
 /// come out, and every component unfolded must be torn down.
 #[test]
 fn tight_capacity_star_soak() {
