@@ -1,6 +1,6 @@
 //! The scheduled engine's backpressure wake (`Port::holds_back` and the
 //! refill in `run_task`, `crates/runtime/src/sched/task.rs`; the take
-//! in `Handle::take`, `crates/runtime/src/sched/mod.rs`), modeled
+//! in `Handle::next_output`, `crates/runtime/src/sched/mod.rs`), modeled
 //! against the snet-check façade — runs in every build, no special
 //! RUSTFLAGS.
 //!

@@ -53,7 +53,7 @@ impl Egress {
         }
     }
 
-    /// The consumer's takes until end-of-stream (`Handle::take` under
+    /// The consumer's takes until end-of-stream (`Handle::next_output` under
     /// `recv`, a `Task::wait_outside` per wait); returns the records
     /// taken. `check_first` is the negative twin's order.
     fn consume(&self, check_first: bool, timed: bool) -> usize {

@@ -66,22 +66,14 @@ impl Handle {
     /// cannot park the consumer past [`crate::EngineConfig::deadline`];
     /// an aborted run's records already in flight are still delivered.
     pub fn recv(&self) -> Option<Record> {
-        let mut window = self.window.lock();
-        if window.is_empty() {
-            self.take(&mut window, true);
-        }
-        window.pop_front()
+        self.next_output(true)
     }
 
     /// Non-blocking receive: `None` when nothing is currently queued
     /// (including after termination — use [`Handle::recv`] to
     /// distinguish end-of-stream).
     pub fn try_recv(&self) -> Option<Record> {
-        let mut window = self.window.lock();
-        if window.is_empty() {
-            self.take(&mut window, false);
-        }
-        window.pop_front()
+        self.next_output(false)
     }
 
     /// Non-blocking receive on the run's dead-letter stream: the next

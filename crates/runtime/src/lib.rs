@@ -334,9 +334,10 @@
 //! pool. What is *not* recycled: record payloads themselves (fields own
 //! their values; a record keeps up to two pairs per namespace in
 //! itself, and a step's one output record sits in place, so short
-//! records never hit the heap), the streaming handle's window (a take
-//! swaps it with the egress's deque, so the two grow to the egress's
-//! high-water mark once and are reused from then on), the dead-letter
+//! records never hit the heap), a run's egress deque, which a batch
+//! run hands out as its outputs, and the streaming handle's window (a
+//! take swaps it with the egress's deque, so the two grow to the
+//! egress's high-water mark once and are reused from then on), the dead-letter
 //! ring (`std::sync::mpsc::sync_channel` preallocates all its slots
 //! when the run starts and never allocates again: 16 × `cap` of them,
 //! which is why a net that provably cannot divert gets a one-slot

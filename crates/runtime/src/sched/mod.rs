@@ -233,7 +233,7 @@ pub struct Handle {
     /// The run's output mailbox, which no worker runs.
     egress: Arc<Task>,
     /// What the consumer took from the egress and has not received yet.
-    pub(crate) window: Mutex<VecDeque<Record>>,
+    window: Mutex<VecDeque<Record>>,
     pub(crate) dead: Mutex<Receiver<DeadLetter>>,
     pub(crate) run: Arc<Run>,
 }
@@ -376,12 +376,17 @@ impl Handle {
         self.pool.drive()
     }
 
-    /// Moves the egress's whole backlog into `window` (empty) and
-    /// wakes the producers the egress held back. With `block`, first
-    /// waits until there is a backlog, the egress has closed or the
-    /// pool has shut down; an abort seen while waiting closes the input,
-    /// so the run tears down and the egress closes.
-    pub(crate) fn take(&self, window: &mut VecDeque<Record>, block: bool) {
+    /// The next output from the window; an empty window first takes
+    /// the egress's whole backlog and wakes the producers the egress
+    /// held back. With `block`, the take first waits until there is a
+    /// backlog, the egress has closed or the pool has shut down; an
+    /// abort seen while waiting closes the input, so the run tears down
+    /// and the egress closes.
+    pub(crate) fn next_output(&self, block: bool) -> Option<Record> {
+        let mut window = self.window.lock();
+        if let Some(rec) = window.pop_front() {
+            return Some(rec);
+        }
         let egress = &*self.egress;
         let mut mb = egress.mailbox.lock();
         if block {
@@ -400,10 +405,11 @@ impl Handle {
                 }
             }
         }
-        std::mem::swap(window, &mut mb.queue);
+        std::mem::swap(&mut *window, &mut mb.queue);
         let woken = std::mem::take(&mut mb.waiters);
         drop(mb);
         wake(woken, &self.pool, None);
+        window.pop_front()
     }
 
     /// Blocks until the run has terminated (its egress closed); a run

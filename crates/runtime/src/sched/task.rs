@@ -115,18 +115,24 @@ pub(super) enum State {
 }
 
 impl Task {
-    fn new(state: State, run: &Arc<Run>, limit: usize, scheduled: bool) -> Arc<Task> {
+    /// A task built `Done` is an egress (see [`Task::egress`]).
+    fn new(state: State, run: &Arc<Run>, limit: usize) -> Arc<Task> {
+        let egress = matches!(state, State::Done);
         Arc::new(Task {
             run: Arc::clone(run),
             mailbox: Mutex::new(Mailbox {
-                queue: pool::take_deque(),
+                queue: if egress {
+                    VecDeque::new()
+                } else {
+                    pool::take_deque()
+                },
                 waiters: Vec::new(),
                 limit,
             }),
             outside_cv: Condvar::new(),
             outside_waiters: AtomicUsize::new(0),
             open_senders: AtomicUsize::new(0),
-            scheduled: AtomicBool::new(scheduled),
+            scheduled: AtomicBool::new(egress),
             state: Mutex::new(state),
         })
     }
@@ -134,9 +140,12 @@ impl Task {
     /// A run's egress: a mailbox with no component behind it, built
     /// with `scheduled` raised so no wake ever queues it (and, `Done`,
     /// no close finalizes it). Threads outside the pool take what it
-    /// holds.
+    /// holds. Its deque leaves with the outputs and never returns to
+    /// the buffer pool, so it is not drawn from there either: a draw
+    /// would miss or hit by which thread's freelist the run's retired
+    /// mailboxes last spilled to.
     pub(super) fn egress(run: &Arc<Run>, limit: usize) -> Arc<Task> {
-        Task::new(State::Done, run, limit, true)
+        Task::new(State::Done, run, limit)
     }
 
     /// Has the last port onto this task closed?
@@ -317,7 +326,7 @@ impl Transport for TaskCx<'_> {
 
     fn spawn(&mut self, comp: Component<Port>) -> Port {
         let limit = self.pool.high_water();
-        Port::new(&Task::new(State::Live(comp), self.run, limit, false))
+        Port::new(&Task::new(State::Live(comp), self.run, limit))
     }
 
     fn another(port: &Port) -> Port {
