@@ -17,8 +17,10 @@
 //! changes how many components a run builds and how many hand-offs a
 //! record makes, and selects no code path. A star is still a boundary,
 //! but fused, its tap owns the body's leading chain
-//! ([`StarNode::head`]): a replica of a one-chain body is one
-//! component. A chain exists only in the compiled tree: a [`NetSpec`]
+//! ([`StarNode::head`]); when that chain is the whole body, every
+//! replica would run the same stateless chain, and the engine runs the
+//! star as one component that loops through it, building no replica at
+//! all. A chain exists only in the compiled tree: a [`NetSpec`]
 //! is always the network as its author wrote it, and the reference
 //! interpreter, the analyzer and the
 //! printer never see one. Placement (`@`, `!@`) survives compilation as
@@ -118,10 +120,12 @@ pub struct StarNode {
     /// Exit pattern, checked before every replica.
     pub exit: Pattern,
     /// With `fuse` on, the body's leading chain, if its spine starts
-    /// with one: the tap runs it on every record that stays in.
+    /// with one: each tap runs it on every record that stays in. If it
+    /// is the whole body (no [`body`](Self::body) left), the engine
+    /// runs the star as one component that loops through it instead.
     pub head: Option<Arc<[ChainStage]>>,
-    /// The rest of the body, built per replica; `None` if the head was
-    /// all of it.
+    /// The rest of the body, built per replica behind a tap; `None` if
+    /// the head was all of it, and then no replica is ever built.
     pub body: Option<Node>,
 }
 
@@ -163,8 +167,9 @@ pub fn fuse(spec: &NetSpec) -> Node {
 ///   fusion **boundary**: it ends the run before it, and its
 ///   body/branches are compiled recursively;
 /// * with `fuse` on, a star whose compiled body starts with a chain
-///   hands that chain to its tap ([`StarNode::head`]); nothing outside
-///   the star joins it.
+///   hands that chain to its tap ([`StarNode::head`]), or, if the chain
+///   is the whole body, to the loop the engine runs the star as;
+///   nothing outside the star joins it.
 ///
 /// Either way the compiled network is observationally equivalent to
 /// the original on every engine: same output multiset, same trace

@@ -9,8 +9,9 @@
 //! mailbox) and `snet-dist`'s simulated cluster (a discrete-event
 //! process on a named node, a queue whose sends cost virtual time).
 //! Everything semantic lives here: the failure policy around each step,
-//! the trace counters, best-match dispatch, and the lazy unfolding of
-//! star and split replicas. This is the only code outside the
+//! the trace counters, best-match dispatch, the lazy unfolding of star
+//! and split replicas, and the loop a star whose body is one chain runs
+//! in place of its taps. This is the only code outside the
 //! interpreter that calls [`ChainRunner`] (which owns the failure policy
 //! around every box and filter step), [`fault::reject`],
 //! [`semantics::best_branch`] or bumps a [`Trace`] counter, so a
@@ -38,20 +39,23 @@
 //! * **shared, immutable** (behind `Arc`s in the tree): every chain's
 //!   stage list (its `BoxDef`s and `FilterSpec`s) and every
 //!   [`SyncSpec`]; each parallel node's branch patterns; each star's
-//!   exit pattern, the head its taps run and the rest of its body; each
-//!   split's body and tag;
+//!   exit pattern, the head its taps (or its loop) run and the rest of
+//!   its body; each split's body and tag;
 //! * **per instance** (in `Kind`): one `Arc` pointer into the tree plus
 //!   the instance's own state — output ports, a synchrocell's slots,
-//!   the replicas unfolded so far. A chain has no state of its own;
+//!   the replicas unfolded so far, a loop's deepest round. A chain has
+//!   no state of its own;
 //! * **per thread** (`SCRATCH`): the buffers a chain step works
 //!   in, so a standalone box costs an instance nothing a pointer does
 //!   not.
 //!
 //! [`build`] and the unfoldings a [`Component::step`] makes therefore
 //! copy reference counts, never a spec: an unfolding of a
-//! four-component star body is 7 heap allocations (its tasks), whatever
+//! four-component star body is 6 heap allocations (its five tasks and
+//! a dispatcher's port list), whatever
 //! the size of the signatures and templates inside (pinned by
-//! `tests/alloc_steady.rs`, timed by `bench_unfold`).
+//! `tests/alloc_steady.rs`, timed by `bench_unfold`). A loop unfolds
+//! nothing: a round of it allocates nothing (pinned there too).
 //!
 //! [`crate::Interp`] deliberately does not use the tree: it is the
 //! reference the engine is tested against, so it stays an independent
@@ -122,10 +126,20 @@ enum Kind<P> {
     /// a lazily instantiated replica of the body whose output feeds the
     /// next tap. A tap with a [`StarNode::head`] runs it on the records
     /// that stay, and `replica` is where its outputs go: the rest of
-    /// the body, or the next tap.
+    /// the body, feeding the next tap.
     Star {
         node: Arc<StarNode>,
         replica: Option<P>,
+    },
+    /// A star whose [`StarNode::head`] is its whole body: every replica
+    /// would run the same stateless chain, so the unfolded pipeline of
+    /// taps is one component that loops. Exits leave on `out` after
+    /// every round; the rest go round the head again. `rounds` is the
+    /// deepest round this instance has run: the replicas the taps would
+    /// have unfolded.
+    Loop {
+        node: Arc<StarNode>,
+        rounds: u64,
     },
     Split {
         node: Arc<SplitNode>,
@@ -155,6 +169,10 @@ pub fn build<T: Transport>(node: &Node, output: T::Port, run: &Run, t: &mut T) -
                 .map(|b| build(b, T::another(&output), run, t))
                 .collect(),
             node: Arc::clone(par),
+        },
+        Node::Star(star) if star.body.is_none() => Kind::Loop {
+            node: Arc::clone(star),
+            rounds: 0,
         },
         Node::Star(star) => Kind::Star {
             node: Arc::clone(star),
@@ -194,7 +212,7 @@ impl<P> Component<P> {
     ) -> Result<(), SnetError> {
         let out = &mut self.out;
         match &mut self.kind {
-            Kind::Chain(stages) => chain_step(stages, [rec], run, config, t, out),
+            Kind::Chain(stages) => chain_step(stages, [rec], run, config, |rec| t.send(out, rec)),
             Kind::Sync { spec, st } => {
                 match st.push(spec, rec) {
                     SyncOutcome::Stored => Trace::add(&run.trace.sync_stores, 1),
@@ -229,6 +247,7 @@ impl<P> Component<P> {
                 },
             },
             Kind::Star { node, replica } => tap(node, replica, out, [rec], run, config, t),
+            Kind::Loop { node, rounds } => spin(node, rounds, out, [rec], run, config, t),
             Kind::Split { node, replicas } => {
                 let Some(value) = rec.tag(node.tag) else {
                     let cause = SnetError::MissingTag(node.tag);
@@ -252,9 +271,10 @@ impl<P> Component<P> {
         }
     }
 
-    /// Applies a claimed hand-off batch. Chains and taps take it whole
-    /// (a chain step is stage-major: one panic guard and one buffer
-    /// reset per batch); every other component steps record-at-a-time.
+    /// Applies a claimed hand-off batch. Chains, taps and loops take it
+    /// whole (a chain step is stage-major: one panic guard and one
+    /// buffer reset per batch); every other component steps
+    /// record-at-a-time.
     pub(crate) fn step_batch<T: Transport<Port = P>>(
         &mut self,
         recs: impl IntoIterator<Item = Record>,
@@ -264,8 +284,9 @@ impl<P> Component<P> {
     ) -> Result<(), SnetError> {
         let out = &mut self.out;
         match &mut self.kind {
-            Kind::Chain(stages) => chain_step(stages, recs, run, config, t, out),
+            Kind::Chain(stages) => chain_step(stages, recs, run, config, |rec| t.send(out, rec)),
             Kind::Star { node, replica } => tap(node, replica, out, recs, run, config, t),
+            Kind::Loop { node, rounds } => spin(node, rounds, out, recs, run, config, t),
             _ => recs
                 .into_iter()
                 .try_for_each(|rec| self.step(rec, run, config, t)),
@@ -282,7 +303,7 @@ impl<P> Component<P> {
         // lets its driver read the trace.
         Trace::add(&run.trace.components_finalized, 1);
         match self.kind {
-            Kind::Chain(_) => {}
+            Kind::Chain(_) | Kind::Loop { .. } => {}
             Kind::Sync { st, .. } => {
                 let stranded = st.pending().count() as u64;
                 if stranded > 0 {
@@ -307,17 +328,18 @@ impl<P> Component<P> {
             Kind::Par { branches, .. } => branches.iter_mut().for_each(&mut f),
             Kind::Star { replica, .. } => replica.iter_mut().for_each(&mut f),
             Kind::Split { replicas, .. } => replicas.values_mut().for_each(&mut f),
-            Kind::Chain(_) | Kind::Sync { .. } => {}
+            Kind::Chain(_) | Kind::Sync { .. } | Kind::Loop { .. } => {}
         }
         f(&mut self.out);
     }
 
-    /// The port whose backlog holds this component back: a chain's or
-    /// synchrocell's output, or a head-running tap's replica port. Pure
-    /// dispatchers (trivial work, many outputs) are never held back.
+    /// The port whose backlog holds this component back: a chain's,
+    /// loop's or synchrocell's output, or a head-running tap's replica
+    /// port. Pure dispatchers (trivial work, many outputs) are never
+    /// held back.
     pub(crate) fn held_back_by(&self) -> Option<&P> {
         match &self.kind {
-            Kind::Chain(_) | Kind::Sync { .. } => Some(&self.out),
+            Kind::Chain(_) | Kind::Sync { .. } | Kind::Loop { .. } => Some(&self.out),
             Kind::Star { node, replica } if node.head.is_some() => replica.as_ref(),
             Kind::Star { .. } | Kind::Par { .. } | Kind::Split { .. } => None,
         }
@@ -325,7 +347,8 @@ impl<P> Component<P> {
 
     /// A short name for the component instance (the simulator's process
     /// names). A chain is named for what is in it: its one stage, or its
-    /// ends and length; a tap that runs a head, for that chain.
+    /// ends and length; a tap that runs a head, and a loop, for that
+    /// chain.
     pub fn label(&self) -> String {
         match &self.kind {
             Kind::Chain(stages) => chain_label(stages),
@@ -335,6 +358,7 @@ impl<P> Component<P> {
                 Some(head) => format!("star-tap+{}", chain_label(head)),
                 None => "star-tap".into(),
             },
+            Kind::Loop { node, .. } => format!("star-loop+{}", chain_label(head(node))),
             Kind::Split { .. } => "split-dispatch".into(),
         }
     }
@@ -357,7 +381,8 @@ fn chain_label(stages: &[ChainStage]) -> String {
 /// A tap's step over a batch: exits leave on `out`, the first stayer
 /// unfolds the replica, and the stayers go to it — through the head,
 /// if any, in one chain step (the policy, names and tally of the chain
-/// fusion handed the tap).
+/// fusion handed the tap). A star whose head is its whole body has no
+/// taps: it is a [`Kind::Loop`] (see [`spin`]).
 fn tap<T: Transport>(
     node: &Arc<StarNode>,
     replica: &mut Option<T::Port>,
@@ -381,25 +406,76 @@ fn tap<T: Transport>(
     }
     match (&node.head, stayers, replica) {
         (Some(head), Some(mut stayers), Some(port)) => {
-            chain_step(head, stayers.drain(..), run, config, t, port)
+            chain_step(head, stayers.drain(..), run, config, |rec| {
+                t.send(port, rec)
+            })
         }
         _ => Ok(()),
     }
 }
 
 /// Unfolds one replica behind a tap exiting on `out`: the rest of the
-/// body, if any, feeding the next tap, which shares `out`.
+/// body, feeding the next tap, which shares `out`.
 fn unfold<T: Transport>(star: &Arc<StarNode>, out: &T::Port, run: &Run, t: &mut T) -> T::Port {
+    let body = star
+        .body
+        .as_ref()
+        .expect("a star without a body past its head is a loop");
     Trace::add(&run.trace.star_unfoldings, 1);
     let next_tap = Kind::Star {
         node: Arc::clone(star),
         replica: None,
     };
     let next_tap = spawn(next_tap, T::another(out), run, t);
-    match &star.body {
-        Some(body) => build(body, next_tap, run, t),
-        None => next_tap,
+    build(body, next_tap, run, t)
+}
+
+/// The chain a loop runs: its star's head, which is the whole body.
+fn head(star: &StarNode) -> &[ChainStage] {
+    star.head.as_deref().expect("a loop's star has a head")
+}
+
+/// A loop's step over a batch, one round per tap of the unfolded
+/// pipeline: the records that match the exit leave on `out`, and the
+/// rest go round the head, stage-major in one chain step, until none
+/// are left. A round deeper than any this instance has run counts the
+/// unfolding the taps would have made, so the trace reads the same at
+/// either grain. The run's abort flag and deadline are polled once per
+/// round: a record that never exits does not pin a worker past a
+/// cancel or a deadline.
+fn spin<T: Transport>(
+    node: &StarNode,
+    rounds: &mut u64,
+    out: &mut T::Port,
+    recs: impl IntoIterator<Item = Record>,
+    run: &Run,
+    config: &EngineConfig,
+    t: &mut T,
+) -> Result<(), SnetError> {
+    let mut stayers = pool::PooledVec::take();
+    let mut next = pool::PooledVec::take();
+    let mut exit_or_stay = |rec: Record, stayers: &mut Vec<Record>| {
+        if node.exit.matches(&rec) {
+            t.send(out, rec);
+        } else {
+            stayers.push(rec);
+        }
+    };
+    recs.into_iter()
+        .for_each(|rec| exit_or_stay(rec, &mut stayers));
+    let mut round = 0;
+    while !stayers.is_empty() && !run.should_stop() {
+        round += 1;
+        if round > *rounds {
+            *rounds = round;
+            Trace::add(&run.trace.star_unfoldings, 1);
+        }
+        chain_step(head(node), stayers.drain(..), run, config, |rec| {
+            exit_or_stay(rec, &mut next)
+        })?;
+        std::mem::swap(&mut stayers, &mut next);
     }
+    Ok(())
 }
 
 /// The buffers a chain step works in: the runner's ping-pong pair and
@@ -424,14 +500,13 @@ thread_local! {
 /// inside another on the same thread (a box body that drives a second
 /// network) finds the slot empty and works in fresh buffers, so steps
 /// never share scratch; and a batch leaves nothing in it — a success is
-/// drained to `out`, a failure is dropped by `step_batch`.
-fn chain_step<T: Transport>(
+/// drained to `emit`, a failure is dropped by `step_batch`.
+fn chain_step(
     stages: &[ChainStage],
     recs: impl IntoIterator<Item = Record>,
     run: &Run,
     config: &EngineConfig,
-    t: &mut T,
-    out: &mut T::Port,
+    emit: impl FnMut(Record),
 ) -> Result<(), SnetError> {
     let mut scratch = SCRATCH.take().unwrap_or_else(|| Scratch {
         runner: ChainRunner::new(),
@@ -450,9 +525,7 @@ fn chain_step<T: Transport>(
     );
     run.trace.count_chain(&tally);
     if res.is_ok() {
-        for rec in scratch.outs.drain(..) {
-            t.send(out, rec);
-        }
+        scratch.outs.drain(..).for_each(emit);
     }
     SCRATCH.set(Some(scratch));
     res

@@ -95,7 +95,8 @@ fn threads_are_named_for_what_is_in_the_chain() {
     assert_eq!(labels(&run, true, None), ["chain3-box-head..box-tail"]);
 }
 
-/// A tap that runs its body's leading chain is named for it too.
+/// A tap that runs its body's leading chain is named for it too, and
+/// so is a loop, whose chain is the whole body.
 #[test]
 fn star_taps_are_named_for_the_chain_they_run() {
     let dec = NetSpec::Filter(FilterSpec::new(
@@ -117,10 +118,13 @@ fn star_taps_are_named_for_the_chain_they_run() {
                 .with_tag("n", 2),
         )
     };
-    // Fused, the tap runs the whole body and a replica is the next tap;
-    // unfused, the body is built behind it back to front.
-    let tap = "star-tap+chain2-filter..box-inc";
-    assert_eq!(labels(&star, true, stays()), [tap, tap]);
+    // Fused, the body is one chain and the star is one loop running
+    // it, which unfolds nothing; unfused, the body is built behind
+    // each tap back to front.
+    assert_eq!(
+        labels(&star, true, stays()),
+        ["star-loop+chain2-filter..box-inc"]
+    );
     assert_eq!(
         labels(&star, false, stays()),
         ["star-tap", "star-tap", "box-inc", "filter"]

@@ -164,9 +164,15 @@
 //! exactly there, so the observable record flow (and the interpreter
 //! oracle) is unchanged. One boundary owns a chain of its own: fused, a
 //! star tap runs its body's leading chain on every record that stays
-//! in the loop (`StarNode::head`), so a replica whose body is one chain
-//! is one component, and the tap is backpressured on the port that
-//! chain writes.
+//! in the loop (`StarNode::head`), and the tap is backpressured on the
+//! port that chain writes. A star whose body is one chain has no taps
+//! at all: every replica would run the same stateless chain, so the
+//! star is one component that loops. After every round the records
+//! that match the exit leave on its output and the rest go round the
+//! chain again; the deepest round it has run is what the taps would
+//! have unfolded, and that is what it counts in `star_unfoldings`. It
+//! polls the run's abort flag and deadline once per round and is
+//! backpressured on its output, as a chain is.
 //!
 //! Faults are **per stage** at either grain: each stage runs under its
 //! own [`FailurePolicy`], a `DeadLetter`-diverted record carries the
@@ -187,7 +193,9 @@
 //! record makes ten hand-offs of ≈40 ns outside the step each and two
 //! of them are a tap's hand-off to a one-chain body, reads 1.076× the
 //! `throughput_per_s` with the head in the tap (higher in 12 of 12
-//! alternating pairs; ROADMAP has the runs).
+//! alternating pairs), and 1.104× more with that star run as one loop,
+//! which takes a record from 7 record-hops to 5 (higher in 10 of 10;
+//! ROADMAP has the runs).
 //!
 //! ## Failure semantics
 //!

@@ -17,7 +17,11 @@
 //! is a handful of allocations (its tasks), and none of them scales
 //! with the size of the specs it instantiates.
 //!
-//! The third pins the filter step itself: a filter works on the record
+//! The third pins a star whose body is one chain, which the fused plan
+//! runs as one component that loops: a round of the loop allocates
+//! nothing (at the unfused grain each round is a tap task of its own).
+//!
+//! The fourth pins the filter step itself: a filter works on the record
 //! it is handed, so the record that leaves has the storage the one that
 //! came had, and only an output that needs its own copy of the
 //! remainder pays for one.
@@ -348,6 +352,43 @@ fn unfolding_allocates_per_task_not_per_spec() {
         narrow,
         steadiest(|| allocs_per_replica(16)),
         "a 16-item box signature must cost a replica nothing extra"
+    );
+}
+
+/// `[{<n>} -> {<n -= 1>}] * {<n> == 0}`: a star whose body is one
+/// chain, which the fused plan runs as one component that loops.
+fn countdown_loop() -> NetSpec {
+    let exit = Pattern::guarded(
+        Variant::empty(),
+        TagExpr::bin(BinOp::Eq, TagExpr::tag("n"), TagExpr::Const(0)),
+    );
+    NetSpec::star(NetSpec::Filter(countdown()), exit)
+}
+
+#[test]
+fn a_loop_round_allocates_nothing() {
+    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
+    // A depth-32 job against a depth-0 job on the same warm net: 32
+    // rounds of the loop against none.
+    let rounds = || {
+        let net = SchedNet::with_config(
+            countdown_loop(),
+            EngineConfig {
+                workers: 1,
+                ..EngineConfig::default()
+            },
+        );
+        let job = |n: i64| move || vec![Record::new().with_tag("n", n)];
+        floor_allocs(&net, job(DEPTH), 1); // warm-up
+        let deep = floor_allocs(&net, job(DEPTH), 1);
+        let flat = floor_allocs(&net, job(0), 1);
+        eprintln!("loop: depth {DEPTH} = {deep} allocs, depth 0 = {flat}");
+        deep.saturating_sub(flat)
+    };
+    assert_eq!(
+        steadiest(rounds),
+        0,
+        "{DEPTH} rounds of a loop must allocate nothing a job without rounds does not"
     );
 }
 

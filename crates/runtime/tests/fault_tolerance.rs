@@ -7,12 +7,13 @@
 //! and parity with the oracle rather than merely "it didn't crash".
 
 use snet_core::boxdef::{BoxDef, BoxOutput, BoxSig, Work};
-use snet_core::{NetSpec, Record, SnetError, Value};
+use snet_core::{NetSpec, Pattern, Record, SnetError, Value, Variant};
 use snet_runtime::faultinject::{chaos, chaos_with_stats, FaultSpec};
 use snet_runtime::{
     run_stream, run_stream_interleaved, DeadLetter, EngineConfig, FailurePolicy, Interp, SchedNet,
     TrySendError,
 };
+use std::sync::mpsc::{channel, sync_channel, RecvTimeoutError, SyncSender};
 use std::time::Duration;
 
 /// A box consuming `{x}` and emitting `{x: x + 1}`.
@@ -512,6 +513,77 @@ fn try_send_after_the_deadline_is_refused() {
         other => panic!("expected Closed(DeadlineExceeded), got {other:?}"),
     }
     assert_eq!(h.finish(), Err(SnetError::DeadlineExceeded));
+}
+
+/// `(went .. inc) * {done}`: a star over one chain whose exit no record
+/// ever matches. Fused, the star is one component that loops, and a
+/// record fed to it goes round the chain for good. `went` reports each
+/// round on `rounds` while the channel has room.
+fn endless_loop(rounds: SyncSender<()>) -> NetSpec {
+    let went = BoxDef::from_fn(BoxSig::parse("went", &["x"], &[&["x"]]), move |r| {
+        let _ = rounds.try_send(());
+        Ok(BoxOutput::one(r.clone(), Work::ZERO))
+    });
+    NetSpec::star(
+        NetSpec::serial(NetSpec::Box(went), NetSpec::Box(inc_box())),
+        Pattern::from_variant(Variant::parse_labels(&["done"], &[])),
+    )
+}
+
+/// Runs `job` on a thread of its own and waits at most `bound` for its
+/// result. A loop that skips its preemption point pins a worker for
+/// good and its run never ends: the wait, not the job, fails the test.
+fn within<R: Send + 'static>(bound: Duration, job: impl FnOnce() -> R + Send + 'static) -> R {
+    let (tx, rx) = channel();
+    std::thread::spawn(move || tx.send(job()));
+    match rx.recv_timeout(bound) {
+        Ok(got) => got,
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("the run was still going {bound:?} after it was stopped")
+        }
+        Err(RecvTimeoutError::Disconnected) => panic!("the job panicked"),
+    }
+}
+
+/// A record that never exits a star's loop does not pin a worker past
+/// the run's deadline or a cancel from another thread: the loop polls
+/// both once per round.
+#[test]
+fn a_loop_that_never_exits_stops_at_a_deadline_or_a_cancel() {
+    const WATCHDOG: Duration = Duration::from_secs(5);
+    let rec = || Record::new().with_field("x", Value::Int(0));
+
+    let got = within(WATCHDOG, move || {
+        let cfg = EngineConfig {
+            deadline: Some(Duration::from_millis(50)),
+            ..EngineConfig::default()
+        };
+        let (rounds, _) = sync_channel(1);
+        SchedNet::with_config(endless_loop(rounds), cfg).run_batch(vec![rec()])
+    });
+    match got {
+        Err(SnetError::DeadlineExceeded) => {}
+        other => panic!("expected DeadlineExceeded, got {other:?}"),
+    }
+
+    let (outputs, got) = within(WATCHDOG, move || {
+        let (rounds, went) = sync_channel(1);
+        let net = SchedNet::new(endless_loop(rounds));
+        let h = net.start();
+        h.send(rec()).expect("the run is up");
+        let outputs = std::thread::scope(|s| {
+            let h = &h;
+            s.spawn(move || {
+                // Cancel only once the record is going round.
+                went.recv().expect("the loop runs");
+                h.cancel();
+            });
+            std::iter::from_fn(|| h.recv()).count()
+        });
+        (outputs, h.finish())
+    });
+    assert_eq!(outputs, 0, "nothing ever matches the exit");
+    assert_eq!(got, Err(SnetError::Cancelled));
 }
 
 #[test]

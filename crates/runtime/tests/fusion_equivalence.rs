@@ -412,9 +412,10 @@ fn the_plan_shows_in_the_trace() {
 
 #[test]
 fn a_fused_tap_is_the_whole_replica() {
-    // `countdown_star`'s body is one filter: fused, the tap runs it and
-    // a replica is the next tap alone; as written, a replica is the
-    // filter and the next tap. `<n> = 3` unfolds three replicas.
+    // `countdown_star`'s body is one filter: fused, the star is one
+    // loop running it, whatever the depth; as written, a replica is the
+    // filter and the next tap. `<n> = 3` unfolds three replicas either
+    // way: the loop counts the rounds the taps would have unfolded.
     fn built(config: EngineConfig) -> u64 {
         let batch = vec![Record::new().with_tag("n", 3)];
         let (outs, trace) = SchedNet::with_config(countdown_star(), config)
@@ -427,7 +428,7 @@ fn a_fused_tap_is_the_whole_replica() {
         assert_eq!(trace.get(&trace.components_finalized), built);
         built
     }
-    assert_eq!(built(fused_cfg()), 4);
+    assert_eq!(built(fused_cfg()), 1);
     assert_eq!(built(unfused_cfg()), 7);
 }
 

@@ -17,7 +17,8 @@
 //!   must fail instead, unless its run had completed.
 
 use snet_core::boxdef::{BoxDef, BoxOutput, BoxSig, Work};
-use snet_core::{NetSpec, Record, SnetError, Value};
+use snet_core::filter::OutputTemplate;
+use snet_core::{BinOp, FilterSpec, NetSpec, Pattern, Record, SnetError, TagExpr, Value, Variant};
 use snet_runtime::{
     run_stream, run_stream_interleaved, EngineConfig, SchedHandle, SchedNet, Trace, TrySendError,
 };
@@ -260,14 +261,36 @@ fn slow_consumer_bounds_resident_records() {
     );
 }
 
-/// Backpressure propagates upstream: with the second stage of an
-/// unfused `fast .. gate` pipeline wedged in its box, the first stage
-/// stops consuming once the gate's mailbox passes its high-water mark,
-/// so the entry mailbox fills and `try_send` stays `Full` after a few
-/// dozen records — the bound a component's `held_back_by` port sets.
-/// Opened, the gate lets every record through.
+/// Backpressure propagates upstream: with the stage after `upstream`
+/// wedged in its box, `upstream` stops consuming once the gate's
+/// mailbox passes its high-water mark, so the entry mailbox fills and
+/// `try_send` stays `Full` after a few dozen records — the bound a
+/// component's `held_back_by` port sets. Opened, the gate lets every
+/// record through. Two upstreams: an unfused `fast` (a chain), and a
+/// fused `([{<n>} -> {<n -= 1>}] .. fast) * {<n> == 0}` (a star whose
+/// body is one chain, so one component that loops), fed `<n> = 1`.
 #[test]
 fn a_stalled_stage_holds_back_the_stage_feeding_it() {
+    let x = |i: i64| Record::new().with_field("x", Value::Int(i));
+    held_back_by_a_stalled_gate(int_box("fast", |x| x + 1), false, x);
+    let dec = NetSpec::Filter(FilterSpec::new(
+        Pattern::from_variant(Variant::parse_labels(&[], &["n"])),
+        vec![OutputTemplate::empty().set_tag(
+            "n",
+            TagExpr::bin(BinOp::Sub, TagExpr::tag("n"), TagExpr::Const(1)),
+        )],
+    ));
+    let exit = Pattern::guarded(
+        Variant::empty(),
+        TagExpr::bin(BinOp::Eq, TagExpr::tag("n"), TagExpr::Const(0)),
+    );
+    let looped = NetSpec::star(NetSpec::serial(dec, int_box("fast", |x| x + 1)), exit);
+    held_back_by_a_stalled_gate(looped, true, move |i| x(i).with_tag("n", 1));
+}
+
+/// Streams `rec(0), rec(1), …` through `upstream .. gate` with the gate
+/// closed until `try_send` has stayed `Full` for 200 ms, then opened.
+fn held_back_by_a_stalled_gate(upstream: NetSpec, fuse: bool, rec: impl Fn(i64) -> Record) {
     const TOTAL: i64 = 20_000;
     let gate = Arc::new((Mutex::new(false), Condvar::new()));
     let gate2 = Arc::clone(&gate);
@@ -284,11 +307,11 @@ fn a_stalled_stage_holds_back_the_stage_feeding_it() {
         },
     ));
     let net = SchedNet::with_config(
-        NetSpec::serial(int_box("fast", |x| x + 1), gated),
+        NetSpec::serial(upstream, gated),
         EngineConfig {
             workers: 2,
             channel_capacity: 4,
-            fuse: false,
+            fuse,
             ..EngineConfig::default()
         },
     );
@@ -296,7 +319,7 @@ fn a_stalled_stage_holds_back_the_stage_feeding_it() {
     let mut accepted = 0;
     let mut full_since: Option<Instant> = None;
     while accepted < TOTAL {
-        match h.try_send(Record::new().with_field("x", Value::Int(accepted))) {
+        match h.try_send(rec(accepted)) {
             Ok(()) => {
                 accepted += 1;
                 full_since = None;
@@ -328,8 +351,7 @@ fn a_stalled_stage_holds_back_the_stage_feeding_it() {
         let h = &h;
         let consumer = s.spawn(move || std::iter::from_fn(|| h.recv()).collect::<Vec<_>>());
         for i in accepted..TOTAL {
-            h.send(Record::new().with_field("x", Value::Int(i)))
-                .expect("network stays up");
+            h.send(rec(i)).expect("network stays up");
         }
         h.close_input();
         consumer.join().expect("the consumer does not panic")
@@ -517,12 +539,13 @@ fn stream_traced(
 }
 
 /// `route_stream`'s net from its source, with a 1 → 2 fan-out box in
-/// the star body: at the fused grain each tap runs the body's whole
-/// chain (`[{<n>} -> {<n -= 1>}] .. fan .. inc`), so what a tap emits
-/// per record it takes in is no longer one, and the tap is held back by
-/// the next tap's mailbox. At capacities 1 and 2 the taps, the split
-/// and the last stage all run against full mailboxes; every record must still
-/// come out, and every component unfolded must be torn down.
+/// the star body: at the fused grain the body is one chain
+/// (`[{<n>} -> {<n -= 1>}] .. fan .. inc`) and the star is one loop
+/// through it, so what the loop emits per record it takes in is no
+/// longer one, and the loop is held back by its output's mailbox. At
+/// capacities 1 and 2 the split, its replicas and the loop all run
+/// against full mailboxes; every record must still come out, and every
+/// component built must be torn down.
 #[test]
 fn tight_capacity_star_soak() {
     fn x(v: i64) -> Result<BoxOutput, SnetError> {
