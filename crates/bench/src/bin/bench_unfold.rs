@@ -10,7 +10,10 @@
 //!
 //! * **star**: `((inc | []) .. [{<n>} -> {<n -= 1>}]) * {<n> == 0}`, one
 //!   record `{x, <n>}` per job; `<n> = 32` unfolds 32 replicas of the
-//!   four-component body, `<n> = 0` unfolds none.
+//!   body, `<n> = 0` unfolds none. Four components as written; fused,
+//!   the parallel runs both its one-leaf branches itself, so a replica
+//!   is three tasks (the parallel, the countdown and the next tap) and
+//!   the parallel's branch list.
 //! * **split**: `inc ! <k>`, 33 records per job; 33 distinct `<k>`
 //!   against one — 32 replicas more.
 //!
@@ -243,7 +246,7 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"benchmark\": \"bench_unfold: time and allocations per star unfolding \
-         (four-component body) and per split replica, deep minus flat job over \
+         (body `(inc | []) .. dec`) and per split replica, deep minus flat job over \
          {DEPTH} instances, run_batch on a warm engine\","
     );
     let _ = writeln!(json, "  \"iters\": {iters},");

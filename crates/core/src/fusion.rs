@@ -9,7 +9,8 @@
 //! one or more boxes and filters executed as one component, each record
 //! crossing every stage in place — and mailboxes remain exactly at the
 //! boundaries where they carry semantics: synchrocells (stateful),
-//! parallel dispatch/merge, star taps, and index splits. How many
+//! parallel dispatch (the merge of a branch that is more than one
+//! chain), star taps, and index splits. How many
 //! consecutive leaves share a chain is a **grain** choice made at
 //! compile time (`fuse`: maximal runs, or one leaf per chain), the
 //! compile-time grain-tuning the S-Net-vs-CnC study (arXiv:1305.7167)
@@ -20,7 +21,10 @@
 //! ([`StarNode::head`]); when that chain is the whole body, every
 //! replica would run the same stateless chain, and the engine runs the
 //! star as one component that loops through it, building no replica at
-//! all. A chain exists only in the compiled tree: a [`NetSpec`]
+//! all. A parallel is a boundary as well, but fused, a branch that is
+//! one chain ([`ParNode::inline`]) is run by the dispatcher itself,
+//! onto the merged output every branch writes, and builds no component
+//! of its own. A chain exists only in the compiled tree: a [`NetSpec`]
 //! is always the network as its author wrote it, and the reference
 //! interpreter, the analyzer and the
 //! printer never see one. Placement (`@`, `!@`) survives compilation as
@@ -111,6 +115,11 @@ pub struct ParNode {
     /// What each branch attracts, for best-match dispatch; derived from
     /// the branch topologies once, here, instead of per instantiation.
     pub patterns: Vec<Vec<Pattern>>,
+    /// Per branch, with `fuse` on: whether its compiled form is one
+    /// [`Node::Chain`], which the dispatcher runs itself, writing its
+    /// outputs straight to the merged stream, instead of building the
+    /// branch behind a port. Always `false` unfused.
+    pub inline: Vec<bool>,
 }
 
 /// A compiled serial replication.
@@ -169,7 +178,11 @@ pub fn fuse(spec: &NetSpec) -> Node {
 /// * with `fuse` on, a star whose compiled body starts with a chain
 ///   hands that chain to its tap ([`StarNode::head`]), or, if the chain
 ///   is the whole body, to the loop the engine runs the star as;
-///   nothing outside the star joins it.
+///   nothing outside the star joins it;
+/// * with `fuse` on, every parallel branch whose compiled form is one
+///   chain is marked ([`ParNode::inline`]): the dispatcher runs it on
+///   the records it dispatches there. The branch keeps its chain and
+///   its pattern, so dispatch itself does not change.
 ///
 /// Either way the compiled network is observationally equivalent to
 /// the original on every engine: same output multiset, same trace
@@ -207,10 +220,18 @@ fn walk(spec: &NetSpec, fuse: bool, run: &mut Vec<ChainStage>, spine: &mut Vec<N
         NetSpec::Box(def) => return leaf(ChainStage::Box(def.clone()), fuse, run, spine),
         NetSpec::Filter(f) => return leaf(ChainStage::Filter(f.clone()), fuse, run, spine),
         NetSpec::Sync(cell) => Node::Sync(Arc::new(cell.clone())),
-        NetSpec::Parallel { branches, .. } => Node::Par(Arc::new(ParNode {
-            patterns: branches.iter().map(|b| b.input_patterns()).collect(),
-            branches: branches.iter().map(|b| compile(b, fuse)).collect(),
-        })),
+        NetSpec::Parallel { branches, .. } => {
+            let patterns = branches.iter().map(|b| b.input_patterns()).collect();
+            let branches: Vec<Node> = branches.iter().map(|b| compile(b, fuse)).collect();
+            Node::Par(Arc::new(ParNode {
+                patterns,
+                inline: branches
+                    .iter()
+                    .map(|b| fuse && matches!(b, Node::Chain(_)))
+                    .collect(),
+                branches,
+            }))
+        }
         NetSpec::Star { body, exit, .. } => {
             let mut body = compile_spine(body, fuse).into_iter().peekable();
             let head = match body.next_if(|first| fuse && matches!(first, Node::Chain(_))) {
@@ -238,7 +259,8 @@ fn walk(spec: &NetSpec, fuse: bool, run: &mut Vec<ChainStage>, spine: &mut Vec<N
 }
 
 /// Adds a leaf to the open run; unfused, the run ends with it. Beside
-/// a star's head, this is the one place `fuse` is read.
+/// a star's head and a parallel's inline branches, this is the one
+/// place `fuse` is read.
 fn leaf(stage: ChainStage, fuse: bool, run: &mut Vec<ChainStage>, spine: &mut Vec<Node>) {
     run.push(stage);
     if !fuse {
@@ -703,6 +725,30 @@ mod tests {
         let plain = star(&rest, false);
         assert!(plain.head.is_none());
         assert_eq!(plain.body.as_ref().map(|b| spine(b).len()), Some(3));
+    }
+
+    #[test]
+    fn a_fused_parallel_marks_its_chain_branches() {
+        // `(l1 .. l2 | sync | r ! <k> | [] | (r2)@1)`: two chains; a
+        // sync, a split and a placed subnet keep their ports.
+        let spec = NetSpec::parallel(vec![
+            NetSpec::serial(inc("l1"), inc("l2")),
+            sync_ab(),
+            NetSpec::split(inc("r"), "k"),
+            NetSpec::identity(),
+            NetSpec::at(inc("r2"), 1),
+        ]);
+        for (fuse, inline) in [
+            (true, [true, false, false, true, false]),
+            (false, [false; 5]),
+        ] {
+            let Node::Par(par) = compile(&spec, fuse) else {
+                panic!("parallel survives compilation")
+            };
+            assert_eq!(par.inline, inline, "fuse {fuse}");
+            assert_eq!(par.branches.len(), 5);
+            assert_eq!(par.patterns.len(), 5);
+        }
     }
 
     #[test]

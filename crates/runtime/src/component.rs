@@ -10,8 +10,9 @@
 //! process on a named node, a queue whose sends cost virtual time).
 //! Everything semantic lives here: the failure policy around each step,
 //! the trace counters, best-match dispatch, the lazy unfolding of star
-//! and split replicas, and the loop a star whose body is one chain runs
-//! in place of its taps. This is the only code outside the
+//! and split replicas, the loop a star whose body is one chain runs in
+//! place of its taps, and the chain branches a parallel runs in place
+//! of their components. This is the only code outside the
 //! interpreter that calls [`ChainRunner`] (which owns the failure policy
 //! around every box and filter step), [`fault::reject`],
 //! [`semantics::best_branch`] or bumps a [`Trace`] counter, so a
@@ -38,24 +39,26 @@
 //!
 //! * **shared, immutable** (behind `Arc`s in the tree): every chain's
 //!   stage list (its `BoxDef`s and `FilterSpec`s) and every
-//!   [`SyncSpec`]; each parallel node's branch patterns; each star's
-//!   exit pattern, the head its taps (or its loop) run and the rest of
-//!   its body; each split's body and tag;
+//!   [`SyncSpec`]; each parallel node's branch patterns and which of
+//!   its branches it runs itself; each star's exit pattern, the head
+//!   its taps (or its loop) run and the rest of its body; each split's
+//!   body and tag;
 //! * **per instance** (in `Kind`): one `Arc` pointer into the tree plus
 //!   the instance's own state — output ports, a synchrocell's slots,
-//!   the replicas unfolded so far, a loop's deepest round. A chain has
-//!   no state of its own;
+//!   the replicas unfolded so far, a loop's deepest round, a
+//!   parallel's branch list. A chain has no state of its own;
 //! * **per thread** (`SCRATCH`): the buffers a chain step works
 //!   in, so a standalone box costs an instance nothing a pointer does
 //!   not.
 //!
 //! [`build`] and the unfoldings a [`Component::step`] makes therefore
-//! copy reference counts, never a spec: an unfolding of a
-//! four-component star body is 6 heap allocations (its five tasks and
-//! a dispatcher's port list), whatever
-//! the size of the signatures and templates inside (pinned by
-//! `tests/alloc_steady.rs`, timed by `bench_unfold`). A loop unfolds
-//! nothing: a round of it allocates nothing (pinned there too).
+//! copy reference counts, never a spec: fused, an unfolding of the
+//! star body `(inc | []) .. dec` is 4 heap allocations (three tasks:
+//! the parallel, which runs both its chain branches, `dec` and the
+//! next tap; and the parallel's branch list), whatever the size of the
+//! signatures and templates inside (pinned by `tests/alloc_steady.rs`,
+//! timed by `bench_unfold`). A loop unfolds nothing: a round of it
+//! allocates nothing (pinned there too).
 //!
 //! [`crate::Interp`] deliberately does not use the tree: it is the
 //! reference the engine is tested against, so it stays an independent
@@ -116,9 +119,14 @@ enum Kind<P> {
         spec: Arc<SyncSpec>,
         st: SyncState,
     },
+    /// A parallel dispatcher: each record goes to its best-matching
+    /// branch. A branch that [`ParNode::inline`] marks runs here,
+    /// stage-major over the records a batch dispatched to it, onto
+    /// `out`, the merged stream every branch writes; the others are
+    /// components of their own behind a port.
     Par {
         node: Arc<ParNode>,
-        branches: Vec<P>,
+        branches: Vec<Branch<P>>,
     },
     /// One tap of a serial-replication star. The tap inspects every
     /// record *before* the replica (§III: "the chain is tapped before
@@ -147,6 +155,19 @@ enum Kind<P> {
     },
 }
 
+/// One branch of a parallel instance.
+enum Branch<P> {
+    /// Built as components of its own; records are sent to its input.
+    Port(P),
+    /// One chain the dispatcher runs itself. `held` collects what a
+    /// batch dispatched to it (a buffer from [`pool`], returned when the
+    /// batch has run through the chain); empty between batches.
+    Inline {
+        stages: Arc<[ChainStage]>,
+        held: Option<pool::PooledVec>,
+    },
+}
+
 /// Recursively instantiates `node` feeding `output`, back to front, and
 /// returns the subnet's input port.
 pub fn build<T: Transport>(node: &Node, output: T::Port, run: &Run, t: &mut T) -> T::Port {
@@ -160,13 +181,21 @@ pub fn build<T: Transport>(node: &Node, output: T::Port, run: &Run, t: &mut T) -
             let mid = build(b, output, run, t);
             return build(a, mid, run, t);
         }
-        // Every branch writes to its own port onto `output`, so the
-        // merge is arrival-order — the paper's nondeterministic merger.
+        // Every branch writes to its own port onto `output`, or, run
+        // inline, to `output` itself, so the merge is arrival-order —
+        // the paper's nondeterministic merger.
         Node::Par(par) => Kind::Par {
             branches: par
                 .branches
                 .iter()
-                .map(|b| build(b, T::another(&output), run, t))
+                .zip(&par.inline)
+                .map(|(branch, &inline)| match branch {
+                    Node::Chain(stages) if inline => Branch::Inline {
+                        stages: Arc::clone(stages),
+                        held: None,
+                    },
+                    _ => Branch::Port(build(branch, T::another(&output), run, t)),
+                })
                 .collect(),
             node: Arc::clone(par),
         },
@@ -201,8 +230,9 @@ fn spawn<T: Transport>(kind: Kind<T::Port>, out: T::Port, run: &Run, t: &mut T) 
 
 impl<P> Component<P> {
     /// Applies one record (the shared small-step semantics), emitting
-    /// through `t`. An error is fatal to the run; a record diverted
-    /// under `DeadLetter` is not an error.
+    /// through `t`: [`step_batch`](Self::step_batch) over a batch of
+    /// one. An error is fatal to the run; a record diverted under
+    /// `DeadLetter` is not an error.
     pub fn step<T: Transport<Port = P>>(
         &mut self,
         rec: Record,
@@ -210,45 +240,40 @@ impl<P> Component<P> {
         config: &EngineConfig,
         t: &mut T,
     ) -> Result<(), SnetError> {
+        self.step_batch(std::iter::once(rec), run, config, t)
+    }
+
+    /// Applies a claimed hand-off batch. Chains, taps, loops and
+    /// parallels take it whole (a chain step is stage-major: one panic
+    /// guard and one buffer reset per batch); synchrocells and splits
+    /// step record-at-a-time.
+    pub(crate) fn step_batch<T: Transport<Port = P>>(
+        &mut self,
+        recs: impl IntoIterator<Item = Record>,
+        run: &Run,
+        config: &EngineConfig,
+        t: &mut T,
+    ) -> Result<(), SnetError> {
         let out = &mut self.out;
         match &mut self.kind {
-            Kind::Chain(stages) => chain_step(stages, [rec], run, config, |rec| t.send(out, rec)),
+            Kind::Chain(stages) => chain_step(stages, recs, run, config, |rec| t.send(out, rec)),
             Kind::Sync { spec, st } => {
-                match st.push(spec, rec) {
-                    SyncOutcome::Stored => Trace::add(&run.trace.sync_stores, 1),
-                    SyncOutcome::Fired(merged) => {
-                        Trace::add(&run.trace.sync_fires, 1);
-                        t.send(out, merged);
+                for rec in recs {
+                    match st.push(spec, rec) {
+                        SyncOutcome::Stored => Trace::add(&run.trace.sync_stores, 1),
+                        SyncOutcome::Fired(merged) => {
+                            Trace::add(&run.trace.sync_fires, 1);
+                            t.send(out, merged);
+                        }
+                        SyncOutcome::Passed(rec) => t.send(out, rec),
                     }
-                    SyncOutcome::Passed(rec) => t.send(out, rec),
                 }
                 Ok(())
             }
-            Kind::Par { node, branches } => match semantics::best_branch(&node.patterns, &rec) {
-                Some(i) => {
-                    Trace::add(&run.trace.dispatched, 1);
-                    t.send(&mut branches[i], rec);
-                    Ok(())
-                }
-                None => match config.mismatch {
-                    MismatchPolicy::Forward => {
-                        Trace::add(&run.trace.passthroughs, 1);
-                        t.send(out, rec);
-                        Ok(())
-                    }
-                    MismatchPolicy::Error => {
-                        let cause = SnetError::TypeMismatch {
-                            expected: "any parallel branch".into(),
-                            got: format!("{rec:?}"),
-                        };
-                        fault::reject(config.policy, "par-dispatch", &run.seq, rec, cause)
-                            .and_then(|dl| run.divert(*dl))
-                    }
-                },
-            },
-            Kind::Star { node, replica } => tap(node, replica, out, [rec], run, config, t),
-            Kind::Loop { node, rounds } => spin(node, rounds, out, [rec], run, config, t),
-            Kind::Split { node, replicas } => {
+            Kind::Par { node, branches } => dispatch(node, branches, out, recs, run, config, t),
+            Kind::Star { node, replica } => tap(node, replica, out, recs, run, config, t),
+            Kind::Loop { node, rounds } => spin(node, rounds, out, recs, run, config, t),
+            Kind::Split { node, replicas } => recs.into_iter().try_for_each(|rec| {
                 let Some(value) = rec.tag(node.tag) else {
                     let cause = SnetError::MissingTag(node.tag);
                     return fault::reject(config.policy, "split-dispatch", &run.seq, rec, cause)
@@ -267,37 +292,16 @@ impl<P> Component<P> {
                 Trace::add(&run.trace.dispatched, 1);
                 t.send(port, rec);
                 Ok(())
-            }
-        }
-    }
-
-    /// Applies a claimed hand-off batch. Chains, taps and loops take it
-    /// whole (a chain step is stage-major: one panic guard and one
-    /// buffer reset per batch); every other component steps
-    /// record-at-a-time.
-    pub(crate) fn step_batch<T: Transport<Port = P>>(
-        &mut self,
-        recs: impl IntoIterator<Item = Record>,
-        run: &Run,
-        config: &EngineConfig,
-        t: &mut T,
-    ) -> Result<(), SnetError> {
-        let out = &mut self.out;
-        match &mut self.kind {
-            Kind::Chain(stages) => chain_step(stages, recs, run, config, |rec| t.send(out, rec)),
-            Kind::Star { node, replica } => tap(node, replica, out, recs, run, config, t),
-            Kind::Loop { node, rounds } => spin(node, rounds, out, recs, run, config, t),
-            _ => recs
-                .into_iter()
-                .try_for_each(|rec| self.step(rec, run, config, t)),
+            }),
         }
     }
 
     /// Observes end-of-stream: counts stranded synchrocell records and
-    /// hands every output port to `close` (branch ports in declaration
-    /// order or replica ports in ascending tag order first, the primary
-    /// output last — a fixed order, so a transport that logs its events
-    /// logs the same teardown every run).
+    /// hands every output port to `close` (the ports of the branches not
+    /// run inline in declaration order, or replica ports in ascending
+    /// tag order, first, the primary output last — a fixed order, so a
+    /// transport that logs its events logs the same teardown every
+    /// run).
     pub fn end_of_stream(self, run: &Run, mut close: impl FnMut(P)) {
         // Counted before any port closes: the run's last close is what
         // lets its driver read the trace.
@@ -310,7 +314,11 @@ impl<P> Component<P> {
                     Trace::add(&run.trace.sync_stranded, stranded);
                 }
             }
-            Kind::Par { branches, .. } => branches.into_iter().for_each(&mut close),
+            Kind::Par { branches, .. } => branches.into_iter().for_each(|branch| {
+                if let Branch::Port(port) = branch {
+                    close(port);
+                }
+            }),
             Kind::Star { replica, .. } => replica.into_iter().for_each(&mut close),
             Kind::Split { replicas, .. } => {
                 let mut replicas: Vec<_> = replicas.into_iter().collect();
@@ -325,7 +333,11 @@ impl<P> Component<P> {
     /// primary output last).
     pub(crate) fn for_each_port(&mut self, mut f: impl FnMut(&mut P)) {
         match &mut self.kind {
-            Kind::Par { branches, .. } => branches.iter_mut().for_each(&mut f),
+            Kind::Par { branches, .. } => branches.iter_mut().for_each(|branch| {
+                if let Branch::Port(port) = branch {
+                    f(port);
+                }
+            }),
             Kind::Star { replica, .. } => replica.iter_mut().for_each(&mut f),
             Kind::Split { replicas, .. } => replicas.values_mut().for_each(&mut f),
             Kind::Chain(_) | Kind::Sync { .. } | Kind::Loop { .. } => {}
@@ -333,13 +345,14 @@ impl<P> Component<P> {
         f(&mut self.out);
     }
 
-    /// The port whose backlog holds this component back: a chain's,
-    /// loop's or synchrocell's output, or a head-running tap's replica
-    /// port. Pure dispatchers (trivial work, many outputs) are never
-    /// held back.
+    /// The port whose backlog holds this component back: the output of
+    /// a chain, a loop, a synchrocell or a parallel that runs a branch
+    /// inline, or a head-running tap's replica port. Pure dispatchers
+    /// (trivial work, many outputs) are never held back.
     pub(crate) fn held_back_by(&self) -> Option<&P> {
         match &self.kind {
             Kind::Chain(_) | Kind::Sync { .. } | Kind::Loop { .. } => Some(&self.out),
+            Kind::Par { node, .. } if node.inline.contains(&true) => Some(&self.out),
             Kind::Star { node, replica } if node.head.is_some() => replica.as_ref(),
             Kind::Star { .. } | Kind::Par { .. } | Kind::Split { .. } => None,
         }
@@ -347,13 +360,19 @@ impl<P> Component<P> {
 
     /// A short name for the component instance (the simulator's process
     /// names). A chain is named for what is in it: its one stage, or its
-    /// ends and length; a tap that runs a head, and a loop, for that
-    /// chain.
+    /// ends and length; a tap that runs a head, a loop, and a parallel
+    /// that runs branches inline, for those chains.
     pub fn label(&self) -> String {
         match &self.kind {
             Kind::Chain(stages) => chain_label(stages),
             Kind::Sync { .. } => "sync".into(),
-            Kind::Par { .. } => "par-dispatch".into(),
+            Kind::Par { branches, .. } => branches
+                .iter()
+                .filter_map(|branch| match branch {
+                    Branch::Inline { stages, .. } => Some(chain_label(stages)),
+                    Branch::Port(_) => None,
+                })
+                .fold("par-dispatch".into(), |label, chain| label + "+" + &chain),
             Kind::Star { node, .. } => match &node.head {
                 Some(head) => format!("star-tap+{}", chain_label(head)),
                 None => "star-tap".into(),
@@ -376,6 +395,56 @@ fn chain_label(stages: &[ChainStage]) -> String {
         [first, .., last] => format!("chain{}-{}..{}", stages.len(), stage(first), stage(last)),
         [] => unreachable!("compile never emits an empty chain"),
     }
+}
+
+/// A parallel's step over a batch: each record goes to its best-match
+/// branch, in declaration order on a tie; one that matches none is
+/// passed on to `out` or rejected, as the mismatch policy says. A
+/// record for a branch with a port is sent there at once; the records
+/// for a branch run inline are held until the batch is dispatched and
+/// then go through its chain in one step (the policy, names and tally
+/// its own component would have used), onto `out`.
+fn dispatch<T: Transport>(
+    node: &ParNode,
+    branches: &mut [Branch<T::Port>],
+    out: &mut T::Port,
+    recs: impl IntoIterator<Item = Record>,
+    run: &Run,
+    config: &EngineConfig,
+    t: &mut T,
+) -> Result<(), SnetError> {
+    for rec in recs {
+        let Some(i) = semantics::best_branch(&node.patterns, &rec) else {
+            match config.mismatch {
+                MismatchPolicy::Forward => {
+                    Trace::add(&run.trace.passthroughs, 1);
+                    t.send(out, rec);
+                }
+                MismatchPolicy::Error => {
+                    let cause = SnetError::TypeMismatch {
+                        expected: "any parallel branch".into(),
+                        got: format!("{rec:?}"),
+                    };
+                    fault::reject(config.policy, "par-dispatch", &run.seq, rec, cause)
+                        .and_then(|dl| run.divert(*dl))?;
+                }
+            }
+            continue;
+        };
+        Trace::add(&run.trace.dispatched, 1);
+        match &mut branches[i] {
+            Branch::Port(port) => t.send(port, rec),
+            Branch::Inline { held, .. } => held.get_or_insert_with(pool::PooledVec::take).push(rec),
+        }
+    }
+    for branch in branches {
+        if let Branch::Inline { stages, held } = branch {
+            if let Some(mut held) = held.take() {
+                chain_step(stages, held.drain(..), run, config, |rec| t.send(out, rec))?;
+            }
+        }
+    }
+    Ok(())
 }
 
 /// A tap's step over a batch: exits leave on `out`, the first stayer

@@ -130,3 +130,23 @@ fn star_taps_are_named_for_the_chain_they_run() {
         ["star-tap", "star-tap", "box-inc", "filter"]
     );
 }
+
+/// Fused, a parallel runs each branch that is one chain itself and is
+/// named for those chains; a branch that is more than a chain is built
+/// behind a port. Unfused, every branch is built, back to front.
+#[test]
+fn a_parallel_is_named_for_the_chains_it_runs() {
+    let cell = NetSpec::Sync(snet_core::SyncSpec::new(vec![
+        Pattern::from_variant(Variant::parse_labels(&["x"], &[])),
+        Pattern::from_variant(Variant::parse_labels(&["y"], &[])),
+    ]));
+    let par = NetSpec::parallel(vec![NetSpec::serial(pass("a"), pass("b")), cell]);
+    assert_eq!(
+        labels(&par, true, None),
+        ["sync", "par-dispatch+chain2-box-a..box-b"]
+    );
+    assert_eq!(
+        labels(&par, false, None),
+        ["box-b", "box-a", "sync", "par-dispatch"]
+    );
+}

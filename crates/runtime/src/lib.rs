@@ -78,7 +78,8 @@
 //! copies nothing whose size depends on the topology. The paper's Fig 4 net
 //! schedules dynamically *by unfolding*, so this is coordination
 //! overhead in its own sense: one 16×16 job on that net builds and
-//! retires 234 components in 41 unfoldings, and instantiating from the
+//! retires 150 components in 41 unfoldings (234 before a parallel ran
+//! its chain branches itself, below), and instantiating from the
 //! shared tree roughly doubled the rate of such jobs (`forkjoin_burst`
 //! in `benchmark/`; per-instance cost in `BENCH_unfold.json`, gated).
 //! [`Interp`] does not use the tree — the oracle stays an independent
@@ -172,7 +173,18 @@
 //! chain again; the deepest round it has run is what the taps would
 //! have unfolded, and that is what it counts in `star_unfoldings`. It
 //! polls the run's abort flag and deadline once per round and is
-//! backpressured on its output, as a chain is.
+//! backpressured on its output, as a chain is. A parallel is the other
+//! boundary that owns chains: fused, every branch that is one chain
+//! (`ParNode::inline`) is run by the dispatcher itself. Dispatch is
+//! unchanged; the records a hand-off batch sends to such a branch are
+//! held, then go through its chain in one stage-major step, straight
+//! onto the merged output every branch writes. Only the other branches
+//! are built behind a port, so the bypass idiom `(A | [])` of the
+//! paper's Figs 3 and 4 is one component, not three, and a parallel
+//! that runs a branch is backpressured on its output. A 16×16 job on
+//! the Fig 4 net builds 150 components instead of 234, and
+//! `forkjoin_burst` reads 1.21× the jobs/s (higher in 10 of 10
+//! alternating pairs; ROADMAP has the runs).
 //!
 //! Faults are **per stage** at either grain: each stage runs under its
 //! own [`FailurePolicy`], a `DeadLetter`-diverted record carries the

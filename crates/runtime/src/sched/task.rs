@@ -489,9 +489,10 @@ fn run_task(
 
 /// Cooperative backpressure: stop consuming while the mailbox the
 /// component's boxes and filters write to is at or over its limit
-/// ([`Component::held_back_by`]; pure dispatchers are exempt: their
-/// work per record is trivial and they feed many outputs), and register
-/// there for the drain that takes it under.
+/// ([`Component::held_back_by`]; pure dispatchers, which run no box or
+/// filter, are exempt: their work per record is trivial and they feed
+/// many outputs), and register there for the drain that takes it
+/// under.
 fn output_backpressured(task: &Arc<Task>, state: &State) -> bool {
     match state {
         State::Live(comp) => comp.held_back_by().is_some_and(|out| out.holds_back(task)),

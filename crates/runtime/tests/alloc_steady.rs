@@ -267,22 +267,47 @@ fn floor_allocs(net: &SchedNet, job: impl Fn() -> Vec<Record>, expect_outputs: u
 
 const DEPTH: i64 = 32;
 
-/// Allocations per star unfolding: a depth-32 job against a depth-0 job
-/// on the same warm net. The records carry only `<n>`, so they bypass
-/// `inc` through `[]` whatever its width — `inc` is there to be
-/// instantiated, not to run.
-fn allocs_per_unfolding(width: usize) -> u64 {
-    let net = SchedNet::with_config(
-        countdown_star(width),
+/// The floor of `job` over `NETS` nets built by `net`, each warmed up
+/// on `job` first. One net can settle into handing a retired buffer to
+/// the other thread's freelist on every job, so that all of its runs
+/// read one allocation high; on one core about one net in three does
+/// so for a job that unfolds nothing. Each side of a difference is
+/// therefore the floor over nets of its own, not one net's reading: the
+/// least of differences would pick whichever net read its flat side
+/// high.
+fn warm_floor(net: impl Fn() -> SchedNet, job: impl Fn() -> Vec<Record>, outputs: usize) -> u64 {
+    (0..NETS)
+        .map(|_| {
+            let net = net();
+            floor_allocs(&net, &job, outputs); // warm-up
+            floor_allocs(&net, &job, outputs)
+        })
+        .min()
+        .expect("at least one net")
+}
+
+const NETS: usize = 8;
+
+/// A one-worker net running `spec`.
+fn one_worker(spec: NetSpec) -> SchedNet {
+    SchedNet::with_config(
+        spec,
         EngineConfig {
             workers: 1,
             ..EngineConfig::default()
         },
-    );
+    )
+}
+
+/// Allocations per star unfolding: a depth-32 job against a depth-0
+/// job, each side on warm nets of its own (`warm_floor`). The records
+/// carry only `<n>`, so they bypass `inc` through `[]` whatever its
+/// width — `inc` is there to be instantiated, not to run.
+fn allocs_per_unfolding(width: usize) -> u64 {
+    let net = || one_worker(countdown_star(width));
     let job = |n: i64| move || vec![Record::new().with_tag("n", n)];
-    floor_allocs(&net, job(DEPTH), 1); // warm-up
-    let deep = floor_allocs(&net, job(DEPTH), 1);
-    let flat = floor_allocs(&net, job(0), 1);
+    let deep = warm_floor(net, job(DEPTH), 1);
+    let flat = warm_floor(net, job(0), 1);
     eprintln!("star, inc width {width}: depth {DEPTH} = {deep} allocs, depth 0 = {flat}");
     deep - flat
 }
@@ -290,13 +315,7 @@ fn allocs_per_unfolding(width: usize) -> u64 {
 /// Allocations per split replica of `inc ! <k>`: 33 records with 33
 /// index values against 33 records with one.
 fn allocs_per_replica(width: usize) -> u64 {
-    let net = SchedNet::with_config(
-        NetSpec::split(wide_inc(width), "k"),
-        EngineConfig {
-            workers: 1,
-            ..EngineConfig::default()
-        },
-    );
+    let net = || one_worker(NetSpec::split(wide_inc(width), "k"));
     let job = |distinct: bool| {
         move || {
             (0..=DEPTH)
@@ -305,9 +324,8 @@ fn allocs_per_replica(width: usize) -> u64 {
         }
     };
     let n = DEPTH as usize + 1;
-    floor_allocs(&net, job(true), n); // warm-up
-    let many = floor_allocs(&net, job(true), n);
-    let one = floor_allocs(&net, job(false), n);
+    let many = warm_floor(net, job(true), n);
+    let one = warm_floor(net, job(false), n);
     eprintln!("split, inc width {width}: {n} replicas = {many} allocs, 1 replica = {one}");
     many - one
 }
@@ -328,10 +346,11 @@ fn unfolding_allocates_per_task_not_per_spec() {
     let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
     let depth = DEPTH as u64;
 
-    // Five tasks per unfolding (the next tap, the filter, the parallel
-    // dispatcher and its two branches) plus the dispatcher's port list.
-    // The engine used to deep-copy every spec in the body, and the body
-    // itself once more per tap: 39.
+    // Three tasks per unfolding (the next tap, the filter, and the
+    // parallel dispatcher, which runs both its one-leaf branches
+    // itself) plus the dispatcher's branch list. The engine used to
+    // deep-copy every spec in the body, and the body itself once more
+    // per tap: 39.
     let narrow = steadiest(|| allocs_per_unfolding(1));
     assert!(
         narrow <= 10 * depth,

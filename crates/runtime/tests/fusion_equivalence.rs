@@ -411,6 +411,29 @@ fn the_plan_shows_in_the_trace() {
 }
 
 #[test]
+fn a_parallel_runs_its_chain_branches() {
+    // `(add | dup) .. tag`: fused, the dispatcher runs both one-box
+    // branches itself, so the net is the parallel and the filter; as
+    // written, each box is a component of its own.
+    fn built(config: EngineConfig) -> u64 {
+        let net = NetSpec::serial(NetSpec::parallel(vec![add_box(), dup_box()]), tag_filter());
+        let batch = vec![Record::new()
+            .with_field("a", Value::Int(1))
+            .with_tag("n", 2)];
+        let (outs, trace) = SchedNet::with_config(net, config)
+            .run_batch_traced(batch)
+            .unwrap();
+        assert_eq!(outs.len(), 1);
+        assert_eq!(trace.get(&trace.dispatched), 1);
+        let built = trace.get(&trace.components_built);
+        assert_eq!(trace.get(&trace.components_finalized), built);
+        built
+    }
+    assert_eq!(built(fused_cfg()), 2);
+    assert_eq!(built(unfused_cfg()), 4);
+}
+
+#[test]
 fn a_fused_tap_is_the_whole_replica() {
     // `countdown_star`'s body is one filter: fused, the star is one
     // loop running it, whatever the depth; as written, a replica is the
@@ -539,6 +562,83 @@ fn semantic_counters(trace: &Trace) -> [u64; 12] {
     .map(|counter| trace.get(counter))
 }
 
+/// A chain for a parallel branch: 1–4 leaves, among them the ones that
+/// fork (`dup`, `fork_filter`), divert (`flaky_add`) and pass on (`[]`).
+fn arb_branch_chain() -> impl Strategy<Value = NetSpec> {
+    let leaf = prop_oneof![
+        siso_leaf(),
+        Just(fork_filter()),
+        Just(NetSpec::identity()),
+        (0u64..1024).prop_map(flaky_add),
+    ];
+    prop::collection::vec(leaf, 1..5).prop_map(NetSpec::pipeline)
+}
+
+/// `[{a}, {b}]`: a synchrocell joining the first `{a}` and `{b}` it is
+/// handed.
+fn sync_ab() -> NetSpec {
+    NetSpec::Sync(SyncSpec::new(vec![
+        Pattern::from_variant(Variant::parse_labels(&["a"], &[])),
+        Pattern::from_variant(Variant::parse_labels(&["b"], &[])),
+    ]))
+}
+
+/// A parallel branch that is not one chain: a split, a nested parallel
+/// of chains, or (with `sync`) a synchrocell, alone or before a chain.
+fn arb_port_branch(sync: bool) -> BoxedStrategy<NetSpec> {
+    let split = arb_chain().prop_map(|body| NetSpec::split(body, "k"));
+    let nested = prop::collection::vec(arb_branch_chain(), 2..4).prop_map(NetSpec::parallel);
+    if !sync {
+        return BoxedStrategy::new(prop_oneof![split, nested]);
+    }
+    let cell = prop::option::of(arb_chain()).prop_map(|rest| match rest {
+        Some(rest) => NetSpec::serial(sync_ab(), rest),
+        None => sync_ab(),
+    });
+    BoxedStrategy::new(prop_oneof![split, nested, cell])
+}
+
+/// A parallel of 2–3 branches, at least one of them a chain.
+fn arb_par_of(sync: bool) -> impl Strategy<Value = NetSpec> {
+    let branch = prop_oneof![arb_branch_chain(), arb_port_branch(sync)];
+    (
+        arb_branch_chain(),
+        prop::collection::vec(branch, 1..3),
+        0usize..3,
+    )
+        .prop_map(|(chain, mut branches, at)| {
+            branches.insert(at.min(branches.len()), chain);
+            NetSpec::parallel(branches)
+        })
+}
+
+/// `arb_par_of`, alone or before the countdown inside `countdown_loop`
+/// (the shape of Fig 4's solver and of `bench_unfold`'s star). A
+/// synchrocell is only drawn outside the loop: inside, a replica's cell
+/// would join records in the order the branches before it merged them,
+/// and that order is the scheduler's.
+fn arb_par() -> impl Strategy<Value = NetSpec> {
+    prop_oneof![
+        arb_par_of(true),
+        arb_par_of(false).prop_map(|par| countdown_loop(NetSpec::serial(par, dec_filter()))),
+    ]
+}
+
+/// How many branches the plan's parallels run themselves.
+fn inline_branches(node: &Node) -> usize {
+    match node {
+        Node::Chain(_) | Node::Sync(_) => 0,
+        Node::Serial(a, b) => inline_branches(a) + inline_branches(b),
+        Node::Par(par) => {
+            let here = par.inline.iter().filter(|&&inline| inline).count();
+            here + par.branches.iter().map(inline_branches).sum::<usize>()
+        }
+        Node::Star(star) => star.body.iter().map(inline_branches).sum(),
+        Node::Split(split) => inline_branches(&split.body),
+        Node::At { body, .. } => inline_branches(body),
+    }
+}
+
 fn dead_multiset(dead: &[DeadLetter]) -> Vec<String> {
     let mut v: Vec<String> = dead
         .iter()
@@ -559,6 +659,47 @@ proptest! {
         let plan = snet_core::fuse(&net);
         let Node::Star(star) = &plan else { panic!("a star: {plan:?}") };
         prop_assert!(star.head.is_some(), "the tap takes the body's chain: {:?}", plan);
+
+        let oracle = Interp::new(&net).run_batch(batch.clone()).unwrap();
+        let fused = SchedNet::with_config(net.clone(), fused_cfg())
+            .run_batch_report(batch.clone())
+            .unwrap();
+        let unfused = SchedNet::with_config(net.clone(), unfused_cfg())
+            .run_batch_report(batch.clone())
+            .unwrap();
+        let one_by_one = SchedNet::with_config(net, record_at_a_time_cfg())
+            .run_batch_report(batch)
+            .unwrap();
+        let counters = semantic_counters(&unfused.trace);
+        prop_assert_eq!(counters[1], oracle.work.ops);
+        for (engine, report) in [
+            ("fused", &fused),
+            ("unfused", &unfused),
+            ("fused, batch 1", &one_by_one),
+        ] {
+            prop_assert_eq!(
+                multiset(&report.outputs),
+                multiset(&oracle.outputs),
+                "{}: outputs", engine
+            );
+            prop_assert_eq!(
+                dead_multiset(&report.dead_letters),
+                dead_multiset(&oracle.dead_letters),
+                "{}: dead letters", engine
+            );
+            prop_assert_eq!(semantic_counters(&report.trace), counters, "{}: trace", engine);
+        }
+    }
+
+    #[test]
+    fn a_parallel_running_its_chain_branches_is_the_net_as_written(
+        net in arb_par(),
+        batch in prop::collection::vec(arb_record(), 0..12),
+    ) {
+        let plan = snet_core::fuse(&net);
+        prop_assert!(inline_branches(&plan) > 0, "a branch runs inline: {:?}", plan);
+        let plain = snet_core::fusion::compile(&net, false);
+        prop_assert_eq!(inline_branches(&plain), 0, "unfused, none does: {:?}", plain);
 
         let oracle = Interp::new(&net).run_batch(batch.clone()).unwrap();
         let fused = SchedNet::with_config(net.clone(), fused_cfg())

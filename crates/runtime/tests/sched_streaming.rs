@@ -266,9 +266,10 @@ fn slow_consumer_bounds_resident_records() {
 /// mailbox passes its high-water mark, so the entry mailbox fills and
 /// `try_send` stays `Full` after a few dozen records — the bound a
 /// component's `held_back_by` port sets. Opened, the gate lets every
-/// record through. Two upstreams: an unfused `fast` (a chain), and a
+/// record through. Three upstreams: an unfused `fast` (a chain); a
 /// fused `([{<n>} -> {<n -= 1>}] .. fast) * {<n> == 0}` (a star whose
-/// body is one chain, so one component that loops), fed `<n> = 1`.
+/// body is one chain, so one component that loops), fed `<n> = 1`; and
+/// a fused `(fast | [])` (a parallel that runs both branches itself).
 #[test]
 fn a_stalled_stage_holds_back_the_stage_feeding_it() {
     let x = |i: i64| Record::new().with_field("x", Value::Int(i));
@@ -286,6 +287,8 @@ fn a_stalled_stage_holds_back_the_stage_feeding_it() {
     );
     let looped = NetSpec::star(NetSpec::serial(dec, int_box("fast", |x| x + 1)), exit);
     held_back_by_a_stalled_gate(looped, true, move |i| x(i).with_tag("n", 1));
+    let par = NetSpec::parallel(vec![int_box("fast", |x| x + 1), NetSpec::identity()]);
+    held_back_by_a_stalled_gate(par, true, x);
 }
 
 /// Streams `rec(0), rec(1), …` through `upstream .. gate` with the gate
