@@ -168,14 +168,18 @@ impl TagExpr {
     }
 }
 
+/// S-Net source, re-parsing to itself: binary operations are
+/// parenthesized, and a negative constant prints as the negation it
+/// re-parses to (the lexer has no negative literals).
 impl fmt::Display for TagExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            TagExpr::Const(c) if *c < 0 => write!(f, "-({})", c.unsigned_abs()),
             TagExpr::Const(c) => write!(f, "{c}"),
             TagExpr::Tag(l) => write!(f, "<{l}>"),
             TagExpr::Unary(op, e) => match op {
-                UnOp::Neg => write!(f, "(-{e})"),
-                UnOp::Not => write!(f, "(!{e})"),
+                UnOp::Neg => write!(f, "-({e})"),
+                UnOp::Not => write!(f, "!({e})"),
                 UnOp::Abs => write!(f, "abs({e})"),
             },
             TagExpr::Bin(op, a, b) => {
@@ -286,5 +290,13 @@ mod tests {
     fn display_round_readable() {
         let e = TagExpr::bin(BinOp::Eq, TagExpr::tag("tasks"), TagExpr::tag("cnt"));
         assert_eq!(e.to_string(), "(<tasks> == <cnt>)");
+    }
+
+    #[test]
+    fn negative_and_unary_forms_print_as_source() {
+        let a = || Box::new(TagExpr::tag("a"));
+        assert_eq!(TagExpr::Const(-3).to_string(), "-(3)");
+        assert_eq!(TagExpr::Unary(UnOp::Neg, a()).to_string(), "-(<a>)");
+        assert_eq!(TagExpr::Unary(UnOp::Not, a()).to_string(), "!(<a>)");
     }
 }

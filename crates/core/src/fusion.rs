@@ -17,8 +17,7 @@
 //! treats as the compiler's business over one execution model; it
 //! changes how many components a run builds and how many hand-offs a
 //! record makes, and selects no code path. A star is still a boundary,
-//! but fused, its tap owns the body's leading chain
-//! ([`StarNode::head`]); when that chain is the whole body, every
+//! but fused, a star whose body is one chain is a [`Node::Loop`]: every
 //! replica would run the same stateless chain, and the engine runs the
 //! star as one component that loops through it, building no replica at
 //! all. A parallel is a boundary as well, but fused, a branch that is
@@ -92,8 +91,11 @@ pub enum Node {
     Serial(Box<Node>, Box<Node>),
     /// `A | B | …`.
     Par(Arc<ParNode>),
-    /// `A * exit`.
+    /// `A * exit`: a tap per replica, each built on demand.
     Star(Arc<StarNode>),
+    /// `A * exit` with `fuse` on, where `A` compiles to one chain: one
+    /// component that loops through it.
+    Loop(Arc<LoopNode>),
     /// `A ! <tag>`.
     Split(Arc<SplitNode>),
     /// `A @ node`: `body`, placed. Not a component — instantiating it
@@ -122,20 +124,26 @@ pub struct ParNode {
     pub inline: Vec<bool>,
 }
 
-/// A compiled serial replication.
+/// A compiled serial replication, unfolded a replica at a time.
 #[derive(Debug)]
 #[non_exhaustive]
 pub struct StarNode {
     /// Exit pattern, checked before every replica.
     pub exit: Pattern,
-    /// With `fuse` on, the body's leading chain, if its spine starts
-    /// with one: each tap runs it on every record that stays in. If it
-    /// is the whole body (no [`body`](Self::body) left), the engine
-    /// runs the star as one component that loops through it instead.
-    pub head: Option<Arc<[ChainStage]>>,
-    /// The rest of the body, built per replica behind a tap; `None` if
-    /// the head was all of it, and then no replica is ever built.
-    pub body: Option<Node>,
+    /// The body, built per replica behind a tap.
+    pub body: Node,
+}
+
+/// A compiled serial replication whose body is one chain: every
+/// replica would run the same stateless stages, so no replica is ever
+/// built.
+#[derive(Debug)]
+#[non_exhaustive]
+pub struct LoopNode {
+    /// Exit pattern, checked before every round.
+    pub exit: Pattern,
+    /// The whole body, run once per round.
+    pub stages: Arc<[ChainStage]>,
 }
 
 /// A compiled parallel replication.
@@ -175,10 +183,9 @@ pub fn fuse(spec: &NetSpec) -> Node {
 ///   [`NetSpec::Star`], [`NetSpec::Split`], [`NetSpec::At`]) is a
 ///   fusion **boundary**: it ends the run before it, and its
 ///   body/branches are compiled recursively;
-/// * with `fuse` on, a star whose compiled body starts with a chain
-///   hands that chain to its tap ([`StarNode::head`]), or, if the chain
-///   is the whole body, to the loop the engine runs the star as;
-///   nothing outside the star joins it;
+/// * with `fuse` on, a star whose compiled body is one chain becomes a
+///   [`Node::Loop`] through that chain; nothing outside the star joins
+///   it, and any other body is built per replica ([`Node::Star`]);
 /// * with `fuse` on, every parallel branch whose compiled form is one
 ///   chain is marked ([`ParNode::inline`]): the dispatcher runs it on
 ///   the records it dispatches there. The branch keeps its chain and
@@ -189,23 +196,14 @@ pub fn fuse(spec: &NetSpec) -> Node {
 /// counters, same fault attribution (see the `fusion_equivalence`
 /// property suite).
 pub fn compile(spec: &NetSpec, fuse: bool) -> Node {
-    serial(compile_spine(spec, fuse)).expect("every topology has at least one element")
-}
-
-/// The compiled serial spine of `spec`, in pipeline order.
-fn compile_spine(spec: &NetSpec, fuse: bool) -> Vec<Node> {
     let mut spine = Vec::new();
     let mut run = Vec::new();
     walk(spec, fuse, &mut run, &mut spine);
     flush_run(&mut run, &mut spine);
     spine
-}
-
-/// Composes compiled elements in series; `None` for no element.
-fn serial(spine: impl IntoIterator<Item = Node>) -> Option<Node> {
-    spine
         .into_iter()
         .reduce(|a, b| Node::Serial(Box::new(a), Box::new(b)))
+        .expect("every topology has at least one element")
 }
 
 /// Appends the serial spine of `spec` to `spine`: leaves join the open
@@ -233,16 +231,11 @@ fn walk(spec: &NetSpec, fuse: bool, run: &mut Vec<ChainStage>, spine: &mut Vec<N
             }))
         }
         NetSpec::Star { body, exit, .. } => {
-            let mut body = compile_spine(body, fuse).into_iter().peekable();
-            let head = match body.next_if(|first| fuse && matches!(first, Node::Chain(_))) {
-                Some(Node::Chain(stages)) => Some(stages),
-                _ => None,
-            };
-            Node::Star(Arc::new(StarNode {
-                exit: exit.clone(),
-                head,
-                body: serial(body),
-            }))
+            let exit = exit.clone();
+            match compile(body, fuse) {
+                Node::Chain(stages) if fuse => Node::Loop(Arc::new(LoopNode { exit, stages })),
+                body => Node::Star(Arc::new(StarNode { exit, body })),
+            }
         }
         NetSpec::Split { body, tag, placed } => Node::Split(Arc::new(SplitNode {
             body: compile(body, fuse),
@@ -259,7 +252,7 @@ fn walk(spec: &NetSpec, fuse: bool, run: &mut Vec<ChainStage>, spine: &mut Vec<N
 }
 
 /// Adds a leaf to the open run; unfused, the run ends with it. Beside
-/// a star's head and a parallel's inline branches, this is the one
+/// a star's loop and a parallel's inline branches, this is the one
 /// place `fuse` is read.
 fn leaf(stage: ChainStage, fuse: bool, run: &mut Vec<ChainStage>, spine: &mut Vec<Node>) {
     run.push(stage);
@@ -561,11 +554,8 @@ mod tests {
             Node::Sync(_) => vec![],
             Node::Serial(a, b) => [chain_lengths(a), chain_lengths(b)].concat(),
             Node::Par(par) => par.branches.iter().flat_map(chain_lengths).collect(),
-            Node::Star(star) => {
-                let head = star.head.iter().map(|stages| stages.len());
-                head.chain(star.body.iter().flat_map(chain_lengths))
-                    .collect()
-            }
+            Node::Star(star) => chain_lengths(&star.body),
+            Node::Loop(lp) => vec![lp.stages.len()],
             Node::Split(split) => chain_lengths(&split.body),
             Node::At { body, .. } => chain_lengths(body),
         }
@@ -612,12 +602,11 @@ mod tests {
 
     #[test]
     fn boundaries_fuse_their_bodies() {
-        let star = star(
-            &NetSpec::star(NetSpec::serial(inc("s1"), inc("s2")), pattern("z")),
-            true,
-        );
-        assert_eq!(star.head.as_deref().map(names), Some(vec!["s1", "s2"]));
-        assert!(star.body.is_none(), "{star:?}");
+        let star = NetSpec::star(NetSpec::serial(inc("s1"), inc("s2")), pattern("z"));
+        let Node::Loop(lp) = fuse(&star) else {
+            panic!("a star whose body is one chain loops")
+        };
+        assert_eq!(names(&lp.stages), ["s1", "s2"]);
 
         let split = NetSpec::split(NetSpec::serial(inc("p"), inc("q")), "k");
         let Node::Split(split) = fuse(&split) else {
@@ -697,34 +686,33 @@ mod tests {
         let Node::Star(star) = elems[3] else {
             panic!("star keeps its place: {plain:?}")
         };
-        assert!(star.head.is_none(), "{star:?}");
-        let body = star.body.as_ref().expect("the body as written");
-        assert_eq!(spine(body).len(), 2);
+        assert_eq!(spine(&star.body).len(), 2, "the body as written");
     }
 
     #[test]
-    fn a_fused_tap_owns_its_bodys_leading_chain() {
+    fn a_fused_star_loops_only_when_its_body_is_one_chain() {
         let dec = || NetSpec::Filter(FilterSpec::identity());
-        // Head only: `dec * exit` is one tap per replica.
+        // One chain: `dec * exit` loops through it.
         let only = NetSpec::star(dec(), pattern("z"));
-        let fused = star(&only, true);
-        assert_eq!(fused.head.as_deref().map(names), Some(vec!["[]"]));
-        assert!(fused.body.is_none(), "{fused:?}");
-        // Head and rest: `(dec .. inc .. sync) * exit`.
+        let Node::Loop(lp) = fuse(&only) else {
+            panic!("a one-chain body loops")
+        };
+        assert_eq!(names(&lp.stages), ["[]"]);
+        // A chain and more: `(dec .. inc .. sync) * exit` keeps its
+        // taps, and the chain leads the body each replica builds.
         let rest = NetSpec::star(
             NetSpec::pipeline([dec(), inc("i"), sync_ab()]),
             pattern("z"),
         );
         let fused = star(&rest, true);
-        assert_eq!(fused.head.as_deref().map(names), Some(vec!["[]", "i"]));
-        assert!(matches!(fused.body, Some(Node::Sync(_))), "{fused:?}");
-        // Unfused, the tap runs nothing and the body is as written.
-        let plain = star(&only, false);
-        assert!(plain.head.is_none());
-        assert_eq!(plain.body.as_ref().and_then(chain), Some(vec!["[]"]));
-        let plain = star(&rest, false);
-        assert!(plain.head.is_none());
-        assert_eq!(plain.body.as_ref().map(|b| spine(b).len()), Some(3));
+        let [head, cell] = spine(&fused.body)[..] else {
+            panic!("expected chain .. sync: {fused:?}")
+        };
+        assert_eq!(chain(head), Some(vec!["[]", "i"]));
+        assert!(matches!(cell, Node::Sync(_)), "{fused:?}");
+        // Unfused, both are taps over the body as written.
+        assert_eq!(chain(&star(&only, false).body), Some(vec!["[]"]));
+        assert_eq!(spine(&star(&rest, false).body).len(), 3);
     }
 
     #[test]
@@ -772,10 +760,8 @@ mod tests {
         for body in [merger, solver, countdown] {
             let written = compile(&body, true);
             let fused = star(&NetSpec::star(body, pattern("z")), true);
-            assert!(fused.head.is_none(), "{fused:?}");
-            let fused_body = fused.body.as_ref().expect("the whole body");
-            assert_eq!(chain_lengths(fused_body), chain_lengths(&written));
-            assert_eq!(spine(fused_body).len(), spine(&written).len());
+            assert_eq!(chain_lengths(&fused.body), chain_lengths(&written));
+            assert_eq!(spine(&fused.body).len(), spine(&written).len());
         }
     }
 

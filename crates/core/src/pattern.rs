@@ -78,12 +78,26 @@ impl Pattern {
     }
 }
 
+/// S-Net source: `{labels…, guard}`, re-parsing to the same pattern.
 impl fmt::Display for Pattern {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.guard {
-            None => write!(f, "{}", self.variant),
-            Some(g) => write!(f, "{} if {}", self.variant, g),
+        let mut sep = "";
+        write!(f, "{{")?;
+        for l in self.variant.fields() {
+            write!(f, "{sep}{l}")?;
+            sep = ", ";
         }
+        for l in self.variant.tags() {
+            write!(f, "{sep}<{l}>")?;
+            sep = ", ";
+        }
+        match &self.guard {
+            // A bare `<t>` would re-parse as a tag label.
+            Some(g @ TagExpr::Tag(_)) => write!(f, "{sep}({g})")?,
+            Some(g) => write!(f, "{sep}{g}")?,
+            None => {}
+        }
+        write!(f, "}}")
     }
 }
 
@@ -135,5 +149,15 @@ mod tests {
             .with_field("pic", crate::value::Value::Unit)
             .with_tag("cnt", 2);
         assert_eq!(p.match_score(&rec), Some(2)); // pic + <cnt>
+    }
+
+    #[test]
+    fn prints_as_source() {
+        let zero = TagExpr::bin(BinOp::Eq, TagExpr::tag("n"), TagExpr::Const(0));
+        let p = Pattern::guarded(Variant::parse_labels(&["x"], &["n"]), zero);
+        assert_eq!(p.to_string(), "{x, <n>, (<n> == 0)}");
+        let bare = Pattern::guarded(Variant::empty(), TagExpr::tag("t"));
+        assert_eq!(bare.to_string(), "{<t>, (<t>)}");
+        assert_eq!(Pattern::any().to_string(), "{}");
     }
 }

@@ -21,7 +21,7 @@ use crate::filter::FilterSpec;
 use crate::label::Label;
 use crate::pattern::Pattern;
 use crate::sync::SyncSpec;
-use std::fmt;
+use std::fmt::{self, Display};
 
 /// A network expression.
 #[derive(Clone, Debug)]
@@ -247,13 +247,23 @@ impl NetSpec {
     }
 }
 
+/// The network expression as S-Net source. Formatter flags reach every
+/// subnet: `{}` prints a [`NetSpec::Named`] subnet by its name, and
+/// `{:#}` prints its body in its place, so that the text is a program
+/// needing no declaration beyond its boxes'.
 impl fmt::Display for NetSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            NetSpec::Box(b) => write!(f, "{}", b.sig.name),
+            NetSpec::Box(b) => f.write_str(&b.sig.name),
             NetSpec::Filter(spec) => write!(f, "{spec}"),
             NetSpec::Sync(spec) => write!(f, "{spec}"),
-            NetSpec::Serial(a, b) => write!(f, "({a} .. {b})"),
+            NetSpec::Serial(a, b) => {
+                write!(f, "(")?;
+                a.fmt(f)?;
+                write!(f, " .. ")?;
+                b.fmt(f)?;
+                write!(f, ")")
+            }
             NetSpec::Parallel { branches, det } => {
                 let sep = if *det { " || " } else { " | " };
                 write!(f, "(")?;
@@ -261,20 +271,33 @@ impl fmt::Display for NetSpec {
                     if i > 0 {
                         write!(f, "{sep}")?;
                     }
-                    write!(f, "{b}")?;
+                    b.fmt(f)?;
                 }
                 write!(f, ")")
             }
             NetSpec::Star { body, exit, det } => {
-                write!(f, "({body}){}{}", if *det { "**" } else { "*" }, exit)
+                parenthesized(body, f)?;
+                write!(f, "{}{exit}", if *det { "**" } else { "*" })
             }
             NetSpec::Split { body, tag, placed } => {
-                write!(f, "({body})!{}<{tag}>", if *placed { "@" } else { "" })
+                parenthesized(body, f)?;
+                write!(f, "!{}<{tag}>", if *placed { "@" } else { "" })
             }
-            NetSpec::At { body, node } => write!(f, "({body})@{node}"),
-            NetSpec::Named { name, .. } => write!(f, "{name}"),
+            NetSpec::At { body, node } => {
+                parenthesized(body, f)?;
+                write!(f, "@{node}")
+            }
+            NetSpec::Named { body, .. } if f.alternate() => body.fmt(f),
+            NetSpec::Named { name, .. } => f.write_str(name),
         }
     }
+}
+
+/// `(net)`, the formatter's flags passed on.
+fn parenthesized(net: &NetSpec, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    write!(f, "(")?;
+    net.fmt(f)?;
+    write!(f, ")")
 }
 
 #[cfg(test)]
@@ -311,6 +334,16 @@ mod tests {
         assert!(s.contains("splitter"));
         assert!(s.contains("(solver)!@<node>"));
         assert!(s.contains("merger"));
+    }
+
+    #[test]
+    fn alternate_display_prints_named_subnets_inline() {
+        let net = NetSpec::serial(
+            NetSpec::named("m", NetSpec::identity()),
+            NetSpec::identity(),
+        );
+        assert_eq!(format!("{net}"), "(m .. [])");
+        assert_eq!(format!("{net:#}"), "([] .. [])");
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Abstract syntax of the S-Net language.
 //!
-//! The AST reuses `snet_core::TagExpr` for tag expressions so that the
-//! compiler does not need a translation step for them. Every node
-//! implements `Display`, producing parseable S-Net source again — the
-//! property tests assert `parse ∘ print = id`.
+//! What the [parser](crate::parser) produces and
+//! [`compile`](mod@crate::compile) consumes. The AST reuses
+//! `snet_core::TagExpr` for tag expressions so that the compiler does
+//! not need a translation step for them. It has no printer of its own:
+//! source is printed from the compiled `snet_core::NetSpec`
+//! ([`crate::printer`]), and the round-trip property
+//! (`tests/roundtrip.rs`) runs through that.
 
 use snet_core::TagExpr;
-use std::fmt;
 
 /// A complete program: declarations plus a top-level network expression.
 #[derive(Clone, Debug, PartialEq)]
@@ -34,15 +36,6 @@ pub enum SigItem {
     Tag(String),
 }
 
-impl fmt::Display for SigItem {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SigItem::Field(n) => write!(f, "{n}"),
-            SigItem::Tag(n) => write!(f, "<{n}>"),
-        }
-    }
-}
-
 /// A box declaration.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BoxDecl {
@@ -63,7 +56,7 @@ pub struct NetSigMap {
 #[derive(Clone, Debug, PartialEq)]
 pub struct NetDef {
     pub name: String,
-    /// Optional declared signature (informational; printed back, never checked).
+    /// Optional declared signature (informational; never checked).
     pub sig: Vec<NetSigMap>,
     /// Local declarations visible in `body`.
     pub items: Vec<Item>,
@@ -79,33 +72,6 @@ pub struct PatternAst {
     pub guards: Vec<TagExpr>,
 }
 
-impl fmt::Display for PatternAst {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{{")?;
-        let mut first = true;
-        let mut sep = |f: &mut fmt::Formatter<'_>| -> fmt::Result {
-            if !first {
-                write!(f, ", ")?;
-            }
-            first = false;
-            Ok(())
-        };
-        for n in &self.fields {
-            sep(f)?;
-            write!(f, "{n}")?;
-        }
-        for n in &self.tags {
-            sep(f)?;
-            write!(f, "<{n}>")?;
-        }
-        for g in &self.guards {
-            sep(f)?;
-            write!(f, "{g}")?;
-        }
-        write!(f, "}}")
-    }
-}
-
 /// One item of a filter output template.
 #[derive(Clone, Debug, PartialEq)]
 pub enum OutItemAst {
@@ -113,23 +79,6 @@ pub enum OutItemAst {
     Field { dst: String, src: String },
     /// `{<t = expr>}` (or `{<t>}` for a copy).
     Tag { dst: String, expr: TagExpr },
-}
-
-impl fmt::Display for OutItemAst {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            OutItemAst::Field { dst, src } if dst == src => write!(f, "{dst}"),
-            OutItemAst::Field { dst, src } => write!(f, "{dst} = {src}"),
-            OutItemAst::Tag { dst, expr } => {
-                if let TagExpr::Tag(l) = expr {
-                    if l.as_str() == dst {
-                        return write!(f, "<{dst}>");
-                    }
-                }
-                write!(f, "<{dst} = {expr}>")
-            }
-        }
-    }
 }
 
 /// A filter.
@@ -169,145 +118,4 @@ pub enum NetExpr {
         body: Box<NetExpr>,
         node: i64,
     },
-}
-
-fn fmt_sig_items(f: &mut fmt::Formatter<'_>, items: &[SigItem]) -> fmt::Result {
-    write!(f, "(")?;
-    for (i, it) in items.iter().enumerate() {
-        if i > 0 {
-            write!(f, ", ")?;
-        }
-        write!(f, "{it}")?;
-    }
-    write!(f, ")")
-}
-
-impl fmt::Display for BoxDecl {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "box {} (", self.name)?;
-        fmt_sig_items(f, &self.input)?;
-        write!(f, " -> ")?;
-        for (i, out) in self.outputs.iter().enumerate() {
-            if i > 0 {
-                write!(f, " | ")?;
-            }
-            fmt_sig_items(f, out)?;
-        }
-        write!(f, ");")
-    }
-}
-
-impl fmt::Display for NetDef {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "net {}", self.name)?;
-        if !self.sig.is_empty() {
-            write!(f, " (")?;
-            for (i, m) in self.sig.iter().enumerate() {
-                if i > 0 {
-                    write!(f, ", ")?;
-                }
-                fmt_sig_items(f, &m.input)?;
-                write!(f, " -> ")?;
-                for (j, out) in m.outputs.iter().enumerate() {
-                    if j > 0 {
-                        write!(f, " | ")?;
-                    }
-                    fmt_sig_items(f, out)?;
-                }
-            }
-            write!(f, ")")?;
-        }
-        match &self.body {
-            None => write!(f, ";"),
-            Some(body) => {
-                write!(f, " {{ ")?;
-                for item in &self.items {
-                    write!(f, "{item} ")?;
-                }
-                write!(f, "}} connect {body};")
-            }
-        }
-    }
-}
-
-impl fmt::Display for Item {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Item::Box(b) => write!(f, "{b}"),
-            Item::Net(n) => write!(f, "{n}"),
-        }
-    }
-}
-
-impl fmt::Display for FilterAst {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.identity {
-            return write!(f, "[]");
-        }
-        write!(f, "[ {} ->", self.pattern)?;
-        for (i, t) in self.outputs.iter().enumerate() {
-            if i > 0 {
-                write!(f, " ;")?;
-            }
-            write!(f, " {{")?;
-            for (j, item) in t.iter().enumerate() {
-                if j > 0 {
-                    write!(f, ", ")?;
-                }
-                write!(f, "{item}")?;
-            }
-            write!(f, "}}")?;
-        }
-        write!(f, " ]")
-    }
-}
-
-impl fmt::Display for NetExpr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            NetExpr::Ref(n) => write!(f, "{n}"),
-            NetExpr::Filter(x) => write!(f, "{x}"),
-            NetExpr::Sync(ps) => {
-                write!(f, "[| ")?;
-                for (i, p) in ps.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{p}")?;
-                }
-                write!(f, " |]")
-            }
-            NetExpr::Serial(a, b) => write!(f, "({a} .. {b})"),
-            NetExpr::Parallel { branches, det } => {
-                write!(f, "(")?;
-                let sep = if *det { " || " } else { " | " };
-                for (i, b) in branches.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, "{sep}")?;
-                    }
-                    write!(f, "{b}")?;
-                }
-                write!(f, ")")
-            }
-            NetExpr::Star { body, exit, det } => {
-                write!(f, "({body}){}{exit}", if *det { "**" } else { "*" })
-            }
-            NetExpr::Split { body, tag, placed } => {
-                write!(f, "({body})!{}<{tag}>", if *placed { "@" } else { "" })
-            }
-            NetExpr::At { body, node } => write!(f, "({body})@{node}"),
-        }
-    }
-}
-
-impl fmt::Display for Program {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for item in &self.items {
-            writeln!(f, "{item}")?;
-        }
-        if let Some(top) = &self.top {
-            write!(f, "connect {top}")?;
-        }
-        Ok(())
-    }
 }

@@ -7,9 +7,11 @@
 //!
 //! Modules: [`lexer`] → [`token`]s → [`parser`] → [`ast`] →
 //! [`compile`](mod@compile) (against a [`registry`] of box
-//! implementations) → `snet_core::NetSpec`, and [`printer`] back to
-//! source. Static checking of the compiled topology is not done here:
-//! `snet-analyze` is the one checker.
+//! implementations) → `snet_core::NetSpec`. The way back to source is
+//! `snet-core`'s: each of its types' `Display` is the concrete syntax,
+//! and [`printer`] adds the box declarations and the `connect` line
+//! that make a whole program. Static checking of the compiled topology
+//! is not done here: `snet-analyze` is the one checker.
 //!
 //! ```
 //! use snet_lang::{compile, BoxRegistry};

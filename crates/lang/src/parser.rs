@@ -614,6 +614,9 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{compile, expr_source, BoxRegistry};
+    use snet_core::boxdef::{BoxDef, BoxOutput, BoxSig, Work};
+    use snet_core::{NetSpec, Record};
 
     fn top(src: &str) -> NetExpr {
         parse(src).unwrap().top.unwrap()
@@ -646,11 +649,15 @@ mod tests {
     fn paper_fig2_connect_line() {
         let e = top("splitter .. solver!@<node> .. merger .. genImg");
         // ((splitter .. solver!@<node>) .. merger) .. genImg
-        let printed = e.to_string();
-        assert_eq!(
-            printed,
-            "(((splitter .. (solver)!@<node>) .. merger) .. genImg)"
-        );
+        let r = |name: &str| Box::new(NetExpr::Ref(name.into()));
+        let solvers = NetExpr::Split {
+            body: r("solver"),
+            tag: "node".into(),
+            placed: true,
+        };
+        let fork = NetExpr::Serial(r("splitter"), Box::new(solvers));
+        let join = NetExpr::Serial(Box::new(fork), r("merger"));
+        assert_eq!(e, NetExpr::Serial(Box::new(join), r("genImg")));
     }
 
     #[test]
@@ -681,10 +688,10 @@ mod tests {
         let body = net.body.as_ref().unwrap();
         // Outermost is the serial of (init-path | []) with the starred part.
         let NetExpr::Serial(_, starred) = body else {
-            panic!("expected serial: {body}")
+            panic!("expected serial: {body:?}")
         };
         let NetExpr::Star { exit, .. } = &**starred else {
-            panic!("expected star: {starred}")
+            panic!("expected star: {starred:?}")
         };
         assert!(exit.fields.is_empty());
         assert_eq!(exit.guards.len(), 1);
@@ -817,14 +824,26 @@ mod tests {
 
     #[test]
     fn print_parse_round_trip_on_paper_nets() {
+        // Each name is a stub subnet: a box of that name, which prints
+        // as the name.
+        let mut reg = BoxRegistry::new();
+        let names = [
+            "splitter", "solver", "merger", "genImg", "solve", "init", "merge",
+        ];
+        for name in names {
+            let stub = BoxDef::from_fn(BoxSig::parse(name, &[], &[&[]]), |r: &Record| {
+                Ok(BoxOutput::one(r.clone(), Work::ZERO))
+            });
+            reg.register_net(name, NetSpec::Box(stub));
+        }
         for src in [
             "splitter .. solver!@<node> .. merger .. genImg",
             "(( solve .. [ {chunk, <node>} -> {chunk}; {<node>} ])!@<node> | []) .. ([] | [| {sect}, {<node>} |]) * {chunk}",
             "(( init .. [ {} -> {<cnt=1>} ]) | []) .. ([| {pic}, {chunk} |] .. ((merge .. [ {<cnt>} -> {<cnt+=1>} ]) | []))*{<tasks> == <cnt>}",
         ] {
-            let e1 = top(src);
-            let e2 = top(&e1.to_string());
-            assert_eq!(e1, e2, "round trip failed for {src}");
+            let printed = expr_source(&compile(src, &reg).unwrap());
+            let reprinted = expr_source(&compile(&printed, &reg).unwrap());
+            assert_eq!(printed, reprinted, "round trip failed for {src}");
         }
     }
 }

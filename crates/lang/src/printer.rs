@@ -1,22 +1,22 @@
-//! Pretty-printer: topology → S-Net source.
+//! Topology → S-Net source: a complete, re-parseable program for any
+//! [`NetSpec`].
 //!
-//! Emits a complete, re-parseable program for any [`NetSpec`]: box
-//! declarations (recovered from the box signatures in the tree)
-//! followed by a top-level `connect` expression. Together with
-//! [`crate::compile()`] this gives the round-trip property tested in
-//! `tests/roundtrip.rs`:
+//! The text itself is `snet-core`'s: each type's `Display` is its
+//! concrete syntax (`NetSpec`'s alternate form `{:#}` prints named
+//! subnets inline). What this module adds is the program around it —
+//! a declaration per box, recovered from the box signatures in the
+//! tree, and the `connect` line. Together with [`crate::compile()`]
+//! this gives the round-trip property tested in `tests/roundtrip.rs`:
 //!
 //! ```text
 //! to_source ∘ compile ∘ parse ∘ to_source  =  to_source
 //! ```
 //!
-//! Named subnets are inlined (names are descriptive only); box names
-//! are declared once each — reusing one name for two different
-//! signatures is rejected.
+//! Box names are declared once each — reusing one name for two
+//! different signatures is rejected.
 
 use crate::registry::BoxRegistry;
-use snet_core::filter::{FilterSpec, OutItem};
-use snet_core::{NetSpec, Pattern, SnetError, TagExpr};
+use snet_core::{NetSpec, SnetError};
 use std::fmt::Write;
 
 /// Renders a complete program: declarations plus `connect`.
@@ -27,15 +27,13 @@ pub fn to_source(net: &NetSpec) -> Result<String, SnetError> {
     for (_, decl) in &decls {
         let _ = writeln!(out, "{decl}");
     }
-    let _ = write!(out, "connect {}", expr_source(net));
+    let _ = write!(out, "connect {net:#}");
     Ok(out)
 }
 
 /// Renders just the network expression (no declarations).
 pub fn expr_source(net: &NetSpec) -> String {
-    let mut s = String::new();
-    emit(net, &mut s);
-    s
+    format!("{net:#}")
 }
 
 /// Recovers a [`BoxRegistry`] binding every box implementation found in
@@ -68,7 +66,7 @@ fn collect_boxes(net: &NetSpec, decls: &mut Vec<(String, String)>) -> Result<(),
     match net {
         NetSpec::Box(def) => {
             let name = def.sig.name.clone();
-            let rendered = render_box_decl(&def.sig);
+            let rendered = format!("{};", def.sig);
             if let Some((_, existing)) = decls.iter().find(|(n, _)| *n == name) {
                 if *existing != rendered {
                     return Err(SnetError::Check(format!(
@@ -96,233 +94,13 @@ fn collect_boxes(net: &NetSpec, decls: &mut Vec<(String, String)>) -> Result<(),
     }
 }
 
-fn render_box_decl(sig: &snet_core::BoxSig) -> String {
-    fn items(list: &[snet_core::SigItem]) -> String {
-        let parts: Vec<String> = list
-            .iter()
-            .map(|it| match it {
-                snet_core::SigItem::Field(l) => l.to_string(),
-                snet_core::SigItem::Tag(l) => format!("<{l}>"),
-            })
-            .collect();
-        format!("({})", parts.join(", "))
-    }
-    let outs: Vec<String> = sig.outputs.iter().map(|o| items(o)).collect();
-    format!(
-        "box {} ({} -> {});",
-        sig.name,
-        items(&sig.input),
-        outs.join(" | ")
-    )
-}
-
-fn emit(net: &NetSpec, out: &mut String) {
-    match net {
-        NetSpec::Box(def) => out.push_str(&def.sig.name),
-        NetSpec::Filter(f) => emit_filter(f, out),
-        NetSpec::Sync(s) => {
-            out.push_str("[| ");
-            for (i, p) in s.patterns.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                emit_pattern(p, out);
-            }
-            out.push_str(" |]");
-        }
-        NetSpec::Serial(a, b) => {
-            out.push('(');
-            emit(a, out);
-            out.push_str(" .. ");
-            emit(b, out);
-            out.push(')');
-        }
-        NetSpec::Parallel { branches, det } => {
-            out.push('(');
-            let sep = if *det { " || " } else { " | " };
-            for (i, b) in branches.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(sep);
-                }
-                emit(b, out);
-            }
-            out.push(')');
-        }
-        NetSpec::Star { body, exit, det } => {
-            out.push('(');
-            emit(body, out);
-            out.push(')');
-            out.push_str(if *det { " ** " } else { " * " });
-            emit_pattern(exit, out);
-        }
-        NetSpec::Split { body, tag, placed } => {
-            out.push('(');
-            emit(body, out);
-            out.push(')');
-            out.push_str(if *placed { " !@ " } else { " ! " });
-            let _ = write!(out, "<{tag}>");
-        }
-        NetSpec::At { body, node } => {
-            out.push('(');
-            emit(body, out);
-            out.push(')');
-            let _ = write!(out, " @ {node}");
-        }
-        NetSpec::Named { body, .. } => emit(body, out),
-    }
-}
-
-fn emit_pattern(p: &Pattern, out: &mut String) {
-    out.push('{');
-    let mut first = true;
-    let mut sep = |out: &mut String| {
-        if !first {
-            out.push_str(", ");
-        }
-        first = false;
-    };
-    for f in p.variant.fields() {
-        sep(out);
-        let _ = write!(out, "{f}");
-    }
-    for t in p.variant.tags() {
-        sep(out);
-        let _ = write!(out, "<{t}>");
-    }
-    if let Some(g) = &p.guard {
-        sep(out);
-        // A guard that is just `<t>` would re-parse as a tag *label*;
-        // parenthesize so it stays an expression element.
-        if matches!(g, TagExpr::Tag(_)) {
-            out.push('(');
-            emit_expr(g, out);
-            out.push(')');
-        } else {
-            emit_expr(g, out);
-        }
-    }
-    out.push('}');
-}
-
-fn emit_filter(f: &FilterSpec, out: &mut String) {
-    if f.is_identity() {
-        out.push_str("[]");
-        return;
-    }
-    out.push_str("[ ");
-    emit_pattern(&f.pattern, out);
-    out.push_str(" -> ");
-    for (i, template) in f.outputs.iter().enumerate() {
-        if i > 0 {
-            out.push_str(" ; ");
-        }
-        out.push('{');
-        for (j, item) in template.items.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            match item {
-                OutItem::Field { dst, src } if dst == src => {
-                    let _ = write!(out, "{dst}");
-                }
-                OutItem::Field { dst, src } => {
-                    let _ = write!(out, "{dst} = {src}");
-                }
-                OutItem::Tag { dst, expr } => {
-                    if let TagExpr::Tag(src) = expr {
-                        if src == dst {
-                            let _ = write!(out, "<{dst}>");
-                            continue;
-                        }
-                    }
-                    let _ = write!(out, "<{dst} = ");
-                    emit_expr(expr, out);
-                    out.push('>');
-                }
-            }
-        }
-        out.push('}');
-    }
-    out.push_str(" ]");
-}
-
-fn emit_expr(e: &TagExpr, out: &mut String) {
-    use snet_core::{BinOp, UnOp};
-    match e {
-        TagExpr::Const(c) => {
-            // The lexer has no negative literals (`-1` parses as unary
-            // negation), so print negatives in the form they re-parse
-            // to, keeping printing a fixed point.
-            if *c < 0 {
-                let _ = write!(out, "-({})", c.unsigned_abs());
-            } else {
-                let _ = write!(out, "{c}");
-            }
-        }
-        TagExpr::Tag(l) => {
-            let _ = write!(out, "<{l}>");
-        }
-        TagExpr::Unary(op, inner) => {
-            match op {
-                UnOp::Neg => out.push('-'),
-                UnOp::Not => out.push('!'),
-                UnOp::Abs => out.push_str("abs"),
-            }
-            out.push('(');
-            emit_expr(inner, out);
-            out.push(')');
-        }
-        TagExpr::Bin(op, a, b) => {
-            if matches!(op, BinOp::Min | BinOp::Max) {
-                out.push_str(if *op == BinOp::Min { "min" } else { "max" });
-                out.push('(');
-                emit_expr(a, out);
-                out.push_str(", ");
-                emit_expr(b, out);
-                out.push(')');
-                return;
-            }
-            let sym = match op {
-                BinOp::Add => "+",
-                BinOp::Sub => "-",
-                BinOp::Mul => "*",
-                BinOp::Div => "/",
-                BinOp::Mod => "%",
-                BinOp::Eq => "==",
-                BinOp::Ne => "!=",
-                BinOp::Lt => "<",
-                BinOp::Le => "<=",
-                BinOp::Gt => ">",
-                BinOp::Ge => ">=",
-                BinOp::And => "&&",
-                BinOp::Or => "||",
-                BinOp::Min | BinOp::Max => unreachable!("handled above"),
-            };
-            out.push('(');
-            emit_expr(a, out);
-            let _ = write!(out, " {sym} ");
-            emit_expr(b, out);
-            out.push(')');
-        }
-        TagExpr::Cond(c, t, f) => {
-            out.push('(');
-            emit_expr(c, out);
-            out.push_str(" ? ");
-            emit_expr(t, out);
-            out.push_str(" : ");
-            emit_expr(f, out);
-            out.push(')');
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::compile;
     use snet_core::boxdef::{BoxDef, BoxOutput, BoxSig, Work};
     use snet_core::filter::OutputTemplate;
-    use snet_core::{BinOp, Record, SyncSpec, Variant};
+    use snet_core::{BinOp, Pattern, Record, SyncSpec, TagExpr, Variant};
 
     fn a_box(name: &str) -> NetSpec {
         NetSpec::Box(BoxDef::from_fn(

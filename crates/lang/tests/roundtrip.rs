@@ -1,15 +1,16 @@
 //! Property test: printing is a fixed point of print∘parse∘compile.
 //!
 //! For random topologies over the full combinator algebra — boxes,
-//! filters (with tag-expression templates), synchrocells, serial,
-//! (det) parallel, (det) star with guards, (placed) splits, static
-//! placement — the printed program re-parses, re-compiles against the
-//! extracted registry, and prints to the identical string.
+//! filters (with templates over every tag-expression form), synchrocells,
+//! serial, (det) parallel, (det) star with guards, (placed) splits,
+//! static placement, named subnets — the printed program re-parses,
+//! re-compiles against the extracted registry, and prints to the
+//! identical string.
 
 use proptest::prelude::*;
 use snet_core::boxdef::{BoxDef, BoxOutput, BoxSig, Work};
 use snet_core::filter::OutputTemplate;
-use snet_core::{BinOp, FilterSpec, NetSpec, Pattern, Record, SyncSpec, TagExpr, Variant};
+use snet_core::{BinOp, FilterSpec, NetSpec, Pattern, Record, SyncSpec, TagExpr, UnOp, Variant};
 use snet_lang::{compile, extract_registry, to_source};
 
 const FIELDS: [&str; 4] = ["alpha", "beta", "gamma", "delta"];
@@ -33,22 +34,41 @@ fn arb_expr() -> impl Strategy<Value = TagExpr> {
         (-20i64..20).prop_map(TagExpr::Const),
         (0usize..TAGS.len()).prop_map(|i| TagExpr::tag(TAGS[i])),
     ];
-    leaf.prop_recursive(3, 16, 2, |inner| {
-        (
-            prop::sample::select(vec![
-                BinOp::Add,
-                BinOp::Sub,
-                BinOp::Mul,
-                BinOp::Eq,
-                BinOp::Lt,
-                BinOp::Ge,
-                BinOp::And,
-                BinOp::Min,
-            ]),
-            inner.clone(),
-            inner,
-        )
-            .prop_map(|(op, a, b)| TagExpr::bin(op, a, b))
+    leaf.prop_recursive(3, 16, 3, |inner| {
+        prop_oneof![
+            (
+                prop::sample::select(vec![
+                    BinOp::Add,
+                    BinOp::Sub,
+                    BinOp::Mul,
+                    BinOp::Div,
+                    BinOp::Mod,
+                    BinOp::Min,
+                    BinOp::Max,
+                    BinOp::Eq,
+                    BinOp::Ne,
+                    BinOp::Lt,
+                    BinOp::Le,
+                    BinOp::Gt,
+                    BinOp::Ge,
+                    BinOp::And,
+                    BinOp::Or,
+                ]),
+                inner.clone(),
+                inner.clone(),
+            )
+                .prop_map(|(op, a, b)| TagExpr::bin(op, a, b)),
+            (
+                prop::sample::select(vec![UnOp::Neg, UnOp::Not, UnOp::Abs]),
+                inner.clone(),
+            )
+                .prop_map(|(op, e)| TagExpr::Unary(op, Box::new(e))),
+            (inner.clone(), inner.clone(), inner).prop_map(|(c, t, e)| TagExpr::Cond(
+                Box::new(c),
+                Box::new(t),
+                Box::new(e)
+            )),
+        ]
     })
 }
 
@@ -145,7 +165,9 @@ fn arb_net() -> impl Strategy<Value = NetSpec> {
                     placed,
                 }
             }),
-            (inner, 0u32..8).prop_map(|(body, node)| NetSpec::at(body, node)),
+            (inner.clone(), 0u32..8).prop_map(|(body, node)| NetSpec::at(body, node)),
+            // Names are descriptive only: a named subnet prints inline.
+            (inner, 0usize..FIELDS.len()).prop_map(|(body, i)| NetSpec::named(FIELDS[i], body)),
         ]
     })
 }

@@ -40,9 +40,9 @@
 //! * **shared, immutable** (behind `Arc`s in the tree): every chain's
 //!   stage list (its `BoxDef`s and `FilterSpec`s) and every
 //!   [`SyncSpec`]; each parallel node's branch patterns and which of
-//!   its branches it runs itself; each star's exit pattern, the head
-//!   its taps (or its loop) run and the rest of its body; each split's
-//!   body and tag;
+//!   its branches it runs itself; each star's exit pattern and the body
+//!   its taps build (or the chain its loop runs); each split's body and
+//!   tag;
 //! * **per instance** (in `Kind`): one `Arc` pointer into the tree plus
 //!   the instance's own state — output ports, a synchrocell's slots,
 //!   the replicas unfolded so far, a loop's deepest round, a
@@ -68,7 +68,7 @@ use crate::config::EngineConfig;
 use crate::run::Run;
 use crate::trace::Trace;
 use snet_core::fault;
-use snet_core::fusion::{Node, ParNode, SplitNode, StarNode};
+use snet_core::fusion::{LoopNode, Node, ParNode, SplitNode, StarNode};
 use snet_core::pool;
 use snet_core::semantics::{self, MismatchPolicy};
 use snet_core::{
@@ -132,21 +132,19 @@ enum Kind<P> {
     /// record *before* the replica (§III: "the chain is tapped before
     /// every replica"): matching records exit to `out`; the rest enter
     /// a lazily instantiated replica of the body whose output feeds the
-    /// next tap. A tap with a [`StarNode::head`] runs it on the records
-    /// that stay, and `replica` is where its outputs go: the rest of
-    /// the body, feeding the next tap.
+    /// next tap.
     Star {
         node: Arc<StarNode>,
         replica: Option<P>,
     },
-    /// A star whose [`StarNode::head`] is its whole body: every replica
+    /// A star whose body is one chain ([`Node::Loop`]): every replica
     /// would run the same stateless chain, so the unfolded pipeline of
     /// taps is one component that loops. Exits leave on `out` after
-    /// every round; the rest go round the head again. `rounds` is the
+    /// every round; the rest go round the chain again. `rounds` is the
     /// deepest round this instance has run: the replicas the taps would
     /// have unfolded.
     Loop {
-        node: Arc<StarNode>,
+        node: Arc<LoopNode>,
         rounds: u64,
     },
     Split {
@@ -199,13 +197,13 @@ pub fn build<T: Transport>(node: &Node, output: T::Port, run: &Run, t: &mut T) -
                 .collect(),
             node: Arc::clone(par),
         },
-        Node::Star(star) if star.body.is_none() => Kind::Loop {
-            node: Arc::clone(star),
-            rounds: 0,
-        },
         Node::Star(star) => Kind::Star {
             node: Arc::clone(star),
             replica: None,
+        },
+        Node::Loop(lp) => Kind::Loop {
+            node: Arc::clone(lp),
+            rounds: 0,
         },
         Node::Split(split) => Kind::Split {
             node: Arc::clone(split),
@@ -271,7 +269,10 @@ impl<P> Component<P> {
                 Ok(())
             }
             Kind::Par { node, branches } => dispatch(node, branches, out, recs, run, config, t),
-            Kind::Star { node, replica } => tap(node, replica, out, recs, run, config, t),
+            Kind::Star { node, replica } => {
+                tap(node, replica, out, recs, run, t);
+                Ok(())
+            }
             Kind::Loop { node, rounds } => spin(node, rounds, out, recs, run, config, t),
             Kind::Split { node, replicas } => recs.into_iter().try_for_each(|rec| {
                 let Some(value) = rec.tag(node.tag) else {
@@ -347,21 +348,20 @@ impl<P> Component<P> {
 
     /// The port whose backlog holds this component back: the output of
     /// a chain, a loop, a synchrocell or a parallel that runs a branch
-    /// inline, or a head-running tap's replica port. Pure dispatchers
-    /// (trivial work, many outputs) are never held back.
+    /// inline. Pure dispatchers (trivial work, many outputs) are never
+    /// held back.
     pub(crate) fn held_back_by(&self) -> Option<&P> {
         match &self.kind {
             Kind::Chain(_) | Kind::Sync { .. } | Kind::Loop { .. } => Some(&self.out),
             Kind::Par { node, .. } if node.inline.contains(&true) => Some(&self.out),
-            Kind::Star { node, replica } if node.head.is_some() => replica.as_ref(),
             Kind::Star { .. } | Kind::Par { .. } | Kind::Split { .. } => None,
         }
     }
 
     /// A short name for the component instance (the simulator's process
     /// names). A chain is named for what is in it: its one stage, or its
-    /// ends and length; a tap that runs a head, a loop, and a parallel
-    /// that runs branches inline, for those chains.
+    /// ends and length; a loop, and a parallel that runs branches
+    /// inline, for those chains.
     pub fn label(&self) -> String {
         match &self.kind {
             Kind::Chain(stages) => chain_label(stages),
@@ -373,11 +373,8 @@ impl<P> Component<P> {
                     Branch::Port(_) => None,
                 })
                 .fold("par-dispatch".into(), |label, chain| label + "+" + &chain),
-            Kind::Star { node, .. } => match &node.head {
-                Some(head) => format!("star-tap+{}", chain_label(head)),
-                None => "star-tap".into(),
-            },
-            Kind::Loop { node, .. } => format!("star-loop+{}", chain_label(head(node))),
+            Kind::Star { .. } => "star-tap".into(),
+            Kind::Loop { node, .. } => format!("star-loop+{}", chain_label(&node.stages)),
             Kind::Split { .. } => "split-dispatch".into(),
         }
     }
@@ -448,72 +445,48 @@ fn dispatch<T: Transport>(
 }
 
 /// A tap's step over a batch: exits leave on `out`, the first stayer
-/// unfolds the replica, and the stayers go to it — through the head,
-/// if any, in one chain step (the policy, names and tally of the chain
-/// fusion handed the tap). A star whose head is its whole body has no
-/// taps: it is a [`Kind::Loop`] (see [`spin`]).
+/// unfolds the replica, and the stayers go to it. A star whose body is
+/// one chain has no taps: it is a [`Kind::Loop`] (see [`spin`]).
 fn tap<T: Transport>(
     node: &Arc<StarNode>,
     replica: &mut Option<T::Port>,
     out: &mut T::Port,
     recs: impl IntoIterator<Item = Record>,
     run: &Run,
-    config: &EngineConfig,
     t: &mut T,
-) -> Result<(), SnetError> {
-    let mut stayers = node.head.as_ref().map(|_| pool::PooledVec::take());
+) {
     for rec in recs {
         if node.exit.matches(&rec) {
             t.send(out, rec);
-            continue;
+        } else {
+            let port = replica.get_or_insert_with(|| unfold(node, out, run, t));
+            t.send(port, rec);
         }
-        let port = replica.get_or_insert_with(|| unfold(node, out, run, t));
-        match &mut stayers {
-            Some(stayers) => stayers.push(rec),
-            None => t.send(port, rec),
-        }
-    }
-    match (&node.head, stayers, replica) {
-        (Some(head), Some(mut stayers), Some(port)) => {
-            chain_step(head, stayers.drain(..), run, config, |rec| {
-                t.send(port, rec)
-            })
-        }
-        _ => Ok(()),
     }
 }
 
-/// Unfolds one replica behind a tap exiting on `out`: the rest of the
-/// body, feeding the next tap, which shares `out`.
+/// Unfolds one replica behind a tap exiting on `out`: the body,
+/// feeding the next tap, which shares `out`.
 fn unfold<T: Transport>(star: &Arc<StarNode>, out: &T::Port, run: &Run, t: &mut T) -> T::Port {
-    let body = star
-        .body
-        .as_ref()
-        .expect("a star without a body past its head is a loop");
     Trace::add(&run.trace.star_unfoldings, 1);
     let next_tap = Kind::Star {
         node: Arc::clone(star),
         replica: None,
     };
     let next_tap = spawn(next_tap, T::another(out), run, t);
-    build(body, next_tap, run, t)
-}
-
-/// The chain a loop runs: its star's head, which is the whole body.
-fn head(star: &StarNode) -> &[ChainStage] {
-    star.head.as_deref().expect("a loop's star has a head")
+    build(&star.body, next_tap, run, t)
 }
 
 /// A loop's step over a batch, one round per tap of the unfolded
 /// pipeline: the records that match the exit leave on `out`, and the
-/// rest go round the head, stage-major in one chain step, until none
+/// rest go round the chain, stage-major in one chain step, until none
 /// are left. A round deeper than any this instance has run counts the
 /// unfolding the taps would have made, so the trace reads the same at
 /// either grain. The run's abort flag and deadline are polled once per
 /// round: a record that never exits does not pin a worker past a
 /// cancel or a deadline.
 fn spin<T: Transport>(
-    node: &StarNode,
+    node: &LoopNode,
     rounds: &mut u64,
     out: &mut T::Port,
     recs: impl IntoIterator<Item = Record>,
@@ -539,7 +512,7 @@ fn spin<T: Transport>(
             *rounds = round;
             Trace::add(&run.trace.star_unfoldings, 1);
         }
-        chain_step(head(node), stayers.drain(..), run, config, |rec| {
+        chain_step(&node.stages, stayers.drain(..), run, config, |rec| {
             exit_or_stay(rec, &mut next)
         })?;
         std::mem::swap(&mut stayers, &mut next);

@@ -95,29 +95,39 @@ fn threads_are_named_for_what_is_in_the_chain() {
     assert_eq!(labels(&run, true, None), ["chain3-box-head..box-tail"]);
 }
 
-/// A tap that runs its body's leading chain is named for it too, and
-/// so is a loop, whose chain is the whole body.
-#[test]
-fn star_taps_are_named_for_the_chain_they_run() {
-    let dec = NetSpec::Filter(FilterSpec::new(
+/// `<n> -= 1`.
+fn dec() -> NetSpec {
+    NetSpec::Filter(FilterSpec::new(
         Pattern::from_variant(Variant::parse_labels(&[], &["n"])),
         vec![OutputTemplate::empty().set_tag(
             "n",
             TagExpr::bin(BinOp::Sub, TagExpr::tag("n"), TagExpr::Const(1)),
         )],
-    ));
+    ))
+}
+
+/// `body * {<n> == 0}`.
+fn countdown(body: NetSpec) -> NetSpec {
     let exit = Pattern::guarded(
         Variant::empty(),
         TagExpr::bin(BinOp::Eq, TagExpr::tag("n"), TagExpr::Const(0)),
     );
-    let star = NetSpec::star(NetSpec::serial(dec, pass("inc")), exit);
-    let stays = || {
-        Some(
-            Record::new()
-                .with_field("x", Value::Int(1))
-                .with_tag("n", 2),
-        )
-    };
+    NetSpec::star(body, exit)
+}
+
+/// A record the countdown star keeps in for a round.
+fn stays() -> Option<Record> {
+    Some(
+        Record::new()
+            .with_field("x", Value::Int(1))
+            .with_tag("n", 2),
+    )
+}
+
+/// A loop is named for the chain it runs, its whole body.
+#[test]
+fn star_taps_are_named_for_the_chain_they_run() {
+    let star = countdown(NetSpec::serial(dec(), pass("inc")));
     // Fused, the body is one chain and the star is one loop running
     // it, which unfolds nothing; unfused, the body is built behind
     // each tap back to front.
@@ -128,6 +138,26 @@ fn star_taps_are_named_for_the_chain_they_run() {
     assert_eq!(
         labels(&star, false, stays()),
         ["star-tap", "star-tap", "box-inc", "filter"]
+    );
+}
+
+/// A star whose body is more than a chain keeps plain taps: the body's
+/// leading chain is built in each replica, behind the tap, like the
+/// rest of it.
+#[test]
+fn a_star_whose_body_is_more_than_a_chain_has_plain_taps() {
+    let cell = NetSpec::Sync(snet_core::SyncSpec::new(vec![
+        Pattern::from_variant(Variant::parse_labels(&["x"], &[])),
+        Pattern::from_variant(Variant::parse_labels(&["y"], &[])),
+    ]));
+    let star = countdown(NetSpec::pipeline([dec(), pass("inc"), cell]));
+    assert_eq!(
+        labels(&star, true, stays()),
+        ["star-tap", "star-tap", "sync", "chain2-filter..box-inc"]
+    );
+    assert_eq!(
+        labels(&star, false, stays()),
+        ["star-tap", "star-tap", "sync", "box-inc", "filter"]
     );
 }
 

@@ -163,12 +163,10 @@
 //! parallel/split dispatch and merge, star unfolding, synchrocells —
 //! never share a chain with what is outside them; mailboxes remain
 //! exactly there, so the observable record flow (and the interpreter
-//! oracle) is unchanged. One boundary owns a chain of its own: fused, a
-//! star tap runs its body's leading chain on every record that stays
-//! in the loop (`StarNode::head`), and the tap is backpressured on the
-//! port that chain writes. A star whose body is one chain has no taps
-//! at all: every replica would run the same stateless chain, so the
-//! star is one component that loops. After every round the records
+//! oracle) is unchanged. A star whose body is one chain is the
+//! boundary that owns it: fused, it has no taps at all
+//! (`Node::Loop`). Every replica would run the same stateless chain, so
+//! the star is one component that loops. After every round the records
 //! that match the exit leave on its output and the rest go round the
 //! chain again; the deepest round it has run is what the taps would
 //! have unfolded, and that is what it counts in `star_unfoldings`. It
@@ -200,14 +198,12 @@
 //! hops (`components_built`, `runtime.sched.hop_ns` in the benchmark
 //! ledger), and on deep pipelines of trivial boxes not a speed-up one
 //! can quote: the two grains read about the same once records carry an
-//! inherited tag (ROADMAP). The measured exception is the star tap
-//! that runs its body's head: `route_stream` in `benchmark/`, where a
-//! record makes ten hand-offs of ≈40 ns outside the step each and two
-//! of them are a tap's hand-off to a one-chain body, reads 1.076× the
-//! `throughput_per_s` with the head in the tap (higher in 12 of 12
-//! alternating pairs), and 1.104× more with that star run as one loop,
-//! which takes a record from 7 record-hops to 5 (higher in 10 of 10;
-//! ROADMAP has the runs).
+//! inherited tag (ROADMAP). The measured exceptions are the grain
+//! changes to stars and parallels: `route_stream` in `benchmark/`,
+//! whose star's body is one chain, read 1.104× the `throughput_per_s`
+//! when that star became one loop, which takes a record from 7
+//! record-hops to 5 (higher in 10 of 10 alternating pairs), and
+//! `forkjoin_burst` the 1.21× above (ROADMAP has the runs).
 //!
 //! ## Failure semantics
 //!

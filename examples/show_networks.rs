@@ -1,42 +1,39 @@
 //! Print the paper's coordination programs.
 //!
-//! Renders the Fig 2 (static), §V (2-CPU) and Fig 4 (dynamic) networks
-//! back to S-Net source with the pretty-printer, and round-trips the
-//! static net through parse → compile to show that the printed text is
-//! a real program, not just a dump.
+//! Renders the Fig 3 merger and the Fig 2 (static), §V (2-CPU) and
+//! Fig 4 (dynamic) networks back to S-Net source with the
+//! pretty-printer, and round-trips each through parse → compile to show
+//! that the printed text is a real program, not just a dump.
 //!
 //! ```text
 //! cargo run --example show_networks
 //! ```
 
 use snet_apps::{image_slot, merger_net, raytracing_net, NetVariant};
-use snet_lang::{compile, expr_source, extract_registry, to_source};
+use snet_lang::{compile, extract_registry, to_source};
 
 fn main() {
     let slot = image_slot();
-
-    println!("=== Fig 3: the merger subnet ===\n");
-    println!("{}\n", expr_source(&merger_net()));
-
+    let mut nets = vec![("Fig 3: the merger subnet", merger_net())];
     for (title, variant) in [
         ("Fig 2: static fork-join", NetVariant::Static),
         ("§V: 2-CPU static variant", NetVariant::Static2Cpu),
         ("Fig 4: dynamic token scheduling", NetVariant::Dynamic),
     ] {
-        let net = raytracing_net(variant, slot.clone(), None);
-        println!("=== {title} ===\n");
-        println!("{}\n", to_source(&net).expect("printable"));
+        nets.push((title, raytracing_net(variant, slot.clone(), None)));
     }
 
-    // The printed text is executable: parse and compile it back.
-    let net = raytracing_net(NetVariant::Static, slot, None);
-    let src = to_source(&net).expect("printable");
-    let reg = extract_registry(&net);
-    let reparsed = compile(&src, &reg).expect("the printed program re-compiles");
-    assert_eq!(
-        to_source(&reparsed).expect("printable"),
-        src,
-        "printing is a fixed point"
-    );
-    println!("round trip: print -> parse -> compile -> print is a fixed point: ok");
+    for (title, net) in nets {
+        let src = to_source(&net).expect("printable");
+        println!("=== {title} ===\n\n{src}\n");
+        // The printed text is executable: parse and compile it back.
+        let reparsed =
+            compile(&src, &extract_registry(&net)).expect("the printed program re-compiles");
+        assert_eq!(
+            to_source(&reparsed).expect("printable"),
+            src,
+            "printing {title} is a fixed point"
+        );
+    }
+    println!("round trip: print -> parse -> compile -> print is a fixed point for all four: ok");
 }
