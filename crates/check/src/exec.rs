@@ -18,6 +18,19 @@
 //! (counted in [`Exec::timeouts_fired`], so models can assert that a
 //! protocol never needs its timeout safety net); otherwise the stuck
 //! state is a deadlock and the schedule that produced it is reported.
+//!
+//! A yield is a fair switch: the yielder is not chosen again while
+//! another thread can run, and a switch that costs no preemption goes
+//! to a thread that has not yielded whenever there is one, so two
+//! spinners cannot hand the floor back and forth past the thread they
+//! wait for. An execution that still runs past `max_ops` is a livelock
+//! and fails like a deadlock.
+//!
+//! Once an execution aborts, every thread unwinds at its next visible
+//! operation. The operations its destructors then perform (a lock, a
+//! join, a notify) are inert: they schedule nothing and cannot fail,
+//! and a lock spins on the real mutex word, which the other unwinding
+//! threads release as they go.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar as StdCondvar, Mutex as StdMutex};
@@ -92,6 +105,9 @@ struct ThreadSlot {
     /// Set when the thread was released from a timed condvar wait by
     /// the stuck-state rule rather than by a notify.
     timed_out: bool,
+    /// The thread's last visible operation was a yield: a free switch
+    /// picks it only when every other runnable thread has yielded too.
+    yielded: bool,
 }
 
 /// Per-execution mutable state, guarded by one real mutex. Only the
@@ -108,7 +124,6 @@ pub(crate) struct Exec {
     ops: usize,
     pub(crate) trace: Vec<(usize, &'static str)>,
     aborting: bool,
-    pub(crate) overflow: bool,
     pub(crate) failure: Option<String>,
     finished: usize,
     pub(crate) timeouts_fired: usize,
@@ -126,7 +141,6 @@ impl Exec {
             ops: 0,
             trace: Vec::new(),
             aborting: false,
-            overflow: false,
             failure: None,
             finished: 0,
             timeouts_fired: 0,
@@ -138,6 +152,28 @@ impl Exec {
         (0..self.threads.len())
             .filter(|&t| self.threads[t].status == Status::Runnable)
             .collect()
+    }
+
+    /// Orders `threads` for a switch: those that have not yielded
+    /// first. With `fair`, the yielders are dropped whenever anyone
+    /// else is left.
+    fn rank(&self, threads: Vec<usize>, fair: bool) -> Vec<usize> {
+        let (fresh, yielded): (Vec<usize>, Vec<usize>) =
+            threads.into_iter().partition(|&t| !self.threads[t].yielded);
+        if fair && !fresh.is_empty() {
+            fresh
+        } else {
+            fresh.into_iter().chain(yielded).collect()
+        }
+    }
+
+    /// Records `msg` as the execution's failure (the first one wins)
+    /// and tears the execution down.
+    fn fail(&mut self, msg: String) {
+        if self.failure.is_none() {
+            self.failure = Some(msg);
+        }
+        self.abort_all();
     }
 
     /// Consumes (or records) one decision among `n` alternatives.
@@ -229,26 +265,33 @@ fn lock_exec(ctx: &Ctx) -> std::sync::MutexGuard<'_, Exec> {
 impl Ctx {
     /// One visible operation by the running thread `tid`: records the
     /// trace event and decides who performs the next operation.
-    /// `voluntary` marks explicit yields (`thread::yield_now`):
-    /// switching away from a voluntary yield is free (not a
-    /// preemption) and switching is the *default* choice, which keeps
-    /// spin loops from monopolizing default schedules.
+    /// `voluntary` marks explicit yields (`thread::yield_now`): the
+    /// switch away from a yield is free (not a preemption) and never
+    /// comes back to the yielder while another thread can run.
     pub(crate) fn op(self: &Arc<Ctx>, tid: usize, desc: &'static str, voluntary: bool) {
         let next_token;
         let my_token;
         {
             let mut ex = lock_exec(self);
-            self.check_abort(&ex);
+            if self.stop(&ex) {
+                return;
+            }
             ex.ops += 1;
             if ex.ops > self.max_ops {
-                ex.overflow = true;
-                ex.abort_all();
-                drop(ex);
-                panic::panic_any(AbortToken);
+                let msg = format!(
+                    "livelock: the execution passed {} visible operations ({})",
+                    self.max_ops,
+                    ex.status_summary()
+                );
+                ex.fail(msg);
+                if self.stop(&ex) {
+                    return;
+                }
             }
             if self.record_trace {
                 ex.trace.push((tid, desc));
             }
+            ex.threads[tid].yielded = voluntary;
             let runnable = ex.runnable();
             debug_assert!(runnable.contains(&tid), "running thread must be runnable");
             let others: Vec<usize> = runnable.iter().copied().filter(|&t| t != tid).collect();
@@ -256,9 +299,9 @@ impl Ctx {
             let cands: Vec<usize> = if others.is_empty() || bounded {
                 vec![tid]
             } else if voluntary {
-                others.iter().copied().chain([tid]).collect()
+                ex.rank(others, true)
             } else {
-                [tid].into_iter().chain(others.iter().copied()).collect()
+                [tid].into_iter().chain(ex.rank(others, false)).collect()
             };
             let next = cands[ex.decide(cands.len())];
             if next == tid {
@@ -273,42 +316,59 @@ impl Ctx {
         }
         next_token.set();
         my_token.wait();
-        self.check_abort(&lock_exec(self));
+        self.stop(&lock_exec(self));
     }
 
-    fn check_abort(&self, ex: &Exec) {
-        if ex.aborting {
-            panic::panic_any(AbortToken);
+    /// What an aborting execution does to the calling thread: `false`
+    /// while the execution runs; unwinds the thread at its first
+    /// operation after the abort; and `true` (the operation is inert)
+    /// once the thread is unwinding, so a destructor that locks, joins
+    /// or notifies cannot panic in a panic.
+    fn stop(&self, ex: &Exec) -> bool {
+        if !ex.aborting {
+            return false;
         }
+        if std::thread::panicking() {
+            return true;
+        }
+        panic::panic_any(AbortToken);
     }
 
     /// Parks `tid` with the given wait reason and hands the floor to
     /// some runnable thread (resolving stuck states). Returns whether
-    /// the wake came from the stuck-state timeout rule.
+    /// the wake came from the stuck-state timeout rule; returns at once
+    /// on an unwinding thread of an aborted execution.
     fn block(self: &Arc<Ctx>, tid: usize, status: Status) -> bool {
         let my_token;
         {
             let mut ex = lock_exec(self);
-            self.check_abort(&ex);
+            if self.stop(&ex) {
+                return false;
+            }
             ex.threads[tid].status = status;
             ex.threads[tid].timed_out = false;
             my_token = Arc::clone(&ex.threads[tid].token);
             self.dispatch(&mut ex);
+            if self.stop(&ex) {
+                return false;
+            }
         }
         my_token.wait();
         let mut ex = lock_exec(self);
-        self.check_abort(&ex);
+        if self.stop(&ex) {
+            return false;
+        }
         let timed_out = ex.threads[tid].timed_out;
         ex.threads[tid].timed_out = false;
         timed_out
     }
 
     /// Hands the floor to a runnable thread (a decision point when
-    /// several are runnable). Called when the current thread parked or
-    /// exited, so staying put is not an option: if nothing is runnable,
-    /// fire pending timed waits, and failing that report a deadlock.
-    /// Panics (unwinding the caller) on deadlock; does nothing when
-    /// every thread has finished.
+    /// several are runnable, those that have not yielded first). Called
+    /// when the current thread parked or exited, so staying put is not
+    /// an option: if nothing is runnable, fire pending timed waits, and
+    /// failing that record a deadlock and abort. Does nothing when every
+    /// thread has finished.
     fn dispatch(self: &Arc<Ctx>, ex: &mut Exec) {
         let mut runnable = ex.runnable();
         if runnable.is_empty() {
@@ -329,14 +389,12 @@ impl Ctx {
                     "deadlock: no runnable thread and no timed waiter ({})",
                     ex.status_summary()
                 );
-                if ex.failure.is_none() {
-                    ex.failure = Some(msg);
-                }
-                ex.abort_all();
-                panic::panic_any(AbortToken);
+                ex.fail(msg);
+                return;
             }
         }
-        let next = runnable[ex.decide(runnable.len())];
+        let cands = ex.rank(runnable, true);
+        let next = cands[ex.decide(cands.len())];
         ex.current = next;
         ex.threads[next].token.set();
     }
@@ -344,9 +402,15 @@ impl Ctx {
     // ---- mutex protocol -------------------------------------------------
 
     /// Blocks until the model mutex at `addr` is observed free. The
-    /// caller (the mutex itself) re-checks and re-calls on contention.
+    /// caller (the mutex itself) re-checks and re-calls on contention;
+    /// on an unwinding thread of an aborted execution that is a spin,
+    /// which the other threads' unwinding ends.
     pub(crate) fn mutex_block(self: &Arc<Ctx>, tid: usize, addr: usize) {
-        self.block(tid, Status::Mutex(addr));
+        if self.stop(&lock_exec(self)) {
+            std::thread::yield_now();
+        } else {
+            self.block(tid, Status::Mutex(addr));
+        }
     }
 
     /// Marks every thread contending for `addr` runnable again.
@@ -377,7 +441,9 @@ impl Ctx {
     ) -> bool {
         {
             let mut ex = lock_exec(self);
-            self.check_abort(&ex);
+            if self.stop(&ex) {
+                return false;
+            }
             for slot in &mut ex.threads {
                 if slot.status == Status::Mutex(mutex_addr) {
                     slot.status = Status::Runnable;
@@ -424,7 +490,8 @@ impl Ctx {
 
     /// Registers a new model thread and returns its id. The OS-level
     /// spawn happens in `thread.rs`; the new thread starts parked on
-    /// its token and becomes schedulable immediately.
+    /// its token and becomes schedulable immediately (or, spawned
+    /// during teardown, exits at once).
     pub(crate) fn register_thread(self: &Arc<Ctx>) -> (usize, Arc<Token>) {
         let mut ex = lock_exec(self);
         let tid = ex.threads.len();
@@ -433,10 +500,14 @@ impl Ctx {
             "model spawned more than {MAX_THREADS} threads"
         );
         let token = Token::new();
+        if ex.aborting {
+            token.set();
+        }
         ex.threads.push(ThreadSlot {
             status: Status::Runnable,
             token: Arc::clone(&token),
             timed_out: false,
+            yielded: false,
         });
         (tid, token)
     }
@@ -445,13 +516,13 @@ impl Ctx {
         lock_exec(self).os_handles.push(h);
     }
 
-    /// Parks the caller until thread `target` finishes.
+    /// Parks the caller until thread `target` finishes (at once, and
+    /// without it, on an unwinding thread of an aborted execution).
     pub(crate) fn join_block(self: &Arc<Ctx>, tid: usize, target: usize) {
         loop {
             {
                 let ex = lock_exec(self);
-                self.check_abort(&ex);
-                if ex.threads[target].status == Status::Finished {
+                if self.stop(&ex) || ex.threads[target].status == Status::Finished {
                     return;
                 }
             }
@@ -462,29 +533,17 @@ impl Ctx {
     /// Normal end of a model thread's closure: mark finished, wake
     /// joiners, hand the floor onward.
     fn retire(self: &Arc<Ctx>, tid: usize) {
-        let result = panic::catch_unwind(AssertUnwindSafe(|| {
+        {
             let mut ex = lock_exec(self);
+            ex.threads[tid].status = Status::Finished;
+            ex.finished += 1;
             if !ex.aborting {
-                ex.threads[tid].status = Status::Finished;
                 for slot in &mut ex.threads {
                     if slot.status == Status::Join(tid) {
                         slot.status = Status::Runnable;
                     }
                 }
-                ex.finished += 1;
                 self.dispatch(&mut ex);
-            } else {
-                ex.threads[tid].status = Status::Finished;
-                ex.finished += 1;
-            }
-        }));
-        // A deadlock discovered while retiring unwinds out of dispatch;
-        // the failure is recorded, the exit still counts.
-        if result.is_err() {
-            let mut ex = lock_exec(self);
-            if ex.threads[tid].status != Status::Finished {
-                ex.threads[tid].status = Status::Finished;
-                ex.finished += 1;
             }
         }
         self.signal_if_done();
@@ -517,11 +576,7 @@ impl Ctx {
             .map(|s| s.to_string())
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .unwrap_or_else(|| "model thread panicked".to_string());
-        let mut ex = lock_exec(self);
-        if ex.failure.is_none() {
-            ex.failure = Some(format!("thread {tid} panicked: {msg}"));
-        }
-        ex.abort_all();
+        lock_exec(self).fail(format!("thread {tid} panicked: {msg}"));
     }
 }
 
@@ -553,11 +608,12 @@ pub(crate) fn spawn_model_thread(
     ctx: &Arc<Ctx>,
     tid: usize,
     token: Arc<Token>,
+    name: String,
     body: impl FnOnce() + Send + 'static,
 ) -> std::thread::JoinHandle<()> {
     let ctx = Arc::clone(ctx);
     std::thread::Builder::new()
-        .name(format!("snet-check-{tid}"))
+        .name(name)
         .spawn(move || run_thread(ctx, tid, token, body))
         .expect("spawn model thread")
 }
@@ -565,7 +621,6 @@ pub(crate) fn spawn_model_thread(
 /// Outcome of one fully explored schedule.
 pub(crate) struct ExecOutcome {
     pub failure: Option<String>,
-    pub overflow: bool,
     pub path: Vec<Choice>,
     pub trace: Vec<(usize, &'static str)>,
 }
@@ -609,7 +664,6 @@ pub(crate) fn run_once(
         handles = std::mem::take(&mut ex.os_handles);
         outcome = ExecOutcome {
             failure: ex.failure.take(),
-            overflow: ex.overflow,
             path: std::mem::take(&mut ex.path),
             trace: std::mem::take(&mut ex.trace),
         };

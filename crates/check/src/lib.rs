@@ -1,4 +1,4 @@
-//! # snet-check — a loom-style model checker for the scheduler's protocols
+//! # snet-check — a loom-style model checker for the scheduler
 //!
 //! Stress tests sample interleavings; this crate *enumerates* them.
 //! A model is an ordinary closure that spawns threads and touches
@@ -22,10 +22,13 @@
 //! assert!(report.schedules > 1);
 //! ```
 //!
-//! On failure (assertion panic or deadlock) the checker reports the
-//! exact schedule — a `Vec<u32>` of decisions — plus the tail of the
-//! operation trace, and [`replay`] re-runs that one schedule under a
-//! debugger.
+//! On failure (assertion panic, deadlock, or a livelock that runs past
+//! [`Config::max_ops`]) the checker reports the exact schedule — a
+//! `Vec<u32>` of decisions — plus the tail of the operation trace, and
+//! [`replay`] re-runs that one schedule under a debugger. A failure
+//! unwinds every model thread; what their destructors then lock, join
+//! or notify is inert, so the failure is reported, not turned into a
+//! process abort.
 //!
 //! ## What the model covers — and what it does not
 //!
@@ -40,9 +43,13 @@
 //!   schedule may contain at most 3 *forced* preemptions (switching
 //!   away from a runnable thread at a non-yield operation). Bugs
 //!   reachable in few preemptions is the CHESS observation, and it has
-//!   held for every protocol modeled here. Set
+//!   held for every scheduler bug this checker has found. Set
 //!   [`Config::preemption_bound`] to `None` for exhaustive search on
 //!   small models.
+//! - **Fair yields.** A [`thread::yield_now`] switches to another
+//!   runnable thread, one that has not yielded itself if there is one,
+//!   so a spin loop waits for the thread it spins on instead of handing
+//!   the floor to a second spinner.
 //! - **Timed waits have stuck-state semantics.** `wait_timeout` fires
 //!   its timeout only when *no* thread is runnable — i.e. exactly when
 //!   the execution would otherwise be stuck. A protocol that is
@@ -54,18 +61,19 @@
 //!
 //! ## Running
 //!
-//! The protocol models in `tests/` (`mailbox`, `egress`,
-//! `eos_inplace`, `backpressure`) are written against the façade and run in every
-//! build. The `parking_lot` mutex `snet-runtime` locks through, and the
-//! scheduler's own atomics and condvars, compile against this façade
-//! under `--cfg snet_check`, which proves the scheduler keeps to the
-//! surface the models are written in:
+//! The façade is always compiled, and the checker's own tests run in
+//! every build (`cargo test -p snet-check`). The `parking_lot` mutex
+//! `snet-runtime` locks through, and the scheduler's atomics, condvars
+//! and threads, are the façade's under `--cfg snet_check`, which is how
+//! `snet-runtime`'s `tests/model.rs` runs the scheduler itself, through
+//! its public API, under the checker:
 //!
 //! ```text
-//! RUSTFLAGS="--cfg snet_check" cargo check -p snet-runtime
+//! RUSTFLAGS="--cfg snet_check" cargo test -p snet-runtime --test model
 //! ```
 //!
-//! Channels are not modelled: the workspace's are `std::sync::mpsc`.
+//! Only the code that runs is checked; there is no second copy of the
+//! scheduler's protocols to drift from it.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
@@ -77,9 +85,9 @@ mod exec;
 use exec::Choice;
 use std::sync::Arc;
 
-/// Search configuration. The defaults explore tens of thousands of
-/// schedules in well under a second for the protocol models in
-/// `tests/`.
+/// Search configuration. Real nets under the checker take a bound of
+/// 1 or 2 and tens of thousands of schedules (`snet-runtime`'s
+/// `tests/model.rs`).
 #[derive(Clone, Debug)]
 pub struct Config {
     /// Maximum *forced* preemptions per schedule (switching away from a
@@ -89,8 +97,8 @@ pub struct Config {
     /// Stop after exploring this many schedules; the [`Report`] records
     /// whether the search completed or was cut off.
     pub max_schedules: usize,
-    /// Abort any single execution after this many visible operations
-    /// (livelock guard). Aborted executions count as `skipped`.
+    /// An execution that runs past this many visible operations is a
+    /// livelock: a [`Failure`] with its trace, like a deadlock.
     pub max_ops: usize,
     /// Record the operation trace (thread id + op name) so failures can
     /// print it. Costs allocation per op; on by default.
@@ -113,8 +121,6 @@ impl Default for Config {
 pub struct Report {
     /// Distinct schedules fully explored.
     pub schedules: usize,
-    /// Executions aborted by the `max_ops` livelock guard.
-    pub skipped: usize,
     /// Whether the decision tree was exhausted (vs. cut off by
     /// `max_schedules`).
     pub complete: bool,
@@ -122,8 +128,8 @@ pub struct Report {
     pub max_depth: usize,
 }
 
-/// A schedule that violated the model: an assertion panicked or the
-/// execution deadlocked.
+/// A schedule that violated the model: an assertion panicked, or the
+/// execution deadlocked or livelocked.
 #[derive(Clone, Debug)]
 pub struct Failure {
     /// What went wrong, including per-thread wait states on deadlock.
@@ -175,7 +181,6 @@ where
     let mut prefix: Vec<Choice> = Vec::new();
     let mut report = Report {
         schedules: 0,
-        skipped: 0,
         complete: false,
         max_depth: 0,
     };
@@ -187,11 +192,7 @@ where
             cfg.max_ops,
             cfg.trace,
         );
-        if outcome.overflow {
-            report.skipped += 1;
-        } else {
-            report.schedules += 1;
-        }
+        report.schedules += 1;
         report.max_depth = report.max_depth.max(outcome.path.len());
         if let Some(message) = outcome.failure {
             return Err(Failure {
@@ -200,7 +201,7 @@ where
                 trace: outcome.trace,
             });
         }
-        if report.schedules + report.skipped >= cfg.max_schedules {
+        if report.schedules >= cfg.max_schedules {
             return Ok(report);
         }
         // Backtrack: advance the deepest decision that still has an
@@ -262,7 +263,7 @@ mod self_tests {
     //! only the `parking_lot` shim's and the scheduler's use of it is
     //! cfg-gated).
 
-    use super::sync::atomic::{AtomicUsize, Ordering};
+    use super::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use super::sync::{Arc, Condvar, Mutex};
     use super::{check, model, thread, Config};
 
@@ -400,6 +401,89 @@ mod self_tests {
             assert_eq!(super::timeouts_fired(), 1);
         });
         assert!(report.complete);
+    }
+
+    /// Two threads spin with `yield_now` on a flag a third holds: a
+    /// yield hands the floor to the holder rather than to the other
+    /// spinner, so every schedule ends and the search exhausts.
+    #[test]
+    fn yielding_spinners_let_the_holder_run() {
+        let cfg = Config {
+            max_schedules: 20_000,
+            max_ops: 2_000,
+            ..Config::default()
+        };
+        let report = check(cfg, || {
+            let held = Arc::new(AtomicBool::new(true));
+            let spinners: Vec<_> = (0..2)
+                .map(|_| {
+                    let held = Arc::clone(&held);
+                    thread::spawn(move || {
+                        while held.load(Ordering::SeqCst) {
+                            thread::yield_now();
+                        }
+                    })
+                })
+                .collect();
+            let work = AtomicUsize::new(0);
+            work.fetch_add(1, Ordering::SeqCst);
+            work.fetch_add(1, Ordering::SeqCst);
+            held.store(false, Ordering::SeqCst);
+            for s in spinners {
+                s.join().unwrap();
+            }
+        })
+        .unwrap_or_else(|f| panic!("{f}"));
+        assert!(report.complete, "the search must exhaust: {report:?}");
+    }
+
+    /// A spin on a flag nobody sets never ends: the execution passes
+    /// `max_ops` and comes back as a failure that carries its trace.
+    #[test]
+    fn a_livelock_is_a_failure_with_its_trace() {
+        let cfg = Config {
+            max_ops: 500,
+            ..Config::default()
+        };
+        let failure = check(cfg, || {
+            let flag = AtomicBool::new(false);
+            while !flag.load(Ordering::SeqCst) {
+                thread::yield_now();
+            }
+        })
+        .expect_err("an endless spin must fail");
+        assert!(failure.message.contains("livelock"), "{failure}");
+        assert!(
+            failure
+                .trace
+                .iter()
+                .any(|&(_, op)| op == "thread::yield_now"),
+            "{failure}"
+        );
+    }
+
+    /// A model thread's panic aborts the execution, and the other
+    /// threads unwind. A destructor that locks on the way out is inert
+    /// there: the failure is reported and the process lives on.
+    #[test]
+    fn a_drop_that_locks_during_an_abort_is_inert() {
+        struct LockOnDrop(Arc<Mutex<usize>>);
+        impl Drop for LockOnDrop {
+            fn drop(&mut self) {
+                *self.0.lock().unwrap() += 1;
+            }
+        }
+        let failure = check(Config::default(), || {
+            let m = Arc::new(Mutex::new(0));
+            let _on_drop = LockOnDrop(Arc::clone(&m));
+            let t = thread::spawn(move || {
+                let _g = m.lock().unwrap();
+                panic!("boom");
+            });
+            t.join().unwrap();
+        })
+        .expect_err("the panic must be reported");
+        assert!(failure.message.contains("boom"), "{failure}");
     }
 
     /// Three threads under a preemption bound still terminate quickly.

@@ -176,34 +176,6 @@ impl NetSpec {
         }
     }
 
-    /// Whether any record can be diverted to the dead-letter stream
-    /// when this network runs under `engine_policy`: true iff the
-    /// engine default is [`crate::FailurePolicy::DeadLetter`] or some
-    /// box overrides its policy to it. Engines use this to size (or skip)
-    /// per-run dead-letter plumbing — a network that provably never
-    /// diverts needs no buffer.
-    pub fn diverts_under(&self, engine_policy: crate::fault::FailurePolicy) -> bool {
-        use crate::fault::FailurePolicy::DeadLetter;
-        if engine_policy == DeadLetter {
-            return true;
-        }
-        match self {
-            NetSpec::Box(b) => b.policy == Some(DeadLetter),
-            // Filters, syncs and glue have no per-component override.
-            NetSpec::Filter(_) | NetSpec::Sync(_) => false,
-            NetSpec::Serial(a, b) => {
-                a.diverts_under(engine_policy) || b.diverts_under(engine_policy)
-            }
-            NetSpec::Parallel { branches, .. } => {
-                branches.iter().any(|b| b.diverts_under(engine_policy))
-            }
-            NetSpec::Star { body, .. }
-            | NetSpec::Split { body, .. }
-            | NetSpec::At { body, .. }
-            | NetSpec::Named { body, .. } => body.diverts_under(engine_policy),
-        }
-    }
-
     /// Number of primitive components (boxes + filters + syncs) in the
     /// static description (replication not unrolled).
     pub fn component_count(&self) -> usize {
@@ -383,38 +355,6 @@ mod tests {
         let ps = net.input_patterns();
         assert_eq!(ps.len(), 1);
         assert!(ps[0].variant.is_empty()); // identity filter pattern
-    }
-
-    #[test]
-    fn diverts_under_finds_per_box_overrides() {
-        use crate::fault::FailurePolicy;
-        let plain = NetSpec::serial(
-            dummy_box("a", &["x"], &[&["y"]]),
-            NetSpec::star(
-                dummy_box("b", &["y"], &[&["z"]]),
-                Pattern::from_variant(Variant::parse_labels(&["z"], &[])),
-            ),
-        );
-        assert!(!plain.diverts_under(FailurePolicy::FailFast));
-        assert!(plain.diverts_under(FailurePolicy::DeadLetter));
-
-        let NetSpec::Box(def) = dummy_box("c", &["x"], &[&["y"]]) else {
-            unreachable!()
-        };
-        let overridden = NetSpec::serial(
-            NetSpec::identity(),
-            NetSpec::Box(def.with_policy(FailurePolicy::DeadLetter)),
-        );
-        assert!(overridden.diverts_under(FailurePolicy::FailFast));
-        // A Retry override does not create dead letters.
-        let NetSpec::Box(def) = dummy_box("d", &["x"], &[&["y"]]) else {
-            unreachable!()
-        };
-        let retried = NetSpec::Box(def.with_policy(FailurePolicy::Retry {
-            max_attempts: 3,
-            backoff: std::time::Duration::ZERO,
-        }));
-        assert!(!retried.diverts_under(FailurePolicy::FailFast));
     }
 
     #[test]

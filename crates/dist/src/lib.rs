@@ -39,7 +39,7 @@ use snet_core::value::AnyData;
 use snet_core::{NetSpec, Record, SnetError, Value};
 use snet_runtime::component::{build, Component, Transport};
 use snet_runtime::config::Plan;
-use snet_runtime::run::{DeadDest, Run};
+use snet_runtime::run::Run;
 use snet_runtime::EngineConfig;
 use snet_simnet::{Cluster, ClusterSpec, SimCtx, SimQueue, Simulation};
 use std::collections::HashMap;
@@ -368,7 +368,7 @@ pub fn run_on_cluster(
     let env = Arc::new(Env {
         cluster: cluster.clone(),
         overhead,
-        run: plan.new_run(DeadDest::Collect(Mutex::new(Vec::new()))),
+        run: plan.new_run(usize::MAX),
         config,
         records_hopped: AtomicU64::new(0),
         glue_ops: AtomicU64::new(0),

@@ -9,7 +9,7 @@
 //! instantiated from that tree by reference count, so `&Plan` can
 //! serve any number of concurrent runs without copying a spec.
 
-use crate::run::{DeadDest, Run};
+use crate::run::Run;
 use snet_analyze::AnalyzeConfig;
 use snet_core::fault::FailurePolicy;
 use snet_core::fusion::{compile, Node};
@@ -18,8 +18,8 @@ use snet_core::{Diagnostic, NetSpec, RType, SnetError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Dead-letter channel capacity multiplier over `channel_capacity` for
-/// streaming runs (batch runs collect into a vector). Bounded so a
+/// Dead-letter queue limit multiplier over `channel_capacity` for
+/// streaming runs (a batch run's queue is unbounded). Bounded so a
 /// component never blocks on a lagging dead-letter consumer; overflow
 /// is a fatal engine error instead of a stall. Sized so a consumer
 /// draining at output cadence never sees overflow.
@@ -30,8 +30,8 @@ const DEAD_CAPACITY_FACTOR: usize = 16;
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
     /// Records a streaming run holds at its entry mailbox
-    /// ([`crate::Handle::send`] waits beyond it); 16× it in the
-    /// dead-letter channel of a net that can divert. Every other
+    /// ([`crate::Handle::send`] waits beyond it); 16× it in its
+    /// dead-letter queue. Every other
     /// mailbox's high-water mark, past which its producer stops
     /// consuming, is 16× it too — the egress's included, which the
     /// handle takes the outputs from. Bounds give backpressure
@@ -129,10 +129,6 @@ pub struct Plan {
     /// pre-flight (empty when clean). A non-empty list fails every run
     /// with [`SnetError::Analysis`].
     pub(crate) preflight: Vec<Diagnostic>,
-    /// Whether any component can dead-letter under this configuration,
-    /// precomputed so a streaming run can skip the dead-letter buffer
-    /// (and its allocation) when diversion is provably impossible.
-    diverts: bool,
 }
 
 impl Plan {
@@ -147,7 +143,6 @@ impl Plan {
             .cloned()
             .collect();
         Plan {
-            diverts: spec.diverts_under(config.policy),
             root: compile(&spec, config.fuse),
             spec,
             config,
@@ -187,27 +182,24 @@ impl Plan {
     }
 
     /// A fresh control block for one run of this plan, its deadline
-    /// counted from now. A plan the pre-flight rejected starts its runs
+    /// counted from now, holding at most `dead_limit` dead letters
+    /// (`usize::MAX` for a batch run, [`Plan::dead_capacity`] for a
+    /// stream). A plan the pre-flight rejected starts its runs
     /// already failed: components stop at their first preemption check
     /// and `finish()` reports the analysis error.
     #[doc(hidden)]
-    pub fn new_run(&self, dead: DeadDest) -> Arc<Run> {
-        let run = Run::new(self.config.deadline.map(|d| Instant::now() + d), dead);
+    pub fn new_run(&self, dead_limit: usize) -> Arc<Run> {
+        let run = Run::new(self.config.deadline.map(|d| Instant::now() + d), dead_limit);
         if let Err(e) = self.check() {
             run.fail(e);
         }
         run
     }
 
-    /// Capacity of a streaming run's dead-letter channel. A network
-    /// that provably cannot divert gets a 1-slot stub instead of the
-    /// real buffer, keeping the fault-free path free of the allocation.
+    /// How many dead letters a streaming run holds for its consumer.
+    /// The queue allocates only when a record is diverted.
     pub(crate) fn dead_capacity(&self) -> usize {
-        if self.diverts {
-            self.config.channel_capacity.max(1) * DEAD_CAPACITY_FACTOR
-        } else {
-            1
-        }
+        self.config.channel_capacity.max(1) * DEAD_CAPACITY_FACTOR
     }
 }
 

@@ -1,9 +1,7 @@
 use crate::component::{build, Component, Transport};
 use crate::config::Plan;
-use crate::run::DeadDest;
 use crate::suite::{fine_grain, int_box, ints};
 use crate::{EngineConfig, SchedNet};
-use parking_lot::Mutex;
 use snet_core::boxdef::{BoxDef, BoxOutput, BoxSig, Work};
 use snet_core::filter::OutputTemplate;
 use snet_core::{BinOp, FilterSpec, NetSpec, Pattern, Record, TagExpr, Value, Variant};
@@ -69,7 +67,7 @@ fn labels(spec: &NetSpec, fuse: bool, rec: Option<Record>) -> Vec<String> {
         ..EngineConfig::default()
     };
     let plan = Plan::new(spec.clone(), config);
-    let run = plan.new_run(DeadDest::Collect(Mutex::new(Vec::new())));
+    let run = plan.new_run(usize::MAX);
     let mut t = Ledger::default();
     let entry = build(&plan.root, usize::MAX, &run, &mut t);
     if let Some(rec) = rec {

@@ -3,12 +3,11 @@
 //! mailbox — [`Handle`]'s methods that reach into tasks and the pool
 //! live with the scheduler (`sched`). A take moves the egress's whole
 //! backlog into the handle's window, which `recv` and `try_recv` hand
-//! out a record at a time; dead letters leave through a bounded
-//! [`std::sync::mpsc`] channel. The window and the channel's
-//! single-consumer [`Receiver`](std::sync::mpsc::Receiver) each sit
-//! behind a mutex: the handle stays `Send + Sync`, one consumer at a
-//! time is the supported shape, and consumers that do call in
-//! concurrently take turns rather than race.
+//! out a record at a time; dead letters wait in the run's bounded
+//! queue, which `try_recv_dead_letter` pops. The window and the queue
+//! each sit behind a mutex: the handle stays `Send + Sync`, one
+//! consumer at a time is the supported shape, and consumers that do
+//! call in concurrently take turns rather than race.
 
 pub use crate::sched::Handle;
 
@@ -82,7 +81,7 @@ impl Handle {
     /// nothing is queued. Drain it while the run progresses — the
     /// stream is bounded and overflow fails the run.
     pub fn try_recv_dead_letter(&self) -> Option<DeadLetter> {
-        self.dead.lock().try_recv().ok()
+        self.run.next_dead_letter()
     }
 
     /// Shared event counters of this run.

@@ -49,19 +49,19 @@
 //! [`SchedNet`] count for count, which is what proves the step does not
 //! depend on its transport.
 //! Each module below owns one protocol; where the protocol is
-//! concurrent, the `snet-check` model that proves it is named beside
-//! it (`crates/check/tests/`):
+//! concurrent, the `snet-check` scenario that runs that very code under
+//! the model checker is named beside it (`tests/model.rs`):
 //!
-//! | module | protocol it owns | `snet-check` model |
+//! | module | protocol it owns | `snet-check` scenario |
 //! |---|---|---|
 //! | [`config`] | [`EngineConfig`]; `Plan`: pre-flight and entry-typed veto on the topology as written, then [`snet_core::fusion::compile`] (fusion is part of it), once per network | — (sequential) |
-//! | `run` | one run's first-error slot, abort flag, deadline, dead-letter stream: `fail` / `should_stop` / `divert` | — (a mutex and a flag; raced by `fault_tolerance.rs`) |
+//! | `run` | one run's first-error slot, abort flag, deadline, bounded dead-letter queue: `fail` / `should_stop` / `divert` | — (a mutex and a flag; raced by `fault_tolerance.rs`) |
 //! | `component` | what is per instance: what one record does to one component, over an abstract `Transport`; back-to-front `build` of a component graph from the compiled tree | — (sequential per component; pinned to [`Interp`] by `engine_vs_interp.rs`, `fusion_equivalence.rs`) |
 //! | [`handle`] | the streaming [`Handle`]'s receive side (the window a take fills, dead letters), cancel and finish | — |
 //! | `snet-dist` (its own crate, over the hidden `component`/`run` seam) | simulated-cluster transport: a discrete-event process per component on the node `@`/`!@` names, ports are sender-counted `SimQueue`s, `send` charges glue ops and wire bytes, a step's box work occupies the node before its outputs leave | — (the kernel runs one process at a time; pinned to [`SchedNet`] count for count by `tests/sim_vs_engine.rs`) |
-//! | `sched::pool` | the run queues (one shared, one per worker: mutex-guarded `VecDeque`s, steal-half), `notify` / `park` (lock-then-notify, sleeper gate, re-probe of every queue): every wake, none by the clock | `mailbox.rs` (wake protocol; the queues are a lock around a std container, unit- and churn-tested beside them), `backpressure.rs` (what the backpressure wake hands to `notify`) |
-//! | `sched::task` | the task transport: mailbox, sender-refcount end-of-stream (in place when the task is idle and drained, else by activation), one activation: drain → step → flush → finalize; backpressure registration (a held-back producer on its downstream mailbox, woken by the drain under its limit); the egress, a mailbox never queued; the waits of threads outside the pool (register, re-check, woken by every flush, drain and last close) | `mailbox.rs` (the `scheduled` flag hand-off), `eos_inplace.rs` (last close vs. a racing send and a queued activation), `backpressure.rs` (registration vs. the drain), `egress.rs` (the consumer's wait vs. the last close) |
-//! | `sched` | worker pool lifetime, batch driver, the handle's bounded mailbox ingress and its take of the egress | `egress.rs`, `backpressure.rs` (the take is the egress's drain) |
+//! | `sched::pool` | the run queues (one shared, one per worker: mutex-guarded `VecDeque`s, steal-half), `notify` / `park` (lock-then-notify, sleeper gate, re-probe of every queue): every wake, none by the clock; a worker meeting the same contended task twice steals, else yields | every scenario (the wake protocol); `two_workers_hand_off_and_steal` (a worker's own queue, the raid); `two_workers_steal_from_a_held_worker` (the contended hand-back). The queues are a lock around a std container, unit- and churn-tested beside them |
+//! | `sched::task` | the task transport: mailbox, sender-refcount end-of-stream (in place when the task is idle and drained, else by activation), one activation: drain → step → flush → finalize; backpressure registration (a held-back producer on its downstream mailbox, woken by the drain under its limit); the egress, a mailbox never queued; the waits of threads outside the pool (register, re-check, woken by every flush, drain and last close) | `split_unfolding_races_the_last_close` (in-place end-of-stream), `batch_holds_back_at_the_high_water_mark` (registration vs. the drain), `stream_waits_at_the_ingress_and_the_egress` (the waits from outside vs. the last close) |
+//! | `sched` | worker pool lifetime, batch driver, the handle's bounded mailbox ingress and its take of the egress | `stream_waits_at_the_ingress_and_the_egress`, and the batch driver in the other three |
 //!
 //! ## The compiled plan, and what an instance costs
 //!
@@ -226,7 +226,7 @@
 //! caveat:** the stream is ordered by divert time, which on the
 //! scheduled engine is a race between components; only
 //! per-component subsequences (and [`FailureReport::seq`] within one
-//! run) are deterministic. The streaming dead-letter channel is
+//! run) are deterministic. A streaming run's dead-letter queue is
 //! bounded; a consumer that never drains it while diversions pile up
 //! fails the run with an engine error rather than blocking workers.
 //!
@@ -292,25 +292,26 @@
 //!    loom-style deterministic scheduler explores thread interleavings
 //!    exhaustively (sequentially consistent schedules, preemption-
 //!    bounded DFS, deterministic replay of any failing schedule). What
-//!    it checks are *protocol models* — the wake, egress, backpressure
-//!    and end-of-stream protocols written out against `snet_check::sync`
-//!    (`cargo test -p snet-check`, every build); the table above names
-//!    the model behind each module. The `sched` modules and the
-//!    `parking_lot` mutex they lock through compile against the same
-//!    façade under `RUSTFLAGS="--cfg snet_check"` (the CI `model-check`
-//!    lane), which keeps the scheduler on the surface the models are
-//!    written in. The containers are not modelled: the run queues are
-//!    a lock around `VecDeque` and the channels are `std::sync::mpsc`,
-//!    both the standard library's to prove. The checker has
-//!    already earned its keep: it found a
+//!    it checks is the scheduler itself: under `RUSTFLAGS="--cfg
+//!    snet_check"` the `sched` modules' atomics, condvars and threads,
+//!    and the `parking_lot` mutex they lock through, are the checker's,
+//!    and `tests/model.rs` runs small `SchedNet`s through the public API
+//!    under every schedule up to its bound (the CI `model-check` lane);
+//!    the table above names the scenario behind each module. Each
+//!    scenario asserts its outputs and that no timed wait ever fired,
+//!    so the park quantum and the poll of a thread outside the pool
+//!    are shown to be backstops. The containers are not modelled: the
+//!    run queues are a lock around `VecDeque`, the standard library's
+//!    to prove. The checker has already earned its keep: it found a
 //!    missed-wake window in `sched::pool`'s `notify` — a producer's
 //!    push + sleeper-gate check + notify could land entirely between a
-//!    parking worker's re-probe and its condvar wait, burning
-//!    the 1ms timed backstop. The fix (lock-then-notify) and the
-//!    failing protocol are both pinned in
-//!    `crates/check/tests/mailbox.rs`, as is the later one of the same
-//!    kind: the re-probe covers every run queue, not only the shared
-//!    one.
+//!    parking worker's re-probe and its condvar wait, burning the 1ms
+//!    timed backstop — then that the re-probe must cover every run
+//!    queue, not only the shared one, and that a worker seeing a
+//!    contended hand-back twice spun on it (`park` found the handed-
+//!    back task at once) and never stole the work that the activation
+//!    holding the task was waiting for. A copy of the code with any of those bugs put back
+//!    fails a scenario.
 //! 2. **Weak-memory coverage**: the model runs SeqCst-only, so the CI
 //!    `tsan` lane races the scheduler's streaming suite under
 //!    ThreadSanitizer, and the `miri` lane runs snet-core's
@@ -353,12 +354,10 @@
 //! records never hit the heap), a run's egress deque, which a batch
 //! run hands out as its outputs, and the streaming handle's window (a
 //! take swaps it with the egress's deque, so the two grow to the
-//! egress's high-water mark once and are reused from then on), the dead-letter
-//! ring (`std::sync::mpsc::sync_channel` preallocates all its slots
-//! when the run starts and never allocates again: 16 × `cap` of them,
-//! which is why a net that provably cannot divert gets a one-slot
-//! stub), and
-//! per-run setup (task graph, trace) — which is why the guarantee is
+//! egress's high-water mark once and are reused from then on), the
+//! run's dead-letter queue (a `VecDeque` that allocates only when a
+//! record is diverted, and grows to at most 16 × `cap` letters on a
+//! stream), and per-run setup (task graph, trace) — which is why the guarantee is
 //! *steady-state* allocation freedom, proven by the counting-allocator
 //! test `tests/alloc_steady.rs`: a depth-16 fused chain streams 50k
 //! records on ~100 total allocations (0 per record), and the unfused

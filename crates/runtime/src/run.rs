@@ -1,6 +1,6 @@
 //! The per-run control block shared by every component of one run, on
 //! either transport: first-error slot, abort flag, deadline,
-//! dead-letter stream and event counters. (`pub` but hidden, like
+//! dead-letter queue and event counters. (`pub` but hidden, like
 //! [`crate::component`]: `snet-dist`'s simulated processes report into
 //! the same block the scheduler's tasks do.)
 
@@ -8,8 +8,8 @@ use crate::trace::Trace;
 use parking_lot::Mutex;
 use snet_core::fault::DeadLetter;
 use snet_core::SnetError;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -30,29 +30,36 @@ pub struct Run {
     deadline_at: Option<Instant>,
     /// Dead-letter sequence-number allocator for this run.
     pub(crate) seq: AtomicU64,
-    /// Where records diverted under `FailurePolicy::DeadLetter` go.
-    dead: DeadDest,
+    /// Records diverted under `FailurePolicy::DeadLetter`, oldest first.
+    dead: Mutex<DeadLetters>,
 }
 
-/// Where a run's dead letters are delivered.
-pub enum DeadDest {
-    /// Batch mode: collected here for the driver to take at the end.
-    Collect(Mutex<Vec<DeadLetter>>),
-    /// Streaming mode: pushed into the handle's bounded dead-letter
-    /// channel. A component never blocks on it — overflow fails the
-    /// run.
-    Stream(SyncSender<DeadLetter>),
+/// A run's dead letters, waiting for the batch driver's take at the
+/// end or a streaming consumer's `try_recv_dead_letter`.
+struct DeadLetters {
+    queue: VecDeque<DeadLetter>,
+    /// How many may wait: unbounded for a batch run; a stream's
+    /// consumer must keep up, and a component never blocks on it, so a
+    /// diversion past the limit fails the run.
+    limit: usize,
+    /// Cleared when the streaming handle is dropped: nobody will take
+    /// the letters any more, so they are discarded.
+    listening: bool,
 }
 
 impl Run {
-    pub(crate) fn new(deadline_at: Option<Instant>, dead: DeadDest) -> Arc<Run> {
+    pub(crate) fn new(deadline_at: Option<Instant>, dead_limit: usize) -> Arc<Run> {
         Arc::new(Run {
             trace: Arc::new(Trace::new()),
             error: Mutex::new(None),
             aborted: AtomicBool::new(false),
             deadline_at,
             seq: AtomicU64::new(0),
-            dead,
+            dead: Mutex::new(DeadLetters {
+                queue: VecDeque::new(),
+                limit: dead_limit,
+                listening: true,
+            }),
         })
     }
 
@@ -82,36 +89,43 @@ impl Run {
         false
     }
 
-    /// Delivers a diverted record to the run's dead-letter destination.
-    /// Never blocks; a full streaming channel (consumer not draining)
-    /// is a fatal error so the bound is real.
+    /// Queues a diverted record for whoever takes the run's dead
+    /// letters. Never blocks; a queue at its limit (a streaming consumer
+    /// not draining) is a fatal error so the bound is real.
     pub(crate) fn divert(&self, dl: DeadLetter) -> Result<(), SnetError> {
         Trace::add(&self.trace.dead_letters, 1);
-        match &self.dead {
-            DeadDest::Collect(v) => {
-                v.lock().push(dl);
-                Ok(())
-            }
-            DeadDest::Stream(tx) => match tx.try_send(dl) {
-                Ok(()) => Ok(()),
-                Err(TrySendError::Full(dl)) => Err(SnetError::Engine(format!(
-                    "dead-letter channel overflow; last report: {}",
-                    dl.report
-                ))),
-                // Receiver dropped: the consumer stopped listening;
-                // letters are discarded but the run continues.
-                Err(TrySendError::Disconnected(_)) => Ok(()),
-            },
+        let mut dead = self.dead.lock();
+        if !dead.listening {
+            // The consumer stopped listening: the letter is discarded,
+            // the run continues.
+            return Ok(());
         }
+        if dead.queue.len() >= dead.limit {
+            return Err(SnetError::Engine(format!(
+                "dead-letter channel overflow; last report: {}",
+                dl.report
+            )));
+        }
+        dead.queue.push_back(dl);
+        Ok(())
     }
 
-    /// The dead letters a batch run collected (empty for streaming
-    /// runs, whose letters went out through the channel).
+    /// The oldest dead letter waiting, if any.
+    pub(crate) fn next_dead_letter(&self) -> Option<DeadLetter> {
+        self.dead.lock().queue.pop_front()
+    }
+
+    /// Every dead letter waiting, oldest first.
     pub fn take_dead_letters(&self) -> Vec<DeadLetter> {
-        match &self.dead {
-            DeadDest::Collect(v) => std::mem::take(&mut *v.lock()),
-            DeadDest::Stream(_) => Vec::new(),
-        }
+        std::mem::take(&mut self.dead.lock().queue).into()
+    }
+
+    /// Nobody will take this run's dead letters any more: what waits is
+    /// dropped, and later ones are discarded.
+    pub(crate) fn hang_up_dead_letters(&self) {
+        let mut dead = self.dead.lock();
+        dead.listening = false;
+        dead.queue.clear();
     }
 
     /// The run's outcome so far, consuming the recorded error.

@@ -43,40 +43,42 @@
 mod pool;
 mod task;
 
-// Under `--cfg snet_check` the atomics and condvars of the mailbox
-// hand-off path come from the snet-check model scheduler, which makes
-// `RUSTFLAGS="--cfg snet_check" cargo check -p snet-runtime` prove the
-// whole scheduler compiles against the façade (the protocol models in
-// crates/check/tests mirror `pool`'s notify/park and the mailbox
-// waits of `task`; see the table in lib.rs). The snet-check Condvar's
-// timed waits have stuck-state semantics, matching how this module
-// uses timeouts: pure lost-wakeup backstops, never deadlines.
+// Under `--cfg snet_check` the atomics, condvars and threads of the
+// scheduler come from the snet-check model scheduler (and its mutex
+// from the `parking_lot` shim), so `crates/runtime/tests/model.rs` runs
+// this very code under the checker. Its Condvar's timed waits have
+// stuck-state semantics, matching how this module uses timeouts: pure
+// lost-wakeup backstops, never deadlines.
 mod sync {
     #[cfg(snet_check)]
-    pub(super) use snet_check::sync::{
-        atomic::{AtomicBool, AtomicUsize},
-        Condvar,
+    pub(super) use snet_check::{
+        sync::{
+            atomic::{AtomicBool, AtomicUsize},
+            Condvar,
+        },
+        thread,
     };
     #[cfg(not(snet_check))]
-    pub(super) use std::sync::{
-        atomic::{AtomicBool, AtomicUsize},
-        Condvar,
+    pub(super) use std::{
+        sync::{
+            atomic::{AtomicBool, AtomicUsize},
+            Condvar,
+        },
+        thread,
     };
 }
 
 use crate::component::build;
 use crate::config::{EngineConfig, Plan};
 use crate::handle::TrySendError;
-use crate::run::{DeadDest, Run};
+use crate::run::Run;
 use crate::{Network, RunReport};
 use parking_lot::Mutex;
 use pool::{notify, Pool};
-use snet_core::fault::DeadLetter;
 use snet_core::{Record, SnetError};
 use std::collections::VecDeque;
-use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use sync::thread::JoinHandle;
 use task::{wake, Mailbox, Port, Task, TaskCx};
 
 /// The scheduled engine (see [`crate::SchedNet`]): owner of the
@@ -126,15 +128,13 @@ impl Scheduled {
     /// until the handle takes what it holds.
     pub(crate) fn start(&self, plan: &Plan) -> Handle {
         self.ensure_workers();
-        let (dead_tx, dead_rx) = sync_channel(plan.dead_capacity());
-        let run = plan.new_run(DeadDest::Stream(dead_tx));
+        let run = plan.new_run(plan.dead_capacity());
         let (entry, egress) = self.instantiate(plan, &run, self.pool.high_water());
         Handle {
             input: Mutex::new(Some(entry)),
             pool: Arc::clone(&self.pool),
             egress,
             window: Mutex::new(VecDeque::new()),
-            dead: Mutex::new(dead_rx),
             run,
         }
     }
@@ -152,7 +152,7 @@ impl Scheduled {
     ) -> Result<RunReport, SnetError> {
         plan.check()?;
         self.ensure_workers();
-        let run = plan.new_run(DeadDest::Collect(Mutex::new(Vec::new())));
+        let run = plan.new_run(usize::MAX);
         let (entry, egress) = self.instantiate(plan, &run, usize::MAX);
         entry.send_now(records, &self.pool, None);
         entry.close(&self.pool, None, 0);
@@ -234,7 +234,6 @@ pub struct Handle {
     egress: Arc<Task>,
     /// What the consumer took from the egress and has not received yet.
     window: Mutex<VecDeque<Record>>,
-    pub(crate) dead: Mutex<Receiver<DeadLetter>>,
     pub(crate) run: Arc<Run>,
 }
 
@@ -432,9 +431,11 @@ impl Handle {
 
 /// Dropping the handle closes the input and hangs up the egress: what it
 /// holds is discarded, it holds nobody back any more, and the producers
-/// it held are woken, so the run drains to its end unread.
+/// it held are woken, so the run drains to its end unread. Dead letters
+/// are discarded from then on too.
 impl Drop for Handle {
     fn drop(&mut self) {
+        self.run.hang_up_dead_letters();
         self.close_input();
         let woken = {
             let mut mb = self.egress.mailbox.lock();

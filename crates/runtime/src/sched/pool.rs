@@ -11,13 +11,13 @@
 //! does show is having a queue per worker at all: it keeps a consumer
 //! on its producer's core.
 //!
-//! The wake protocol is the one `crates/check/tests/mailbox.rs` model-
-//! checks (lock-then-notify, the sleeper gate, the re-probe of every
-//! run queue; `timeouts_fired() == 0` pins that the timed waits are
-//! backstops and never carry the protocol). The backpressure wakes are
-//! modelled in `crates/check/tests/backpressure.rs`.
+//! The wake protocol (lock-then-notify, the sleeper gate, the re-probe
+//! of every run queue) runs under the `snet-check` model checker in
+//! `tests/model.rs`, threads and all: every scenario there asserts
+//! `timeouts_fired() == 0`, so the timed waits are backstops and never
+//! carry the protocol.
 
-use super::sync::{AtomicBool, AtomicUsize, Condvar};
+use super::sync::{thread, AtomicBool, AtomicUsize, Condvar};
 use super::task::{execute, Task};
 use crate::config::EngineConfig;
 use parking_lot::Mutex;
@@ -137,11 +137,11 @@ impl Pool {
     }
 
     /// Spawns the pool's worker threads.
-    pub(super) fn spawn_workers(self: &Arc<Pool>) -> Vec<std::thread::JoinHandle<()>> {
+    pub(super) fn spawn_workers(self: &Arc<Pool>) -> Vec<thread::JoinHandle<()>> {
         (0..self.workers())
             .map(|i| {
                 let pool = Arc::clone(self);
-                std::thread::Builder::new()
+                thread::Builder::new()
                     .name(format!("snet-sched-{i}"))
                     .spawn(move || worker_loop(i, &pool))
                     .expect("spawn sched worker")
@@ -185,9 +185,9 @@ pub(super) fn notify(task: &Arc<Task>, sh: &Pool, local: Option<usize>) {
         // re-probe but the notify fires before the worker is actually
         // waiting — a lost wake that previously cost the 1ms
         // timed-wait backstop in latency. Found by the snet-check
-        // mailbox model (`crates/check/tests/mailbox.rs`, which pins
-        // `timeouts_fired() == 0`); only taken when a worker is
-        // actually asleep, so the busy hot path is unchanged.
+        // model checker; without it the stream scenario of
+        // `tests/model.rs` fires the backstop. Only taken when a worker
+        // is actually asleep, so the busy hot path is unchanged.
         if sh.sleepers.load(Ordering::SeqCst) > 0 {
             drop(sh.sleep.lock());
             sh.cv.notify_one();
@@ -216,8 +216,10 @@ fn activate(task: &Arc<Task>, sh: &Pool, local: Option<usize>) -> bool {
 
 fn worker_loop(index: usize, sh: &Pool) {
     // The task we last failed to lock (its activation was still running
-    // on another worker). Seeing it twice in a row means there is no
-    // other work — park briefly instead of spinning on the mutex.
+    // on another thread). Seeing it twice in a row means it is back on
+    // the shared queue, where this worker's next look would find it
+    // again (and `park` would return at once): run a sibling's backlog
+    // meanwhile, or yield the core to the thread that holds the lock.
     let mut contended: Option<*const Task> = None;
     // The sibling we last stole from successfully; probed first on the
     // next steal (producers are bursty, so the victim that had work a
@@ -234,8 +236,13 @@ fn worker_loop(index: usize, sh: &Pool) {
                     contended = None;
                 } else {
                     let ptr = Arc::as_ptr(&task);
-                    if contended.replace(ptr) == Some(ptr) && park(sh) {
-                        return;
+                    if contended.replace(ptr) == Some(ptr) {
+                        match steal(index, &mut last_victim, sh) {
+                            Some(stolen) => {
+                                activate(&stolen, sh, Some(index));
+                            }
+                            None => thread::yield_now(),
+                        }
                     }
                 }
             }
@@ -280,19 +287,22 @@ fn park(sh: &Pool) -> bool {
 }
 
 fn find_task(index: usize, last_victim: &mut Option<usize>, sh: &Pool) -> Option<Arc<Task>> {
-    // This worker's own queue, then the shared one.
-    let ready = sh.queues.pop(Some(index)).or_else(|| sh.queues.pop(None));
-    if ready.is_some() {
-        return ready;
-    }
-    // Affinity probe: the last productive victim first.
+    // This worker's own queue, then the shared one, then a sibling's.
+    sh.queues
+        .pop(Some(index))
+        .or_else(|| sh.queues.pop(None))
+        .or_else(|| steal(index, last_victim, sh))
+}
+
+/// Raids a sibling's queue: the last productive victim first, then a
+/// ring scan from this worker's own slot.
+fn steal(index: usize, last_victim: &mut Option<usize>, sh: &Pool) -> Option<Arc<Task>> {
     if let Some(v) = *last_victim {
         match sh.queues.steal_half(v, index) {
             Some(task) => return Some(task),
             None => *last_victim = None,
         }
     }
-    // Ring scan from our own slot.
     let n = sh.workers();
     (1..n).map(|k| (index + k) % n).find_map(|v| {
         let task = sh.queues.steal_half(v, index)?;

@@ -24,13 +24,15 @@
 //! entry, the consumer waiting for records or end-of-stream at the
 //! egress — registers on the mailbox and then re-checks under its lock;
 //! every flush, drain and last close wakes it ([`Task::wake_outside`]).
-//! The model is `crates/check/tests/egress.rs`.
+//! `tests/model.rs` runs both waits under the model checker.
 //!
 //! Backpressure is a wake, like everything else that makes a task
 //! runnable. A component whose downstream backlog is at or over that
 //! mailbox's limit registers on it and stops; the drain that takes the
 //! backlog under the limit queues it again — at the egress, the take.
-//! The models are `crates/check/tests/backpressure.rs`.
+//! `tests/model.rs` holds a stage back at the high-water mark under
+//! the model checker, and races a split's in-place end-of-stream
+//! against the activations it queued.
 
 use super::pool::{notify, Pool};
 use super::sync::{AtomicBool, AtomicUsize, Condvar};

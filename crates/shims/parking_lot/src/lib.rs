@@ -8,7 +8,8 @@
 //!
 //! Under `--cfg snet_check` the mutex core is swapped for the
 //! `snet-check` model mutex, so code locking through this shim (the
-//! sched mailbox path) runs under the deterministic model scheduler.
+//! scheduler, in `snet-runtime`'s `tests/model.rs`) runs under the
+//! deterministic model scheduler.
 //! `RwLock` stays `std` in both builds — nothing model-checked uses it.
 
 use std::sync::{self, PoisonError};
