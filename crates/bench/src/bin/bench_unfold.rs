@@ -11,9 +11,14 @@
 //! * **star**: `((inc | []) .. [{<n>} -> {<n -= 1>}]) * {<n> == 0}`, one
 //!   record `{x, <n>}` per job; `<n> = 32` unfolds 32 replicas of the
 //!   body, `<n> = 0` unfolds none. Four components as written; fused,
-//!   the parallel runs both its one-leaf branches itself, so a replica
-//!   is three tasks (the parallel, the countdown and the next tap) and
-//!   the parallel's branch list.
+//!   the body runs inline, so the star is one component that loops
+//!   through it and an "unfolding" is a round of the loop, which builds
+//!   nothing.
+//! * **tap**: the same star with `inc ! <k>` in place of `inc`, and the
+//!   same job (the record has no `<k>`, so it takes `[]`). The split
+//!   keeps the star's taps: fused, a replica is four tasks (the
+//!   parallel, which runs `[]` itself, the split, the countdown and the
+//!   next tap) and the parallel's branch list.
 //! * **split**: `inc ! <k>`, 33 records per job; 33 distinct `<k>`
 //!   against one — 32 replicas more.
 //!
@@ -100,7 +105,8 @@ fn inc_box() -> NetSpec {
     ))
 }
 
-fn countdown_star() -> NetSpec {
+/// `((inc | []) .. [{<n>} -> {<n -= 1>}]) * {<n> == 0}`.
+fn countdown_star(inc: NetSpec) -> NetSpec {
     let dec = NetSpec::Filter(FilterSpec::new(
         Pattern::from_variant(Variant::parse_labels(&[], &["n"])),
         vec![OutputTemplate::empty().set_tag(
@@ -112,7 +118,7 @@ fn countdown_star() -> NetSpec {
         Variant::empty(),
         TagExpr::bin(BinOp::Eq, TagExpr::tag("n"), TagExpr::Const(0)),
     );
-    let head = NetSpec::parallel(vec![inc_box(), NetSpec::identity()]);
+    let head = NetSpec::parallel(vec![inc, NetSpec::identity()]);
     NetSpec::star(NetSpec::serial(head, dec), exit)
 }
 
@@ -216,8 +222,13 @@ fn main() {
         }
     }
 
-    let shapes: [(&str, NetSpec, Job); 2] = [
-        ("star", countdown_star(), star_job),
+    let shapes: [(&str, NetSpec, Job); 3] = [
+        ("star", countdown_star(inc_box()), star_job),
+        (
+            "tap",
+            countdown_star(NetSpec::split(inc_box(), "k")),
+            star_job,
+        ),
         ("split", NetSpec::split(inc_box(), "k"), split_job),
     ];
     let mut rows = Vec::new();
@@ -246,8 +257,9 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"benchmark\": \"bench_unfold: time and allocations per star unfolding \
-         (body `(inc | []) .. dec`) and per split replica, deep minus flat job over \
-         {DEPTH} instances, run_batch on a warm engine\","
+         (body `(inc | []) .. dec`, a loop fused; `tap`: `((inc ! <k>) | []) .. dec`, \
+         taps) and per split replica, deep minus flat job over {DEPTH} instances, \
+         run_batch on a warm engine\","
     );
     let _ = writeln!(json, "  \"iters\": {iters},");
     let _ = writeln!(
@@ -257,7 +269,7 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"gate\": \"sched us_vs_interp <= 8 on both shapes, same run (measured 2-4); \
+        "  \"gate\": \"sched us_vs_interp, same run: star <= 2, tap and split <= 8; \
          see bench_gates.toml\","
     );
     json.push_str("  \"results\": [\n");

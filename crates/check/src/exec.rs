@@ -323,7 +323,9 @@ impl Ctx {
     /// while the execution runs; unwinds the thread at its first
     /// operation after the abort; and `true` (the operation is inert)
     /// once the thread is unwinding, so a destructor that locks, joins
-    /// or notifies cannot panic in a panic.
+    /// or notifies cannot panic in a panic. The unwind does not run the
+    /// panic hook: an abort is not a panic of the model's, and a hook
+    /// run per unwound thread would bury the failure's report.
     fn stop(&self, ex: &Exec) -> bool {
         if !ex.aborting {
             return false;
@@ -331,7 +333,7 @@ impl Ctx {
         if std::thread::panicking() {
             return true;
         }
-        panic::panic_any(AbortToken);
+        panic::resume_unwind(Box::new(AbortToken));
     }
 
     /// Parks `tid` with the given wait reason and hands the floor to

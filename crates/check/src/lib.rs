@@ -486,6 +486,57 @@ mod self_tests {
         assert!(failure.message.contains("boom"), "{failure}");
     }
 
+    /// A failing model runs the panic hook for its own panics only: the
+    /// threads its abort unwinds do not each report a panic of their
+    /// own ahead of the failure.
+    #[test]
+    fn an_abort_does_not_run_the_panic_hook() {
+        use std::cell::Cell;
+        use std::sync::atomic::AtomicUsize as StdAtomicUsize;
+        thread_local! {
+            /// Set by every thread of the model below, so that the hook
+            /// counts none of the panics of tests running beside it.
+            static IN_MODEL: Cell<bool> = const { Cell::new(false) };
+        }
+        static HOOK_CALLS: StdAtomicUsize = StdAtomicUsize::new(0);
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if IN_MODEL.get() {
+                HOOK_CALLS.fetch_add(1, Ordering::SeqCst);
+            } else {
+                prev(info);
+            }
+        }));
+        let failure = check(Config::default(), || {
+            IN_MODEL.set(true);
+            let started = Arc::new(AtomicUsize::new(0));
+            let _spinners: Vec<_> = (0..2)
+                .map(|_| {
+                    let started = Arc::clone(&started);
+                    thread::spawn(move || {
+                        IN_MODEL.set(true);
+                        started.fetch_add(1, Ordering::SeqCst);
+                        loop {
+                            thread::yield_now();
+                        }
+                    })
+                })
+                .collect();
+            while started.load(Ordering::SeqCst) < 2 {
+                thread::yield_now();
+            }
+            panic!("three-thread boom");
+        });
+        drop(std::panic::take_hook());
+        let failure = failure.expect_err("the panic must be reported");
+        assert!(failure.message.contains("three-thread boom"), "{failure}");
+        assert_eq!(
+            HOOK_CALLS.load(Ordering::SeqCst),
+            1,
+            "the model's one panic, and nothing for the two threads it unwound"
+        );
+    }
+
     /// Three threads under a preemption bound still terminate quickly.
     #[test]
     fn three_threads_bounded() {

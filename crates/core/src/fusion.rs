@@ -16,14 +16,21 @@
 //! compile-time grain-tuning the S-Net-vs-CnC study (arXiv:1305.7167)
 //! treats as the compiler's business over one execution model; it
 //! changes how many components a run builds and how many hand-offs a
-//! record makes, and selects no code path. A star is still a boundary,
-//! but fused, a star whose body is one chain is a [`Node::Loop`]: every
-//! replica would run the same stateless chain, and the engine runs the
-//! star as one component that loops through it, building no replica at
-//! all. A parallel is a boundary as well, but fused, a branch that is
-//! one chain ([`ParNode::inline`]) is run by the dispatcher itself,
-//! onto the merged output every branch writes, and builds no component
-//! of its own. A chain exists only in the compiled tree: a [`NetSpec`]
+//! record makes, and selects no code path.
+//!
+//! Fused, the grain goes one step further, to **inline subnets**: a
+//! chain, a synchrocell, and a serial or parallel composition built only
+//! of those ([`runs_inline`]) can be stepped by the component that owns
+//! it, stage-major over a batch, with no mailbox inside. Two boundaries
+//! own such subnets. A star whose body runs inline is a [`Node::Loop`]:
+//! every replica would run the same subnet, and the engine runs the star
+//! as one component that loops through it, building no replica at all
+//! (a body with a synchrocell keeps one cell state per round, the state
+//! its replica would have had). A parallel runs every branch that runs
+//! inline ([`ParNode::inline`]) itself, onto the merged output every
+//! branch writes, and builds no component for it. Splits, taps and
+//! placed subnets stay boundaries: they build per record or per node.
+//! A chain exists only in the compiled tree: a [`NetSpec`]
 //! is always the network as its author wrote it, and the reference
 //! interpreter, the analyzer and the
 //! printer never see one. Placement (`@`, `!@`) survives compilation as
@@ -93,8 +100,8 @@ pub enum Node {
     Par(Arc<ParNode>),
     /// `A * exit`: a tap per replica, each built on demand.
     Star(Arc<StarNode>),
-    /// `A * exit` with `fuse` on, where `A` compiles to one chain: one
-    /// component that loops through it.
+    /// `A * exit` with `fuse` on, where `A` runs inline
+    /// ([`runs_inline`]): one component that loops through it.
     Loop(Arc<LoopNode>),
     /// `A ! <tag>`.
     Split(Arc<SplitNode>),
@@ -117,10 +124,10 @@ pub struct ParNode {
     /// What each branch attracts, for best-match dispatch; derived from
     /// the branch topologies once, here, instead of per instantiation.
     pub patterns: Vec<Vec<Pattern>>,
-    /// Per branch, with `fuse` on: whether its compiled form is one
-    /// [`Node::Chain`], which the dispatcher runs itself, writing its
-    /// outputs straight to the merged stream, instead of building the
-    /// branch behind a port. Always `false` unfused.
+    /// Per branch, with `fuse` on: whether it runs inline
+    /// ([`runs_inline`]), so that the dispatcher runs it itself, writing
+    /// its outputs straight to the merged stream, instead of building
+    /// the branch behind a port. Always `false` unfused.
     pub inline: Vec<bool>,
 }
 
@@ -134,16 +141,20 @@ pub struct StarNode {
     pub body: Node,
 }
 
-/// A compiled serial replication whose body is one chain: every
-/// replica would run the same stateless stages, so no replica is ever
-/// built.
+/// A compiled serial replication whose body runs inline
+/// ([`runs_inline`]): every replica would run the same subnet, so no
+/// replica is ever built.
 #[derive(Debug)]
 #[non_exhaustive]
 pub struct LoopNode {
     /// Exit pattern, checked before every round.
     pub exit: Pattern,
     /// The whole body, run once per round.
-    pub stages: Arc<[ChainStage]>,
+    pub body: Node,
+    /// Whether the body holds a synchrocell: then every round needs a
+    /// state of its own, as every replica had a cell of its own;
+    /// otherwise one state serves every round.
+    pub stateful: bool,
 }
 
 /// A compiled parallel replication.
@@ -183,13 +194,16 @@ pub fn fuse(spec: &NetSpec) -> Node {
 ///   [`NetSpec::Star`], [`NetSpec::Split`], [`NetSpec::At`]) is a
 ///   fusion **boundary**: it ends the run before it, and its
 ///   body/branches are compiled recursively;
-/// * with `fuse` on, a star whose compiled body is one chain becomes a
-///   [`Node::Loop`] through that chain; nothing outside the star joins
-///   it, and any other body is built per replica ([`Node::Star`]);
-/// * with `fuse` on, every parallel branch whose compiled form is one
-///   chain is marked ([`ParNode::inline`]): the dispatcher runs it on
-///   the records it dispatches there. The branch keeps its chain and
-///   its pattern, so dispatch itself does not change.
+/// * with `fuse` on, a star whose compiled body runs inline
+///   ([`runs_inline`]: chains, synchrocells, and serial and parallel
+///   compositions of only those) becomes a [`Node::Loop`] through that
+///   body; nothing outside the star joins it, and any other body (one
+///   with a split, a star or a placed subnet in it) is built per replica
+///   ([`Node::Star`]);
+/// * with `fuse` on, every parallel branch that runs inline is marked
+///   ([`ParNode::inline`]): the dispatcher runs it on the records it
+///   dispatches there. The branch keeps its compiled form and its
+///   pattern, so dispatch itself does not change.
 ///
 /// Either way the compiled network is observationally equivalent to
 /// the original on every engine: same output multiset, same trace
@@ -223,17 +237,18 @@ fn walk(spec: &NetSpec, fuse: bool, run: &mut Vec<ChainStage>, spine: &mut Vec<N
             let branches: Vec<Node> = branches.iter().map(|b| compile(b, fuse)).collect();
             Node::Par(Arc::new(ParNode {
                 patterns,
-                inline: branches
-                    .iter()
-                    .map(|b| fuse && matches!(b, Node::Chain(_)))
-                    .collect(),
+                inline: branches.iter().map(|b| fuse && runs_inline(b)).collect(),
                 branches,
             }))
         }
         NetSpec::Star { body, exit, .. } => {
             let exit = exit.clone();
             match compile(body, fuse) {
-                Node::Chain(stages) if fuse => Node::Loop(Arc::new(LoopNode { exit, stages })),
+                body if fuse && runs_inline(&body) => Node::Loop(Arc::new(LoopNode {
+                    exit,
+                    stateful: holds_a_cell(&body),
+                    body,
+                })),
                 body => Node::Star(Arc::new(StarNode { exit, body })),
             }
         }
@@ -249,6 +264,32 @@ fn walk(spec: &NetSpec, fuse: bool, run: &mut Vec<ChainStage>, spine: &mut Vec<N
     };
     flush_run(run, spine);
     spine.push(boundary);
+}
+
+/// Whether the component that owns `node` can step it itself: a chain,
+/// a synchrocell, or a serial or parallel composition built only of
+/// those. Such a subnet builds nothing per record, so a star looping
+/// through it ([`Node::Loop`]) or a parallel running it as a branch
+/// ([`ParNode::inline`]) needs no component for it. A split, a star and
+/// a placed subnet are never inline: they build replicas, or run where
+/// their node says.
+pub fn runs_inline(node: &Node) -> bool {
+    match node {
+        Node::Chain(_) | Node::Sync(_) => true,
+        Node::Serial(a, b) => runs_inline(a) && runs_inline(b),
+        Node::Par(par) => par.branches.iter().all(runs_inline),
+        Node::Star(_) | Node::Loop(_) | Node::Split(_) | Node::At { .. } => false,
+    }
+}
+
+/// Whether an inline subnet holds a synchrocell.
+fn holds_a_cell(node: &Node) -> bool {
+    match node {
+        Node::Sync(_) => true,
+        Node::Serial(a, b) => holds_a_cell(a) || holds_a_cell(b),
+        Node::Par(par) => par.branches.iter().any(holds_a_cell),
+        Node::Chain(_) | Node::Star(_) | Node::Loop(_) | Node::Split(_) | Node::At { .. } => false,
+    }
 }
 
 /// Adds a leaf to the open run; unfused, the run ends with it. Beside
@@ -555,7 +596,7 @@ mod tests {
             Node::Serial(a, b) => [chain_lengths(a), chain_lengths(b)].concat(),
             Node::Par(par) => par.branches.iter().flat_map(chain_lengths).collect(),
             Node::Star(star) => chain_lengths(&star.body),
-            Node::Loop(lp) => vec![lp.stages.len()],
+            Node::Loop(lp) => chain_lengths(&lp.body),
             Node::Split(split) => chain_lengths(&split.body),
             Node::At { body, .. } => chain_lengths(body),
         }
@@ -602,11 +643,21 @@ mod tests {
 
     #[test]
     fn boundaries_fuse_their_bodies() {
-        let star = NetSpec::star(NetSpec::serial(inc("s1"), inc("s2")), pattern("z"));
-        let Node::Loop(lp) = fuse(&star) else {
+        let looped = NetSpec::star(NetSpec::serial(inc("s1"), inc("s2")), pattern("z"));
+        let Node::Loop(lp) = fuse(&looped) else {
             panic!("a star whose body is one chain loops")
         };
-        assert_eq!(names(&lp.stages), ["s1", "s2"]);
+        assert_eq!(chain(&lp.body), Some(vec!["s1", "s2"]));
+        assert!(!lp.stateful);
+        // A body with a split keeps its taps; the split's body fuses.
+        let tapped = NetSpec::star(
+            NetSpec::split(NetSpec::serial(inc("t1"), inc("t2")), "k"),
+            pattern("z"),
+        );
+        let Node::Split(split) = &star(&tapped, true).body else {
+            panic!("the split is the body")
+        };
+        assert_eq!(chain(&split.body), Some(vec!["t1", "t2"]));
 
         let split = NetSpec::split(NetSpec::serial(inc("p"), inc("q")), "k");
         let Node::Split(split) = fuse(&split) else {
@@ -690,61 +741,81 @@ mod tests {
     }
 
     #[test]
-    fn a_fused_star_loops_only_when_its_body_is_one_chain() {
+    fn a_fused_star_loops_only_when_its_body_runs_inline() {
         let dec = || NetSpec::Filter(FilterSpec::identity());
         // One chain: `dec * exit` loops through it.
         let only = NetSpec::star(dec(), pattern("z"));
         let Node::Loop(lp) = fuse(&only) else {
             panic!("a one-chain body loops")
         };
-        assert_eq!(names(&lp.stages), ["[]"]);
-        // A chain and more: `(dec .. inc .. sync) * exit` keeps its
-        // taps, and the chain leads the body each replica builds.
-        let rest = NetSpec::star(
+        assert_eq!(chain(&lp.body), Some(vec!["[]"]));
+        assert!(!lp.stateful);
+        // A chain and a cell: `(dec .. inc .. sync) * exit` loops too,
+        // through the body as compiled, with a cell state per round.
+        let cell = NetSpec::star(
             NetSpec::pipeline([dec(), inc("i"), sync_ab()]),
             pattern("z"),
         );
-        let fused = star(&rest, true);
-        let [head, cell] = spine(&fused.body)[..] else {
-            panic!("expected chain .. sync: {fused:?}")
+        let Node::Loop(lp) = fuse(&cell) else {
+            panic!("a body of a chain and a cell loops")
+        };
+        let [head, sync] = spine(&lp.body)[..] else {
+            panic!("expected chain .. sync: {lp:?}")
         };
         assert_eq!(chain(head), Some(vec!["[]", "i"]));
-        assert!(matches!(cell, Node::Sync(_)), "{fused:?}");
-        // Unfused, both are taps over the body as written.
+        assert!(matches!(sync, Node::Sync(_)), "{lp:?}");
+        assert!(lp.stateful);
+        // A split in the body: `(dec .. inc ! <k>) * exit` keeps its
+        // taps, and the chain leads the body each replica builds.
+        let split = NetSpec::star(
+            NetSpec::serial(dec(), NetSpec::split(inc("i"), "k")),
+            pattern("z"),
+        );
+        let fused = star(&split, true);
+        let [head, Node::Split(_)] = spine(&fused.body)[..] else {
+            panic!("expected chain .. split: {fused:?}")
+        };
+        assert_eq!(chain(head), Some(vec!["[]"]));
+        // Unfused, all three are taps over the body as written.
         assert_eq!(chain(&star(&only, false).body), Some(vec!["[]"]));
-        assert_eq!(spine(&star(&rest, false).body).len(), 3);
+        assert_eq!(spine(&star(&cell, false).body).len(), 3);
+        assert_eq!(spine(&star(&split, false).body).len(), 2);
     }
 
     #[test]
     fn a_fused_parallel_marks_its_chain_branches() {
-        // `(l1 .. l2 | sync | r ! <k> | [] | (r2)@1)`: two chains; a
-        // sync, a split and a placed subnet keep their ports.
+        // `(l1 .. l2 | sync | r ! <k> | [] | (r2)@1 | (sync .. (a | b)))`:
+        // two chains, a sync and a pipeline of a sync and a parallel of
+        // chains run inline; a split and a placed subnet keep their
+        // ports.
         let spec = NetSpec::parallel(vec![
             NetSpec::serial(inc("l1"), inc("l2")),
             sync_ab(),
             NetSpec::split(inc("r"), "k"),
             NetSpec::identity(),
             NetSpec::at(inc("r2"), 1),
+            NetSpec::serial(sync_ab(), NetSpec::parallel(vec![inc("a"), inc("b")])),
         ]);
         for (fuse, inline) in [
-            (true, [true, false, false, true, false]),
-            (false, [false; 5]),
+            (true, [true, true, false, true, false, true]),
+            (false, [false; 6]),
         ] {
             let Node::Par(par) = compile(&spec, fuse) else {
                 panic!("parallel survives compilation")
             };
             assert_eq!(par.inline, inline, "fuse {fuse}");
-            assert_eq!(par.branches.len(), 5);
-            assert_eq!(par.patterns.len(), 5);
+            assert_eq!(par.branches.len(), 6);
+            assert_eq!(par.patterns.len(), 6);
         }
     }
 
     #[test]
-    fn par_or_sync_led_bodies_leave_the_tap_plain() {
+    fn paper_star_bodies_loop_unless_they_split() {
         let id = NetSpec::identity;
         let dec = || NetSpec::Filter(FilterSpec::identity());
-        // The shapes of Fig 3's merger, Fig 4's dynamic solver and
-        // `bench_unfold`'s countdown star.
+        // The shapes of Fig 3's merger and `bench_unfold`'s countdown
+        // star loop; Fig 4's dynamic solver, whose body holds a split,
+        // keeps its taps. Either way the body is compiled as written.
         let merger = NetSpec::serial(
             sync_ab(),
             NetSpec::parallel(vec![NetSpec::serial(inc("merge"), dec()), id()]),
@@ -757,9 +828,30 @@ mod tests {
             NetSpec::parallel(vec![id(), sync_ab()]),
         );
         let countdown = NetSpec::serial(NetSpec::parallel(vec![inc("inc"), id()]), dec());
-        for body in [merger, solver, countdown] {
+        for (body, loops, stateful) in [
+            (merger, true, true),
+            (countdown, true, false),
+            (solver, false, false),
+        ] {
             let written = compile(&body, true);
-            let fused = star(&NetSpec::star(body, pattern("z")), true);
+            let fused = match fuse(&NetSpec::star(body, pattern("z"))) {
+                Node::Loop(lp) if loops => {
+                    assert_eq!(lp.stateful, stateful);
+                    lp
+                }
+                Node::Star(star) if !loops => {
+                    // The solver's join `([] | sync)` runs both its
+                    // branches itself.
+                    let [_, Node::Par(join)] = spine(&star.body)[..] else {
+                        panic!("expected par .. par: {star:?}")
+                    };
+                    assert_eq!(join.inline, [true, true]);
+                    assert_eq!(chain_lengths(&star.body), chain_lengths(&written));
+                    assert_eq!(spine(&star.body).len(), spine(&written).len());
+                    continue;
+                }
+                other => panic!("loops {loops}: {other:?}"),
+            };
             assert_eq!(chain_lengths(&fused.body), chain_lengths(&written));
             assert_eq!(spine(&fused.body).len(), spine(&written).len());
         }

@@ -139,42 +139,86 @@ fn star_taps_are_named_for_the_chain_they_run() {
     );
 }
 
-/// A star whose body is more than a chain keeps plain taps: the body's
+/// `[| {x}, {y} |]`.
+fn cell_xy() -> NetSpec {
+    NetSpec::Sync(snet_core::SyncSpec::new(vec![
+        Pattern::from_variant(Variant::parse_labels(&["x"], &[])),
+        Pattern::from_variant(Variant::parse_labels(&["y"], &[])),
+    ]))
+}
+
+/// A star whose body runs inline loops through it, whatever chains and
+/// cells it holds; a body with a split keeps plain taps, and its
 /// leading chain is built in each replica, behind the tap, like the
 /// rest of it.
 #[test]
-fn a_star_whose_body_is_more_than_a_chain_has_plain_taps() {
-    let cell = NetSpec::Sync(snet_core::SyncSpec::new(vec![
-        Pattern::from_variant(Variant::parse_labels(&["x"], &[])),
-        Pattern::from_variant(Variant::parse_labels(&["y"], &[])),
-    ]));
-    let star = countdown(NetSpec::pipeline([dec(), pass("inc"), cell]));
+fn a_star_whose_body_splits_has_plain_taps() {
+    let star = countdown(NetSpec::pipeline([dec(), pass("inc"), cell_xy()]));
     assert_eq!(
         labels(&star, true, stays()),
-        ["star-tap", "star-tap", "sync", "chain2-filter..box-inc"]
+        ["star-loop+chain2-filter..box-inc..sync"]
     );
     assert_eq!(
         labels(&star, false, stays()),
         ["star-tap", "star-tap", "sync", "box-inc", "filter"]
     );
+    let split = countdown(NetSpec::pipeline([
+        dec(),
+        pass("inc"),
+        NetSpec::split(pass("s"), "k"),
+    ]));
+    assert_eq!(
+        labels(&split, true, stays()),
+        [
+            "star-tap",
+            "star-tap",
+            "split-dispatch",
+            "chain2-filter..box-inc"
+        ]
+    );
+    assert_eq!(
+        labels(&split, false, stays()),
+        [
+            "star-tap",
+            "star-tap",
+            "split-dispatch",
+            "box-inc",
+            "filter"
+        ]
+    );
 }
 
-/// Fused, a parallel runs each branch that is one chain itself and is
-/// named for those chains; a branch that is more than a chain is built
-/// behind a port. Unfused, every branch is built, back to front.
+/// Fused, a parallel runs each branch that runs inline itself — a
+/// chain, a cell, or a composition of those — and is named for them; a
+/// branch with a split is built behind a port. Unfused, every branch is
+/// built, in declaration order, each back to front.
 #[test]
 fn a_parallel_is_named_for_the_chains_it_runs() {
-    let cell = NetSpec::Sync(snet_core::SyncSpec::new(vec![
-        Pattern::from_variant(Variant::parse_labels(&["x"], &[])),
-        Pattern::from_variant(Variant::parse_labels(&["y"], &[])),
-    ]));
-    let par = NetSpec::parallel(vec![NetSpec::serial(pass("a"), pass("b")), cell]);
+    let par = NetSpec::parallel(vec![
+        NetSpec::serial(pass("a"), pass("b")),
+        cell_xy(),
+        NetSpec::serial(cell_xy(), NetSpec::parallel(vec![pass("c"), pass("d")])),
+        NetSpec::split(pass("s"), "k"),
+    ]);
     assert_eq!(
         labels(&par, true, None),
-        ["sync", "par-dispatch+chain2-box-a..box-b"]
+        [
+            "split-dispatch",
+            "par-dispatch+chain2-box-a..box-b+sync+sync..(box-c|box-d)"
+        ]
     );
     assert_eq!(
         labels(&par, false, None),
-        ["box-b", "box-a", "sync", "par-dispatch"]
+        [
+            "box-b",
+            "box-a",
+            "sync",
+            "box-c",
+            "box-d",
+            "par-dispatch",
+            "sync",
+            "split-dispatch",
+            "par-dispatch"
+        ]
     );
 }

@@ -78,8 +78,10 @@
 //! copies nothing whose size depends on the topology. The paper's Fig 4 net
 //! schedules dynamically *by unfolding*, so this is coordination
 //! overhead in its own sense: one 16×16 job on that net builds and
-//! retires 150 components in 41 unfoldings (234 before a parallel ran
-//! its chain branches itself, below), and instantiating from the
+//! retires 89 components (150 before a star whose body runs inline
+//! became one loop and a parallel ran its cell branches itself, 234
+//! before a parallel ran its chain branches itself, below), and
+//! instantiating from the
 //! shared tree roughly doubled the rate of such jobs (`forkjoin_burst`
 //! in `benchmark/`; per-instance cost in `BENCH_unfold.json`, gated).
 //! [`Interp`] does not use the tree — the oracle stays an independent
@@ -163,26 +165,38 @@
 //! parallel/split dispatch and merge, star unfolding, synchrocells —
 //! never share a chain with what is outside them; mailboxes remain
 //! exactly there, so the observable record flow (and the interpreter
-//! oracle) is unchanged. A star whose body is one chain is the
-//! boundary that owns it: fused, it has no taps at all
-//! (`Node::Loop`). Every replica would run the same stateless chain, so
-//! the star is one component that loops. After every round the records
-//! that match the exit leave on its output and the rest go round the
-//! chain again; the deepest round it has run is what the taps would
-//! have unfolded, and that is what it counts in `star_unfoldings`. It
-//! polls the run's abort flag and deadline once per round and is
-//! backpressured on its output, as a chain is. A parallel is the other
-//! boundary that owns chains: fused, every branch that is one chain
+//! oracle) is unchanged.
+//!
+//! Two boundaries own **inline subnets**
+//! ([`snet_core::fusion::runs_inline`]: a chain, a synchrocell, or a
+//! serial or parallel composition of only those), which build nothing
+//! per record and so need no component of their own. A star whose body
+//! runs inline has, fused, no taps at all (`Node::Loop`). Every replica
+//! would run the same subnet, so the star is one component that loops.
+//! After every round the records that match the exit leave on its
+//! output and the rest go round the body again, stage-major: a batch
+//! crosses each of the body's chains in one chain step and each of its
+//! parallels in one dispatch. The deepest round it has run is what the
+//! taps would have unfolded, and that is what it counts in
+//! `star_unfoldings`. A body with a synchrocell, such as Fig 3's
+//! merger `[| {pic}, {chunk} |] .. (merge | [])`, gets a cell state per
+//! round, built when the round is first reached, as its replica would
+//! have been; a body without one shares one state, and a round of it
+//! allocates nothing. The loop polls the run's abort flag and deadline
+//! once per round and is backpressured on its output, as a chain is. A
+//! parallel is the other owner: fused, every branch that runs inline
 //! (`ParNode::inline`) is run by the dispatcher itself. Dispatch is
 //! unchanged; the records a hand-off batch sends to such a branch are
-//! held, then go through its chain in one stage-major step, straight
-//! onto the merged output every branch writes. Only the other branches
-//! are built behind a port, so the bypass idiom `(A | [])` of the
-//! paper's Figs 3 and 4 is one component, not three, and a parallel
-//! that runs a branch is backpressured on its output. A 16×16 job on
-//! the Fig 4 net builds 150 components instead of 234, and
-//! `forkjoin_burst` reads 1.21× the jobs/s (higher in 10 of 10
-//! alternating pairs; ROADMAP has the runs).
+//! held, then go through it in one stage-major step, straight onto the
+//! merged output every branch writes. Only the other branches are
+//! built behind a port, so the bypass idiom `(A | [])` of the paper's
+//! Figs 3 and 4, and Fig 4's join `([] | [| {sect}, {<node>} |])`, are
+//! one component each, and a parallel that runs a branch is
+//! backpressured on its output. A split, a star and a placed subnet
+//! stay boundaries: a star whose body holds one, like Fig 4's solver,
+//! keeps its taps. A 16×16 job on the Fig 4 net builds 89 components
+//! (150 while the merger's star kept its taps and the join its cell
+//! component, 234 while parallels built a component per branch).
 //!
 //! Faults are **per stage** at either grain: each stage runs under its
 //! own [`FailurePolicy`], a `DeadLetter`-diverted record carries the
@@ -203,7 +217,9 @@
 //! whose star's body is one chain, read 1.104× the `throughput_per_s`
 //! when that star became one loop, which takes a record from 7
 //! record-hops to 5 (higher in 10 of 10 alternating pairs), and
-//! `forkjoin_burst` the 1.21× above (ROADMAP has the runs).
+//! `forkjoin_burst` 1.21× when parallels began running their chain
+//! branches and 1.26× more when stars and parallels began running
+//! synchrocells inline (ROADMAP has the runs).
 //!
 //! ## Failure semantics
 //!

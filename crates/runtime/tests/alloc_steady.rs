@@ -20,6 +20,9 @@
 //! The third pins a star whose body is one chain, which the fused plan
 //! runs as one component that loops: a round of the loop allocates
 //! nothing (at the unfused grain each round is a tap task of its own).
+//! A loop whose body holds a synchrocell (the shape of Fig 3's merger)
+//! needs a cell state per round: such a round allocates that state and
+//! nothing else, fewer allocations than a tap unfolding makes.
 //!
 //! The fourth pins the filter step itself: a filter works on the record
 //! it is handed, so the record that leaves has the storage the one that
@@ -235,16 +238,24 @@ fn countdown() -> FilterSpec {
     )
 }
 
-/// `((inc | []) .. [{<n>} -> {<n -= 1>}]) * {<n> == 0}`: a record
-/// `{<n>}` unfolds `n` replicas of a four-component body.
-fn countdown_star(width: usize) -> NetSpec {
-    let dec = NetSpec::Filter(countdown());
-    let exit = Pattern::guarded(
+/// `{<n> == 0}`, the countdown's exit.
+fn at_zero() -> Pattern {
+    Pattern::guarded(
         Variant::empty(),
         TagExpr::bin(BinOp::Eq, TagExpr::tag("n"), TagExpr::Const(0)),
-    );
-    let head = NetSpec::parallel(vec![wide_inc(width), NetSpec::identity()]);
-    NetSpec::star(NetSpec::serial(head, dec), exit)
+    )
+}
+
+/// `(((inc ! <k>) | []) .. [{<n>} -> {<n -= 1>}]) * {<n> == 0}`: a
+/// record `{<n>}` unfolds `n` replicas of a five-component body. The
+/// split keeps the star's taps: a body without one runs as a loop.
+fn countdown_star(width: usize) -> NetSpec {
+    let dec = NetSpec::Filter(countdown());
+    let head = NetSpec::parallel(vec![
+        NetSpec::split(wide_inc(width), "k"),
+        NetSpec::identity(),
+    ]);
+    NetSpec::star(NetSpec::serial(head, dec), at_zero())
 }
 
 /// Fewest allocations any of a few `run_batch(job())` calls makes on a
@@ -346,11 +357,11 @@ fn unfolding_allocates_per_task_not_per_spec() {
     let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
     let depth = DEPTH as u64;
 
-    // Three tasks per unfolding (the next tap, the filter, and the
-    // parallel dispatcher, which runs both its one-leaf branches
-    // itself) plus the dispatcher's branch list. The engine used to
-    // deep-copy every spec in the body, and the body itself once more
-    // per tap: 39.
+    // Four tasks per unfolding (the next tap, the filter, the split
+    // dispatcher and the parallel dispatcher, which runs its `[]`
+    // branch itself) plus the dispatcher's branch list. The engine used
+    // to deep-copy every spec in the body, and the body itself once
+    // more per tap.
     let narrow = steadiest(|| allocs_per_unfolding(1));
     assert!(
         narrow <= 10 * depth,
@@ -377,11 +388,20 @@ fn unfolding_allocates_per_task_not_per_spec() {
 /// `[{<n>} -> {<n -= 1>}] * {<n> == 0}`: a star whose body is one
 /// chain, which the fused plan runs as one component that loops.
 fn countdown_loop() -> NetSpec {
-    let exit = Pattern::guarded(
-        Variant::empty(),
-        TagExpr::bin(BinOp::Eq, TagExpr::tag("n"), TagExpr::Const(0)),
-    );
-    NetSpec::star(NetSpec::Filter(countdown()), exit)
+    NetSpec::star(NetSpec::Filter(countdown()), at_zero())
+}
+
+/// Allocations a depth-32 job makes beyond a depth-0 job on the same
+/// warm one-worker net running `spec`: 32 rounds of its loop against
+/// none.
+fn allocs_per_32_rounds(spec: NetSpec) -> u64 {
+    let net = one_worker(spec);
+    let job = |n: i64| move || vec![Record::new().with_tag("n", n)];
+    floor_allocs(&net, job(DEPTH), 1); // warm-up
+    let deep = floor_allocs(&net, job(DEPTH), 1);
+    let flat = floor_allocs(&net, job(0), 1);
+    eprintln!("loop: depth {DEPTH} = {deep} allocs, depth 0 = {flat}");
+    deep.saturating_sub(flat)
 }
 
 #[test]
@@ -408,6 +428,41 @@ fn a_loop_round_allocates_nothing() {
         steadiest(rounds),
         0,
         "{DEPTH} rounds of a loop must allocate nothing a job without rounds does not"
+    );
+}
+
+/// `([| {x}, {y} |] .. (inc | []) .. [{<n>} -> {<n -= 1>}]) * {<n> ==
+/// 0}`: Fig 3's merger shape, a cell ahead of a parallel, around the
+/// countdown. The fused plan runs it as one loop with a cell state per
+/// round; a record `{<n>}` matches neither slot, so it passes each
+/// round's cell and every round is reached.
+fn countdown_cell_loop() -> NetSpec {
+    let cell = NetSpec::Sync(snet_core::SyncSpec::new(vec![
+        Pattern::from_variant(Variant::parse_labels(&["x"], &[])),
+        Pattern::from_variant(Variant::parse_labels(&["y"], &[])),
+    ]));
+    let head = NetSpec::parallel(vec![wide_inc(1), NetSpec::identity()]);
+    let body = NetSpec::pipeline([cell, head, NetSpec::Filter(countdown())]);
+    NetSpec::star(body, at_zero())
+}
+
+#[test]
+fn a_loop_round_with_a_cell_allocates_only_its_state() {
+    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
+    // A round's state is the body's spine, the cell's slots and the
+    // parallel's branch list, built for every round but the first (whose
+    // state is built with the loop); the list of round states grows by
+    // doubling. A tap unfolding of a body that keeps its taps costs 4
+    // and more (`unfolding_allocates_per_task_not_per_spec`).
+    let depth = DEPTH as u64;
+    let rounds = steadiest(|| allocs_per_32_rounds(countdown_cell_loop()));
+    assert!(
+        rounds <= 3 * (depth - 1) + depth.ilog2() as u64,
+        "{rounds} allocations for {depth} rounds (> 3 each, and the state list's growth)"
+    );
+    assert!(
+        rounds >= 3 * (depth - 1),
+        "{rounds}: every round past the first builds its state"
     );
 }
 

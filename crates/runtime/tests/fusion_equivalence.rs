@@ -179,7 +179,7 @@ fn count_chains(node: &Node) -> usize {
         Node::Serial(a, b) => count_chains(a) + count_chains(b),
         Node::Par(par) => par.branches.iter().map(count_chains).sum(),
         Node::Star(star) => count_chains(&star.body),
-        Node::Loop(lp) => usize::from(lp.stages.len() >= 2),
+        Node::Loop(lp) => count_chains(&lp.body),
         Node::Split(split) => count_chains(&split.body),
         Node::At { body, .. } => count_chains(body),
     }
@@ -582,8 +582,9 @@ fn sync_ab() -> NetSpec {
     ]))
 }
 
-/// A parallel branch that is not one chain: a split, a nested parallel
-/// of chains, or (with `sync`) a synchrocell, alone or before a chain.
+/// A parallel branch that is not one chain: a split, which keeps a
+/// port, or a nested parallel of chains or (with `sync`) a synchrocell,
+/// alone or before a chain, which fused run inline.
 fn arb_port_branch(sync: bool) -> BoxedStrategy<NetSpec> {
     let split = arb_chain().prop_map(|body| NetSpec::split(body, "k"));
     let nested = prop::collection::vec(arb_branch_chain(), 2..4).prop_map(NetSpec::parallel);
@@ -623,6 +624,22 @@ fn arb_par() -> impl Strategy<Value = NetSpec> {
     ]
 }
 
+/// `(chains and cells, with a `sync_ab()` and the countdown among them) *
+/// {<n> <= 0}`: a star whose body runs inline and holds a cell, which
+/// fused is one loop with a cell state per round. No parallel stands
+/// ahead of a cell (see `arb_par`), so every engine hands each cell the
+/// same records in the same order.
+fn arb_cell_star() -> impl Strategy<Value = NetSpec> {
+    let segment = prop_oneof![arb_branch_chain(), Just(sync_ab())];
+    (prop::collection::vec(segment, 0..4), 0usize..5, 0usize..5).prop_map(
+        |(mut segments, cell, at)| {
+            segments.insert(cell.min(segments.len()), sync_ab());
+            segments.insert(at.min(segments.len()), dec_filter());
+            countdown_loop(NetSpec::pipeline(segments))
+        },
+    )
+}
+
 /// How many branches the plan's parallels run themselves.
 fn inline_branches(node: &Node) -> usize {
     match node {
@@ -633,7 +650,7 @@ fn inline_branches(node: &Node) -> usize {
             here + par.branches.iter().map(inline_branches).sum::<usize>()
         }
         Node::Star(star) => inline_branches(&star.body),
-        Node::Loop(_) => 0,
+        Node::Loop(lp) => inline_branches(&lp.body),
         Node::Split(split) => inline_branches(&split.body),
         Node::At { body, .. } => inline_branches(body),
     }
@@ -671,6 +688,49 @@ proptest! {
             .unwrap();
         let counters = semantic_counters(&unfused.trace);
         prop_assert_eq!(counters[1], oracle.work.ops);
+        for (engine, report) in [
+            ("fused", &fused),
+            ("unfused", &unfused),
+            ("fused, batch 1", &one_by_one),
+        ] {
+            prop_assert_eq!(
+                multiset(&report.outputs),
+                multiset(&oracle.outputs),
+                "{}: outputs", engine
+            );
+            prop_assert_eq!(
+                dead_multiset(&report.dead_letters),
+                dead_multiset(&oracle.dead_letters),
+                "{}: dead letters", engine
+            );
+            prop_assert_eq!(semantic_counters(&report.trace), counters, "{}: trace", engine);
+        }
+    }
+
+    #[test]
+    fn a_loop_through_chains_and_cells_is_the_star_as_written(
+        net in arb_cell_star(),
+        batch in prop::collection::vec(arb_record(), 0..12),
+    ) {
+        let plan = snet_core::fuse(&net);
+        prop_assert!(
+            matches!(&plan, Node::Loop(lp) if lp.stateful),
+            "a loop with a cell: {:?}", plan
+        );
+
+        let oracle = Interp::new(&net).run_batch(batch.clone()).unwrap();
+        let fused = SchedNet::with_config(net.clone(), fused_cfg())
+            .run_batch_report(batch.clone())
+            .unwrap();
+        let unfused = SchedNet::with_config(net.clone(), unfused_cfg())
+            .run_batch_report(batch.clone())
+            .unwrap();
+        let one_by_one = SchedNet::with_config(net, record_at_a_time_cfg())
+            .run_batch_report(batch)
+            .unwrap();
+        let counters = semantic_counters(&unfused.trace);
+        prop_assert_eq!(counters[1], oracle.work.ops);
+        prop_assert_eq!(counters[6], oracle.stranded as u64, "sync_stranded");
         for (engine, report) in [
             ("fused", &fused),
             ("unfused", &unfused),

@@ -371,3 +371,38 @@ fn sched_engine_scales_workers_without_changing_the_picture() {
         assert_eq!(img, reference, "workers = {workers}");
     }
 }
+
+/// One `forkjoin_burst` job: a 16×16 render on the Fig 4 net, 16
+/// sections and 8 tokens over two nodes. Fused, the merger's star body
+/// (a cell and a parallel of chains) runs as one loop, and each solver
+/// replica's join `([] | [| {sect}, {<node>} |])` runs its cell itself,
+/// so the job builds 89 components (150 while both were components of
+/// their own) and retires every one of them.
+#[test]
+fn a_fig4_job_builds_89_components() {
+    let wl = Workload {
+        spheres: 8,
+        width: 16,
+        height: 16,
+        ..Workload::small()
+    };
+    let cfg = SnetConfig {
+        variant: NetVariant::Dynamic,
+        nodes: 2,
+        tasks: 16,
+        tokens: 8,
+        schedule: Schedule::Block,
+    };
+    let slot = image_slot();
+    let net = SchedNet::new(raytracing_net(cfg.variant, slot.clone(), None));
+    for _ in 0..3 {
+        let (outs, trace) = net
+            .run_batch_traced(vec![input_record(&wl, &cfg)])
+            .expect("the job completes");
+        assert!(outs.is_empty(), "genImg terminates the stream");
+        assert_eq!(slot.lock().take().expect("a picture"), wl.reference_image());
+        let built = trace.get(&trace.components_built);
+        assert_eq!(built, 89);
+        assert_eq!(trace.get(&trace.components_finalized), built);
+    }
+}
