@@ -10,7 +10,7 @@
 //! crossing every stage in place — and mailboxes remain exactly at the
 //! boundaries where they carry semantics: synchrocells (stateful),
 //! parallel dispatch (the merge of a branch that is more than one
-//! chain), star taps, and index splits. How many
+//! chain), star taps, and index splits' replicas. How many
 //! consecutive leaves share a chain is a **grain** choice made at
 //! compile time (`fuse`: maximal runs, or one leaf per chain), the
 //! compile-time grain-tuning the S-Net-vs-CnC study (arXiv:1305.7167)
@@ -21,15 +21,25 @@
 //! Fused, the grain goes one step further, to **inline subnets**: a
 //! chain, a synchrocell, and a serial or parallel composition built only
 //! of those ([`runs_inline`]) can be stepped by the component that owns
-//! it, stage-major over a batch, with no mailbox inside. Two boundaries
-//! own such subnets. A star whose body runs inline is a [`Node::Loop`]:
-//! every replica would run the same subnet, and the engine runs the star
-//! as one component that loops through it, building no replica at all
-//! (a body with a synchrocell keeps one cell state per round, the state
-//! its replica would have had). A parallel runs every branch that runs
-//! inline ([`ParNode::inline`]) itself, onto the merged output every
-//! branch writes, and builds no component for it. Splits, taps and
-//! placed subnets stay boundaries: they build per record or per node.
+//! it, stage-major over a batch, with no mailbox inside. A split is
+//! stepped the same way: it holds no records, and its step is a lookup
+//! from tag value to replica port, so a subnet that ends in one, or a
+//! parallel whose branches each run or end in one, **routes inline**
+//! ([`routes_inline`]): its owner runs it and sends what reaches the
+//! split to the replicas, which stay components of their own. Three
+//! boundaries own such subnets. A star whose body runs inline is a
+//! [`Node::Loop`]: every replica would run the same subnet, and the
+//! engine runs the star as one component that loops through it,
+//! building no replica at all (a body with a synchrocell keeps one cell
+//! state per round, the state its replica would have had). Any other
+//! star is cut into a `head` and an inline `tail` ([`StarNode`]), and
+//! the engine runs one component per round: the tail of the round
+//! before, the exit test, and the head, when the head routes inline.
+//! A parallel runs every branch that runs or routes inline
+//! ([`ParNode::inline`]) itself, onto the merged output every branch
+//! writes, and builds no component for it. Split replicas, the head of
+//! a round that does not route inline, and placed subnets stay
+//! components: they are built per record, per round or per node.
 //! A chain exists only in the compiled tree: a [`NetSpec`]
 //! is always the network as its author wrote it, and the reference
 //! interpreter, the analyzer and the
@@ -98,7 +108,8 @@ pub enum Node {
     Serial(Box<Node>, Box<Node>),
     /// `A | B | …`.
     Par(Arc<ParNode>),
-    /// `A * exit`: a tap per replica, each built on demand.
+    /// `A * exit`, unless it is a [`Node::Loop`]: a component per round,
+    /// each built on demand.
     Star(Arc<StarNode>),
     /// `A * exit` with `fuse` on, where `A` runs inline
     /// ([`runs_inline`]): one component that loops through it.
@@ -124,21 +135,35 @@ pub struct ParNode {
     /// What each branch attracts, for best-match dispatch; derived from
     /// the branch topologies once, here, instead of per instantiation.
     pub patterns: Vec<Vec<Pattern>>,
-    /// Per branch, with `fuse` on: whether it runs inline
-    /// ([`runs_inline`]), so that the dispatcher runs it itself, writing
-    /// its outputs straight to the merged stream, instead of building
+    /// Per branch, with `fuse` on: whether it runs or routes inline
+    /// ([`runs_inline`], [`routes_inline`]), so that the dispatcher runs
+    /// it itself, writing its outputs straight to the merged stream (a
+    /// split's replicas are built onto that stream), instead of building
     /// the branch behind a port. Always `false` unfused.
     pub inline: Vec<bool>,
 }
 
-/// A compiled serial replication, unfolded a replica at a time.
+/// A compiled serial replication whose body does not run inline,
+/// unfolded a round at a time. The body's spine is cut in two, `head ..
+/// tail`, and round `r` is one component that runs the tail of round
+/// `r - 1` (none in round 1), then the exit test, then the head: itself
+/// when the head routes inline, or behind a port otherwise. Unfused
+/// there is no tail and the head is the whole body, built behind a
+/// port: a round is the tap of §III.
 #[derive(Debug)]
 #[non_exhaustive]
 pub struct StarNode {
-    /// Exit pattern, checked before every replica.
+    /// Exit pattern, checked before every round's head.
     pub exit: Pattern,
-    /// The body, built per replica behind a tap.
-    pub body: Node,
+    /// The body's spine up to its tail: never empty.
+    pub head: Node,
+    /// With `fuse` on, the longest suffix of the body's spine that runs
+    /// inline ([`runs_inline`]), if any; `None` unfused.
+    pub tail: Option<Node>,
+    /// With `fuse` on, whether the head routes inline
+    /// ([`routes_inline`]), so that a round runs it; otherwise each
+    /// round builds it behind a port. Always `false` unfused.
+    pub routes: bool,
 }
 
 /// A compiled serial replication whose body runs inline
@@ -197,27 +222,40 @@ pub fn fuse(spec: &NetSpec) -> Node {
 /// * with `fuse` on, a star whose compiled body runs inline
 ///   ([`runs_inline`]: chains, synchrocells, and serial and parallel
 ///   compositions of only those) becomes a [`Node::Loop`] through that
-///   body; nothing outside the star joins it, and any other body (one
-///   with a split, a star or a placed subnet in it) is built per replica
-///   ([`Node::Star`]);
-/// * with `fuse` on, every parallel branch that runs inline is marked
-///   ([`ParNode::inline`]): the dispatcher runs it on the records it
-///   dispatches there. The branch keeps its compiled form and its
-///   pattern, so dispatch itself does not change.
+///   body; nothing outside the star joins it;
+/// * any other star ([`Node::Star`]) keeps its body's spine as written,
+///   cut, with `fuse` on, into a `head` and the longest suffix that
+///   runs inline, its `tail`; the head is marked when it routes inline
+///   ([`routes_inline`]: it ends in a split, or in a parallel whose
+///   branches each run or route inline, after a prefix that runs
+///   inline). Unfused, the head is the whole body;
+/// * with `fuse` on, every parallel branch that runs or routes inline
+///   is marked ([`ParNode::inline`]): the dispatcher runs it on the
+///   records it dispatches there. The branch keeps its compiled form
+///   and its pattern, so dispatch itself does not change.
 ///
 /// Either way the compiled network is observationally equivalent to
 /// the original on every engine: same output multiset, same trace
 /// counters, same fault attribution (see the `fusion_equivalence`
 /// property suite).
 pub fn compile(spec: &NetSpec, fuse: bool) -> Node {
+    serial(compile_spine(spec, fuse)).expect("every topology has at least one element")
+}
+
+/// The compiled serial spine of `spec`, in pipeline order.
+fn compile_spine(spec: &NetSpec, fuse: bool) -> Vec<Node> {
     let mut spine = Vec::new();
     let mut run = Vec::new();
     walk(spec, fuse, &mut run, &mut spine);
     flush_run(&mut run, &mut spine);
     spine
+}
+
+/// A spine's elements composed in series; `None` for no element.
+fn serial(spine: Vec<Node>) -> Option<Node> {
+    spine
         .into_iter()
         .reduce(|a, b| Node::Serial(Box::new(a), Box::new(b)))
-        .expect("every topology has at least one element")
 }
 
 /// Appends the serial spine of `spec` to `spine`: leaves join the open
@@ -237,19 +275,37 @@ fn walk(spec: &NetSpec, fuse: bool, run: &mut Vec<ChainStage>, spine: &mut Vec<N
             let branches: Vec<Node> = branches.iter().map(|b| compile(b, fuse)).collect();
             Node::Par(Arc::new(ParNode {
                 patterns,
-                inline: branches.iter().map(|b| fuse && runs_inline(b)).collect(),
+                inline: branches
+                    .iter()
+                    .map(|b| fuse && (runs_inline(b) || routes_inline(b)))
+                    .collect(),
                 branches,
             }))
         }
         NetSpec::Star { body, exit, .. } => {
             let exit = exit.clone();
-            match compile(body, fuse) {
-                body if fuse && runs_inline(&body) => Node::Loop(Arc::new(LoopNode {
+            let mut head = compile_spine(body, fuse);
+            // Unfused, nothing runs inline: the tail is empty.
+            let inline = match fuse {
+                true => head.iter().rev().take_while(|n| runs_inline(n)).count(),
+                false => 0,
+            };
+            let tail = serial(head.split_off(head.len() - inline));
+            match serial(head) {
+                Some(head) => Node::Star(Arc::new(StarNode {
+                    routes: fuse && routes_inline(&head),
                     exit,
-                    stateful: holds_a_cell(&body),
-                    body,
+                    head,
+                    tail,
                 })),
-                body => Node::Star(Arc::new(StarNode { exit, body })),
+                None => {
+                    let body = tail.expect("every topology has at least one element");
+                    Node::Loop(Arc::new(LoopNode {
+                        exit,
+                        stateful: holds_a_cell(&body),
+                        body,
+                    }))
+                }
             }
         }
         NetSpec::Split { body, tag, placed } => Node::Split(Arc::new(SplitNode {
@@ -269,7 +325,8 @@ fn walk(spec: &NetSpec, fuse: bool, run: &mut Vec<ChainStage>, spine: &mut Vec<N
 /// Whether the component that owns `node` can step it itself: a chain,
 /// a synchrocell, or a serial or parallel composition built only of
 /// those. Such a subnet builds nothing per record, so a star looping
-/// through it ([`Node::Loop`]) or a parallel running it as a branch
+/// through it ([`Node::Loop`]), the round of a star running it as its
+/// tail ([`StarNode::tail`]), or a parallel running it as a branch
 /// ([`ParNode::inline`]) needs no component for it. A split, a star and
 /// a placed subnet are never inline: they build replicas, or run where
 /// their node says.
@@ -279,6 +336,30 @@ pub fn runs_inline(node: &Node) -> bool {
         Node::Serial(a, b) => runs_inline(a) && runs_inline(b),
         Node::Par(par) => par.branches.iter().all(runs_inline),
         Node::Star(_) | Node::Loop(_) | Node::Split(_) | Node::At { .. } => false,
+    }
+}
+
+/// Whether the component that owns `node` can step it itself, sending
+/// what reaches a split on to the split's replicas: a split, a serial
+/// whose elements run inline ([`runs_inline`]) up to a last one that
+/// routes, or a parallel whose branches each run or route inline, one
+/// of them at least routing. A split's step holds no record and builds
+/// only its replicas, so its owner runs it; everything a routing subnet
+/// emits, a replica's output included, goes to the subnet's output.
+/// Disjoint from [`runs_inline`]: a loop never runs a split, because
+/// its replicas are not inline.
+pub fn routes_inline(node: &Node) -> bool {
+    match node {
+        Node::Split(_) => true,
+        Node::Serial(a, b) => runs_inline(a) && routes_inline(b),
+        Node::Par(par) => {
+            par.branches.iter().any(routes_inline)
+                && par
+                    .branches
+                    .iter()
+                    .all(|b| runs_inline(b) || routes_inline(b))
+        }
+        Node::Chain(_) | Node::Sync(_) | Node::Star(_) | Node::Loop(_) | Node::At { .. } => false,
     }
 }
 
@@ -293,8 +374,8 @@ fn holds_a_cell(node: &Node) -> bool {
 }
 
 /// Adds a leaf to the open run; unfused, the run ends with it. Beside
-/// a star's loop and a parallel's inline branches, this is the one
-/// place `fuse` is read.
+/// a star's loop, head and tail and a parallel's inline branches, this
+/// is the one place `fuse` is read.
 fn leaf(stage: ChainStage, fuse: bool, run: &mut Vec<ChainStage>, spine: &mut Vec<Node>) {
     run.push(stage);
     if !fuse {
@@ -588,6 +669,12 @@ mod tests {
         }
     }
 
+    /// The spine of a star's body: its head's, then its tail's.
+    fn star_body(star: &StarNode) -> Vec<&Node> {
+        let tail = star.tail.as_ref().map(spine).unwrap_or_default();
+        [spine(&star.head), tail].concat()
+    }
+
     /// The length of every chain in the tree, in pipeline order.
     fn chain_lengths(node: &Node) -> Vec<usize> {
         match node {
@@ -595,7 +682,10 @@ mod tests {
             Node::Sync(_) => vec![],
             Node::Serial(a, b) => [chain_lengths(a), chain_lengths(b)].concat(),
             Node::Par(par) => par.branches.iter().flat_map(chain_lengths).collect(),
-            Node::Star(star) => chain_lengths(&star.body),
+            Node::Star(star) => star_body(star)
+                .into_iter()
+                .flat_map(chain_lengths)
+                .collect(),
             Node::Loop(lp) => chain_lengths(&lp.body),
             Node::Split(split) => chain_lengths(&split.body),
             Node::At { body, .. } => chain_lengths(body),
@@ -649,14 +739,17 @@ mod tests {
         };
         assert_eq!(chain(&lp.body), Some(vec!["s1", "s2"]));
         assert!(!lp.stateful);
-        // A body with a split keeps its taps; the split's body fuses.
+        // A body that is a split is a round's head, which routes; the
+        // split's body fuses.
         let tapped = NetSpec::star(
             NetSpec::split(NetSpec::serial(inc("t1"), inc("t2")), "k"),
             pattern("z"),
         );
-        let Node::Split(split) = &star(&tapped, true).body else {
-            panic!("the split is the body")
+        let tapped = star(&tapped, true);
+        let Node::Split(split) = &tapped.head else {
+            panic!("the split is the head")
         };
+        assert!(tapped.routes && tapped.tail.is_none());
         assert_eq!(chain(&split.body), Some(vec!["t1", "t2"]));
 
         let split = NetSpec::split(NetSpec::serial(inc("p"), inc("q")), "k");
@@ -737,7 +830,8 @@ mod tests {
         let Node::Star(star) = elems[3] else {
             panic!("star keeps its place: {plain:?}")
         };
-        assert_eq!(spine(&star.body).len(), 2, "the body as written");
+        assert_eq!(spine(&star.head).len(), 2, "the body as written");
+        assert!(star.tail.is_none() && !star.routes, "a tap");
     }
 
     #[test]
@@ -765,29 +859,47 @@ mod tests {
         assert_eq!(chain(head), Some(vec!["[]", "i"]));
         assert!(matches!(sync, Node::Sync(_)), "{lp:?}");
         assert!(lp.stateful);
-        // A split in the body: `(dec .. inc ! <k>) * exit` keeps its
-        // taps, and the chain leads the body each replica builds.
+        // A split in the body: `(dec .. inc ! <k>) * exit` is a round
+        // per replica, whose head, the chain and the split, routes.
         let split = NetSpec::star(
             NetSpec::serial(dec(), NetSpec::split(inc("i"), "k")),
             pattern("z"),
         );
         let fused = star(&split, true);
-        let [head, Node::Split(_)] = spine(&fused.body)[..] else {
+        let [head, Node::Split(_)] = spine(&fused.head)[..] else {
             panic!("expected chain .. split: {fused:?}")
         };
         assert_eq!(chain(head), Some(vec!["[]"]));
-        // Unfused, all three are taps over the body as written.
-        assert_eq!(chain(&star(&only, false).body), Some(vec!["[]"]));
-        assert_eq!(spine(&star(&cell, false).body).len(), 3);
-        assert_eq!(spine(&star(&split, false).body).len(), 2);
+        assert!(fused.routes && fused.tail.is_none());
+        // After the split, `(dec .. inc ! <k> .. inc .. sync) * exit`:
+        // the chain and the cell are the tail, run in the next round.
+        let tailed = NetSpec::star(
+            NetSpec::pipeline([dec(), NetSpec::split(inc("i"), "k"), inc("j"), sync_ab()]),
+            pattern("z"),
+        );
+        let fused = star(&tailed, true);
+        assert!(fused.routes);
+        assert_eq!(spine(&fused.head).len(), 2);
+        let [tail, Node::Sync(_)] = spine(fused.tail.as_ref().expect("a tail"))[..] else {
+            panic!("expected chain .. sync: {fused:?}")
+        };
+        assert_eq!(chain(tail), Some(vec!["j"]));
+        // Unfused, all four are taps over the body as written.
+        for (spec, len) in [(&only, 1), (&cell, 3), (&split, 2), (&tailed, 4)] {
+            let tap = star(spec, false);
+            assert_eq!(spine(&tap.head).len(), len);
+            assert!(tap.tail.is_none() && !tap.routes);
+        }
     }
 
     #[test]
     fn a_fused_parallel_marks_its_chain_branches() {
-        // `(l1 .. l2 | sync | r ! <k> | [] | (r2)@1 | (sync .. (a | b)))`:
-        // two chains, a sync and a pipeline of a sync and a parallel of
-        // chains run inline; a split and a placed subnet keep their
-        // ports.
+        // `(l1 .. l2 | sync | r ! <k> | [] | (r2)@1 | (sync .. (a | b))
+        //  | s .. (t ! <k> | []) | (u ! <k>) .. v)`: two chains, a sync
+        // and a pipeline of a sync and a parallel of chains run inline;
+        // a split, and a chain feeding a parallel with a split in it,
+        // route inline; a placed subnet and a split with a chain after
+        // it keep their ports.
         let spec = NetSpec::parallel(vec![
             NetSpec::serial(inc("l1"), inc("l2")),
             sync_ab(),
@@ -795,17 +907,32 @@ mod tests {
             NetSpec::identity(),
             NetSpec::at(inc("r2"), 1),
             NetSpec::serial(sync_ab(), NetSpec::parallel(vec![inc("a"), inc("b")])),
+            NetSpec::serial(
+                inc("s"),
+                NetSpec::parallel(vec![NetSpec::split(inc("t"), "k"), NetSpec::identity()]),
+            ),
+            NetSpec::serial(NetSpec::split(inc("u"), "k"), inc("v")),
         ]);
         for (fuse, inline) in [
-            (true, [true, true, false, true, false, true]),
-            (false, [false; 6]),
+            (true, [true, true, true, true, false, true, true, false]),
+            (false, [false; 8]),
         ] {
             let Node::Par(par) = compile(&spec, fuse) else {
                 panic!("parallel survives compilation")
             };
             assert_eq!(par.inline, inline, "fuse {fuse}");
-            assert_eq!(par.branches.len(), 6);
-            assert_eq!(par.patterns.len(), 6);
+            assert_eq!(par.branches.len(), 8);
+            assert_eq!(par.patterns.len(), 8);
+            // Running and routing inline are disjoint.
+            let routes: Vec<bool> = par.branches.iter().map(routes_inline).collect();
+            assert_eq!(
+                routes,
+                [false, false, true, false, false, false, true, false]
+            );
+            assert!(!par
+                .branches
+                .iter()
+                .any(|b| routes_inline(b) && runs_inline(b)));
         }
     }
 
@@ -815,7 +942,8 @@ mod tests {
         let dec = || NetSpec::Filter(FilterSpec::identity());
         // The shapes of Fig 3's merger and `bench_unfold`'s countdown
         // star loop; Fig 4's dynamic solver, whose body holds a split,
-        // keeps its taps. Either way the body is compiled as written.
+        // runs a round per replica. Either way the body is compiled as
+        // written.
         let merger = NetSpec::serial(
             sync_ab(),
             NetSpec::parallel(vec![NetSpec::serial(inc("merge"), dec()), id()]),
@@ -834,26 +962,29 @@ mod tests {
             (solver, false, false),
         ] {
             let written = compile(&body, true);
-            let fused = match fuse(&NetSpec::star(body, pattern("z"))) {
+            let fused = fuse(&NetSpec::star(body, pattern("z")));
+            let body = match &fused {
                 Node::Loop(lp) if loops => {
                     assert_eq!(lp.stateful, stateful);
-                    lp
+                    spine(&lp.body)
                 }
                 Node::Star(star) if !loops => {
-                    // The solver's join `([] | sync)` runs both its
-                    // branches itself.
-                    let [_, Node::Par(join)] = spine(&star.body)[..] else {
+                    // The solver's head `(split | [])` routes, and a
+                    // round runs it, both its branches inline; its join
+                    // `([] | sync)` runs both its branches, as the tail
+                    // of the round after.
+                    let (Node::Par(head), Some(Node::Par(join))) = (&star.head, &star.tail) else {
                         panic!("expected par .. par: {star:?}")
                     };
+                    assert!(star.routes);
+                    assert_eq!(head.inline, [true, true]);
                     assert_eq!(join.inline, [true, true]);
-                    assert_eq!(chain_lengths(&star.body), chain_lengths(&written));
-                    assert_eq!(spine(&star.body).len(), spine(&written).len());
-                    continue;
+                    star_body(star)
                 }
                 other => panic!("loops {loops}: {other:?}"),
             };
-            assert_eq!(chain_lengths(&fused.body), chain_lengths(&written));
-            assert_eq!(spine(&fused.body).len(), spine(&written).len());
+            assert_eq!(chain_lengths(&fused), chain_lengths(&written));
+            assert_eq!(body.len(), spine(&written).len());
         }
     }
 

@@ -1,7 +1,8 @@
-//! The component layer the engine and the simulator share: what a chain
-//! (the one stateless leaf: a run of one or more boxes and filters), a
-//! synchrocell, a parallel dispatcher, a star tap or a split dispatcher
-//! does to one record, written once over an abstract [`Transport`].
+//! The component layer the engine and the simulator share: what a
+//! subnet a component steps itself (a chain, the one stateless leaf: a
+//! run of one or more boxes and filters; a synchrocell; a split, which
+//! routes), a parallel dispatcher, a star's loop or a star's round does
+//! to one record, written once over an abstract [`Transport`].
 //!
 //! A transport contributes only what a port is, how a record is put on
 //! one, and how a component gets something to run on. There are two:
@@ -10,14 +11,22 @@
 //! process on a named node, a queue whose sends cost virtual time).
 //! Everything semantic lives here: the failure policy around each step,
 //! the trace counters, best-match dispatch, the lazy unfolding of star
-//! and split replicas, the loop a star whose body runs inline runs in
-//! place of its taps, and the inline branches a parallel runs in place
-//! of their components. This is the only code outside the
+//! rounds and split replicas, the loop a star whose body runs inline
+//! runs in place of its rounds, and the inline branches a parallel runs
+//! in place of their components. This is the only code outside the
 //! interpreter that calls [`ChainRunner`] (which owns the failure policy
 //! around every box and filter step), [`fault::reject`],
 //! [`semantics::best_branch`] or bumps a [`Trace`] counter, so a
 //! simulated run of a topology agrees with a real one on every count by
 //! construction (`tests/sim_vs_engine.rs` checks it).
+//!
+//! There are four kinds of component. `Inline` steps a subnet standing
+//! alone: a chain, a cell, or a split. `Par` dispatches to its
+//! branches, running those that run or route inline itself. `Loop` is a
+//! star whose body runs inline. `Round` is one round of any other star:
+//! the tail of the round before, the exit test, and the head, which it
+//! runs itself when the head routes inline ([`StarNode`]); unfused, a
+//! round is the tap of §III.
 //!
 //! The module is `pub` but hidden: the seam ([`Transport`],
 //! [`Component`], [`build`], with [`crate::run::Run`] and
@@ -40,29 +49,30 @@
 //! * **shared, immutable** (behind `Arc`s in the tree): every chain's
 //!   stage list (its `BoxDef`s and `FilterSpec`s) and every
 //!   [`SyncSpec`]; each parallel node's branch patterns and which of
-//!   its branches it runs itself; each star's exit pattern and the body
-//!   its taps build (or the body its loop runs); each split's body and
-//!   tag;
+//!   its branches it runs itself; each star's exit pattern and the head
+//!   and tail its rounds run or build (or the body its loop runs); each
+//!   split's body and tag;
 //! * **per instance** (in `Kind`): one `Arc` pointer into the tree plus
 //!   the instance's own state — output ports, a synchrocell's slots,
-//!   the replicas unfolded so far, a loop's deepest round and its
-//!   body's state, a parallel's branch list. The state of a subnet a
-//!   component runs inline (`Inline`) is a small tree of the compiled
-//!   node's shape holding only its cells' slots and its parallels'
-//!   branch lists. A chain has no state of its own;
+//!   a split's replicas built so far, a loop's deepest round and its
+//!   body's state, a round's next round, a parallel's branch list. The
+//!   state of a subnet a component runs inline (`Inline`) is a small
+//!   tree of the compiled node's shape holding only its cells' slots,
+//!   its splits' replica ports and its parallels' branch lists. A chain
+//!   has no state of its own;
 //! * **per thread** (`SCRATCH`): the buffers a chain step works
 //!   in, so a standalone box costs an instance nothing a pointer does
 //!   not.
 //!
 //! [`build`] and the unfoldings a [`Component::step`] makes therefore
 //! copy reference counts, never a spec: fused, an unfolding of the
-//! star body `((inc ! <k>) | []) .. dec`, whose split keeps the star's
-//! taps, is 5 heap allocations (four tasks: the parallel, which runs
-//! `[]` itself, the split, `dec` and the next tap; and the parallel's
-//! branch list), whatever the size of the signatures and templates
-//! inside (pinned by `tests/alloc_steady.rs`, timed by `bench_unfold`'s
-//! `tap` shape). A star whose body runs inline, such as
-//! `(inc | []) .. dec`, is a loop and unfolds nothing: a round of it
+//! star body `((inc ! <k>) | []) .. dec`, whose split makes it a round
+//! per replica, is 2 heap allocations (the next round's task and its
+//! head's branch list; the split's replica map allocates only when it
+//! builds a replica), whatever the size of the signatures and
+//! templates inside (pinned by `tests/alloc_steady.rs`, timed by
+//! `bench_unfold`'s `tap` shape). A star whose body runs inline, such
+//! as `(inc | []) .. dec`, is a loop and unfolds nothing: a round of it
 //! allocates nothing, and a round of a body with a cell (Fig 3's
 //! merger) allocates only that round's state, 3 allocations for the
 //! merger's shape (pinned there too).
@@ -82,7 +92,7 @@ use snet_core::{
     ChainRunner, ChainStage, ChainTally, Record, SnetError, SyncOutcome, SyncSpec, SyncState,
 };
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The seam between the component semantics and what carries records.
@@ -119,27 +129,21 @@ pub struct Component<P> {
 }
 
 enum Kind<P> {
-    /// A chain (a run of boxes and filters: each record crosses every
-    /// stage inside one step; stateless, so the instance is the
-    /// pointer) or a synchrocell.
-    Inline(Inline),
+    /// A subnet the component steps itself, standing alone: a chain (a
+    /// run of boxes and filters: each record crosses every stage inside
+    /// one step; stateless, so the instance is the pointer), a
+    /// synchrocell, or a split, which routes each record to the replica
+    /// for its tag value.
+    Inline(Inline<P>),
     /// A parallel dispatcher: each record goes to its best-matching
     /// branch. A branch that [`ParNode::inline`] marks runs here,
     /// stage-major over the records a batch dispatched to it, onto
-    /// `out`, the merged stream every branch writes; the others are
-    /// components of their own behind a port.
+    /// `out`, the merged stream every branch writes (a split in it
+    /// builds its replicas onto `out`); the others are components of
+    /// their own behind a port.
     Par {
         node: Arc<ParNode>,
         branches: Vec<Branch<P>>,
-    },
-    /// One tap of a serial-replication star. The tap inspects every
-    /// record *before* the replica (§III: "the chain is tapped before
-    /// every replica"): matching records exit to `out`; the rest enter
-    /// a lazily instantiated replica of the body whose output feeds the
-    /// next tap.
-    Star {
-        node: Arc<StarNode>,
-        replica: Option<P>,
     },
     /// A star whose body runs inline ([`Node::Loop`]): every replica
     /// would run the same subnet, so the unfolded pipeline of taps is
@@ -154,11 +158,22 @@ enum Kind<P> {
     Loop {
         node: Arc<LoopNode>,
         rounds: u64,
-        states: Vec<Inline>,
+        states: Vec<Inline<P>>,
     },
-    Split {
-        node: Arc<SplitNode>,
-        replicas: HashMap<i64, P>,
+    /// Round `r` of any other star ([`StarNode`]): the tail of round
+    /// `r - 1` (none in round 1), then the exit test before the head
+    /// (§III: "the chain is tapped before every replica"; matching
+    /// records leave on `out`), then, for the rest, the head of round
+    /// `r`. A head that routes inline runs here, onto round `r + 1`,
+    /// its split replicas built onto round `r + 1` too; any other head
+    /// is built in front of round `r + 1`. `next` is where the stayers
+    /// go, built with the first of them. Unfused there is no tail and
+    /// no head runs here: the round is a tap.
+    Round {
+        node: Arc<StarNode>,
+        tail: Option<Inline<P>>,
+        head: Option<Inline<P>>,
+        next: Option<P>,
     },
 }
 
@@ -167,34 +182,43 @@ enum Branch<P> {
     /// Built as components of its own; records are sent to its input.
     Port(P),
     /// A subnet the dispatcher runs itself.
-    Inline(Held),
+    Inline(Held<P>),
 }
 
 /// The per-instance state of a subnet a component steps itself
-/// ([`snet_core::fusion::runs_inline`]), a tree of the compiled node's
-/// shape: a chain or a cell standing alone, a loop's body, or a
-/// parallel's inline branch. A batch goes through it stage-major, with
-/// no mailbox inside.
-enum Inline {
+/// ([`snet_core::fusion::runs_inline`] and
+/// [`snet_core::fusion::routes_inline`]), a tree of the compiled node's
+/// shape: a chain, a cell or a split standing alone, a loop's body, a
+/// round's tail or head, or a parallel's inline branch. A batch goes
+/// through it stage-major, with no mailbox inside.
+enum Inline<P> {
     Chain(Arc<[ChainStage]>),
     Sync {
         spec: Arc<SyncSpec>,
         st: SyncState,
     },
     /// A serial spine, flattened, in pipeline order.
-    Serial(Vec<Inline>),
-    /// A parallel all of whose branches run inline.
+    Serial(Vec<Inline<P>>),
+    /// A parallel all of whose branches run or route inline.
     Par {
         node: Arc<ParNode>,
-        branches: Vec<Held>,
+        branches: Vec<Held<P>>,
+    },
+    /// A split: each record goes to the replica for its tag value,
+    /// built on first use onto the subnet's output. It holds no record,
+    /// so it needs no component of its own; its replicas are
+    /// components.
+    Router {
+        node: Arc<SplitNode>,
+        replicas: BTreeMap<i64, P>,
     },
 }
 
 /// An inline branch of a parallel. `recs` collects what a batch
 /// dispatched to it (a buffer from [`pool`], returned when the batch
 /// has run through the branch); empty between batches.
-struct Held {
-    body: Inline,
+struct Held<P> {
+    body: Inline<P>,
     recs: Option<pool::PooledVec>,
 }
 
@@ -202,7 +226,7 @@ struct Held {
 /// returns the subnet's input port.
 pub fn build<T: Transport>(node: &Node, output: T::Port, run: &Run, t: &mut T) -> T::Port {
     let kind = match node {
-        Node::Chain(_) | Node::Sync(_) => Kind::Inline(Inline::new(node)),
+        Node::Chain(_) | Node::Sync(_) | Node::Split(_) => Kind::Inline(Inline::new(node)),
         Node::Serial(a, b) => {
             let mid = build(b, output, run, t);
             return build(a, mid, run, t);
@@ -222,18 +246,11 @@ pub fn build<T: Transport>(node: &Node, output: T::Port, run: &Run, t: &mut T) -
                 .collect(),
             node: Arc::clone(par),
         },
-        Node::Star(star) => Kind::Star {
-            node: Arc::clone(star),
-            replica: None,
-        },
+        Node::Star(star) => round(star, true),
         Node::Loop(lp) => Kind::Loop {
             states: vec![Inline::new(&lp.body)],
             node: Arc::clone(lp),
             rounds: 0,
-        },
-        Node::Split(split) => Kind::Split {
-            node: Arc::clone(split),
-            replicas: HashMap::new(),
         },
         // Not a component: the body, built where the transport puts it.
         Node::At { body, node } => {
@@ -241,6 +258,18 @@ pub fn build<T: Transport>(node: &Node, output: T::Port, run: &Run, t: &mut T) -
         }
     };
     spawn(kind, output, run, t)
+}
+
+/// A round of `star`: with the state of the round before's tail unless
+/// it is the `first`, and the state of its own head when the head runs
+/// in it.
+fn round<P>(star: &Arc<StarNode>, first: bool) -> Kind<P> {
+    Kind::Round {
+        tail: star.tail.as_ref().filter(|_| !first).map(Inline::new),
+        head: star.routes.then(|| Inline::new(&star.head)),
+        node: Arc::clone(star),
+        next: None,
+    }
 }
 
 /// Hands a new component instance to the transport. Every instance is
@@ -267,10 +296,10 @@ impl<P> Component<P> {
         self.step_batch(std::iter::once(rec), run, config, t)
     }
 
-    /// Applies a claimed hand-off batch. Chains, taps, loops and
-    /// parallels take it whole (a chain step is stage-major: one panic
-    /// guard and one buffer reset per batch); synchrocells and splits
-    /// step record-at-a-time.
+    /// Applies a claimed hand-off batch. Every kind takes it whole (a
+    /// chain step is stage-major: one panic guard and one buffer reset
+    /// per batch); synchrocells and splits step record-at-a-time
+    /// inside it.
     pub(crate) fn step_batch<T: Transport<Port = P>>(
         &mut self,
         recs: impl IntoIterator<Item = Record>,
@@ -280,104 +309,107 @@ impl<P> Component<P> {
     ) -> Result<(), SnetError> {
         let out = &mut self.out;
         match &mut self.kind {
-            Kind::Inline(body) => body.step(recs, run, config, |rec| t.send(out, rec)),
+            Kind::Inline(body) => body.route(recs, run, config, t, out),
             Kind::Par { node, branches } => dispatch(node, branches, out, recs, run, config, t),
-            Kind::Star { node, replica } => {
-                tap(node, replica, out, recs, run, t);
-                Ok(())
-            }
             Kind::Loop {
                 node,
                 rounds,
                 states,
             } => spin(node, rounds, states, out, recs, run, config, t),
-            Kind::Split { node, replicas } => recs.into_iter().try_for_each(|rec| {
-                let Some(value) = rec.tag(node.tag) else {
-                    let cause = SnetError::MissingTag(node.tag);
-                    return fault::reject(config.policy, "split-dispatch", &run.seq, rec, cause)
-                        .and_then(|dl| run.divert(*dl));
-                };
-                let port = replicas.entry(value).or_insert_with(|| {
-                    Trace::add(&run.trace.split_replicas, 1);
-                    let replica = |t: &mut T| build(&node.body, T::another(out), run, t);
-                    // `!@<tag>`: the tag value names the hosting node.
-                    if node.placed {
-                        t.at(value, replica)
-                    } else {
-                        replica(t)
-                    }
-                });
-                Trace::add(&run.trace.dispatched, 1);
-                t.send(port, rec);
-                Ok(())
-            }),
+            Kind::Round {
+                node,
+                tail,
+                head,
+                next,
+            } => turn(node, tail, head, next, out, recs, run, config, t),
         }
     }
 
     /// Observes end-of-stream: counts the records stranded in its
     /// synchrocells (its own, or those of the subnets it runs inline)
     /// and hands every output port to `close` (the ports of the
-    /// branches not run inline in declaration order, or replica ports
-    /// in ascending tag order, first, the primary output last — a fixed
-    /// order, so a transport that logs its events logs the same
-    /// teardown every run).
+    /// branches not run inline in declaration order, replica ports in
+    /// ascending tag order, and a round's next round, first, the
+    /// primary output last — a fixed order, so a transport that logs
+    /// its events logs the same teardown every run).
     pub fn end_of_stream(self, run: &Run, mut close: impl FnMut(P)) {
         // Counted before any port closes: the run's last close is what
         // lets its driver read the trace.
         Trace::add(&run.trace.components_finalized, 1);
-        let mut stranded = 0;
-        match self.kind {
-            Kind::Inline(body) => stranded = body.stranded(),
-            Kind::Loop { states, .. } => stranded = states.iter().map(Inline::stranded).sum(),
-            Kind::Par { branches, .. } => branches.into_iter().for_each(|branch| match branch {
-                Branch::Port(port) => close(port),
-                Branch::Inline(held) => stranded += held.body.stranded(),
-            }),
-            Kind::Star { replica, .. } => replica.into_iter().for_each(&mut close),
-            Kind::Split { replicas, .. } => {
-                let mut replicas: Vec<_> = replicas.into_iter().collect();
-                replicas.sort_unstable_by_key(|&(tag, _)| tag);
-                replicas.into_iter().for_each(|(_, port)| close(port));
+        let close: &mut dyn FnMut(P) = &mut close;
+        let stranded: u64 = match self.kind {
+            Kind::Inline(body) => body.retire(close),
+            Kind::Loop { states, .. } => states.into_iter().map(|s| s.retire(close)).sum(),
+            Kind::Par { branches, .. } => branches
+                .into_iter()
+                .map(|branch| match branch {
+                    Branch::Port(port) => {
+                        close(port);
+                        0
+                    }
+                    Branch::Inline(held) => held.body.retire(close),
+                })
+                .sum(),
+            Kind::Round {
+                tail, head, next, ..
+            } => {
+                let stranded = tail.into_iter().chain(head).map(|s| s.retire(close)).sum();
+                next.into_iter().for_each(&mut *close);
+                stranded
             }
-        }
+        };
         if stranded > 0 {
             Trace::add(&run.trace.sync_stranded, stranded);
         }
         close(self.out);
     }
 
-    /// Visits every output port (branch and replica ports first, the
-    /// primary output last).
+    /// Visits every output port (branch, replica and next-round ports
+    /// first, the primary output last).
     pub(crate) fn for_each_port(&mut self, mut f: impl FnMut(&mut P)) {
+        let f: &mut dyn FnMut(&mut P) = &mut f;
         match &mut self.kind {
-            Kind::Par { branches, .. } => branches.iter_mut().for_each(|branch| {
-                if let Branch::Port(port) = branch {
-                    f(port);
-                }
+            Kind::Inline(body) => body.for_each_port(f),
+            Kind::Par { branches, .. } => branches.iter_mut().for_each(|branch| match branch {
+                Branch::Port(port) => f(port),
+                Branch::Inline(held) => held.body.for_each_port(f),
             }),
-            Kind::Star { replica, .. } => replica.iter_mut().for_each(&mut f),
-            Kind::Split { replicas, .. } => replicas.values_mut().for_each(&mut f),
-            Kind::Inline(_) | Kind::Loop { .. } => {}
+            Kind::Loop { .. } => {}
+            Kind::Round { head, next, .. } => {
+                if let Some(head) = head {
+                    head.for_each_port(f);
+                }
+                next.iter_mut().for_each(&mut *f);
+            }
         }
         f(&mut self.out);
     }
 
     /// The port whose backlog holds this component back: the output of
     /// a chain, a loop, a synchrocell or a parallel that runs a branch
-    /// inline. Pure dispatchers (trivial work, many outputs) are never
-    /// held back.
+    /// inline, and the next round of a round that runs its tail or its
+    /// head. Pure dispatchers (trivial work, many outputs: a split
+    /// standing alone, a tap) are never held back.
     pub(crate) fn held_back_by(&self) -> Option<&P> {
         match &self.kind {
+            Kind::Inline(Inline::Router { .. }) => None,
             Kind::Inline(_) | Kind::Loop { .. } => Some(&self.out),
             Kind::Par { node, .. } if node.inline.contains(&true) => Some(&self.out),
-            Kind::Star { .. } | Kind::Par { .. } | Kind::Split { .. } => None,
+            Kind::Par { .. } => None,
+            Kind::Round {
+                tail: None,
+                head: None,
+                ..
+            } => None,
+            Kind::Round { next, .. } => next.as_ref(),
         }
     }
 
     /// A short name for the component instance (the simulator's process
     /// names). A chain is named for what is in it: its one stage, or its
-    /// ends and length; a loop, and a parallel that runs branches
-    /// inline, for the subnets they run.
+    /// ends and length; a loop, a round, and a parallel that runs
+    /// branches inline, for the subnets they run. A round that runs
+    /// nothing inline is a tap.
     pub fn label(&self) -> String {
         match &self.kind {
             Kind::Inline(body) => body.label(),
@@ -388,9 +420,15 @@ impl<P> Component<P> {
                     Branch::Port(_) => None,
                 })
                 .fold("par-dispatch".into(), |label, body| label + "+" + &body),
-            Kind::Star { .. } => "star-tap".into(),
             Kind::Loop { states, .. } => format!("star-loop+{}", states[0].label()),
-            Kind::Split { .. } => "split-dispatch".into(),
+            Kind::Round { node, .. } if node.tail.is_none() && !node.routes => "star-tap".into(),
+            Kind::Round { tail, head, .. } => {
+                let parts: Vec<String> = tail.iter().chain(head).map(Inline::label).collect();
+                match parts.is_empty() {
+                    true => "star-round".into(),
+                    false => format!("star-round+{}", parts.join("..")),
+                }
+            }
         }
     }
 }
@@ -409,9 +447,10 @@ fn chain_label(stages: &[ChainStage]) -> String {
     }
 }
 
-impl Inline {
-    /// The state of a fresh instance of `node`, which must run inline.
-    fn new(node: &Node) -> Inline {
+impl<P> Inline<P> {
+    /// The state of a fresh instance of `node`, which must run or route
+    /// inline.
+    fn new(node: &Node) -> Inline<P> {
         match node {
             Node::Chain(stages) => Inline::Chain(Arc::clone(stages)),
             Node::Sync(spec) => Inline::Sync {
@@ -419,7 +458,7 @@ impl Inline {
                 spec: Arc::clone(spec),
             },
             Node::Serial(..) => {
-                fn flatten(node: &Node, spine: &mut Vec<Inline>) {
+                fn flatten<P>(node: &Node, spine: &mut Vec<Inline<P>>) {
                     match node {
                         Node::Serial(a, b) => {
                             flatten(a, spine);
@@ -436,18 +475,22 @@ impl Inline {
                 branches: par.branches.iter().map(Held::new).collect(),
                 node: Arc::clone(par),
             },
-            Node::Star(_) | Node::Loop(_) | Node::Split(_) | Node::At { .. } => {
-                unreachable!("compile runs no replicating or placed node inline")
+            Node::Split(split) => Inline::Router {
+                node: Arc::clone(split),
+                replicas: BTreeMap::new(),
+            },
+            Node::Star(_) | Node::Loop(_) | Node::At { .. } => {
+                unreachable!("compile runs no star and no placed subnet inline")
             }
         }
     }
 
-    /// Runs a batch through the subnet, stage-major, handing its
-    /// outputs to `emit`. A chain is stepped with `emit` as it is
-    /// given, so a body or a branch that is one chain makes the very
-    /// call a chain component makes; the parts of anything else are
-    /// stepped through `&mut dyn FnMut`, which keeps the recursion to a
-    /// few instances.
+    /// Runs a batch through a subnet that runs inline, stage-major,
+    /// handing its outputs to `emit`. A chain is stepped with `emit` as
+    /// it is given, so a body or a branch that is one chain makes the
+    /// very call a chain component makes; the parts of anything else
+    /// are stepped through `&mut dyn FnMut`, which keeps the recursion
+    /// to a few instances.
     fn step(
         &mut self,
         recs: impl IntoIterator<Item = Record>,
@@ -465,24 +508,53 @@ impl Inline {
             }
             Inline::Serial(spine) => serial_step(spine, recs, run, config, &mut emit),
             Inline::Par { node, branches } => {
-                for rec in recs {
-                    let Some(i) = semantics::best_branch(&node.patterns, &rec) else {
-                        mismatch(rec, run, config, &mut emit)?;
-                        continue;
-                    };
-                    Trace::add(&run.trace.dispatched, 1);
-                    branches[i].hold(rec);
-                }
+                hold(node, branches, recs, run, config, &mut emit)?;
                 let emit: &mut dyn FnMut(Record) = &mut emit;
                 branches
                     .iter_mut()
                     .try_for_each(|branch| branch.run(run, config, &mut *emit))
             }
+            Inline::Router { .. } => unreachable!("compile runs a split only where it routes"),
         }
     }
 
-    /// The name of the subnet: its chains and cells, composed as
-    /// written (`a..b`, `(a|b)`).
+    /// Runs a batch through a subnet that runs or routes inline,
+    /// stage-major, onto `out`: what reaches a split goes to its
+    /// replica for the record's tag value, built on first use onto
+    /// `out`; every other output is sent to `out`.
+    fn route<T: Transport<Port = P>>(
+        &mut self,
+        recs: impl IntoIterator<Item = Record>,
+        run: &Run,
+        config: &EngineConfig,
+        t: &mut T,
+        out: &mut P,
+    ) -> Result<(), SnetError> {
+        match self {
+            Inline::Router { node, replicas } => recs
+                .into_iter()
+                .try_for_each(|rec| split_step(node, replicas, rec, out, run, config, t)),
+            // Only the last element of a spine routes.
+            Inline::Serial(spine) => {
+                let (last, init) = spine.split_last_mut().expect("a spine is not empty");
+                let mut mid = pool::PooledVec::take();
+                serial_step(init, recs, run, config, &mut |rec| mid.push(rec))?;
+                last.route(mid.drain(..), run, config, t, out)
+            }
+            Inline::Par { node, branches } => {
+                hold(node, branches, recs, run, config, |rec| t.send(out, rec))?;
+                branches
+                    .iter_mut()
+                    .try_for_each(|branch| branch.route(run, config, t, out))
+            }
+            Inline::Chain(_) | Inline::Sync { .. } => {
+                self.step(recs, run, config, |rec| t.send(out, rec))
+            }
+        }
+    }
+
+    /// The name of the subnet: its chains, cells and splits, composed
+    /// as written (`a..b`, `(a|b)`).
     fn label(&self) -> String {
         match self {
             Inline::Chain(stages) => chain_label(stages),
@@ -495,16 +567,37 @@ impl Inline {
                 let branches: Vec<String> = branches.iter().map(|b| b.body.label()).collect();
                 format!("({})", branches.join("|"))
             }
+            Inline::Router { .. } => "split-dispatch".into(),
         }
     }
 
-    /// The records stranded in the subnet's synchrocells.
-    fn stranded(&self) -> u64 {
+    /// Visits the ports of the replicas its splits have built.
+    fn for_each_port(&mut self, f: &mut dyn FnMut(&mut P)) {
+        match self {
+            Inline::Chain(_) | Inline::Sync { .. } => {}
+            Inline::Serial(spine) => spine.iter_mut().for_each(|part| part.for_each_port(f)),
+            Inline::Par { branches, .. } => {
+                branches.iter_mut().for_each(|b| b.body.for_each_port(f));
+            }
+            Inline::Router { replicas, .. } => replicas.values_mut().for_each(f),
+        }
+    }
+
+    /// Retires the subnet at end-of-stream: hands its replica ports to
+    /// `close`, each split's in ascending tag order, and returns the
+    /// records stranded in its synchrocells.
+    fn retire(self, close: &mut dyn FnMut(P)) -> u64 {
         match self {
             Inline::Chain(_) => 0,
             Inline::Sync { st, .. } => st.pending().count() as u64,
-            Inline::Serial(spine) => spine.iter().map(Inline::stranded).sum(),
-            Inline::Par { branches, .. } => branches.iter().map(|b| b.body.stranded()).sum(),
+            Inline::Serial(spine) => spine.into_iter().map(|part| part.retire(close)).sum(),
+            Inline::Par { branches, .. } => {
+                branches.into_iter().map(|b| b.body.retire(close)).sum()
+            }
+            Inline::Router { replicas, .. } => {
+                replicas.into_values().for_each(close);
+                0
+            }
         }
     }
 }
@@ -512,8 +605,8 @@ impl Inline {
 /// Runs a batch through a serial spine, stage-major: each element's
 /// outputs are collected (in a buffer from [`pool`]) and handed to the
 /// next as one batch.
-fn serial_step(
-    spine: &mut [Inline],
+fn serial_step<P>(
+    spine: &mut [Inline<P>],
     recs: impl IntoIterator<Item = Record>,
     run: &Run,
     config: &EngineConfig,
@@ -530,8 +623,30 @@ fn serial_step(
     serial_step(rest, mid.drain(..), run, config, emit)
 }
 
-impl Held {
-    fn new(branch: &Node) -> Held {
+/// An inline parallel's dispatch over a batch: each record is held for
+/// its best-match branch, in declaration order on a tie; one that
+/// matches none goes to [`mismatch`], passed on to `pass`.
+fn hold<P>(
+    node: &ParNode,
+    branches: &mut [Held<P>],
+    recs: impl IntoIterator<Item = Record>,
+    run: &Run,
+    config: &EngineConfig,
+    mut pass: impl FnMut(Record),
+) -> Result<(), SnetError> {
+    for rec in recs {
+        let Some(i) = semantics::best_branch(&node.patterns, &rec) else {
+            mismatch(rec, run, config, &mut pass)?;
+            continue;
+        };
+        Trace::add(&run.trace.dispatched, 1);
+        branches[i].hold(rec);
+    }
+    Ok(())
+}
+
+impl<P> Held<P> {
+    fn new(branch: &Node) -> Held<P> {
         Held {
             body: Inline::new(branch),
             recs: None,
@@ -557,6 +672,21 @@ impl Held {
             None => Ok(()),
         }
     }
+
+    /// [`Held::run`] for a branch that may route: onto `out`, through
+    /// `t`.
+    fn route<T: Transport<Port = P>>(
+        &mut self,
+        run: &Run,
+        config: &EngineConfig,
+        t: &mut T,
+        out: &mut P,
+    ) -> Result<(), SnetError> {
+        match self.recs.take() {
+            Some(mut recs) => self.body.route(recs.drain(..), run, config, t, out),
+            None => Ok(()),
+        }
+    }
 }
 
 /// A synchrocell's step for one record: stored, or fired (the merged
@@ -576,6 +706,38 @@ fn sync_step(
         }
         SyncOutcome::Passed(rec) => emit(rec),
     }
+}
+
+/// A split's step for one record: sent to the replica for its tag
+/// value, which is built onto `out` (on the node the value names, for
+/// `!@`) when the value is new. A record without the tag is rejected.
+fn split_step<T: Transport>(
+    node: &SplitNode,
+    replicas: &mut BTreeMap<i64, T::Port>,
+    rec: Record,
+    out: &T::Port,
+    run: &Run,
+    config: &EngineConfig,
+    t: &mut T,
+) -> Result<(), SnetError> {
+    let Some(value) = rec.tag(node.tag) else {
+        let cause = SnetError::MissingTag(node.tag);
+        return fault::reject(config.policy, "split-dispatch", &run.seq, rec, cause)
+            .and_then(|dl| run.divert(*dl));
+    };
+    let port = replicas.entry(value).or_insert_with(|| {
+        Trace::add(&run.trace.split_replicas, 1);
+        let replica = |t: &mut T| build(&node.body, T::another(out), run, t);
+        // `!@<tag>`: the tag value names the hosting node.
+        if node.placed {
+            t.at(value, replica)
+        } else {
+            replica(t)
+        }
+    });
+    Trace::add(&run.trace.dispatched, 1);
+    t.send(port, rec);
+    Ok(())
 }
 
 /// A parallel's step for a record that matches none of its branches:
@@ -631,46 +793,86 @@ fn dispatch<T: Transport>(
     }
     for branch in branches {
         if let Branch::Inline(held) = branch {
-            held.run(run, config, |rec| t.send(out, rec))?;
+            held.route(run, config, t, out)?;
         }
     }
     Ok(())
 }
 
-/// A tap's step over a batch: exits leave on `out`, the first stayer
-/// unfolds the replica, and the stayers go to it. A star whose body
-/// runs inline has no taps: it is a [`Kind::Loop`] (see [`spin`]).
-fn tap<T: Transport>(
+/// A round's step over a batch: the records go through the tail of the
+/// round before, if any; those that match the exit leave on `out`, and
+/// the first of the rest unfolds the next round. A round that runs its
+/// head steps the stayers through it, onto the next round; any other
+/// sends each stayer on to the head built in front of the next round,
+/// as it comes, as a tap does. A star whose body runs inline has no
+/// rounds: it is a [`Kind::Loop`] (see [`spin`]).
+#[allow(clippy::too_many_arguments)] // a component step's context, and the round's state
+fn turn<T: Transport>(
     node: &Arc<StarNode>,
-    replica: &mut Option<T::Port>,
+    tail: &mut Option<Inline<T::Port>>,
+    head: &mut Option<Inline<T::Port>>,
+    next: &mut Option<T::Port>,
     out: &mut T::Port,
     recs: impl IntoIterator<Item = Record>,
     run: &Run,
+    config: &EngineConfig,
     t: &mut T,
-) {
-    for rec in recs {
+) -> Result<(), SnetError> {
+    let Some(head) = head else {
+        return through(tail, recs, run, config, |rec| {
+            if node.exit.matches(&rec) {
+                t.send(out, rec);
+            } else {
+                let port = next.get_or_insert_with(|| unfold(node, out, run, t));
+                t.send(port, rec);
+            }
+        });
+    };
+    let mut stayers = pool::PooledVec::take();
+    through(tail, recs, run, config, |rec| {
         if node.exit.matches(&rec) {
             t.send(out, rec);
         } else {
-            let port = replica.get_or_insert_with(|| unfold(node, out, run, t));
-            t.send(port, rec);
+            stayers.push(rec);
+        }
+    })?;
+    if stayers.is_empty() {
+        return Ok(());
+    }
+    let next = next.get_or_insert_with(|| unfold(node, out, run, t));
+    head.route(stayers.drain(..), run, config, t, next)
+}
+
+/// Runs a batch through a round's tail, if it has one, onto `emit`.
+fn through<P>(
+    tail: &mut Option<Inline<P>>,
+    recs: impl IntoIterator<Item = Record>,
+    run: &Run,
+    config: &EngineConfig,
+    emit: impl FnMut(Record),
+) -> Result<(), SnetError> {
+    match tail {
+        Some(tail) => tail.step(recs, run, config, emit),
+        None => {
+            recs.into_iter().for_each(emit);
+            Ok(())
         }
     }
 }
 
-/// Unfolds one replica behind a tap exiting on `out`: the body,
-/// feeding the next tap, which shares `out`.
+/// Unfolds the round after one exiting on `out`: the next round, which
+/// shares `out`, and, when the head does not run in a round, the head
+/// built in front of it. Returns the port the round's stayers go to.
 fn unfold<T: Transport>(star: &Arc<StarNode>, out: &T::Port, run: &Run, t: &mut T) -> T::Port {
     Trace::add(&run.trace.star_unfoldings, 1);
-    let next_tap = Kind::Star {
-        node: Arc::clone(star),
-        replica: None,
-    };
-    let next_tap = spawn(next_tap, T::another(out), run, t);
-    build(&star.body, next_tap, run, t)
+    let next = spawn(round(star, false), T::another(out), run, t);
+    match star.routes {
+        true => next,
+        false => build(&star.head, next, run, t),
+    }
 }
 
-/// A loop's step over a batch, one round per tap of the unfolded
+/// A loop's step over a batch, one round per replica of the unfolded
 /// pipeline: the records that match the exit leave on `out`, and the
 /// rest go round the body, stage-major in one step, until none are
 /// left. A round deeper than any this instance has run counts the
@@ -683,7 +885,7 @@ fn unfold<T: Transport>(star: &Arc<StarNode>, out: &T::Port, run: &Run, t: &mut 
 fn spin<T: Transport>(
     node: &LoopNode,
     rounds: &mut u64,
-    states: &mut Vec<Inline>,
+    states: &mut Vec<Inline<T::Port>>,
     out: &mut T::Port,
     recs: impl IntoIterator<Item = Record>,
     run: &Run,

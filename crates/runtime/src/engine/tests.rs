@@ -148,11 +148,13 @@ fn cell_xy() -> NetSpec {
 }
 
 /// A star whose body runs inline loops through it, whatever chains and
-/// cells it holds; a body with a split keeps plain taps, and its
-/// leading chain is built in each replica, behind the tap, like the
-/// rest of it.
+/// cells it holds. Fused, a body with a split is a round per replica:
+/// round 1 runs the head up to and including the split, and every
+/// later round runs the tail of the round before, then the head; the
+/// split's replicas are built onto the next round. Unfused, each
+/// replica is the body behind a plain tap, built back to front.
 #[test]
-fn a_star_whose_body_splits_has_plain_taps() {
+fn a_star_whose_body_splits_runs_a_round_per_replica() {
     let star = countdown(NetSpec::pipeline([dec(), pass("inc"), cell_xy()]));
     assert_eq!(
         labels(&star, true, stays()),
@@ -162,22 +164,23 @@ fn a_star_whose_body_splits_has_plain_taps() {
         labels(&star, false, stays()),
         ["star-tap", "star-tap", "sync", "box-inc", "filter"]
     );
+    // A record the split routes: `<k>` picks its replica.
+    let routed = stays().map(|rec| rec.with_tag("k", 0));
     let split = countdown(NetSpec::pipeline([
         dec(),
         pass("inc"),
         NetSpec::split(pass("s"), "k"),
     ]));
     assert_eq!(
-        labels(&split, true, stays()),
+        labels(&split, true, routed.clone()),
         [
-            "star-tap",
-            "star-tap",
-            "split-dispatch",
-            "chain2-filter..box-inc"
+            "star-round+chain2-filter..box-inc..split-dispatch",
+            "star-round+chain2-filter..box-inc..split-dispatch",
+            "box-s"
         ]
     );
     assert_eq!(
-        labels(&split, false, stays()),
+        labels(&split, false, routed.clone()),
         [
             "star-tap",
             "star-tap",
@@ -186,12 +189,38 @@ fn a_star_whose_body_splits_has_plain_taps() {
             "filter"
         ]
     );
+    let tailed = countdown(NetSpec::pipeline([
+        dec(),
+        NetSpec::split(pass("s"), "k"),
+        pass("inc"),
+        cell_xy(),
+    ]));
+    assert_eq!(
+        labels(&tailed, true, routed.clone()),
+        [
+            "star-round+filter..split-dispatch",
+            "star-round+box-inc..sync..filter..split-dispatch",
+            "box-s"
+        ]
+    );
+    assert_eq!(
+        labels(&tailed, false, routed),
+        [
+            "star-tap",
+            "star-tap",
+            "sync",
+            "box-inc",
+            "split-dispatch",
+            "filter"
+        ]
+    );
 }
 
-/// Fused, a parallel runs each branch that runs inline itself — a
-/// chain, a cell, or a composition of those — and is named for them; a
-/// branch with a split is built behind a port. Unfused, every branch is
-/// built, in declaration order, each back to front.
+/// Fused, a parallel runs each branch that runs or routes inline itself
+/// — a chain, a cell, a split, or a composition of those — and is named
+/// for them; a split builds its replicas onto the merged output.
+/// Unfused, every branch is built, in declaration order, each back to
+/// front.
 #[test]
 fn a_parallel_is_named_for_the_chains_it_runs() {
     let par = NetSpec::parallel(vec![
@@ -202,10 +231,7 @@ fn a_parallel_is_named_for_the_chains_it_runs() {
     ]);
     assert_eq!(
         labels(&par, true, None),
-        [
-            "split-dispatch",
-            "par-dispatch+chain2-box-a..box-b+sync+sync..(box-c|box-d)"
-        ]
+        ["par-dispatch+chain2-box-a..box-b+sync+sync..(box-c|box-d)+split-dispatch"]
     );
     assert_eq!(
         labels(&par, false, None),

@@ -78,9 +78,10 @@
 //! copies nothing whose size depends on the topology. The paper's Fig 4 net
 //! schedules dynamically *by unfolding*, so this is coordination
 //! overhead in its own sense: one 16×16 job on that net builds and
-//! retires 89 components (150 before a star whose body runs inline
-//! became one loop and a parallel ran its cell branches itself, 234
-//! before a parallel ran its chain branches itself, below), and
+//! retires 41 components (89 before a star whose body holds a split
+//! ran one component per round, 150 before a star whose body runs
+//! inline became one loop and a parallel ran its cell branches itself,
+//! 234 before a parallel ran its chain branches itself, below), and
 //! instantiating from the
 //! shared tree roughly doubled the rate of such jobs (`forkjoin_burst`
 //! in `benchmark/`; per-instance cost in `BENCH_unfold.json`, gated).
@@ -167,24 +168,43 @@
 //! exactly there, so the observable record flow (and the interpreter
 //! oracle) is unchanged.
 //!
-//! Two boundaries own **inline subnets**
+//! Three boundaries own **inline subnets**
 //! ([`snet_core::fusion::runs_inline`]: a chain, a synchrocell, or a
 //! serial or parallel composition of only those), which build nothing
-//! per record and so need no component of their own. A star whose body
-//! runs inline has, fused, no taps at all (`Node::Loop`). Every replica
-//! would run the same subnet, so the star is one component that loops.
-//! After every round the records that match the exit leave on its
-//! output and the rest go round the body again, stage-major: a batch
-//! crosses each of the body's chains in one chain step and each of its
-//! parallels in one dispatch. The deepest round it has run is what the
-//! taps would have unfolded, and that is what it counts in
-//! `star_unfoldings`. A body with a synchrocell, such as Fig 3's
-//! merger `[| {pic}, {chunk} |] .. (merge | [])`, gets a cell state per
-//! round, built when the round is first reached, as its replica would
-//! have been; a body without one shares one state, and a round of it
-//! allocates nothing. The loop polls the run's abort flag and deadline
-//! once per round and is backpressured on its output, as a chain is. A
-//! parallel is the other owner: fused, every branch that runs inline
+//! per record and so need no component of their own. A split is run
+//! the same way where it is fed: its step holds no record, only a map
+//! from tag value to replica port, so a subnet that ends in one, or a
+//! parallel whose branches each run or end in one, **routes inline**
+//! ([`snet_core::fusion::routes_inline`]); its owner runs it and sends
+//! each record on to its replica, which stays a component. A star
+//! whose body runs inline has, fused, no taps at all (`Node::Loop`).
+//! Every replica would run the same subnet, so the star is one
+//! component that loops. After every round the records that match the
+//! exit leave on its output and the rest go round the body again,
+//! stage-major: a batch crosses each of the body's chains in one chain
+//! step and each of its parallels in one dispatch. The deepest round it
+//! has run is what the taps would have unfolded, and that is what it
+//! counts in `star_unfoldings`. A body with a synchrocell, such as Fig
+//! 3's merger `[| {pic}, {chunk} |] .. (merge | [])`, gets a cell state
+//! per round, built when the round is first reached, as its replica
+//! would have been; a body without one shares one state, and a round of
+//! it allocates nothing. The loop polls the run's abort flag and
+//! deadline once per round and is backpressured on its output, as a
+//! chain is. Any other star runs **one component per round**
+//! (`Node::Star`): its body is cut into a head and the longest suffix
+//! that runs inline, its tail, and round `r` runs the tail of round
+//! `r − 1`, the exit test, and then, when the head routes inline, the
+//! head, onto round `r + 1`, which the first record to stay builds and
+//! counts in `star_unfoldings`. So Fig 4's solver
+//! `((solve .. release)!@<node> | []) .. ([] | [| {sect}, {<node>} |])`
+//! is a component per round plus its replicas: round `r` holds the
+//! join's cell of round `r − 1` and the replica map of its own split,
+//! as the unfolded pipeline's components would have, so cell states,
+//! exit order and every count stay those of that pipeline. A head that
+//! does not route is built per round in front of the next, and
+//! unfused a round is the tap of §III. A round that runs its tail or
+//! head is backpressured on the next round. A parallel is the third
+//! owner: fused, every branch that runs or routes inline
 //! (`ParNode::inline`) is run by the dispatcher itself. Dispatch is
 //! unchanged; the records a hand-off batch sends to such a branch are
 //! held, then go through it in one stage-major step, straight onto the
@@ -192,11 +212,12 @@
 //! built behind a port, so the bypass idiom `(A | [])` of the paper's
 //! Figs 3 and 4, and Fig 4's join `([] | [| {sect}, {<node>} |])`, are
 //! one component each, and a parallel that runs a branch is
-//! backpressured on its output. A split, a star and a placed subnet
-//! stay boundaries: a star whose body holds one, like Fig 4's solver,
-//! keeps its taps. A 16×16 job on the Fig 4 net builds 89 components
-//! (150 while the merger's star kept its taps and the join its cell
-//! component, 234 while parallels built a component per branch).
+//! backpressured on its output. A placed subnet stays a boundary, and
+//! a split standing alone is a component that only routes. A 16×16
+//! job on the Fig 4 net builds 41 components (89 while a solver round
+//! was a tap, a dispatcher, a split and a join, 150 while the merger's
+//! star kept its taps and the join its cell component, 234 while
+//! parallels built a component per branch).
 //!
 //! Faults are **per stage** at either grain: each stage runs under its
 //! own [`FailurePolicy`], a `DeadLetter`-diverted record carries the

@@ -6,7 +6,7 @@
 //! workers, not a thread each:
 //!
 //! * every component instance (box, filter, synchrocell, dispatcher,
-//!   star tap) is a lightweight **task** with an SPSC mailbox
+//!   star round) is a lightweight **task** with an SPSC mailbox
 //!   (`task`);
 //! * a task becomes **runnable** when a record lands in its mailbox (or
 //!   its last upstream sender closes), and is then queued on the run

@@ -38,6 +38,7 @@ use super::pool::{notify, Pool};
 use super::sync::{AtomicBool, AtomicUsize, Condvar};
 use crate::component::{Component, Transport};
 use crate::run::Run;
+use crate::trace::Trace;
 use parking_lot::{Mutex, MutexGuard};
 use snet_core::{panic_cause, pool, Record, SnetError};
 use std::collections::VecDeque;
@@ -389,6 +390,7 @@ fn run_task(
     // From here on, producers may re-queue the task; the held state
     // lock serializes actual execution.
     task.scheduled.store(false, Ordering::Release);
+    Trace::add(&task.run.trace.activations, 1);
 
     // Activation-start preemption point: abort flag and run deadline.
     if task.run.should_stop() {

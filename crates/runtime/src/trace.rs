@@ -46,6 +46,11 @@ pub struct Trace {
     /// outputs. Equal to `components_built` once a run has terminated,
     /// however it ended — every instance is retired exactly once.
     pub components_finalized: AtomicU64,
+    /// Task activations the scheduled engine ran for the run: what the
+    /// grain costs in scheduling, so it depends on the schedule (the
+    /// worker count, which task ran first) and the simulated cluster,
+    /// which has no tasks, leaves it at zero.
+    pub activations: AtomicU64,
 }
 
 impl Trace {
@@ -79,7 +84,7 @@ impl Trace {
         format!(
             "boxes: {} records / {} ops; filters: {}; dispatched: {}; \
              sync: {} stores, {} fires, {} stranded; unfoldings: {} star, {} split; \
-             passthroughs: {}; dead letters: {}; retries: {}",
+             passthroughs: {}; dead letters: {}; retries: {}; activations: {}",
             self.box_records.load(Ordering::Relaxed),
             self.box_ops.load(Ordering::Relaxed),
             self.filter_records.load(Ordering::Relaxed),
@@ -92,6 +97,7 @@ impl Trace {
             self.passthroughs.load(Ordering::Relaxed),
             self.dead_letters.load(Ordering::Relaxed),
             self.retries.load(Ordering::Relaxed),
+            self.activations.load(Ordering::Relaxed),
         )
     }
 }

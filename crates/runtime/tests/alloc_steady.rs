@@ -248,7 +248,9 @@ fn at_zero() -> Pattern {
 
 /// `(((inc ! <k>) | []) .. [{<n>} -> {<n -= 1>}]) * {<n> == 0}`: a
 /// record `{<n>}` unfolds `n` replicas of a five-component body. The
-/// split keeps the star's taps: a body without one runs as a loop.
+/// split makes the star a component per round (the countdown of the
+/// round before, the exit test and the parallel, whose split routes):
+/// a body without one runs as a loop.
 fn countdown_star(width: usize) -> NetSpec {
     let dec = NetSpec::Filter(countdown());
     let head = NetSpec::parallel(vec![
@@ -357,15 +359,17 @@ fn unfolding_allocates_per_task_not_per_spec() {
     let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
     let depth = DEPTH as u64;
 
-    // Four tasks per unfolding (the next tap, the filter, the split
-    // dispatcher and the parallel dispatcher, which runs its `[]`
-    // branch itself) plus the dispatcher's branch list. The engine used
-    // to deep-copy every spec in the body, and the body itself once
-    // more per tap.
+    // Two allocations per unfolding: the next round's task, which runs
+    // the countdown of the round before and the parallel with its
+    // split, and the parallel's branch list. The records take `[]`, so
+    // the split builds no replica. An unfolding was four tasks and the
+    // branch list while each round was a tap, a dispatcher, a split and
+    // the countdown; before that, the engine deep-copied every spec in
+    // the body, and the body itself once more per tap.
     let narrow = steadiest(|| allocs_per_unfolding(1));
     assert!(
-        narrow <= 10 * depth,
-        "{narrow} allocations for {depth} unfoldings (> 10 each)"
+        narrow <= 3 * depth,
+        "{narrow} allocations for {depth} unfoldings (> 3 each)"
     );
     assert_eq!(
         narrow,
@@ -452,8 +456,8 @@ fn a_loop_round_with_a_cell_allocates_only_its_state() {
     // A round's state is the body's spine, the cell's slots and the
     // parallel's branch list, built for every round but the first (whose
     // state is built with the loop); the list of round states grows by
-    // doubling. A tap unfolding of a body that keeps its taps costs 4
-    // and more (`unfolding_allocates_per_task_not_per_spec`).
+    // doubling. An unfolding of a body with a split, a round of its
+    // own, costs 2 (`unfolding_allocates_per_task_not_per_spec`).
     let depth = DEPTH as u64;
     let rounds = steadiest(|| allocs_per_32_rounds(countdown_cell_loop()));
     assert!(

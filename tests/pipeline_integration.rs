@@ -374,12 +374,19 @@ fn sched_engine_scales_workers_without_changing_the_picture() {
 
 /// One `forkjoin_burst` job: a 16×16 render on the Fig 4 net, 16
 /// sections and 8 tokens over two nodes. Fused, the merger's star body
-/// (a cell and a parallel of chains) runs as one loop, and each solver
-/// replica's join `([] | [| {sect}, {<node>} |])` runs its cell itself,
-/// so the job builds 89 components (150 while both were components of
-/// their own) and retires every one of them.
+/// (a cell and a parallel of chains) runs as one loop, and the solver's
+/// star runs one component per round: the join `([] | [| {sect},
+/// {<node>} |])` of the round before, the exit test, and the dispatch
+/// `(split | [])`, whose split routes each section to its node's
+/// replica. So the job builds 41 components (89 while a solver round
+/// was a tap, a dispatcher, a split and a join; 150 while the merger's
+/// star and the join's cell were components of their own) and retires
+/// every one of them, whatever the worker count. What the grain costs
+/// in scheduling is bounded from above: activations depend on the
+/// schedule, and read 64 a job on one worker and 63–76 on two (140 and
+/// 161 while a round was four components).
 #[test]
-fn a_fig4_job_builds_89_components() {
+fn a_fig4_job_builds_41_components() {
     let wl = Workload {
         spheres: 8,
         width: 16,
@@ -393,16 +400,30 @@ fn a_fig4_job_builds_89_components() {
         tokens: 8,
         schedule: Schedule::Block,
     };
-    let slot = image_slot();
-    let net = SchedNet::new(raytracing_net(cfg.variant, slot.clone(), None));
-    for _ in 0..3 {
-        let (outs, trace) = net
-            .run_batch_traced(vec![input_record(&wl, &cfg)])
-            .expect("the job completes");
-        assert!(outs.is_empty(), "genImg terminates the stream");
-        assert_eq!(slot.lock().take().expect("a picture"), wl.reference_image());
-        let built = trace.get(&trace.components_built);
-        assert_eq!(built, 89);
-        assert_eq!(trace.get(&trace.components_finalized), built);
+    for (workers, most) in [(1, 72), (2, 100)] {
+        let slot = image_slot();
+        let net = SchedNet::with_config(
+            raytracing_net(cfg.variant, slot.clone(), None),
+            EngineConfig {
+                workers,
+                ..EngineConfig::default()
+            },
+        );
+        for _ in 0..3 {
+            let (outs, trace) = net
+                .run_batch_traced(vec![input_record(&wl, &cfg)])
+                .expect("the job completes");
+            assert!(outs.is_empty(), "genImg terminates the stream");
+            assert_eq!(slot.lock().take().expect("a picture"), wl.reference_image());
+            let built = trace.get(&trace.components_built);
+            assert_eq!(built, 41, "{workers} workers");
+            assert_eq!(trace.get(&trace.components_finalized), built);
+            let activations = trace.get(&trace.activations);
+            eprintln!("{workers} workers: {activations} activations");
+            assert!(
+                activations <= most,
+                "{workers} workers: {activations} activations (> {most})"
+            );
+        }
     }
 }
