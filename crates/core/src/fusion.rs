@@ -26,7 +26,7 @@
 //! from tag value to replica port, so a subnet that ends in one, or a
 //! parallel whose branches each run or end in one, **routes inline**
 //! ([`routes_inline`]): its owner runs it and sends what reaches the
-//! split to the replicas, which stay components of their own. Three
+//! split to the replicas, which stay components of their own. Four
 //! boundaries own such subnets. A star whose body runs inline is a
 //! [`Node::Loop`]: every replica would run the same subnet, and the
 //! engine runs the star as one component that loops through it,
@@ -37,9 +37,12 @@
 //! before, the exit test, and the head, when the head routes inline.
 //! A parallel runs every branch that runs or routes inline
 //! ([`ParNode::inline`]) itself, onto the merged output every branch
-//! writes, and builds no component for it. Split replicas, the head of
-//! a round that does not route inline, and placed subnets stay
-//! components: they are built per record, per round or per node.
+//! writes, and builds no component for it. A split replica whose body
+//! is a serial spine that runs or routes inline ([`SplitNode::inline`])
+//! is one component stepping that spine, not one per element with a
+//! hand-off between each. Split replicas, the head of a round that does
+//! not route inline, and placed subnets stay components: they are built
+//! per record, per round or per node.
 //! A chain exists only in the compiled tree: a [`NetSpec`]
 //! is always the network as its author wrote it, and the reference
 //! interpreter, the analyzer and the
@@ -193,6 +196,14 @@ pub struct SplitNode {
     /// `A !@ <tag>`: the tag value also names the node hosting the
     /// replica.
     pub placed: bool,
+    /// With `fuse` on, whether the body is a serial spine that runs or
+    /// routes inline ([`runs_inline`], [`routes_inline`]): then a
+    /// replica is one component that steps the whole spine, instead of
+    /// one per element with a hand-off between each. A body that is not
+    /// a serial spine is built as written: a chain, a cell or a split is
+    /// one component already, and a parallel runs its inline branches
+    /// itself. Always `false` unfused.
+    pub inline: bool,
 }
 
 /// Compiles `spec` with fusion on: [`compile`]`(spec, true)`, the
@@ -232,7 +243,10 @@ pub fn fuse(spec: &NetSpec) -> Node {
 /// * with `fuse` on, every parallel branch that runs or routes inline
 ///   is marked ([`ParNode::inline`]): the dispatcher runs it on the
 ///   records it dispatches there. The branch keeps its compiled form
-///   and its pattern, so dispatch itself does not change.
+///   and its pattern, so dispatch itself does not change;
+/// * with `fuse` on, a split whose body is a serial spine that runs or
+///   routes inline is marked ([`SplitNode::inline`]): each replica is
+///   one component stepping that spine.
 ///
 /// Either way the compiled network is observationally equivalent to
 /// the original on every engine: same output multiset, same trace
@@ -308,11 +322,17 @@ fn walk(spec: &NetSpec, fuse: bool, run: &mut Vec<ChainStage>, spine: &mut Vec<N
                 }
             }
         }
-        NetSpec::Split { body, tag, placed } => Node::Split(Arc::new(SplitNode {
-            body: compile(body, fuse),
-            tag: *tag,
-            placed: *placed,
-        })),
+        NetSpec::Split { body, tag, placed } => {
+            let body = compile(body, fuse);
+            Node::Split(Arc::new(SplitNode {
+                inline: fuse
+                    && matches!(body, Node::Serial(..))
+                    && (runs_inline(&body) || routes_inline(&body)),
+                body,
+                tag: *tag,
+                placed: *placed,
+            }))
+        }
         NetSpec::At { body, node } => Node::At {
             body: Box::new(compile(body, fuse)),
             node: *node,
@@ -374,8 +394,8 @@ fn holds_a_cell(node: &Node) -> bool {
 }
 
 /// Adds a leaf to the open run; unfused, the run ends with it. Beside
-/// a star's loop, head and tail and a parallel's inline branches, this
-/// is the one place `fuse` is read.
+/// a star's loop, head and tail, a parallel's inline branches and a
+/// split's inline replicas, this is the one place `fuse` is read.
 fn leaf(stage: ChainStage, fuse: bool, run: &mut Vec<ChainStage>, spine: &mut Vec<Node>) {
     run.push(stage);
     if !fuse {
@@ -799,6 +819,56 @@ mod tests {
             };
             assert_eq!(split.placed, placed);
         }
+    }
+
+    #[test]
+    fn a_fused_split_marks_a_spine_that_runs_or_routes_inline() {
+        let release = || {
+            NetSpec::parallel(vec![
+                NetSpec::Filter(FilterSpec::identity()),
+                NetSpec::identity(),
+            ])
+        };
+        // Fig 4's replica, the solver and the token release, a parallel
+        // of two filters: a spine that runs inline.
+        let fig4 = NetSpec::split_placed(NetSpec::serial(inc("solve"), release()), "node");
+        // `(a .. (b ! <j>)) ! <k>`: a spine that routes.
+        let routing = NetSpec::split(
+            NetSpec::serial(inc("a"), NetSpec::split(inc("b"), "j")),
+            "k",
+        );
+        // `(a .. sync) ! <k>`: a replica keeps a cell state of its own.
+        let cell = NetSpec::split(NetSpec::serial(inc("a"), sync_ab()), "k");
+        // `inc ! <k>`: a lone chain is one component already.
+        let lone = NetSpec::split(inc("inc"), "k");
+        // `(a .. b * z) ! <k>`: a loop is a component of its own, so the
+        // spine neither runs nor routes inline.
+        let looped = NetSpec::split(
+            NetSpec::serial(inc("a"), NetSpec::star(inc("b"), pattern("z"))),
+            "k",
+        );
+        for (spec, marked) in [
+            (&fig4, true),
+            (&routing, true),
+            (&cell, true),
+            (&lone, false),
+            (&looped, false),
+        ] {
+            for fuse in [true, false] {
+                let Node::Split(split) = compile(spec, fuse) else {
+                    panic!("split survives compilation")
+                };
+                assert_eq!(split.inline, fuse && marked, "fuse {fuse}: {split:?}");
+            }
+        }
+        // The nested split is a lone chain's: not marked.
+        let Node::Split(outer) = fuse(&routing) else {
+            panic!("split survives compilation")
+        };
+        let [_, Node::Split(inner)] = spine(&outer.body)[..] else {
+            panic!("expected chain .. split: {outer:?}")
+        };
+        assert!(!inner.inline);
     }
 
     #[test]

@@ -21,7 +21,9 @@
 //! construction (`tests/sim_vs_engine.rs` checks it).
 //!
 //! There are four kinds of component. `Inline` steps a subnet standing
-//! alone: a chain, a cell, or a split. `Par` dispatches to its
+//! alone: a chain, a cell, a split, or the whole body of a split
+//! replica when it is a serial spine that runs or routes inline
+//! ([`SplitNode::inline`]). `Par` dispatches to its
 //! branches, running those that run or route inline itself. `Loop` is a
 //! star whose body runs inline. `Round` is one round of any other star:
 //! the tail of the round before, the exit test, and the head, which it
@@ -133,7 +135,9 @@ enum Kind<P> {
     /// run of boxes and filters: each record crosses every stage inside
     /// one step; stateless, so the instance is the pointer), a
     /// synchrocell, or a split, which routes each record to the replica
-    /// for its tag value.
+    /// for its tag value; or a split replica whose body is a serial
+    /// spine that runs or routes inline ([`SplitNode::inline`]), which
+    /// steps the spine stage-major with no hand-off inside.
     Inline(Inline<P>),
     /// A parallel dispatcher: each record goes to its best-matching
     /// branch. A branch that [`ParNode::inline`] marks runs here,
@@ -188,9 +192,9 @@ enum Branch<P> {
 /// The per-instance state of a subnet a component steps itself
 /// ([`snet_core::fusion::runs_inline`] and
 /// [`snet_core::fusion::routes_inline`]), a tree of the compiled node's
-/// shape: a chain, a cell or a split standing alone, a loop's body, a
-/// round's tail or head, or a parallel's inline branch. A batch goes
-/// through it stage-major, with no mailbox inside.
+/// shape: a chain, a cell or a split standing alone, a split replica's
+/// spine, a loop's body, a round's tail or head, or a parallel's inline
+/// branch. A batch goes through it stage-major, with no mailbox inside.
 enum Inline<P> {
     Chain(Arc<[ChainStage]>),
     Sync {
@@ -386,10 +390,10 @@ impl<P> Component<P> {
     }
 
     /// The port whose backlog holds this component back: the output of
-    /// a chain, a loop, a synchrocell or a parallel that runs a branch
-    /// inline, and the next round of a round that runs its tail or its
-    /// head. Pure dispatchers (trivial work, many outputs: a split
-    /// standing alone, a tap) are never held back.
+    /// a chain, a loop, a synchrocell, a split replica's spine or a
+    /// parallel that runs a branch inline, and the next round of a round
+    /// that runs its tail or its head. Pure dispatchers (trivial work,
+    /// many outputs: a split standing alone, a tap) are never held back.
     pub(crate) fn held_back_by(&self) -> Option<&P> {
         match &self.kind {
             Kind::Inline(Inline::Router { .. }) => None,
@@ -727,7 +731,14 @@ fn split_step<T: Transport>(
     };
     let port = replicas.entry(value).or_insert_with(|| {
         Trace::add(&run.trace.split_replicas, 1);
-        let replica = |t: &mut T| build(&node.body, T::another(out), run, t);
+        // A marked body is one component that steps its whole spine.
+        let replica = |t: &mut T| {
+            let out = T::another(out);
+            match node.inline {
+                true => spawn(Kind::Inline(Inline::new(&node.body)), out, run, t),
+                false => build(&node.body, out, run, t),
+            }
+        };
         // `!@<tag>`: the tag value names the hosting node.
         if node.placed {
             t.at(value, replica)

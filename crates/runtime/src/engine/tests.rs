@@ -248,3 +248,33 @@ fn a_parallel_is_named_for_the_chains_it_runs() {
         ]
     );
 }
+
+/// Fused, a split replica whose body is a serial spine that runs inline
+/// — Fig 4's shape, a box and then a parallel of two filters — is one
+/// component stepping the spine, named for it. Unfused, the replica is
+/// its body as written: each filter, the dispatcher and the box.
+#[test]
+fn a_split_replica_of_a_spine_is_one_component() {
+    let split = NetSpec::split(
+        NetSpec::serial(
+            pass("a"),
+            NetSpec::parallel(vec![dec(), NetSpec::identity()]),
+        ),
+        "k",
+    );
+    let routed = stays().map(|rec| rec.with_tag("k", 0));
+    assert_eq!(
+        labels(&split, true, routed.clone()),
+        ["split-dispatch", "box-a..(filter|filter)"]
+    );
+    assert_eq!(
+        labels(&split, false, routed),
+        [
+            "split-dispatch",
+            "filter",
+            "filter",
+            "par-dispatch",
+            "box-a"
+        ]
+    );
+}

@@ -78,8 +78,9 @@
 //! copies nothing whose size depends on the topology. The paper's Fig 4 net
 //! schedules dynamically *by unfolding*, so this is coordination
 //! overhead in its own sense: one 16×16 job on that net builds and
-//! retires 41 components (89 before a star whose body holds a split
-//! ran one component per round, 150 before a star whose body runs
+//! retires 31 components (41 before a split replica whose body is an
+//! inline spine became one task, 89 before a star whose body holds a
+//! split ran one component per round, 150 before a star whose body runs
 //! inline became one loop and a parallel ran its cell branches itself,
 //! 234 before a parallel ran its chain branches itself, below), and
 //! instantiating from the
@@ -168,7 +169,7 @@
 //! exactly there, so the observable record flow (and the interpreter
 //! oracle) is unchanged.
 //!
-//! Three boundaries own **inline subnets**
+//! Four boundaries own **inline subnets**
 //! ([`snet_core::fusion::runs_inline`]: a chain, a synchrocell, or a
 //! serial or parallel composition of only those), which build nothing
 //! per record and so need no component of their own. A split is run
@@ -212,12 +213,17 @@
 //! built behind a port, so the bypass idiom `(A | [])` of the paper's
 //! Figs 3 and 4, and Fig 4's join `([] | [| {sect}, {<node>} |])`, are
 //! one component each, and a parallel that runs a branch is
-//! backpressured on its output. A placed subnet stays a boundary, and
-//! a split standing alone is a component that only routes. A 16×16
-//! job on the Fig 4 net builds 41 components (89 while a solver round
-//! was a tap, a dispatcher, a split and a join, 150 while the merger's
-//! star kept its taps and the join its cell component, 234 while
-//! parallels built a component per branch).
+//! backpressured on its output. A split replica is the fourth: fused,
+//! a replica whose body is a serial spine that runs or routes inline
+//! (`SplitNode::inline`) is one component stepping the whole spine,
+//! backpressured on its output, so Fig 4's replica `solve .. release`
+//! is one task where it was the solver's and the release's, a record
+//! hop apart. A placed subnet stays a boundary, and a split standing
+//! alone is a component that only routes. A 16×16 job on the Fig 4 net
+//! builds 31 components (41 while a replica was two, 89 while a solver
+//! round was a tap, a dispatcher, a split and a join, 150 while the
+//! merger's star kept its taps and the join its cell component, 234
+//! while parallels built a component per branch).
 //!
 //! Faults are **per stage** at either grain: each stage runs under its
 //! own [`FailurePolicy`], a `DeadLetter`-diverted record carries the

@@ -380,7 +380,8 @@ pub(super) fn execute(
 /// (acquired with `try_lock`, so workers never block behind a running
 /// activation). An activation ends in one of four ways: finalized, idle
 /// (nothing queued for it), re-queued (budget spent), or held back by
-/// its downstream, waiting for the wake it registered for.
+/// its downstream, waiting for the wake it registered for; one that
+/// finds its task already finalized ends at once.
 fn run_task(
     task: &Arc<Task>,
     mut state: parking_lot::MutexGuard<'_, State>,
@@ -391,6 +392,16 @@ fn run_task(
     // lock serializes actual execution.
     task.scheduled.store(false, Ordering::Release);
     Trace::add(&task.run.trace.activations, 1);
+
+    // A stale activation: a send or a close queued the task while the
+    // activation before was running, and that one's tail finalized it.
+    // Nothing is left to run. Finalizing again only drops stragglers
+    // (sent after an abort finalized the task) and wakes the producers
+    // they held back, so that they observe the abort.
+    let State::Live(comp) = &mut *state else {
+        finalize(task, &mut state, sh, local, 0);
+        return;
+    };
 
     // Activation-start preemption point: abort flag and run deadline.
     if task.run.should_stop() {
@@ -420,7 +431,7 @@ fn run_task(
                 finalize(task, &mut state, sh, local, 0);
                 return;
             }
-            if output_backpressured(task, &state) {
+            if output_backpressured(task, comp) {
                 held_back = true;
                 break;
             }
@@ -445,32 +456,24 @@ fn run_task(
         // back once it is under the limit.
         task.wake_outside();
         wake(woken, sh, local);
-        match &mut *state {
-            State::Live(comp) => {
-                let n = inbuf.len();
-                let mut cx = TaskCx {
-                    pool: sh,
-                    run: &task.run,
-                    local,
-                };
-                if let Err(e) = comp.step_batch(inbuf.drain(..), &task.run, &sh.config, &mut cx) {
-                    task.run.fail(e);
-                    finalize(task, &mut state, sh, local, 0);
-                    return;
-                }
-                processed += n;
-            }
-            // Post-teardown stragglers are dropped.
-            State::Done => processed += inbuf.drain(..).count(),
+        let n = inbuf.len();
+        let mut cx = TaskCx {
+            pool: sh,
+            run: &task.run,
+            local,
+        };
+        if let Err(e) = comp.step_batch(inbuf.drain(..), &task.run, &sh.config, &mut cx) {
+            task.run.fail(e);
+            finalize(task, &mut state, sh, local, 0);
+            return;
         }
+        processed += n;
     }
 
     // Forward this activation's entire output: every edge gets at most
     // one more mailbox push + wake, and the between-activations
     // invariant (empty coalescing buffers) is restored.
-    if let State::Live(comp) = &mut *state {
-        comp.for_each_port(|port| port.flush(sh, local));
-    }
+    comp.for_each_port(|port| port.flush(sh, local));
 
     // Order matters: read the sender count BEFORE the final mailbox
     // probe. Each port's sends happen-before its close, so observing
@@ -497,11 +500,8 @@ fn run_task(
 /// filter, are exempt: their work per record is trivial and they feed
 /// many outputs), and register there for the drain that takes it
 /// under.
-fn output_backpressured(task: &Arc<Task>, state: &State) -> bool {
-    match state {
-        State::Live(comp) => comp.held_back_by().is_some_and(|out| out.holds_back(task)),
-        State::Done => false,
-    }
+fn output_backpressured(task: &Arc<Task>, comp: &Component<Port>) -> bool {
+    comp.held_back_by().is_some_and(|out| out.holds_back(task))
 }
 
 /// Observes end-of-stream: count stranded synchrocell records, close
@@ -509,9 +509,10 @@ fn output_backpressured(task: &Arc<Task>, state: &State) -> bool {
 fn finalize(task: &Arc<Task>, state: &mut State, sh: &Pool, local: Option<usize>, depth: u32) {
     // Retire the mailbox's backing storage (it is empty on every orderly
     // end-of-stream; on abort the pool discards what is left). Stragglers
-    // that land after teardown go into the fresh empty deque and are
-    // dropped with it. Whoever waits on the mailbox is woken: a sender
-    // on the ingress bound, producers it held back.
+    // that land after teardown go into the fresh empty deque, and the
+    // activation they queue finalizes again, which drops them. Whoever
+    // waits on the mailbox is woken: a sender on the ingress bound,
+    // producers it held back.
     let (queue, waiters) = {
         let mut mb = task.mailbox.lock();
         (

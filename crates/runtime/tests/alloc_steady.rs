@@ -29,6 +29,10 @@
 //! came had, and only an output that needs its own copy of the
 //! remainder pays for one.
 //!
+//! The fifth pins a split replica of Fig 4's shape, a box and then a
+//! parallel of two filters, which the fused plan builds as one task
+//! stepping the whole spine.
+//!
 //! The counter is process-wide, so the tests take turns (`WINDOW`): no
 //! sibling test thread can allocate into a measured window.
 
@@ -325,10 +329,10 @@ fn allocs_per_unfolding(width: usize) -> u64 {
     deep - flat
 }
 
-/// Allocations per split replica of `inc ! <k>`: 33 records with 33
+/// Allocations per split replica of `body ! <k>`: 33 records with 33
 /// index values against 33 records with one.
-fn allocs_per_replica(width: usize) -> u64 {
-    let net = || one_worker(NetSpec::split(wide_inc(width), "k"));
+fn allocs_per_replica(body: &NetSpec) -> u64 {
+    let net = || one_worker(NetSpec::split(body.clone(), "k"));
     let job = |distinct: bool| {
         move || {
             (0..=DEPTH)
@@ -339,7 +343,7 @@ fn allocs_per_replica(width: usize) -> u64 {
     let n = DEPTH as usize + 1;
     let many = warm_floor(net, job(true), n);
     let one = warm_floor(net, job(false), n);
-    eprintln!("split, inc width {width}: {n} replicas = {many} allocs, 1 replica = {one}");
+    eprintln!("split: {n} replicas = {many} allocs, 1 replica = {one}");
     many - one
 }
 
@@ -377,15 +381,37 @@ fn unfolding_allocates_per_task_not_per_spec() {
         "a 16-item box signature must cost an unfolding nothing extra"
     );
 
-    let narrow = steadiest(|| allocs_per_replica(1));
+    let narrow = steadiest(|| allocs_per_replica(&wide_inc(1)));
     assert!(
         narrow <= 10 * depth,
         "{narrow} allocations for {depth} split replicas (> 10 each)"
     );
     assert_eq!(
         narrow,
-        steadiest(|| allocs_per_replica(16)),
+        steadiest(|| allocs_per_replica(&wide_inc(16))),
         "a 16-item box signature must cost a replica nothing extra"
+    );
+}
+
+/// Fig 4's replica shape, `inc .. ([{<n>} -> {<n -= 1>}] | [])`: a box,
+/// then a parallel of two filters. The records carry only `<k>`, so
+/// they bypass `inc` and take `[]`.
+fn fig4_replica() -> NetSpec {
+    let release = NetSpec::parallel(vec![NetSpec::Filter(countdown()), NetSpec::identity()]);
+    NetSpec::serial(wide_inc(1), release)
+}
+
+#[test]
+fn a_fig4_replica_is_one_task() {
+    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
+    let depth = DEPTH as u64;
+    // Reads 104 for 32 replicas: 3 a replica (its task, its spine and
+    // the parallel's branch list), and the 8 the replica map takes to
+    // grow to 33 entries, which `inc ! <k>` pays too.
+    let replicas = steadiest(|| allocs_per_replica(&fig4_replica()));
+    assert_eq!(
+        replicas, 104,
+        "{replicas} allocations for {depth} Fig 4 replicas"
     );
 }
 

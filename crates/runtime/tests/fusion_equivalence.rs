@@ -677,6 +677,33 @@ fn arb_routed_star() -> impl Strategy<Value = (NetSpec, bool)> {
         })
 }
 
+/// `(front .. back) ! <k>`: a split whose body is a serial spine that
+/// runs or routes inline, so that fused a replica is one component
+/// stepping it, with a cell state of its own. `front` is chains and
+/// cells, a cell among them; `back` is chains and parallels of chains,
+/// and may end in a nested split `x ! <n>`, which routes. No parallel or
+/// split stands ahead of a cell, so every engine hands each replica's
+/// cells the records routed to it in input order.
+fn arb_inline_replica() -> impl Strategy<Value = NetSpec> {
+    let front = prop_oneof![arb_branch_chain(), Just(sync_ab())];
+    let back = prop_oneof![
+        arb_branch_chain(),
+        prop::collection::vec(arb_branch_chain(), 2..4).prop_map(NetSpec::parallel),
+    ];
+    (
+        prop::collection::vec(front, 1..3),
+        0usize..3,
+        prop::collection::vec(back, 0..3),
+        prop::option::of(arb_chain()),
+    )
+        .prop_map(|(mut spine, at, back, nested)| {
+            spine.insert(at.min(spine.len()), sync_ab());
+            spine.extend(back);
+            spine.extend(nested.map(|x| NetSpec::split(x, "n")));
+            NetSpec::split(NetSpec::pipeline(spine), "k")
+        })
+}
+
 /// How many branches the plan's parallels run themselves.
 fn inline_branches(node: &Node) -> usize {
     match node {
@@ -862,6 +889,56 @@ proptest! {
                 .collect(),
             false => batch,
         };
+
+        let oracle = Interp::new(&net).run_batch(batch.clone()).unwrap();
+        let fused = SchedNet::with_config(net.clone(), fused_cfg())
+            .run_batch_report(batch.clone())
+            .unwrap();
+        let unfused = SchedNet::with_config(net.clone(), unfused_cfg())
+            .run_batch_report(batch.clone())
+            .unwrap();
+        let one_by_one = SchedNet::with_config(net, record_at_a_time_cfg())
+            .run_batch_report(batch)
+            .unwrap();
+        let counters = semantic_counters(&unfused.trace);
+        prop_assert_eq!(counters[1], oracle.work.ops);
+        prop_assert_eq!(counters[6], oracle.stranded as u64, "sync_stranded");
+        for (engine, report) in [
+            ("fused", &fused),
+            ("unfused", &unfused),
+            ("fused, batch 1", &one_by_one),
+        ] {
+            prop_assert_eq!(
+                multiset(&report.outputs),
+                multiset(&oracle.outputs),
+                "{}: outputs", engine
+            );
+            prop_assert_eq!(
+                dead_multiset(&report.dead_letters),
+                dead_multiset(&oracle.dead_letters),
+                "{}: dead letters", engine
+            );
+            prop_assert_eq!(semantic_counters(&report.trace), counters, "{}: trace", engine);
+        }
+    }
+}
+
+proptest! {
+    // As many cases as the routed star's: a replica's cell strands a
+    // record only in a batch that never completes its join.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn a_replica_running_its_spine_is_the_split_as_written(
+        net in arb_inline_replica(),
+        batch in prop::collection::vec(arb_record(), 0..12),
+    ) {
+        let marked = |fuse| match snet_core::fusion::compile(&net, fuse) {
+            Node::Split(split) => split.inline,
+            other => panic!("a split: {other:?}"),
+        };
+        prop_assert!(marked(true), "fused, a replica runs its spine");
+        prop_assert!(!marked(false), "unfused, it is built as written");
 
         let oracle = Interp::new(&net).run_batch(batch.clone()).unwrap();
         let fused = SchedNet::with_config(net.clone(), fused_cfg())

@@ -378,15 +378,18 @@ fn sched_engine_scales_workers_without_changing_the_picture() {
 /// star runs one component per round: the join `([] | [| {sect},
 /// {<node>} |])` of the round before, the exit test, and the dispatch
 /// `(split | [])`, whose split routes each section to its node's
-/// replica. So the job builds 41 components (89 while a solver round
-/// was a tap, a dispatcher, a split and a join; 150 while the merger's
-/// star and the join's cell were components of their own) and retires
-/// every one of them, whatever the worker count. What the grain costs
-/// in scheduling is bounded from above: activations depend on the
-/// schedule, and read 64 a job on one worker and 63–76 on two (140 and
-/// 161 while a round was four components).
+/// replica. A replica `solve .. ([{chunk,<node>} -> {chunk}] |
+/// [{<node>}])` is one component that runs the solver and the token
+/// release itself. So the job builds 31 components (41 while a replica
+/// was the solver and a dispatcher; 89 while a solver round was a tap,
+/// a dispatcher, a split and a join; 150 while the merger's star and
+/// the join's cell were components of their own; 234 before that) and
+/// retires every one of them, whatever the worker count. What the grain
+/// costs in scheduling is bounded from above: activations depend on the
+/// schedule, and read 39 a job on one worker (64 while a replica was
+/// two components, 140 while a round was four).
 #[test]
-fn a_fig4_job_builds_41_components() {
+fn a_fig4_job_builds_31_components() {
     let wl = Workload {
         spheres: 8,
         width: 16,
@@ -400,7 +403,7 @@ fn a_fig4_job_builds_41_components() {
         tokens: 8,
         schedule: Schedule::Block,
     };
-    for (workers, most) in [(1, 72), (2, 100)] {
+    for (workers, most) in [(1, 44), (2, 75)] {
         let slot = image_slot();
         let net = SchedNet::with_config(
             raytracing_net(cfg.variant, slot.clone(), None),
@@ -416,7 +419,7 @@ fn a_fig4_job_builds_41_components() {
             assert!(outs.is_empty(), "genImg terminates the stream");
             assert_eq!(slot.lock().take().expect("a picture"), wl.reference_image());
             let built = trace.get(&trace.components_built);
-            assert_eq!(built, 41, "{workers} workers");
+            assert_eq!(built, 31, "{workers} workers");
             assert_eq!(trace.get(&trace.components_finalized), built);
             let activations = trace.get(&trace.activations);
             eprintln!("{workers} workers: {activations} activations");
